@@ -30,6 +30,7 @@ from .splitting import (
     adapted_norm,
     center_dimension,
     classify,
+    classify_poly,
     compute_splitting,
     exact_modulus_counts,
     unit_disk_root_count,

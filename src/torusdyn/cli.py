@@ -99,17 +99,18 @@ def cmd_dioph(args) -> int:
         "radius": args.radius, "kmax": args.kmax, "candidates": args.candidates,
         "delta": args.delta, "seed": args.seed,
     }
-    table = ["norm,center_norm"] + [
-        f"{float(nv)!r},{float(cv)!r}" for nv, cv in zip(ball.norms, ball.center_norms)
-    ]
+    if args.format == "csv" or args.csv:
+        table = "\n".join(["norm,center_norm"] + [
+            f"{float(nv)!r},{float(cv)!r}" for nv, cv in zip(ball.norms, ball.center_norms)
+        ]) + "\n"
     if args.format == "csv":
-        sys.stdout.write("\n".join(table) + "\n")
+        sys.stdout.write(table)
         _dump(out, args.out)
     else:
         _dump(out, args.out, sys.stdout)
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write("\n".join(table) + "\n")
+            fh.write(table)
     return 0
 
 

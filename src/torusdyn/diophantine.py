@@ -170,7 +170,6 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
         mask = (logn >= b0) & (logn < b1)
         if not np.any(mask):
             continue
-        j = np.argmin(ball.center_norms[mask])
         xs.append(np.mean(logn[mask]))
         ys.append(np.log(np.min(ball.center_norms[mask])))
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0

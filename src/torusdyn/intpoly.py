@@ -464,47 +464,6 @@ def count_real_roots(
     return _variations(at_lo) - _variations(at_hi)
 
 
-def isolate_real_roots(p: IntPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals (a, b) in (lo, hi), each holding one distinct root.
-
-    Requires p(lo) != 0 and p(hi) != 0.  Exact Sturm bisection; interval
-    endpoints are never roots.
-    """
-    if p.degree < 1:
-        return []
-    chain = sturm_chain(p)
-    f = chain[0]
-    if f(lo) == 0 or f(hi) == 0:
-        raise ValueError("isolation endpoints must not be roots")
-
-    def nroots(a: Fraction, b: Fraction) -> int:
-        return count_real_roots(f, a, b, chain=chain)
-
-    def safe_mid(a: Fraction, b: Fraction) -> Fraction:
-        m = (a + b) / 2
-        k = 3
-        while f(m) == 0:
-            m = a + (b - a) / k
-            k += 1
-        return m
-
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, nroots(lo, hi))]
-    while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            out.append((a, b))
-            continue
-        m = safe_mid(a, b)
-        cl = nroots(a, m)
-        stack.append((a, m, cl))
-        stack.append((m, b, cnt - cl))
-    out.sort()
-    return out
-
-
 def count_unitary_roots(p: IntPoly) -> int:
     """Number of roots of modulus one, with multiplicity.
 

@@ -197,10 +197,10 @@ class LeafSolver:
 
     # -- Lyapunov-Perron fixed point -----------------------------------------------
 
-    def _run_fixed_point(self, segments, sweep, context: str) -> None:
+    def _run_fixed_point(self, sweep, context: str) -> None:
         """Iterate `sweep` until the t=0 state stops moving."""
         prev = None
-        best = math.inf
+        best = change = math.inf
         stall = 0
         for it in range(self.max_sweeps):
             state = sweep()
@@ -219,7 +219,8 @@ class LeafSolver:
                     break
             prev = state
         raise NumericsError(f"fixed-point iteration did not converge in {context} "
-                            f"(last change {best:.2e}); the perturbation may be too large")
+                            f"(last change {change:.2e}, best change {best:.2e}); "
+                            "the perturbation may be too large")
 
     def _leaf_step(self, bases: np.ndarray, flavor: str, params: np.ndarray) -> np.ndarray:
         """Points on W^flavor(base) at the given (small) parameters."""
@@ -233,7 +234,7 @@ class LeafSolver:
                 out = seg.update(driven, killed)
                 return np.concatenate([out[b] for b in killed], axis=-1)
 
-            self._run_fixed_point([seg], sweep, f"leaf solve ({flavor})")
+            self._run_fixed_point(sweep, f"leaf solve ({flavor})")
             return bases + seg.d[0] @ self.embed.T
         if flavor in ("u", "cu"):
             seg = _Segment(self, bases, "bwd", self.horizon, shape)
@@ -243,7 +244,7 @@ class LeafSolver:
                 out = seg.update(driven, killed)
                 return np.concatenate([out[b] for b in killed], axis=-1)
 
-            self._run_fixed_point([seg], sweep, f"leaf solve ({flavor})")
+            self._run_fixed_point(sweep, f"leaf solve ({flavor})")
             return bases + seg.d[0] @ self.embed.T
         if flavor == "c":
             segf = _Segment(self, bases, "fwd", self.horizon, shape)
@@ -258,7 +259,7 @@ class LeafSolver:
                 state["s"] = outb["s"]
                 return np.concatenate([state["s"], state["u"]], axis=-1)
 
-            self._run_fixed_point([segf, segb], sweep, "leaf solve (c)")
+            self._run_fixed_point(sweep, "leaf solve (c)")
             d0 = np.zeros(shape + (self.n,))
             d0[..., self.block_idx["c"]] = driven["c"]
             d0[..., self.block_idx["s"]] = state["s"]
@@ -341,7 +342,7 @@ class LeafSolver:
             state[...] = out_y[kill_y[0]] - shift[..., self.block_idx[kill_y[0]]]
             return np.concatenate([state] + [driven_y[b] for b in kill_x], axis=-1)
 
-        self._run_fixed_point([seg_x, seg_y], sweep, f"intersection {pair}")
+        self._run_fixed_point(sweep, f"intersection {pair}")
         return xs + seg_x.d[0] @ self.embed.T
 
     def intersection(

@@ -19,7 +19,7 @@ from .errors import BudgetError, InputError, InvariantError, NotErgodicError, Ou
 from .intmatrix import IntMatrix
 from .intpoly import IntPoly, count_unitary_roots, cyclotomic_free, is_poly_in_xm
 from .lattice import Lattice, is_cyclic_vector, kernel_lattice
-from .splitting import Splitting, compute_splitting
+from .splitting import Splitting, _factor_spectrum, compute_splitting
 from .zfactor import factor_z, is_irreducible_z
 
 
@@ -118,18 +118,17 @@ def restricted_matrix(a: IntMatrix, lat: Lattice) -> IntMatrix:
 def _unitary_factor(p: IntPoly) -> tuple[IntPoly, int]:
     """The unique irreducible factor of p carrying the two unitary roots."""
     hits = []
-    for q, mult in factor_z(p):
-        u = count_unitary_roots(q)
-        if u == 2:
-            hits.append((q, mult))
-        elif u != 0:
+    for f in _factor_spectrum(p):
+        if f.unitary == 2:
+            hits.append(f)
+        elif f.unitary != 0:
             raise InvariantError("factor with unexpected unitary root count")
     if len(hits) != 1:
         raise InvariantError("expected exactly one factor carrying the unitary pair")
-    q, mult = hits[0]
-    if mult != 1:
+    f = hits[0]
+    if f.mult != 1:
         raise OutOfHypothesesError("unitary factor has multiplicity > 1")
-    return q, mult
+    return f.poly, f.mult
 
 
 def center_containment_residual(lat: Lattice, split: Splitting) -> float:

@@ -3,14 +3,14 @@
 The splitting into stable / center / unstable subspaces is computed
 numerically (sorted real Schur forms), but every discrete claim -- the
 three dimensions, per-factor root counts, Salem flags -- is certified by
-exact integer arithmetic: Sturm counts for roots of modulus one,
-inverse-root pairing inside reciprocal factors, and an exact winding
-count over the unit circle for factors without unitary roots.
+exact integer arithmetic on one factorization of the char poly: Sturm
+counts for roots of modulus one, inverse-root pairing inside reciprocal
+factors, and a Routh-Hurwitz count (a Cauchy index read at +-infinity)
+for factors without unitary roots.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -19,232 +19,129 @@ import scipy.linalg
 from .errors import InvariantError, NotErgodicError, OutOfHypothesesError
 from .intmatrix import IntMatrix
 from .intpoly import (
+    ONE,
     IntPoly,
-    _sign_at,
+    _neg_rem_primitive,
+    _sign_at_inf,
+    _variations,
     count_real_roots,
     count_unitary_roots,
     cyclotomic,
-    cyclotomic_free,
     cyclotomic_indices_up_to_degree,
-    div_exact,
-    divides,
     is_poly_in_xm,
     is_reciprocal,
-    isolate_real_roots,
-    sturm_chain,
 )
-from .zfactor import factor_z, is_irreducible_z
+from .zfactor import factor_z
 
 # -- exact root location on / inside the unit circle ---------------------------
-
-
-def chebyshev_t(k: int) -> IntPoly:
-    t = [IntPoly((1,)), IntPoly((0, 1))]
-    while len(t) <= k:
-        t.append(2 * IntPoly((0, 1)) * t[-1] - t[-2])
-    return t[k]
-
-
-def chebyshev_u(k: int) -> IntPoly:
-    u = [IntPoly((1,)), IntPoly((0, 2))]
-    while len(u) <= k:
-        u.append(2 * IntPoly((0, 1)) * u[-1] - u[-2])
-    return u[k]
-
-
-def circle_parts(p: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """(R, S) with p(e^{i t}) = R(cos t) + i sin t * S(cos t)."""
-    r = IntPoly(())
-    s = IntPoly(())
-    for k, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        r = r + c * chebyshev_t(k)
-        if k >= 1:
-            s = s + c * chebyshev_u(k - 1)
-    return r, s
-
-
-_EIGHTH = {  # (sign Re, sign Im) -> angle sector in units of pi/4
-    (1, 0): 0, (1, 1): 1, (0, 1): 2, (-1, 1): 3,
-    (-1, 0): 4, (-1, -1): 5, (0, -1): 6, (1, -1): 7,
-}
-
-
-def _halve_interval(iv: tuple[Fraction, Fraction, int], chains) -> tuple[Fraction, Fraction, int]:
-    a, b, idx = iv
-    chain = chains[idx]
-    f = chain[0]
-    m = (a + b) / 2
-    k = 3
-    while _sign_at(f, m) == 0:
-        m = a + (b - a) / k
-        k += 1
-    if count_real_roots(f, a, m, chain=chain) == 1:
-        return (a, m, idx)
-    return (m, b, idx)
-
-
-def _refine_to_disjoint(ivals: list[tuple[Fraction, Fraction, int]], chains) -> list[tuple[Fraction, Fraction, int]]:
-    """Shrink isolating intervals until no two overlap (roots are distinct)."""
-    changed = True
-    while changed:
-        changed = False
-        ivals.sort()
-        for i in range(len(ivals) - 1):
-            _, b1, _ = ivals[i]
-            a2, _, _ = ivals[i + 1]
-            if b1 > a2:
-                ivals[i] = _halve_interval(ivals[i], chains)
-                ivals[i + 1] = _halve_interval(ivals[i + 1], chains)
-                changed = True
-    ivals.sort()
-    return ivals
-
-
-def _shrink_off_endpoints(ivals, chains, lo: Fraction, hi: Fraction):
-    """Pull isolating intervals strictly inside (lo, hi) so samples fit around them."""
-    out = []
-    for iv in ivals:
-        while iv[0] <= lo or iv[1] >= hi:
-            iv = _halve_interval(iv, chains)
-        out.append(iv)
-    out.sort()
-    return out
 
 
 def unit_disk_root_count(p: IntPoly) -> int:
     """Number of roots strictly inside the unit circle, with multiplicity.
 
-    Requires that p has no root of modulus one (and hence none at +-1).
-    Exact: the winding number of t -> p(e^{i t}) around 0 is accumulated
-    from signs of the integer polynomials R, S of ``circle_parts`` at
-    rational sample points separating their roots in (-1, 1).
+    Requires that p has no root of modulus one.  Exact (Routh-Hurwitz):
+    z = (w+1)/(w-1) maps the disk onto the left half-plane, so the count is
+    the number of left-half-plane roots of q(w) = (w-1)^n p((w+1)/(w-1)).
+    With q(iy) = R(y) + i I(y) that number is (n + d)/2, where d, the change
+    of arg q(iy) over the real line in units of pi, is the Cauchy index
+    -Ind(I/R) for even n and Ind(R/I) for odd n.  Each index is read from
+    the signs of a signed remainder sequence at -inf and +inf.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
+    n = p.degree
+    if n == 0:
         return 0
     if p(1) == 0 or p(-1) == 0:
         raise ValueError("root at +-1")
-    if p.degree == 1:
-        return 1 if abs(p.coeffs[0]) < abs(p.coeffs[1]) else 0
-    if p.degree == 2:
-        a0, a1, a2 = p.coeffs
-        disc = a1 * a1 - 4 * a2 * a0
-        if disc < 0:
-            # conjugate pair with |root|^2 = a0/a2
-            return 2 if abs(a0) < abs(a2) else 0
-        if disc == 0:
-            return 2 if abs(a1) < abs(2 * a2) else 0
-        return count_real_roots(p, Fraction(-1), Fraction(1))
-    r_poly, s_poly = circle_parts(p)
+    plus, minus = [ONE], [ONE]
+    for _ in range(n):
+        plus.append(plus[-1] * IntPoly((1, 1)))
+        minus.append(minus[-1] * IntPoly((-1, 1)))
+    q = IntPoly(())
+    for k, c in enumerate(p.coeffs):
+        if c:
+            q = q + c * plus[k] * minus[n - k]
+    # i^j runs through 1, i, -1, -i
+    re = IntPoly(c if j % 4 == 0 else -c if j % 4 == 2 else 0 for j, c in enumerate(q.coeffs))
+    im = IntPoly(c if j % 4 == 1 else -c if j % 4 == 3 else 0 for j, c in enumerate(q.coeffs))
+    den, num, sign = (re, im, -1) if n % 2 == 0 else (im, re, 1)
+    seq = [den, num]
+    while seq[-1].degree > 0:
+        seq.append(_neg_rem_primitive(seq[-2], seq[-1]))
+    # the real roots of gcd(R, I) are the roots of q on the imaginary axis
+    if count_real_roots(seq[-2] if seq[-1].is_zero else seq[-1]) > 0:
+        raise ValueError("root of modulus one")
+    index = (_variations([_sign_at_inf(f, False) for f in seq])
+             - _variations([_sign_at_inf(f, True) for f in seq]))
+    return (n + sign * index) // 2
 
-    one = Fraction(1)
-    # isolate the sign-change locations of R and S inside (-1, 1)
-    chains = []
-    ivals: list[tuple[Fraction, Fraction, int]] = []
-    for idx, q in enumerate((r_poly, s_poly)):
-        if q.degree < 1:
-            chains.append(sturm_chain(q) if not q.is_zero else [q])
-            continue
-        qq = q
-        # strip roots exactly at the endpoints (harmless: sin t vanishes there)
-        for root in (1, -1):
-            while qq.degree >= 1 and qq(root) == 0:
-                qq = div_exact(qq, IntPoly((-root, 1)))
-        chain = sturm_chain(qq)
-        chains.append(chain)
-        if qq.degree >= 1:
-            for a, b in isolate_real_roots(qq, -one, one):
-                ivals.append((a, b, idx))
-    ivals = _refine_to_disjoint(ivals, chains)
-    ivals = _shrink_off_endpoints(ivals, chains, -one, one)
 
-    # rational samples strictly between consecutive isolated roots
-    samples: list[Fraction] = []
-    prev = -one
-    for a, b, _ in ivals:
-        samples.append((prev + a) / 2)
-        prev = b
-    samples.append((prev + one) / 2)
+def _cyclotomic_index_of(q: IntPoly) -> Optional[int]:
+    for m in cyclotomic_indices_up_to_degree(q.degree):
+        if cyclotomic(m) == q:
+            return m
+    return None
 
-    def sector(re_sign: int, im_sign: int) -> int:
-        return _EIGHTH[(re_sign, im_sign)]
 
-    seq: list[int] = []
-    s_at_1 = (p(1) > 0) - (p(1) < 0)
-    s_at_m1 = (p(-1) > 0) - (p(-1) < 0)
-    seq.append(sector(s_at_1, 0))
-    for c in reversed(samples):  # top arc: cos t runs 1 -> -1, sin t > 0
-        seq.append(sector(_sign_at(r_poly, c), _sign_at(s_poly, c)))
-    seq.append(sector(s_at_m1, 0))
-    for c in samples:  # bottom arc: cos t runs -1 -> 1, sin t < 0
-        seq.append(sector(_sign_at(r_poly, c), -_sign_at(s_poly, c)))
-    seq.append(seq[0])
+@dataclass(frozen=True)
+class _FactorSpectrum:
+    """One irreducible factor of a char poly and its root counts."""
 
-    total = 0
-    for a, b in zip(seq, seq[1:]):
-        d = (b - a) % 8
-        if d > 4 or (d == 4):
-            d -= 8
-        if abs(d) > 2:
-            raise InvariantError("circle sweep skipped a sector; isolation failed")
-        total += d
-    if total % 8:
-        raise InvariantError("circle sweep winding is not an integer")
-    return total // 8
+    poly: IntPoly
+    mult: int
+    cyclotomic_index: Optional[int]
+    unitary: int
+    inside: int
+
+    @property
+    def outside(self) -> int:
+        return self.poly.degree - self.unitary - self.inside
+
+
+def _factor_spectrum(p: IntPoly) -> list[_FactorSpectrum]:
+    """Factor monic p once and locate the roots of each irreducible factor.
+
+    A cyclotomic factor has all its roots on the circle.  Any other factor
+    with unitary roots is reciprocal, so its off-circle roots split evenly
+    between inside and outside; the rest go through ``unit_disk_root_count``.
+    """
+    out = []
+    for q, mult in factor_z(p):
+        cyc = _cyclotomic_index_of(q)
+        if cyc is not None:
+            u, inside = q.degree, 0
+        else:
+            u = count_unitary_roots(q)
+            if u:
+                if not is_reciprocal(q):
+                    raise InvariantError("factor with unitary roots is not reciprocal")
+                inside = (q.degree - u) // 2
+            else:
+                inside = unit_disk_root_count(q)
+        out.append(_FactorSpectrum(q, mult, cyc, u, inside))
+    return out
+
+
+def _modulus_counts(spectrum: list[_FactorSpectrum]) -> tuple[int, int, int]:
+    return (sum(f.mult * f.inside for f in spectrum),
+            sum(f.mult * f.unitary for f in spectrum),
+            sum(f.mult * f.outside for f in spectrum))
 
 
 def exact_modulus_counts(p: IntPoly) -> tuple[int, int, int]:
     """(inside, on, outside) root counts of monic p w.r.t. the unit circle.
 
-    Requires p(1) != 0 != p(-1).  Per irreducible factor: a factor with
-    unitary roots is reciprocal, so its off-circle roots split evenly
-    between inside and outside; factors without unitary roots go through
-    the exact winding count.
+    Requires p(1) != 0 != p(-1).
     """
     if p(1) == 0 or p(-1) == 0:
         raise ValueError("roots of unity present; split them off first")
-    inside = on = outside = 0
-    for q, mult in factor_z(p):
-        u = count_unitary_roots(q)
-        if u:
-            if not is_reciprocal(q):
-                raise InvariantError("factor with unitary roots is not reciprocal")
-            k = (q.degree - u) // 2
-            inside += mult * k
-            outside += mult * k
-            on += mult * u
-        else:
-            k = unit_disk_root_count(q)
-            inside += mult * k
-            outside += mult * (q.degree - k)
-    return inside, on, outside
-
-
-def strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[int, int]]]:
-    """Divide out all cyclotomic factors; returns (rest, [(m, multiplicity)])."""
-    rest = p
-    found: list[tuple[int, int]] = []
-    for m in cyclotomic_indices_up_to_degree(max(p.degree, 1)):
-        phi = cyclotomic(m)
-        mult = 0
-        while rest.degree >= phi.degree and divides(phi, rest):
-            rest = div_exact(rest, phi)
-            mult += 1
-        if mult:
-            found.append((m, mult))
-    return rest, found
+    return _modulus_counts(_factor_spectrum(p))
 
 
 def center_dimension(p: IntPoly) -> int:
     """dim E^c for any monic char poly (roots of unity included)."""
-    rest, cyc = strip_cyclotomic(p)
-    total = sum(cyclotomic(m).degree * mult for m, mult in cyc)
-    if rest.degree > 0:
-        total += count_unitary_roots(rest)
-    return total
+    return _modulus_counts(_factor_spectrum(p))[1]
 
 
 # -- classification report -----------------------------------------------------
@@ -300,63 +197,45 @@ class ClassificationReport:
         }
 
 
-def _cyclotomic_index_of(q: IntPoly) -> Optional[int]:
-    for m in cyclotomic_indices_up_to_degree(q.degree):
-        if cyclotomic(m) == q:
-            return m
-    return None
-
-
-def classify(a: IntMatrix) -> ClassificationReport:
-    """Exact algebraic classification of the induced torus automorphism."""
-    p = a.char_poly()
-    det = p.coeffs[0] * (1 if a.n % 2 == 0 else -1)
+def classify_poly(p: IntPoly) -> ClassificationReport:
+    """Exact algebraic classification of the automorphism with char poly p."""
+    n = p.degree
+    det = p.coeffs[0] * (1 if n % 2 == 0 else -1)
     if det not in (1, -1):
         raise OutOfHypothesesError("determinant is not +-1; not a torus automorphism")
-    factors = []
-    dim_c = dim_s = dim_u = 0
-    ergodic = True
-    for q, mult in factor_z(p):
-        cyc = _cyclotomic_index_of(q)
-        if cyc is not None:
-            ergodic = False
-            u = q.degree
-            inside = outside = 0
-        else:
-            u = count_unitary_roots(q)
-            if u:
-                inside = outside = (q.degree - u) // 2
-            else:
-                inside = unit_disk_root_count(q)
-                outside = q.degree - inside
-        salem = cyc is None and u >= 2 and u == q.degree - 2 and is_reciprocal(q)
-        factors.append(
-            FactorRecord(
-                coeffs=q.coeffs,
-                degree=q.degree,
-                multiplicity=mult,
-                unitary_roots=u,
-                reciprocal=is_reciprocal(q),
-                cyclotomic_index=cyc,
-                salem=salem,
-            )
+    spectrum = _factor_spectrum(p)
+    factors = tuple(
+        FactorRecord(
+            coeffs=f.poly.coeffs,
+            degree=f.poly.degree,
+            multiplicity=f.mult,
+            unitary_roots=f.unitary,
+            reciprocal=is_reciprocal(f.poly),
+            cyclotomic_index=f.cyclotomic_index,
+            salem=(f.cyclotomic_index is None and f.unitary >= 2
+                   and f.unitary == f.poly.degree - 2 and is_reciprocal(f.poly)),
         )
-        dim_c += mult * u
-        dim_s += mult * inside
-        dim_u += mult * outside
-    pa = is_irreducible_z(p) and is_poly_in_xm(p) is None
+        for f in spectrum
+    )
+    dim_s, dim_c, dim_u = _modulus_counts(spectrum)
+    irreducible = len(spectrum) == 1 and spectrum[0].mult == 1
     return ClassificationReport(
-        n=a.n,
+        n=n,
         char_poly=p.coeffs,
-        ergodic=ergodic,
+        ergodic=all(f.cyclotomic_index is None for f in spectrum),
         anosov=(dim_c == 0),
         dim_center=dim_c,
         dim_stable=dim_s,
         dim_unstable=dim_u,
-        factors=tuple(factors),
+        factors=factors,
         salem_flags=tuple(f.salem for f in factors),
-        pseudo_anosov=pa,
+        pseudo_anosov=irreducible and is_poly_in_xm(p) is None,
     )
+
+
+def classify(a: IntMatrix) -> ClassificationReport:
+    """Exact algebraic classification of the induced torus automorphism."""
+    return classify_poly(a.char_poly())
 
 
 # -- numerical splitting ---------------------------------------------------------
@@ -446,13 +325,13 @@ def compute_splitting(a: IntMatrix, tol: float = 1e-8) -> Splitting:
     with the exact counts.
     """
     p = a.char_poly()
-    if not cyclotomic_free(p):
+    spectrum = _factor_spectrum(p)
+    if any(f.cyclotomic_index is not None for f in spectrum):
         raise NotErgodicError("an eigenvalue is a root of unity")
-    ns, nc, nu = exact_modulus_counts(p)
+    ns, nc, nu = _modulus_counts(spectrum)
     # unit-modulus roots must be simple for the rotation construction
-    for q, mult in factor_z(p):
-        if mult > 1 and count_unitary_roots(q) > 0:
-            raise OutOfHypothesesError("repeated unit-modulus eigenvalues")
+    if any(f.mult > 1 and f.unitary > 0 for f in spectrum):
+        raise OutOfHypothesesError("repeated unit-modulus eigenvalues")
     af = a.to_float()
 
     def sorted_basis(select) -> tuple[np.ndarray, int]:
@@ -474,19 +353,18 @@ def compute_splitting(a: IntMatrix, tol: float = 1e-8) -> Splitting:
     mu = np.linalg.lstsq(bu, af @ bu, rcond=None)[0] if nu else np.zeros((0, 0))
 
     eigendata: list[tuple[complex, int, str]] = []
-    for q, mult in factor_z(p):
-        u = count_unitary_roots(q)
-        roots = np.roots(list(reversed(q.coeffs)))
+    for f in spectrum:
+        roots = np.roots(list(reversed(f.poly.coeffs)))
         order = np.argsort(np.abs(np.abs(roots) - 1))
         classes = {}
-        for idx in order[:u]:
+        for idx in order[:f.unitary]:
             if abs(abs(roots[idx]) - 1) > 1e-6:
                 raise InvariantError("numeric roots disagree with exact unitary count")
             classes[idx] = "center"
-        for idx in order[u:]:
+        for idx in order[f.unitary:]:
             classes[idx] = "stable" if abs(roots[idx]) < 1 else "unstable"
         for idx, root in enumerate(roots):
-            eigendata.append((complex(root), mult, classes[idx]))
+            eigendata.append((complex(root), f.mult, classes[idx]))
 
     sp = Splitting(
         matrix=a,
@@ -526,7 +404,6 @@ class AdaptedNorm:
     theta_u: float
     lambda_s: float
     mu_u: float
-    _chol: dict = field(default_factory=dict)
 
     def _block_norm(self, coords: np.ndarray, gram: np.ndarray) -> np.ndarray:
         if gram.shape[0] == 0:
@@ -555,8 +432,6 @@ def _iterate_gram(block: np.ndarray, theta: float, tail: float = 1e-9) -> np.nda
     d = block.shape[0]
     if d == 0:
         return np.zeros((0, 0))
-    rho = max(abs(np.linalg.eigvals(block)))
-    ratio = rho / theta
     g = np.eye(d)
     term = np.eye(d)
     m_over = block / theta

@@ -12,10 +12,8 @@ import itertools
 import multiprocessing
 from typing import Iterator, Optional
 
-from .intmatrix import IntMatrix
 from .intpoly import IntPoly
-from .lattice import invariant_factors
-from .splitting import classify
+from .splitting import classify_poly
 
 
 def enumerate_polynomials(dim: int, height: int, reciprocal_only: bool = False,
@@ -37,14 +35,21 @@ def enumerate_polynomials(dim: int, height: int, reciprocal_only: bool = False,
                 return
 
 
+def companion_minus_identity_snf(p: IntPoly) -> list[int]:
+    """Nonzero invariant factors of C - I for the companion matrix C of p.
+
+    xI - C = U(x) diag(1, ..., 1, p(x)) V(x) with U, V invertible over
+    Z[x]; at x = 1 this is a Smith form of I - C.
+    """
+    return [1] * (p.degree - 1) + ([abs(p(1))] if p(1) else [])
+
+
 def classify_entry(item: tuple[int, tuple[int, ...]]) -> dict:
     """Worker: classification record for one polynomial (picklable)."""
     index, coeffs = item
     p = IntPoly(coeffs)
-    a = IntMatrix.companion(p)
-    report = classify(a)
-    a_minus_i = a - IntMatrix.identity(a.n)
-    key = f"cp:{list(coeffs)}|snf:{invariant_factors(a_minus_i.rows)}"
+    report = classify_poly(p)
+    key = f"cp:{list(coeffs)}|snf:{companion_minus_identity_snf(p)}"
     return {
         "index": index,
         "coeffs": list(coeffs),

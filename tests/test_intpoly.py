@@ -16,7 +16,6 @@ from torusdyn.intpoly import (
     gcd_z,
     is_poly_in_xm,
     is_reciprocal,
-    isolate_real_roots,
     reciprocal_part,
     squarefree_decomposition,
 )
@@ -150,14 +149,6 @@ def test_count_real_roots():
     p = IntPoly((-2, 0, 1))  # x^2 - 2
     assert count_real_roots(p) == 2
     assert count_real_roots(p, Fraction(0), Fraction(2)) == 1
-
-
-def test_isolate_real_roots():
-    p = IntPoly((-2, 0, 1)) * IntPoly((-3, 0, 1))  # roots +-sqrt2, +-sqrt3
-    iv = isolate_real_roots(p, Fraction(-2), Fraction(2))
-    assert len(iv) == 4
-    for a, b in iv:
-        assert count_real_roots(p, a, b) == 1
 
 
 def test_squarefree_decomposition():

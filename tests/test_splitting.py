@@ -12,10 +12,13 @@ from torusdyn.splitting import (
     adapted_norm,
     center_dimension,
     classify,
+    classify_poly,
     compute_splitting,
     exact_modulus_counts,
     unit_disk_root_count,
 )
+from torusdyn.survey import enumerate_polynomials
+from torusdyn.zfactor import factor_z
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
 PHI5 = IntPoly((1, 1, 1, 1, 1))
@@ -29,21 +32,35 @@ def test_disk_count_basics():
     assert unit_disk_root_count(IntPoly((1, -3, 1))) == 1
 
 
+def _check_disk_count(p: IntPoly) -> bool:
+    """Compare with numpy's roots; False when p has (or nearly has) unitary roots."""
+    if p.degree < 1 or p(1) == 0 or p(-1) == 0:
+        return False
+    if count_unitary_roots(p) != 0:
+        return False
+    roots = np.roots(list(reversed(p.coeffs)))
+    if np.any(np.abs(np.abs(roots) - 1) < 1e-6):
+        return False
+    assert unit_disk_root_count(p) == int(np.sum(np.abs(roots) < 1)), p
+    return True
+
+
 def test_disk_count_random_vs_numpy():
     rng = random.Random(11)
     checked = 0
     while checked < 250:
         deg = rng.randint(1, 7)
-        p = IntPoly([rng.randint(-4, 4) for _ in range(deg)] + [1])
-        if p.degree < 1 or p(1) == 0 or p(-1) == 0:
-            continue
-        if count_unitary_roots(p) != 0:
-            continue
-        roots = np.roots(list(reversed(p.coeffs)))
-        if np.any(np.abs(np.abs(roots) - 1) < 1e-6):
-            continue
-        assert unit_disk_root_count(p) == int(np.sum(np.abs(roots) < 1)), p
-        checked += 1
+        checked += _check_disk_count(IntPoly([rng.randint(-4, 4) for _ in range(deg)] + [1]))
+    # every irreducible factor met in the survey box (5, 2)
+    box_factors = {q for _, c in enumerate_polynomials(5, 2) for q, _ in factor_z(IntPoly(c))}
+    assert sum(_check_disk_count(q) for q in sorted(box_factors, key=lambda q: q.coeffs)) > 1000
+
+
+def test_disk_count_rejects_unitary_roots():
+    with pytest.raises(ValueError):
+        unit_disk_root_count(SALEM)
+    with pytest.raises(ValueError):
+        unit_disk_root_count(IntPoly((1, 1)))
 
 
 def test_modulus_counts():
@@ -77,6 +94,12 @@ def test_classify_block6(block6_matrix):
     assert r.ergodic and not r.anosov and r.dim_center == 2
     assert not r.pseudo_anosov  # char poly reducible
     assert len(r.factors) == 2
+
+
+def test_classify_poly_matches_companion_classify():
+    for _, coeffs in enumerate_polynomials(4, 2):
+        p = IntPoly(coeffs)
+        assert classify_poly(p).to_json() == classify(IntMatrix.companion(p)).to_json()
 
 
 def test_classify_json_schema():
@@ -138,8 +161,6 @@ def test_center_dim_stable_under_powers(salem_matrix, block6_matrix):
 def test_unitary_factors_have_even_degree_at_least_4():
     rng = random.Random(29)
     checked = 0
-    from torusdyn.zfactor import factor_z
-
     while checked < 120:
         deg = rng.randint(2, 7)
         p = IntPoly([rng.choice([-1, 1])] + [rng.randint(-2, 2) for _ in range(deg - 1)] + [1])
