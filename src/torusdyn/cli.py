@@ -119,7 +119,12 @@ def cmd_perturb(args) -> int:
         f = PerturbedMap.load(args.map)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read map file {args.map!r}: {exc}") from exc
-    amplitudes = [float(t) for t in args.eps.split(",") if t != ""]
+    try:
+        amplitudes = [float(t) for t in args.eps.split(",") if t != ""]
+    except ValueError as exc:
+        raise InputError(f"--eps: {exc}") from exc
+    if not amplitudes:
+        raise InputError("--eps: no amplitude given")
     result = perturb_experiment(
         f, amplitudes, seed=args.seed, n_max=args.nmax, n_count=args.ncount,
         phi_samples=args.samples)

@@ -6,9 +6,11 @@ nothing time- or host-dependent enters the result dictionaries.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InvariantError, OutOfHypothesesError
+from .errors import InputError, InvariantError, OutOfHypothesesError
 from .holonomy import (
     commutation_defect,
     deck_holonomy,
@@ -71,8 +73,8 @@ def phi_bound_checks(solver: LeafSolver, kappa_floor: float, samples: int,
     vsb = coords[:, solver.block_idx["s"]]
     vub = coords[:, solver.block_idx["u"]]
     p1 = solver.leaf_points(x, "c", vc)
-    p2 = solver._leaf_points_multi(p1, "s", vsb)
-    p3 = solver._leaf_points_multi(p2, "u", vub)
+    p2 = solver.leaf_points(p1, "s", vsb)
+    p3 = solver.leaf_points(p2, "u", vub)
 
     def stage_kappa(base, pts, block, params):
         offs = (pts - base) @ solver.coords.T
@@ -110,8 +112,8 @@ def phi_bound_checks(solver: LeafSolver, kappa_floor: float, samples: int,
     inv_lhs = solver.norm.norm(v_amb - (ws - x))
     # fold the stage offsets realized along the inverse peeling into kappa
     q1 = solver.leaf_points(x, "c", pc)
-    q2 = solver._leaf_points_multi(q1, "s", ps)
-    q3 = solver._leaf_points_multi(q2, "u", pu)
+    q2 = solver.leaf_points(q1, "s", ps)
+    q3 = solver.leaf_points(q2, "u", pu)
     kappa_used = max(
         kappa_used,
         stage_kappa(np.broadcast_to(x, q1.shape), q1, "c", pc),
@@ -209,8 +211,12 @@ def perturb_experiment(
     lip_paths: int = 8,
 ) -> dict:
     """Graph constants, deck-holonomy deviations, and Lipschitz fits per amplitude."""
+    if not all(math.isfinite(amp) for amp in amplitudes):
+        raise InputError(f"amplitudes must be finite numbers, got {amplitudes}")
     a = base_map.matrix
     split = compute_splitting(a)
+    if split.dims[1] == 0:
+        raise OutOfHypothesesError("the perturbation study needs a center (dim_center is 0)")
     norm = adapted_norm(split)
     try:
         dim_x = pseudo_anosov_subspace(a, 12, split=split).dim_x

@@ -221,9 +221,11 @@ def matrix_from_json(obj: dict) -> IntMatrix:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValueError("matrix JSON must be an object with a 'rows' field")
     rows = obj["rows"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("matrix 'rows' must be a list of lists")
     n = obj.get("n", len(rows))
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix JSON is not square or 'n' mismatches")
-    if any(not isinstance(x, int) for r in rows for x in r):
+    if any(not isinstance(x, int) or isinstance(x, bool) for r in rows for x in r):
         raise ValueError("matrix entries must be integers")
     return IntMatrix(rows)

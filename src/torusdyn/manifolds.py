@@ -37,6 +37,9 @@ FLAVOR_BLOCKS = {
 
 BLOCK_ORDER = ("s", "c", "u")
 
+# orbit direction along which a leaf's transversal blocks contract
+LEAF_DIRECTION = {"s": "fwd", "cs": "fwd", "u": "bwd", "cu": "bwd"}
+
 
 class _Segment:
     """One orbit segment (forward or backward) of the Lyapunov-Perron solve.
@@ -52,28 +55,36 @@ class _Segment:
         self.direction = direction
         self.steps = steps
         f = solver.f
-        r = torus_reduce(np.broadcast_to(anchor, batch_shape + (solver.n,)))
-        self.refs = np.empty((steps + 1,) + r.shape)
-        self.refs[0] = r
+        anchor = np.asarray(anchor, dtype=float)
+        full = batch_shape + (solver.n,)
+        # A single anchor is marched once and broadcast over the batch.  It
+        # is marched as two equal rows when the batch has several, so that
+        # its matmuls round like a whole batch's (one row goes through gemv).
+        lone = anchor.ndim == 1
+        shape = ((2 if math.prod(batch_shape) > 1 else 1), solver.n) if lone else full
+        orbit = np.empty((steps + 1,) + shape)
+        orbit[0] = torus_reduce(np.broadcast_to(anchor, shape))
         for t in range(steps):
-            nxt = f.apply(self.refs[t]) if direction == "fwd" else f.apply_inverse(self.refs[t])
-            self.refs[t + 1] = torus_reduce(nxt)
-        self.d = np.zeros((steps + 1,) + batch_shape + (solver.n,))
+            nxt = f.apply(orbit[t]) if direction == "fwd" else f.apply_inverse(orbit[t])
+            orbit[t + 1] = torus_reduce(nxt)
+        if lone:
+            orbit = orbit[:, 0].reshape((steps + 1,) + (1,) * len(batch_shape) + (solver.n,))
+        # materialized: later matmuls see the layout of a batch marched row by row
+        self.refs = np.empty((steps + 1,) + full)
+        self.refs[...] = orbit
+        self.d = np.zeros((steps + 1,) + full)
 
     def nonlinear_terms(self) -> np.ndarray:
-        """g[t] = coords(F^{+-1}(x_t + delta_t) - F^{+-1}(x_t) - A^{+-1} delta_t)."""
+        """g[t] = coords(F^{+-1}(x_t + delta_t) - F^{+-1}(x_t) - A^{+-1} delta_t), all t at once."""
         s = self.solver
-        out = np.empty((self.steps,) + self.d.shape[1:])
-        for t in range(self.steps):
-            amb = self.d[t] @ s.embed.T
-            if self.direction == "fwd":
-                diff = s.f.diff_apply(self.refs[t], amb)
-                lin = amb @ s.f.a_float.T
-            else:
-                diff = s.f.diff_apply_inverse(self.refs[t], amb)
-                lin = amb @ s.f.a_inv_float.T
-            out[t] = (diff - lin) @ s.coords.T
-        return out
+        amb = self.d[:-1] @ s.embed.T
+        if self.direction == "fwd":
+            diff = s.f.diff_apply(self.refs[:-1], amb)
+            lin = amb @ s.f.a_float.T
+        else:
+            diff = s.f.diff_apply_inverse(self.refs[:-1], amb)
+            lin = amb @ s.f.a_inv_float.T
+        return (diff - lin) @ s.coords.T
 
     def update(self, driven: dict[str, np.ndarray], killed: Sequence[str]) -> dict[str, np.ndarray]:
         """One Lyapunov-Perron sweep.
@@ -89,22 +100,22 @@ class _Segment:
         blocks = s.block_matrix_fwd if self.direction == "fwd" else s.block_matrix_bwd
         inv_blocks = s.block_matrix_bwd if self.direction == "fwd" else s.block_matrix_fwd
         for b, v0 in driven.items():
-            idx = s.block_idx[b]
+            g_b, d_b = g[..., s.block_slice[b]], new_d[..., s.block_slice[b]]
             m = blocks[b]
             cur = np.array(v0, copy=True)
-            new_d[0][..., idx] = cur
+            d_b[0] = cur
             for t in range(self.steps):
-                cur = cur @ m.T + g[t][..., idx]
-                new_d[t + 1][..., idx] = cur
+                cur = cur @ m.T + g_b[t]
+                d_b[t + 1] = cur
         out: dict[str, np.ndarray] = {}
         for b in killed:
-            idx = s.block_idx[b]
+            g_b, d_b = g[..., s.block_slice[b]], new_d[..., s.block_slice[b]]
             minv = inv_blocks[b]
-            cur = np.zeros(self.d.shape[1:-1] + (len(idx),))
+            cur = np.zeros(g_b.shape[1:])
             for t in range(self.steps - 1, -1, -1):
-                cur = (cur - g[t][..., idx]) @ minv.T
-                new_d[t][..., idx] = cur
-            out[b] = new_d[0][..., idx]
+                cur = (cur - g_b[t]) @ minv.T
+                d_b[t] = cur
+            out[b] = d_b[0].copy()
         self.d = new_d
         return out
 
@@ -137,7 +148,8 @@ class LeafSolver:
         n = split.n
         self.n = n
         idx = np.arange(n)
-        self.block_idx = {"s": idx[:ds], "c": idx[ds:ds + dc], "u": idx[ds + dc:]}
+        self.block_slice = {"s": slice(0, ds), "c": slice(ds, ds + dc), "u": slice(ds + dc, n)}
+        self.block_idx = {b: idx[sl] for b, sl in self.block_slice.items()}
         rate = max(
             norm.lambda_s if ds else 0.0,
             (1.0 / norm.mu_u) if du else 0.0,
@@ -226,18 +238,8 @@ class LeafSolver:
         """Points on W^flavor(base) at the given (small) parameters."""
         shape = params.shape[:-1]
         driven = self._split_params(flavor, params)
-        if flavor in ("s", "cs"):
-            seg = _Segment(self, bases, "fwd", self.horizon, shape)
-            killed = [b for b in BLOCK_ORDER if b not in FLAVOR_BLOCKS[flavor]]
-
-            def sweep():
-                out = seg.update(driven, killed)
-                return np.concatenate([out[b] for b in killed], axis=-1)
-
-            self._run_fixed_point(sweep, f"leaf solve ({flavor})")
-            return bases + seg.d[0] @ self.embed.T
-        if flavor in ("u", "cu"):
-            seg = _Segment(self, bases, "bwd", self.horizon, shape)
+        if flavor in LEAF_DIRECTION:
+            seg = _Segment(self, bases, LEAF_DIRECTION[flavor], self.horizon, shape)
             killed = [b for b in BLOCK_ORDER if b not in FLAVOR_BLOCKS[flavor]]
 
             def sweep():
@@ -261,9 +263,9 @@ class LeafSolver:
 
             self._run_fixed_point(sweep, "leaf solve (c)")
             d0 = np.zeros(shape + (self.n,))
-            d0[..., self.block_idx["c"]] = driven["c"]
-            d0[..., self.block_idx["s"]] = state["s"]
-            d0[..., self.block_idx["u"]] = state["u"]
+            d0[..., self.block_slice["c"]] = driven["c"]
+            d0[..., self.block_slice["s"]] = state["s"]
+            d0[..., self.block_slice["u"]] = state["u"]
             return bases + d0 @ self.embed.T
         raise ValueError(f"no leaf of flavor {flavor!r}")
 
@@ -272,7 +274,7 @@ class LeafSolver:
     def leaf_points(self, base: np.ndarray, flavor: str, params: np.ndarray) -> np.ndarray:
         """sigma^flavor(base, params): batched leaf evaluation with marching.
 
-        base: (n,) or broadcastable to params' batch; params: (..., d_flavor).
+        base: (n,), or one row per parameter row; params: (..., d_flavor).
         Far parameters are reached by walking the leaf in adapted-norm steps
         of at most ``step_cap``; the walked parameter is additive because
         graph offsets are orthogonal to the parameter block.
@@ -306,40 +308,27 @@ class LeafSolver:
         pair: tuple[str, str],
         init: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Batched W^a(x_i) cap W^b(y); xs has shape (B, n), y is one point."""
+        """Batched W^a(x_i) cap W^b(y); xs has shape (B, n), y is one point.
+
+        z in W^a(x): the segment rel x along which W^a is transversally
+        contracting is driven by block a and kills the other two blocks;
+        z in W^b(y): the segment rel y is driven by those two and kills a.
+        """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         y = np.asarray(y, dtype=float)
         shape = xs.shape[:-1]
         shift = (xs - y) @ self.coords.T  # coords of x - y, per row
-        ds, dc, du = self.dims
-        s_idx, c_idx, u_idx = self.block_idx["s"], self.block_idx["c"], self.block_idx["u"]
-
-        if pair == ("s", "cu"):
-            # z in W^s(x): forward segment rel x kills (c, u), driven by s
-            # z in W^cu(y): backward segment rel y kills s, driven by (c, u)
-            seg_x = _Segment(self, xs, "fwd", self.horizon, shape)
-            seg_y = _Segment(self, y, "bwd", self.horizon, shape)
-            drive_blocks, kill_x, kill_y = "s", ["c", "u"], ["s"]
-            d_drive = ds
-            drive_idx, other_idx = s_idx, (c_idx, u_idx)
-        else:
-            # z in W^u(x): backward segment rel x kills (s, c), driven by u
-            # z in W^cs(y): forward segment rel y kills u, driven by (c, s)
-            seg_x = _Segment(self, xs, "bwd", self.horizon, shape)
-            seg_y = _Segment(self, y, "fwd", self.horizon, shape)
-            drive_blocks, kill_x, kill_y = "u", ["s", "c"], ["u"]
-            d_drive = du
-            drive_idx, other_idx = u_idx, (s_idx, c_idx)
-
-        state = np.zeros(shape + (d_drive,)) if init is None else np.array(init, copy=True)
+        drive = pair[0]
+        kill_x = [b for b in BLOCK_ORDER if b != drive]
+        seg_x = _Segment(self, xs, LEAF_DIRECTION[drive], self.horizon, shape)
+        seg_y = _Segment(self, y, LEAF_DIRECTION[pair[1]], self.horizon, shape)
+        state = np.zeros(shape + (len(self.block_idx[drive]),)) if init is None else np.array(init, copy=True)
 
         def sweep():
-            out_x = seg_x.update({drive_blocks: state}, kill_x)
-            driven_y = {}
-            for b in kill_x:
-                driven_y[b] = out_x[b] + shift[..., self.block_idx[b]]
-            out_y = seg_y.update(driven_y, kill_y)
-            state[...] = out_y[kill_y[0]] - shift[..., self.block_idx[kill_y[0]]]
+            out_x = seg_x.update({drive: state}, kill_x)
+            driven_y = {b: out_x[b] + shift[..., self.block_slice[b]] for b in kill_x}
+            out_y = seg_y.update(driven_y, [drive])
+            state[...] = out_y[drive] - shift[..., self.block_slice[drive]]
             return np.concatenate([state] + [driven_y[b] for b in kill_x], axis=-1)
 
         self._run_fixed_point(sweep, f"intersection {pair}")
@@ -364,7 +353,7 @@ class LeafSolver:
         if pair not in (("s", "cu"), ("u", "cs")):
             raise ValueError("intersection pair must be (s, cu) or (u, cs)")
         x = np.asarray(x, dtype=float)
-        d_drive = self.dims[0] if pair == ("s", "cu") else self.dims[2]
+        d_drive = len(self.block_idx[pair[0]])
         init = np.zeros((starts, d_drive))
         if starts > 1:
             rng = np.random.default_rng(seed)
@@ -421,22 +410,8 @@ class LeafSolver:
         vs = vcoords[..., self.block_idx["s"]]
         vu = vcoords[..., self.block_idx["u"]]
         p = self.leaf_points(x, "c", vc)
-        p = self._leaf_points_multi(p, "s", vs)
-        p = self._leaf_points_multi(p, "u", vu)
-        return p
-
-    def _leaf_points_multi(self, bases: np.ndarray, flavor: str, params: np.ndarray) -> np.ndarray:
-        """leaf_points with one base per parameter row."""
-        params = np.asarray(params, dtype=float)
-        if len(self.perp_indices(flavor)) == 0:
-            return bases + params @ self.embed[:, self.param_indices(flavor)].T
-        norms = self.param_norm(flavor, params)
-        steps = max(1, int(np.ceil(np.max(norms) / self.step_cap))) if norms.size else 1
-        inc = params / steps
-        cur = np.array(bases, copy=True)
-        for _ in range(steps):
-            cur = self._leaf_step(cur, flavor, inc)
-        return cur
+        p = self.leaf_points(p, "s", vs)
+        return self.leaf_points(p, "u", vu)
 
     def to_leaf_params(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Phi_x^{-1}(y): peel the unstable, stable, then center parameters."""

@@ -190,7 +190,10 @@ class PerturbedMap:
     def from_json(obj: dict) -> "PerturbedMap":
         if not isinstance(obj, dict) or "matrix" not in obj:
             raise InputError("perturbed map JSON needs a 'matrix' field")
-        a = matrix_from_json(obj["matrix"])
+        try:
+            a = matrix_from_json(obj["matrix"])
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         shears = []
         for rec in obj.get("shears", []):
             try:

@@ -111,7 +111,7 @@ def su_sheet_params(solver: LeafSolver, x: np.ndarray, ys: np.ndarray,
     vu = np.zeros((m, du))
     for _ in range(max_iter):
         mid = solver.leaf_points(x, "s", vs)
-        p = solver._leaf_points_multi(mid, "u", vu)
+        p = solver.leaf_points(mid, "u", vu)
         diff = (ys - p) @ solver.coords.T
         ds_step = diff[:, solver.block_idx["s"]]
         du_step = diff[:, solver.block_idx["u"]]
@@ -190,15 +190,15 @@ def build_saturation_set(
 
     s1_par = _ball_params(rng, n1 * n2, ds, big_l, lambda v: solver.norm.block_norm(v, "s"))
     bases2 = np.repeat(stage1, n2, axis=0)
-    stage2 = solver._leaf_points_multi(bases2, "s", s1_par)
+    stage2 = solver.leaf_points(bases2, "s", s1_par)
 
     u_par = _ball_params(rng, n1 * n2 * n3, du, big_l + eps, lambda v: solver.norm.block_norm(v, "u"))
     bases3 = np.repeat(stage2, n3, axis=0)
-    stage3 = solver._leaf_points_multi(bases3, "u", u_par)
+    stage3 = solver.leaf_points(bases3, "u", u_par)
 
     s2_par = _ball_params(rng, n1 * n2 * n3 * n4, ds, eps, lambda v: solver.norm.block_norm(v, "s"))
     bases4 = np.repeat(stage3, n4, axis=0)
-    stage4 = solver._leaf_points_multi(bases4, "s", s2_par)
+    stage4 = solver.leaf_points(bases4, "s", s2_par)
 
     trails = np.concatenate(
         [
@@ -375,6 +375,8 @@ def winding_curve(
     are verified before returning; if the snap breaks hull containment the
     circumradius is doubled (up to max_retries).
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be a positive finite number, got {eps}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if gamma.rank < 2:

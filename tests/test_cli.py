@@ -194,3 +194,75 @@ def test_perturb_outputs_reproducible(files):
                      "--csv", str(t / f"rep_{tag}.csv")]) == 0
     assert (t / "rep_a.json").read_bytes() == (t / "rep_b.json").read_bytes()
     assert (t / "rep_a.csv").read_bytes() == (t / "rep_b.csv").read_bytes()
+
+
+def _malformed_inputs(files):
+    """Write the malformed input files; return {name: path}."""
+    from torusdyn.intmatrix import IntMatrix
+    from torusdyn.perturbed import PerturbedMap, Shear, TrigProfile
+
+    cat_map = PerturbedMap(IntMatrix([[2, 1], [1, 1]]),
+                           [Shear(0, 1, TrigProfile(sin_coeffs=(0.1,)), 0.01)]).to_json()
+    bool_map = salem_example(0.01).to_json()
+    bool_map["matrix"]["rows"][0][0] = True
+    objs = {
+        "cat_map": cat_map,
+        "bool_map": bool_map,
+        "bool_matrix": {"n": 2, "rows": [[True, 1], [1, 1]]},
+        "false_matrix": {"n": 2, "rows": [[2, 1], [1, False]]},
+        "flat_rows": {"rows": 5},
+    }
+    paths = dict(files)
+    for name, obj in objs.items():
+        p = files["tmp"] / f"{name}.json"
+        p.write_text(json.dumps(obj))
+        paths[name] = str(p)
+    return paths
+
+
+# (argv with {file} placeholders, documented exit code): 1 input, 2 hypotheses
+MALFORMED = [
+    (["perturb", "{map}", "--eps", "abc"], 1),
+    (["perturb", "{map}", "--eps", "0.01,x"], 1),
+    (["perturb", "{map}", "--eps", ","], 1),
+    (["perturb", "{map}", "--eps", "nan"], 1),
+    (["perturb", "{map}", "--eps", "0.01,inf"], 1),
+    (["perturb", "{map}", "--eps=-inf"], 1),
+    (["perturb", "{bool_map}", "--eps", "0.01"], 1),
+    (["perturb", "{cat_map}", "--eps", "0.01"], 2),
+    (["curve", "{salem}", "--eps", "0"], 1),
+    (["curve", "{salem}", "--eps", "-0.2"], 1),
+    (["curve", "{salem}", "--eps", "nan"], 1),
+    (["curve", "{salem}", "--eps", "inf"], 1),
+    (["analyze", "{bool_matrix}"], 1),
+    (["analyze", "{false_matrix}"], 1),
+    (["analyze", "{flat_rows}"], 1),
+    (["pa", "{bool_matrix}"], 1),
+]
+
+
+@pytest.mark.parametrize("argv,code", MALFORMED, ids=[" ".join(a) for a, _ in MALFORMED])
+def test_malformed_inputs_exit_codes(files, capsys, argv, code):
+    paths = _malformed_inputs(files)
+    out_path = files["tmp"] / "malformed_out.json"
+    args = [a.format(**paths) for a in argv] + ["--out", str(out_path)]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out_path.exists()  # nothing is written, in particular no NaN
+
+
+def test_python_dash_m_help():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import torusdyn
+
+    env = dict(os.environ, PYTHONPATH=str(Path(torusdyn.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "torusdyn", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: torusdyn")

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
-from torusdyn.manifolds import LeafSolver, graph_transform, interpolation_floor, measure_kappa
-from torusdyn.perturbed import salem_example
+from torusdyn.intmatrix import IntMatrix
+from torusdyn.manifolds import LeafSolver, _Segment, graph_transform, interpolation_floor, measure_kappa
+from torusdyn.perturbed import salem_example, torus_reduce
+from torusdyn.splitting import adapted_norm, compute_splitting
 
 
 def leaf_invariance_residual(solver, base, flavor, params):
@@ -164,3 +167,92 @@ def test_multistart_agreement(solver_small):
     z = solver_small.intersection(np.array([0.4, -0.2, 0.3, 0.1]), np.zeros(4),
                                   ("u", "cs"), starts=5, seed=3)
     assert z.shape == (4,)
+
+
+# -- the array segment against its per-step definition -----------------------------
+
+
+def _per_step_refs(solver, anchor, direction, steps, shape):
+    """Reference orbit marched row by row over the whole batch."""
+    refs = [torus_reduce(np.broadcast_to(anchor, shape + (solver.n,)))]
+    for _ in range(steps):
+        nxt = solver.f.apply(refs[-1]) if direction == "fwd" else solver.f.apply_inverse(refs[-1])
+        refs.append(torus_reduce(nxt))
+    return np.stack(refs)
+
+
+def _per_step_nonlinear_terms(seg):
+    """One difference propagation per time step."""
+    s = seg.solver
+    out = np.empty((seg.steps,) + seg.d.shape[1:])
+    for t in range(seg.steps):
+        amb = seg.d[t] @ s.embed.T
+        if seg.direction == "fwd":
+            diff = s.f.diff_apply(seg.refs[t], amb)
+            lin = amb @ s.f.a_float.T
+        else:
+            diff = s.f.diff_apply_inverse(seg.refs[t], amb)
+            lin = amb @ s.f.a_inv_float.T
+        out[t] = (diff - lin) @ s.coords.T
+    return out
+
+
+def _per_step_update(seg, driven, killed):
+    """The sweep's recurrences through index arrays; returns (new d, killed t=0 values)."""
+    s = seg.solver
+    g = _per_step_nonlinear_terms(seg)
+    new_d = np.zeros_like(seg.d)
+    fwd = seg.direction == "fwd"
+    blocks = s.block_matrix_fwd if fwd else s.block_matrix_bwd
+    inv_blocks = s.block_matrix_bwd if fwd else s.block_matrix_fwd
+    for b, v0 in driven.items():
+        idx = s.block_idx[b]
+        cur = np.array(v0, copy=True)
+        new_d[0][..., idx] = cur
+        for t in range(seg.steps):
+            cur = cur @ blocks[b].T + g[t][..., idx]
+            new_d[t + 1][..., idx] = cur
+    out = {}
+    for b in killed:
+        idx = s.block_idx[b]
+        cur = np.zeros(seg.d.shape[1:-1] + (len(idx),))
+        for t in range(seg.steps - 1, -1, -1):
+            cur = (cur - g[t][..., idx]) @ inv_blocks[b].T
+            new_d[t][..., idx] = cur
+        out[b] = new_d[0][..., idx]
+    return new_d, out
+
+
+# U A U^-1 for the Salem companion A and a unimodular U: a dense integer matrix,
+# whose matmuls round differently through gemv (one row) and gemm (several)
+SALEM_CONJUGATE = [[0, 8, 6, 5], [1, -2, 2, -1], [0, -5, -4, -3], [-2, 12, 3, 7]]
+
+
+@pytest.mark.parametrize("matrix", ["salem", "conjugate"])
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+@pytest.mark.parametrize("anchor_kind", ["batch", "single", "single_one_row"])
+def test_segment_is_exactly_the_per_step_solve(salem_split, salem_norm, matrix, direction, anchor_kind):
+    if matrix == "salem":
+        solver = LeafSolver(salem_example(1e-2), salem_split, salem_norm)
+    else:
+        split = compute_splitting(IntMatrix(SALEM_CONJUGATE))
+        solver = LeafSolver(salem_example(1e-2, a=split.matrix), split, adapted_norm(split))
+    rng = np.random.default_rng(13)
+    rows = 1 if anchor_kind == "single_one_row" else 9
+    anchor = rng.uniform(-2, 2, size=(rows, 4)) if anchor_kind == "batch" else rng.uniform(-2, 2, size=4)
+    shape = (rows,)
+    seg = _Segment(solver, anchor, direction, solver.horizon, shape)
+    assert np.array_equal(seg.refs, _per_step_refs(solver, anchor, direction, solver.horizon, shape))
+    ds, dc, du = solver.dims
+    if direction == "fwd":
+        driven, killed = {"s": rng.normal(size=(rows, ds)) * 0.5}, ["c", "u"]
+    else:
+        driven, killed = {"u": rng.normal(size=(rows, du)) * 0.5}, ["s", "c"]
+    for _ in range(3):  # the first sweep starts from d = 0; later ones from a nonzero d
+        new_d, out = _per_step_update(seg, driven, killed)
+        got = seg.update(driven, killed)
+        assert np.array_equal(seg.d, new_d)
+        assert got.keys() == out.keys()
+        assert all(np.array_equal(got[b], out[b]) for b in killed)
+        assert np.any(seg.d != 0)
+        assert np.array_equal(seg.nonlinear_terms(), _per_step_nonlinear_terms(seg))

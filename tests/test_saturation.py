@@ -44,7 +44,7 @@ def test_su_sheet_params_reconstruct(solver_small):
     ys = rng.normal(size=(5, 4)) * 0.4
     vs, vu, vc = su_sheet_params(solver_small, np.zeros(4), ys)
     mids = solver_small.leaf_points(np.zeros(4), "s", vs)
-    pts = solver_small._leaf_points_multi(mids, "u", vu)
+    pts = solver_small.leaf_points(mids, "u", vu)
     recon = pts + vc @ solver_small.embed[:, solver_small.block_idx["c"]].T
     assert np.max(np.abs(recon - ys)) <= 1e-8
 
