@@ -83,7 +83,7 @@ def phi_bound_checks(solver: LeafSolver, kappa_floor: float, samples: int,
         cols = [b for b in ("s", "c", "u") if b != block]
         off = 0
         for b in cols:
-            d = len(solver.block_idx[b])
+            d = solver.block_dim(b)
             num += solver.norm.block_norm(perp[:, off:off + d], b)
             off += d
         den = solver.norm.block_norm(params, block)

@@ -55,24 +55,13 @@ class _Segment:
         self.direction = direction
         self.steps = steps
         f = solver.f
-        anchor = np.asarray(anchor, dtype=float)
-        full = batch_shape + (solver.n,)
-        # A single anchor is marched once and broadcast over the batch.  It
-        # is marched as two equal rows when the batch has several, so that
-        # its matmuls round like a whole batch's (one row goes through gemv).
-        lone = anchor.ndim == 1
-        shape = ((2 if math.prod(batch_shape) > 1 else 1), solver.n) if lone else full
-        orbit = np.empty((steps + 1,) + shape)
-        orbit[0] = torus_reduce(np.broadcast_to(anchor, shape))
+        r = torus_reduce(np.broadcast_to(anchor, batch_shape + (solver.n,)))
+        self.refs = np.empty((steps + 1,) + r.shape)
+        self.refs[0] = r
         for t in range(steps):
-            nxt = f.apply(orbit[t]) if direction == "fwd" else f.apply_inverse(orbit[t])
-            orbit[t + 1] = torus_reduce(nxt)
-        if lone:
-            orbit = orbit[:, 0].reshape((steps + 1,) + (1,) * len(batch_shape) + (solver.n,))
-        # materialized: later matmuls see the layout of a batch marched row by row
-        self.refs = np.empty((steps + 1,) + full)
-        self.refs[...] = orbit
-        self.d = np.zeros((steps + 1,) + full)
+            nxt = f.apply(self.refs[t]) if direction == "fwd" else f.apply_inverse(self.refs[t])
+            self.refs[t + 1] = torus_reduce(nxt)
+        self.d = np.zeros((steps + 1,) + batch_shape + (solver.n,))
 
     def nonlinear_terms(self) -> np.ndarray:
         """g[t] = coords(F^{+-1}(x_t + delta_t) - F^{+-1}(x_t) - A^{+-1} delta_t), all t at once."""
@@ -100,7 +89,7 @@ class _Segment:
         blocks = s.block_matrix_fwd if self.direction == "fwd" else s.block_matrix_bwd
         inv_blocks = s.block_matrix_bwd if self.direction == "fwd" else s.block_matrix_fwd
         for b, v0 in driven.items():
-            g_b, d_b = g[..., s.block_slice[b]], new_d[..., s.block_slice[b]]
+            g_b, d_b = g[..., s.block_idx[b]], new_d[..., s.block_idx[b]]
             m = blocks[b]
             cur = np.array(v0, copy=True)
             d_b[0] = cur
@@ -109,7 +98,7 @@ class _Segment:
                 d_b[t + 1] = cur
         out: dict[str, np.ndarray] = {}
         for b in killed:
-            g_b, d_b = g[..., s.block_slice[b]], new_d[..., s.block_slice[b]]
+            g_b, d_b = g[..., s.block_idx[b]], new_d[..., s.block_idx[b]]
             minv = inv_blocks[b]
             cur = np.zeros(g_b.shape[1:])
             for t in range(self.steps - 1, -1, -1):
@@ -147,9 +136,7 @@ class LeafSolver:
         self.dims = (ds, dc, du)
         n = split.n
         self.n = n
-        idx = np.arange(n)
-        self.block_slice = {"s": slice(0, ds), "c": slice(ds, ds + dc), "u": slice(ds + dc, n)}
-        self.block_idx = {b: idx[sl] for b, sl in self.block_slice.items()}
+        self.block_idx = {"s": slice(0, ds), "c": slice(ds, ds + dc), "u": slice(ds + dc, n)}
         rate = max(
             norm.lambda_s if ds else 0.0,
             (1.0 / norm.mu_u) if du else 0.0,
@@ -166,14 +153,17 @@ class LeafSolver:
 
     # -- block helpers -------------------------------------------------------------
 
+    def block_dim(self, b: str) -> int:
+        return self.dims[BLOCK_ORDER.index(b)]
+
     def param_indices(self, flavor: str) -> np.ndarray:
-        return np.concatenate([self.block_idx[b] for b in FLAVOR_BLOCKS[flavor]])
+        idx = np.arange(self.n)
+        return np.concatenate([idx[self.block_idx[b]] for b in FLAVOR_BLOCKS[flavor]])
 
     def perp_indices(self, flavor: str) -> np.ndarray:
-        inside = set()
-        for b in FLAVOR_BLOCKS[flavor]:
-            inside.update(self.block_idx[b].tolist())
-        return np.array([i for i in range(self.n) if i not in inside], dtype=int)
+        idx = np.arange(self.n)
+        return np.concatenate([idx[self.block_idx[b]] for b in BLOCK_ORDER
+                               if b not in FLAVOR_BLOCKS[flavor]])
 
     def param_norm(self, flavor: str, params: np.ndarray) -> np.ndarray:
         """Adapted norm of a leaf parameter vector (block coordinates)."""
@@ -181,7 +171,7 @@ class LeafSolver:
         out = np.zeros(params.shape[:-1])
         off = 0
         for b in FLAVOR_BLOCKS[flavor]:
-            d = len(self.block_idx[b])
+            d = self.block_dim(b)
             out = out + self.norm.block_norm(params[..., off:off + d], b)
             off += d
         return out
@@ -193,7 +183,7 @@ class LeafSolver:
         for b in BLOCK_ORDER:
             if b in FLAVOR_BLOCKS[flavor]:
                 continue
-            d = len(self.block_idx[b])
+            d = self.block_dim(b)
             out = out + self.norm.block_norm(values[..., off:off + d], b)
             off += d
         return out
@@ -202,7 +192,7 @@ class LeafSolver:
         out = {}
         off = 0
         for b in FLAVOR_BLOCKS[flavor]:
-            d = len(self.block_idx[b])
+            d = self.block_dim(b)
             out[b] = params[..., off:off + d]
             off += d
         return out
@@ -263,9 +253,9 @@ class LeafSolver:
 
             self._run_fixed_point(sweep, "leaf solve (c)")
             d0 = np.zeros(shape + (self.n,))
-            d0[..., self.block_slice["c"]] = driven["c"]
-            d0[..., self.block_slice["s"]] = state["s"]
-            d0[..., self.block_slice["u"]] = state["u"]
+            d0[..., self.block_idx["c"]] = driven["c"]
+            d0[..., self.block_idx["s"]] = state["s"]
+            d0[..., self.block_idx["u"]] = state["u"]
             return bases + d0 @ self.embed.T
         raise ValueError(f"no leaf of flavor {flavor!r}")
 
@@ -322,13 +312,13 @@ class LeafSolver:
         kill_x = [b for b in BLOCK_ORDER if b != drive]
         seg_x = _Segment(self, xs, LEAF_DIRECTION[drive], self.horizon, shape)
         seg_y = _Segment(self, y, LEAF_DIRECTION[pair[1]], self.horizon, shape)
-        state = np.zeros(shape + (len(self.block_idx[drive]),)) if init is None else np.array(init, copy=True)
+        state = np.zeros(shape + (self.block_dim(drive),)) if init is None else np.array(init, copy=True)
 
         def sweep():
             out_x = seg_x.update({drive: state}, kill_x)
-            driven_y = {b: out_x[b] + shift[..., self.block_slice[b]] for b in kill_x}
+            driven_y = {b: out_x[b] + shift[..., self.block_idx[b]] for b in kill_x}
             out_y = seg_y.update(driven_y, [drive])
-            state[...] = out_y[drive] - shift[..., self.block_slice[drive]]
+            state[...] = out_y[drive] - shift[..., self.block_idx[drive]]
             return np.concatenate([state] + [driven_y[b] for b in kill_x], axis=-1)
 
         self._run_fixed_point(sweep, f"intersection {pair}")
@@ -353,7 +343,7 @@ class LeafSolver:
         if pair not in (("s", "cu"), ("u", "cs")):
             raise ValueError("intersection pair must be (s, cu) or (u, cs)")
         x = np.asarray(x, dtype=float)
-        d_drive = len(self.block_idx[pair[0]])
+        d_drive = self.block_dim(pair[0])
         init = np.zeros((starts, d_drive))
         if starts > 1:
             rng = np.random.default_rng(seed)
