@@ -8,12 +8,13 @@ estimates.  Scans are deterministic: enumeration is ordered by
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, InvariantError, OutOfHypothesesError
+from .errors import BudgetError, InputError, InvariantError, OutOfHypothesesError
 from .lattice import Lattice
 from .pseudo_anosov import PASubspace
 from .splitting import AdaptedNorm, Splitting
@@ -36,37 +37,67 @@ def _component_factors(lam: Lattice, norm: AdaptedNorm) -> tuple[list[np.ndarray
     return factors, cc
 
 
-def _enumerate_quadratic_ball(q: np.ndarray, radius2: float) -> np.ndarray:
-    """All integer c (excluding 0) with c^T Q c <= radius2, Q positive definite.
+# Largest candidate count (lattice points of the covering ellipsoid) a scan
+# may enumerate.  Criterion 5's radius-100 scan of the Salem lattice needs
+# about 1.5e7; at the budget (radius 135) that scan keeps about 1e7 points
+# and peaks near 1.5 GB.
+LATTICE_BALL_BUDGET = 5e7
 
-    Breadth-first over coordinates (last to first), fully vectorized: at
-    each level every surviving prefix is expanded into its admissible
-    integer range at once.
+
+def _expand_level(r: np.ndarray, radius2: float, level: int, coords: np.ndarray,
+                  partial: np.ndarray, shifts: np.ndarray):
+    """Extend every prefix (coordinates above `level` fixed) by each integer
+    at `level` that keeps c^T Q c <= radius2 reachable, Q = R^T R.
+
+    `partial` holds the prefixes' terms of |R c|^2 and `shifts` their
+    columns of R c; all arithmetic is per row, so a prefix's children do
+    not depend on the batch it is expanded in.
     """
+    rl = r[level, level]
+    lim = np.sqrt(np.maximum(radius2 - partial, 0.0))
+    center = -shifts[:, level] / rl
+    lo = np.ceil(center - lim / rl - 1e-12).astype(np.int64)
+    hi = np.floor(center + lim / rl + 1e-12).astype(np.int64)
+    counts = np.maximum(hi - lo + 1, 0)
+    idx = np.repeat(np.arange(coords.shape[0]), counts)
+    starts = np.cumsum(counts) - counts
+    xs = lo[idx] + (np.arange(idx.size) - np.repeat(starts, counts))
+    partial = partial[idx] + (rl * xs + shifts[idx, level]) ** 2
+    keep = partial <= radius2 + 1e-9
+    idx, xs, partial = idx[keep], xs[keep], partial[keep]
+    coords = coords[idx]
+    coords[:, level] = xs
+    shifts = shifts[idx] + xs[:, None] * r[:, level][None, :]
+    return coords, partial, shifts
+
+
+def _check_scan_budget(q: np.ndarray, radius: float) -> None:
+    """Raise BudgetError when the covering ellipsoid c^T Q c <= radius^2
+    holds more than LATTICE_BALL_BUDGET lattice points, estimated by its
+    volume vol(B_d) radius^d / sqrt(det Q) before anything is allocated."""
     d = q.shape[0]
-    r = np.linalg.cholesky(q).T  # Q = R^T R, R upper triangular
-    coords = np.zeros((1, d), dtype=np.int64)
-    partial = np.zeros(1)
-    shifts = np.zeros((1, d))
-    for level in range(d - 1, -1, -1):
-        rl = r[level, level]
-        lim = np.sqrt(np.maximum(radius2 - partial, 0.0))
-        center = -shifts[:, level] / rl
-        lo = np.ceil(center - lim / rl - 1e-12).astype(np.int64)
-        hi = np.floor(center + lim / rl + 1e-12).astype(np.int64)
-        counts = np.maximum(hi - lo + 1, 0)
-        idx = np.repeat(np.arange(coords.shape[0]), counts)
-        if idx.size == 0:
-            return np.zeros((0, d), dtype=np.int64)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        xs = lo[idx] + (np.arange(idx.size) - np.repeat(starts, counts))
-        partial = partial[idx] + (rl * xs + shifts[idx, level]) ** 2
-        keep = partial <= radius2 + 1e-9
-        idx, xs, partial = idx[keep], xs[keep], partial[keep]
-        coords = coords[idx]
-        coords[:, level] = xs
-        shifts = shifts[idx] + xs[:, None] * r[:, level][None, :]
-    return coords[np.any(coords != 0, axis=1)]
+    log_count = (0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1)
+                 + d * math.log(radius) - 0.5 * np.linalg.slogdet(q)[1])
+    if log_count > math.log(LATTICE_BALL_BUDGET):
+        raise BudgetError(
+            f"a lattice-ball scan of radius {radius:g} would enumerate about "
+            f"10^{log_count / math.log(10):.1f} candidates, over the budget of "
+            f"{LATTICE_BALL_BUDGET:.0e}")
+
+
+def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes):
+    """Points of the adapted ball among the completions of the given
+    outermost prefixes: (coords, adapted norms, center norms), unsorted."""
+    coords, partial, shifts = prefixes
+    for level in range(r.shape[0] - 2, -1, -1):
+        coords, partial, shifts = _expand_level(r, radius * radius, level, coords, partial, shifts)
+    coords = coords[np.any(coords != 0, axis=1)]
+    ptsf = coords.astype(float)
+    block = [np.sqrt(np.sum((ptsf @ f) ** 2, axis=1)) if f.shape[1] else np.zeros(len(ptsf))
+             for f in factors]
+    total = block[0] + block[1] + block[2]
+    keep = total <= radius + 1e-12
+    return coords[keep], total[keep], block[1][keep]
 
 
 @dataclass
@@ -84,23 +115,38 @@ class BallPoints:
 
 
 def lattice_ball(lam: Lattice, norm: AdaptedNorm, radius: float) -> BallPoints:
+    """Every nonzero lattice point with adapted norm <= radius.
+
+    Since |n| >= sqrt(c^T Q c), the ellipsoid c^T Q c <= radius^2 covers
+    the ball.  It is enumerated a pair of slabs of the outermost coordinate
+    at a time and each pair is cut down to the ball at once, so memory
+    follows the kept points rather than the ellipsoid.
+    """
     if lam.rank == 0:
         raise InputError("lattice has rank 0")
+    if not (math.isfinite(radius) and radius >= 1):
+        raise InputError(f"radius must be a finite number >= 1, got {radius!r}")
     factors, cc_map = _component_factors(lam, norm)
     q = sum(f @ f.T for f in factors)
-    # |n| >= sqrt(c Q c), so this ball covers the adapted ball
-    pts = _enumerate_quadratic_ball(q, radius * radius)
-    ptsf = pts.astype(float)
-    block = [np.sqrt(np.sum((ptsf @ f) ** 2, axis=1)) if f.shape[1] else np.zeros(len(ptsf))
-             for f in factors]
-    total = block[0] + block[1] + block[2]
-    keep = total <= radius + 1e-12
-    pts, ptsf, total, nc = pts[keep], ptsf[keep], total[keep], block[1][keep]
-    order = np.lexsort(tuple(pts[:, i] for i in range(pts.shape[1] - 1, -1, -1)) + (np.round(total, 12),))
-    pts, ptsf, total, nc = pts[order], ptsf[order], total[order], nc[order]
+    _check_scan_budget(q, radius)
+    d = lam.rank
+    r = np.linalg.cholesky(q).T  # Q = R^T R, R upper triangular
+    outer = _expand_level(r, radius * radius, d - 1, np.zeros((1, d), dtype=np.int64),
+                          np.zeros(1), np.zeros((1, d)))
+    # Slab -x is slab x negated (every bound is symmetric under c -> -c), so
+    # the pair {x, -x}, and slab 0 without the origin, holds an even number
+    # of rows: never a lone row, whose matmul would go through gemv and round
+    # differently from the batch gemm.
+    k = len(outer[0])
+    slabs = [_ball_slab(r, radius, factors, [a[sorted({i, k - 1 - i})] for a in outer])
+             for i in range(k // 2 + 1)]
+    pts, total, nc = (np.concatenate(col) for col in zip(*slabs))
+    del slabs  # only the concatenated points stay
+    order = np.lexsort(tuple(pts[:, i] for i in range(d - 1, -1, -1)) + (np.round(total, 12),))
+    pts, total, nc = pts[order], total[order], nc[order]
     b = np.array(lam.basis, dtype=np.int64)
     return BallPoints(lam=lam, radius=radius, coords=pts, vectors=pts @ b,
-                      norms=total, center_norms=nc, center_coords=ptsf @ cc_map)
+                      norms=total, center_norms=nc, center_coords=pts.astype(float) @ cc_map)
 
 
 # -- center-norm minimum scan ----------------------------------------------------
@@ -140,8 +186,6 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
     against |n|; any exactly vanishing center component aborts (it would
     be an integer vector inside the hyperbolic subspace).
     """
-    if radius < 1:
-        raise InputError("radius must be >= 1")
     ball = lattice_ball(pa.lam, norm, radius)
     if ball.norms.size == 0:
         raise InvariantError("no lattice points found in the ball")

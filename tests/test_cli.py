@@ -220,7 +220,8 @@ def _malformed_inputs(files):
     return paths
 
 
-# (argv with {file} placeholders, documented exit code): 1 input, 2 hypotheses
+# (argv with {file} placeholders, documented exit code): 1 input, 2 hypotheses,
+# 4 budget
 MALFORMED = [
     (["perturb", "{map}", "--eps", "abc"], 1),
     (["perturb", "{map}", "--eps", "0.01,x"], 1),
@@ -238,6 +239,10 @@ MALFORMED = [
     (["analyze", "{false_matrix}"], 1),
     (["analyze", "{flat_rows}"], 1),
     (["pa", "{bool_matrix}"], 1),
+    (["dioph", "{salem}", "--radius", "nan"], 1),
+    (["dioph", "{salem}", "--radius", "inf"], 1),
+    (["dioph", "{salem}", "--radius", "0.5"], 1),
+    (["dioph", "{salem}", "--radius", "1e9"], 4),
 ]
 
 

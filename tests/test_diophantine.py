@@ -1,6 +1,11 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import random_unimodular
+from torusdyn import diophantine
 from torusdyn.diophantine import (
     approximation_constant,
     badly_approximable_search_dim4,
@@ -9,7 +14,11 @@ from torusdyn.diophantine import (
     center_plane_chart,
     lattice_ball,
 )
-from torusdyn.errors import OutOfHypothesesError
+from torusdyn.errors import BudgetError, OutOfHypothesesError
+from torusdyn.pseudo_anosov import pseudo_anosov_subspace
+from torusdyn.splitting import adapted_norm, compute_splitting
+
+BALL_ARRAYS = ("coords", "vectors", "norms", "center_norms", "center_coords")
 
 
 def test_lattice_ball_count_matches_direct_enumeration(salem_pa, salem_norm):
@@ -32,6 +41,126 @@ def test_lattice_ball_sorted_and_nonzero(salem_pa, salem_norm):
     assert np.all(np.any(ball.vectors != 0, axis=1))
     rounded = np.round(ball.norms, 12)
     assert np.all(np.diff(rounded) >= 0)
+
+
+def _one_shot_enumeration(q, radius2):
+    """Breadth-first enumeration of c^T Q c <= radius2 over the whole
+    ellipsoid at once: the reference for the slab-by-slab scan."""
+    d = q.shape[0]
+    r = np.linalg.cholesky(q).T
+    coords = np.zeros((1, d), dtype=np.int64)
+    partial = np.zeros(1)
+    shifts = np.zeros((1, d))
+    for level in range(d - 1, -1, -1):
+        rl = r[level, level]
+        lim = np.sqrt(np.maximum(radius2 - partial, 0.0))
+        center = -shifts[:, level] / rl
+        lo = np.ceil(center - lim / rl - 1e-12).astype(np.int64)
+        hi = np.floor(center + lim / rl + 1e-12).astype(np.int64)
+        counts = np.maximum(hi - lo + 1, 0)
+        idx = np.repeat(np.arange(coords.shape[0]), counts)
+        if idx.size == 0:
+            return np.zeros((0, d), dtype=np.int64)
+        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        xs = lo[idx] + (np.arange(idx.size) - np.repeat(starts, counts))
+        partial = partial[idx] + (rl * xs + shifts[idx, level]) ** 2
+        keep = partial <= radius2 + 1e-9
+        idx, xs, partial = idx[keep], xs[keep], partial[keep]
+        coords = coords[idx]
+        coords[:, level] = xs
+        shifts = shifts[idx] + xs[:, None] * r[:, level][None, :]
+    return coords[np.any(coords != 0, axis=1)]
+
+
+def _one_shot_ball(lam, norm, radius):
+    """Reference lattice_ball: one-shot enumeration, one filter, one sort."""
+    factors, cc_map = diophantine._component_factors(lam, norm)
+    q = sum(f @ f.T for f in factors)
+    pts = _one_shot_enumeration(q, radius * radius)
+    ptsf = pts.astype(float)
+    block = [np.sqrt(np.sum((ptsf @ f) ** 2, axis=1)) if f.shape[1] else np.zeros(len(ptsf))
+             for f in factors]
+    total = block[0] + block[1] + block[2]
+    keep = total <= radius + 1e-12
+    pts, ptsf, total, nc = pts[keep], ptsf[keep], total[keep], block[1][keep]
+    order = np.lexsort(tuple(pts[:, i] for i in range(pts.shape[1] - 1, -1, -1)) + (np.round(total, 12),))
+    pts, ptsf, total, nc = pts[order], ptsf[order], total[order], nc[order]
+    b = np.array(lam.basis, dtype=np.int64)
+    return diophantine.BallPoints(lam=lam, radius=radius, coords=pts, vectors=pts @ b,
+                                  norms=total, center_norms=nc, center_coords=ptsf @ cc_map)
+
+
+def _pa_and_norm(a):
+    split = compute_splitting(a)
+    return pseudo_anosov_subspace(a, 8, split=split), adapted_norm(split)
+
+
+def _assert_same_ball(pa, norm, radius, monkeypatch):
+    new = lattice_ball(pa.lam, norm, radius)
+    ref = _one_shot_ball(pa.lam, norm, radius)
+    assert new.norms.size > 0
+    for name in BALL_ARRAYS:
+        got, want = getattr(new, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    rep, _ = center_norm_minimum(pa, norm, radius)
+    monkeypatch.setattr(diophantine, "lattice_ball", _one_shot_ball)
+    ref_rep, _ = center_norm_minimum(pa, norm, radius)
+    monkeypatch.undo()
+    assert rep.to_json() == ref_rep.to_json()
+    return new
+
+
+def _top_slab_rows(pa, norm, radius):
+    """Candidate rows of the covering ellipsoid whose outermost coordinate
+    is largest (the origin left out)."""
+    factors, _ = diophantine._component_factors(pa.lam, norm)
+    cands = _one_shot_enumeration(sum(f @ f.T for f in factors), radius * radius)
+    return int(np.sum(cands[:, -1] == cands[:, -1].max()))
+
+
+@pytest.mark.parametrize("radius", [6.0, 25.0, 50.0])
+def test_lattice_ball_matches_one_shot_scan_salem(salem_pa, salem_norm, radius, monkeypatch):
+    _assert_same_ball(salem_pa, salem_norm, radius, monkeypatch)
+
+
+def test_lattice_ball_matches_one_shot_scan_conjugates(salem_matrix, block6_matrix, monkeypatch):
+    # A dense conjugate of the Salem companion: its lattice is Z^4, but the
+    # norm's factors are dense.  At radius 25 the top slab of its covering
+    # ellipsoid holds a single candidate row.
+    u = random_unimodular(random.Random(1), 4)
+    pa, norm = _pa_and_norm(u * salem_matrix * u.inverse_unimodular())
+    assert _top_slab_rows(pa, norm, 25.0) == 1
+    _assert_same_ball(pa, norm, 25.0, monkeypatch)
+    # A dense conjugate of Salem + cat: the lattice is a rank-4 sublattice of
+    # Z^6 whose basis is not the coordinate one, so vectors differ from coords.
+    u = random_unimodular(random.Random(0), 6)
+    pa, norm = _pa_and_norm(u * block6_matrix * u.inverse_unimodular())
+    assert _top_slab_rows(pa, norm, 17.0) == 1
+    ball = _assert_same_ball(pa, norm, 17.0, monkeypatch)
+    assert ball.coords.shape[1] == 4 and ball.vectors.shape[1] == 6
+    assert np.any(ball.vectors[:, 4:] != 0)
+
+
+def test_lattice_ball_memory_tracks_kept_points(salem_pa, salem_norm):
+    tracemalloc.start()
+    try:
+        ball = lattice_ball(salem_pa.lam, salem_norm, 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(ball, name).nbytes for name in BALL_ARRAYS)
+    assert peak <= 2.5 * kept, (peak, kept)
+
+
+def test_lattice_ball_over_budget_allocates_nothing_large(salem_pa, salem_norm):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            lattice_ball(salem_pa.lam, salem_norm, 1e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_center_norm_minimum_salem(salem_pa, salem_norm):
