@@ -161,19 +161,6 @@ def _envelope_growth_exponent(profile: list[dict], bins: int = 5) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def powers_irreducible(a: IntMatrix, k_max: int) -> bool:
-    """Whether the char poly of A^k is irreducible for every k <= k_max."""
-    from .zfactor import factor_z
-
-    ak = IntMatrix.identity(a.n)
-    for _ in range(k_max):
-        ak = ak * a
-        fs = factor_z(ak.char_poly())
-        if len(fs) != 1 or fs[0][1] != 1:
-            return False
-    return True
-
-
 def degeneration_checks(f: PerturbedMap, solver: LeafSolver, tol: float = 1e-8,
                         seed: int = 0) -> dict:
     """At amplitude 0 every operation must reduce to its linear closed form."""

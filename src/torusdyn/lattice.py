@@ -22,19 +22,18 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def hnf_rows(vectors: Iterable[Sequence[int]], ambient_dim: int) -> list[list[int]]:
-    """Canonical HNF basis of the lattice spanned by the given row vectors."""
-    rows = [list(map(int, v)) for v in vectors if any(v)]
-    for v in rows:
-        if len(v) != ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-    basis: list[list[int]] = []
-    for col in range(ambient_dim):
+def _echelon(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Row echelon form over the first ``ncols`` columns by extended-gcd row
+    operations: one pivot row per column that has a nonzero entry, in column
+    order, then the rows that vanish on those columns.  A combination that
+    vanishes entirely is dropped (with an identity block appended, as in
+    hnf_with_transform, none does)."""
+    done: list[list[int]] = []
+    for col in range(ncols):
         work = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
         if not work:
-            rows = rest
             continue
+        rest = [r for r in rows if r[col] == 0]
         piv = work[0]
         for r in work[1:]:
             a, b = piv[col], r[col]
@@ -48,8 +47,18 @@ def hnf_rows(vectors: Iterable[Sequence[int]], ambient_dim: int) -> list[list[in
                 rest.append(r2)
         if piv[col] < 0:
             piv = [-c for c in piv]
-        basis.append(piv)
+        done.append(piv)
         rows = rest
+    return done + rows
+
+
+def hnf_rows(vectors: Iterable[Sequence[int]], ambient_dim: int) -> list[list[int]]:
+    """Canonical HNF basis of the lattice spanned by the given row vectors."""
+    rows = [list(map(int, v)) for v in vectors if any(v)]
+    for v in rows:
+        if len(v) != ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+    basis = _echelon(rows, ambient_dim)
     _reduce_above_pivots(basis)
     return basis
 
@@ -80,29 +89,7 @@ def hnf_with_transform(vectors: Sequence[Sequence[int]], ambient_dim: int) -> tu
     m = len(vectors)
     aug = [list(map(int, v)) + [int(i == j) for j in range(m)] for i, v in enumerate(vectors)]
     n = ambient_dim
-    done: list[list[int]] = []
-    rows = aug
-    for col in range(n):
-        work = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        if not work:
-            rows = rest
-            continue
-        piv = work[0]
-        for r in work[1:]:
-            a, b = piv[col], r[col]
-            g, x, y = _xgcd(a, b)
-            u, w = -(b // g), a // g
-            piv, r2 = (
-                [x * pa + y * ra for pa, ra in zip(piv, r)],
-                [u * pa + w * ra for pa, ra in zip(piv, r)],
-            )
-            rest.append(r2)
-        if piv[col] < 0:
-            piv = [-c for c in piv]
-        done.append(piv)
-        rows = rest
-    done.extend(rows)
+    done = _echelon(aug, n)
     h = [r[:n] for r in done]
     u = [r[n:] for r in done]
     return h, u

@@ -61,6 +61,8 @@ class _Segment:
         for t in range(steps):
             nxt = f.apply(self.refs[t]) if direction == "fwd" else f.apply_inverse(self.refs[t])
             self.refs[t + 1] = torus_reduce(nxt)
+        # the reference orbit is fixed, so it passes through the shears once
+        self.chain = f.reference_chain(self.refs[:-1], inverse=direction == "bwd")
         self.d = np.zeros((steps + 1,) + batch_shape + (solver.n,))
 
     def nonlinear_terms(self) -> np.ndarray:
@@ -68,10 +70,10 @@ class _Segment:
         s = self.solver
         amb = self.d[:-1] @ s.embed.T
         if self.direction == "fwd":
-            diff = s.f.diff_apply(self.refs[:-1], amb)
+            diff = s.f.diff_apply(self.chain, amb)
             lin = amb @ s.f.a_float.T
         else:
-            diff = s.f.diff_apply_inverse(self.refs[:-1], amb)
+            diff = s.f.diff_apply_inverse(self.chain, amb)
             lin = amb @ s.f.a_inv_float.T
         return (diff - lin) @ s.coords.T
 

@@ -73,6 +73,17 @@ class Shear:
             raise InputError("shear target and source coordinates must differ")
 
 
+@dataclass(frozen=True)
+class ReferenceChain:
+    """A reference orbit's passage through the shear chain, in the order the
+    shears are applied: each shear's source coordinate on the partly sheared
+    reference, and its profile value there."""
+
+    inverse: bool
+    sources: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+
+
 class PerturbedMap:
     """Lift F = A o (shear chain); exactly volume preserving and F(0) = 0."""
 
@@ -149,24 +160,42 @@ class PerturbedMap:
 
     # -- stable difference propagation -----------------------------------------
 
-    def diff_apply(self, ref: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """F(ref + delta) - F(ref), computed without large-coordinate cancellation."""
-        r = np.array(ref, dtype=float, copy=True)
+    def reference_chain(self, ref: np.ndarray, inverse: bool = False) -> ReferenceChain:
+        """The shear chain of F (or of F^{-1} if ``inverse``) evaluated once
+        along a fixed reference orbit, for diff_apply (or diff_apply_inverse)."""
+        if inverse:
+            r = np.asarray(ref, dtype=float) @ self.a_inv_float.T
+            shears, sign = reversed(self.shears), -1.0
+        else:
+            r = np.array(ref, dtype=float, copy=True)
+            shears, sign = self.shears, 1.0
+        sources, values = [], []
+        for s in shears:
+            rs = r[..., s.source].copy()
+            v = s.profile.value(rs)
+            r[..., s.target] += sign * s.amplitude * v
+            sources.append(rs)
+            values.append(v)
+        return ReferenceChain(inverse, tuple(sources), tuple(values))
+
+    def diff_apply(self, chain: ReferenceChain, delta: np.ndarray) -> np.ndarray:
+        """F(ref + delta) - F(ref) for chain = reference_chain(ref), computed
+        without large-coordinate cancellation."""
+        if chain.inverse:
+            raise ValueError("diff_apply needs a forward reference chain")
         d = np.array(delta, dtype=float, copy=True)
-        for s in self.shears:
-            rs = r[..., s.source]
-            d[..., s.target] += s.amplitude * (s.profile.value(rs + d[..., s.source]) - s.profile.value(rs))
-            r[..., s.target] += s.amplitude * s.profile.value(rs)
+        for s, rs, v in zip(self.shears, chain.sources, chain.values):
+            d[..., s.target] += s.amplitude * (s.profile.value(rs + d[..., s.source]) - v)
         return d @ self.a_float.T
 
-    def diff_apply_inverse(self, ref: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """F^{-1}(ref + delta) - F^{-1}(ref), stable like diff_apply."""
-        r = np.asarray(ref, dtype=float) @ self.a_inv_float.T
+    def diff_apply_inverse(self, chain: ReferenceChain, delta: np.ndarray) -> np.ndarray:
+        """F^{-1}(ref + delta) - F^{-1}(ref) for chain = reference_chain(ref,
+        inverse=True), stable like diff_apply."""
+        if not chain.inverse:
+            raise ValueError("diff_apply_inverse needs an inverse reference chain")
         d = np.asarray(delta, dtype=float) @ self.a_inv_float.T
-        for s in reversed(self.shears):
-            rs = r[..., s.source]
-            d[..., s.target] -= s.amplitude * (s.profile.value(rs + d[..., s.source]) - s.profile.value(rs))
-            r[..., s.target] -= s.amplitude * s.profile.value(rs)
+        for s, rs, v in zip(reversed(self.shears), chain.sources, chain.values):
+            d[..., s.target] -= s.amplitude * (s.profile.value(rs + d[..., s.source]) - v)
         return d
 
     # -- serialization -----------------------------------------------------------

@@ -101,20 +101,6 @@ class PASubspace:
         }
 
 
-def restricted_matrix(a: IntMatrix, lat: Lattice) -> IntMatrix:
-    """Matrix of A acting on the lattice, in lattice coordinates (exact)."""
-    rows = []
-    for b in lat.basis:
-        img = a.matvec(b)
-        coords = lat.coordinates(img)
-        if coords is None:
-            raise InvariantError("lattice is not invariant under the matrix")
-        rows.append(coords)
-    # coordinates() returns row-action coordinates; the action matrix sends
-    # coordinate columns, so transpose.
-    return IntMatrix(rows).transpose()
-
-
 def _unitary_factor(p: IntPoly) -> tuple[IntPoly, int]:
     """The unique irreducible factor of p carrying the two unitary roots."""
     hits = []

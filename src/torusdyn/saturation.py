@@ -221,12 +221,6 @@ def build_saturation_set(
     )
 
 
-def cloud_volume_estimate(points: np.ndarray, voxel: float) -> float:
-    """Occupied-voxel volume of a point cloud (trend diagnostics, not exact)."""
-    cells = np.unique(np.floor(np.asarray(points) / voxel).astype(np.int64), axis=0)
-    return float(len(cells)) * voxel ** points.shape[1]
-
-
 # -- pigeonhole recurrence translations ------------------------------------------------
 
 
@@ -281,12 +275,15 @@ def find_overlap_translation(
         nn, _ = tree.query(pts, k=2)
         delta_merge = 2.0 * float(np.median(nn[:, 1]))
     ball = lattice_ball(pa.lam, solver.norm, bound)
+    # only a hit within delta_merge matters, so each query prunes at a bound
+    # strictly above it; points beyond the bound come back as inf
+    upper = 2.0 * delta_merge if delta_merge > 0 else np.inf
     checked = 0
     for vec, nrm_val in zip(ball.vectors, ball.norms):
         if checked >= max_candidates:
             break
         checked += 1
-        d, _ = tree.query(pts + np.asarray(vec, dtype=float), k=1)
+        d, _ = tree.query(pts + np.asarray(vec, dtype=float), k=1, distance_upper_bound=upper)
         if float(np.min(d)) <= delta_merge:
             return {
                 "n": tuple(int(v) for v in vec),

@@ -6,9 +6,14 @@ from torusdyn.manifolds import LeafSolver
 from torusdyn.perturbed import salem_example
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
 from torusdyn.splitting import adapted_norm, compute_splitting
+from torusdyn.zfactor import factor_z
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
 CAT = IntPoly((1, -3, 1))
+
+# U A U^-1 for the Salem companion A and a unimodular U: a dense integer matrix,
+# whose matmuls round differently through gemv (one row) and gemm (several)
+SALEM_CONJUGATE = [[0, 8, 6, 5], [1, -2, 2, -1], [0, -5, -4, -3], [-2, 12, 3, 7]]
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +70,15 @@ def random_unimodular(rng, n, ops=8, cap=6):
         if max(abs(v) for row in m for v in row) > cap:
             break
     return IntMatrix(m)
+
+
+def powers_irreducible(a, k_max):
+    """Whether the char poly of A^k is irreducible for every k <= k_max
+    (brute force: one factorization per power)."""
+    ak = IntMatrix.identity(a.n)
+    for _ in range(k_max):
+        ak = ak * a
+        fs = factor_z(ak.char_poly())
+        if len(fs) != 1 or fs[0][1] != 1:
+            return False
+    return True

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_unimodular
+from conftest import powers_irreducible, random_unimodular
 from torusdyn.errors import BudgetError
 from torusdyn.experiments import degeneration_checks, perturb_experiment
 
@@ -139,8 +139,6 @@ def test_criterion_03_condition_equivalence(corpus500, survey4):
             disagreements.append(a.rows)
     # unconditional cross-check on the full unfiltered survey box: sampled
     # cyclicity for k <= 6 agrees with power-wise irreducibility for k <= 6
-    from torusdyn.experiments import powers_irreducible
-
     entries, _ = survey4
     rng = random.Random(99)
     unconditional = [IntMatrix.companion(IntPoly(tuple(e["coeffs"])))

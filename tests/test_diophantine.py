@@ -163,6 +163,54 @@ def test_lattice_ball_over_budget_allocates_nothing_large(salem_pa, salem_norm):
     assert peak < 1 << 20
 
 
+def test_lattice_ball_releases_freed_heap_after_slabs_and_sort(salem_pa, salem_norm, monkeypatch):
+    calls = []
+    monkeypatch.setattr(diophantine, "_release_freed_heap", lambda: calls.append(1))
+    lattice_ball(salem_pa.lam, salem_norm, 6.0)
+    assert len(calls) == 2
+
+
+# A 20 MB array freed from its own mapping raises glibc's mmap threshold to
+# 20 MB and its trim threshold to 40 MB, so the 10 MB array after it comes
+# from the heap and stays resident once freed, until the heap is released.
+FREED_HEAP_SCRIPT = """
+import os
+import numpy as np
+from torusdyn import diophantine
+
+def resident_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+big = np.ones(2_500_000)
+del big
+before = resident_mb()
+a = np.ones(1_250_000)
+del a
+kept = resident_mb() - before
+diophantine._release_freed_heap()
+print(kept, resident_mb() - before)
+"""
+
+
+def test_release_freed_heap_returns_freed_arrays():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if diophantine._MALLOC_TRIM is None:
+        pytest.skip("glibc only")
+    env = dict(os.environ, PYTHONPATH=str(Path(diophantine.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", FREED_HEAP_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    kept, after = map(float, proc.stdout.split())
+    if kept < 8:
+        pytest.skip(f"the allocator returned the freed array by itself ({kept:.1f} MB kept)")
+    assert after < 2, (kept, after)
+
+
 def test_center_norm_minimum_salem(salem_pa, salem_norm):
     rep, ball = center_norm_minimum(salem_pa, salem_norm, 50.0)
     assert rep.r == 2

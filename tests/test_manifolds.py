@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import SALEM_CONJUGATE
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.manifolds import LeafSolver, _Segment, graph_transform, interpolation_floor, measure_kappa
 from torusdyn.perturbed import salem_example
@@ -179,10 +180,10 @@ def _per_step_nonlinear_terms(seg):
     for t in range(seg.steps):
         amb = seg.d[t] @ s.embed.T
         if seg.direction == "fwd":
-            diff = s.f.diff_apply(seg.refs[t], amb)
+            diff = s.f.diff_apply(s.f.reference_chain(seg.refs[t]), amb)
             lin = amb @ s.f.a_float.T
         else:
-            diff = s.f.diff_apply_inverse(seg.refs[t], amb)
+            diff = s.f.diff_apply_inverse(s.f.reference_chain(seg.refs[t], inverse=True), amb)
             lin = amb @ s.f.a_inv_float.T
         out[t] = (diff - lin) @ s.coords.T
     return out
@@ -213,11 +214,6 @@ def _per_step_update(seg, driven, killed):
             new_d[t][..., idx] = cur
         out[b] = new_d[0][..., idx]
     return new_d, out
-
-
-# U A U^-1 for the Salem companion A and a unimodular U: a dense integer matrix,
-# whose matmuls round differently through gemv (one row) and gemm (several)
-SALEM_CONJUGATE = [[0, 8, 6, 5], [1, -2, 2, -1], [0, -5, -4, -3], [-2, 12, 3, 7]]
 
 
 @pytest.mark.parametrize("matrix", ["salem", "conjugate"])

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import SALEM_CONJUGATE
 from torusdyn.errors import InputError
+from torusdyn.intmatrix import IntMatrix
 from torusdyn.perturbed import PerturbedMap, Shear, TrigProfile, salem_example
 
 
@@ -73,10 +75,63 @@ def test_difference_propagation_consistency():
     rng = np.random.default_rng(5)
     ref = rng.normal(size=(50, 4))
     d = rng.normal(size=(50, 4)) * 0.3
-    assert np.max(np.abs(f.diff_apply(ref, d) - (f.apply(ref + d) - f.apply(ref)))) <= 1e-12
+    fwd, bwd = f.reference_chain(ref), f.reference_chain(ref, inverse=True)
+    assert np.max(np.abs(f.diff_apply(fwd, d) - (f.apply(ref + d) - f.apply(ref)))) <= 1e-12
     assert np.max(np.abs(
-        f.diff_apply_inverse(ref, d) - (f.apply_inverse(ref + d) - f.apply_inverse(ref))
+        f.diff_apply_inverse(bwd, d) - (f.apply_inverse(ref + d) - f.apply_inverse(ref))
     )) <= 1e-12
+
+
+# -- the stored reference chain against re-shearing the reference on each call ----
+
+
+def _reshearing_diff_apply(f, ref, delta):
+    """F(ref + delta) - F(ref), shearing ref along with delta."""
+    r = np.array(ref, dtype=float, copy=True)
+    d = np.array(delta, dtype=float, copy=True)
+    for s in f.shears:
+        rs = r[..., s.source]
+        d[..., s.target] += s.amplitude * (s.profile.value(rs + d[..., s.source]) - s.profile.value(rs))
+        r[..., s.target] += s.amplitude * s.profile.value(rs)
+    return d @ f.a_float.T
+
+
+def _reshearing_diff_apply_inverse(f, ref, delta):
+    """F^{-1}(ref + delta) - F^{-1}(ref), shearing ref along with delta."""
+    r = np.asarray(ref, dtype=float) @ f.a_inv_float.T
+    d = np.asarray(delta, dtype=float) @ f.a_inv_float.T
+    for s in reversed(f.shears):
+        rs = r[..., s.source]
+        d[..., s.target] -= s.amplitude * (s.profile.value(rs + d[..., s.source]) - s.profile.value(rs))
+        r[..., s.target] -= s.amplitude * s.profile.value(rs)
+    return d
+
+
+def _chained_shears_map():
+    """Salem map whose second shear reads the coordinate the first one moved."""
+    f = salem_example(1e-2)
+    back = Shear(target=1, source=0, profile=TrigProfile(cos_coeffs=(0.1,), sin_coeffs=(0.05,)),
+                 amplitude=1e-2)
+    return PerturbedMap(f.matrix, (f.shears[0], back, f.shears[1]))
+
+
+@pytest.mark.parametrize("matrix", ["salem", "conjugate", "chained"])
+def test_reference_chain_is_exactly_the_reshearing_propagation(matrix):
+    if matrix == "chained":
+        f = _chained_shears_map()
+    else:
+        f = salem_example(1e-2, a=IntMatrix(SALEM_CONJUGATE) if matrix == "conjugate" else None)
+    rng = np.random.default_rng(17)
+    refs = rng.uniform(0, 1, size=(57, 9, 4))  # (steps, batch, n), like a segment's orbit
+    fwd, bwd = f.reference_chain(refs), f.reference_chain(refs, inverse=True)
+    for scale in (0.0, 1e-3, 0.3):  # several sweeps share one chain
+        d = rng.normal(size=refs.shape) * scale
+        assert np.array_equal(f.diff_apply(fwd, d), _reshearing_diff_apply(f, refs, d))
+        assert np.array_equal(f.diff_apply_inverse(bwd, d), _reshearing_diff_apply_inverse(f, refs, d))
+    with pytest.raises(ValueError):
+        f.diff_apply(bwd, d)
+    with pytest.raises(ValueError):
+        f.diff_apply_inverse(fwd, d)
 
 
 def test_c1_bound_scales_with_amplitude():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_unimodular
-from torusdyn.errors import InputError, OutOfHypothesesError
+from torusdyn.errors import InputError, InvariantError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly, count_unitary_roots
 from torusdyn.lattice import Lattice, kernel_lattice
@@ -13,11 +13,23 @@ from torusdyn.pseudo_anosov import (
     pa_condition_cyclic_sample,
     pa_condition_polynomial,
     pseudo_anosov_subspace,
-    restricted_matrix,
 )
 from torusdyn.zfactor import factor_z
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
+
+
+def restricted_matrix(a: IntMatrix, lat: Lattice) -> IntMatrix:
+    """Matrix of A acting on the lattice, in lattice coordinates (exact)."""
+    rows = []
+    for b in lat.basis:
+        coords = lat.coordinates(a.matvec(b))
+        if coords is None:
+            raise InvariantError("lattice is not invariant under the matrix")
+        rows.append(coords)
+    # coordinates() returns row-action coordinates; the action matrix sends
+    # coordinate columns, so transpose.
+    return IntMatrix(rows).transpose()
 
 
 def test_condition_polynomial_examples():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from torusdyn.diophantine import lattice_ball
+from torusdyn.errors import BudgetError
 from torusdyn.manifolds import LeafSolver
 from torusdyn.perturbed import salem_example
 from torusdyn.saturation import (
     appendix_constants,
     build_saturation_set,
-    cloud_volume_estimate,
     cone_member,
     coverage_check,
     find_overlap_translation,
@@ -15,6 +17,12 @@ from torusdyn.saturation import (
     winding_curve,
 )
 from torusdyn.winding import winding_number
+
+
+def cloud_volume_estimate(points: np.ndarray, voxel: float) -> float:
+    """Occupied-voxel volume of a point cloud (trend diagnostics, not exact)."""
+    cells = np.unique(np.floor(np.asarray(points) / voxel).astype(np.int64), axis=0)
+    return float(len(cells)) * voxel ** points.shape[1]
 
 
 def test_coverage_linear_closed_form(solver_linear):
@@ -134,6 +142,84 @@ def test_find_overlap_translation_perturbed(solver_small, salem_pa):
     res2 = find_overlap_translation(solver_small, salem_pa, np.zeros(4), 0.35,
                                     kappa_emp=0.05, seed=11)
     assert res2["n"] == res["n"]
+
+
+# -- the pruned overlap search against a full query per candidate -----------------
+
+EPS, KAPPA = 0.35, 0.05  # criterion 10's setting, on salem_example(1e-2)
+
+
+def _unpruned_overlap_search(solver, pa, cloud, eps, kappa_emp, delta_merge=None,
+                             max_candidates=4000):
+    """find_overlap_translation with an unbounded nearest-neighbour query of
+    every cloud point for every candidate."""
+    big_l = eps ** -2
+    bound = 5 * (1 + kappa_emp) * big_l
+    pts = cloud.points
+    tree = cKDTree(pts)
+    if delta_merge is None:
+        nn, _ = tree.query(pts, k=2)
+        delta_merge = 2.0 * float(np.median(nn[:, 1]))
+    ball = lattice_ball(pa.lam, solver.norm, bound)
+    checked = 0
+    for vec, nrm_val in zip(ball.vectors, ball.norms):
+        if checked >= max_candidates:
+            break
+        checked += 1
+        d, _ = tree.query(pts + np.asarray(vec, dtype=float), k=1)
+        if float(np.min(d)) <= delta_merge:
+            return {
+                "n": tuple(int(v) for v in vec),
+                "norm": float(nrm_val),
+                "bound": bound,
+                "delta_merge": delta_merge,
+                "candidates_checked": checked,
+            }
+    raise BudgetError(
+        f"no overlap translation within |n| <= {bound:.2f} at this sampling "
+        f"density ({checked} candidates); refine the cloud"
+    )
+
+
+@pytest.fixture(scope="module")
+def overlap_clouds(solver_small):
+    return {seed: build_saturation_set(solver_small, np.zeros(4), EPS, (2, 20, 20, 2), seed)
+            for seed in (11, 1)}
+
+
+@pytest.mark.parametrize("seed", [11, 1])
+def test_overlap_search_matches_unpruned_search(solver_small, salem_pa, overlap_clouds, seed):
+    cloud = overlap_clouds[seed]
+    got = find_overlap_translation(solver_small, salem_pa, np.zeros(4), EPS, KAPPA, cloud=cloud)
+    assert got == _unpruned_overlap_search(solver_small, salem_pa, cloud, EPS, KAPPA)
+
+
+def test_overlap_search_budget_message_matches_unpruned_search(solver_small, salem_pa,
+                                                               overlap_clouds):
+    cloud = overlap_clouds[11]
+    with pytest.raises(BudgetError) as want:
+        _unpruned_overlap_search(solver_small, salem_pa, cloud, EPS, KAPPA, max_candidates=50)
+    with pytest.raises(BudgetError) as got:
+        find_overlap_translation(solver_small, salem_pa, np.zeros(4), EPS, KAPPA, cloud=cloud,
+                                 max_candidates=50)
+    assert str(got.value) == str(want.value)
+
+
+def test_overlap_search_hit_exactly_at_the_merge_tolerance(solver_small, salem_pa, overlap_clouds):
+    # delta_merge equal to the closest approach of the nearest of the first 40
+    # candidates: the hit is decided by equality at that candidate
+    cloud = overlap_clouds[11]
+    pts = cloud.points
+    tree = cKDTree(pts)
+    ball = lattice_ball(salem_pa.lam, solver_small.norm, 5 * (1 + KAPPA) * EPS ** -2)
+    closest = [float(np.min(tree.query(pts + v.astype(float), k=1)[0])) for v in ball.vectors[:40]]
+    k = int(np.argmin(closest))
+    want = _unpruned_overlap_search(solver_small, salem_pa, cloud, EPS, KAPPA,
+                                    delta_merge=closest[k])
+    assert want["candidates_checked"] == k + 1
+    got = find_overlap_translation(solver_small, salem_pa, np.zeros(4), EPS, KAPPA, cloud=cloud,
+                                   delta_merge=closest[k])
+    assert got == want
 
 
 def test_cone_membership(salem_split, salem_norm):
