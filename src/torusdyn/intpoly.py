@@ -106,12 +106,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def shift_up(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
@@ -130,15 +124,6 @@ class IntPoly:
         if self.coeffs[-1] < 0:
             g = -g
         return IntPoly(tuple(c // g for c in self.coeffs))
-
-    def compose_x_power(self, m: int) -> "IntPoly":
-        """Return p(x^m)."""
-        if not self.coeffs:
-            return self
-        out = [0] * (m * self.degree + 1)
-        for k, c in enumerate(self.coeffs):
-            out[m * k] = c
-        return IntPoly(out)
 
 
 X = IntPoly((0, 1))

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import InvariantError, NumericsError
-from .perturbed import PerturbedMap, torus_reduce
+from .perturbed import PerturbedMap, ReferenceChain, torus_reduce
 from .splitting import AdaptedNorm, Splitting
 
 FLAVOR_BLOCKS = {
@@ -46,7 +46,8 @@ class _Segment:
 
     Tracks the reduced reference orbit of an anchor and the coordinate-block
     differences D[t] = coords(F^{+-t}(z) - F^{+-t}(anchor)) for a batch of
-    points z.
+    points z.  An anchor shared by every row is marched once per solver and
+    broadcast over the batch.
     """
 
     def __init__(self, solver: "LeafSolver", anchor: np.ndarray, direction: str,
@@ -54,16 +55,37 @@ class _Segment:
         self.solver = solver
         self.direction = direction
         self.steps = steps
-        f = solver.f
-        r = torus_reduce(np.broadcast_to(anchor, batch_shape + (solver.n,)))
-        self.refs = np.empty((steps + 1,) + r.shape)
-        self.refs[0] = r
-        for t in range(steps):
-            nxt = f.apply(self.refs[t]) if direction == "fwd" else f.apply_inverse(self.refs[t])
-            self.refs[t + 1] = torus_reduce(nxt)
+        n = solver.n
+        r = torus_reduce(np.broadcast_to(anchor, batch_shape + (n,)))
+        rows = r.reshape(-1, n)
+        if len(rows) and np.all(rows == rows[0]):
+            key = (rows[0].tobytes(), direction, steps)
+            if key not in solver._anchor_memo:
+                refs, chain = self._march(rows[0])
+                for a in (refs, *chain.sources, *chain.values):
+                    a.setflags(write=False)  # shared by every later segment on this key
+                solver._anchor_memo[key] = refs, chain
+            refs, chain = solver._anchor_memo[key]
+            ones = (1,) * len(batch_shape)
+            self.refs = np.broadcast_to(refs.reshape((steps + 1,) + ones + (n,)), (steps + 1,) + r.shape)
+            # the chain's sources broadcast against the (steps, *batch) differences
+            self.chain = ReferenceChain(chain.inverse,
+                                        tuple(a.reshape((steps,) + ones) for a in chain.sources),
+                                        tuple(a.reshape((steps,) + ones) for a in chain.values))
+        else:
+            self.refs, self.chain = self._march(r)
+        self.d = np.zeros((steps + 1,) + batch_shape + (n,))
+
+    def _march(self, r: np.ndarray) -> tuple[np.ndarray, ReferenceChain]:
+        """The reference orbit of the reduced points r, and its shear chain."""
+        f = self.solver.f
+        refs = np.empty((self.steps + 1,) + r.shape)
+        refs[0] = r
+        for t in range(self.steps):
+            nxt = f.apply(refs[t]) if self.direction == "fwd" else f.apply_inverse(refs[t])
+            refs[t + 1] = torus_reduce(nxt)
         # the reference orbit is fixed, so it passes through the shears once
-        self.chain = f.reference_chain(self.refs[:-1], inverse=direction == "bwd")
-        self.d = np.zeros((steps + 1,) + batch_shape + (solver.n,))
+        return refs, f.reference_chain(refs[:-1], inverse=self.direction == "bwd")
 
     def nonlinear_terms(self) -> np.ndarray:
         """g[t] = coords(F^{+-1}(x_t + delta_t) - F^{+-1}(x_t) - A^{+-1} delta_t), all t at once."""
@@ -83,32 +105,25 @@ class _Segment:
         driven: block -> initial coordinate values at t = 0 (driven forward
         along the segment); killed: blocks recovered by the contracting
         backward sums with zero tail.  Returns the new t = 0 values of the
-        killed blocks pinned by the boundary condition.
+        killed blocks pinned by the boundary condition.  Each block is one
+        product with its kernel (LeafSolver.block_kernel), the batch in columns.
         """
         s = self.solver
-        g = self.nonlinear_terms()
-        new_d = np.zeros_like(self.d)
-        blocks = s.block_matrix_fwd if self.direction == "fwd" else s.block_matrix_bwd
-        inv_blocks = s.block_matrix_bwd if self.direction == "fwd" else s.block_matrix_fwd
-        for b, v0 in driven.items():
-            g_b, d_b = g[..., s.block_idx[b]], new_d[..., s.block_idx[b]]
-            m = blocks[b]
-            cur = np.array(v0, copy=True)
-            d_b[0] = cur
-            for t in range(self.steps):
-                cur = cur @ m.T + g_b[t]
-                d_b[t + 1] = cur
-        out: dict[str, np.ndarray] = {}
-        for b in killed:
-            g_b, d_b = g[..., s.block_idx[b]], new_d[..., s.block_idx[b]]
-            minv = inv_blocks[b]
-            cur = np.zeros(g_b.shape[1:])
-            for t in range(self.steps - 1, -1, -1):
-                cur = (cur - g_b[t]) @ minv.T
-                d_b[t] = cur
-            out[b] = d_b[0].copy()
-        self.d = new_d
-        return out
+        steps, batch = self.steps, self.d.shape[1:-1]
+        cols = math.prod(batch)
+        # block rows (t, i), batch columns
+        g = self.nonlinear_terms().reshape(steps, cols, s.n).transpose(0, 2, 1)
+        new_d = np.zeros((steps + 1, s.n, cols))
+        for b in (*driven, *killed):
+            idx = s.block_idx[b]
+            width = idx.stop - idx.start
+            powers, kernel = s.block_kernel(self.direction, b, b in driven, steps)
+            d_b = kernel @ g[:, idx].reshape(steps * width, cols)
+            if b in driven:
+                d_b += powers @ np.broadcast_to(driven[b], batch + (width,)).reshape(cols, width).T
+            new_d[:, idx] = d_b.reshape(steps + 1, width, cols)
+        self.d = np.ascontiguousarray(new_d.transpose(0, 2, 1)).reshape(self.d.shape)
+        return {b: self.d[0][..., s.block_idx[b]].copy() for b in killed}
 
 
 class LeafSolver:
@@ -152,6 +167,10 @@ class LeafSolver:
         self.block_matrix_bwd = {
             b: (np.linalg.inv(m) if m.size else m) for b, m in self.block_matrix_fwd.items()
         }
+        # (direction, block, driven, steps) -> stacked powers and block-Toeplitz kernel
+        self._kernels: dict = {}
+        # (reduced anchor bytes, direction, steps) -> one-row reference orbit and chain
+        self._anchor_memo: dict = {}
 
     # -- block helpers -------------------------------------------------------------
 
@@ -199,15 +218,43 @@ class LeafSolver:
             off += d
         return out
 
+    def block_kernel(self, direction: str, b: str, driven: bool, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """(P, K) of block b's recurrence along a segment of `steps` steps.
+
+        With M the block's matrix in the segment's direction, a driven block
+        is d[t] = M^t v0 + sum_{k<t} M^(t-1-k) g[k] and a killed one is
+        d[t] = -sum_{k>=t} M^-(k-t+1) g[k] with d[steps] = 0, so the stacked
+        d = P v0 + K g: P stacks the powers, shape ((steps+1) w, w), and K is
+        block-Toeplitz, shape ((steps+1) w, steps w), lower-triangular when
+        driven and upper when killed.  Built on first use.
+        """
+        key = (direction, b, driven, steps)
+        if key not in self._kernels:
+            forward = (direction == "fwd") == driven
+            m = (self.block_matrix_fwd if forward else self.block_matrix_bwd)[b]
+            w = m.shape[0]
+            powers = np.empty((steps + 1, w, w))
+            powers[0] = np.eye(w)
+            for k in range(steps):
+                powers[k + 1] = powers[k] @ m
+            t, k = np.ogrid[:steps + 1, :steps]
+            e = t - 1 - k if driven else k - t + 1  # the power in block (t, k)
+            used = e >= 0 if driven else e >= 1
+            blocks = np.where(used[..., None, None], powers[np.clip(e, 0, steps)], 0.0)
+            kernel = blocks.transpose(0, 2, 1, 3).reshape((steps + 1) * w, steps * w)
+            self._kernels[key] = (powers.reshape((steps + 1) * w, w), kernel if driven else -kernel)
+        return self._kernels[key]
+
     # -- Lyapunov-Perron fixed point -----------------------------------------------
 
     def _run_fixed_point(self, sweep, context: str) -> None:
         """Iterate `sweep` until the t=0 state stops moving."""
         prev = None
         best = change = math.inf
-        stall = 0
+        stall = sweeps = 0
         for it in range(self.max_sweeps):
             state = sweep()
+            sweeps = it + 1
             if prev is not None:
                 change = float(np.max(np.abs(state - prev)))
                 if change <= self.fix_tol:
@@ -222,7 +269,8 @@ class LeafSolver:
                 if it >= 12 and change > 1e3 and change > best * 1e3:
                     break
             prev = state
-        raise NumericsError(f"fixed-point iteration did not converge in {context} "
+        raise NumericsError(f"fixed-point iteration did not converge in {context} after "
+                            f"{sweeps} sweeps at horizon {self.horizon} "
                             f"(last change {change:.2e}, best change {best:.2e}); "
                             "the perturbation may be too large")
 

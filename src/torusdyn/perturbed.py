@@ -101,10 +101,6 @@ class PerturbedMap:
     def n(self) -> int:
         return self.matrix.n
 
-    @property
-    def is_linear(self) -> bool:
-        return not self.shears or all(s.amplitude == 0 for s in self.shears)
-
     def c1_deviation_bound(self) -> float:
         """Reported estimate of the C^1 distance of the shear chain to the identity."""
         return sum(abs(s.amplitude) * s.profile.derivative_bound() for s in self.shears)

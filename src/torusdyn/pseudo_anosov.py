@@ -86,11 +86,6 @@ class PASubspace:
     lam: Lattice
     center_residual: float
 
-    @property
-    def x_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Rational basis of X (the primitive lattice basis spans X over Q)."""
-        return self.lam.basis
-
     def to_json(self) -> dict:
         return {
             "k": self.k,

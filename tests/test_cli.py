@@ -271,3 +271,17 @@ def test_python_dash_m_help():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: torusdyn")
+
+
+def test_unconverged_leaf_solve_exits_3_with_one_line(files, capsys, monkeypatch):
+    import functools
+
+    from torusdyn import experiments
+
+    monkeypatch.setattr(experiments, "LeafSolver", functools.partial(experiments.LeafSolver, max_sweeps=2))
+    out_path = files["tmp"] / "unconverged.json"
+    assert main(["perturb", files["map"], "--eps", "0.01", "--out", str(out_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixed-point iteration did not converge") and err.count("\n") == 1, err
+    assert "after 2 sweeps at horizon 57" in err and "Traceback" not in err
+    assert not out_path.exists()

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import SALEM_CONJUGATE
+from conftest import SALEM, SALEM_CONJUGATE
+from torusdyn.errors import NumericsError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.manifolds import LeafSolver, _Segment, graph_transform, interpolation_floor, measure_kappa
 from torusdyn.perturbed import salem_example
 from torusdyn.splitting import adapted_norm, compute_splitting
+
+
+FLAVORS = ("s", "u", "c", "cs", "cu")
 
 
 def leaf_invariance_residual(solver, base, flavor, params):
@@ -216,30 +220,147 @@ def _per_step_update(seg, driven, killed):
     return new_d, out
 
 
+def _adapted(solver, coords):
+    """Adapted norm of block coordinates (..., n)."""
+    return sum(solver.norm.block_norm(coords[..., solver.block_idx[b]], b) for b in "scu")
+
+
+def _solver(matrix, amplitude=1e-2):
+    a = IntMatrix(SALEM_CONJUGATE) if matrix == "conjugate" else IntMatrix.companion(SALEM)
+    split = compute_splitting(a)
+    return LeafSolver(salem_example(amplitude, a=split.matrix), split, adapted_norm(split))
+
+
+# anchor kind -> (batch shape, whether every row shares one anchor)
+ANCHORS = {
+    "batch": ((9,), False),
+    "single": ((9,), True),
+    "single_one_row": ((1,), True),
+    "scalar": ((), True),
+    "grid": ((2, 3), False),
+    "grid_single": ((2, 3), True),
+}
+
+
 @pytest.mark.parametrize("matrix", ["salem", "conjugate"])
 @pytest.mark.parametrize("direction", ["fwd", "bwd"])
-@pytest.mark.parametrize("anchor_kind", ["batch", "single", "single_one_row"])
-def test_segment_is_exactly_the_per_step_solve(salem_split, salem_norm, matrix, direction, anchor_kind):
-    if matrix == "salem":
-        solver = LeafSolver(salem_example(1e-2), salem_split, salem_norm)
-    else:
-        split = compute_splitting(IntMatrix(SALEM_CONJUGATE))
-        solver = LeafSolver(salem_example(1e-2, a=split.matrix), split, adapted_norm(split))
+@pytest.mark.parametrize("anchor_kind", list(ANCHORS))
+def test_segment_is_exactly_the_per_step_solve(matrix, direction, anchor_kind):
+    """The block-Toeplitz sweep agrees with the per-step recurrences to 1e-12
+    in the adapted norm; on distinct anchors the nonlinear terms stay
+    bit-identical."""
+    solver = _solver(matrix)
     rng = np.random.default_rng(13)
-    rows = 1 if anchor_kind == "single_one_row" else 9
-    anchor = rng.uniform(-2, 2, size=(rows, 4)) if anchor_kind == "batch" else rng.uniform(-2, 2, size=4)
-    shape = (rows,)
+    shape, single = ANCHORS[anchor_kind]
+    anchor = rng.uniform(-2, 2, size=4 if single else shape + (4,))
     seg = _Segment(solver, anchor, direction, solver.horizon, shape)
     ds, dc, du = solver.dims
     if direction == "fwd":
-        driven, killed = {"s": rng.normal(size=(rows, ds)) * 0.5}, ["c", "u"]
+        driven, killed = {"s": rng.normal(size=shape + (ds,)) * 0.5}, ["c", "u"]
     else:
-        driven, killed = {"u": rng.normal(size=(rows, du)) * 0.5}, ["s", "c"]
+        driven, killed = {"u": rng.normal(size=shape + (du,)) * 0.5}, ["s", "c"]
     for _ in range(3):  # the first sweep starts from d = 0; later ones from a nonzero d
         new_d, out = _per_step_update(seg, driven, killed)
         got = seg.update(driven, killed)
-        assert np.array_equal(seg.d, new_d)
+        assert seg.d.shape == new_d.shape
+        assert np.max(_adapted(solver, seg.d - new_d)) <= 1e-12
         assert got.keys() == out.keys()
-        assert all(np.array_equal(got[b], out[b]) for b in killed)
+        for b in killed:
+            assert got[b].shape == out[b].shape
+            assert np.max(solver.norm.block_norm(got[b] - out[b], b), initial=0.0) <= 1e-12
         assert np.any(seg.d != 0)
-        assert np.array_equal(seg.nonlinear_terms(), _per_step_nonlinear_terms(seg))
+        g, g_oracle = seg.nonlinear_terms(), _per_step_nonlinear_terms(seg)
+        if single:  # a one-row march may round (sin, gemv) apart from the per-step stack
+            assert np.max(_adapted(solver, g - g_oracle)) <= 1e-12
+        else:
+            assert np.array_equal(g, g_oracle)
+
+
+def _oracle_update(seg, driven, killed):
+    seg.d, out = _per_step_update(seg, driven, killed)
+    return out
+
+
+@pytest.mark.parametrize("matrix", ["salem", "conjugate"])
+def test_leaf_solves_match_the_per_step_oracle(monkeypatch, matrix):
+    """Leaf points and intersections through the kernels agree to 1e-12 in
+    the adapted norm with the same solves through the per-step recurrences."""
+    rng = np.random.default_rng(17)
+    base = rng.uniform(-1, 1, size=4)
+    dims = _solver(matrix).param_indices
+    params = {fl: rng.normal(size=(6, len(dims(fl)))) for fl in FLAVORS}
+    xs = rng.uniform(-1, 1, size=(5, 4))
+    y = rng.uniform(-1, 1, size=4)
+
+    def solves():
+        solver = _solver(matrix)
+        out = [solver.leaf_points(base, fl, params[fl]) for fl in FLAVORS]
+        out += [solver.intersection_batch(xs, y, pair) for pair in (("s", "cu"), ("u", "cs"))]
+        out.append(solver.intersection(xs[0], y, ("s", "cu"), starts=3))
+        return solver, out
+
+    solver, fast = solves()
+    with monkeypatch.context() as m:
+        m.setattr(_Segment, "update", _oracle_update)
+        _, slow = solves()
+    for a, b in zip(fast, slow):
+        assert a.shape == b.shape
+        assert np.max(solver.norm.norm(a - b)) <= 1e-12
+
+
+def test_single_anchor_is_marched_once_per_solver(monkeypatch):
+    solver = _solver("salem")
+    marches = []
+    march = _Segment._march
+    monkeypatch.setattr(_Segment, "_march", lambda seg, r: marches.append(r.shape) or march(seg, r))
+    params = np.random.default_rng(3).normal(size=(7, 1)) * 0.05
+    first = solver.leaf_points(np.zeros(4), "s", params)
+    assert len(solver._anchor_memo) == 1 and marches == [(4,)]
+    assert np.array_equal(solver.leaf_points(np.zeros(4), "s", params), first)
+    assert len(solver._anchor_memo) == 1 and marches == [(4,)]
+    solver.leaf_points(np.zeros(4), "c", np.zeros((2, 2)))  # adds the backward march only
+    assert len(solver._anchor_memo) == 2 and len(marches) == 2
+    # distinct anchors march as one batch and stay out of the memo
+    solver.intersection_batch(np.random.default_rng(4).uniform(size=(3, 4)), np.zeros(4), ("s", "cu"))
+    assert len(solver._anchor_memo) == 2 and marches[2:] == [(3, 4)]
+    assert _solver("salem")._anchor_memo == {}
+
+
+def test_single_anchor_segment_is_read_only_and_matches_a_batch_march():
+    solver = _solver("conjugate")
+    rng = np.random.default_rng(5)
+    anchor = rng.uniform(-2, 2, size=4)
+    seg = _Segment(solver, anchor, "bwd", solver.horizon, (9,))
+    assert not seg.refs.flags.writeable
+    with pytest.raises(ValueError):
+        seg.refs[0, 0, 0] = 0.0
+    batch = _Segment(solver, anchor, "bwd", solver.horizon, (9,))
+    batch.refs, batch.chain = batch._march(np.broadcast_to(seg.refs[0], (9, 4)).copy())
+    driven = {"u": rng.normal(size=(9, solver.dims[2])) * 0.5}
+    for _ in range(3):
+        got, want = seg.update(driven, ["s", "c"]), batch.update(driven, ["s", "c"])
+        assert np.max(_adapted(solver, seg.d - batch.d)) <= 1e-12
+        assert all(np.max(solver.norm.block_norm(got[b] - want[b], b)) <= 1e-12 for b in "sc")
+
+
+def test_leaf_points_do_not_depend_on_earlier_calls():
+    rng = np.random.default_rng(6)
+    bases = rng.uniform(-1, 1, size=(2, 4))
+    params = rng.normal(size=(5, 2))
+
+    def run(order):
+        solver = _solver("conjugate")
+        return {i: solver.leaf_points(bases[i], "c", params) for i in order}
+
+    ab, ba = run((0, 1)), run((1, 0))
+    assert all(np.array_equal(ab[i], ba[i]) for i in (0, 1))
+
+
+def test_unconverged_solve_names_sweeps_and_horizon(salem_split, salem_norm):
+    solver = LeafSolver(salem_example(1e-2), salem_split, salem_norm, max_sweeps=2)
+    with pytest.raises(NumericsError) as exc:
+        solver.leaf_points(np.zeros(4), "s", np.ones((3, 1)))
+    msg = str(exc.value)
+    assert "\n" not in msg
+    assert f"leaf solve (s) after 2 sweeps at horizon {solver.horizon}" in msg
+    assert "last change" in msg and "best change" in msg
