@@ -16,23 +16,19 @@ from .intpoly import (
     count_real_roots,
     count_unitary_roots,
     cyclotomic,
-    cyclotomic_free,
     is_poly_in_xm,
     is_reciprocal,
-    reciprocal_part,
 )
-from .lattice import Lattice, hnf_rows, invariant_factors, is_cyclic_vector, kernel_lattice, saturate, snf
+from .lattice import Lattice, hnf_rows, invariant_factors, is_cyclic_vector, kernel_lattice
 from .zfactor import factor_z, is_irreducible_z
 from .splitting import (
     AdaptedNorm,
     ClassificationReport,
     Splitting,
     adapted_norm,
-    center_dimension,
     classify,
     classify_poly,
     compute_splitting,
-    exact_modulus_counts,
     unit_disk_root_count,
 )
 from .pseudo_anosov import (
@@ -62,7 +58,6 @@ from .saturation import (
     PLCurve,
     SaturationSet,
     build_saturation_set,
-    cone_member,
     coverage_check,
     find_overlap_translation,
     overlap_translation_linear,

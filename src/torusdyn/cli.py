@@ -95,10 +95,8 @@ def cmd_dioph(args) -> int:
             delta=args.delta)
     report.badly_approximable = witness.to_json()
     out = report.to_json()
-    out["config"] = {
-        "radius": args.radius, "kmax": args.kmax, "candidates": args.candidates,
-        "delta": args.delta, "seed": args.seed,
-    }
+    out["config"] = {"radius": args.radius, "kmax": args.kmax,
+                     "candidates": args.candidates, "delta": args.delta}
     if args.format == "csv" or args.csv:
         table = "\n".join(["norm,center_norm"] + [
             f"{float(nv)!r},{float(cv)!r}" for nv, cv in zip(ball.norms, ball.center_norms)

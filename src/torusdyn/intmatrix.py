@@ -6,10 +6,9 @@ the entries grow.  No floating point in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, from_power_sums
 
 
 @dataclass(frozen=True)
@@ -107,23 +106,14 @@ class IntMatrix:
         return exact_rank([list(r) for r in self.rows])
 
     def char_poly(self) -> IntPoly:
-        """Monic characteristic polynomial det(xI - A), exactly.
-
-        Faddeev-LeVerrier recursion; every division is an exact integer
-        division (asserted).
-        """
-        n = self.n
-        coeffs = [0] * (n + 1)
-        coeffs[n] = 1
-        m = IntMatrix.identity(n)
-        for k in range(1, n + 1):
-            m = self * m
-            ck, rem = divmod(-m.trace(), k)
-            if rem:
-                raise ArithmeticError("Faddeev-LeVerrier division was inexact")
-            coeffs[n - k] = ck
-            m = m + ck * IntMatrix.identity(n)
-        return IntPoly(coeffs)
+        """Monic characteristic polynomial det(xI - A), exactly: Newton's
+        identities on the traces of A, A^2, ..., A^n."""
+        m = self
+        traces = [m.trace()]
+        for _ in range(1, self.n):
+            m = m * self
+            traces.append(m.trace())
+        return from_power_sums(traces)
 
     def apply_poly(self, p: IntPoly) -> "IntMatrix":
         """p(A), by Horner's scheme."""
@@ -134,32 +124,16 @@ class IntMatrix:
         return out
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse; requires det = +-1."""
-        d = self.det()
-        if d not in (1, -1):
+        """Exact inverse; requires det = +-1.
+
+        Cayley-Hamilton: p(x) = x q(x) + c0 with p(A) = 0 gives
+        A^-1 = -q(A) / c0 = -c0 q(A), since c0 = (-1)^n det A is +-1.
+        """
+        p = self.char_poly()
+        c0 = p.coeffs[0]
+        if c0 not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        n = self.n
-        aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                v = aug[i][n + j]
-                if v.denominator != 1:
-                    raise ArithmeticError("inverse is not integral")
-                row.append(int(v))
-            out.append(tuple(row))
-        return IntMatrix(tuple(out))
+        return self.apply_poly(IntPoly(p.coeffs[1:])) * -c0
 
     def to_float(self):
         import numpy as np

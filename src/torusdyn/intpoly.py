@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -246,6 +246,44 @@ def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
+# -- power sums (Newton's identities) ------------------------------------------
+
+
+def power_sums(p: IntPoly, m: int) -> list[int]:
+    """[s_1, ..., s_m], s_j the sum of the j-th powers of the roots of monic p.
+
+    The k-th powers of the roots have power sums s_k, s_2k, ..., so for p
+    the char poly of A, ``from_power_sums(power_sums(p, n * k)[k - 1::k])``
+    is the char poly of A^k (Newton's identities; Cohen, GTM 138).
+    """
+    if not p.is_monic:
+        raise ValueError("expected a monic polynomial")
+    n = p.degree
+    a = p.coeffs[::-1]  # a[i] multiplies x^(n-i)
+    s: list[int] = []
+    for k in range(1, m + 1):
+        t = -k * a[k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            t -= a[i] * s[k - i - 1]
+        s.append(t)
+    return s
+
+
+def from_power_sums(s: Sequence[int]) -> IntPoly:
+    """The monic polynomial of degree len(s) whose roots have power sums s.
+
+    Every division of Newton's identities must be exact; an inexact one
+    raises ArithmeticError.
+    """
+    a = [1]
+    for k in range(1, len(s) + 1):
+        c, r = divmod(-sum(a[i] * s[k - i - 1] for i in range(k)), k)
+        if r:
+            raise ArithmeticError("Newton's identities gave a non-integer coefficient")
+        a.append(c)
+    return IntPoly(a[::-1])
+
+
 # -- cyclotomic detection -----------------------------------------------------
 
 
@@ -282,24 +320,6 @@ def cyclotomic_indices_up_to_degree(d: int) -> tuple[int, ...]:
     return tuple(m for m in range(1, 2 * d * d + 2) if _euler_phi(m) <= d)
 
 
-def cyclotomic_free(p: IntPoly) -> bool:
-    """True iff no cyclotomic polynomial divides p (no root of unity among roots)."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    d = p.degree
-    if d == 0:
-        return True
-    if p(1) == 0 or p(-1) == 0:
-        return False
-    for m in cyclotomic_indices_up_to_degree(d):
-        if m <= 2:
-            continue
-        phi = cyclotomic(m)
-        if phi.degree <= d and divides(phi, p):
-            return False
-    return True
-
-
 # -- reciprocal structure -----------------------------------------------------
 
 
@@ -322,22 +342,6 @@ def is_poly_in_xm(p: IntPoly) -> Optional[int]:
         if c and k > 0:
             g = math.gcd(g, k)
     return g if g > 1 else None
-
-
-def reciprocal_part(p: IntPoly) -> IntPoly:
-    """Monic divisor of p carrying every root whose inverse is also a root of p.
-
-    In particular it contains all roots of modulus one.  Requires
-    p(1) != 0 and p(-1) != 0; a root at +-1 means a root of unity.
-    """
-    if not p.is_monic:
-        raise ValueError("expected a monic polynomial")
-    if p(1) == 0 or p(-1) == 0:
-        raise ValueError("polynomial has a root at +-1 (root of unity)")
-    g = gcd_z(p, p.reverse())
-    if not g.is_monic:
-        raise ArithmeticError("reciprocal part came out nonmonic")
-    return g
 
 
 def crown_transform(r: IntPoly) -> IntPoly:

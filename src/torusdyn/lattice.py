@@ -1,4 +1,4 @@
-"""Integer lattices: Hermite/Smith normal forms, kernels, saturation.
+"""Integer lattices: Hermite normal forms, kernels, invariant factors.
 
 Lattices are stored by a canonical basis: row-style Hermite normal form
 with positive pivots and the entries above each pivot reduced into
@@ -6,10 +6,12 @@ with positive pivots and the entries above each pivot reduced into
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .intmatrix import IntMatrix
+from .intmatrix import IntMatrix, bareiss_det, exact_rank
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -144,120 +146,41 @@ class Lattice:
         """Image lattice {A v : v in L}."""
         return Lattice.from_rows([a.matvec(row) for row in self.basis], self.ambient_dim)
 
-    def index_in(self, other: "Lattice") -> int:
-        """[other : self] for a finite-index sublattice of equal rank."""
-        if self.rank != other.rank:
-            raise ValueError("index is finite only for equal ranks")
-        coords = [other.coordinates(row) for row in self.basis]
-        if any(c is None for c in coords):
-            raise ValueError("not a sublattice")
-        from .intmatrix import bareiss_det
-
-        return abs(bareiss_det([list(c) for c in coords]))
-
     def to_json(self) -> dict:
         return {"ambient_dim": self.ambient_dim, "basis": [list(r) for r in self.basis]}
 
 
-# -- Smith normal form ---------------------------------------------------------
-
-
-def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """(U, D, V) with U a V unimodular, U*A*V = D diagonal, d_i | d_{i+1}."""
-    h, d, v_rows = snf_rect([list(r) for r in a.rows])
-    return IntMatrix(h), IntMatrix(d), IntMatrix(v_rows)
-
-
-def snf_rect(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form of a rectangular integer matrix; returns (U, D, V)."""
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    a = [row[:] for row in mat]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # pivot: smallest nonzero magnitude in the trailing submatrix
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide everything that remains
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return u, a, v
+# -- invariant factors ----------------------------------------------------------
 
 
 def invariant_factors(mat: Sequence[Sequence[int]]) -> list[int]:
-    _, d, _ = snf_rect([list(r) for r in mat])
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix (any shape).
+
+    d_k = D_k / D_(k-1), where the determinantal divisor D_k is the gcd of
+    all k x k minors.  D_(k-1) divides every k x k minor, so the gcd stops
+    as soon as it reaches D_(k-1); the first D_k = 0 ends the sequence.
+    """
+    rows = [list(map(int, r)) for r in mat]
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    out: list[int] = []
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        minors = (bareiss_det([[rows[i][j] for j in ci] for i in ri])
+                  for ri in itertools.combinations(range(nr), k)
+                  for ci in itertools.combinations(range(nc), k))
+        g = 0
+        for d in minors:
+            g = math.gcd(g, d)
+            if g == prev:
+                break
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
     return out
 
 
-# -- kernels and saturation -----------------------------------------------------
+# -- kernels and cyclic vectors -----------------------------------------------------
 
 
 def kernel_lattice(m: IntMatrix) -> Lattice:
@@ -276,8 +199,6 @@ def kernel_lattice(m: IntMatrix) -> Lattice:
 
 def is_cyclic_vector(a: IntMatrix, v: Sequence[int]) -> bool:
     """True iff v, Av, ..., A^(n-1)v span Q^n."""
-    from .intmatrix import exact_rank
-
     n = a.n
     rows = []
     w = tuple(map(int, v))
@@ -285,33 +206,3 @@ def is_cyclic_vector(a: IntMatrix, v: Sequence[int]) -> bool:
         rows.append(list(w))
         w = a.matvec(w)
     return exact_rank(rows) == n
-
-
-def saturate(vectors: Sequence[Sequence[int]], ambient_dim: int) -> Lattice:
-    """Saturation of the span: Z^n intersect span_Q(vectors)."""
-    lat = Lattice.from_rows(vectors, ambient_dim)
-    if lat.rank == 0:
-        return lat
-    # orthogonal-complement trick: Sat(L) = ker_Z(C) where the rows of C
-    # span the rational annihilator of L.
-    basis = [list(r) for r in lat.basis]
-    # rational kernel of basis^T gives the annihilator; clear denominators
-    ann = _rational_left_kernel([list(col) for col in zip(*basis)])
-    if not ann:
-        return Lattice.standard(ambient_dim) if lat.rank == ambient_dim else lat
-    c = IntMatrix(_square_pad(ann, ambient_dim))
-    return kernel_lattice(c)
-
-
-def _square_pad(rows: list[list[int]], n: int) -> list[list[int]]:
-    out = [r[:] for r in rows]
-    while len(out) < n:
-        out.append([0] * n)
-    return out[:n]
-
-
-def _rational_left_kernel(mat: list[list[int]]) -> list[list[int]]:
-    """Integer-cleared basis of the left kernel of mat (rows * mat = 0)."""
-    nr = len(mat)
-    h, u = hnf_with_transform(mat, len(mat[0]) if mat else 0)
-    return [u[i] for i in range(nr) if not any(h[i])]

@@ -374,63 +374,13 @@ class LeafSolver:
         self._run_fixed_point(sweep, f"intersection {pair}")
         return xs + seg_x.d[0] @ self.embed.T
 
-    def intersection(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        pair: tuple[str, str] = ("s", "cu"),
-        starts: int = 1,
-        start_scale: float = 0.5,
-        seed: int = 0,
-        agreement_tol: float = 1e-8,
-    ) -> np.ndarray:
-        """The unique point of W^a(x) cap W^b(y) for pair (a, b) in
-        {(s, cu), (u, cs)}.
-
-        With starts > 1 the fixed point is recomputed from randomly
-        perturbed initial states, which must agree within agreement_tol.
-        """
-        if pair not in (("s", "cu"), ("u", "cs")):
-            raise ValueError("intersection pair must be (s, cu) or (u, cs)")
-        x = np.asarray(x, dtype=float)
-        d_drive = self.block_dim(pair[0])
-        init = np.zeros((starts, d_drive))
-        if starts > 1:
-            rng = np.random.default_rng(seed)
-            init[1:] = start_scale * rng.standard_normal((starts - 1, d_drive))
-        xs = np.broadcast_to(x, (starts, self.n))
-        z = self._intersect_core(xs, y, pair, init=init)
-        if starts > 1:
-            spread = np.max(np.abs(z - z[0]))
-            if spread > agreement_tol:
-                raise NumericsError(
-                    f"multi-start intersection disagrees by {spread:.2e} "
-                    "(reduce the perturbation or enlarge patches)"
-                )
-        return z[0]
-
     def intersection_batch(self, xs: np.ndarray, y: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
         """Batched unique intersections W^a(x_i) cap W^b(y)."""
         if pair not in (("s", "cu"), ("u", "cs")):
             raise ValueError("intersection pair must be (s, cu) or (u, cs)")
         return self._intersect_core(xs, y, pair)
 
-    # -- projections and leaf-parameter coordinates ------------------------------------------
-
-    def su_projection_to_center(self, z: np.ndarray, residual_tol: float = 1e-8) -> np.ndarray:
-        """Slide z along its unstable then stable leaf onto W^c(0)."""
-        zero = np.zeros(self.n)
-        w = self.intersection(z, zero, ("u", "cs"))
-        out = self.intersection(w, zero, ("s", "cu"))
-        resid = self.center_leaf_residual(out)
-        if resid > residual_tol:
-            raise NumericsError(f"projection left the center leaf (residual {resid:.2e})")
-        return out
-
-    def center_leaf_residual(self, p: np.ndarray) -> float:
-        """Distance of p from W^c(0), via re-evaluating the leaf at p's chart."""
-        on_leaf = self.center_point(self.center_chart(p)[None, :])[0]
-        return float(np.max(np.abs(on_leaf - p)))
+    # -- center chart and leaf-parameter coordinates ------------------------------------------
 
     def center_chart(self, p: np.ndarray) -> np.ndarray:
         """Chart coordinates on W^c(0): the center block coordinates."""
@@ -452,17 +402,6 @@ class LeafSolver:
         p = self.leaf_points(x, "c", vc)
         p = self.leaf_points(p, "s", vs)
         return self.leaf_points(p, "u", vu)
-
-    def to_leaf_params(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Phi_x^{-1}(y): peel the unstable, stable, then center parameters."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        w = self.intersection(y, x, ("u", "cs"))
-        vu = ((y - w) @ self.coords.T)[..., self.block_idx["u"]]
-        q = self.intersection(w, x, ("s", "cu"))
-        vs = ((w - q) @ self.coords.T)[..., self.block_idx["s"]]
-        vc = ((q - x) @ self.coords.T)[..., self.block_idx["c"]]
-        return vc, vs, vu
 
     def to_leaf_params_batch(self, x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched Phi_x^{-1} over rows of ys."""

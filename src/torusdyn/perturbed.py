@@ -3,9 +3,9 @@
 The perturbed map is F = A composed with a chain of coordinate shears
 x -> x + eps * phi(x_j) e_i (i != j), each exactly volume preserving and
 Z^N-periodic, with every profile vanishing at 0 so that F(0) = 0.  The
-lift, its exact inverse, analytic Jacobians, and a numerically stable
-"difference orbit" primitive (F(r + d) - F(r) without cancellation at
-large coordinates) live here.
+lift, its exact inverse, and a numerically stable "difference orbit"
+primitive (F(r + d) - F(r) without cancellation at large coordinates)
+live here.
 """
 from __future__ import annotations
 
@@ -41,17 +41,6 @@ class TrigProfile:
         for m, b in enumerate(self.sin_coeffs, start=1):
             if b:
                 out = out + b * np.sin(TWO_PI * m * t)
-        return out
-
-    def derivative(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for m, a in enumerate(self.cos_coeffs, start=1):
-            if a:
-                out = out - a * TWO_PI * m * np.sin(TWO_PI * m * t)
-        for m, b in enumerate(self.sin_coeffs, start=1):
-            if b:
-                out = out + b * TWO_PI * m * np.cos(TWO_PI * m * t)
         return out
 
     def derivative_bound(self) -> float:
@@ -126,33 +115,6 @@ class PerturbedMap:
 
     def apply_inverse(self, y: np.ndarray) -> np.ndarray:
         return self._shear_inverse(np.asarray(y, dtype=float) @ self.a_inv_float.T)
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """DF(x); batched over leading axes, returns (..., n, n)."""
-        x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1]
-        n = self.n
-        jac = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
-        y = np.array(x, copy=True)
-        for s in self.shears:
-            d = s.amplitude * s.profile.derivative(y[..., s.source])
-            # left-multiply by (I + d e_t e_s^T): adds d * row(source) to row(target)
-            jac[..., s.target, :] += d[..., None] * jac[..., s.source, :]
-            y[..., s.target] += s.amplitude * s.profile.value(y[..., s.source])
-        return self.a_float @ jac
-
-    def jacobian_inverse(self, y: np.ndarray) -> np.ndarray:
-        """D(F^{-1})(y); batched over leading axes, returns (..., n, n)."""
-        y = np.asarray(y, dtype=float)
-        shape = y.shape[:-1]
-        n = self.n
-        jac = np.broadcast_to(self.a_inv_float, shape + (n, n)).copy()
-        x = y @ self.a_inv_float.T
-        for s in reversed(self.shears):
-            d = s.amplitude * s.profile.derivative(x[..., s.source])
-            jac[..., s.target, :] -= d[..., None] * jac[..., s.source, :]
-            x[..., s.target] -= s.amplitude * s.profile.value(x[..., s.source])
-        return jac
 
     # -- stable difference propagation -----------------------------------------
 

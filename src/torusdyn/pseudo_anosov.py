@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import BudgetError, InputError, InvariantError, NotErgodicError, OutOfHypothesesError
 from .intmatrix import IntMatrix
-from .intpoly import IntPoly, count_unitary_roots, cyclotomic_free, is_poly_in_xm
+from .intpoly import IntPoly, from_power_sums, is_poly_in_xm, power_sums
 from .lattice import Lattice, is_cyclic_vector, kernel_lattice
-from .splitting import Splitting, _factor_spectrum, compute_splitting
+from .splitting import Splitting, _factor_spectrum, _FactorSpectrum, _modulus_counts, compute_splitting
 from .zfactor import factor_z, is_irreducible_z
 
 
@@ -55,12 +55,13 @@ def pa_condition_cyclic_sample(
     """
     rng = random.Random(seed)
     n = a.n
+    s = power_sums(a.char_poly(), n * k_max)
     checked = 0
     ak = IntMatrix.identity(n)
     for k in range(1, k_max + 1):
         ak = ak * a
         candidates: list[tuple[int, ...]] = []
-        for q, _mult in factor_z(ak.char_poly()):
+        for q, _mult in factor_z(from_power_sums(s[k - 1:n * k:k])):
             if q.degree < n:
                 ker = kernel_lattice(ak.apply_poly(q))
                 candidates.extend(ker.basis)
@@ -96,10 +97,11 @@ class PASubspace:
         }
 
 
-def _unitary_factor(p: IntPoly) -> tuple[IntPoly, int]:
-    """The unique irreducible factor of p carrying the two unitary roots."""
+def _unitary_factor(spectrum: Sequence[_FactorSpectrum]) -> IntPoly:
+    """The unique irreducible factor of a factored char poly carrying the two
+    unitary roots."""
     hits = []
-    for f in _factor_spectrum(p):
+    for f in spectrum:
         if f.unitary == 2:
             hits.append(f)
         elif f.unitary != 0:
@@ -109,7 +111,7 @@ def _unitary_factor(p: IntPoly) -> tuple[IntPoly, int]:
     f = hits[0]
     if f.mult != 1:
         raise OutOfHypothesesError("unitary factor has multiplicity > 1")
-    return f.poly, f.mult
+    return f.poly
 
 
 def center_containment_residual(lat: Lattice, split: Splitting) -> float:
@@ -130,27 +132,32 @@ def pseudo_anosov_subspace(
     """Find k <= k_max minimizing the unitary-factor degree and build (X, L).
 
     Candidates are examined in (degree, k) order; the winner must pass the
-    polynomial all-power condition and every structural invariant.
+    polynomial all-power condition and every structural invariant.  The char
+    poly of A^k comes from the power sums of p = char poly of A; A^k itself
+    is formed only for a candidate that passes the condition.
     """
     p = a.char_poly()
-    if not cyclotomic_free(p):
+    spectrum = _factor_spectrum(p)
+    if any(f.cyclotomic_index is not None for f in spectrum):
         raise NotErgodicError("matrix has a root-of-unity eigenvalue")
-    if count_unitary_roots(p) != 2:
+    if _modulus_counts(spectrum)[1] != 2:
         raise OutOfHypothesesError("center dimension is not 2")
     if split is None:
         split = compute_splitting(a)
 
+    n = a.n
+    s = power_sums(p, n * k_max)
     candidates = []
-    ak = IntMatrix.identity(a.n)
     for k in range(1, k_max + 1):
-        ak = ak * a
-        pk, _ = _unitary_factor(ak.char_poly())
-        candidates.append((pk.degree, k, pk, ak))
+        spectrum_k = spectrum if k == 1 else _factor_spectrum(from_power_sums(s[k - 1:n * k:k]))
+        pk = _unitary_factor(spectrum_k)
+        candidates.append((pk.degree, k, pk))
     candidates.sort(key=lambda t: (t[0], t[1]))
 
-    for d, k, pk, ak in candidates:
+    for d, k, pk in candidates:
         if not pa_condition_polynomial(pk):
             continue
+        ak = a ** k
         lam = kernel_lattice(ak.apply_poly(pk))
         if lam.rank != d:
             raise InvariantError("kernel lattice rank disagrees with factor degree")

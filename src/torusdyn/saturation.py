@@ -1,9 +1,8 @@
-"""Saturation sets, recurrence translations, cones, and winding curves.
+"""Saturation sets, recurrence translations, and winding curves.
 
 Machinery driving the minimality-style experiments: sampled 4-stage
 leaf-saturation sets and their pigeonhole translation vectors, coverage
-checks for the leaf-parameter coordinates, cone membership, and the
-piecewise-linear lattice curve that winds once around the hyperbolic
+checks for the leaf-parameter coordinates, and the piecewise-linear lattice curve that winds once around the hyperbolic
 subspace while staying inside a center cone.
 """
 from __future__ import annotations
@@ -296,17 +295,6 @@ def find_overlap_translation(
         f"no overlap translation within |n| <= {bound:.2f} at this sampling "
         f"density ({checked} candidates); refine the cloud"
     )
-
-
-# -- cones ------------------------------------------------------------------
-
-
-def cone_member(z: np.ndarray, y: np.ndarray, eps: float, norm: AdaptedNorm) -> bool:
-    """Membership of z in the center cone at y: |(z-y)^su| < eps |z-y|."""
-    rel = np.asarray(z, dtype=float) - np.asarray(y, dtype=float)
-    ns, nc, nu = norm.component_norms(rel)
-    total = ns + nc + nu
-    return bool(ns + nu < eps * total)
 
 
 # -- the winding curve --------------------------------------------------------------

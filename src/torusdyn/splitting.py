@@ -129,21 +129,6 @@ def _modulus_counts(spectrum: list[_FactorSpectrum]) -> tuple[int, int, int]:
             sum(f.mult * f.outside for f in spectrum))
 
 
-def exact_modulus_counts(p: IntPoly) -> tuple[int, int, int]:
-    """(inside, on, outside) root counts of monic p w.r.t. the unit circle.
-
-    Requires p(1) != 0 != p(-1).
-    """
-    if p(1) == 0 or p(-1) == 0:
-        raise ValueError("roots of unity present; split them off first")
-    return _modulus_counts(_factor_spectrum(p))
-
-
-def center_dimension(p: IntPoly) -> int:
-    """dim E^c for any monic char poly (roots of unity included)."""
-    return _modulus_counts(_factor_spectrum(p))[1]
-
-
 # -- classification report -----------------------------------------------------
 
 
@@ -272,23 +257,6 @@ class Splitting:
         c = np.asarray(x) @ self.coords.T
         ds, dc, _ = self.dims
         return c[..., :ds], c[..., ds:ds + dc], c[..., ds + dc:]
-
-    def project(self, x: np.ndarray, flavor: str) -> np.ndarray:
-        """Component of x inside the chosen subspace, as a vector in R^n."""
-        cs, cc, cu = self.components(x)
-        if flavor == "s":
-            return cs @ self.basis_s.T
-        if flavor == "c":
-            return cc @ self.basis_c.T
-        if flavor == "u":
-            return cu @ self.basis_u.T
-        if flavor == "cs":
-            return cs @ self.basis_s.T + cc @ self.basis_c.T
-        if flavor == "cu":
-            return cu @ self.basis_u.T + cc @ self.basis_c.T
-        if flavor == "su":
-            return cs @ self.basis_s.T + cu @ self.basis_u.T
-        raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def _rotation_basis(a_float: np.ndarray, basis_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 import pytest
 
-from torusdyn.intmatrix import IntMatrix
-from torusdyn.intpoly import IntPoly
+from torusdyn.intmatrix import IntMatrix, bareiss_det
+from torusdyn.intpoly import IntPoly, cyclotomic, cyclotomic_indices_up_to_degree, divides
 from torusdyn.manifolds import LeafSolver
 from torusdyn.perturbed import salem_example
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
@@ -82,3 +82,21 @@ def powers_irreducible(a, k_max):
         if len(fs) != 1 or fs[0][1] != 1:
             return False
     return True
+
+
+def cyclotomic_free(p):
+    """True iff no cyclotomic polynomial divides p (no root of unity among
+    its roots), by trial division."""
+    if p(1) == 0 or p(-1) == 0:
+        return False
+    return not any(divides(cyclotomic(m), p)
+                   for m in cyclotomic_indices_up_to_degree(p.degree) if m > 2)
+
+
+def lattice_index(sub, sup):
+    """[sup : sub] for a sublattice of equal rank: |det| of sub's basis in
+    sup's basis coordinates."""
+    assert sub.rank == sup.rank
+    coords = [sup.coordinates(row) for row in sub.basis]
+    assert all(c is not None for c in coords), "not a sublattice"
+    return abs(bareiss_det([list(c) for c in coords]))

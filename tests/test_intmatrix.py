@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from torusdyn.intmatrix import IntMatrix
-from torusdyn.intpoly import IntPoly
+from torusdyn.intpoly import IntPoly, from_power_sums, power_sums
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
 
@@ -97,10 +99,12 @@ def test_char_poly_powers_match_resultant_oracle():
     mats += [IntMatrix([[rng.randint(-1, 1) for _ in range(6)] for _ in range(6)]) for _ in range(2)]
     for a in mats:
         p = a.char_poly()
+        s = power_sums(p, a.n * 12)
         for k in (2, 3, 5, 7, 12):
             direct = (a ** k).char_poly()
             oracle = resultant_power_poly(p, k)
             assert direct == oracle, (a.rows, k)
+            assert from_power_sums(s[k - 1:a.n * k:k]) == oracle, (a.rows, k)
 
 
 def test_det_and_rank():
@@ -145,6 +149,14 @@ def test_inverse_unimodular():
         u = random_unimodular(rng, 4)
         assert u * u.inverse_unimodular() == IntMatrix.identity(4)
         assert (u ** -1) == u.inverse_unimodular()
+    for n in range(2, 8):
+        for _ in range(5):
+            u = random_unimodular(rng, n, ops=3 * n)
+            assert u * u.inverse_unimodular() == IntMatrix.identity(n)
+            assert u.inverse_unimodular() * u == IntMatrix.identity(n)
+    for rows in ([[2, 1], [0, 1]], [[1, 1], [-1, 1]], [[1, 1, 0], [0, -2, 0], [3, 0, 1]]):  # det +-2
+        with pytest.raises(ValueError):
+            IntMatrix(rows).inverse_unimodular()
 
 
 def test_apply_poly_cayley_hamilton():

@@ -4,19 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import cyclotomic_free
 from torusdyn.intpoly import (
     IntPoly,
     count_real_roots,
     count_unitary_roots,
     crown_transform,
     cyclotomic,
-    cyclotomic_free,
     div_exact,
     divides,
     gcd_z,
     is_poly_in_xm,
     is_reciprocal,
-    reciprocal_part,
     squarefree_decomposition,
 )
 
@@ -67,21 +66,6 @@ def test_poly_in_xm_examples():
     assert is_poly_in_xm(IntPoly((1, 0, 1, 0, 1))) == 2
     assert is_poly_in_xm(SALEM) is None
     assert is_poly_in_xm(IntPoly((5, 0, 0, -2, 0, 0, 1))) == 3
-
-
-def test_reciprocal_part_examples():
-    assert reciprocal_part(CAT) == CAT
-    assert count_unitary_roots(CAT) == 0
-    prod = CAT * IntPoly((-1, -1, 1))
-    # oracle: the gcd with the reversed polynomial, computed independently
-    oracle = gcd_z(prod, prod.reverse())
-    assert reciprocal_part(prod) == oracle == CAT
-    assert reciprocal_part(SALEM) == SALEM
-
-
-def test_reciprocal_part_rejects_unit_roots():
-    with pytest.raises(ValueError):
-        reciprocal_part(IntPoly((-1, 0, 1)))  # x^2 - 1
 
 
 def test_count_unitary_examples():

@@ -12,6 +12,32 @@ from torusdyn.splitting import adapted_norm, compute_splitting
 FLAVORS = ("s", "u", "c", "cs", "cu")
 
 
+def multistart_intersection(solver, x, y, pair, starts, seed=0, start_scale=0.5,
+                            agreement_tol=1e-8):
+    """W^a(x) cap W^b(y) solved from ``starts`` initial states, zero and
+    randomly perturbed; every start must reach the same point."""
+    d_drive = solver.block_dim(pair[0])
+    init = np.zeros((starts, d_drive))
+    init[1:] = start_scale * np.random.default_rng(seed).standard_normal((starts - 1, d_drive))
+    xs = np.broadcast_to(np.asarray(x, dtype=float), (starts, solver.n))
+    z = solver._intersect_core(xs, y, pair, init=init)
+    assert np.max(np.abs(z - z[0])) <= agreement_tol
+    return z[0]
+
+
+def su_projection_to_center(solver, z):
+    """Slide z along its unstable, then its stable leaf onto W^c(0)."""
+    zero = np.zeros(solver.n)
+    w = solver.intersection_batch(np.atleast_2d(z), zero, ("u", "cs"))
+    return solver.intersection_batch(w, zero, ("s", "cu"))[0]
+
+
+def center_leaf_residual(solver, p):
+    """Distance of p from W^c(0), by re-evaluating the leaf at p's chart."""
+    on_leaf = solver.center_point(solver.center_chart(p)[None, :])[0]
+    return float(np.max(np.abs(on_leaf - p)))
+
+
 def leaf_invariance_residual(solver, base, flavor, params):
     """F(sigma(v)) must land on the leaf of F(base) at the matched parameter."""
     pts = solver.leaf_points(base, flavor, params)
@@ -60,14 +86,14 @@ def test_intersection_examples(solver_linear, solver_small):
     x = np.array([0.3, 0.2, -0.4, 0.1])
     zero = np.zeros(4)
     # linear closed form
-    z_lin = solver_linear.intersection(x, zero, ("s", "cu"))
+    z_lin = solver_linear.intersection_batch(x[None, :], zero, ("s", "cu"))[0]
     e_s = solver_linear.embed[:, solver_linear.param_indices("s")]
     e_cu = solver_linear.embed[:, solver_linear.param_indices("cu")]
     mat = np.hstack([e_s, -e_cu])
     ab = np.linalg.solve(mat, zero - x)
     assert np.max(np.abs(z_lin - (x + e_s @ ab[:1]))) <= 1e-10
     # perturbed: the point lies on both leaves
-    z = solver_small.intersection(x, zero, ("s", "cu"), starts=5)
+    z = multistart_intersection(solver_small, x, zero, ("s", "cu"), starts=5)
     vs = ((z - x) @ solver_small.coords.T)[solver_small.param_indices("s")]
     back = solver_small.leaf_points(x, "s", vs[None, :])[0]
     assert np.max(np.abs(back - z)) <= 1e-8
@@ -78,7 +104,7 @@ def test_intersection_examples(solver_linear, solver_small):
 
 def test_intersection_common_point(solver_small):
     x = np.array([0.2, 0.1, -0.3, 0.4])
-    z = solver_small.intersection(x, x, ("s", "cu"), starts=3)
+    z = multistart_intersection(solver_small, x, x, ("s", "cu"), starts=3)
     assert np.max(np.abs(z - x)) <= 1e-8
 
 
@@ -86,14 +112,16 @@ def test_su_projection_fixes_center_leaf(solver_small):
     charts = np.array([[0.2, -0.3], [0.4, 0.1]])
     pts = solver_small.center_point(charts)
     for p in pts:
-        q = solver_small.su_projection_to_center(p)
+        q = su_projection_to_center(solver_small, p)
+        assert center_leaf_residual(solver_small, q) <= 1e-8
         assert np.max(np.abs(q - p)) <= 1e-8
 
 
 def test_su_projection_linear(solver_linear):
     rng = np.random.default_rng(3)
     z = rng.normal(size=4)
-    q = solver_linear.su_projection_to_center(z)
+    q = su_projection_to_center(solver_linear, z)
+    assert center_leaf_residual(solver_linear, q) <= 1e-8
     cz = (z @ solver_linear.coords.T)[solver_linear.block_idx["c"]]
     expected = cz @ solver_linear.embed[:, solver_linear.block_idx["c"]].T
     assert np.max(np.abs(q - expected)) <= 1e-10
@@ -103,9 +131,10 @@ def test_su_projection_two_leg_reconstruction(solver_small):
     rng = np.random.default_rng(4)
     z = rng.normal(size=4) * 0.5
     zero = np.zeros(4)
-    w = solver_small.intersection(z, zero, ("u", "cs"))
-    out = solver_small.intersection(w, zero, ("s", "cu"))
-    assert np.max(np.abs(out - solver_small.su_projection_to_center(z))) <= 1e-9
+    w = solver_small.intersection_batch(z[None, :], zero, ("u", "cs"))[0]
+    out = solver_small.intersection_batch(w[None, :], zero, ("s", "cu"))[0]
+    assert np.max(np.abs(out - su_projection_to_center(solver_small, z))) <= 1e-9
+    assert center_leaf_residual(solver_small, out) <= 1e-8
     # leg 1 stays on W^u(z), leg 2 on W^s(w)
     vu = ((w - z) @ solver_small.coords.T)[solver_small.param_indices("u")]
     assert np.max(np.abs(solver_small.leaf_points(z, "u", vu[None, :])[0] - w)) <= 1e-8
@@ -116,12 +145,11 @@ def test_leaf_param_maps_roundtrip(solver_small):
     x = np.array([0.1, 0.2, -0.1, 0.3])
     v = rng.normal(size=(6, 4)) * 0.8
     pts = solver_small.from_leaf_params(x, v)
-    for vec, p in zip(v, pts):
-        vc, vs, vu = solver_small.to_leaf_params(x, p)
-        coords = vec @ solver_small.coords.T
-        assert np.max(np.abs(vc - coords[solver_small.block_idx["c"]])) <= 1e-8
-        assert np.max(np.abs(vs - coords[solver_small.block_idx["s"]])) <= 1e-8
-        assert np.max(np.abs(vu - coords[solver_small.block_idx["u"]])) <= 1e-8
+    vc, vs, vu = solver_small.to_leaf_params_batch(x, pts)
+    coords = v @ solver_small.coords.T
+    assert np.max(np.abs(vc - coords[:, solver_small.block_idx["c"]])) <= 1e-8
+    assert np.max(np.abs(vs - coords[:, solver_small.block_idx["s"]])) <= 1e-8
+    assert np.max(np.abs(vu - coords[:, solver_small.block_idx["u"]])) <= 1e-8
 
 
 def test_graph_transform_linear_zero(solver_linear):
@@ -169,8 +197,8 @@ def test_kappa_decreases_with_amplitude(salem_split, salem_norm):
 
 def test_multistart_agreement(solver_small):
     # well inside the perturbative regime all starts coincide
-    z = solver_small.intersection(np.array([0.4, -0.2, 0.3, 0.1]), np.zeros(4),
-                                  ("u", "cs"), starts=5, seed=3)
+    z = multistart_intersection(solver_small, np.array([0.4, -0.2, 0.3, 0.1]), np.zeros(4),
+                                ("u", "cs"), starts=5, seed=3)
     assert z.shape == (4,)
 
 
@@ -296,7 +324,7 @@ def test_leaf_solves_match_the_per_step_oracle(monkeypatch, matrix):
         solver = _solver(matrix)
         out = [solver.leaf_points(base, fl, params[fl]) for fl in FLAVORS]
         out += [solver.intersection_batch(xs, y, pair) for pair in (("s", "cu"), ("u", "cs"))]
-        out.append(solver.intersection(xs[0], y, ("s", "cu"), starts=3))
+        out.append(multistart_intersection(solver, xs[0], y, ("s", "cu"), starts=3))
         return solver, out
 
     solver, fast = solves()

@@ -6,7 +6,44 @@ import pytest
 from conftest import SALEM_CONJUGATE
 from torusdyn.errors import InputError
 from torusdyn.intmatrix import IntMatrix
-from torusdyn.perturbed import PerturbedMap, Shear, TrigProfile, salem_example
+from torusdyn.perturbed import TWO_PI, PerturbedMap, Shear, TrigProfile, salem_example
+
+
+def _profile_derivative(profile, t):
+    """d/dt of a TrigProfile's value, term by term."""
+    out = np.zeros_like(t)
+    for m, a in enumerate(profile.cos_coeffs, start=1):
+        out = out - a * TWO_PI * m * np.sin(TWO_PI * m * t)
+    for m, b in enumerate(profile.sin_coeffs, start=1):
+        out = out + b * TWO_PI * m * np.cos(TWO_PI * m * t)
+    return out
+
+
+def jacobian(f, x):
+    """DF(x) of a PerturbedMap, batched over leading axes: (..., n, n).
+
+    The chain rule through the shears: each one left-multiplies by
+    I + d e_target e_source^T, then A is applied."""
+    x = np.asarray(x, dtype=float)
+    jac = np.broadcast_to(np.eye(f.n), x.shape[:-1] + (f.n, f.n)).copy()
+    y = np.array(x, copy=True)
+    for s in f.shears:
+        d = s.amplitude * _profile_derivative(s.profile, y[..., s.source])
+        jac[..., s.target, :] += d[..., None] * jac[..., s.source, :]
+        y[..., s.target] += s.amplitude * s.profile.value(y[..., s.source])
+    return f.a_float @ jac
+
+
+def jacobian_inverse(f, y):
+    """D(F^-1)(y), batched like jacobian."""
+    y = np.asarray(y, dtype=float)
+    jac = np.broadcast_to(f.a_inv_float, y.shape[:-1] + (f.n, f.n)).copy()
+    x = y @ f.a_inv_float.T
+    for s in reversed(f.shears):
+        d = s.amplitude * _profile_derivative(s.profile, x[..., s.source])
+        jac[..., s.target, :] -= d[..., None] * jac[..., s.source, :]
+        x[..., s.target] -= s.amplitude * s.profile.value(x[..., s.source])
+    return jac
 
 
 def test_profiles_vanish_at_zero():
@@ -50,7 +87,7 @@ def test_volume_preservation():
     f = salem_example(0.1)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(1000, 4)) * 2
-    dets = np.linalg.det(f.jacobian(x))
+    dets = np.linalg.det(jacobian(f, x))
     assert np.max(np.abs(dets - 1.0)) <= 1e-10
 
 
@@ -59,14 +96,14 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(4)
     for _ in range(5):
         x0 = rng.normal(size=4)
-        jac = f.jacobian(x0)
+        jac = jacobian(f, x0)
         h = 1e-6
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
             col = (f.apply(x0 + e) - f.apply(x0 - e)) / (2 * h)
             assert np.max(np.abs(jac[:, j] - col)) <= 1e-8
-        jinv = f.jacobian_inverse(f.apply(x0))
+        jinv = jacobian_inverse(f, f.apply(x0))
         assert np.max(np.abs(jinv @ jac - np.eye(4))) <= 1e-10
 
 

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_unimodular
+from conftest import lattice_index, random_unimodular
 from torusdyn.errors import InputError, InvariantError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly, count_unitary_roots
@@ -125,7 +125,7 @@ def test_orbit_sublattice(salem_matrix, salem_pa):
     g = orbit_sublattice(salem_matrix, salem_pa.k, 1, (1, 0, 0, 0), salem_pa)
     # companion cyclicity makes the iterate matrix unimodular
     assert g == Lattice.standard(4)
-    assert g.index_in(salem_pa.lam) == 1
+    assert lattice_index(g, salem_pa.lam) == 1
     g2 = orbit_sublattice(salem_matrix, salem_pa.k, 2, (1, 1, 0, 0), salem_pa)
     assert g2.rank == 4
     # index equals |det| of the iterate matrix in lattice coordinates
@@ -135,7 +135,7 @@ def test_orbit_sublattice(salem_matrix, salem_pa):
     for _ in range(4):
         rows.append(list(v))
         v = step.matvec(v)
-    assert g2.index_in(salem_pa.lam) == abs(IntMatrix(rows).det())
+    assert lattice_index(g2, salem_pa.lam) == abs(IntMatrix(rows).det())
 
 
 def test_orbit_sublattice_rejects_zero(salem_matrix, salem_pa):

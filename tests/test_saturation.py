@@ -9,7 +9,6 @@ from torusdyn.perturbed import salem_example
 from torusdyn.saturation import (
     appendix_constants,
     build_saturation_set,
-    cone_member,
     coverage_check,
     find_overlap_translation,
     overlap_translation_linear,
@@ -220,17 +219,6 @@ def test_overlap_search_hit_exactly_at_the_merge_tolerance(solver_small, salem_p
     got = find_overlap_translation(solver_small, salem_pa, np.zeros(4), EPS, KAPPA, cloud=cloud,
                                    delta_merge=closest[k])
     assert got == want
-
-
-def test_cone_membership(salem_split, salem_norm):
-    y = np.array([0.2, 0.1, 0.3, -0.1])
-    ec = salem_split.basis_c[:, 0]
-    es = salem_split.basis_s[:, 0]
-    assert cone_member(y + ec, y, 0.05, salem_norm)
-    assert not cone_member(y + es, y, 1.0, salem_norm)
-    # homogeneity
-    for t in (1e-3, 1.0, 1e3):
-        assert cone_member(y + t * ec, y, 0.05, salem_norm)
 
 
 def test_winding_curve_properties(salem_matrix, salem_pa, salem_split, salem_norm):

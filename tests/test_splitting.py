@@ -4,17 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_unimodular
+from conftest import cyclotomic_free, random_unimodular
 from torusdyn.errors import NotErgodicError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly, count_unitary_roots
 from torusdyn.splitting import (
     adapted_norm,
-    center_dimension,
     classify,
     classify_poly,
     compute_splitting,
-    exact_modulus_counts,
     unit_disk_root_count,
 )
 from torusdyn.survey import enumerate_polynomials
@@ -63,16 +61,22 @@ def test_disk_count_rejects_unitary_roots():
         unit_disk_root_count(IntPoly((1, 1)))
 
 
+def _modulus_counts(p):
+    """(inside, on, outside) root counts of p w.r.t. the unit circle."""
+    r = classify_poly(p)
+    return r.dim_stable, r.dim_center, r.dim_unstable
+
+
 def test_modulus_counts():
-    assert exact_modulus_counts(SALEM) == (1, 2, 1)
-    assert exact_modulus_counts(IntPoly((1, -3, 1))) == (1, 0, 1)
-    assert exact_modulus_counts(SALEM * IntPoly((1, -3, 1))) == (2, 2, 2)
+    assert _modulus_counts(SALEM) == (1, 2, 1)
+    assert _modulus_counts(IntPoly((1, -3, 1))) == (1, 0, 1)
+    assert _modulus_counts(SALEM * IntPoly((1, -3, 1))) == (2, 2, 2)
 
 
 def test_center_dimension_with_roots_of_unity():
-    assert center_dimension(PHI5) == 4
+    assert classify_poly(PHI5).dim_center == 4
     # (x - 1)(x^2 - x - 1): one root of unity, the golden pair off the circle
-    assert center_dimension(IntPoly((-1, 1)) * IntPoly((-1, -1, 1))) == 1
+    assert classify_poly(IntPoly((-1, 1)) * IntPoly((-1, -1, 1))).dim_center == 1
 
 
 def test_classify_cat(cat_matrix):
@@ -166,8 +170,6 @@ def test_unitary_factors_have_even_degree_at_least_4():
         p = IntPoly([rng.choice([-1, 1])] + [rng.randint(-2, 2) for _ in range(deg - 1)] + [1])
         if p(1) == 0 or p(-1) == 0:
             continue
-        from torusdyn.intpoly import cyclotomic_free
-
         if not cyclotomic_free(p):
             continue
         for q, _ in factor_z(p):
@@ -177,20 +179,26 @@ def test_unitary_factors_have_even_degree_at_least_4():
         checked += 1
 
 
+def _project(split, x, flavor):
+    """Component of x inside E^flavor, as a vector in R^n."""
+    coords = dict(zip("scu", split.components(x)))[flavor]
+    return coords @ {"s": split.basis_s, "c": split.basis_c, "u": split.basis_u}[flavor].T
+
+
 def test_adapted_norm_contractions(salem_split, salem_norm):
     af = salem_split.matrix.to_float()
     rng = np.random.default_rng(0)
     v = rng.normal(size=(1000, 4))
-    vs = salem_split.project(v, "s")
+    vs = _project(salem_split, v, "s")
     ratios = salem_norm.norm((af @ vs.T).T) / salem_norm.norm(vs)
     assert np.max(ratios) <= salem_norm.lambda_s * (1 + 1e-12)
     assert salem_norm.lambda_s < 1
-    vu = salem_split.project(v, "u")
+    vu = _project(salem_split, v, "u")
     ainv = np.linalg.inv(af)
     ratios = salem_norm.norm((ainv @ vu.T).T) / salem_norm.norm(vu)
     assert np.max(ratios) <= (1 / salem_norm.mu_u) * (1 + 1e-12)
     assert salem_norm.mu_u > 1
-    vc = salem_split.project(v, "c")
+    vc = _project(salem_split, v, "c")
     ratios = salem_norm.norm((af @ vc.T).T) / salem_norm.norm(vc)
     assert np.max(np.abs(ratios - 1)) <= 1e-9
 
