@@ -37,10 +37,10 @@ class TrigProfile:
         out = np.zeros_like(t)
         for m, a in enumerate(self.cos_coeffs, start=1):
             if a:
-                out = out + a * (np.cos(TWO_PI * m * t) - 1.0)
+                out += a * (np.cos(TWO_PI * m * t) - 1.0)
         for m, b in enumerate(self.sin_coeffs, start=1):
             if b:
-                out = out + b * np.sin(TWO_PI * m * t)
+                out += b * np.sin(TWO_PI * m * t)
         return out
 
     def derivative_bound(self) -> float:

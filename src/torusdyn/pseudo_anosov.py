@@ -134,16 +134,20 @@ def pseudo_anosov_subspace(
     Candidates are examined in (degree, k) order; the winner must pass the
     polynomial all-power condition and every structural invariant.  The char
     poly of A^k comes from the power sums of p = char poly of A; A^k itself
-    is formed only for a candidate that passes the condition.
+    is formed only for a candidate that passes the condition.  A passed
+    ``split`` must belong to a and supplies p and its factorization.
     """
-    p = a.char_poly()
-    spectrum = _factor_spectrum(p)
+    if split is None:
+        p = a.char_poly()
+        spectrum = _factor_spectrum(p)
+    else:
+        p, spectrum = split.char_poly, split.spectrum
     if any(f.cyclotomic_index is not None for f in spectrum):
         raise NotErgodicError("matrix has a root-of-unity eigenvalue")
     if _modulus_counts(spectrum)[1] != 2:
         raise OutOfHypothesesError("center dimension is not 2")
     if split is None:
-        split = compute_splitting(a)
+        split = compute_splitting(a, spectrum=spectrum)
 
     n = a.n
     s = power_sums(p, n * k_max)

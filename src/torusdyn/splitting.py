@@ -11,6 +11,7 @@ for factors without unitary roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,16 @@ from .zfactor import factor_z
 # -- exact root location on / inside the unit circle ---------------------------
 
 
+@lru_cache(maxsize=64)
+def _cayley_basis(n: int) -> tuple[tuple[int, ...], ...]:
+    """Ascending coefficients of (w+1)^k (w-1)^(n-k) for k = 0..n."""
+    plus, minus = [ONE], [ONE]
+    for _ in range(n):
+        plus.append(plus[-1] * IntPoly((1, 1)))
+        minus.append(minus[-1] * IntPoly((-1, 1)))
+    return tuple((plus[k] * minus[n - k]).coeffs for k in range(n + 1))
+
+
 def unit_disk_root_count(p: IntPoly) -> int:
     """Number of roots strictly inside the unit circle, with multiplicity.
 
@@ -54,14 +65,12 @@ def unit_disk_root_count(p: IntPoly) -> int:
         return 0
     if p(1) == 0 or p(-1) == 0:
         raise ValueError("root at +-1")
-    plus, minus = [ONE], [ONE]
-    for _ in range(n):
-        plus.append(plus[-1] * IntPoly((1, 1)))
-        minus.append(minus[-1] * IntPoly((-1, 1)))
-    q = IntPoly(())
-    for k, c in enumerate(p.coeffs):
+    acc = [0] * (n + 1)
+    for c, term in zip(p.coeffs, _cayley_basis(n)):
         if c:
-            q = q + c * plus[k] * minus[n - k]
+            for j, t in enumerate(term):
+                acc[j] += c * t
+    q = IntPoly(acc)
     # i^j runs through 1, i, -1, -i
     re = IntPoly(c if j % 4 == 0 else -c if j % 4 == 2 else 0 for j, c in enumerate(q.coeffs))
     im = IntPoly(c if j % 4 == 1 else -c if j % 4 == 3 else 0 for j, c in enumerate(q.coeffs))
@@ -99,26 +108,33 @@ class _FactorSpectrum:
         return self.poly.degree - self.unitary - self.inside
 
 
-def _factor_spectrum(p: IntPoly) -> list[_FactorSpectrum]:
-    """Factor monic p once and locate the roots of each irreducible factor.
+def _factor_spectrum(p: IntPoly, factors: Optional[list[tuple[IntPoly, int]]] = None
+                     ) -> list[_FactorSpectrum]:
+    """Locate the roots of each irreducible factor of monic p.
 
-    A cyclotomic factor has all its roots on the circle.  Any other factor
-    with unitary roots is reciprocal, so its off-circle roots split evenly
-    between inside and outside; the rest go through ``unit_disk_root_count``.
+    ``factors`` is ``factor_z(p)`` when the caller already has it; otherwise
+    p is factored here.  A cyclotomic factor has all its roots on the
+    circle.  Any other irreducible factor q with a root a of modulus one is
+    palindromic: 1/a = conj(a) is a root too, so q divides its reversal and
+    q(x) = +-x^n q(1/x), and the sign -1 would make q(1) = 0.  So only a
+    palindromic factor goes through ``count_unitary_roots``, and its
+    off-circle roots split evenly between inside and outside; the rest go
+    through ``unit_disk_root_count``, which rejects a root on the circle.
     """
     out = []
-    for q, mult in factor_z(p):
+    for q, mult in factor_z(p) if factors is None else factors:
         cyc = _cyclotomic_index_of(q)
         if cyc is not None:
             u, inside = q.degree, 0
         else:
-            u = count_unitary_roots(q)
+            u = count_unitary_roots(q) if is_reciprocal(q) else 0
             if u:
-                if not is_reciprocal(q):
-                    raise InvariantError("factor with unitary roots is not reciprocal")
                 inside = (q.degree - u) // 2
             else:
-                inside = unit_disk_root_count(q)
+                try:
+                    inside = unit_disk_root_count(q)
+                except ValueError as exc:
+                    raise InvariantError("factor with unitary roots is not reciprocal") from exc
         out.append(_FactorSpectrum(q, mult, cyc, u, inside))
     return out
 
@@ -182,14 +198,16 @@ class ClassificationReport:
         }
 
 
-def classify_poly(p: IntPoly) -> ClassificationReport:
-    """Exact algebraic classification of the automorphism with char poly p."""
+def classify_poly(p: IntPoly, factors: Optional[list[tuple[IntPoly, int]]] = None
+                  ) -> ClassificationReport:
+    """Exact algebraic classification of the automorphism with char poly p;
+    ``factors``, when given, is ``factor_z(p)``."""
     n = p.degree
     det = p.coeffs[0] * (1 if n % 2 == 0 else -1)
     if det not in (1, -1):
         raise OutOfHypothesesError("determinant is not +-1; not a torus automorphism")
-    spectrum = _factor_spectrum(p)
-    factors = tuple(
+    spectrum = _factor_spectrum(p, factors)
+    records = tuple(
         FactorRecord(
             coeffs=f.poly.coeffs,
             degree=f.poly.degree,
@@ -212,8 +230,8 @@ def classify_poly(p: IntPoly) -> ClassificationReport:
         dim_center=dim_c,
         dim_stable=dim_s,
         dim_unstable=dim_u,
-        factors=factors,
-        salem_flags=tuple(f.salem for f in factors),
+        factors=records,
+        salem_flags=tuple(f.salem for f in records),
         pseudo_anosov=irreducible and is_poly_in_xm(p) is None,
     )
 
@@ -240,6 +258,7 @@ class Splitting:
     block_u: np.ndarray
     eigendata: list[tuple[complex, int, str]]
     char_poly: IntPoly
+    spectrum: list[_FactorSpectrum]
     basis: np.ndarray = field(init=False)
     coords: np.ndarray = field(init=False)
 
@@ -285,15 +304,23 @@ def _rotation_basis(a_float: np.ndarray, basis_c: np.ndarray) -> tuple[np.ndarra
     return cols, mrot
 
 
-def compute_splitting(a: IntMatrix, tol: float = 1e-8) -> Splitting:
+def compute_splitting(a: IntMatrix, tol: float = 1e-8,
+                      spectrum: Optional[list[_FactorSpectrum]] = None) -> Splitting:
     """Invariant splitting with exactly certified dimensions.
 
-    Raises NotErgodicError if some eigenvalue is a root of unity, and
-    InvariantError if the numerically sorted Schur dimensions disagree
-    with the exact counts.
+    ``spectrum``, when given, is ``_factor_spectrum`` of the char poly of a,
+    so the caller's factorization is reused.  Raises NotErgodicError if
+    some eigenvalue is a root of unity, and InvariantError if the
+    numerically sorted Schur dimensions disagree with the exact counts.
     """
-    p = a.char_poly()
-    spectrum = _factor_spectrum(p)
+    if spectrum is None:
+        p = a.char_poly()
+        spectrum = _factor_spectrum(p)
+    else:
+        p = ONE
+        for f in spectrum:
+            for _ in range(f.mult):
+                p = p * f.poly
     if any(f.cyclotomic_index is not None for f in spectrum):
         raise NotErgodicError("an eigenvalue is a root of unity")
     ns, nc, nu = _modulus_counts(spectrum)
@@ -345,6 +372,7 @@ def compute_splitting(a: IntMatrix, tol: float = 1e-8) -> Splitting:
         block_u=mu,
         eigendata=eigendata,
         char_poly=p,
+        spectrum=spectrum,
     )
     for b, m in ((bs, ms), (bc, mc), (bu, mu)):
         if b.size and np.max(np.abs(af @ b - b @ m)) > 1e-9 * max(1.0, np.max(np.abs(af))):

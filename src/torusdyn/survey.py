@@ -14,6 +14,7 @@ from typing import Iterator, Optional
 
 from .intpoly import IntPoly
 from .splitting import classify_poly
+from .zfactor import factor_z_many
 
 
 def enumerate_polynomials(dim: int, height: int, reciprocal_only: bool = False,
@@ -44,11 +45,13 @@ def companion_minus_identity_snf(p: IntPoly) -> list[int]:
     return [1] * (p.degree - 1) + ([abs(p(1))] if p(1) else [])
 
 
-def classify_entry(item: tuple[int, tuple[int, ...]]) -> dict:
-    """Worker: classification record for one polynomial (picklable)."""
+def classify_entry(item: tuple[int, tuple[int, ...]],
+                   factors: Optional[list[tuple[IntPoly, int]]] = None) -> dict:
+    """Classification record for one polynomial; ``factors``, when given, is
+    its ``factor_z`` factorization."""
     index, coeffs = item
     p = IntPoly(coeffs)
-    report = classify_poly(p)
+    report = classify_poly(p, factors)
     key = f"cp:{list(coeffs)}|snf:{companion_minus_identity_snf(p)}"
     return {
         "index": index,
@@ -58,15 +61,31 @@ def classify_entry(item: tuple[int, tuple[int, ...]]) -> dict:
     }
 
 
+def classify_chunk(items: list[tuple[int, tuple[int, ...]]]) -> list[dict]:
+    """Worker: records for a chunk of polynomials, factored in one batch."""
+    factorizations = factor_z_many([IntPoly(coeffs) for _, coeffs in items])
+    return [classify_entry(item, factors) for item, factors in zip(items, factorizations)]
+
+
+# Polynomials per chunk: large enough to amortize the batched sieve, small
+# enough that its stacked arrays stay a few hundred kilobytes.
+CHUNK_SIZE = 256
+
+
 def run_survey(dim: int, height: int, limit: Optional[int] = None,
                reciprocal_only: bool = False, jobs: int = 1) -> tuple[list[dict], dict]:
-    """Classify the whole coefficient box; returns (entries, summary)."""
+    """Classify the whole coefficient box; returns (entries, summary).
+
+    The box is classified in chunks of CHUNK_SIZE polynomials, in order,
+    with one process or a pool of ``jobs``.
+    """
     items = enumerate_polynomials(dim, height, reciprocal_only, limit)
+    chunks = iter(lambda: list(itertools.islice(items, CHUNK_SIZE)), [])
     if jobs <= 1:
-        entries = [classify_entry(it) for it in items]
+        entries = [e for chunk in chunks for e in classify_chunk(chunk)]
     else:
         with multiprocessing.Pool(jobs) as pool:
-            entries = list(pool.imap(classify_entry, items, chunksize=256))
+            entries = [e for part in pool.imap(classify_chunk, chunks) for e in part]
     summary = summarize(entries, dim=dim, height=height,
                         reciprocal_only=reciprocal_only, limit=limit)
     return entries, summary

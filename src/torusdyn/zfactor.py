@@ -1,16 +1,37 @@
 """Exact factorization of monic integer polynomials.
 
-Strategy: factor the squarefree part modulo a good small prime
-(Berlekamp), Hensel-lift the modular factors above twice the
-Landau-Mignotte coefficient bound, then recombine subsets with exact
-trial division over Z.  Deterministic throughout; meant for the desk
-scale of degree <= 16.
+Two paths, one answer.  ``factor_z`` is the factorizer: it factors the
+squarefree part modulo a good small prime (Berlekamp), Hensel-lifts the
+modular factors above twice the Landau-Mignotte coefficient bound, then
+recombines subsets with exact trial division over Z.  When a good prime
+already shows f squarefree mod p, the squarefree decomposition over Z
+is skipped.
+
+``factor_z_many`` factors a batch and equals ``[factor_z(p) for p in
+polys]`` entry by entry.  It strips the roots +-1 by synthetic division
+and proves most cofactors irreducible with a batched degree sieve
+(Musser's degree-set test), then sends every unproven row to
+``factor_z``.  For a monic cofactor f of degree n and a prime p > n the
+sieve stacks the companions C mod p, forms C^p by square-and-multiply,
+and takes the Frobenius matrix Q with columns (C^p)^i e_0, the matrix of
+h -> h^p on F_p[x]/(f).  That ring is reduced, so Q is invertible,
+exactly when f is squarefree mod p; det Q comes from tr(Q^k), k = 1..n,
+by Newton's identities mod p.  If f mod p = prod g_j with distinct
+irreducible g_j of degree d_j, Frobenius permutes a normal basis of each
+F_{p^d_j}, so tr(Q^k) = sum of the d_j dividing k, an integer at most
+n < p, and Moebius inversion yields the multiset of the d_j.  The degree
+of a factor of f over Z is a subset sum of that multiset.  Intersecting
+the subset sums over several primes and finding no degree in 1..n-1
+proves f irreducible; no lifting is done.  Deterministic throughout;
+meant for the desk scale of degree <= 16.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .intpoly import IntPoly, div_exact, divides, gcd_z, squarefree_decomposition
 
@@ -261,22 +282,34 @@ def _mignotte_bound(f: IntPoly) -> int:
     return math.comb(n, n // 2) * norm2
 
 
-def _good_prime(f: IntPoly) -> int:
-    for p in _PRIMES:
+def _good_prime(f: IntPoly, primes: Sequence[int] = _PRIMES) -> Optional[int]:
+    """First p in primes with f squarefree of full degree mod p, or None."""
+    df = f.derivative().coeffs
+    for p in primes:
         fp = _pm(f.coeffs, p)
         if len(fp) - 1 != f.degree:
             continue
-        dfp = _pm(f.derivative().coeffs, p)
-        if _pm_gcd(fp, dfp, p) == (1,):
+        if _pm_gcd(fp, _pm(df, p), p) == (1,):
             return p
-    raise ArithmeticError("no good prime found (degree too large for the prime table?)")
+    return None
 
 
-def _factor_squarefree_monic(f: IntPoly) -> list[IntPoly]:
-    """Irreducible monic factors of a squarefree monic f, deg f >= 1."""
+# A good prime among the first few proves f squarefree over Z without the
+# gcds of Yun's decomposition; a squarefree f rarely fails them all.
+_QUICK_PRIMES = _PRIMES[:4]
+
+
+def _factor_squarefree_monic(f: IntPoly, p: Optional[int] = None) -> list[IntPoly]:
+    """Irreducible monic factors of a squarefree monic f, deg f >= 1.
+
+    p, when given, is a prime with f squarefree of full degree mod p.
+    """
     if f.degree == 1:
         return [f]
-    p = _good_prime(f)
+    if p is None:
+        p = _good_prime(f)
+        if p is None:
+            raise ArithmeticError("no good prime found (degree too large for the prime table?)")
     modular = _berlekamp(_pm_monic(_pm(f.coeffs, p), p), p)
     if len(modular) == 1:
         return [f]
@@ -308,15 +341,23 @@ def _factor_squarefree_monic(f: IntPoly) -> list[IntPoly]:
     return sorted(found, key=lambda q: (q.degree, q.coeffs))
 
 
+def _check_monic(p: IntPoly) -> None:
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    if not p.is_monic:
+        raise ValueError("expected a monic polynomial")
+
+
+def _sort_factors(factors: list[tuple[IntPoly, int]]) -> list[tuple[IntPoly, int]]:
+    return sorted(factors, key=lambda t: (t[0].degree, t[0].coeffs))
+
+
 def factor_z(p: IntPoly) -> list[tuple[IntPoly, int]]:
     """Factor a monic integer polynomial into monic irreducibles over Z.
 
     Returns [(factor, multiplicity)] sorted by (degree, coefficients).
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if not p.is_monic:
-        raise ValueError("expected a monic polynomial")
+    _check_monic(p)
     out: list[tuple[IntPoly, int]] = []
     work = p
     k = 0
@@ -325,25 +366,178 @@ def factor_z(p: IntPoly) -> list[tuple[IntPoly, int]]:
         k += 1
     if k:
         out.append((IntPoly((0, 1)), k))
-    for sq, mult in squarefree_decomposition(work):
-        for q in _factor_squarefree_monic(sq):
-            out.append((q, mult))
-    return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
+    if work.degree < 1:
+        return out
+    good = _good_prime(work, _QUICK_PRIMES)
+    if good is not None:
+        out.extend((q, 1) for q in _factor_squarefree_monic(work, good))
+    else:
+        for sq, mult in squarefree_decomposition(work):
+            for q in _factor_squarefree_monic(sq):
+                out.append((q, mult))
+    return _sort_factors(out)
 
 
 def is_irreducible_z(p: IntPoly) -> bool:
     """Exact irreducibility over Z for monic p of degree >= 1."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
+    _check_monic(p)
     if p.degree == 0:
         raise ValueError("degree 0 input")
-    if not p.is_monic:
-        raise ValueError("expected a monic polynomial")
     if p.degree == 1:
         return True
     if p.coeffs[0] == 0:
         return False
-    if gcd_z(p, p.derivative()).degree > 0:
+    good = _good_prime(p, _QUICK_PRIMES)
+    if good is None and gcd_z(p, p.derivative()).degree > 0:
         return False
-    factors = _factor_squarefree_monic(p)
+    factors = _factor_squarefree_monic(p, good)
     return len(factors) == 1
+
+
+# -- batched degree sieve -------------------------------------------------------
+
+# Primes for the sieve; a cofactor of degree n uses those above n.  Their
+# product is below 2^63, so coefficients reduced mod it fit int64.
+_SIEVE_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37)
+_SIEVE_MODULUS = math.prod(_SIEVE_PRIMES)
+
+
+def _mobius(m: int) -> int:
+    out, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if m > 1 else out
+
+
+def _degree_masks(coeffs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ascending coefficients (a_0..a_{n-1} of monic f, shape
+    (B, n)): whether f is squarefree mod p, and the bit mask of the subset
+    sums of its factor degrees mod p (meaningful where squarefree)."""
+    b, n = coeffs.shape
+    comp = np.zeros((b, n, n), dtype=np.int64)
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1
+    comp[:, :, n - 1] = (-coeffs) % p
+    # C^p by square-and-multiply
+    power, base, e = None, comp, p
+    while e:
+        if e & 1:
+            power = base if power is None else power @ base % p
+        e >>= 1
+        if e:
+            base = base @ base % p
+    # Frobenius matrix: column i holds x^(p i) mod f = (C^p)^i e_0
+    frob = np.empty((b, n, n), dtype=np.int64)
+    col = np.zeros((b, n, 1), dtype=np.int64)
+    col[:, 0, 0] = 1
+    for i in range(n):
+        frob[:, :, i] = col[:, :, 0]
+        col = power @ col % p
+    traces = np.empty((b, n), dtype=np.int64)
+    qk = frob
+    for k in range(n):
+        traces[:, k] = np.trace(qk, axis1=1, axis2=2) % p
+        if k + 1 < n:
+            qk = qk @ frob % p
+    # Newton's identities mod p: k e_k = sum_i (-1)^(i-1) e_(k-i) tr(Q^i)
+    elem = [np.ones(b, dtype=np.int64)]
+    for k in range(1, n + 1):
+        acc = np.zeros(b, dtype=np.int64)
+        for i in range(1, k + 1):
+            term = elem[k - i] * traces[:, i - 1]
+            acc = (acc + term if i % 2 else acc - term) % p
+        elem.append(acc * pow(k, -1, p) % p)
+    squarefree = elem[n] != 0
+    # Moebius inversion of tr(Q^k) = sum_{d | k} d r_d gives r_d, the number
+    # of irreducible factors of degree d mod p
+    mob = np.array([[_mobius(d // e) if d % e == 0 else 0 for e in range(1, n + 1)]
+                    for d in range(1, n + 1)], dtype=np.int64)
+    weighted = traces @ mob.T
+    degrees = np.arange(1, n + 1)
+    counts = weighted // degrees
+    if np.any(squarefree & ((weighted != counts * degrees).any(axis=1)
+                            | (counts < 0).any(axis=1)
+                            | (weighted.sum(axis=1) != n))):
+        raise ArithmeticError("Frobenius traces do not describe a factorization")
+    counts[~squarefree] = 0
+    masks = np.ones(b, dtype=np.int64)
+    for d in range(1, n + 1):
+        for j in range(n // d):
+            masks = np.where(counts[:, d - 1] > j, masks | (masks << d), masks)
+    return squarefree, masks
+
+
+def certify_irreducible(polys: Sequence[IntPoly]) -> list[bool]:
+    """For monic polys: True where the factor degrees mod the sieve primes
+    prove the polynomial irreducible over Z.
+
+    False only means unproven, as it always is from degree 37 on, where no
+    sieve prime exceeds the degree.  Degree 1 is irreducible; degree 0 is not.
+    """
+    out = [False] * len(polys)
+    by_degree: dict[int, list[int]] = {}
+    for i, f in enumerate(polys):
+        _check_monic(f)
+        by_degree.setdefault(f.degree, []).append(i)
+    for n, rows in by_degree.items():
+        if n < 2 or n >= _SIEVE_PRIMES[-1]:
+            for i in rows:
+                out[i] = n == 1
+            continue
+        coeffs = np.array([[c % _SIEVE_MODULUS for c in polys[i].coeffs[:n]] for i in rows],
+                          dtype=np.int64)
+        live = np.arange(len(rows))
+        proper = ((1 << n) - 1) & ~1  # bits 1..n-1: degrees of a proper factor
+        alive = np.full(len(rows), proper, dtype=np.int64)
+        for p in _SIEVE_PRIMES:
+            if p <= n:
+                continue
+            squarefree, masks = _degree_masks(coeffs[live] % p, p)
+            alive[live] &= np.where(squarefree, masks, proper)
+            live = live[alive[live] != 0]
+            if live.size == 0:
+                break
+        for i, a in zip(rows, alive):
+            out[i] = bool(a == 0)
+    return out
+
+
+def _strip_unit_roots(p: IntPoly) -> tuple[IntPoly, int, int]:
+    """(g, k1, k2) with p = (x - 1)^k1 (x + 1)^k2 g and g(+-1) != 0, by
+    synthetic division."""
+    coeffs = list(p.coeffs)
+    mults = []
+    for r in (1, -1):
+        k = 0
+        while len(coeffs) > 1 and sum(c * r ** i for i, c in enumerate(coeffs)) == 0:
+            acc = 0
+            quot = [0] * (len(coeffs) - 1)
+            for i in range(len(coeffs) - 1, 0, -1):
+                acc = acc * r + coeffs[i]
+                quot[i - 1] = acc
+            coeffs = quot
+            k += 1
+        mults.append(k)
+    return IntPoly(coeffs), mults[0], mults[1]
+
+
+def factor_z_many(polys: Sequence[IntPoly]) -> list[list[tuple[IntPoly, int]]]:
+    """``[factor_z(p) for p in polys]``, with most rows settled by one
+    batched degree sieve in place of Berlekamp and Hensel lifting; the
+    other rows factor their cofactor of the roots +-1 with ``factor_z``."""
+    stripped = [_strip_unit_roots(p) for p in polys]
+    # the cofactors are monic exactly when the polys are; certify checks them
+    proven = certify_irreducible([g for g, _, _ in stripped])
+    out = []
+    for (g, k1, k2), ok in zip(stripped, proven):
+        factors = [(g, 1)] if ok else factor_z(g)
+        if k1:
+            factors.append((IntPoly((-1, 1)), k1))
+        if k2:
+            factors.append((IntPoly((1, 1)), k2))
+        out.append(_sort_factors(factors))
+    return out

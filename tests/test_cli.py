@@ -185,6 +185,47 @@ def test_survey_limit(files, capsys):
     assert len((t / "lim.jsonl").read_text().splitlines()) == 7
 
 
+@pytest.mark.parametrize("dim, height, extra, total", [
+    (5, 2, ["--limit", "257"], 257),
+    (5, 2, ["--limit", "513"], 513),
+    (7, 3, ["--reciprocal-only"], 343),
+])
+def test_survey_chunk_edges(files, capsys, dim, height, extra, total):
+    """Chunks of 256 polynomials neither reorder nor drop entries, with one
+    process or two, and give the records of the unbatched path."""
+    from torusdyn.survey import classify_entry, enumerate_polynomials
+
+    t = files["tmp"]
+    outputs = []
+    for jobs in ("1", "2"):
+        cat, summary = t / f"cat{jobs}.jsonl", t / f"sum{jobs}.json"
+        assert main(["survey", "--dim", str(dim), "--height", str(height), *extra,
+                     "--jobs", jobs, "--out", str(cat), "--summary", str(summary)]) == 0
+        outputs.append((cat.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
+    entries = [json.loads(line) for line in outputs[0][0].splitlines()]
+    assert len(entries) == total
+    limit = int(extra[1]) if extra[0] == "--limit" else None
+    items = enumerate_polynomials(dim, height, "--reciprocal-only" in extra, limit)
+    assert entries == [classify_entry(item) for item in items]
+
+
+def test_dioph_factors_the_char_poly_once(files, capsys, monkeypatch):
+    from torusdyn.intmatrix import IntMatrix
+
+    calls = []
+    char_poly = IntMatrix.char_poly
+
+    def counted(self):
+        calls.append(self)
+        return char_poly(self)
+
+    monkeypatch.setattr(IntMatrix, "char_poly", counted)
+    assert main(["dioph", files["salem"], "--radius", "6", "--kmax", "20",
+                 "--candidates", "2"]) == 0
+    assert len(calls) == 1
+
+
 def test_perturb_outputs_reproducible(files):
     t = files["tmp"]
     for tag in ("a", "b"):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import cyclotomic_free, random_unimodular
-from torusdyn.errors import NotErgodicError, OutOfHypothesesError
+from torusdyn.errors import InvariantError, NotErgodicError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly, count_unitary_roots
 from torusdyn.splitting import (
+    _factor_spectrum,
     adapted_norm,
     classify,
     classify_poly,
@@ -20,6 +21,14 @@ from torusdyn.zfactor import factor_z
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
 PHI5 = IntPoly((1, 1, 1, 1, 1))
+
+
+def test_non_palindromic_factor_with_unitary_roots_is_an_invariant_error():
+    # (x^2 + 1)(x - 2) is not irreducible; handed over as a factor, its
+    # roots +-i must not pass as roots off the circle
+    q = IntPoly((1, 0, 1)) * IntPoly((-2, 1))
+    with pytest.raises(InvariantError, match="not reciprocal"):
+        _factor_spectrum(q, [(q, 1)])
 
 
 def test_disk_count_basics():

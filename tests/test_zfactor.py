@@ -2,8 +2,11 @@ import itertools
 import math
 import random
 
+import pytest
+
 from torusdyn.intpoly import IntPoly, cyclotomic, divides
-from torusdyn.zfactor import factor_z, is_irreducible_z
+from torusdyn.survey import enumerate_polynomials
+from torusdyn.zfactor import certify_irreducible, factor_z, factor_z_many, is_irreducible_z
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
 CAT = IntPoly((1, -3, 1))
@@ -99,3 +102,38 @@ def test_factor_product_reconstruction():
             for _ in range(m):
                 prod = prod * f
         assert prod == p
+
+
+@pytest.mark.parametrize("dim, height", [(4, 2), (5, 2), (6, 1), (7, 1)])
+def test_factor_z_many_matches_scalar_over_boxes(dim, height):
+    polys = [IntPoly(c) for _, c in enumerate_polynomials(dim, height)]
+    assert factor_z_many(polys) == [factor_z(p) for p in polys]
+    # every polynomial the sieve proves irreducible is irreducible by the
+    # scalar path
+    certified = [p for p, ok in zip(polys, certify_irreducible(polys)) if ok]
+    assert certified
+    assert all(is_irreducible_z(p) for p in certified)
+
+
+X_MINUS_1, X_PLUS_1 = IntPoly((-1, 1)), IntPoly((1, 1))
+GOLDEN = IntPoly((-1, -1, 1))
+DEGREE_10 = IntPoly((1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1))  # x^10 - x^9 + 1
+
+
+@pytest.mark.parametrize("poly, certified", [
+    (GOLDEN * GOLDEN, False),  # not squarefree: falls back to factor_z
+    (IntPoly((1, 0, 0, 0, 1)), False),  # x^4 + 1 = Phi_8 is reducible mod every prime
+    (cyclotomic(12), False),  # so is Phi_12
+    (cyclotomic(5), True),  # Phi_5 stays irreducible mod 13, where 13 has order 4 mod 5
+    (DEGREE_10, True),  # only the primes above 10 apply
+    (CAT, True),
+    (IntPoly((-1, 1, 0, 1)), True),  # x^3 + x - 1
+    (X_MINUS_1 * X_MINUS_1 * X_PLUS_1, None),  # cofactor of degree 0 after stripping +-1
+    (X_MINUS_1 * X_PLUS_1 * X_PLUS_1 * IntPoly((-2, 1)), None),  # cofactor of degree 1
+    (X_MINUS_1 * SALEM, None),
+    (X_PLUS_1 * CAT * SALEM, None),  # reducible cofactor: falls back
+])
+def test_factor_z_many_hand_cases(poly, certified):
+    assert factor_z_many([poly]) == [factor_z(poly)]
+    if certified is not None:
+        assert certify_irreducible([poly]) == [certified]
