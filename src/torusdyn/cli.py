@@ -17,6 +17,7 @@ from .diophantine import (
     badly_approximable_search_dim6,
     center_norm_minimum,
     center_plane_chart,
+    lattice_ball,
 )
 from .errors import InputError, TorusDynError
 from .experiments import curve_experiment, perturb_experiment
@@ -84,7 +85,9 @@ def cmd_dioph(args) -> int:
     split = compute_splitting(a)
     norm = adapted_norm(split)
     pa = pseudo_anosov_subspace(a, k_max=args.kmax_pa, split=split)
-    report, ball = center_norm_minimum(pa, norm, args.radius)
+    tabulate = args.format == "csv" or args.csv
+    ball = lattice_ball(pa.lam, norm, args.radius) if tabulate else None
+    report = center_norm_minimum(pa, norm, args.radius, ball=ball)
     chart = center_plane_chart(split, pa.lam)
     if pa.dim_x == 4:
         witness = badly_approximable_search_dim4(
@@ -97,7 +100,7 @@ def cmd_dioph(args) -> int:
     out = report.to_json()
     out["config"] = {"radius": args.radius, "kmax": args.kmax,
                      "candidates": args.candidates, "delta": args.delta}
-    if args.format == "csv" or args.csv:
+    if tabulate:
         table = "\n".join(["norm,center_norm"] + [
             f"{float(nv)!r},{float(cv)!r}" for nv, cv in zip(ball.norms, ball.center_norms)
         ]) + "\n"

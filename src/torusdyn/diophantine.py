@@ -3,8 +3,15 @@
 Exhaustively scans lattice vectors in adapted-norm balls, measures how
 small the center component can get relative to the vector size, and
 searches for badly approximable translation vectors for the KAM-facing
-estimates.  Scans are deterministic: enumeration is ordered by
-(adapted norm, lexicographic coordinates).
+estimates.
+
+A scan is a Fincke-Pohst enumeration: the covering ellipsoid bounds
+every lattice coordinate but the innermost, which runs over the ball's
+own interval (|n| is convex along it).  It yields the ball a pair of
+slabs of the outermost coordinate at a time.  `lattice_ball` sorts the
+points by (adapted norm, lexicographic coordinates); `center_norm_minimum`
+reduces the slabs as they come, with a result that does not depend on
+their order, so both are deterministic.
 """
 from __future__ import annotations
 
@@ -39,10 +46,13 @@ def _component_factors(lam: Lattice, norm: AdaptedNorm) -> tuple[list[np.ndarray
     return factors, cc
 
 
-# Largest candidate count (lattice points of the covering ellipsoid) a scan
-# may enumerate.  Criterion 5's radius-100 scan of the Salem lattice needs
-# about 1.5e7; at the budget (radius 135) that scan keeps about 1e7 points
-# and peaks near 1.5 GB.
+# Largest lattice-point count of the covering ellipsoid, estimated from its
+# volume, that a scan may cover (the scan enumerates about the ball's points
+# alone).  Measured as process peak RSS with numpy 2.4 on x86-64: criterion
+# 5's radius-100 scan of the Salem lattice (estimate 1.5e7) keeps 3.2e6
+# points, and peaks at 193 MB in center_norm_minimum and 458 MB in
+# lattice_ball; at radius 134, just under the budget, center_norm_minimum
+# keeps 1.04e7 points and peaks at 489 MB.
 LATTICE_BALL_BUDGET = 5e7
 
 
@@ -70,19 +80,22 @@ def _release_freed_heap() -> None:
 
 
 def _expand_level(r: np.ndarray, radius2: float, level: int, coords: np.ndarray,
-                  partial: np.ndarray, shifts: np.ndarray):
+                  partial: np.ndarray, shifts: np.ndarray, narrow=None):
     """Extend every prefix (coordinates above `level` fixed) by each integer
     at `level` that keeps c^T Q c <= radius2 reachable, Q = R^T R.
 
     `partial` holds the prefixes' terms of |R c|^2 and `shifts` their
     columns of R c; all arithmetic is per row, so a prefix's children do
-    not depend on the batch it is expanded in.
+    not depend on the batch it is expanded in.  `narrow(coords, lo, hi)`,
+    when given, cuts each prefix's integer range [lo, hi] down further.
     """
     rl = r[level, level]
     lim = np.sqrt(np.maximum(radius2 - partial, 0.0))
     center = -shifts[:, level] / rl
     lo = np.ceil(center - lim / rl - 1e-12).astype(np.int64)
     hi = np.floor(center + lim / rl + 1e-12).astype(np.int64)
+    if narrow is not None:
+        lo, hi = narrow(coords, lo, hi)
     counts = np.maximum(hi - lo + 1, 0)
     idx = np.repeat(np.arange(coords.shape[0]), counts)
     starts = np.cumsum(counts) - counts
@@ -94,6 +107,53 @@ def _expand_level(r: np.ndarray, radius2: float, level: int, coords: np.ndarray,
     coords[:, level] = xs
     shifts = shifts[idx] + xs[:, None] * r[:, level][None, :]
     return coords, partial, shifts
+
+
+def _bisect(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, the least integer t in [lo, hi) with pred(t) true, or hi if
+    there is none, for a pred that is false and then true on [lo, hi)."""
+    while np.any(open_ := lo < hi):
+        mid = (lo + hi) // 2
+        ok = pred(mid)
+        lo, hi = np.where(open_ & ~ok, mid + 1, lo), np.where(open_ & ok, mid, hi)
+    return lo
+
+
+def _innermost_ball_range(factors: list[np.ndarray], radius: float):
+    """`narrow` for the innermost level: the integers t = c_0 in [lo, hi]
+    that can lie in the adapted ball.
+
+    With the other coordinates fixed, |n(t)| = sum_f ||A_f + t B_f|| is
+    convex in t, so {t : |n(t)| <= radius} is one interval.  Its ends are
+    found by binary search against radius (1 + 1e-9): the slack is far
+    above rounding, so the interval holds every point the filter in
+    `_ball_slab` keeps.
+    """
+    fcat = np.hstack(factors)
+    # (v * v) @ groups sums the squares of each flavor's columns of v
+    groups = np.repeat(np.eye(len(factors)), [f.shape[1] for f in factors], axis=0)
+    ones = np.ones(len(factors))
+    bound = radius * (1 + 1e-9)
+
+    def narrow(coords, lo, hi):
+        a = coords.astype(float) @ fcat  # coords[:, 0] is still 0
+
+        def size(t):
+            v = a + t[:, None] * fcat[0]
+            return np.sqrt((v * v) @ groups) @ ones
+
+        def left_of_or_in(t):
+            g = size(t)
+            return (g <= bound) | (size(t + 1) >= g)
+
+        # The least t inside the ball or past the minimum of |n(t)|; it is
+        # the interval's left end when the interval holds an integer.
+        first = _bisect(left_of_or_in, lo, hi)
+        inside = size(first) <= bound
+        last = _bisect(lambda t: size(t + 1) > bound, first, hi)
+        return first, np.where(inside, np.minimum(last, hi), first - 1)
+
+    return narrow
 
 
 def _check_scan_budget(q: np.ndarray, radius: float) -> None:
@@ -115,7 +175,9 @@ def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes
     outermost prefixes: (coords, adapted norms, center norms), unsorted."""
     coords, partial, shifts = prefixes
     for level in range(r.shape[0] - 2, -1, -1):
-        coords, partial, shifts = _expand_level(r, radius * radius, level, coords, partial, shifts)
+        narrow = _innermost_ball_range(factors, radius) if level == 0 else None
+        coords, partial, shifts = _expand_level(r, radius * radius, level, coords, partial,
+                                                shifts, narrow)
     coords = coords[np.any(coords != 0, axis=1)]
     ptsf = coords.astype(float)
     block = [np.sqrt(np.sum((ptsf @ f) ** 2, axis=1)) if f.shape[1] else np.zeros(len(ptsf))
@@ -123,6 +185,39 @@ def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes
     total = block[0] + block[1] + block[2]
     keep = total <= radius + 1e-12
     return coords[keep], total[keep], block[1][keep]
+
+
+def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float):
+    """Yield the nonzero lattice points with adapted norm <= radius, a pair
+    of slabs of the outermost coordinate at a time, as unsorted (coords,
+    adapted norms, center norms).
+
+    Since |n| >= sqrt(c^T Q c), the ellipsoid c^T Q c <= radius^2 covers
+    the ball; it bounds every coordinate but the innermost, which runs
+    only over the ball's own interval.  Each pair of slabs is cut down to
+    the ball before the next is enumerated, so memory follows the kept
+    points rather than the ellipsoid.
+    """
+    if lam.rank == 0:
+        raise InputError("lattice has rank 0")
+    if not (math.isfinite(radius) and radius >= 1):
+        raise InputError(f"radius must be a finite number >= 1, got {radius!r}")
+    factors, _ = _component_factors(lam, norm)
+    q = sum(f @ f.T for f in factors)
+    _check_scan_budget(q, radius)
+    d = lam.rank
+    r = np.linalg.cholesky(q).T  # Q = R^T R, R upper triangular
+    outer = _expand_level(r, radius * radius, d - 1, np.zeros((1, d), dtype=np.int64),
+                          np.zeros(1), np.zeros((1, d)))
+    # Slab -x is slab x negated (every bound is symmetric under c -> -c:
+    # negation commutes with rounding, so each prefix's ranges, the ball's
+    # interval included, are the negated ranges of its negated prefix).
+    # The pair {x, -x}, and slab 0 without the origin, holds an even number
+    # of rows: never a lone row, whose filter matmul would go through gemv
+    # and round differently from the batch gemm.
+    k = len(outer[0])
+    for i in range(k // 2 + 1):
+        yield _ball_slab(r, radius, factors, [a[sorted({i, k - 1 - i})] for a in outer])
 
 
 @dataclass
@@ -140,38 +235,16 @@ class BallPoints:
 
 
 def lattice_ball(lam: Lattice, norm: AdaptedNorm, radius: float) -> BallPoints:
-    """Every nonzero lattice point with adapted norm <= radius.
-
-    Since |n| >= sqrt(c^T Q c), the ellipsoid c^T Q c <= radius^2 covers
-    the ball.  It is enumerated a pair of slabs of the outermost coordinate
-    at a time and each pair is cut down to the ball at once, so memory
-    follows the kept points rather than the ellipsoid.
-    """
-    if lam.rank == 0:
-        raise InputError("lattice has rank 0")
-    if not (math.isfinite(radius) and radius >= 1):
-        raise InputError(f"radius must be a finite number >= 1, got {radius!r}")
-    factors, cc_map = _component_factors(lam, norm)
-    q = sum(f @ f.T for f in factors)
-    _check_scan_budget(q, radius)
+    """Every nonzero lattice point with adapted norm <= radius: the slabs of
+    `_ball_slabs`, concatenated and sorted."""
+    pts, total, nc = (np.concatenate(col) for col in zip(*_ball_slabs(lam, norm, radius)))
+    _release_freed_heap()  # the slabs are freed; only the concatenated points stay
     d = lam.rank
-    r = np.linalg.cholesky(q).T  # Q = R^T R, R upper triangular
-    outer = _expand_level(r, radius * radius, d - 1, np.zeros((1, d), dtype=np.int64),
-                          np.zeros(1), np.zeros((1, d)))
-    # Slab -x is slab x negated (every bound is symmetric under c -> -c), so
-    # the pair {x, -x}, and slab 0 without the origin, holds an even number
-    # of rows: never a lone row, whose matmul would go through gemv and round
-    # differently from the batch gemm.
-    k = len(outer[0])
-    slabs = [_ball_slab(r, radius, factors, [a[sorted({i, k - 1 - i})] for a in outer])
-             for i in range(k // 2 + 1)]
-    pts, total, nc = (np.concatenate(col) for col in zip(*slabs))
-    del slabs  # only the concatenated points stay
-    _release_freed_heap()
     order = np.lexsort(tuple(pts[:, i] for i in range(d - 1, -1, -1)) + (np.round(total, 12),))
     pts, total, nc = pts[order], total[order], nc[order]
     del order
     _release_freed_heap()
+    _, cc_map = _component_factors(lam, norm)
     b = np.array(lam.basis, dtype=np.int64)
     return BallPoints(lam=lam, radius=radius, coords=pts, vectors=pts @ b,
                       norms=total, center_norms=nc, center_coords=pts.astype(float) @ cc_map)
@@ -206,54 +279,92 @@ class DiophantineReport:
         }
 
 
+def _least_ratios(coords, norms, nc, ratios, cap: int):
+    """The `cap` rows least by (ratio, adapted norm to 12 decimals,
+    lexicographic coordinates): a total order, so the least rows of a
+    union are the least of the parts' least rows."""
+    if ratios.size > cap:
+        keep = ratios <= np.partition(ratios, cap - 1)[cap - 1]
+        coords, norms, nc, ratios = coords[keep], norms[keep], nc[keep], ratios[keep]
+    order = np.lexsort(tuple(coords[:, i] for i in range(coords.shape[1] - 1, -1, -1))
+                       + (np.round(norms, 12), ratios))[:cap]
+    return coords[order], norms[order], nc[order], ratios[order]
+
+
 def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
-                        witness_cap: int = 32) -> tuple[DiophantineReport, BallPoints]:
+                        witness_cap: int = 32,
+                        ball: Optional[BallPoints] = None) -> DiophantineReport:
     """Exhaustive scan of 0 < |n| <= radius recording min |n^c| * |n|^r.
 
     Also fits the log-log slope of the per-shell minimal center norm
     against |n|; any exactly vanishing center component aborts (it would
     be an integer vector inside the hyperbolic subspace).
+
+    The scan is reduced slab by slab as `_ball_slabs` yields it, keeping
+    only the adapted and center norms of each point (16 bytes).  A caller
+    that holds the `lattice_ball` of this radius anyway passes it as
+    `ball`, and it is reduced in place of a second scan.  Every quantity
+    of the report is independent of the order the points come in, so both
+    give the same report.
     """
-    ball = lattice_ball(pa.lam, norm, radius)
-    if ball.norms.size == 0:
-        raise InvariantError("no lattice points found in the ball")
-    scale = float(np.max(ball.norms))
-    if np.any(ball.center_norms <= 1e-12 * scale):
-        raise InvariantError("lattice vector with exactly zero center component")
+    if ball is None:
+        chunks = _ball_slabs(pa.lam, norm, radius)
+    else:
+        chunks = [(ball.coords, ball.norms, ball.center_norms)]
     r = pa.dim_x // 2
-    ratios = ball.center_norms * ball.norms ** r
-    idx = np.argsort(ratios, kind="stable")
+    norm_parts, center_parts = [], []
+    best = None
+    for coords, norms, nc in chunks:
+        norm_parts.append(norms)
+        center_parts.append(nc)
+        least = _least_ratios(coords, norms, nc, nc * norms ** r, witness_cap)
+        if best is not None:
+            least = _least_ratios(*(np.concatenate(col) for col in zip(best, least)),
+                                  witness_cap)
+        best = least
+    norms = np.concatenate(norm_parts)
+    del norm_parts
+    nc = np.concatenate(center_parts)
+    del center_parts
+    if norms.size == 0:
+        raise InvariantError("no lattice points found in the ball")
+    scale = float(np.max(norms))
+    if np.min(nc) <= 1e-12 * scale:
+        raise InvariantError("lattice vector with exactly zero center component")
+    coords, w_norms, w_nc, ratios = best
+    vectors = coords @ np.array(pa.lam.basis, dtype=np.int64)
     witnesses = [
         {
-            "n": [int(x) for x in ball.vectors[i]],
-            "norm": float(ball.norms[i]),
-            "center_norm": float(ball.center_norms[i]),
+            "n": [int(x) for x in vectors[i]],
+            "norm": float(w_norms[i]),
+            "center_norm": float(w_nc[i]),
             "ratio": float(ratios[i]),
         }
-        for i in idx[:witness_cap]
+        for i in range(len(ratios))
     ]
     # per-shell minima of |n^c| against |n| on a log grid
     nbins = 12
-    lo, hi = np.log(np.min(ball.norms)), np.log(np.max(ball.norms))
+    lo, hi = np.log(np.min(norms)), np.log(scale)
     edges = np.linspace(lo, hi + 1e-9, nbins + 1)
+    logn = np.log(norms)
+    del norms
     xs, ys = [], []
-    logn = np.log(ball.norms)
     for b0, b1 in zip(edges, edges[1:]):
         mask = (logn >= b0) & (logn < b1)
-        if not np.any(mask):
+        count = int(np.count_nonzero(mask))
+        if not count:
             continue
-        xs.append(np.mean(logn[mask]))
-        ys.append(np.log(np.min(ball.center_norms[mask])))
+        xs.append(math.fsum(logn[mask]) / count)
+        ys.append(np.log(np.min(nc[mask])))
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
-    report = DiophantineReport(
+    return DiophantineReport(
         r=r,
         radius=radius,
-        c_prime_empirical=float(np.min(ratios)),
+        c_prime_empirical=float(ratios[0]),
         slope=slope,
-        point_count=int(ball.norms.size),
+        point_count=int(nc.size),
         witnesses=witnesses,
     )
-    return report, ball
 
 
 # -- chart to the plane ------------------------------------------------------------

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import InvariantError, NumericsError
 from .perturbed import PerturbedMap, ReferenceChain, torus_reduce
 from .splitting import AdaptedNorm, Splitting
+
+if TYPE_CHECKING:
+    from scipy.interpolate import RegularGridInterpolator
 
 FLAVOR_BLOCKS = {
     "s": ("s",),
@@ -439,6 +441,9 @@ class GraphPatch:
 
     def interpolator(self) -> RegularGridInterpolator:
         if self._interp is None:
+            # on first use: scipy is most of a fresh import's time
+            from scipy.interpolate import RegularGridInterpolator
+
             self._interp = RegularGridInterpolator(
                 self.axes, self.values, method="linear", bounds_error=False, fill_value=None
             )
@@ -541,6 +546,8 @@ def _cube_half_width(solver: LeafSolver, flavor: str, rho: float) -> float:
 
 
 def _transform_patch(solver, flavor, x, rho, grid_step, margin, depth) -> GraphPatch:
+    from scipy.interpolate import RegularGridInterpolator
+
     p_idx = solver.param_indices(flavor)
     q_idx = solver.perp_indices(flavor)
     e_p = solver.embed[:, p_idx]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .diophantine import lattice_ball
 from .errors import BudgetError, InputError, InvariantError, NumericsError
@@ -268,6 +267,8 @@ def find_overlap_translation(
     bound = 5 * (1 + kappa_emp) * big_l
     if cloud is None:
         cloud = build_saturation_set(solver, x, eps, samples_per_stage, seed)
+    from scipy.spatial import cKDTree  # on first use: scipy is most of a fresh import's time
+
     pts = cloud.points
     tree = cKDTree(pts)
     if delta_merge is None:

@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvariantError, NotErgodicError, OutOfHypothesesError
 from .intmatrix import IntMatrix
@@ -329,6 +328,8 @@ def compute_splitting(a: IntMatrix, tol: float = 1e-8,
         raise OutOfHypothesesError("repeated unit-modulus eigenvalues")
     af = a.to_float()
 
+    import scipy.linalg  # on first use: scipy is most of a fresh import's time
+
     def sorted_basis(select) -> tuple[np.ndarray, int]:
         t, z, sdim = scipy.linalg.schur(af, output="real", sort=select)
         return z[:, :sdim], sdim
@@ -464,6 +465,8 @@ def adapted_norm(split: Splitting, theta: Optional[float] = None) -> AdaptedNorm
     def factor(block, gram):
         if block.shape[0] == 0:
             return 0.0
+        import scipy.linalg
+
         vals = scipy.linalg.eigh(block.T @ gram @ block, gram, eigvals_only=True)
         return float(np.sqrt(max(vals)))
 

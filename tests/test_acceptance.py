@@ -194,9 +194,9 @@ def test_criterion_04_pa_subspace_invariants(survey4, block6_matrix):
 
 def test_criterion_05_diophantine_scan(salem_pa, salem_norm):
     t0 = time.time()
-    rep, _ = center_norm_minimum(salem_pa, salem_norm, 50.0)
+    rep = center_norm_minimum(salem_pa, salem_norm, 50.0)
     elapsed = time.time() - t0
-    rep2, _ = center_norm_minimum(salem_pa, salem_norm, 100.0)
+    rep2 = center_norm_minimum(salem_pa, salem_norm, 100.0)
     ok = (rep.c_prime_empirical > 0 and rep.slope >= -2.25
           and rep2.c_prime_empirical > 0
           and rep2.c_prime_empirical <= rep.c_prime_empirical + 1e-12

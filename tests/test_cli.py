@@ -110,6 +110,35 @@ def test_dioph_subcommand(files, capsys):
     assert count == data["point_count"]
 
 
+def test_dioph_csv_table_and_report(files, capsys):
+    # The table lists the sorted ball; the report is the same with or
+    # without it (the scan is reduced from the table's ball, not again).
+    from test_diophantine import _one_shot_ball
+
+    from torusdyn.intmatrix import IntMatrix
+    from torusdyn.pseudo_anosov import pseudo_anosov_subspace
+    from torusdyn.splitting import adapted_norm, compute_splitting
+
+    t = files["tmp"]
+    argv = ["dioph", files["salem"], "--radius", "12", "--kmax", "50", "--candidates", "6"]
+    assert main(argv + ["--out", str(t / "plain.json")]) == 0
+    assert main(argv + ["--out", str(t / "csv.json"), "--csv", str(t / "ball.csv")]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", str(t / "stdout.json"), "--format", "csv"]) == 0
+    stdout = capsys.readouterr().out
+    assert (t / "csv.json").read_bytes() == (t / "plain.json").read_bytes()
+    assert (t / "stdout.json").read_bytes() == (t / "plain.json").read_bytes()
+
+    split = compute_splitting(IntMatrix(json.load(open(files["salem"]))["rows"]))
+    pa = pseudo_anosov_subspace(split.matrix, 8, split=split)
+    ball = _one_shot_ball(pa.lam, adapted_norm(split), 12.0)
+    table = "\n".join(["norm,center_norm"] + [
+        f"{float(nv)!r},{float(cv)!r}" for nv, cv in zip(ball.norms, ball.center_norms)
+    ]) + "\n"
+    assert (t / "ball.csv").read_text() == table
+    assert stdout == table
+
+
 def test_perturb_linear_degeneration(files, capsys):
     out_path = files["tmp"] / "p0.json"
     code = main(["perturb", files["map0"], "--eps", "0", "--out", str(out_path)])
@@ -326,3 +355,20 @@ def test_unconverged_leaf_solve_exits_3_with_one_line(files, capsys, monkeypatch
     assert err.startswith("error: fixed-point iteration did not converge") and err.count("\n") == 1, err
     assert "after 2 sweeps at horizon 57" in err and "Traceback" not in err
     assert not out_path.exists()
+
+
+def test_cli_import_defers_scipy():
+    # scipy takes most of a fresh import; only the commands that use it load it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import torusdyn
+
+    env = dict(os.environ, PYTHONPATH=str(Path(torusdyn.__file__).resolve().parents[1]))
+    code = "import sys, torusdyn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -90,23 +91,70 @@ def _one_shot_ball(lam, norm, radius):
                                   norms=total, center_norms=nc, center_coords=ptsf @ cc_map)
 
 
+def _report_from_ball(pa, ball, mean=np.mean, witness_cap=32):
+    """Reference center_norm_minimum: the whole-array reduction of a
+    sorted ball (witness ties broken by the ball's order), with the shell
+    means taken by `mean`."""
+    scale = float(np.max(ball.norms))
+    assert not np.any(ball.center_norms <= 1e-12 * scale)
+    r = pa.dim_x // 2
+    ratios = ball.center_norms * ball.norms ** r
+    idx = np.argsort(ratios, kind="stable")
+    witnesses = [
+        {
+            "n": [int(x) for x in ball.vectors[i]],
+            "norm": float(ball.norms[i]),
+            "center_norm": float(ball.center_norms[i]),
+            "ratio": float(ratios[i]),
+        }
+        for i in idx[:witness_cap]
+    ]
+    nbins = 12
+    lo, hi = np.log(np.min(ball.norms)), np.log(np.max(ball.norms))
+    edges = np.linspace(lo, hi + 1e-9, nbins + 1)
+    xs, ys = [], []
+    logn = np.log(ball.norms)
+    for b0, b1 in zip(edges, edges[1:]):
+        mask = (logn >= b0) & (logn < b1)
+        if not np.any(mask):
+            continue
+        xs.append(mean(logn[mask]))
+        ys.append(np.log(np.min(ball.center_norms[mask])))
+    slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
+    return diophantine.DiophantineReport(
+        r=r, radius=ball.radius, c_prime_empirical=float(np.min(ratios)), slope=slope,
+        point_count=int(ball.norms.size), witnesses=witnesses)
+
+
 def _pa_and_norm(a):
     split = compute_splitting(a)
     return pseudo_anosov_subspace(a, 8, split=split), adapted_norm(split)
 
 
-def _assert_same_ball(pa, norm, radius, monkeypatch):
+def _ulps(x, y):
+    return abs(int(np.float64(x).view(np.int64)) - int(np.float64(y).view(np.int64)))
+
+
+def _exact_mean(x):
+    return math.fsum(x) / x.size
+
+
+def _assert_same_ball(pa, norm, radius, slope_ulps=4):
     new = lattice_ball(pa.lam, norm, radius)
     ref = _one_shot_ball(pa.lam, norm, radius)
     assert new.norms.size > 0
     for name in BALL_ARRAYS:
         got, want = getattr(new, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    rep, _ = center_norm_minimum(pa, norm, radius)
-    monkeypatch.setattr(diophantine, "lattice_ball", _one_shot_ball)
-    ref_rep, _ = center_norm_minimum(pa, norm, radius)
-    monkeypatch.undo()
-    assert rep.to_json() == ref_rep.to_json()
+    # The streamed reduction, and the same reduction over the sorted ball,
+    # equal the whole-array one with exactly rounded shell means.  Against
+    # numpy's pairwise means only the slope may move.
+    rep = center_norm_minimum(pa, norm, radius).to_json()
+    assert center_norm_minimum(pa, norm, radius, ball=new).to_json() == rep
+    assert _report_from_ball(pa, ref, mean=_exact_mean).to_json() == rep
+    want = _report_from_ball(pa, ref).to_json()
+    assert _ulps(rep.pop("slope"), want.pop("slope")) <= slope_ulps
+    assert rep == want
     return new
 
 
@@ -119,24 +167,26 @@ def _top_slab_rows(pa, norm, radius):
 
 
 @pytest.mark.parametrize("radius", [6.0, 25.0, 50.0])
-def test_lattice_ball_matches_one_shot_scan_salem(salem_pa, salem_norm, radius, monkeypatch):
-    _assert_same_ball(salem_pa, salem_norm, radius, monkeypatch)
+def test_lattice_ball_matches_one_shot_scan_salem(salem_pa, salem_norm, radius):
+    _assert_same_ball(salem_pa, salem_norm, radius)
 
 
-def test_lattice_ball_matches_one_shot_scan_conjugates(salem_matrix, block6_matrix, monkeypatch):
+def test_lattice_ball_matches_one_shot_scan_conjugates(salem_matrix, block6_matrix):
     # A dense conjugate of the Salem companion: its lattice is Z^4, but the
     # norm's factors are dense.  At radius 25 the top slab of its covering
     # ellipsoid holds a single candidate row.
     u = random_unimodular(random.Random(1), 4)
     pa, norm = _pa_and_norm(u * salem_matrix * u.inverse_unimodular())
     assert _top_slab_rows(pa, norm, 25.0) == 1
-    _assert_same_ball(pa, norm, 25.0, monkeypatch)
+    _assert_same_ball(pa, norm, 25.0)
     # A dense conjugate of Salem + cat: the lattice is a rank-4 sublattice of
     # Z^6 whose basis is not the coordinate one, so vectors differ from coords.
     u = random_unimodular(random.Random(0), 6)
     pa, norm = _pa_and_norm(u * block6_matrix * u.inverse_unimodular())
     assert _top_slab_rows(pa, norm, 17.0) == 1
-    ball = _assert_same_ball(pa, norm, 17.0, monkeypatch)
+    # 232 points in 12 shells, fitted with residuals near 0.5: a shell mean
+    # that moves by 1 ulp moves the slope by about 18 ulp.
+    ball = _assert_same_ball(pa, norm, 17.0, slope_ulps=64)
     assert ball.coords.shape[1] == 4 and ball.vectors.shape[1] == 6
     assert np.any(ball.vectors[:, 4:] != 0)
 
@@ -150,6 +200,57 @@ def test_lattice_ball_memory_tracks_kept_points(salem_pa, salem_norm):
         tracemalloc.stop()
     kept = sum(getattr(ball, name).nbytes for name in BALL_ARRAYS)
     assert peak <= 2.5 * kept, (peak, kept)
+
+
+def _innermost_candidates(lam, norm, radius, monkeypatch):
+    """Innermost candidates of one lattice_ball scan, before any filter."""
+    seen = []
+    real = diophantine._innermost_ball_range
+
+    def recording(factors, radius):
+        narrow = real(factors, radius)
+
+        def counted(coords, lo, hi):
+            lo, hi = narrow(coords, lo, hi)
+            seen.append(int(np.maximum(hi - lo + 1, 0).sum()))
+            return lo, hi
+
+        return counted
+
+    monkeypatch.setattr(diophantine, "_innermost_ball_range", recording)
+    lattice_ball(lam, norm, radius)
+    monkeypatch.undo()
+    return sum(seen)
+
+
+def test_innermost_range_is_the_balls_interval(salem_matrix, salem_pa, salem_norm, monkeypatch):
+    # The innermost coordinate runs over the ball's own interval, searched
+    # with a slack of 1e-9 radius, plus the origin: not over the covering
+    # ellipsoid's range (4.7 candidates per kept point at radius 80 on the
+    # Salem lattice, 3 to 5 on these conjugates at radius 50).
+    cases = [(salem_pa.lam, salem_norm, 25.0)]
+    for seed in range(4):
+        u = random_unimodular(random.Random(seed), 4)
+        pa, norm = _pa_and_norm(u * salem_matrix * u.inverse_unimodular())
+        cases.append((pa.lam, norm, 50.0))
+    for lam, norm, radius in cases:
+        candidates = _innermost_candidates(lam, norm, radius, monkeypatch)
+        kept = _one_shot_ball(lam, norm, radius).norms.size
+        within_slack = _one_shot_ball(lam, norm, radius * (1 + 2e-9)).norms.size
+        assert kept + 1 <= candidates <= within_slack + 1, (kept, candidates, within_slack)
+
+
+def test_center_norm_minimum_memory_tracks_norms_only(salem_pa, salem_norm):
+    ball = lattice_ball(salem_pa.lam, salem_norm, 40.0)
+    kept = sum(getattr(ball, name).nbytes for name in BALL_ARRAYS)
+    del ball
+    tracemalloc.start()
+    try:
+        center_norm_minimum(salem_pa, salem_norm, 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * kept, (peak, kept)
 
 
 def test_lattice_ball_over_budget_allocates_nothing_large(salem_pa, salem_norm):
@@ -212,7 +313,8 @@ def test_release_freed_heap_returns_freed_arrays():
 
 
 def test_center_norm_minimum_salem(salem_pa, salem_norm):
-    rep, ball = center_norm_minimum(salem_pa, salem_norm, 50.0)
+    rep = center_norm_minimum(salem_pa, salem_norm, 50.0)
+    ball = lattice_ball(salem_pa.lam, salem_norm, 50.0)
     assert rep.r == 2
     assert rep.c_prime_empirical > 0
     assert rep.slope >= -2.25
@@ -222,14 +324,14 @@ def test_center_norm_minimum_salem(salem_pa, salem_norm):
     ratios = [w["ratio"] for w in rep.witnesses]
     assert ratios == sorted(ratios)
     # determinism
-    rep2, _ = center_norm_minimum(salem_pa, salem_norm, 50.0)
+    rep2 = center_norm_minimum(salem_pa, salem_norm, 50.0)
     assert rep2.c_prime_empirical == rep.c_prime_empirical
     assert rep2.to_json() == rep.to_json()
 
 
 def test_center_norm_minimum_monotone_in_radius(salem_pa, salem_norm):
-    rep1, _ = center_norm_minimum(salem_pa, salem_norm, 25.0)
-    rep2, _ = center_norm_minimum(salem_pa, salem_norm, 50.0)
+    rep1 = center_norm_minimum(salem_pa, salem_norm, 25.0)
+    rep2 = center_norm_minimum(salem_pa, salem_norm, 50.0)
     assert rep2.c_prime_empirical <= rep1.c_prime_empirical + 1e-12
     assert rep2.c_prime_empirical > 0
 
