@@ -13,6 +13,7 @@ from .errors import (
 from .intmatrix import IntMatrix, matrix_from_json, matrix_to_json
 from .intpoly import (
     IntPoly,
+    circle_root_counts,
     count_real_roots,
     count_unitary_roots,
     cyclotomic,

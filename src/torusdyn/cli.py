@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .diophantine import (
@@ -81,6 +82,8 @@ def cmd_pa(args) -> int:
 
 
 def cmd_dioph(args) -> int:
+    if not math.isfinite(args.delta):
+        raise InputError(f"--delta must be a finite number, got {args.delta!r}")
     a = _load_matrix(args.matrix)
     split = compute_splitting(a)
     norm = adapted_norm(split)

@@ -462,6 +462,9 @@ def badly_approximable_search_dim6(
     min_k dist(k * alpha, Z^2) * k^(2 + delta),  alpha = chart(n^c)."""
     if pa.dim_x < 6:
         raise OutOfHypothesesError("use the dimension-4 pair search for dim X = 4")
+    if candidate_count < 1 or k_max < 1 or not math.isfinite(delta):
+        raise InputError("the witness search needs candidate_count >= 1, k_max >= 1 and a "
+                         f"finite delta, got {candidate_count}, {k_max} and {delta!r}")
     best: Optional[ApproximationWitness] = None
     for n_vec, alpha in _candidates(pa, norm, chart, candidate_count):
         c_emp, worst = approximation_constant(alpha, k_max, delta)
@@ -499,6 +502,9 @@ def badly_approximable_search_dim4(
     max_i dist(k . alpha_i, Z) * |k|_sup^2."""
     if pa.dim_x != 4:
         raise OutOfHypothesesError("pair search applies only to dim X = 4")
+    if candidate_count < 2 or k_max < 1:
+        raise InputError("the pair search needs candidate_count >= 2 and k_max >= 1, "
+                         f"got {candidate_count} and {k_max}")
     cands = _candidates(pa, norm, chart, candidate_count)
     rng = np.arange(-k_max, k_max + 1)
     k1, k2 = np.meshgrid(rng, rng, indexing="ij")

@@ -200,6 +200,9 @@ def perturb_experiment(
     """Graph constants, deck-holonomy deviations, and Lipschitz fits per amplitude."""
     if not all(math.isfinite(amp) for amp in amplitudes):
         raise InputError(f"amplitudes must be finite numbers, got {amplitudes}")
+    if n_count < 1 or phi_samples < 1 or not (math.isfinite(n_max) and n_max >= 2):
+        raise InputError("the perturbation study needs n_count >= 1, phi_samples >= 1 and a "
+                         f"finite n_max >= 2, got {n_count}, {phi_samples} and {n_max!r}")
     a = base_map.matrix
     split = compute_splitting(a)
     if split.dims[1] == 0:
@@ -229,6 +232,8 @@ def perturb_experiment(
         rng = np.random.default_rng(seed + 2)
         charts = rng.uniform(-0.4, 0.4, size=(chart_samples, split.dims[1]))
         n_list = sample_lattice_vectors(solver, n_max, n_count, seed=seed + 3)
+        if not n_list:
+            raise InputError(f"no sampled lattice vector has adapted norm <= {n_max}")
         prof = deviation_profile(solver, n_list, charts)
         for r in prof:
             csv_rows.append((amp, r["norm"], r["deviation"]))

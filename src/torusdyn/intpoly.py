@@ -2,14 +2,13 @@
 
 A polynomial is stored as a tuple of coefficients in ascending degree,
 with no trailing zeros, so ``IntPoly((1, -3, 1))`` is ``x^2 - 3x + 1``.
-Everything in this module is exact: coefficients are Python ints (or
-Fractions where noted) and no floating point is used.
+Everything in this module is exact: coefficients are Python ints and no
+floating point is used.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -344,26 +343,6 @@ def is_poly_in_xm(p: IntPoly) -> Optional[int]:
     return g if g > 1 else None
 
 
-def crown_transform(r: IntPoly) -> IntPoly:
-    """For palindromic r of even degree 2m return q with r(x) = x^m q(x + 1/x).
-
-    Uses the basis D_0 = 2, D_1 = z, D_j = z*D_{j-1} - D_{j-2}, which
-    satisfies D_j(x + 1/x) = x^j + x^-j.  Roots of modulus one of r map
-    to real roots of q in (-2, 2), one per conjugate pair.
-    """
-    d = r.degree
-    if d % 2 != 0 or r.coeffs != tuple(reversed(r.coeffs)):
-        raise ValueError("expected a palindromic polynomial of even degree")
-    m = d // 2
-    dick = [IntPoly((2,)), X]
-    while len(dick) <= m:
-        dick.append(X * dick[-1] - dick[-2])
-    q = IntPoly((r.coeffs[m],))
-    for j in range(1, m + 1):
-        q = q + r.coeffs[m + j] * dick[j]
-    return q
-
-
 # -- Sturm machinery ----------------------------------------------------------
 
 
@@ -393,26 +372,6 @@ def sturm_chain(p: IntPoly) -> list[IntPoly]:
     return chain
 
 
-def _sign_at(p: IntPoly, x) -> int:
-    if isinstance(x, Fraction):
-        # homogenized integer evaluation: sign(sum c_k a^k b^(n-k)), b > 0
-        a, b = x.numerator, x.denominator
-        v = 0
-        bp = 1
-        powers = []
-        for _ in p.coeffs:
-            powers.append(bp)
-            bp *= b
-        ap = 1
-        for k, c in enumerate(p.coeffs):
-            if c:
-                v += c * ap * powers[len(p.coeffs) - 1 - k]
-            ap *= a
-    else:
-        v = p(x)
-    return (v > 0) - (v < 0)
-
-
 def _sign_at_inf(p: IntPoly, positive: bool) -> int:
     if p.is_zero:
         return 0
@@ -434,44 +393,81 @@ def _variations(signs: list[int]) -> int:
     return v
 
 
-def count_real_roots(
-    p: IntPoly,
-    lo: Optional[Fraction] = None,
-    hi: Optional[Fraction] = None,
-    chain: Optional[list[IntPoly]] = None,
-) -> int:
-    """Number of distinct real roots of p in (lo, hi]; None means unbounded.
+def _index_over_line(seq: list[IntPoly]) -> int:
+    """Sign variations of a signed remainder sequence at -inf minus those at +inf."""
+    return (_variations([_sign_at_inf(f, False) for f in seq])
+            - _variations([_sign_at_inf(f, True) for f in seq]))
 
-    Exact, by Sturm's theorem on the squarefree part.
-    """
+
+def count_real_roots(p: IntPoly) -> int:
+    """Number of distinct real roots of p, exact by Sturm's theorem."""
     if p.degree < 1:
         return 0
-    if chain is None:
-        chain = sturm_chain(p)
-    at_lo = [(_sign_at(q, lo) if lo is not None else _sign_at_inf(q, False)) for q in chain]
-    at_hi = [(_sign_at(q, hi) if hi is not None else _sign_at_inf(q, True)) for q in chain]
-    return _variations(at_lo) - _variations(at_hi)
+    return _index_over_line(sturm_chain(p))
+
+
+# -- roots against the unit circle ----------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _cayley_basis(n: int) -> tuple[tuple[int, ...], ...]:
+    """Ascending coefficients of (w+1)^k (w-1)^(n-k) for k = 0..n."""
+    plus, minus = [ONE], [ONE]
+    for _ in range(n):
+        plus.append(plus[-1] * IntPoly((1, 1)))
+        minus.append(minus[-1] * IntPoly((-1, 1)))
+    return tuple((plus[k] * minus[n - k]).coeffs for k in range(n + 1))
+
+
+def circle_root_counts(p: IntPoly) -> tuple[int, int]:
+    """(inside, on): roots of p strictly inside and on the unit circle.
+
+    Requires p(1) != 0 and p(-1) != 0.  Roots count with multiplicity, except
+    that ``on`` counts a repeated root on the circle once, so both counts are
+    exact for squarefree p and for any p without roots on the circle.
+
+    One signed remainder sequence (Routh-Hurwitz; Gantmacher, Theory of
+    Matrices II, ch. XV): z = (w+1)/(w-1) maps the disk onto the left
+    half-plane and the circle onto the imaginary axis, so the roots are
+    those of q(w) = (w-1)^n p((w+1)/(w-1)), which has degree n and
+    q(0) != 0.  Write q(iy) = R(y) + i I(y).  The last element G of the
+    sequence is gcd(R, I), whose real roots are the roots of q on the axis:
+    ``on`` counts them.  G is even in y, so its other roots pair off across
+    the axis, one on each side, and ``inside`` is (n - on + d)/2, with d the
+    change of arg q(iy) over the real line in units of pi: the Cauchy index
+    -Ind(I/R) for even n and Ind(R/I) for odd n, read from the signs at -inf
+    and +inf.  For palindromic p, q is even, I is 0 and G = R.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    n = p.degree
+    if n == 0:
+        return 0, 0
+    if p(1) == 0 or p(-1) == 0:
+        raise ValueError("root at +-1")
+    acc = [0] * (n + 1)
+    for c, term in zip(p.coeffs, _cayley_basis(n)):
+        if c:
+            for j, t in enumerate(term):
+                acc[j] += c * t
+    # i^j runs through 1, i, -1, -i
+    re = IntPoly(c if j % 4 == 0 else -c if j % 4 == 2 else 0 for j, c in enumerate(acc))
+    im = IntPoly(c if j % 4 == 1 else -c if j % 4 == 3 else 0 for j, c in enumerate(acc))
+    den, num, sign = (re, im, -1) if n % 2 == 0 else (im, re, 1)
+    seq = [den, num]
+    while seq[-1].degree > 0:
+        seq.append(_neg_rem_primitive(seq[-2], seq[-1]))
+    on = count_real_roots(seq[-2] if seq[-1].is_zero else seq[-1])
+    return (n - on + sign * _index_over_line(seq)) // 2, on
 
 
 def count_unitary_roots(p: IntPoly) -> int:
     """Number of roots of modulus one, with multiplicity.
 
-    Exact: for each squarefree factor, the roots paired with their inverses
-    live in gcd(f, reverse(f)); rewrite that part as x^m q(x + 1/x) and count
-    real roots of q in (-2, 2) by Sturm.  Each counts a conjugate pair.
+    Exact: ``circle_root_counts`` on each squarefree factor.
     """
     if not p.is_monic:
         raise ValueError("expected a monic polynomial")
     if p(1) == 0 or p(-1) == 0:
         raise ValueError("polynomial has a root at +-1")
-    total = 0
-    for factor, mult in squarefree_decomposition(p):
-        if factor.degree < 2:
-            continue
-        r = gcd_z(factor, factor.reverse())
-        if r.degree < 2:
-            continue
-        q = crown_transform(r)
-        pairs = count_real_roots(q, Fraction(-2), Fraction(2))
-        total += 2 * pairs * mult
-    return total
+    return sum(mult * circle_root_counts(f)[1] for f, mult in squarefree_decomposition(p))

@@ -3,15 +3,14 @@
 The splitting into stable / center / unstable subspaces is computed
 numerically (sorted real Schur forms), but every discrete claim -- the
 three dimensions, per-factor root counts, Salem flags -- is certified by
-exact integer arithmetic on one factorization of the char poly: Sturm
-counts for roots of modulus one, inverse-root pairing inside reciprocal
-factors, and a Routh-Hurwitz count (a Cauchy index read at +-infinity)
-for factors without unitary roots.
+exact integer arithmetic on one factorization of the char poly: per
+factor, one Routh-Hurwitz remainder sequence gives both the roots on the
+unit circle (the real roots of its last element) and those inside it (a
+Cauchy index read at +-infinity).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -21,11 +20,7 @@ from .intmatrix import IntMatrix
 from .intpoly import (
     ONE,
     IntPoly,
-    _neg_rem_primitive,
-    _sign_at_inf,
-    _variations,
-    count_real_roots,
-    count_unitary_roots,
+    circle_root_counts,
     cyclotomic,
     cyclotomic_indices_up_to_degree,
     is_poly_in_xm,
@@ -36,53 +31,15 @@ from .zfactor import factor_z
 # -- exact root location on / inside the unit circle ---------------------------
 
 
-@lru_cache(maxsize=64)
-def _cayley_basis(n: int) -> tuple[tuple[int, ...], ...]:
-    """Ascending coefficients of (w+1)^k (w-1)^(n-k) for k = 0..n."""
-    plus, minus = [ONE], [ONE]
-    for _ in range(n):
-        plus.append(plus[-1] * IntPoly((1, 1)))
-        minus.append(minus[-1] * IntPoly((-1, 1)))
-    return tuple((plus[k] * minus[n - k]).coeffs for k in range(n + 1))
-
-
 def unit_disk_root_count(p: IntPoly) -> int:
     """Number of roots strictly inside the unit circle, with multiplicity.
 
-    Requires that p has no root of modulus one.  Exact (Routh-Hurwitz):
-    z = (w+1)/(w-1) maps the disk onto the left half-plane, so the count is
-    the number of left-half-plane roots of q(w) = (w-1)^n p((w+1)/(w-1)).
-    With q(iy) = R(y) + i I(y) that number is (n + d)/2, where d, the change
-    of arg q(iy) over the real line in units of pi, is the Cauchy index
-    -Ind(I/R) for even n and Ind(R/I) for odd n.  Each index is read from
-    the signs of a signed remainder sequence at -inf and +inf.
+    Requires that p has no root of modulus one; see ``circle_root_counts``.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    n = p.degree
-    if n == 0:
-        return 0
-    if p(1) == 0 or p(-1) == 0:
-        raise ValueError("root at +-1")
-    acc = [0] * (n + 1)
-    for c, term in zip(p.coeffs, _cayley_basis(n)):
-        if c:
-            for j, t in enumerate(term):
-                acc[j] += c * t
-    q = IntPoly(acc)
-    # i^j runs through 1, i, -1, -i
-    re = IntPoly(c if j % 4 == 0 else -c if j % 4 == 2 else 0 for j, c in enumerate(q.coeffs))
-    im = IntPoly(c if j % 4 == 1 else -c if j % 4 == 3 else 0 for j, c in enumerate(q.coeffs))
-    den, num, sign = (re, im, -1) if n % 2 == 0 else (im, re, 1)
-    seq = [den, num]
-    while seq[-1].degree > 0:
-        seq.append(_neg_rem_primitive(seq[-2], seq[-1]))
-    # the real roots of gcd(R, I) are the roots of q on the imaginary axis
-    if count_real_roots(seq[-2] if seq[-1].is_zero else seq[-1]) > 0:
+    inside, on = circle_root_counts(p)
+    if on:
         raise ValueError("root of modulus one")
-    index = (_variations([_sign_at_inf(f, False) for f in seq])
-             - _variations([_sign_at_inf(f, True) for f in seq]))
-    return (n + sign * index) // 2
+    return inside
 
 
 def _cyclotomic_index_of(q: IntPoly) -> Optional[int]:
@@ -113,27 +70,13 @@ def _factor_spectrum(p: IntPoly, factors: Optional[list[tuple[IntPoly, int]]] = 
 
     ``factors`` is ``factor_z(p)`` when the caller already has it; otherwise
     p is factored here.  A cyclotomic factor has all its roots on the
-    circle.  Any other irreducible factor q with a root a of modulus one is
-    palindromic: 1/a = conj(a) is a root too, so q divides its reversal and
-    q(x) = +-x^n q(1/x), and the sign -1 would make q(1) = 0.  So only a
-    palindromic factor goes through ``count_unitary_roots``, and its
-    off-circle roots split evenly between inside and outside; the rest go
-    through ``unit_disk_root_count``, which rejects a root on the circle.
+    circle; every other factor goes through ``circle_root_counts``, one
+    remainder sequence that counts its roots inside and on the circle.
     """
     out = []
     for q, mult in factor_z(p) if factors is None else factors:
         cyc = _cyclotomic_index_of(q)
-        if cyc is not None:
-            u, inside = q.degree, 0
-        else:
-            u = count_unitary_roots(q) if is_reciprocal(q) else 0
-            if u:
-                inside = (q.degree - u) // 2
-            else:
-                try:
-                    inside = unit_disk_root_count(q)
-                except ValueError as exc:
-                    raise InvariantError("factor with unitary roots is not reciprocal") from exc
+        inside, u = (0, q.degree) if cyc is not None else circle_root_counts(q)
         out.append(_FactorSpectrum(q, mult, cyc, u, inside))
     return out
 

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .intpoly import IntPoly, div_exact, divides, gcd_z, squarefree_decomposition
+from .intpoly import IntPoly, div_exact, divides, squarefree_decomposition
 
 # -- dense polynomials over Z/m ----------------------------------------------
 # represented as tuples, ascending degree, trimmed, coefficients in [0, m)
@@ -383,15 +383,7 @@ def is_irreducible_z(p: IntPoly) -> bool:
     _check_monic(p)
     if p.degree == 0:
         raise ValueError("degree 0 input")
-    if p.degree == 1:
-        return True
-    if p.coeffs[0] == 0:
-        return False
-    good = _good_prime(p, _QUICK_PRIMES)
-    if good is None and gcd_z(p, p.derivative()).degree > 0:
-        return False
-    factors = _factor_squarefree_monic(p, good)
-    return len(factors) == 1
+    return factor_z(p) == [(p, 1)]
 
 
 # -- batched degree sieve -------------------------------------------------------

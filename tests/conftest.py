@@ -1,7 +1,23 @@
+from fractions import Fraction
+
 import pytest
 
 from torusdyn.intmatrix import IntMatrix, bareiss_det
-from torusdyn.intpoly import IntPoly, cyclotomic, cyclotomic_indices_up_to_degree, divides
+from torusdyn.intpoly import (
+    X,
+    IntPoly,
+    _cayley_basis,
+    _index_over_line,
+    _neg_rem_primitive,
+    count_real_roots,
+    cyclotomic,
+    cyclotomic_indices_up_to_degree,
+    divides,
+    gcd_z,
+    is_reciprocal,
+    squarefree_decomposition,
+    sturm_chain,
+)
 from torusdyn.manifolds import LeafSolver
 from torusdyn.perturbed import salem_example
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
@@ -100,3 +116,99 @@ def lattice_index(sub, sup):
     coords = [sup.coordinates(row) for row in sub.basis]
     assert all(c is not None for c in coords), "not a sublattice"
     return abs(bareiss_det([list(c) for c in coords]))
+
+
+# -- reference root counts against the unit circle --------------------------------
+# The two exact counts the package used before ``circle_root_counts``: a Sturm
+# count through the x + 1/x substitution for roots on the circle, and a
+# Routh-Hurwitz count for factors without them.  They are the differential
+# oracle for the single remainder sequence.
+
+
+def crown_transform(r):
+    """For palindromic r of even degree 2m return q with r(x) = x^m q(x + 1/x).
+
+    Uses the basis D_0 = 2, D_1 = z, D_j = z*D_{j-1} - D_{j-2}, which
+    satisfies D_j(x + 1/x) = x^j + x^-j.  Roots of modulus one of r map
+    to real roots of q in (-2, 2), one per conjugate pair.
+    """
+    d = r.degree
+    if d % 2 != 0 or r.coeffs != tuple(reversed(r.coeffs)):
+        raise ValueError("expected a palindromic polynomial of even degree")
+    m = d // 2
+    dick = [IntPoly((2,)), X]
+    while len(dick) <= m:
+        dick.append(X * dick[-1] - dick[-2])
+    q = IntPoly((r.coeffs[m],))
+    for j in range(1, m + 1):
+        q = q + r.coeffs[m + j] * dick[j]
+    return q
+
+
+def _sign_at_fraction(p, x):
+    """Sign of p at the rational x, by homogenized integer evaluation."""
+    a, b = x.numerator, x.denominator
+    n = p.degree
+    v = sum(c * a ** k * b ** (n - k) for k, c in enumerate(p.coeffs))
+    return (v > 0) - (v < 0)
+
+
+def sturm_count_between(p, lo, hi):
+    """Distinct real roots of p in (lo, hi] for rationals lo < hi, by Sturm."""
+    if p.degree < 1:
+        return 0
+    chain = sturm_chain(p)
+
+    def variations(x):
+        signs = [s for s in (_sign_at_fraction(f, x) for f in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(Fraction(lo)) - variations(Fraction(hi))
+
+
+def reference_unitary_roots(p):
+    """Roots of monic p of modulus one, with multiplicity: per squarefree
+    factor, the roots paired with their inverses live in gcd(f, reverse(f));
+    rewrite that part as x^m q(x + 1/x) and count real roots of q in (-2, 2)."""
+    total = 0
+    for factor, mult in squarefree_decomposition(p):
+        r = gcd_z(factor, factor.reverse())
+        if r.degree >= 2:
+            total += 2 * mult * sturm_count_between(crown_transform(r), -2, 2)
+    return total
+
+
+def reference_disk_count(p):
+    """Roots of p strictly inside the unit circle, for p without roots on it:
+    the left half-plane roots of q(w) = (w-1)^n p((w+1)/(w-1)), (n + d)/2 with
+    d a Cauchy index.  Raises ValueError on a root of modulus one."""
+    n = p.degree
+    if n == 0:
+        return 0
+    if p(1) == 0 or p(-1) == 0:
+        raise ValueError("root at +-1")
+    acc = [0] * (n + 1)
+    for c, term in zip(p.coeffs, _cayley_basis(n)):
+        for j, t in enumerate(term):
+            acc[j] += c * t
+    re = IntPoly(c if j % 4 == 0 else -c if j % 4 == 2 else 0 for j, c in enumerate(acc))
+    im = IntPoly(c if j % 4 == 1 else -c if j % 4 == 3 else 0 for j, c in enumerate(acc))
+    den, num, sign = (re, im, -1) if n % 2 == 0 else (im, re, 1)
+    seq = [den, num]
+    while seq[-1].degree > 0:
+        seq.append(_neg_rem_primitive(seq[-2], seq[-1]))
+    if count_real_roots(seq[-2] if seq[-1].is_zero else seq[-1]) > 0:
+        raise ValueError("root of modulus one")
+    return (n + sign * _index_over_line(seq)) // 2
+
+
+def reference_circle_counts(q):
+    """(inside, on) for an irreducible non-cyclotomic factor q, as the package
+    located factors before: a factor with a root a on the circle is
+    palindromic (1/a = conj(a) is a root too), so a palindromic factor takes
+    the Sturm count and splits its other roots evenly; the rest take the
+    Routh-Hurwitz count."""
+    on = reference_unitary_roots(q) if is_reciprocal(q) else 0
+    if on:
+        return (q.degree - on) // 2, on
+    return reference_disk_count(q), 0

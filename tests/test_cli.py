@@ -313,6 +313,14 @@ MALFORMED = [
     (["dioph", "{salem}", "--radius", "inf"], 1),
     (["dioph", "{salem}", "--radius", "0.5"], 1),
     (["dioph", "{salem}", "--radius", "1e9"], 4),
+    (["dioph", "{salem}", "--candidates", "1"], 1),
+    (["dioph", "{salem}", "--candidates", "0"], 1),
+    (["dioph", "{salem}", "--kmax", "0"], 1),
+    (["dioph", "{salem}", "--delta", "nan"], 1),
+    (["perturb", "{map}", "--ncount", "0"], 1),
+    (["perturb", "{map}", "--nmax", "1"], 1),
+    (["perturb", "{map}", "--nmax", "nan"], 1),
+    (["perturb", "{map}", "--samples", "0"], 1),
 ]
 
 

@@ -4,12 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cyclotomic_free
+from conftest import (
+    crown_transform,
+    cyclotomic_free,
+    reference_circle_counts,
+    reference_unitary_roots,
+)
 from torusdyn.intpoly import (
     IntPoly,
+    circle_root_counts,
     count_real_roots,
     count_unitary_roots,
-    crown_transform,
     cyclotomic,
     div_exact,
     divides,
@@ -128,11 +133,47 @@ def test_crown_transform_identity():
 
 
 def test_count_real_roots():
-    assert count_real_roots(CAT, Fraction(0), Fraction(3)) == 2
-    assert count_real_roots(CAT, Fraction(-1), Fraction(0)) == 0
+    assert count_real_roots(CAT) == 2
     p = IntPoly((-2, 0, 1))  # x^2 - 2
     assert count_real_roots(p) == 2
-    assert count_real_roots(p, Fraction(0), Fraction(2)) == 1
+    assert count_real_roots(p * p) == 2
+    assert count_real_roots(IntPoly((1, 0, 1))) == 0
+
+
+def test_circle_root_counts_examples():
+    assert circle_root_counts(CAT) == (1, 0)
+    assert circle_root_counts(PHI5) == (0, 4)
+    assert circle_root_counts(SALEM) == (1, 2)
+    assert circle_root_counts(IntPoly((0, 1))) == (1, 0)
+    assert circle_root_counts(CAT * CAT) == (2, 0)
+    assert circle_root_counts(IntPoly((1, 0, 1)) * IntPoly((-2, 1))) == (0, 2)
+    assert circle_root_counts(IntPoly((1, 0, 1)) * IntPoly((1, 2))) == (1, 2)
+    with pytest.raises(ValueError):
+        circle_root_counts(IntPoly((1, 1)))
+
+
+def _box_factors():
+    """Every irreducible factor without a root +-1 of the boxes (4,2), (5,2),
+    (6,1), (7,1) and the reciprocal boxes (8,2), (10,1)."""
+    from torusdyn.survey import enumerate_polynomials
+    from torusdyn.zfactor import factor_z_many
+
+    boxes = [(4, 2, False), (5, 2, False), (6, 1, False), (7, 1, False),
+             (8, 2, True), (10, 1, True)]
+    polys = [IntPoly(c) for d, h, rec in boxes
+             for _, c in enumerate_polynomials(d, h, reciprocal_only=rec)]
+    found = {q for fs in factor_z_many(polys) for q, _ in fs if q(1) and q(-1)}
+    return sorted(found, key=lambda q: (q.degree, q.coeffs))
+
+
+def test_circle_root_counts_match_the_reference_on_survey_boxes():
+    factors = _box_factors()
+    assert len(factors) == 3127
+    assert sum(1 for q in factors if reference_unitary_roots(q)) > 100
+    bad = [q for q in factors
+           if circle_root_counts(q) != reference_circle_counts(q)
+           or count_unitary_roots(q) != reference_unitary_roots(q)]
+    assert bad == []
 
 
 def test_squarefree_decomposition():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import cyclotomic_free, random_unimodular
-from torusdyn.errors import InvariantError, NotErgodicError, OutOfHypothesesError
+from torusdyn.errors import NotErgodicError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly, count_unitary_roots
 from torusdyn.splitting import (
@@ -23,12 +23,12 @@ SALEM = IntPoly((1, -1, -1, -1, 1))
 PHI5 = IntPoly((1, 1, 1, 1, 1))
 
 
-def test_non_palindromic_factor_with_unitary_roots_is_an_invariant_error():
+def test_non_palindromic_factor_with_unitary_roots_is_counted():
     # (x^2 + 1)(x - 2) is not irreducible; handed over as a factor, its
-    # roots +-i must not pass as roots off the circle
+    # roots +-i still count as roots on the circle
     q = IntPoly((1, 0, 1)) * IntPoly((-2, 1))
-    with pytest.raises(InvariantError, match="not reciprocal"):
-        _factor_spectrum(q, [(q, 1)])
+    [spec] = _factor_spectrum(q, [(q, 1)])
+    assert (spec.unitary, spec.inside, spec.outside) == (2, 0, 1)
 
 
 def test_disk_count_basics():
