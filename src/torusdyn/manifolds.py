@@ -8,10 +8,14 @@ tangent to the leaf are driven forward from the prescribed parameters,
 and the transversal blocks are recovered by backward sums whose
 coefficients contract.  No quantity in the iteration is amplified by
 the expanding dynamics, so evaluations stay accurate far from the base
-point; differences are propagated with the cancellation-free primitives
-of PerturbedMap.  A gridded graph transform (multilinear interpolation
-on a regular grid) provides the classical fixed-point construction and
-the Lipschitz estimates.
+point.  The nonlinear part of the map is a chain of S shears, so the
+iteration's state is the S shear increments per time step rather than
+the difference orbit: one precomputed product per sweep gives every
+shear's source difference, and each increment is formed directly as a
+difference of profile values, with no large-coordinate cancellation.  A
+gridded graph transform (multilinear interpolation on a regular grid)
+provides the classical fixed-point construction and the Lipschitz
+estimates.
 """
 from __future__ import annotations
 
@@ -46,86 +50,86 @@ LEAF_DIRECTION = {"s": "fwd", "cs": "fwd", "u": "bwd", "cu": "bwd"}
 class _Segment:
     """One orbit segment (forward or backward) of the Lyapunov-Perron solve.
 
-    Tracks the reduced reference orbit of an anchor and the coordinate-block
-    differences D[t] = coords(F^{+-t}(z) - F^{+-t}(anchor)) for a batch of
-    points z.  An anchor shared by every row is marched once per solver and
-    broadcast over the batch.
+    For a batch of points z near an anchor, the block-coordinate difference
+    d[t] = coords(F^{+-t}(z) - F^{+-t}(anchor)) obeys d[t+1] = M d[t] + g[t]
+    per spectral block, and g[t] is the sum over the S shears of a fixed
+    direction times the shear's increment u_s[t] (LeafSolver.sweep_operator).
+    So the state is the S*H increments U and the driven t = 0 values v0,
+    one column per batch row, and d itself is never formed: a sweep maps
+    the previous state to every shear's source difference with one product,
+    evaluates the S profiles in chain order, and reads d[0] off the new
+    state.  The reference chain of an anchor shared by every row is marched
+    once per solver and broadcast over the batch.
     """
 
-    def __init__(self, solver: "LeafSolver", anchor: np.ndarray, direction: str,
-                 steps: int, batch_shape: tuple[int, ...]):
+    def __init__(self, solver: "LeafSolver", anchor: np.ndarray, direction: str, steps: int,
+                 batch_shape: tuple[int, ...], driven: Sequence[str], killed: Sequence[str]):
         self.solver = solver
         self.direction = direction
         self.steps = steps
+        self.batch_shape = batch_shape
+        self.driven, self.killed = tuple(driven), tuple(killed)
         n = solver.n
-        r = torus_reduce(np.broadcast_to(anchor, batch_shape + (n,)))
-        rows = r.reshape(-1, n)
+        rows = torus_reduce(np.broadcast_to(anchor, batch_shape + (n,))).reshape(-1, n)
         if len(rows) and np.all(rows == rows[0]):
             key = (rows[0].tobytes(), direction, steps)
             if key not in solver._anchor_memo:
-                refs, chain = self._march(rows[0])
-                for a in (refs, *chain.sources, *chain.values):
+                chain = self._march(rows[0])
+                for a in (*chain.sources, *chain.values):
                     a.setflags(write=False)  # shared by every later segment on this key
-                solver._anchor_memo[key] = refs, chain
-            refs, chain = solver._anchor_memo[key]
-            ones = (1,) * len(batch_shape)
-            self.refs = np.broadcast_to(refs.reshape((steps + 1,) + ones + (n,)), (steps + 1,) + r.shape)
-            # the chain's sources broadcast against the (steps, *batch) differences
-            self.chain = ReferenceChain(chain.inverse,
-                                        tuple(a.reshape((steps,) + ones) for a in chain.sources),
-                                        tuple(a.reshape((steps,) + ones) for a in chain.values))
+                solver._anchor_memo[key] = chain
+            chain = solver._anchor_memo[key]
         else:
-            self.refs, self.chain = self._march(r)
-        self.d = np.zeros((steps + 1,) + batch_shape + (n,))
+            chain = self._march(rows)
+        # reference sources and values as (step, column), broadcast over the batch columns
+        self.chain = ReferenceChain(chain.inverse, tuple(a.reshape(steps, -1) for a in chain.sources),
+                                    tuple(a.reshape(steps, -1) for a in chain.values))
+        self.op, self.readout = solver.sweep_operator(direction, self.driven, self.killed, steps)
+        self.state = np.zeros((self.op.shape[1], len(rows)))  # [U; v0], U rows (shear, step)
 
-    def _march(self, r: np.ndarray) -> tuple[np.ndarray, ReferenceChain]:
-        """The reference orbit of the reduced points r, and its shear chain."""
+    def _march(self, r: np.ndarray) -> ReferenceChain:
+        """The shear chain along the reference orbit of the reduced points r."""
         f = self.solver.f
-        refs = np.empty((self.steps + 1,) + r.shape)
+        refs = np.empty((self.steps,) + r.shape)
         refs[0] = r
-        for t in range(self.steps):
+        for t in range(self.steps - 1):
             nxt = f.apply(refs[t]) if self.direction == "fwd" else f.apply_inverse(refs[t])
             refs[t + 1] = torus_reduce(nxt)
         # the reference orbit is fixed, so it passes through the shears once
-        return refs, f.reference_chain(refs[:-1], inverse=self.direction == "bwd")
+        return f.reference_chain(refs, inverse=self.direction == "bwd")
 
-    def nonlinear_terms(self) -> np.ndarray:
-        """g[t] = coords(F^{+-1}(x_t + delta_t) - F^{+-1}(x_t) - A^{+-1} delta_t), all t at once."""
-        s = self.solver
-        amb = self.d[:-1] @ s.embed.T
-        if self.direction == "fwd":
-            diff = s.f.diff_apply(self.chain, amb)
-            lin = amb @ s.f.a_float.T
-        else:
-            diff = s.f.diff_apply_inverse(self.chain, amb)
-            lin = amb @ s.f.a_inv_float.T
-        return (diff - lin) @ s.coords.T
-
-    def update(self, driven: dict[str, np.ndarray], killed: Sequence[str]) -> dict[str, np.ndarray]:
+    def update(self, driven: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """One Lyapunov-Perron sweep.
 
-        driven: block -> initial coordinate values at t = 0 (driven forward
-        along the segment); killed: blocks recovered by the contracting
-        backward sums with zero tail.  Returns the new t = 0 values of the
-        killed blocks pinned by the boundary condition.  Each block is one
-        product with its kernel (LeafSolver.block_kernel), the batch in columns.
+        driven: block -> this sweep's t = 0 values of the driven blocks.  The
+        source differences come from the previous sweep's increments and
+        driven values, as that sweep's difference orbit would give them; the
+        killed blocks are the contracting backward sums with zero tail.
+        Returns the killed blocks' new t = 0 values.
         """
-        s = self.solver
-        steps, batch = self.steps, self.d.shape[1:-1]
-        cols = math.prod(batch)
-        # block rows (t, i), batch columns
-        g = self.nonlinear_terms().reshape(steps, cols, s.n).transpose(0, 2, 1)
-        new_d = np.zeros((steps + 1, s.n, cols))
-        for b in (*driven, *killed):
-            idx = s.block_idx[b]
-            width = idx.stop - idx.start
-            powers, kernel = s.block_kernel(self.direction, b, b in driven, steps)
-            d_b = kernel @ g[:, idx].reshape(steps * width, cols)
-            if b in driven:
-                d_b += powers @ np.broadcast_to(driven[b], batch + (width,)).reshape(cols, width).T
-            new_d[:, idx] = d_b.reshape(steps + 1, width, cols)
-        self.d = np.ascontiguousarray(new_d.transpose(0, 2, 1)).reshape(self.d.shape)
-        return {b: self.d[0][..., s.block_idx[b]].copy() for b in killed}
+        s, h = self.solver, self.steps
+        u = self.state[:self.op.shape[0]]
+        x = self.op @ self.state
+        shears = s.chain_shears(self.direction)
+        sign = 1.0 if self.direction == "fwd" else -1.0
+        for i, (sh, rs, val) in enumerate(zip(shears, self.chain.sources, self.chain.values)):
+            xi = x[i * h:(i + 1) * h]
+            for j in range(i):  # earlier shears of the chain moved this one's source
+                if shears[j].target == sh.source:
+                    xi += u[j * h:(j + 1) * h]
+            u[i * h:(i + 1) * h] = sign * sh.amplitude * (sh.profile.value(rs + xi) - val)
+        row = len(u)
+        for b in self.driven:
+            width = s.block_dim(b)
+            v0 = np.broadcast_to(driven[b], self.batch_shape + (width,))
+            self.state[row:row + width] = v0.reshape(-1, width).T
+            row += width
+        d0 = self.d0()
+        return {b: d0[..., s.block_idx[b]] for b in self.killed}
+
+    def d0(self) -> np.ndarray:
+        """d[0] of the last sweep, shape batch + (n,)."""
+        return (self.state.T @ self.readout.T).reshape(self.batch_shape + (self.solver.n,))
 
 
 class LeafSolver:
@@ -169,9 +173,9 @@ class LeafSolver:
         self.block_matrix_bwd = {
             b: (np.linalg.inv(m) if m.size else m) for b, m in self.block_matrix_fwd.items()
         }
-        # (direction, block, driven, steps) -> stacked powers and block-Toeplitz kernel
-        self._kernels: dict = {}
-        # (reduced anchor bytes, direction, steps) -> one-row reference orbit and chain
+        # (direction, driven blocks, killed blocks, steps) -> sweep operator and readout
+        self._sweeps: dict = {}
+        # (reduced anchor bytes, direction, steps) -> one-row reference chain
         self._anchor_memo: dict = {}
 
     # -- block helpers -------------------------------------------------------------
@@ -220,6 +224,10 @@ class LeafSolver:
             off += d
         return out
 
+    def chain_shears(self, direction: str) -> tuple:
+        """The shears in the order F (fwd) or F^-1 (bwd) applies them."""
+        return self.f.shears if direction == "fwd" else self.f.shears[::-1]
+
     def block_kernel(self, direction: str, b: str, driven: bool, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """(P, K) of block b's recurrence along a segment of `steps` steps.
 
@@ -228,24 +236,68 @@ class LeafSolver:
         d[t] = -sum_{k>=t} M^-(k-t+1) g[k] with d[steps] = 0, so the stacked
         d = P v0 + K g: P stacks the powers, shape ((steps+1) w, w), and K is
         block-Toeplitz, shape ((steps+1) w, steps w), lower-triangular when
-        driven and upper when killed.  Built on first use.
+        driven and upper when killed.  Only sweep_operator multiplies by them,
+        once per operator, so their zero halves cost no sweep anything.
         """
-        key = (direction, b, driven, steps)
-        if key not in self._kernels:
-            forward = (direction == "fwd") == driven
-            m = (self.block_matrix_fwd if forward else self.block_matrix_bwd)[b]
-            w = m.shape[0]
-            powers = np.empty((steps + 1, w, w))
-            powers[0] = np.eye(w)
-            for k in range(steps):
-                powers[k + 1] = powers[k] @ m
-            t, k = np.ogrid[:steps + 1, :steps]
-            e = t - 1 - k if driven else k - t + 1  # the power in block (t, k)
-            used = e >= 0 if driven else e >= 1
-            blocks = np.where(used[..., None, None], powers[np.clip(e, 0, steps)], 0.0)
-            kernel = blocks.transpose(0, 2, 1, 3).reshape((steps + 1) * w, steps * w)
-            self._kernels[key] = (powers.reshape((steps + 1) * w, w), kernel if driven else -kernel)
-        return self._kernels[key]
+        forward = (direction == "fwd") == driven
+        m = (self.block_matrix_fwd if forward else self.block_matrix_bwd)[b]
+        w = m.shape[0]
+        powers = np.empty((steps + 1, w, w))
+        powers[0] = np.eye(w)
+        for k in range(steps):
+            powers[k + 1] = powers[k] @ m
+        t, k = np.ogrid[:steps + 1, :steps]
+        e = t - 1 - k if driven else k - t + 1  # the power in block (t, k)
+        used = e >= 0 if driven else e >= 1
+        blocks = np.where(used[..., None, None], powers[np.clip(e, 0, steps)], 0.0)
+        kernel = blocks.transpose(0, 2, 1, 3).reshape((steps + 1) * w, steps * w)
+        return powers.reshape((steps + 1) * w, w), kernel if driven else -kernel
+
+    def sweep_operator(self, direction: str, driven: Sequence[str], killed: Sequence[str],
+                       steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """(G, R) of a segment whose `driven` blocks are driven and `killed` killed.
+
+        With the shears in chain order, F^{+-1}(x + delta) - F^{+-1}(x) -
+        A^{+-1} delta = sum_s e_target(s) u_s, so g[t] = sum_s w_s u_s[t] with
+        w_s = coords A e_target forward and coords e_target backward.  The
+        source difference of shear s is x_s[t] = E0[s] d[t] plus the
+        increments of earlier shears whose target is its source, with E0[s]
+        the source row of embed forward and of A^-1 embed backward.  Since
+        d = P v0 + K (I x W) U blockwise (block_kernel), G = [(I x E0) K (I x W)
+        | (I x E0) P] maps the state [U; v0] to every x_s[t] but those chain
+        terms, shape (S H, S H + m), and R maps it to d[0], shape (n, S H + m);
+        U is ordered (shear, step), v0 by the driven blocks.  Built once per
+        solver and key.
+        """
+        key = (direction, tuple(driven), tuple(killed), steps)
+        if key not in self._sweeps:
+            shears, h = self.chain_shears(direction), steps
+            sources = [sh.source for sh in shears]
+            targets = [sh.target for sh in shears]
+            if direction == "fwd":
+                e0, w = self.embed[sources], (self.coords @ self.f.a_float)[:, targets]
+            else:
+                e0, w = (self.f.a_inv_float @ self.embed)[sources], self.coords[:, targets]
+            su = len(shears) * h
+            col = su
+            op = np.zeros((len(shears), h, su + sum(self.block_dim(b) for b in driven)))
+            readout = np.zeros((self.n, op.shape[-1]))
+            for b in (*driven, *killed):
+                idx = self.block_idx[b]
+                width = idx.stop - idx.start
+                powers, kernel = self.block_kernel(direction, b, b in driven, steps)
+                # d_b[t] as a map of U: (step t, block coordinate, (shear, step))
+                kw = np.einsum("tikj,js->tisk", kernel.reshape(h + 1, width, h, width),
+                               w[idx]).reshape(h + 1, width, su)
+                op[..., :su] += np.einsum("si,tic->stc", e0[:, idx], kw[:h])
+                readout[idx, :su] = kw[0]
+                if b in driven:
+                    op[..., col:col + width] = np.einsum("si,tij->stj", e0[:, idx],
+                                                         powers.reshape(h + 1, width, width)[:h])
+                    readout[idx, col:col + width] = np.eye(width)
+                    col += width
+            self._sweeps[key] = op.reshape(su, readout.shape[1]), readout
+        return self._sweeps[key]
 
     # -- Lyapunov-Perron fixed point -----------------------------------------------
 
@@ -258,7 +310,7 @@ class LeafSolver:
             state = sweep()
             sweeps = it + 1
             if prev is not None:
-                change = float(np.max(np.abs(state - prev)))
+                change = float(np.max(np.abs(state - prev), initial=0.0))
                 if change <= self.fix_tol:
                     return
                 if change < best * 0.9:
@@ -281,25 +333,26 @@ class LeafSolver:
         shape = params.shape[:-1]
         driven = self._split_params(flavor, params)
         if flavor in LEAF_DIRECTION:
-            seg = _Segment(self, bases, LEAF_DIRECTION[flavor], self.horizon, shape)
             killed = [b for b in BLOCK_ORDER if b not in FLAVOR_BLOCKS[flavor]]
+            seg = _Segment(self, bases, LEAF_DIRECTION[flavor], self.horizon, shape,
+                           FLAVOR_BLOCKS[flavor], killed)
 
             def sweep():
-                out = seg.update(driven, killed)
+                out = seg.update(driven)
                 return np.concatenate([out[b] for b in killed], axis=-1)
 
             self._run_fixed_point(sweep, f"leaf solve ({flavor})")
-            return bases + seg.d[0] @ self.embed.T
+            return bases + seg.d0() @ self.embed.T
         if flavor == "c":
-            segf = _Segment(self, bases, "fwd", self.horizon, shape)
-            segb = _Segment(self, bases, "bwd", self.horizon, shape)
+            segf = _Segment(self, bases, "fwd", self.horizon, shape, ("c", "s"), ("u",))
+            segb = _Segment(self, bases, "bwd", self.horizon, shape, ("c", "u"), ("s",))
             ds, _, du = self.dims
             state = {"s": np.zeros(shape + (ds,)), "u": np.zeros(shape + (du,))}
 
             def sweep():
-                outf = segf.update({"c": driven["c"], "s": state["s"]}, ["u"])
+                outf = segf.update({"c": driven["c"], "s": state["s"]})
                 state["u"] = outf["u"]
-                outb = segb.update({"c": driven["c"], "u": state["u"]}, ["s"])
+                outb = segb.update({"c": driven["c"], "u": state["u"]})
                 state["s"] = outb["s"]
                 return np.concatenate([state["s"], state["u"]], axis=-1)
 
@@ -362,19 +415,19 @@ class LeafSolver:
         shift = (xs - y) @ self.coords.T  # coords of x - y, per row
         drive = pair[0]
         kill_x = [b for b in BLOCK_ORDER if b != drive]
-        seg_x = _Segment(self, xs, LEAF_DIRECTION[drive], self.horizon, shape)
-        seg_y = _Segment(self, y, LEAF_DIRECTION[pair[1]], self.horizon, shape)
+        seg_x = _Segment(self, xs, LEAF_DIRECTION[drive], self.horizon, shape, (drive,), kill_x)
+        seg_y = _Segment(self, y, LEAF_DIRECTION[pair[1]], self.horizon, shape, kill_x, (drive,))
         state = np.zeros(shape + (self.block_dim(drive),)) if init is None else np.array(init, copy=True)
 
         def sweep():
-            out_x = seg_x.update({drive: state}, kill_x)
+            out_x = seg_x.update({drive: state})
             driven_y = {b: out_x[b] + shift[..., self.block_idx[b]] for b in kill_x}
-            out_y = seg_y.update(driven_y, [drive])
+            out_y = seg_y.update(driven_y)
             state[...] = out_y[drive] - shift[..., self.block_idx[drive]]
             return np.concatenate([state] + [driven_y[b] for b in kill_x], axis=-1)
 
         self._run_fixed_point(sweep, f"intersection {pair}")
-        return xs + seg_x.d[0] @ self.embed.T
+        return xs + seg_x.d0() @ self.embed.T
 
     def intersection_batch(self, xs: np.ndarray, y: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
         """Batched unique intersections W^a(x_i) cap W^b(y)."""

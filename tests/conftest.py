@@ -19,7 +19,7 @@ from torusdyn.intpoly import (
     sturm_chain,
 )
 from torusdyn.manifolds import LeafSolver
-from torusdyn.perturbed import salem_example
+from torusdyn.perturbed import PerturbedMap, Shear, TrigProfile, salem_example
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
 from torusdyn.splitting import adapted_norm, compute_splitting
 from torusdyn.zfactor import factor_z
@@ -70,6 +70,14 @@ def solver_linear(salem_split, salem_norm):
 @pytest.fixture(scope="session")
 def solver_small(salem_split, salem_norm):
     return LeafSolver(salem_example(0.01), salem_split, salem_norm)
+
+
+def chained_shears_map():
+    """Salem map whose second shear reads the coordinate the first one moved."""
+    f = salem_example(1e-2)
+    back = Shear(target=1, source=0, profile=TrigProfile(cos_coeffs=(0.1,), sin_coeffs=(0.05,)),
+                 amplitude=1e-2)
+    return PerturbedMap(f.matrix, (f.shears[0], back, f.shears[1]))
 
 
 def random_unimodular(rng, n, ops=8, cap=6):

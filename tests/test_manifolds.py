@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import SALEM, SALEM_CONJUGATE
+from conftest import SALEM, SALEM_CONJUGATE, chained_shears_map
 from torusdyn.errors import NumericsError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.manifolds import LeafSolver, _Segment, graph_transform, interpolation_floor, measure_kappa
-from torusdyn.perturbed import salem_example
+from torusdyn.perturbed import PerturbedMap, ReferenceChain, salem_example, torus_reduce
 from torusdyn.splitting import adapted_norm, compute_splitting
 
 
@@ -202,50 +202,71 @@ def test_multistart_agreement(solver_small):
     assert z.shape == (4,)
 
 
-# -- the array segment against its per-step definition -----------------------------
+# -- the increment-state sweep against its per-step definition ---------------------
 
 
-def _per_step_nonlinear_terms(seg):
-    """One difference propagation per time step."""
-    s = seg.solver
-    out = np.empty((seg.steps,) + seg.d.shape[1:])
+def _per_step_nonlinear_terms(seg, d):
+    """g[t] = coords(F^{+-1}(x_t + delta_t) - F^{+-1}(x_t) - A^{+-1} delta_t) for
+    the difference orbit d, one difference propagation per time step."""
+    s, ch = seg.solver, seg.chain
+    out = np.empty((seg.steps,) + d.shape[1:])
     for t in range(seg.steps):
-        amb = seg.d[t] @ s.embed.T
+        amb = d[t] @ s.embed.T
+        chain = ReferenceChain(ch.inverse, tuple(a[t] for a in ch.sources), tuple(a[t] for a in ch.values))
         if seg.direction == "fwd":
-            diff = s.f.diff_apply(s.f.reference_chain(seg.refs[t]), amb)
-            lin = amb @ s.f.a_float.T
+            diff, lin = s.f.diff_apply(chain, amb), amb @ s.f.a_float.T
         else:
-            diff = s.f.diff_apply_inverse(s.f.reference_chain(seg.refs[t], inverse=True), amb)
-            lin = amb @ s.f.a_inv_float.T
+            diff, lin = s.f.diff_apply_inverse(chain, amb), amb @ s.f.a_inv_float.T
         out[t] = (diff - lin) @ s.coords.T
     return out
 
 
-def _per_step_update(seg, driven, killed):
-    """The sweep's recurrences through index arrays; returns (new d, killed t=0 values)."""
+def _recurrences(seg, g, v0):
+    """The difference orbit, shape (steps + 1, columns, n), with nonlinear terms
+    g and driven t = 0 values v0 (block -> (columns, width)), step by step."""
     s = seg.solver
-    index = np.arange(s.n)
-    g = _per_step_nonlinear_terms(seg)
-    new_d = np.zeros_like(seg.d)
+    d = np.zeros((seg.steps + 1,) + g.shape[1:])
     fwd = seg.direction == "fwd"
     blocks = s.block_matrix_fwd if fwd else s.block_matrix_bwd
     inv_blocks = s.block_matrix_bwd if fwd else s.block_matrix_fwd
-    for b, v0 in driven.items():
-        idx = index[s.block_idx[b]]
-        cur = np.array(v0, copy=True)
-        new_d[0][..., idx] = cur
+    for b in seg.driven:
+        idx = s.block_idx[b]
+        d[0][:, idx] = v0[b]
         for t in range(seg.steps):
-            cur = cur @ blocks[b].T + g[t][..., idx]
-            new_d[t + 1][..., idx] = cur
-    out = {}
-    for b in killed:
-        idx = index[s.block_idx[b]]
-        cur = np.zeros(seg.d.shape[1:-1] + (len(idx),))
+            d[t + 1][:, idx] = d[t][:, idx] @ blocks[b].T + g[t][:, idx]
+    for b in seg.killed:
+        idx = s.block_idx[b]
         for t in range(seg.steps - 1, -1, -1):
-            cur = (cur - g[t][..., idx]) @ inv_blocks[b].T
-            new_d[t][..., idx] = cur
-        out[b] = new_d[0][..., idx]
-    return new_d, out
+            d[t][:, idx] = (d[t + 1][:, idx] - g[t][:, idx]) @ inv_blocks[b].T
+    return d
+
+
+def _per_step_update(seg, d, driven):
+    """One sweep from the difference orbit d by the per-step definition;
+    returns (new d, killed t=0 values as (columns, width))."""
+    s = seg.solver
+    v0 = {b: np.broadcast_to(v, seg.batch_shape + (s.block_dim(b),)).reshape(-1, s.block_dim(b))
+          for b, v in driven.items()}
+    new_d = _recurrences(seg, _per_step_nonlinear_terms(seg, d), v0)
+    return new_d, {b: new_d[0][:, s.block_idx[b]] for b in seg.killed}
+
+
+def _segment_orbit(seg):
+    """The difference orbit a segment's state [U; v0] stands for: g[t] is the
+    sum over the shears (chain order) of the block coordinates a unit
+    increment moves, coords A e_target forward and coords e_target backward,
+    times the shear's increment at step t."""
+    s = seg.solver
+    shears = s.f.shears if seg.direction == "fwd" else s.f.shears[::-1]
+    lin = s.f.a_float if seg.direction == "fwd" else np.eye(s.n)
+    w = s.coords @ lin[:, [sh.target for sh in shears]]
+    rows = len(shears) * seg.steps
+    u = seg.state[:rows].reshape(len(shears), seg.steps, seg.state.shape[1])
+    v0 = {}
+    for b in seg.driven:
+        v0[b] = seg.state[rows:rows + s.block_dim(b)].T
+        rows += s.block_dim(b)
+    return _recurrences(seg, np.einsum("is,stc->tci", w, u), v0)
 
 
 def _adapted(solver, coords):
@@ -256,7 +277,13 @@ def _adapted(solver, coords):
 def _solver(matrix, amplitude=1e-2):
     a = IntMatrix(SALEM_CONJUGATE) if matrix == "conjugate" else IntMatrix.companion(SALEM)
     split = compute_splitting(a)
-    return LeafSolver(salem_example(amplitude, a=split.matrix), split, adapted_norm(split))
+    if matrix == "chained":  # a shear reads the coordinate an earlier one moved
+        f = chained_shears_map()
+    elif matrix == "shear_free":
+        f = PerturbedMap(split.matrix, ())
+    else:
+        f = salem_example(amplitude, a=split.matrix)
+    return LeafSolver(f, split, adapted_norm(split))
 
 
 # anchor kind -> (batch shape, whether every row shares one anchor)
@@ -269,50 +296,54 @@ ANCHORS = {
     "grid_single": ((2, 3), True),
 }
 
+# direction -> (driven, killed) of a leaf segment and of a center-leaf segment
+SPLITS = {
+    "fwd": ((("s",), ("c", "u")), (("c", "s"), ("u",))),
+    "bwd": ((("u",), ("s", "c")), (("c", "u"), ("s",))),
+}
 
-@pytest.mark.parametrize("matrix", ["salem", "conjugate"])
+
+@pytest.mark.parametrize("matrix", ["salem", "conjugate", "chained", "shear_free"])
 @pytest.mark.parametrize("direction", ["fwd", "bwd"])
 @pytest.mark.parametrize("anchor_kind", list(ANCHORS))
 def test_segment_is_exactly_the_per_step_solve(matrix, direction, anchor_kind):
-    """The block-Toeplitz sweep agrees with the per-step recurrences to 1e-12
-    in the adapted norm; on distinct anchors the nonlinear terms stay
-    bit-identical."""
+    """Sweep after sweep, with new driven values each time, the increment-state
+    sweep agrees to 1e-12 in the adapted norm with the per-step recurrences
+    run from the difference orbit its previous state stands for."""
     solver = _solver(matrix)
     rng = np.random.default_rng(13)
     shape, single = ANCHORS[anchor_kind]
     anchor = rng.uniform(-2, 2, size=4 if single else shape + (4,))
-    seg = _Segment(solver, anchor, direction, solver.horizon, shape)
-    ds, dc, du = solver.dims
-    if direction == "fwd":
-        driven, killed = {"s": rng.normal(size=shape + (ds,)) * 0.5}, ["c", "u"]
-    else:
-        driven, killed = {"u": rng.normal(size=shape + (du,)) * 0.5}, ["s", "c"]
-    for _ in range(3):  # the first sweep starts from d = 0; later ones from a nonzero d
-        new_d, out = _per_step_update(seg, driven, killed)
-        got = seg.update(driven, killed)
-        assert seg.d.shape == new_d.shape
-        assert np.max(_adapted(solver, seg.d - new_d)) <= 1e-12
-        assert got.keys() == out.keys()
-        for b in killed:
-            assert got[b].shape == out[b].shape
-            assert np.max(solver.norm.block_norm(got[b] - out[b], b), initial=0.0) <= 1e-12
-        assert np.any(seg.d != 0)
-        g, g_oracle = seg.nonlinear_terms(), _per_step_nonlinear_terms(seg)
-        if single:  # a one-row march may round (sin, gemv) apart from the per-step stack
-            assert np.max(_adapted(solver, g - g_oracle)) <= 1e-12
-        else:
-            assert np.array_equal(g, g_oracle)
+    for driven_blocks, killed in SPLITS[direction]:
+        seg = _Segment(solver, anchor, direction, solver.horizon, shape, driven_blocks, killed)
+        for _ in range(3):  # the first sweep starts from d = 0; later ones from a nonzero d
+            driven = {b: rng.normal(size=shape + (solver.block_dim(b),)) * 0.5 for b in driven_blocks}
+            new_d, out = _per_step_update(seg, _segment_orbit(seg), driven)
+            got = seg.update(driven)
+            assert np.max(_adapted(solver, _segment_orbit(seg) - new_d)) <= 1e-12
+            assert np.max(_adapted(solver, seg.d0().reshape(-1, 4) - new_d[0])) <= 1e-12
+            assert got.keys() == out.keys()
+            for b in killed:
+                assert got[b].shape == shape + (solver.block_dim(b),)
+                err = solver.norm.block_norm(got[b].reshape(out[b].shape) - out[b], b)
+                assert np.max(err) <= 1e-12
+            assert np.any(new_d[1:] != 0)
+        if matrix == "shear_free":  # no increments: d = P v0
+            assert seg.state.shape[0] == sum(solver.block_dim(b) for b in driven_blocks)
+            assert all(np.array_equal(got[b], np.zeros_like(got[b])) for b in killed)
 
 
-def _oracle_update(seg, driven, killed):
-    seg.d, out = _per_step_update(seg, driven, killed)
-    return out
+def _oracle_update(seg, driven):
+    d = getattr(seg, "oracle_d", np.zeros((seg.steps + 1, seg.state.shape[1], seg.solver.n)))
+    seg.oracle_d, out = _per_step_update(seg, d, driven)
+    return {b: v.reshape(seg.batch_shape + v.shape[-1:]) for b, v in out.items()}
 
 
-@pytest.mark.parametrize("matrix", ["salem", "conjugate"])
+@pytest.mark.parametrize("matrix", ["salem", "conjugate", "chained"])
 def test_leaf_solves_match_the_per_step_oracle(monkeypatch, matrix):
-    """Leaf points and intersections through the kernels agree to 1e-12 in
-    the adapted norm with the same solves through the per-step recurrences."""
+    """Leaf points and intersections through the sweep operators agree to
+    1e-12 in the adapted norm with the same solves through the per-step
+    recurrences."""
     rng = np.random.default_rng(17)
     base = rng.uniform(-1, 1, size=4)
     dims = _solver(matrix).param_indices
@@ -330,6 +361,7 @@ def test_leaf_solves_match_the_per_step_oracle(monkeypatch, matrix):
     solver, fast = solves()
     with monkeypatch.context() as m:
         m.setattr(_Segment, "update", _oracle_update)
+        m.setattr(_Segment, "d0", lambda seg: seg.oracle_d[0].reshape(seg.batch_shape + (seg.solver.n,)))
         _, slow = solves()
     for a, b in zip(fast, slow):
         assert a.shape == b.shape
@@ -358,17 +390,31 @@ def test_single_anchor_segment_is_read_only_and_matches_a_batch_march():
     solver = _solver("conjugate")
     rng = np.random.default_rng(5)
     anchor = rng.uniform(-2, 2, size=4)
-    seg = _Segment(solver, anchor, "bwd", solver.horizon, (9,))
-    assert not seg.refs.flags.writeable
+    blocks = ("u",), ("s", "c")
+    seg = _Segment(solver, anchor, "bwd", solver.horizon, (9,), *blocks)
+    assert not seg.chain.sources[0].flags.writeable
     with pytest.raises(ValueError):
-        seg.refs[0, 0, 0] = 0.0
-    batch = _Segment(solver, anchor, "bwd", solver.horizon, (9,))
-    batch.refs, batch.chain = batch._march(np.broadcast_to(seg.refs[0], (9, 4)).copy())
+        seg.chain.sources[0][0, 0] = 0.0
+    batch = _Segment(solver, anchor, "bwd", solver.horizon, (9,), *blocks)
+    batch.chain = batch._march(np.broadcast_to(torus_reduce(anchor), (9, 4)).copy())
     driven = {"u": rng.normal(size=(9, solver.dims[2])) * 0.5}
     for _ in range(3):
-        got, want = seg.update(driven, ["s", "c"]), batch.update(driven, ["s", "c"])
-        assert np.max(_adapted(solver, seg.d - batch.d)) <= 1e-12
+        got, want = seg.update(driven), batch.update(driven)
+        assert np.max(_adapted(solver, _segment_orbit(seg) - _segment_orbit(batch))) <= 1e-12
         assert all(np.max(solver.norm.block_norm(got[b] - want[b], b)) <= 1e-12 for b in "sc")
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_empty_batch_leaf_points(solver_small, flavor):
+    d = len(solver_small.param_indices(flavor))
+    for base in (np.zeros(4), np.zeros((0, 4))):
+        assert solver_small.leaf_points(base, flavor, np.zeros((0, d))).shape == (0, 4)
+        assert solver_small.leaf_offset(base, flavor, np.zeros((0, d))).shape == (0, 4 - d)
+
+
+@pytest.mark.parametrize("pair", [("s", "cu"), ("u", "cs")])
+def test_empty_batch_intersection(solver_small, pair):
+    assert solver_small.intersection_batch(np.zeros((0, 4)), np.zeros(4), pair).shape == (0, 4)
 
 
 def test_leaf_points_do_not_depend_on_earlier_calls():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import SALEM_CONJUGATE
+from conftest import SALEM_CONJUGATE, chained_shears_map
 from torusdyn.errors import InputError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.perturbed import TWO_PI, PerturbedMap, Shear, TrigProfile, salem_example
@@ -144,18 +144,10 @@ def _reshearing_diff_apply_inverse(f, ref, delta):
     return d
 
 
-def _chained_shears_map():
-    """Salem map whose second shear reads the coordinate the first one moved."""
-    f = salem_example(1e-2)
-    back = Shear(target=1, source=0, profile=TrigProfile(cos_coeffs=(0.1,), sin_coeffs=(0.05,)),
-                 amplitude=1e-2)
-    return PerturbedMap(f.matrix, (f.shears[0], back, f.shears[1]))
-
-
 @pytest.mark.parametrize("matrix", ["salem", "conjugate", "chained"])
 def test_reference_chain_is_exactly_the_reshearing_propagation(matrix):
     if matrix == "chained":
-        f = _chained_shears_map()
+        f = chained_shears_map()
     else:
         f = salem_example(1e-2, a=IntMatrix(SALEM_CONJUGATE) if matrix == "conjugate" else None)
     rng = np.random.default_rng(17)
