@@ -64,6 +64,8 @@ def cmd_survey(args) -> int:
         raise InputError("survey dimension must be between 2 and 10")
     if args.height < 0 or args.height > 5:
         raise InputError("survey height must be between 0 and 5")
+    if args.limit is not None and args.limit < 0:
+        raise InputError(f"--limit must be at least 0, got {args.limit}")
     entries, summary = run_survey(args.dim, args.height, limit=args.limit,
                                   reciprocal_only=args.reciprocal_only, jobs=args.jobs)
     if args.out:

@@ -55,6 +55,14 @@ def _component_factors(lam: Lattice, norm: AdaptedNorm) -> tuple[list[np.ndarray
 # keeps 1.04e7 points and peaks at 489 MB.
 LATTICE_BALL_BUDGET = 5e7
 
+# Most vertices (3 K + 1 for scale K) a lattice winding curve may have.  The
+# curve's samples and its JSON grow linearly with K, and K with the radius.
+# Measured as process peak RSS with numpy 2.4 on x86-64, for the Salem curve
+# at eps 0.2: 61 MB at radius 1e4 (250 vertices), 117 MB at radius 1e6
+# (24,553 vertices), and 278 MB at radius 4e6 (98,197 vertices, just under
+# the budget, 2.4 s, 9.3 MB of JSON).
+CURVE_VERTEX_BUDGET = 1e5
+
 
 def _libc_malloc_trim():
     try:

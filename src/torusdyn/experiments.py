@@ -68,35 +68,19 @@ def phi_bound_checks(solver: LeafSolver, kappa_floor: float, samples: int,
     dirs /= solver.norm.norm(dirs)[:, None]
     vs = dirs * (radius * rng.uniform(0.05, 1.0, size=(samples, 1)))
 
+    def stage_kappa(stages, params):
+        """Graph constant realized by the stages of one leaf walk from x."""
+        ratios = []
+        for base, pts, block, par in zip((x, *stages[:2]), stages, "csu", params):
+            offs = ((pts - base) @ solver.coords.T)[..., solver.perp_indices(block)]
+            ratios.append(solver.graph_ratio(block, par, offs))
+        return max(ratios)
+
     coords = vs @ solver.coords.T
-    vc = coords[:, solver.block_idx["c"]]
-    vsb = coords[:, solver.block_idx["s"]]
-    vub = coords[:, solver.block_idx["u"]]
-    p1 = solver.leaf_points(x, "c", vc)
-    p2 = solver.leaf_points(p1, "s", vsb)
-    p3 = solver.leaf_points(p2, "u", vub)
-
-    def stage_kappa(base, pts, block, params):
-        offs = (pts - base) @ solver.coords.T
-        perp = np.delete(offs, solver.block_idx[block], axis=-1)
-        num = np.zeros(len(pts))
-        cols = [b for b in ("s", "c", "u") if b != block]
-        off = 0
-        for b in cols:
-            d = solver.block_dim(b)
-            num += solver.norm.block_norm(perp[:, off:off + d], b)
-            off += d
-        den = solver.norm.block_norm(params, block)
-        mask = den > 1e-9
-        return float(np.max(num[mask] / den[mask])) if np.any(mask) else 0.0
-
-    kappa_used = max(
-        kappa_floor,
-        stage_kappa(np.broadcast_to(x, p1.shape), p1, "c", vc),
-        stage_kappa(p1, p2, "s", vsb),
-        stage_kappa(p2, p3, "u", vub),
-    )
-    lhs = solver.norm.norm(p3 - (x + vs))
+    params = [coords[:, solver.block_idx[b]] for b in "csu"]
+    stages = solver.leaf_walk(x, *params)
+    kappa_used = max(kappa_floor, stage_kappa(stages, params))
+    lhs = solver.norm.norm(stages[-1] - (x + vs))
     rhs = kappa_used * solver.norm.norm(vs)
     direct_ok = bool(np.all(lhs <= rhs + 1e-10))
     direct_margin = float(np.max(lhs - rhs))
@@ -111,16 +95,9 @@ def phi_bound_checks(solver: LeafSolver, kappa_floor: float, samples: int,
     )
     inv_lhs = solver.norm.norm(v_amb - (ws - x))
     # fold the stage offsets realized along the inverse peeling into kappa
-    q1 = solver.leaf_points(x, "c", pc)
-    q2 = solver.leaf_points(q1, "s", ps)
-    q3 = solver.leaf_points(q2, "u", pu)
-    kappa_used = max(
-        kappa_used,
-        stage_kappa(np.broadcast_to(x, q1.shape), q1, "c", pc),
-        stage_kappa(q1, q2, "s", ps),
-        stage_kappa(q2, q3, "u", pu),
-    )
-    if float(np.max(np.abs(q3 - ws))) > 1e-6:
+    stages = solver.leaf_walk(x, pc, ps, pu)
+    kappa_used = max(kappa_used, stage_kappa(stages, (pc, ps, pu)))
+    if float(np.max(np.abs(stages[-1] - ws))) > 1e-6:
         raise InvariantError("inverse leaf parameters failed to reproduce their targets")
     inv_rhs = kappa_used / (1 - kappa_used) * solver.norm.norm(ws - x)
     inverse_ok = bool(np.all(inv_lhs <= inv_rhs + 1e-10))
@@ -186,16 +163,21 @@ def degeneration_checks(f: PerturbedMap, solver: LeafSolver, tol: float = 1e-8,
     return checks
 
 
+# The perturbation study's fixed sample sizes: chart points per lattice vector
+# of the deviation profile, random parameters per flavor and base point of the
+# graph constant, and random su-paths of the holonomy Lipschitz probe.
+CHART_SAMPLES = 3
+KAPPA_SAMPLES = 60
+LIP_PATHS = 8
+
+
 def perturb_experiment(
     base_map: PerturbedMap,
     amplitudes: list[float],
     seed: int = 0,
     n_max: float = 100.0,
     n_count: int = 24,
-    chart_samples: int = 3,
     phi_samples: int = 1000,
-    kappa_samples: int = 60,
-    lip_paths: int = 8,
 ) -> dict:
     """Graph constants, deck-holonomy deviations, and Lipschitz fits per amplitude."""
     if not all(math.isfinite(amp) for amp in amplitudes):
@@ -223,14 +205,14 @@ def perturb_experiment(
             entry["kappa_emp"] = 0.0
             results.append(entry)
             continue
-        kap = measure_kappa(solver, radius=1.5, samples=kappa_samples, seed=seed + 1)
+        kap = measure_kappa(solver, radius=1.5, samples=KAPPA_SAMPLES, seed=seed + 1)
         entry["kappa_emp"] = kap["max"]
         entry["kappa_by_flavor"] = {k: v for k, v in kap.items() if k != "max"}
         if kap["max"] > 0.5:
             raise InvariantError("graph constant exceeds 1/2; downstream bounds are void")
 
         rng = np.random.default_rng(seed + 2)
-        charts = rng.uniform(-0.4, 0.4, size=(chart_samples, split.dims[1]))
+        charts = rng.uniform(-0.4, 0.4, size=(CHART_SAMPLES, split.dims[1]))
         n_list = sample_lattice_vectors(solver, n_max, n_count, seed=seed + 3)
         if not n_list:
             raise InputError(f"no sampled lattice vector has adapted norm <= {n_max}")
@@ -247,7 +229,7 @@ def perturb_experiment(
             "growth_exponent": growth_exponent,
         }
         probe = holonomy_lipschitz_probe(solver, leg_budget=3, length_budget=6.0,
-                                         samples=lip_paths, seed=seed + 4)
+                                         samples=LIP_PATHS, seed=seed + 4)
         fit = deck_lipschitz_fit(solver, n_list[: min(8, len(n_list))], seed=seed + 5)
         entry["holonomy_lipschitz"] = {"c_emp": probe.c_emp, "beta_emp": probe.beta_emp}
         entry["deck_lipschitz"] = fit

@@ -17,34 +17,32 @@ import numpy as np
 from .manifolds import LeafSolver
 
 
-def deck_holonomy(solver: LeafSolver, n_vec: Sequence[int], chart_x: np.ndarray,
-                  return_points: bool = False):
-    """T_n in the center chart: chart values (..., dim_c) -> (..., dim_c).
+# Lipschitz probes: pairs of chart points PROBE_STEP apart, the first drawn
+# from the cube of half-width PROBE_RADIUS; commutation defects sample the
+# cube of half-width DEFECT_RADIUS.
+PROBE_STEP = 1e-4
+PROBE_RADIUS = 0.4
+DEFECT_RADIUS = 0.5
+
+# holonomy leg flavor -> the intersection that slides a point along it
+HOLONOMY_PAIR = {"s": ("s", "cu"), "u": ("u", "cs")}
+
+
+def deck_holonomy(solver: LeafSolver, n_vec: Sequence, chart_x: np.ndarray) -> np.ndarray:
+    """T_n in the center chart, for lattice vectors n (..., n) and chart
+    values (B, dim_c); returns (..., B, dim_c).
 
     Composition: translate by n, slide along stable leaves onto W^cu(0),
     then along unstable leaves onto W^cs(0); the result lies on W^c(0).
+    Every (n, x) pair runs through one batched pipeline.
     """
     chart_x = np.atleast_2d(np.asarray(chart_x, dtype=float))
-    xhat = solver.center_point(chart_x)
-    z = xhat + np.asarray(n_vec, dtype=float)
+    n_arr = np.asarray(n_vec, dtype=float)
+    z = (solver.center_point(chart_x) + n_arr[..., None, :]).reshape(-1, solver.n)
     zero = np.zeros(solver.n)
-    q = solver.intersection_batch(z, zero, ("s", "cu"))
-    out = solver.intersection_batch(q, zero, ("u", "cs"))
-    charts = solver.center_chart(out)
-    if return_points:
-        return charts, out
-    return charts
-
-
-def holonomy_step(solver: LeafSolver, points: np.ndarray, target_base: np.ndarray,
-                  flavor: str) -> np.ndarray:
-    """Holonomy of one s- or u-leg: slide points of a center leaf along
-    flavor-leaves onto the center leaf of target_base."""
-    if flavor == "s":
-        return solver.intersection_batch(points, target_base, ("s", "cu"))
-    if flavor == "u":
-        return solver.intersection_batch(points, target_base, ("u", "cs"))
-    raise ValueError("holonomy legs are 's' or 'u'")
+    q = solver.intersection_batch(z, zero, HOLONOMY_PAIR["s"])
+    out = solver.intersection_batch(q, zero, HOLONOMY_PAIR["u"])
+    return solver.center_chart(out).reshape(n_arr.shape[:-1] + chart_x.shape)
 
 
 def commutation_defect(
@@ -53,7 +51,6 @@ def commutation_defect(
     m_vec: Sequence[int],
     sample_count: int = 12,
     seed: int = 0,
-    chart_radius: float = 0.5,
 ) -> float:
     """max over sampled chart points of |T_n(T_m(x)) - T_{n+m}(x)|.
 
@@ -62,11 +59,22 @@ def commutation_defect(
     """
     rng = np.random.default_rng(seed)
     dc = solver.dims[1]
-    xs = rng.uniform(-chart_radius, chart_radius, size=(sample_count, dc))
+    xs = rng.uniform(-DEFECT_RADIUS, DEFECT_RADIUS, size=(sample_count, dc))
     tm = deck_holonomy(solver, m_vec, xs)
     tn_tm = deck_holonomy(solver, n_vec, tm)
     tnm = deck_holonomy(solver, np.asarray(n_vec) + np.asarray(m_vec), xs)
     return float(np.max(solver.norm.block_norm(tn_tm - tnm, "c")))
+
+
+def _probe_pairs(rng: np.random.Generator, dc: int) -> np.ndarray:
+    """Three pairs of chart points PROBE_STEP apart, as rows (6, dc)."""
+    probe_list = []
+    for _ in range(3):
+        p0 = rng.uniform(-PROBE_RADIUS, PROBE_RADIUS, size=dc)
+        d = rng.standard_normal(dc)
+        d /= np.linalg.norm(d)
+        probe_list += [p0, p0 + PROBE_STEP * d]
+    return np.array(probe_list)
 
 
 @dataclass
@@ -75,19 +83,15 @@ class LipschitzProbe:
     beta_emp: float
     path_records: list[dict]
 
-    def to_json(self) -> dict:
-        return {"c_emp": self.c_emp, "beta_emp": self.beta_emp, "paths": self.path_records}
-
 
 def _path_lipschitz(solver: LeafSolver, legs: list[tuple[str, np.ndarray]],
                     probes: np.ndarray) -> float:
     """Empirical Lipschitz constant of the holonomy along the given legs."""
-    base = np.zeros(solver.n)
     pts = solver.center_point(probes)
-    cur_base = base
+    cur_base = np.zeros(solver.n)
     for flavor, param in legs:
         new_base = solver.leaf_points(cur_base, flavor, param[None, :])[0]
-        pts = holonomy_step(solver, pts, new_base, flavor)
+        pts = solver.intersection_batch(pts, new_base, HOLONOMY_PAIR[flavor])
         cur_base = new_base
     # finite differences between consecutive probe points; the chart map is
     # linear, so chart differences measure distances along the center leaf
@@ -105,7 +109,6 @@ def holonomy_lipschitz_probe(
     length_budget: float = 8.0,
     samples: int = 10,
     seed: int = 0,
-    probe_step: float = 1e-4,
 ) -> LipschitzProbe:
     """Random su-paths with at most leg_budget legs and length <= length_budget;
     fits log Lip = K log C + K beta log L over the sampled paths."""
@@ -122,15 +125,7 @@ def holonomy_lipschitz_probe(
             direction = rng.standard_normal(d)
             direction /= max(solver.param_norm(flavor, direction), 1e-12)
             legs.append((flavor, direction * lengths[i]))
-        dc = solver.dims[1]
-        probe_list = []
-        for _j in range(3):
-            p0 = rng.uniform(-0.4, 0.4, size=dc)
-            dirn = rng.standard_normal(dc)
-            dirn /= np.linalg.norm(dirn)
-            probe_list += [p0, p0 + probe_step * dirn]
-        probes = np.array(probe_list)
-        lip = _path_lipschitz(solver, legs, probes)
+        lip = _path_lipschitz(solver, legs, _probe_pairs(rng, solver.dims[1]))
         records.append({"legs": k, "length": max(total, 1.0), "lip": lip})
     # fit the exponent by least squares, then raise the constant to an
     # envelope so Lip <= C^K L^(K beta) covers every sampled path
@@ -146,25 +141,12 @@ def holonomy_lipschitz_probe(
                           path_records=records)
 
 
-def deck_lipschitz_fit(
-    solver: LeafSolver,
-    n_list: Sequence[Sequence[int]],
-    seed: int = 0,
-    probe_step: float = 1e-4,
-    chart_radius: float = 0.4,
-) -> dict:
+def deck_lipschitz_fit(solver: LeafSolver, n_list: Sequence[Sequence[int]], seed: int = 0) -> dict:
     """Fit Lip(T_n) <= C |n|^beta over the given lattice vectors."""
     rng = np.random.default_rng(seed)
-    dc = solver.dims[1]
     lips, norms = [], []
     for n_vec in n_list:
-        probe_list = []
-        for _ in range(3):
-            p0 = rng.uniform(-chart_radius, chart_radius, size=dc)
-            d = rng.standard_normal(dc)
-            d /= np.linalg.norm(d)
-            probe_list += [p0, p0 + probe_step * d]
-        probes = np.array(probe_list)
+        probes = _probe_pairs(rng, solver.dims[1])
         out = deck_holonomy(solver, n_vec, probes)
         ratio = 0.0
         for i in range(0, len(probes), 2):
@@ -191,19 +173,10 @@ def deviation_profile(
     n_list: Sequence[Sequence[int]],
     chart_points: np.ndarray,
 ) -> list[dict]:
-    """sup_x |T_n(x) - (x + n^c)| per n, with |n| in the adapted norm.
-
-    All (n, x) pairs run through one batched holonomy pipeline.
-    """
+    """sup_x |T_n(x) - (x + n^c)| per n, with |n| in the adapted norm."""
     chart_points = np.atleast_2d(chart_points)
     n_arr = np.asarray(n_list, dtype=float)
-    m, b = len(n_arr), len(chart_points)
-    xhat = solver.center_point(chart_points)
-    z = (xhat[None, :, :] + n_arr[:, None, :]).reshape(m * b, solver.n)
-    zero = np.zeros(solver.n)
-    q = solver.intersection_batch(z, zero, ("s", "cu"))
-    outp = solver.intersection_batch(q, zero, ("u", "cs"))
-    charts = solver.center_chart(outp).reshape(m, b, -1)
+    charts = deck_holonomy(solver, n_arr, chart_points)
     ncs = (n_arr @ solver.coords.T)[:, solver.block_idx["c"]]
     devs = solver.norm.block_norm(charts - (chart_points[None, :, :] + ncs[:, None, :]), "c")
     out = []

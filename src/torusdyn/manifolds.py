@@ -8,14 +8,18 @@ tangent to the leaf are driven forward from the prescribed parameters,
 and the transversal blocks are recovered by backward sums whose
 coefficients contract.  No quantity in the iteration is amplified by
 the expanding dynamics, so evaluations stay accurate far from the base
-point.  The nonlinear part of the map is a chain of S shears, so the
-iteration's state is the S shear increments per time step rather than
-the difference orbit: one precomputed product per sweep gives every
-shear's source difference, and each increment is formed directly as a
-difference of profile values, with no large-coordinate cancellation.  A
-gridded graph transform (multilinear interpolation on a regular grid)
-provides the classical fixed-point construction and the Lipschitz
-estimates.
+point.  Every solve is a list of such segments (legs) coupled through
+their t = 0 blocks: a leaf of flavor s, u, cs or cu is one leg, the
+center leaf of a point is W^cs cap W^cu of that point (two legs with the
+c block prescribed), and an intersection W^a(x) cap W^b(y) is a leg at x
+and a leg at y whose t = 0 differences are offset by x - y.  The
+nonlinear part of the map is a chain of S shears, so a leg's state is the
+S shear increments per time step rather than the difference orbit: one
+precomputed product per sweep gives every shear's source difference, and
+each increment is formed directly as a difference of profile values,
+with no large-coordinate cancellation.  A gridded graph transform
+(multilinear interpolation on a regular grid) provides the classical
+fixed-point construction and the Lipschitz estimates.
 """
 from __future__ import annotations
 
@@ -38,13 +42,24 @@ FLAVOR_BLOCKS = {
     "u": ("u",),
     "cs": ("c", "s"),
     "cu": ("c", "u"),
-    "su": ("s", "u"),
 }
 
 BLOCK_ORDER = ("s", "c", "u")
 
 # orbit direction along which a leaf's transversal blocks contract
 LEAF_DIRECTION = {"s": "fwd", "cs": "fwd", "u": "bwd", "cu": "bwd"}
+
+# Leaf solver settings: a segment is long enough that the slowest transversal
+# rate brings a unit offset below LEAF_TOL, plus HORIZON_PAD steps, and at most
+# MAX_HORIZON steps; a solve stops when no coupled block moves by more than
+# FIX_TOL in a sweep, or fails after MAX_SWEEPS sweeps; far parameters are
+# walked in adapted-norm steps of at most STEP_CAP.
+LEAF_TOL = 1e-12
+FIX_TOL = 1e-12
+HORIZON_PAD = 6
+MAX_HORIZON = 400
+MAX_SWEEPS = 400
+STEP_CAP = 1.5
 
 
 class _Segment:
@@ -140,21 +155,12 @@ class LeafSolver:
         f: PerturbedMap,
         split: Splitting,
         norm: AdaptedNorm,
-        leaf_tol: float = 1e-12,
-        fix_tol: float = 1e-12,
-        horizon_pad: int = 6,
-        max_horizon: int = 400,
-        step_cap: float = 1.5,
-        max_sweeps: int = 400,
     ):
         if f.matrix != split.matrix:
             raise InvariantError("splitting does not belong to the perturbed map")
         self.f = f
         self.split = split
         self.norm = norm
-        self.fix_tol = fix_tol
-        self.step_cap = step_cap
-        self.max_sweeps = max_sweeps
         ds, dc, du = split.dims
         self.dims = (ds, dc, du)
         n = split.n
@@ -166,7 +172,7 @@ class LeafSolver:
         )
         if not 0 < rate < 1:
             raise InvariantError("hyperbolic rates unavailable")
-        self.horizon = min(max_horizon, math.ceil(math.log(leaf_tol) / math.log(rate)) + horizon_pad)
+        self.horizon = min(MAX_HORIZON, math.ceil(math.log(LEAF_TOL) / math.log(rate)) + HORIZON_PAD)
         self.embed = split.basis
         self.coords = split.coords
         self.block_matrix_fwd = {"s": split.block_s, "c": split.block_c, "u": split.block_u}
@@ -183,46 +189,50 @@ class LeafSolver:
     def block_dim(self, b: str) -> int:
         return self.dims[BLOCK_ORDER.index(b)]
 
+    def perp_blocks(self, flavor: str) -> tuple[str, ...]:
+        """The blocks transversal to a leaf of this flavor, in block order."""
+        return tuple(b for b in BLOCK_ORDER if b not in FLAVOR_BLOCKS[flavor])
+
     def param_indices(self, flavor: str) -> np.ndarray:
         idx = np.arange(self.n)
         return np.concatenate([idx[self.block_idx[b]] for b in FLAVOR_BLOCKS[flavor]])
 
     def perp_indices(self, flavor: str) -> np.ndarray:
         idx = np.arange(self.n)
-        return np.concatenate([idx[self.block_idx[b]] for b in BLOCK_ORDER
-                               if b not in FLAVOR_BLOCKS[flavor]])
+        return np.concatenate([idx[self.block_idx[b]] for b in self.perp_blocks(flavor)])
+
+    def _block_slices(self, blocks: Sequence[str], values: np.ndarray) -> dict[str, np.ndarray]:
+        """values (..., sum of widths) cut into the given blocks, in order."""
+        out = {}
+        off = 0
+        for b in blocks:
+            d = self.block_dim(b)
+            out[b] = values[..., off:off + d]
+            off += d
+        return out
+
+    def _blocks_norm(self, blocks: Sequence[str], values: np.ndarray) -> np.ndarray:
+        """Sum of the adapted block norms of values laid out in the given blocks."""
+        values = np.asarray(values, dtype=float)
+        out = np.zeros(values.shape[:-1])
+        for b, v in self._block_slices(blocks, values).items():
+            out = out + self.norm.block_norm(v, b)
+        return out
 
     def param_norm(self, flavor: str, params: np.ndarray) -> np.ndarray:
         """Adapted norm of a leaf parameter vector (block coordinates)."""
-        params = np.asarray(params, dtype=float)
-        out = np.zeros(params.shape[:-1])
-        off = 0
-        for b in FLAVOR_BLOCKS[flavor]:
-            d = self.block_dim(b)
-            out = out + self.norm.block_norm(params[..., off:off + d], b)
-            off += d
-        return out
+        return self._blocks_norm(FLAVOR_BLOCKS[flavor], params)
 
     def perp_norm(self, flavor: str, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        out = np.zeros(values.shape[:-1])
-        off = 0
-        for b in BLOCK_ORDER:
-            if b in FLAVOR_BLOCKS[flavor]:
-                continue
-            d = self.block_dim(b)
-            out = out + self.norm.block_norm(values[..., off:off + d], b)
-            off += d
-        return out
+        return self._blocks_norm(self.perp_blocks(flavor), values)
 
-    def _split_params(self, flavor: str, params: np.ndarray) -> dict[str, np.ndarray]:
-        out = {}
-        off = 0
-        for b in FLAVOR_BLOCKS[flavor]:
-            d = self.block_dim(b)
-            out[b] = params[..., off:off + d]
-            off += d
-        return out
+    def graph_ratio(self, flavor: str, params: np.ndarray, offsets: np.ndarray) -> float:
+        """Empirical graph constant: the largest |offset| / |param| over the
+        rows whose parameter is not negligible (0 if there is none)."""
+        pn = self.param_norm(flavor, params)
+        vn = self.perp_norm(flavor, offsets)
+        mask = pn > 1e-9
+        return float(np.max(vn[mask] / pn[mask])) if np.any(mask) else 0.0
 
     def chain_shears(self, direction: str) -> tuple:
         """The shears in the order F (fwd) or F^-1 (bwd) applies them."""
@@ -306,19 +316,19 @@ class LeafSolver:
         prev = None
         best = change = math.inf
         stall = sweeps = 0
-        for it in range(self.max_sweeps):
+        for it in range(MAX_SWEEPS):
             state = sweep()
             sweeps = it + 1
             if prev is not None:
                 change = float(np.max(np.abs(state - prev), initial=0.0))
-                if change <= self.fix_tol:
+                if change <= FIX_TOL:
                     return
                 if change < best * 0.9:
                     best = change
                     stall = 0
                 else:
                     stall += 1
-                if it >= 8 and stall >= 6 and change <= 1e4 * self.fix_tol:
+                if it >= 8 and stall >= 6 and change <= 1e4 * FIX_TOL:
                     return  # noise floor
                 if it >= 12 and change > 1e3 and change > best * 1e3:
                     break
@@ -328,41 +338,42 @@ class LeafSolver:
                             f"(last change {change:.2e}, best change {best:.2e}); "
                             "the perturbation may be too large")
 
+    def _solve(self, legs: Sequence[tuple], fixed: dict[str, np.ndarray], shape: tuple[int, ...],
+               context: str, answer: int, state: Optional[dict[str, np.ndarray]] = None) -> np.ndarray:
+        """Orbit segments coupled through their t = 0 blocks.
+
+        Each leg (anchor, flavor, offset) is a segment rel anchor along which
+        the flavor's leaf is transversally contracting: it is driven by the
+        flavor's blocks and kills the others.  A driven block reads `fixed`
+        if it is there, and otherwise one state shared by all legs (zero, or
+        `state`, at the start); each leg's killed blocks, plus its offset
+        (coordinates, or None), overwrite that state, leg after leg in every
+        sweep.  Returns the point of leg `answer`: its anchor plus its d[0].
+        """
+        segs = [_Segment(self, anchor, LEAF_DIRECTION[flavor], self.horizon, shape,
+                         FLAVOR_BLOCKS[flavor], self.perp_blocks(flavor))
+                for anchor, flavor, _ in legs]
+        shared = {b: np.zeros(shape + (self.block_dim(b),)) for b in BLOCK_ORDER if b not in fixed}
+        shared.update(state or {})
+
+        def sweep():
+            moved = []
+            for seg, (_, _, offset) in zip(segs, legs):
+                out = seg.update({b: fixed[b] if b in fixed else shared[b] for b in seg.driven})
+                for b in seg.killed:
+                    shared[b] = out[b] if offset is None else out[b] + offset[..., self.block_idx[b]]
+                    moved.append(shared[b])
+            return np.concatenate(moved, axis=-1)
+
+        self._run_fixed_point(sweep, context)
+        return legs[answer][0] + segs[answer].d0() @ self.embed.T
+
     def _leaf_step(self, bases: np.ndarray, flavor: str, params: np.ndarray) -> np.ndarray:
-        """Points on W^flavor(base) at the given (small) parameters."""
-        shape = params.shape[:-1]
-        driven = self._split_params(flavor, params)
-        if flavor in LEAF_DIRECTION:
-            killed = [b for b in BLOCK_ORDER if b not in FLAVOR_BLOCKS[flavor]]
-            seg = _Segment(self, bases, LEAF_DIRECTION[flavor], self.horizon, shape,
-                           FLAVOR_BLOCKS[flavor], killed)
-
-            def sweep():
-                out = seg.update(driven)
-                return np.concatenate([out[b] for b in killed], axis=-1)
-
-            self._run_fixed_point(sweep, f"leaf solve ({flavor})")
-            return bases + seg.d0() @ self.embed.T
-        if flavor == "c":
-            segf = _Segment(self, bases, "fwd", self.horizon, shape, ("c", "s"), ("u",))
-            segb = _Segment(self, bases, "bwd", self.horizon, shape, ("c", "u"), ("s",))
-            ds, _, du = self.dims
-            state = {"s": np.zeros(shape + (ds,)), "u": np.zeros(shape + (du,))}
-
-            def sweep():
-                outf = segf.update({"c": driven["c"], "s": state["s"]})
-                state["u"] = outf["u"]
-                outb = segb.update({"c": driven["c"], "u": state["u"]})
-                state["s"] = outb["s"]
-                return np.concatenate([state["s"], state["u"]], axis=-1)
-
-            self._run_fixed_point(sweep, "leaf solve (c)")
-            d0 = np.zeros(shape + (self.n,))
-            d0[..., self.block_idx["c"]] = driven["c"]
-            d0[..., self.block_idx["s"]] = state["s"]
-            d0[..., self.block_idx["u"]] = state["u"]
-            return bases + d0 @ self.embed.T
-        raise ValueError(f"no leaf of flavor {flavor!r}")
+        """Points on W^flavor(base) at the given (small) parameters; the
+        center leaf is W^cs(base) cap W^cu(base) with its c block fixed."""
+        legs = [(bases, "cs", None), (bases, "cu", None)] if flavor == "c" else [(bases, flavor, None)]
+        return self._solve(legs, self._block_slices(FLAVOR_BLOCKS[flavor], params), params.shape[:-1],
+                           f"leaf solve ({flavor})", answer=-1)
 
     # -- leaf points ------------------------------------------------------------------
 
@@ -371,7 +382,7 @@ class LeafSolver:
 
         base: (n,), or one row per parameter row; params: (..., d_flavor).
         Far parameters are reached by walking the leaf in adapted-norm steps
-        of at most ``step_cap``; the walked parameter is additive because
+        of at most STEP_CAP; the walked parameter is additive because
         graph offsets are orthogonal to the parameter block.
         """
         base = np.asarray(base, dtype=float)
@@ -381,7 +392,7 @@ class LeafSolver:
         if len(self.perp_indices(flavor)) == 0:
             return bases + params @ self.embed[:, self.param_indices(flavor)].T
         norms = self.param_norm(flavor, params)
-        steps = max(1, int(np.ceil(np.max(norms) / self.step_cap))) if norms.size else 1
+        steps = max(1, int(np.ceil(np.max(norms) / STEP_CAP))) if norms.size else 1
         inc = params / steps
         cur = bases
         for _ in range(steps):
@@ -396,44 +407,19 @@ class LeafSolver:
 
     # -- unique intersections ------------------------------------------------------------
 
-    def _intersect_core(
-        self,
-        xs: np.ndarray,
-        y: np.ndarray,
-        pair: tuple[str, str],
-        init: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Batched W^a(x_i) cap W^b(y); xs has shape (B, n), y is one point.
-
-        z in W^a(x): the segment rel x along which W^a is transversally
-        contracting is driven by block a and kills the other two blocks;
-        z in W^b(y): the segment rel y is driven by those two and kills a.
-        """
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        y = np.asarray(y, dtype=float)
-        shape = xs.shape[:-1]
-        shift = (xs - y) @ self.coords.T  # coords of x - y, per row
-        drive = pair[0]
-        kill_x = [b for b in BLOCK_ORDER if b != drive]
-        seg_x = _Segment(self, xs, LEAF_DIRECTION[drive], self.horizon, shape, (drive,), kill_x)
-        seg_y = _Segment(self, y, LEAF_DIRECTION[pair[1]], self.horizon, shape, kill_x, (drive,))
-        state = np.zeros(shape + (self.block_dim(drive),)) if init is None else np.array(init, copy=True)
-
-        def sweep():
-            out_x = seg_x.update({drive: state})
-            driven_y = {b: out_x[b] + shift[..., self.block_idx[b]] for b in kill_x}
-            out_y = seg_y.update(driven_y)
-            state[...] = out_y[drive] - shift[..., self.block_idx[drive]]
-            return np.concatenate([state] + [driven_y[b] for b in kill_x], axis=-1)
-
-        self._run_fixed_point(sweep, f"intersection {pair}")
-        return xs + seg_x.d0() @ self.embed.T
-
     def intersection_batch(self, xs: np.ndarray, y: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
-        """Batched unique intersections W^a(x_i) cap W^b(y)."""
+        """Batched unique intersections W^a(x_i) cap W^b(y); xs is (B, n), y one point.
+
+        The leg rel x is the a leaf's and the leg rel y the b leaf's; they
+        share the t = 0 difference, shifted by the coordinates of x - y.
+        """
         if pair not in (("s", "cu"), ("u", "cs")):
             raise ValueError("intersection pair must be (s, cu) or (u, cs)")
-        return self._intersect_core(xs, y, pair)
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        y = np.asarray(y, dtype=float)
+        shift = (xs - y) @ self.coords.T
+        legs = [(xs, pair[0], shift), (y, pair[1], -shift)]
+        return self._solve(legs, {}, xs.shape[:-1], f"intersection {pair}", answer=0)
 
     # -- center chart and leaf-parameter coordinates ------------------------------------------
 
@@ -446,17 +432,19 @@ class LeafSolver:
         chart = np.asarray(chart, dtype=float)
         return self.leaf_points(np.zeros(self.n), "c", chart)
 
+    def leaf_walk(self, x: np.ndarray, vc: np.ndarray, vs: np.ndarray,
+                  vu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stage points of the walk from x along its center leaf by vc,
+        then the stable leaf by vs, then the unstable leaf by vu."""
+        p1 = self.leaf_points(x, "c", vc)
+        p2 = self.leaf_points(p1, "s", vs)
+        return p1, p2, self.leaf_points(p2, "u", vu)
+
     def from_leaf_params(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Phi_x(v): walk center, then stable, then unstable by the blocks of v."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        vcoords = v @ self.coords.T
-        vc = vcoords[..., self.block_idx["c"]]
-        vs = vcoords[..., self.block_idx["s"]]
-        vu = vcoords[..., self.block_idx["u"]]
-        p = self.leaf_points(x, "c", vc)
-        p = self.leaf_points(p, "s", vs)
-        return self.leaf_points(p, "u", vu)
+        vcoords = np.asarray(v, dtype=float) @ self.coords.T
+        return self.leaf_walk(np.asarray(x, dtype=float),
+                              *(vcoords[..., self.block_idx[b]] for b in "csu"))[-1]
 
     def to_leaf_params_batch(self, x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched Phi_x^{-1} over rows of ys."""
@@ -525,17 +513,19 @@ def _grid_nodes(axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+# The graph transform's grid covers the adapted ball of radius rho times
+# GRAPH_MARGIN, and its depth is doubled at most GRAPH_RETRIES times.
+GRAPH_MARGIN = 1.25
+GRAPH_RETRIES = 3
+
+
 def graph_transform(
-    f_or_solver,
+    solver: LeafSolver,
     flavor: str,
     x: np.ndarray,
     rho: float = 2.0,
     tol: float = 1e-9,
     grid_step: float = 1.0 / 32.0,
-    margin: float = 1.25,
-    max_retries: int = 3,
-    split: Optional[Splitting] = None,
-    norm: Optional[AdaptedNorm] = None,
 ) -> GraphPatch:
     """Invariant-manifold graph over the flavor block, by the graph transform.
 
@@ -544,11 +534,10 @@ def graph_transform(
     of x until the depth guarantees a fixed-point error below tol; the
     center patch is the fixed point of the cs/cu graph intersection.  The
     invariance residual is verified on a node sample; if it exceeds 10*tol
-    the depth is doubled, and after max_retries the budget error is raised.
+    the depth is doubled, and after GRAPH_RETRIES the budget error is raised.
     """
-    solver = _as_solver(f_or_solver, split, norm)
     if flavor == "c":
-        return _center_patch(solver, x, rho, tol, grid_step, margin)
+        return _center_patch(solver, x, rho, tol, grid_step)
     if flavor not in ("s", "u", "cs", "cu"):
         raise ValueError(f"graph transform flavors are s, u, c, cs, cu; got {flavor!r}")
 
@@ -559,8 +548,8 @@ def graph_transform(
 
     resid = math.inf
     threshold = 10 * tol
-    for _attempt in range(max_retries + 1):
-        patch = _transform_patch(solver, flavor, np.asarray(x, dtype=float), rho, grid_step, margin, depth)
+    for _attempt in range(GRAPH_RETRIES + 1):
+        patch = _transform_patch(solver, flavor, np.asarray(x, dtype=float), rho, grid_step, depth)
         resid = _invariance_residual(solver, patch, sample=64, seed=11)
         # a multilinear grid cannot represent the leaf better than its own
         # curvature allows; the floor is measured from second differences
@@ -572,14 +561,6 @@ def graph_transform(
         f"graph transform iteration budget exceeded (residual {resid:.2e} "
         f"> {threshold:.2e} at depth {depth // 2})"
     )
-
-
-def _as_solver(f_or_solver, split, norm) -> LeafSolver:
-    if isinstance(f_or_solver, LeafSolver):
-        return f_or_solver
-    if split is None or norm is None:
-        raise ValueError("pass a LeafSolver, or a PerturbedMap with split= and norm=")
-    return LeafSolver(f_or_solver, split, norm)
 
 
 def _transversal_rate(solver: LeafSolver, flavor: str) -> float:
@@ -598,14 +579,14 @@ def _cube_half_width(solver: LeafSolver, flavor: str, rho: float) -> float:
     return rho * scale
 
 
-def _transform_patch(solver, flavor, x, rho, grid_step, margin, depth) -> GraphPatch:
+def _transform_patch(solver, flavor, x, rho, grid_step, depth) -> GraphPatch:
     from scipy.interpolate import RegularGridInterpolator
 
     p_idx = solver.param_indices(flavor)
     q_idx = solver.perp_indices(flavor)
     e_p = solver.embed[:, p_idx]
     e_q = solver.embed[:, q_idx]
-    half = _cube_half_width(solver, flavor, rho) * margin
+    half = _cube_half_width(solver, flavor, rho) * GRAPH_MARGIN
     axes = _grid_axes(half, grid_step, len(p_idx))
     nodes = _grid_nodes(axes)
     grid_shape = tuple(len(a) for a in axes)
@@ -648,7 +629,7 @@ def _transform_patch(solver, flavor, x, rho, grid_step, margin, depth) -> GraphP
     if np.max(np.abs(values[center])) > 1e-7:
         raise NumericsError("graph transform origin offset did not vanish")
     values[center] = 0.0
-    kappa = _kappa_from_grid(solver, flavor, nodes, values.reshape(-1, len(q_idx)))
+    kappa = solver.graph_ratio(flavor, nodes, values.reshape(-1, len(q_idx)))
     return GraphPatch(
         flavor=flavor,
         base=np.asarray(x, dtype=float),
@@ -672,19 +653,12 @@ def interpolation_floor(patch: GraphPatch) -> float:
     return total
 
 
-def _kappa_from_grid(solver, flavor, nodes, values) -> float:
-    pn = solver.param_norm(flavor, nodes)
-    vn = solver.perp_norm(flavor, values)
-    mask = pn > 1e-9
-    return float(np.max(vn[mask] / pn[mask])) if np.any(mask) else 0.0
-
-
-def _center_patch(solver, x, rho, tol, grid_step, margin) -> GraphPatch:
+def _center_patch(solver, x, rho, tol, grid_step) -> GraphPatch:
     """Center patch as the fixed point of the cs/cu graph intersection."""
-    cs = graph_transform(solver, "cs", x, rho + 1.0, tol, grid_step, margin)
-    cu = graph_transform(solver, "cu", x, rho + 1.0, tol, grid_step, margin)
+    cs = graph_transform(solver, "cs", x, rho + 1.0, tol, grid_step)
+    cu = graph_transform(solver, "cu", x, rho + 1.0, tol, grid_step)
     ds, dc, du = solver.dims
-    half = _cube_half_width(solver, "c", rho) * margin
+    half = _cube_half_width(solver, "c", rho) * GRAPH_MARGIN
     axes = _grid_axes(half, grid_step, dc)
     nodes = _grid_nodes(axes)
     grid_shape = tuple(len(a) for a in axes)
@@ -703,7 +677,7 @@ def _center_patch(solver, x, rho, tol, grid_step, margin) -> GraphPatch:
     values = np.concatenate([ps, pu], axis=1).reshape(grid_shape + (ds + du,))
     center = tuple(len(a) // 2 for a in axes)
     values[center] = 0.0
-    kappa = _kappa_from_grid(solver, "c", nodes, values.reshape(-1, ds + du))
+    kappa = solver.graph_ratio("c", nodes, values.reshape(-1, ds + du))
     return GraphPatch(
         flavor="c",
         base=np.asarray(x, dtype=float),
@@ -733,20 +707,13 @@ def _invariance_residual(solver: LeafSolver, patch: GraphPatch, sample: int, see
     return float(np.max(np.abs(on_leaf - img)))
 
 
-def measure_kappa(
-    solver: LeafSolver,
-    radius: float,
-    samples: int = 160,
-    seed: int = 5,
-    bases: Optional[np.ndarray] = None,
-    flavors: Sequence[str] = ("s", "u", "c", "cs", "cu"),
-) -> dict:
-    """Empirical Lipschitz constant sup |g(v)| / |v| per flavor (and overall)."""
+def measure_kappa(solver: LeafSolver, radius: float, samples: int = 160, seed: int = 5) -> dict:
+    """Empirical Lipschitz constant sup |g(v)| / |v| per flavor (and overall),
+    at the origin and three random base points."""
     rng = np.random.default_rng(seed)
-    if bases is None:
-        bases = np.vstack([np.zeros(solver.n), rng.uniform(0, 1, size=(3, solver.n))])
+    bases = np.vstack([np.zeros(solver.n), rng.uniform(0, 1, size=(3, solver.n))])
     out = {}
-    for flavor in flavors:
+    for flavor in ("s", "u", "c", "cs", "cu"):
         d = len(solver.param_indices(flavor))
         if d == 0 or len(solver.perp_indices(flavor)) == 0:
             out[flavor] = 0.0
@@ -757,9 +724,7 @@ def measure_kappa(
             scale = rng.uniform(0.05, 1.0, size=(samples, 1)) * radius
             pn = solver.param_norm(flavor, params)[:, None]
             params = params / np.maximum(pn, 1e-12) * scale
-            offs = solver.leaf_offset(b, flavor, params)
-            vn = solver.perp_norm(flavor, offs)
-            worst = max(worst, float(np.max(vn / solver.param_norm(flavor, params))))
+            worst = max(worst, solver.graph_ratio(flavor, params, solver.leaf_offset(b, flavor, params)))
         out[flavor] = worst
-    out["max"] = max(v for k, v in out.items() if k != "max") if out else 0.0
+    out["max"] = max(out.values())
     return out

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diophantine import lattice_ball
+from .diophantine import CURVE_VERTEX_BUDGET, lattice_ball
 from .errors import BudgetError, InputError, InvariantError, NumericsError
 from .lattice import Lattice
 from .manifolds import LeafSolver
@@ -25,13 +25,12 @@ from .winding import winding_number
 # -- coverage of balls by leaf coordinates --------------------------------------
 
 
-def _sample_adapted_ball(solver: LeafSolver, radius: float, count: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Points of the adapted-norm ball of the full space (ambient vectors)."""
-    n = solver.n
-    d = rng.standard_normal((count, n))
-    norms = solver.norm.norm(d)
-    scale = radius * rng.uniform(0, 1, size=count) ** (1.0 / n)
+def _ball_params(rng, count, dim, radius, block_norm) -> np.ndarray:
+    """count points of the radius ball of the norm block_norm on R^dim:
+    Gaussian directions scaled to norm radius * U^(1/dim)."""
+    d = rng.standard_normal((count, dim))
+    norms = np.maximum(block_norm(d), 1e-12)
+    scale = radius * rng.uniform(0, 1, size=count) ** (1.0 / dim)
     return d * (scale / norms)[:, None]
 
 
@@ -63,9 +62,11 @@ def coverage_check(solver: LeafSolver, x: np.ndarray, r: float,
     Requires the graph constants below 1/2 to be meaningful; failures are
     counted, and the worst parameter excess over r is reported.
     """
+    if sample_count < 1:
+        raise InputError(f"coverage needs at least one sample, got {sample_count}")
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
-    ys = x + _sample_adapted_ball(solver, r / 2, sample_count, rng)
+    ys = x + _ball_params(rng, sample_count, solver.n, r / 2, solver.norm.norm)
     if form == "csu":
         vc, vs, vu = solver.to_leaf_params_batch(x, ys)
     elif form == "su+c":
@@ -93,8 +94,11 @@ def coverage_check(solver: LeafSolver, x: np.ndarray, r: float,
     )
 
 
-def su_sheet_params(solver: LeafSolver, x: np.ndarray, ys: np.ndarray,
-                    tol: float = 1e-11, max_iter: int = 200):
+# fixed-point iterations allowed to the su-sheet parameters
+SU_SHEET_ITERATIONS = 200
+
+
+def su_sheet_params(solver: LeafSolver, x: np.ndarray, ys: np.ndarray, tol: float = 1e-11):
     """Parameters (vs, vu, vc) with y = sigma^u(vu, sigma^s(vs, x)) + vc-embedded.
 
     Batched over rows of ys.  The su-sheet is transversal to the center
@@ -107,7 +111,7 @@ def su_sheet_params(solver: LeafSolver, x: np.ndarray, ys: np.ndarray,
     m = len(ys)
     vs = np.zeros((m, ds))
     vu = np.zeros((m, du))
-    for _ in range(max_iter):
+    for _ in range(SU_SHEET_ITERATIONS):
         mid = solver.leaf_points(x, "s", vs)
         p = solver.leaf_points(mid, "u", vu)
         diff = (ys - p) @ solver.coords.T
@@ -140,28 +144,6 @@ class SaturationSet:
     stage_radii: tuple[float, float, float, float]
     seed: int
 
-    def to_json(self) -> dict:
-        return {
-            "x": [float(v) for v in self.x],
-            "eps": self.eps,
-            "L": self.big_l,
-            "count": int(len(self.points)),
-            "stage_dims": list(self.stage_dims),
-            "stage_radii": list(self.stage_radii),
-            "seed": self.seed,
-        }
-
-    def csv_rows(self):
-        for p, t in zip(self.points, self.trails):
-            yield [*map(float, p), *map(float, t)]
-
-
-def _ball_params(rng, count, dim, radius, block_norm) -> np.ndarray:
-    d = rng.standard_normal((count, dim))
-    norms = np.maximum(block_norm(d), 1e-12)
-    scale = radius * rng.uniform(0, 1, size=count) ** (1.0 / dim)
-    return d * (scale / norms)[:, None]
-
 
 def build_saturation_set(
     solver: LeafSolver,
@@ -180,41 +162,24 @@ def build_saturation_set(
     big_l = eps ** -2
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
-    ds, dc, du = solver.dims
-    n1, n2, n3, n4 = samples_per_stage
-
-    c_par = _ball_params(rng, n1, dc, eps, lambda v: solver.norm.block_norm(v, "c"))
-    stage1 = solver.leaf_points(x, "c", c_par)
-
-    s1_par = _ball_params(rng, n1 * n2, ds, big_l, lambda v: solver.norm.block_norm(v, "s"))
-    bases2 = np.repeat(stage1, n2, axis=0)
-    stage2 = solver.leaf_points(bases2, "s", s1_par)
-
-    u_par = _ball_params(rng, n1 * n2 * n3, du, big_l + eps, lambda v: solver.norm.block_norm(v, "u"))
-    bases3 = np.repeat(stage2, n3, axis=0)
-    stage3 = solver.leaf_points(bases3, "u", u_par)
-
-    s2_par = _ball_params(rng, n1 * n2 * n3 * n4, ds, eps, lambda v: solver.norm.block_norm(v, "s"))
-    bases4 = np.repeat(stage3, n4, axis=0)
-    stage4 = solver.leaf_points(bases4, "s", s2_par)
-
-    trails = np.concatenate(
-        [
-            np.repeat(c_par, n2 * n3 * n4, axis=0),
-            np.repeat(s1_par, n3 * n4, axis=0),
-            np.repeat(u_par, n4, axis=0),
-            s2_par,
-        ],
-        axis=1,
-    )
+    stages = (("c", eps), ("s", big_l), ("u", big_l + eps), ("s", eps))
+    pts, pars = x[None, :], []
+    for (block, radius), count in zip(stages, samples_per_stage):
+        par = _ball_params(rng, len(pts) * count, solver.block_dim(block), radius,
+                           lambda v, b=block: solver.norm.block_norm(v, b))
+        pts = solver.leaf_points(np.repeat(pts, count, axis=0), block, par)
+        pars.append(par)
+    # a stage's parameters repeat over the points each of its points spawned
+    trails = np.concatenate([np.repeat(par, math.prod(samples_per_stage[i + 1:]), axis=0)
+                             for i, par in enumerate(pars)], axis=1)
     return SaturationSet(
         x=x,
         eps=eps,
         big_l=big_l,
-        points=stage4,
+        points=pts,
         trails=trails,
-        stage_dims=(dc, ds, du, ds),
-        stage_radii=(eps, big_l, big_l + eps, eps),
+        stage_dims=tuple(solver.block_dim(b) for b, _ in stages),
+        stage_radii=tuple(r for _, r in stages),
         seed=seed,
     )
 
@@ -341,6 +306,10 @@ def covering_radius_bound(gamma: Lattice, norm: AdaptedNorm) -> float:
     return 0.5 * float(np.sum(norm.norm(b)))
 
 
+# hull or cone failures after which the winding curve construction gives up
+CURVE_RETRIES = 5
+
+
 def winding_curve(
     x: np.ndarray,
     y: np.ndarray,
@@ -349,8 +318,6 @@ def winding_curve(
     radius: float,
     split: Splitting,
     norm: AdaptedNorm,
-    max_retries: int = 5,
-    samples_per_segment: int = 8,
 ) -> PLCurve:
     """Closed lattice triangle curve winding once around the su-subspace at y.
 
@@ -359,10 +326,13 @@ def winding_curve(
     lattice), snapped to lattice points, scaled by the smallest K meeting
     the hull, cone and radius requirements.  All four defining properties
     are verified before returning; if the snap breaks hull containment the
-    circumradius is doubled (up to max_retries).
+    circumradius is doubled (up to CURVE_RETRIES times).  A K that would give
+    the curve more than CURVE_VERTEX_BUDGET vertices raises the budget error.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise InputError(f"eps must be a positive finite number, got {eps}")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise InputError(f"radius must be a finite number >= 0, got {radius}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if gamma.rank < 2:
@@ -373,12 +343,20 @@ def winding_curve(
     if ns + nu > 1e-6 * max(1.0, nc):
         raise InputError("y must lie in the center plane of x")
     y_dist = float(ns + nc + nu)
+    k1 = y_dist * eps / (2 * d_gamma)
+    k2 = y_dist / d_gamma
+    k3 = (radius + y_dist) * eps / (2 * d_gamma)
+    k = max(k1, k2, k3, 1.0)
+    k = math.ceil(k) + 1 if k < CURVE_VERTEX_BUDGET else math.inf  # ceil fails on an overflowed k
+    if 3 * k + 1 > CURVE_VERTEX_BUDGET:  # the curve's vertex count
+        raise BudgetError(f"a winding curve at radius {radius:g} would have over "
+                          f"{CURVE_VERTEX_BUDGET:.0e} vertices")
 
     basis = np.array(gamma.basis, dtype=float)
     _, basis_c, _ = split.components(basis)
 
     circum = 6 * d_gamma / eps
-    for _attempt in range(max_retries):
+    for _attempt in range(CURVE_RETRIES):
         # equilateral triangle in center coordinates
         angles = np.array([0.5, 0.5 + 2.0 / 3.0, 0.5 + 4.0 / 3.0]) * np.pi
         zc = circum * np.column_stack([np.cos(angles), np.sin(angles)])
@@ -394,10 +372,6 @@ def winding_curve(
         if not _triangle_contains_disk(vc, 2 * d_gamma / eps):
             circum *= 2
             continue
-        k1 = y_dist * eps / (2 * d_gamma)
-        k2 = y_dist / d_gamma
-        k3 = (radius + y_dist) * eps / (2 * d_gamma)
-        k = int(math.ceil(max(k1, k2, k3, 1.0))) + 1
         gens = (
             tuple(int(t) for t in v_amb[1] - v_amb[0]),
             tuple(int(t) for t in v_amb[2] - v_amb[1]),
@@ -417,7 +391,7 @@ def winding_curve(
             generator_index=tuple(gen_idx),
             scale_k=k,
         )
-        pts = curve.sample(samples_per_segment)
+        pts = curve.sample()
         rel_pts = pts - y
         nss, ncc, nuu = norm.component_norms(rel_pts)
         dist = nss + ncc + nuu

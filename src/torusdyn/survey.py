@@ -20,20 +20,12 @@ from .zfactor import factor_z_many
 def enumerate_polynomials(dim: int, height: int, reciprocal_only: bool = False,
                           limit: Optional[int] = None) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(index, ascending coefficients) for monic degree-dim polynomials with
-    constant term +-1 and |middle coefficients| <= height."""
-    count = 0
-    index = 0
+    constant term +-1 and |middle coefficients| <= height; the first `limit`
+    of them when a limit is given."""
     span = range(-height, height + 1)
-    for a0 in (1, -1):
-        for mid in itertools.product(span, repeat=dim - 1):
-            coeffs = (a0, *mid, 1)
-            index += 1
-            if reciprocal_only and coeffs != tuple(reversed(coeffs)):
-                continue
-            yield index - 1, coeffs
-            count += 1
-            if limit is not None and count >= limit:
-                return
+    box = ((a0, *mid, 1) for a0 in (1, -1) for mid in itertools.product(span, repeat=dim - 1))
+    items = ((i, c) for i, c in enumerate(box) if not reciprocal_only or c == c[::-1])
+    return itertools.islice(items, limit)
 
 
 def companion_minus_identity_snf(p: IntPoly) -> list[int]:

@@ -214,6 +214,14 @@ def test_survey_limit(files, capsys):
     assert len((t / "lim.jsonl").read_text().splitlines()) == 7
 
 
+def test_survey_limit_zero_gives_an_empty_catalog(files, capsys):
+    t = files["tmp"]
+    assert main(["survey", "--dim", "4", "--height", "1", "--limit", "0",
+                 "--out", str(t / "lim.jsonl"), "--summary", str(t / "limsum.json")]) == 0
+    assert (t / "lim.jsonl").read_text() == ""
+    assert json.loads((t / "limsum.json").read_text())["total"] == 0
+
+
 @pytest.mark.parametrize("dim, height, extra, total", [
     (5, 2, ["--limit", "257"], 257),
     (5, 2, ["--limit", "513"], 513),
@@ -305,6 +313,12 @@ MALFORMED = [
     (["curve", "{salem}", "--eps", "-0.2"], 1),
     (["curve", "{salem}", "--eps", "nan"], 1),
     (["curve", "{salem}", "--eps", "inf"], 1),
+    (["curve", "{salem}", "--radius", "inf"], 1),
+    (["curve", "{salem}", "--radius", "nan"], 1),
+    (["curve", "{salem}", "--radius=-1"], 1),
+    (["curve", "{salem}", "--radius", "1e300"], 4),
+    (["curve", "{salem}", "--radius", "1e7"], 4),
+    (["survey", "--dim", "4", "--height", "1", "--limit=-1"], 1),
     (["analyze", "{bool_matrix}"], 1),
     (["analyze", "{false_matrix}"], 1),
     (["analyze", "{flat_rows}"], 1),
@@ -352,11 +366,9 @@ def test_python_dash_m_help():
 
 
 def test_unconverged_leaf_solve_exits_3_with_one_line(files, capsys, monkeypatch):
-    import functools
+    from torusdyn import manifolds
 
-    from torusdyn import experiments
-
-    monkeypatch.setattr(experiments, "LeafSolver", functools.partial(experiments.LeafSolver, max_sweeps=2))
+    monkeypatch.setattr(manifolds, "MAX_SWEEPS", 2)
     out_path = files["tmp"] / "unconverged.json"
     assert main(["perturb", files["map"], "--eps", "0.01", "--out", str(out_path)]) == 3
     err = capsys.readouterr().err

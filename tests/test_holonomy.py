@@ -29,9 +29,28 @@ def test_linear_commutation_defect_zero(solver_linear):
 def test_chart_consistency(solver_small):
     n = np.array([2, -1, 0, 1])
     xs = np.array([[0.15, -0.1]])
-    charts, pts = deck_holonomy(solver_small, n, xs, return_points=True)
+    charts = deck_holonomy(solver_small, n, xs)
+    # the holonomy's own composition: translate, then slide along s and u leaves
+    zero = np.zeros(4)
+    q = solver_small.intersection_batch(solver_small.center_point(xs) + n, zero, ("s", "cu"))
+    pts = solver_small.intersection_batch(q, zero, ("u", "cs"))
+    assert np.array_equal(solver_small.center_chart(pts), charts)
     back = solver_small.center_point(charts)
     assert np.max(np.abs(back - pts)) <= 1e-8
+
+
+def test_deck_holonomy_on_a_stack_matches_each_vector(solver_small):
+    """A (2, 3, n) stack of lattice vectors gives, per vector, the chart
+    values of its own call, to 1e-12 in the adapted norm."""
+    rng = np.random.default_rng(8)
+    stack = rng.integers(-6, 7, size=(2, 3, 4))
+    xs = rng.uniform(-0.4, 0.4, size=(5, 2))
+    got = deck_holonomy(solver_small, stack, xs)
+    assert got.shape == (2, 3, 5, 2)
+    for i in np.ndindex(2, 3):
+        one = deck_holonomy(solver_small, stack[i], xs)
+        assert one.shape == (5, 2)
+        assert np.max(solver_small.norm.block_norm(got[i] - one, "c")) <= 1e-12
 
 
 def test_perturbed_deviation_small_and_bounded(solver_small):

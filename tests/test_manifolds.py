@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import SALEM, SALEM_CONJUGATE, chained_shears_map
+from torusdyn import manifolds
 from torusdyn.errors import NumericsError
 from torusdyn.intmatrix import IntMatrix
-from torusdyn.manifolds import LeafSolver, _Segment, graph_transform, interpolation_floor, measure_kappa
+from torusdyn.manifolds import (
+    FLAVOR_BLOCKS,
+    LEAF_DIRECTION,
+    LeafSolver,
+    _Segment,
+    graph_transform,
+    interpolation_floor,
+    measure_kappa,
+)
 from torusdyn.perturbed import PerturbedMap, ReferenceChain, salem_example, torus_reduce
 from torusdyn.splitting import adapted_norm, compute_splitting
 
@@ -20,7 +29,10 @@ def multistart_intersection(solver, x, y, pair, starts, seed=0, start_scale=0.5,
     init = np.zeros((starts, d_drive))
     init[1:] = start_scale * np.random.default_rng(seed).standard_normal((starts - 1, d_drive))
     xs = np.broadcast_to(np.asarray(x, dtype=float), (starts, solver.n))
-    z = solver._intersect_core(xs, y, pair, init=init)
+    shift = (xs - y) @ solver.coords.T
+    # the legs of intersection_batch, with the x leg's driven block started at init
+    z = solver._solve([(xs, pair[0], shift), (y, pair[1], -shift)], {}, (starts,),
+                      f"intersection {pair}", answer=0, state={pair[0]: init})
     assert np.max(np.abs(z - z[0])) <= agreement_tol
     return z[0]
 
@@ -359,6 +371,12 @@ def test_leaf_solves_match_the_per_step_oracle(monkeypatch, matrix):
         return solver, out
 
     solver, fast = solves()
+    # legs of every kind ran: driven by fixed parameters (leaves), by the shared
+    # state (intersections, from zero and from given starts) or by both (the
+    # center leaf), with and without offsets, and each on one of the four
+    # leaf segments
+    assert {key[:3] for key in solver._sweeps} == {
+        (LEAF_DIRECTION[fl], FLAVOR_BLOCKS[fl], solver.perp_blocks(fl)) for fl in LEAF_DIRECTION}
     with monkeypatch.context() as m:
         m.setattr(_Segment, "update", _oracle_update)
         m.setattr(_Segment, "d0", lambda seg: seg.oracle_d[0].reshape(seg.batch_shape + (seg.solver.n,)))
@@ -430,8 +448,9 @@ def test_leaf_points_do_not_depend_on_earlier_calls():
     assert all(np.array_equal(ab[i], ba[i]) for i in (0, 1))
 
 
-def test_unconverged_solve_names_sweeps_and_horizon(salem_split, salem_norm):
-    solver = LeafSolver(salem_example(1e-2), salem_split, salem_norm, max_sweeps=2)
+def test_unconverged_solve_names_sweeps_and_horizon(monkeypatch, salem_split, salem_norm):
+    monkeypatch.setattr(manifolds, "MAX_SWEEPS", 2)
+    solver = LeafSolver(salem_example(1e-2), salem_split, salem_norm)
     with pytest.raises(NumericsError) as exc:
         solver.leaf_points(np.zeros(4), "s", np.ones((3, 1)))
     msg = str(exc.value)

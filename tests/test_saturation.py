@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from torusdyn.diophantine import lattice_ball
-from torusdyn.errors import BudgetError
+from torusdyn.errors import BudgetError, InputError
 from torusdyn.manifolds import LeafSolver
 from torusdyn.perturbed import salem_example
 from torusdyn.saturation import (
@@ -44,6 +44,12 @@ def test_coverage_adversarial_is_reported_not_asserted(solver_small):
     res = coverage_check(solver_small, np.zeros(4), 0.2, sample_count=30, seed=5)
     assert res.samples == 30
     assert isinstance(res.passed, bool)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_coverage_without_samples_is_an_input_error(solver_small, count):
+    with pytest.raises(InputError, match="at least one sample"):
+        coverage_check(solver_small, np.zeros(4), 1.0, sample_count=count)
 
 
 def test_su_sheet_params_reconstruct(solver_small):

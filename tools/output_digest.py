@@ -1,0 +1,145 @@
+"""Print one sha256 per output of torusdyn on fixed inputs.
+
+Each line is ``<sha256>  <output>``.  Two checkouts whose lists agree give
+byte-identical outputs on these inputs, so a refactor that claims unchanged
+outputs is checked by running this script in both and comparing:
+
+    python tools/output_digest.py > before.txt    # in the old checkout
+    python tools/output_digest.py > after.txt     # in the new one
+    diff before.txt after.txt
+
+The outputs are the stdout and the written files of ``analyze``, ``survey``,
+``pa``, ``dioph`` (JSON and ``--csv``), ``perturb`` (the benchmark's
+configuration, and amplitudes 0 and 0.02, JSON and CSV) and ``curve``, run
+in this process, and the saturation workload's computation on fixed seeds:
+both coverage checks and the leaf parameters they invert, the saturation
+cloud's points and trails, and the overlap translation.  Leaf points of every
+flavor and both intersection pairs are digested on their own as well.  A run
+takes about ten seconds.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from torusdyn import cli  # noqa: E402
+from torusdyn.intmatrix import IntMatrix  # noqa: E402
+from torusdyn.intpoly import IntPoly  # noqa: E402
+from torusdyn.manifolds import LeafSolver  # noqa: E402
+from torusdyn.perturbed import salem_example  # noqa: E402
+from torusdyn.pseudo_anosov import pseudo_anosov_subspace  # noqa: E402
+from torusdyn.saturation import (  # noqa: E402
+    build_saturation_set,
+    coverage_check,
+    find_overlap_translation,
+    su_sheet_params,
+)
+from torusdyn.splitting import adapted_norm, compute_splitting  # noqa: E402
+
+SALEM = IntPoly((1, -1, -1, -1, 1))
+
+# name -> argv; {salem}, {map} and {dir} are filled in, and every file an
+# argv writes under {dir} is digested beside the command's stdout
+COMMANDS = {
+    "analyze": ["analyze", "{salem}"],
+    "survey": ["survey", "--dim", "4", "--height", "2", "--out", "{dir}/catalog.jsonl",
+               "--summary", "{dir}/summary.json"],
+    "pa": ["pa", "{salem}"],
+    "dioph": ["dioph", "{salem}", "--radius", "20", "--out", "{dir}/dioph.json",
+              "--csv", "{dir}/dioph.csv"],
+    "dioph --format csv": ["dioph", "{salem}", "--radius", "12", "--format", "csv"],
+    "perturb": ["--seed", "7", "perturb", "{map}", "--eps", "0.01,0.001", "--nmax", "100",
+                "--ncount", "6", "--samples", "100", "--out", "{dir}/perturb.json",
+                "--csv", "{dir}/perturb.csv"],
+    "perturb 0,0.02": ["perturb", "{map}", "--eps", "0,0.02", "--nmax", "50", "--ncount", "4",
+                       "--samples", "60", "--out", "{dir}/perturb.json", "--csv", "{dir}/perturb.csv"],
+    "perturb --format csv": ["perturb", "{map}", "--eps", "0.02", "--nmax", "20", "--ncount", "3",
+                             "--samples", "30", "--format", "csv"],
+    "curve": ["--seed", "3", "curve", "{salem}", "--eps", "0.25", "--radius", "8",
+              "--out", "{dir}/curve.json"],
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json_bytes(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True).encode()
+
+
+def cli_digests(tmp: str) -> list[tuple[str, str]]:
+    a = IntMatrix.companion(SALEM)
+    paths = {"salem": os.path.join(tmp, "salem.json"), "map": os.path.join(tmp, "map.json")}
+    with open(paths["salem"], "w") as fh:
+        json.dump({"n": a.n, "rows": [list(r) for r in a.rows]}, fh)
+    with open(paths["map"], "w") as fh:
+        json.dump(salem_example(0.01).to_json(), fh)
+    out = []
+    for name, argv in COMMANDS.items():
+        work = os.path.join(tmp, name.replace(" ", "_"))
+        os.mkdir(work)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([t.format(dir=work, **paths) for t in argv])
+        out.append((f"{name}: stdout, exit {code}", _sha(stdout.getvalue().encode())))
+        for fname in sorted(os.listdir(work)):
+            with open(os.path.join(work, fname), "rb") as fh:
+                out.append((f"{name}: {fname}", _sha(fh.read())))
+    return out
+
+
+def saturation_digests() -> list[tuple[str, str]]:
+    """The saturation workload's computation, on fixed seeds."""
+    a = IntMatrix.companion(SALEM)
+    split = compute_splitting(a)
+    norm = adapted_norm(split)
+    solver = LeafSolver(salem_example(1e-2, a=a), split, norm)
+    x = np.zeros(a.n)
+    out = []
+    for form, seed in (("csu", 1), ("su+c", 2)):
+        res = coverage_check(solver, x, 1.0, sample_count=1000, seed=seed, form=form)
+        out.append((f"saturation: coverage {form}", _sha(_json_bytes(res.to_json()))))
+    # the coverage reports are pass/fail summaries, so the parameters they
+    # rest on are digested as well
+    ys = np.random.default_rng(3).uniform(-0.5, 0.5, size=(200, a.n))
+    out.append(("saturation: to_leaf_params_batch",
+                _sha(np.concatenate(solver.to_leaf_params_batch(x, ys), axis=-1).tobytes())))
+    out.append(("saturation: su_sheet_params",
+                _sha(np.concatenate(su_sheet_params(solver, x, ys), axis=-1).tobytes())))
+    rng = np.random.default_rng(4)
+    for flavor in ("s", "u", "c", "cs", "cu"):
+        params = rng.normal(size=(50, len(solver.param_indices(flavor))))
+        out.append((f"solver: leaf_points {flavor}",
+                    _sha(solver.leaf_points(rng.uniform(-1, 1, size=a.n), flavor, params).tobytes())))
+    for pair in (("s", "cu"), ("u", "cs")):
+        z = solver.intersection_batch(rng.uniform(-1, 1, size=(50, a.n)), rng.uniform(-1, 1, size=a.n), pair)
+        out.append((f"solver: intersection_batch {pair[0]},{pair[1]}", _sha(z.tobytes())))
+    pa = pseudo_anosov_subspace(a, 8, split=split)
+    cloud = build_saturation_set(solver, x, 0.35, (2, 20, 20, 2), 11)
+    out.append(("saturation: cloud points", _sha(cloud.points.tobytes())))
+    out.append(("saturation: cloud trails", _sha(cloud.trails.tobytes())))
+    overlap = find_overlap_translation(solver, pa, x, 0.35, kappa_emp=0.05, cloud=cloud, seed=11)
+    out.append(("saturation: overlap", _sha(_json_bytes(overlap))))
+    return out
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = cli_digests(tmp) + saturation_digests()
+    for name, digest in rows:
+        print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
