@@ -21,7 +21,8 @@ from .diophantine import (
     lattice_ball,
 )
 from .errors import InputError, TorusDynError
-from .experiments import curve_experiment, perturb_experiment
+from .experiments import (N_COUNT_BUDGET, N_MAX_LIMIT, PHI_SAMPLES_BUDGET, curve_experiment,
+                          perturb_experiment)
 from .intmatrix import matrix_from_json
 from .perturbed import PerturbedMap
 from .pseudo_anosov import pseudo_anosov_subspace
@@ -207,9 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("perturb", help="graph/holonomy estimates for a perturbed map")
     q.add_argument("map", help="perturbed-map JSON file")
     q.add_argument("--eps", default="0.01", help="comma-separated shear amplitudes")
-    q.add_argument("--nmax", type=float, default=100.0)
-    q.add_argument("--ncount", type=int, default=24)
-    q.add_argument("--samples", type=int, default=1000)
+    q.add_argument("--nmax", type=float, default=100.0, help=f"largest |n|, at most {N_MAX_LIMIT:g}")
+    q.add_argument("--ncount", type=int, default=24, help=f"lattice vectors, at most {N_COUNT_BUDGET}")
+    q.add_argument("--samples", type=int, default=1000,
+                   help=f"phi-bound samples, at most {PHI_SAMPLES_BUDGET}")
     q.add_argument("--format", choices=("json", "csv"), default="json",
                    help="stdout format: the summary, or the deviation table")
     q.add_argument("--out")

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, InvariantError, OutOfHypothesesError
+from .errors import BudgetError, InputError, InvariantError, OutOfHypothesesError
 from .holonomy import (
     commutation_defect,
     deck_holonomy,
@@ -170,6 +170,16 @@ CHART_SAMPLES = 3
 KAPPA_SAMPLES = 60
 LIP_PATHS = 8
 
+# Budgets of the study's sizes, checked before anything is allocated: the
+# phi-bound samples cost about 8 KB and 1 ms a row per amplitude, and each
+# lattice vector three deviation rows.  N_MAX_LIMIT is a precision limit: the
+# deck holonomies translate points by n, and past |n| = 1e4 a coordinate's
+# rounding (ulp(1e4) = 1.8e-12) exceeds the leaf solver's FIX_TOL, so the
+# deviations measured there would be rounding noise.
+PHI_SAMPLES_BUDGET = 50_000
+N_COUNT_BUDGET = 10_000
+N_MAX_LIMIT = 1e4
+
 
 def perturb_experiment(
     base_map: PerturbedMap,
@@ -182,9 +192,12 @@ def perturb_experiment(
     """Graph constants, deck-holonomy deviations, and Lipschitz fits per amplitude."""
     if not all(math.isfinite(amp) for amp in amplitudes):
         raise InputError(f"amplitudes must be finite numbers, got {amplitudes}")
-    if n_count < 1 or phi_samples < 1 or not (math.isfinite(n_max) and n_max >= 2):
-        raise InputError("the perturbation study needs n_count >= 1, phi_samples >= 1 and a "
-                         f"finite n_max >= 2, got {n_count}, {phi_samples} and {n_max!r}")
+    if n_count < 1 or phi_samples < 1 or not 2 <= n_max <= N_MAX_LIMIT:
+        raise InputError("the perturbation study needs n_count >= 1, phi_samples >= 1 and "
+                         f"2 <= n_max <= {N_MAX_LIMIT:g}, got {n_count}, {phi_samples} and {n_max!r}")
+    if n_count > N_COUNT_BUDGET or phi_samples > PHI_SAMPLES_BUDGET:
+        raise BudgetError(f"the perturbation study allows n_count <= {N_COUNT_BUDGET} and "
+                          f"phi_samples <= {PHI_SAMPLES_BUDGET}, got {n_count} and {phi_samples}")
     a = base_map.matrix
     split = compute_splitting(a)
     if split.dims[1] == 0:

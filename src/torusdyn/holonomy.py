@@ -30,7 +30,8 @@ HOLONOMY_PAIR = {"s": ("s", "cu"), "u": ("u", "cs")}
 
 def deck_holonomy(solver: LeafSolver, n_vec: Sequence, chart_x: np.ndarray) -> np.ndarray:
     """T_n in the center chart, for lattice vectors n (..., n) and chart
-    values (B, dim_c); returns (..., B, dim_c).
+    values (B, dim_c), or one (B, dim_c) set per vector, (..., B, dim_c);
+    returns (..., B, dim_c).
 
     Composition: translate by n, slide along stable leaves onto W^cu(0),
     then along unstable leaves onto W^cs(0); the result lies on W^c(0).
@@ -38,11 +39,11 @@ def deck_holonomy(solver: LeafSolver, n_vec: Sequence, chart_x: np.ndarray) -> n
     """
     chart_x = np.atleast_2d(np.asarray(chart_x, dtype=float))
     n_arr = np.asarray(n_vec, dtype=float)
-    z = (solver.center_point(chart_x) + n_arr[..., None, :]).reshape(-1, solver.n)
+    z = solver.center_point(chart_x) + n_arr[..., None, :]
     zero = np.zeros(solver.n)
-    q = solver.intersection_batch(z, zero, HOLONOMY_PAIR["s"])
+    q = solver.intersection_batch(z.reshape(-1, solver.n), zero, HOLONOMY_PAIR["s"])
     out = solver.intersection_batch(q, zero, HOLONOMY_PAIR["u"])
-    return solver.center_chart(out).reshape(n_arr.shape[:-1] + chart_x.shape)
+    return solver.center_chart(out).reshape(z.shape[:-1] + chart_x.shape[-1:])
 
 
 def commutation_defect(
@@ -60,9 +61,8 @@ def commutation_defect(
     rng = np.random.default_rng(seed)
     dc = solver.dims[1]
     xs = rng.uniform(-DEFECT_RADIUS, DEFECT_RADIUS, size=(sample_count, dc))
-    tm = deck_holonomy(solver, m_vec, xs)
+    tm, tnm = deck_holonomy(solver, np.stack([m_vec, np.add(n_vec, m_vec)]), xs)
     tn_tm = deck_holonomy(solver, n_vec, tm)
-    tnm = deck_holonomy(solver, np.asarray(n_vec) + np.asarray(m_vec), xs)
     return float(np.max(solver.norm.block_norm(tn_tm - tnm, "c")))
 
 
@@ -77,30 +77,21 @@ def _probe_pairs(rng: np.random.Generator, dc: int) -> np.ndarray:
     return np.array(probe_list)
 
 
+def _pair_lipschitz(solver: LeafSolver, probes: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The largest ratio |image difference| / |probe difference| over the
+    consecutive pairs of each probe set; probes and images (..., 2k, dim_c)
+    in the center chart, whose map is linear, so chart differences measure
+    distances along the center leaf."""
+    din = solver.norm.block_norm(probes[..., 1::2, :] - probes[..., ::2, :], "c")
+    dout = solver.norm.block_norm(images[..., 1::2, :] - images[..., ::2, :], "c")
+    return np.max(dout / din, axis=-1)
+
+
 @dataclass
 class LipschitzProbe:
     c_emp: float
     beta_emp: float
     path_records: list[dict]
-
-
-def _path_lipschitz(solver: LeafSolver, legs: list[tuple[str, np.ndarray]],
-                    probes: np.ndarray) -> float:
-    """Empirical Lipschitz constant of the holonomy along the given legs."""
-    pts = solver.center_point(probes)
-    cur_base = np.zeros(solver.n)
-    for flavor, param in legs:
-        new_base = solver.leaf_points(cur_base, flavor, param[None, :])[0]
-        pts = solver.intersection_batch(pts, new_base, HOLONOMY_PAIR[flavor])
-        cur_base = new_base
-    # finite differences between consecutive probe points; the chart map is
-    # linear, so chart differences measure distances along the center leaf
-    ratios = []
-    for i in range(0, len(probes) - 1, 2):
-        din = solver.norm.block_norm(probes[i + 1] - probes[i], "c")
-        dout = solver.norm.block_norm(solver.center_chart(pts[i + 1] - pts[i]), "c")
-        ratios.append(float(dout / din))
-    return max(ratios)
 
 
 def holonomy_lipschitz_probe(
@@ -111,9 +102,12 @@ def holonomy_lipschitz_probe(
     seed: int = 0,
 ) -> LipschitzProbe:
     """Random su-paths with at most leg_budget legs and length <= length_budget;
-    fits log Lip = K log C + K beta log L over the sampled paths."""
+    fits log Lip = K log C + K beta log L over the sampled paths.
+
+    Every path is drawn first; then leg i of all paths is walked with one
+    leaf solve and one intersection batch per flavor."""
     rng = np.random.default_rng(seed)
-    records = []
+    paths, probes, records = [], [], []
     for _ in range(samples):
         k = int(rng.integers(1, leg_budget + 1))
         total = float(rng.uniform(0.5, length_budget))
@@ -125,8 +119,22 @@ def holonomy_lipschitz_probe(
             direction = rng.standard_normal(d)
             direction /= max(solver.param_norm(flavor, direction), 1e-12)
             legs.append((flavor, direction * lengths[i]))
-        lip = _path_lipschitz(solver, legs, _probe_pairs(rng, solver.dims[1]))
-        records.append({"legs": k, "length": max(total, 1.0), "lip": lip})
+        paths.append(legs)
+        probes.append(_probe_pairs(rng, solver.dims[1]))
+        records.append({"legs": k, "length": max(total, 1.0)})
+    probes = np.array(probes)
+    pts = solver.center_point(probes)  # (paths, 6, n)
+    bases = np.zeros((samples, solver.n))
+    for i in range(leg_budget):
+        for flavor in ("s", "u"):
+            on = [j for j, legs in enumerate(paths) if len(legs) > i and legs[i][0] == flavor]
+            if on:
+                bases[on] = solver.leaf_points(bases[on], flavor, np.array([paths[j][i][1] for j in on]))
+                ys = np.repeat(bases[on], probes.shape[1], axis=0)
+                pts[on] = solver.intersection_batch(pts[on].reshape(-1, solver.n), ys, HOLONOMY_PAIR[flavor]
+                                                    ).reshape(len(on), -1, solver.n)
+    for rec, lip in zip(records, _pair_lipschitz(solver, probes, solver.center_chart(pts))):
+        rec["lip"] = float(lip)
     # fit the exponent by least squares, then raise the constant to an
     # envelope so Lip <= C^K L^(K beta) covers every sampled path
     a = np.array([[r["legs"], r["legs"] * np.log(r["length"])] for r in records])
@@ -142,19 +150,13 @@ def holonomy_lipschitz_probe(
 
 
 def deck_lipschitz_fit(solver: LeafSolver, n_list: Sequence[Sequence[int]], seed: int = 0) -> dict:
-    """Fit Lip(T_n) <= C |n|^beta over the given lattice vectors."""
+    """Fit Lip(T_n) <= C |n|^beta over the given lattice vectors, each probed
+    at its own pairs of chart points; every vector runs in one pipeline."""
     rng = np.random.default_rng(seed)
-    lips, norms = [], []
-    for n_vec in n_list:
-        probes = _probe_pairs(rng, solver.dims[1])
-        out = deck_holonomy(solver, n_vec, probes)
-        ratio = 0.0
-        for i in range(0, len(probes), 2):
-            din = solver.norm.block_norm(probes[i + 1] - probes[i], "c")
-            dout = solver.norm.block_norm(out[i + 1] - out[i], "c")
-            ratio = max(ratio, float(dout / din))
-        lips.append(ratio)
-        norms.append(float(solver.norm.norm(np.asarray(n_vec, dtype=float))))
+    probes = np.array([_probe_pairs(rng, solver.dims[1]) for _ in n_list])
+    n_arr = np.asarray(n_list, dtype=float)
+    lips = [float(v) for v in _pair_lipschitz(solver, probes, deck_holonomy(solver, n_arr, probes))]
+    norms = [float(solver.norm.norm(v)) for v in n_arr]
     a = np.column_stack([np.ones(len(lips)), np.log(norms)])
     coef, *_ = np.linalg.lstsq(a, np.log(np.maximum(lips, 1e-12)), rcond=None)
     beta = float(coef[1])
@@ -163,7 +165,7 @@ def deck_lipschitz_fit(solver: LeafSolver, n_list: Sequence[Sequence[int]], seed
     return {
         "c_emp": float(c_env),
         "beta_emp": beta,
-        "lips": [float(v) for v in lips],
+        "lips": lips,
         "norms": norms,
     }
 

@@ -118,27 +118,9 @@ class PerturbedMap:
 
     # -- stable difference propagation -----------------------------------------
 
-    def reference_chain(self, ref: np.ndarray, inverse: bool = False) -> ReferenceChain:
-        """The shear chain of F (or of F^{-1} if ``inverse``) evaluated once
-        along a fixed reference orbit, for diff_apply (or diff_apply_inverse)."""
-        if inverse:
-            r = np.asarray(ref, dtype=float) @ self.a_inv_float.T
-            shears, sign = reversed(self.shears), -1.0
-        else:
-            r = np.array(ref, dtype=float, copy=True)
-            shears, sign = self.shears, 1.0
-        sources, values = [], []
-        for s in shears:
-            rs = r[..., s.source].copy()
-            v = s.profile.value(rs)
-            r[..., s.target] += sign * s.amplitude * v
-            sources.append(rs)
-            values.append(v)
-        return ReferenceChain(inverse, tuple(sources), tuple(values))
-
     def diff_apply(self, chain: ReferenceChain, delta: np.ndarray) -> np.ndarray:
-        """F(ref + delta) - F(ref) for chain = reference_chain(ref), computed
-        without large-coordinate cancellation."""
+        """F(ref + delta) - F(ref) for the forward reference chain of ref,
+        computed without large-coordinate cancellation."""
         if chain.inverse:
             raise ValueError("diff_apply needs a forward reference chain")
         d = np.array(delta, dtype=float, copy=True)
@@ -147,8 +129,8 @@ class PerturbedMap:
         return d @ self.a_float.T
 
     def diff_apply_inverse(self, chain: ReferenceChain, delta: np.ndarray) -> np.ndarray:
-        """F^{-1}(ref + delta) - F^{-1}(ref) for chain = reference_chain(ref,
-        inverse=True), stable like diff_apply."""
+        """F^{-1}(ref + delta) - F^{-1}(ref) for the inverse reference chain
+        of ref, stable like diff_apply."""
         if not chain.inverse:
             raise ValueError("diff_apply_inverse needs an inverse reference chain")
         d = np.asarray(delta, dtype=float) @ self.a_inv_float.T

@@ -41,6 +41,7 @@ class CoverageResult:
     failures: int
     worst_excess: float
     worst_point: Optional[list]
+    margin: float  # r minus the largest parameter norm: >= 0 when passed
 
     def to_json(self) -> dict:
         return {
@@ -49,6 +50,7 @@ class CoverageResult:
             "failures": self.failures,
             "worst_excess": self.worst_excess,
             "worst_point": self.worst_point,
+            "margin": self.margin,
         }
 
 
@@ -60,7 +62,8 @@ def coverage_check(solver: LeafSolver, x: np.ndarray, r: float,
     form "csu": invert the center/stable/unstable coordinates (the map Phi);
     form "su+c": invert the su-sheet plus center translation (the map Psi).
     Requires the graph constants below 1/2 to be meaningful; failures are
-    counted, and the worst parameter excess over r is reported.
+    counted, the worst parameter excess over r is reported, and the signed
+    margin r - (largest parameter norm) shows how close a pass came.
     """
     if sample_count < 1:
         raise InputError(f"coverage needs at least one sample, got {sample_count}")
@@ -91,6 +94,7 @@ def coverage_check(solver: LeafSolver, x: np.ndarray, r: float,
         failures=failures,
         worst_excess=float(max(excess[worst_i], 0.0)),
         worst_point=[float(v) for v in ys[worst_i]] if failures else None,
+        margin=float(-excess[worst_i]),
     )
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from torusdyn.intmatrix import IntMatrix, bareiss_det
@@ -19,7 +20,7 @@ from torusdyn.intpoly import (
     sturm_chain,
 )
 from torusdyn.manifolds import LeafSolver
-from torusdyn.perturbed import PerturbedMap, Shear, TrigProfile, salem_example
+from torusdyn.perturbed import PerturbedMap, ReferenceChain, Shear, TrigProfile, salem_example, torus_reduce
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
 from torusdyn.splitting import adapted_norm, compute_splitting
 from torusdyn.zfactor import factor_z
@@ -78,6 +79,37 @@ def chained_shears_map():
     back = Shear(target=1, source=0, profile=TrigProfile(cos_coeffs=(0.1,), sin_coeffs=(0.05,)),
                  amplitude=1e-2)
     return PerturbedMap(f.matrix, (f.shears[0], back, f.shears[1]))
+
+
+def reference_chain(f, ref, inverse=False):
+    """The shear chain of F (or of F^-1 if ``inverse``) evaluated along a
+    fixed reference orbit ref (steps, ..., n), every step at once, for
+    diff_apply (or diff_apply_inverse)."""
+    if inverse:
+        r = np.asarray(ref, dtype=float) @ f.a_inv_float.T
+        shears, sign = reversed(f.shears), -1.0
+    else:
+        r = np.array(ref, dtype=float, copy=True)
+        shears, sign = f.shears, 1.0
+    sources, values = [], []
+    for s in shears:
+        rs = r[..., s.source].copy()
+        v = s.profile.value(rs)
+        r[..., s.target] += sign * s.amplitude * v
+        sources.append(rs)
+        values.append(v)
+    return ReferenceChain(inverse, tuple(sources), tuple(values))
+
+
+def march_oracle(f, r, direction, steps):
+    """A segment's reference chain the two-pass way: march the orbit of the
+    reduced points r with F (fwd) or F^-1 (bwd), then pass it through the
+    shear chain."""
+    refs = np.empty((steps,) + np.shape(r))
+    refs[0] = r
+    for t in range(steps - 1):
+        refs[t + 1] = torus_reduce(f.apply(refs[t]) if direction == "fwd" else f.apply_inverse(refs[t]))
+    return reference_chain(f, refs, inverse=direction == "bwd")
 
 
 def random_unimodular(rng, n, ops=8, cap=6):

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from torusdyn import experiments
 from torusdyn.cli import main
 from torusdyn.perturbed import salem_example
 
@@ -348,6 +350,41 @@ def test_malformed_inputs_exit_codes(files, capsys, argv, code):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not out_path.exists()  # nothing is written, in particular no NaN
+
+
+class _Reached(Exception):
+    """Raised in place of the study's first computation."""
+
+
+def _stop_before_splitting(*args, **kwargs):
+    raise _Reached
+
+
+# (option, value just past its limit, documented exit code)
+PERTURB_LIMITS = [
+    ("--samples", str(experiments.PHI_SAMPLES_BUDGET + 1), 4),
+    ("--ncount", str(experiments.N_COUNT_BUDGET + 1), 4),
+    ("--nmax", repr(float(np.nextafter(experiments.N_MAX_LIMIT, np.inf))), 1),
+]
+
+
+@pytest.mark.parametrize("option,value,code", PERTURB_LIMITS, ids=[o for o, _, _ in PERTURB_LIMITS])
+def test_perturb_sizes_past_their_limits_exit_before_any_work(files, capsys, monkeypatch,
+                                                             option, value, code):
+    monkeypatch.setattr(experiments, "compute_splitting", _stop_before_splitting)
+    out_path = files["tmp"] / "limit_out.json"
+    assert main(["perturb", files["map"], option, value, "--out", str(out_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out_path.exists()
+
+
+def test_perturb_sizes_at_their_limits_are_allowed(monkeypatch):
+    monkeypatch.setattr(experiments, "compute_splitting", _stop_before_splitting)
+    with pytest.raises(_Reached):
+        experiments.perturb_experiment(salem_example(1.0), [1e-2], n_max=experiments.N_MAX_LIMIT,
+                                       n_count=experiments.N_COUNT_BUDGET,
+                                       phi_samples=experiments.PHI_SAMPLES_BUDGET)
 
 
 def test_python_dash_m_help():

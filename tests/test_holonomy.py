@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
 
+from torusdyn.experiments import perturb_experiment
 from torusdyn.holonomy import (
+    HOLONOMY_PAIR,
+    _pair_lipschitz,
+    _probe_pairs,
     commutation_defect,
     deck_holonomy,
     deck_lipschitz_fit,
@@ -9,7 +14,7 @@ from torusdyn.holonomy import (
 )
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.manifolds import LeafSolver
-from torusdyn.perturbed import PerturbedMap, Shear, TrigProfile
+from torusdyn.perturbed import PerturbedMap, Shear, TrigProfile, salem_example
 from torusdyn.splitting import adapted_norm, compute_splitting
 
 
@@ -118,3 +123,69 @@ def test_beta_trend_with_amplitude(salem_split, salem_norm):
         fit = deck_lipschitz_fit(sv, [[1, 0, 0, 0], [3, -2, 1, 1], [8, 5, -3, 2]], seed=4)
         betas.append(abs(fit["beta_emp"]))
     assert betas[-1] <= betas[0] + 1e-6
+
+
+# -- stacked stages against their per-call forms ----------------------------------------
+
+
+def _relative(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b)) / np.abs(np.asarray(b)))
+
+
+def test_deck_lipschitz_fit_matches_one_pipeline_per_vector(solver_small):
+    n_list = [[1, 0, 0, 0], [2, -1, 0, 1], [5, 3, -2, 0], [-7, 4, 9, 2]]
+    fit = deck_lipschitz_fit(solver_small, n_list, seed=3)
+    rng = np.random.default_rng(3)
+    for n_vec, lip, nrm in zip(n_list, fit["lips"], fit["norms"]):
+        probes = _probe_pairs(rng, 2)
+        out = deck_holonomy(solver_small, n_vec, probes)
+        assert lip == pytest.approx(float(np.max(_pair_lipschitz(solver_small, probes, out))), rel=1e-10)
+        assert nrm == float(solver_small.norm.norm(np.asarray(n_vec, dtype=float)))
+
+
+def _one_path(solver, legs, probes):
+    """The Lipschitz ratio of one path, leg after leg, one solve each."""
+    pts = solver.center_point(probes)
+    base = np.zeros(solver.n)
+    for flavor, param in legs:
+        base = solver.leaf_points(base, flavor, param[None, :])[0]
+        pts = solver.intersection_batch(pts, base, HOLONOMY_PAIR[flavor])
+    return float(_pair_lipschitz(solver, probes, solver.center_chart(pts)))
+
+
+def test_holonomy_probe_matches_one_path_at_a_time(solver_small):
+    probe = holonomy_lipschitz_probe(solver_small, leg_budget=3, length_budget=6.0, samples=8, seed=4)
+    rng = np.random.default_rng(4)  # the paths again, drawn in the probe's order
+    for rec in probe.path_records:
+        k = int(rng.integers(1, 4))
+        total = float(rng.uniform(0.5, 6.0))
+        lengths = rng.dirichlet(np.ones(k)) * total
+        legs = []
+        for i in range(k):
+            flavor = "s" if (i + int(rng.integers(0, 2))) % 2 == 0 else "u"
+            direction = rng.standard_normal(1)
+            direction /= max(solver_small.param_norm(flavor, direction), 1e-12)
+            legs.append((flavor, direction * lengths[i]))
+        assert rec["legs"] == k and rec["length"] == max(total, 1.0)
+        assert rec["lip"] == pytest.approx(_one_path(solver_small, legs, _probe_pairs(rng, 2)), rel=1e-8)
+    assert {rec["legs"] for rec in probe.path_records} == {1, 2, 3}
+
+
+def test_commutation_defect_matches_separate_holonomies(solver_small):
+    n_vec, m_vec = [1, 0, 1, -1], [0, 1, -1, 1]
+    xs = np.random.default_rng(6).uniform(-0.5, 0.5, size=(5, 2))
+    tm = deck_holonomy(solver_small, m_vec, xs)
+    want = solver_small.norm.block_norm(
+        deck_holonomy(solver_small, n_vec, tm) - deck_holonomy(solver_small, np.add(n_vec, m_vec), xs), "c")
+    got = commutation_defect(solver_small, n_vec, m_vec, sample_count=5, seed=6)
+    assert got == pytest.approx(float(np.max(want)), rel=1e-8)
+
+
+def test_one_amplitude_of_the_study_makes_few_solves(monkeypatch):
+    """The benchmark's perturbation study (--ncount 6 --samples 100) at one
+    amplitude: every stage solves its rows in a few stacked calls."""
+    calls = []
+    solve = LeafSolver._solve
+    monkeypatch.setattr(LeafSolver, "_solve", lambda self, *a, **k: calls.append(1) or solve(self, *a, **k))
+    perturb_experiment(salem_example(0.01), [0.01], seed=7, n_max=100.0, n_count=6, phi_samples=100)
+    assert 0 < len(calls) <= 45

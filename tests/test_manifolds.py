@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SALEM, SALEM_CONJUGATE, chained_shears_map
+from conftest import SALEM, SALEM_CONJUGATE, chained_shears_map, march_oracle
 from torusdyn import manifolds
 from torusdyn.errors import NumericsError
 from torusdyn.intmatrix import IntMatrix
@@ -404,6 +404,23 @@ def test_single_anchor_is_marched_once_per_solver(monkeypatch):
     assert _solver("salem")._anchor_memo == {}
 
 
+@pytest.mark.parametrize("matrix", ["salem", "conjugate", "chained"])
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+@pytest.mark.parametrize("rows", [1, 9])
+def test_one_pass_march_is_exactly_the_two_pass_chain(matrix, direction, rows):
+    """The march records the same shear sources and values, bit for bit, as
+    marching the orbit with F^{+-1} and then passing it through the chain."""
+    solver = _solver(matrix)
+    r = torus_reduce(np.random.default_rng(8).uniform(-2, 2, size=(rows, 4)))
+    seg = _Segment(solver, r, direction, solver.horizon, (rows,), ("s",), ("c", "u"))
+    got, want = seg._march(r), march_oracle(solver.f, r, direction, solver.horizon)
+    assert got.inverse == want.inverse == (direction == "bwd")
+    assert len(got.sources) == len(want.sources) == len(solver.f.shears)
+    for a, b in zip(got.sources + got.values, want.sources + want.values):
+        assert a.shape == b.shape == (solver.horizon, rows)
+        assert np.array_equal(a, b)
+
+
 def test_single_anchor_segment_is_read_only_and_matches_a_batch_march():
     solver = _solver("conjugate")
     rng = np.random.default_rng(5)
@@ -457,3 +474,42 @@ def test_unconverged_solve_names_sweeps_and_horizon(monkeypatch, salem_split, sa
     assert "\n" not in msg
     assert f"leaf solve (s) after 2 sweeps at horizon {solver.horizon}" in msg
     assert "last change" in msg and "best change" in msg
+
+
+def test_measure_kappa_matches_one_solve_per_flavor_and_base(solver_small):
+    """Each flavor's stacked solve over the four bases gives the graph
+    constant of one solve per (flavor, base)."""
+    got = measure_kappa(solver_small, radius=1.5, samples=20, seed=9)
+    rng = np.random.default_rng(9)
+    bases = np.vstack([np.zeros(4), rng.uniform(0, 1, size=(3, 4))])
+    for flavor in FLAVORS:
+        d = len(solver_small.param_indices(flavor))
+        ratios = []
+        for b in bases:
+            params = rng.uniform(-1, 1, size=(20, d))
+            scale = rng.uniform(0.05, 1.0, size=(20, 1)) * 1.5
+            params = params / np.maximum(solver_small.param_norm(flavor, params)[:, None], 1e-12) * scale
+            ratios.append(solver_small.graph_ratio(flavor, params, solver_small.leaf_offset(b, flavor, params)))
+        assert got[flavor] == pytest.approx(max(ratios), rel=1e-9), flavor
+    assert got["max"] == max(got[fl] for fl in FLAVORS)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_a_row_walks_the_same_path_alone_or_stacked(monkeypatch, flavor):
+    """Each row takes its own number of STEP_CAP steps, so a short row
+    stacked with longer ones lands where it lands alone."""
+    solver = _solver("conjugate")
+    rng = np.random.default_rng(10)
+    d = len(solver.param_indices(flavor))
+    bases = rng.uniform(-1, 1, size=(4, 4))
+    params = rng.normal(size=(4, d))
+    params *= (np.array([0.5, 2.0, 4.0, 7.0]) / solver.param_norm(flavor, params))[:, None]
+    rows = []
+    step = LeafSolver._leaf_step
+    with monkeypatch.context() as m:
+        m.setattr(LeafSolver, "_leaf_step", lambda self, b, fl, p: rows.append(len(p)) or step(self, b, fl, p))
+        stacked = solver.leaf_points(bases, flavor, params)
+    assert rows == [4, 3, 2, 1, 1]  # 1, 2, 3 and 5 steps of at most STEP_CAP = 1.5
+    for i in range(4):
+        alone = solver.leaf_points(bases[i], flavor, params[i:i + 1])
+        assert np.max(solver.norm.norm(stacked[i] - alone[0])) <= 1e-12

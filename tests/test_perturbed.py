@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import SALEM_CONJUGATE, chained_shears_map
+from conftest import SALEM_CONJUGATE, chained_shears_map, reference_chain
 from torusdyn.errors import InputError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.perturbed import TWO_PI, PerturbedMap, Shear, TrigProfile, salem_example
@@ -112,7 +112,7 @@ def test_difference_propagation_consistency():
     rng = np.random.default_rng(5)
     ref = rng.normal(size=(50, 4))
     d = rng.normal(size=(50, 4)) * 0.3
-    fwd, bwd = f.reference_chain(ref), f.reference_chain(ref, inverse=True)
+    fwd, bwd = reference_chain(f, ref), reference_chain(f, ref, inverse=True)
     assert np.max(np.abs(f.diff_apply(fwd, d) - (f.apply(ref + d) - f.apply(ref)))) <= 1e-12
     assert np.max(np.abs(
         f.diff_apply_inverse(bwd, d) - (f.apply_inverse(ref + d) - f.apply_inverse(ref))
@@ -152,7 +152,7 @@ def test_reference_chain_is_exactly_the_reshearing_propagation(matrix):
         f = salem_example(1e-2, a=IntMatrix(SALEM_CONJUGATE) if matrix == "conjugate" else None)
     rng = np.random.default_rng(17)
     refs = rng.uniform(0, 1, size=(57, 9, 4))  # (steps, batch, n), like a segment's orbit
-    fwd, bwd = f.reference_chain(refs), f.reference_chain(refs, inverse=True)
+    fwd, bwd = reference_chain(f, refs), reference_chain(f, refs, inverse=True)
     for scale in (0.0, 1e-3, 0.3):  # several sweeps share one chain
         d = rng.normal(size=refs.shape) * scale
         assert np.array_equal(f.diff_apply(fwd, d), _reshearing_diff_apply(f, refs, d))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from torusdyn import saturation
 from torusdyn.diophantine import lattice_ball
 from torusdyn.errors import BudgetError, InputError
 from torusdyn.manifolds import LeafSolver
@@ -44,6 +45,32 @@ def test_coverage_adversarial_is_reported_not_asserted(solver_small):
     res = coverage_check(solver_small, np.zeros(4), 0.2, sample_count=30, seed=5)
     assert res.samples == 30
     assert isinstance(res.passed, bool)
+
+
+def test_coverage_margin_on_a_pass(solver_linear):
+    """At the linear map the leaf parameters are the block coordinates, so
+    the margin is r minus their largest block norm over the sample."""
+    res = coverage_check(solver_linear, np.zeros(4), 1.0, sample_count=50, seed=1)
+    ys = saturation._ball_params(np.random.default_rng(1), 50, 4, 0.5, solver_linear.norm.norm)
+    coords = ys @ solver_linear.coords.T
+    largest = max(np.max(solver_linear.norm.block_norm(coords[:, solver_linear.block_idx[b]], b))
+                  for b in "csu")
+    assert res.passed and res.worst_excess == 0.0
+    assert res.margin == pytest.approx(1.0 - largest, abs=1e-12)
+    assert 0 < res.margin < 1.0
+    assert res.to_json()["margin"] == res.margin
+
+
+def test_coverage_margin_on_a_failure(solver_small, monkeypatch):
+    """Sampling a ball four times too large pushes parameters past r; the
+    margin is then the negative of the worst excess."""
+    sample = saturation._ball_params
+    monkeypatch.setattr(saturation, "_ball_params",
+                        lambda rng, count, dim, radius, norm: sample(rng, count, dim, 4 * radius, norm))
+    res = coverage_check(solver_small, np.zeros(4), 0.5, sample_count=40, seed=3)
+    assert not res.passed and res.failures > 0
+    assert res.margin < 0 and res.margin == -res.worst_excess
+    assert res.to_json()["margin"] == res.margin
 
 
 @pytest.mark.parametrize("count", [0, -3])
