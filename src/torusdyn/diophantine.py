@@ -299,8 +299,11 @@ def _least_ratios(coords, norms, nc, ratios, cap: int):
     return coords[order], norms[order], nc[order], ratios[order]
 
 
+# the scan keeps its WITNESS_CAP least points by ratio
+WITNESS_CAP = 32
+
+
 def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
-                        witness_cap: int = 32,
                         ball: Optional[BallPoints] = None) -> DiophantineReport:
     """Exhaustive scan of 0 < |n| <= radius recording min |n^c| * |n|^r.
 
@@ -325,10 +328,10 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
     for coords, norms, nc in chunks:
         norm_parts.append(norms)
         center_parts.append(nc)
-        least = _least_ratios(coords, norms, nc, nc * norms ** r, witness_cap)
+        least = _least_ratios(coords, norms, nc, nc * norms ** r, WITNESS_CAP)
         if best is not None:
             least = _least_ratios(*(np.concatenate(col) for col in zip(best, least)),
-                                  witness_cap)
+                                  WITNESS_CAP)
         best = least
     norms = np.concatenate(norm_parts)
     del norm_parts
@@ -390,7 +393,11 @@ class PlaneChart:
         return np.asarray(center_coords) @ self.matrix.T
 
 
-def center_plane_chart(split: Splitting, lam: Lattice, tol: float = 1e-9) -> PlaneChart:
+# a pair of center projections is independent when |det| exceeds PLANE_CHART_TOL
+PLANE_CHART_TOL = 1e-9
+
+
+def center_plane_chart(split: Splitting, lam: Lattice) -> PlaneChart:
     if split.dims[1] != 2:
         raise OutOfHypothesesError("plane chart needs a 2-dimensional center")
     b = np.array(lam.basis, dtype=float)
@@ -399,7 +406,7 @@ def center_plane_chart(split: Splitting, lam: Lattice, tol: float = 1e-9) -> Pla
     for i in range(k):
         for j in range(i + 1, k):
             m = np.column_stack([cc[i], cc[j]])
-            if abs(np.linalg.det(m)) > tol:
+            if abs(np.linalg.det(m)) > PLANE_CHART_TOL:
                 t = np.linalg.inv(m)
                 chart = PlaneChart(matrix=t, basis_pair=(i, j))
                 if np.max(np.abs(chart.apply(cc[i]) - [1, 0])) > 1e-12 or \

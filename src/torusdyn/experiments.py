@@ -138,13 +138,20 @@ def _envelope_growth_exponent(profile: list[dict], bins: int = 5) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+def _lattice_vector(head: tuple[int, ...], n: int) -> np.ndarray:
+    """The integer vector of length n that starts with head and is zero after it."""
+    v = np.zeros(n, dtype=int)
+    v[:len(head)] = head[:n]
+    return v
+
+
 def degeneration_checks(f: PerturbedMap, solver: LeafSolver, tol: float = 1e-8,
                         seed: int = 0) -> dict:
     """At amplitude 0 every operation must reduce to its linear closed form."""
     rng = np.random.default_rng(seed)
     patch = graph_transform(solver, "s", np.zeros(solver.n), rho=1.0, grid_step=1 / 16)
     g_sup = float(np.max(np.abs(patch.values)))
-    n_vec = np.array([2, -1, 1, 3][: solver.n])
+    n_vec = _lattice_vector((2, -1, 1, 3), solver.n)
     charts = rng.uniform(-0.5, 0.5, size=(8, solver.dims[1]))
     nc = (n_vec @ solver.coords.T)[solver.block_idx["c"]]
     tn = deck_holonomy(solver, n_vec, charts)
@@ -252,7 +259,7 @@ def perturb_experiment(
         entry["phi_bounds"] = phi_bound_checks(solver, kap["max"], phi_samples,
                                                radius=1.0, seed=seed + 6)
         entry["commutation_defect"] = commutation_defect(
-            solver, [1, 0, 1, -1][: solver.n], [0, 1, -1, 1][: solver.n],
+            solver, _lattice_vector((1, 0, 1, -1), solver.n), _lattice_vector((0, 1, -1, 1), solver.n),
             sample_count=8, seed=seed + 7)
         results.append(entry)
     return {

@@ -15,11 +15,12 @@ c block prescribed), and an intersection W^a(x) cap W^b(y) is a leg at x
 and a leg at y whose t = 0 differences are offset by x - y.  The
 nonlinear part of the map is a chain of S shears, so a leg's state is the
 S shear increments per time step rather than the difference orbit: one
-precomputed product per sweep gives every shear's source difference, and
-each increment is formed directly as a difference of profile values,
-with no large-coordinate cancellation.  A gridded graph transform
-(multilinear interpolation on a regular grid) provides the classical
-fixed-point construction and the Lipschitz estimates.
+product per sweep, by an operator built once from the segment's own
+recurrences, gives every shear's source difference, and each increment is
+formed directly as a difference of profile values, with no large-coordinate
+cancellation.  A gridded graph transform (multilinear interpolation on a
+regular grid) provides the classical fixed-point construction of the s, u,
+cs and cu leaves and the Lipschitz estimates.
 """
 from __future__ import annotations
 
@@ -68,26 +69,26 @@ class _Segment:
     For a batch of points z near an anchor, the block-coordinate difference
     d[t] = coords(F^{+-t}(z) - F^{+-t}(anchor)) obeys d[t+1] = M d[t] + g[t]
     per spectral block, and g[t] is the sum over the S shears of a fixed
-    direction times the shear's increment u_s[t] (LeafSolver.sweep_operator).
-    So the state is the S*H increments U and the driven t = 0 values v0,
-    one column per batch row, and d itself is never formed: a sweep maps
-    the previous state to every shear's source difference with one product,
-    evaluates the S profiles in chain order, and reads d[0] off the new
-    state.  The reference chain of an anchor shared by every row is marched
-    once per solver and broadcast over the batch.
+    direction times the shear's increment u_s[t].  So the state is the S*H
+    increments U and the driven t = 0 values v0, one column per batch row,
+    and d itself is never formed: a sweep maps the previous state to every
+    shear's source difference with one product, evaluates the S profiles in
+    chain order, and reads d[0] off the new state; the product's operator is
+    the recurrence run once on the identity state (LeafSolver.sweep_operator).
+    The reference chain of an anchor shared by every row is marched once per
+    solver and broadcast over the batch.
     """
 
-    def __init__(self, solver: "LeafSolver", anchor: np.ndarray, direction: str, steps: int,
+    def __init__(self, solver: "LeafSolver", anchor: np.ndarray, direction: str,
                  batch_shape: tuple[int, ...], driven: Sequence[str], killed: Sequence[str]):
         self.solver = solver
         self.direction = direction
-        self.steps = steps
         self.batch_shape = batch_shape
         self.driven, self.killed = tuple(driven), tuple(killed)
         n = solver.n
         rows = torus_reduce(np.broadcast_to(anchor, batch_shape + (n,))).reshape(-1, n)
         if len(rows) and np.all(rows == rows[0]):
-            key = (rows[0].tobytes(), direction, steps)
+            key = (rows[0].tobytes(), direction)
             if key not in solver._anchor_memo:
                 chain = self._march(rows[0])
                 for a in (*chain.sources, *chain.values):
@@ -97,9 +98,10 @@ class _Segment:
         else:
             chain = self._march(rows)
         # reference sources and values as (step, column), broadcast over the batch columns
-        self.chain = ReferenceChain(chain.inverse, tuple(a.reshape(steps, -1) for a in chain.sources),
-                                    tuple(a.reshape(steps, -1) for a in chain.values))
-        self.op, self.readout = solver.sweep_operator(direction, self.driven, self.killed, steps)
+        h = solver.horizon
+        self.chain = ReferenceChain(chain.inverse, tuple(a.reshape(h, -1) for a in chain.sources),
+                                    tuple(a.reshape(h, -1) for a in chain.values))
+        self.op, self.readout = solver.sweep_operator(direction, self.driven, self.killed)
         self.state = np.zeros((self.op.shape[1], len(rows)))  # [U; v0], U rows (shear, step)
 
     def _march(self, r: np.ndarray) -> ReferenceChain:
@@ -110,10 +112,10 @@ class _Segment:
         fwd = self.direction == "fwd"
         shears = self.solver.chain_shears(self.direction)
         sign = 1.0 if fwd else -1.0
-        sources = np.empty((len(shears), self.steps) + r.shape[:-1])
+        sources = np.empty((len(shears), self.solver.horizon) + r.shape[:-1])
         values = np.empty_like(sources)
         x = np.array(r, dtype=float)
-        for t in range(self.steps):
+        for t in range(self.solver.horizon):
             if not fwd:  # F^-1 = (shear chain)^-1 o A^-1
                 x = x @ f.a_inv_float.T
             for i, sh in enumerate(shears):
@@ -134,7 +136,7 @@ class _Segment:
         killed blocks are the contracting backward sums with zero tail.
         Returns the killed blocks' new t = 0 values.
         """
-        s, h = self.solver, self.steps
+        s, h = self.solver, self.solver.horizon
         u = self.state[:self.op.shape[0]]
         x = self.op @ self.state
         shears = s.chain_shears(self.direction)
@@ -191,9 +193,9 @@ class LeafSolver:
         self.block_matrix_bwd = {
             b: (np.linalg.inv(m) if m.size else m) for b, m in self.block_matrix_fwd.items()
         }
-        # (direction, driven blocks, killed blocks, steps) -> sweep operator and readout
+        # (direction, driven blocks, killed blocks) -> sweep operator and readout
         self._sweeps: dict = {}
-        # (reduced anchor bytes, direction, steps) -> one-row reference chain
+        # (reduced anchor bytes, direction) -> one-row reference chain
         self._anchor_memo: dict = {}
 
     # -- block helpers -------------------------------------------------------------
@@ -250,33 +252,8 @@ class LeafSolver:
         """The shears in the order F (fwd) or F^-1 (bwd) applies them."""
         return self.f.shears if direction == "fwd" else self.f.shears[::-1]
 
-    def block_kernel(self, direction: str, b: str, driven: bool, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """(P, K) of block b's recurrence along a segment of `steps` steps.
-
-        With M the block's matrix in the segment's direction, a driven block
-        is d[t] = M^t v0 + sum_{k<t} M^(t-1-k) g[k] and a killed one is
-        d[t] = -sum_{k>=t} M^-(k-t+1) g[k] with d[steps] = 0, so the stacked
-        d = P v0 + K g: P stacks the powers, shape ((steps+1) w, w), and K is
-        block-Toeplitz, shape ((steps+1) w, steps w), lower-triangular when
-        driven and upper when killed.  Only sweep_operator multiplies by them,
-        once per operator, so their zero halves cost no sweep anything.
-        """
-        forward = (direction == "fwd") == driven
-        m = (self.block_matrix_fwd if forward else self.block_matrix_bwd)[b]
-        w = m.shape[0]
-        powers = np.empty((steps + 1, w, w))
-        powers[0] = np.eye(w)
-        for k in range(steps):
-            powers[k + 1] = powers[k] @ m
-        t, k = np.ogrid[:steps + 1, :steps]
-        e = t - 1 - k if driven else k - t + 1  # the power in block (t, k)
-        used = e >= 0 if driven else e >= 1
-        blocks = np.where(used[..., None, None], powers[np.clip(e, 0, steps)], 0.0)
-        kernel = blocks.transpose(0, 2, 1, 3).reshape((steps + 1) * w, steps * w)
-        return powers.reshape((steps + 1) * w, w), kernel if driven else -kernel
-
-    def sweep_operator(self, direction: str, driven: Sequence[str], killed: Sequence[str],
-                       steps: int) -> tuple[np.ndarray, np.ndarray]:
+    def sweep_operator(self, direction: str, driven: Sequence[str],
+                       killed: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """(G, R) of a segment whose `driven` blocks are driven and `killed` killed.
 
         With the shears in chain order, F^{+-1}(x + delta) - F^{+-1}(x) -
@@ -284,41 +261,40 @@ class LeafSolver:
         w_s = coords A e_target forward and coords e_target backward.  The
         source difference of shear s is x_s[t] = E0[s] d[t] plus the
         increments of earlier shears whose target is its source, with E0[s]
-        the source row of embed forward and of A^-1 embed backward.  Since
-        d = P v0 + K (I x W) U blockwise (block_kernel), G = [(I x E0) K (I x W)
-        | (I x E0) P] maps the state [U; v0] to every x_s[t] but those chain
-        terms, shape (S H, S H + m), and R maps it to d[0], shape (n, S H + m);
-        U is ordered (shear, step), v0 by the driven blocks.  Built once per
-        solver and key.
+        the source row of embed forward and of A^-1 embed backward.  d is
+        linear in the state [U; v0] (U ordered (shear, step), v0 by the driven
+        blocks), so the segment's recurrences run once on the identity state
+        give it column by column: driven blocks forward from v0, killed ones
+        backward from d[H] = 0.  Then G = E0 d[:H] maps the state to every
+        x_s[t] but those chain terms, shape (S H, S H + m), and R = d[0],
+        shape (n, S H + m).  Built once per solver and key.
         """
-        key = (direction, tuple(driven), tuple(killed), steps)
+        key = (direction, tuple(driven), tuple(killed))
         if key not in self._sweeps:
-            shears, h = self.chain_shears(direction), steps
+            shears, h, fwd = self.chain_shears(direction), self.horizon, direction == "fwd"
             sources = [sh.source for sh in shears]
             targets = [sh.target for sh in shears]
-            if direction == "fwd":
+            if fwd:
                 e0, w = self.embed[sources], (self.coords @ self.f.a_float)[:, targets]
             else:
                 e0, w = (self.f.a_inv_float @ self.embed)[sources], self.coords[:, targets]
             su = len(shears) * h
-            col = su
-            op = np.zeros((len(shears), h, su + sum(self.block_dim(b) for b in driven)))
-            readout = np.zeros((self.n, op.shape[-1]))
-            for b in (*driven, *killed):
-                idx = self.block_idx[b]
-                width = idx.stop - idx.start
-                powers, kernel = self.block_kernel(direction, b, b in driven, steps)
-                # d_b[t] as a map of U: (step t, block coordinate, (shear, step))
-                kw = np.einsum("tikj,js->tisk", kernel.reshape(h + 1, width, h, width),
-                               w[idx]).reshape(h + 1, width, su)
-                op[..., :su] += np.einsum("si,tic->stc", e0[:, idx], kw[:h])
-                readout[idx, :su] = kw[0]
-                if b in driven:
-                    op[..., col:col + width] = np.einsum("si,tij->stj", e0[:, idx],
-                                                         powers.reshape(h + 1, width, width)[:h])
-                    readout[idx, col:col + width] = np.eye(width)
-                    col += width
-            self._sweeps[key] = op.reshape(su, readout.shape[1]), readout
+            cols = su + sum(self.block_dim(b) for b in driven)
+            state = np.eye(cols)
+            g = np.einsum("is,stc->tic", w, state[:su].reshape(len(shears), h, cols))
+            d = np.zeros((h + 1, self.n, cols))
+            row = su
+            for b in driven:
+                idx, m = self.block_idx[b], (self.block_matrix_fwd if fwd else self.block_matrix_bwd)[b]
+                d[0, idx] = state[row:row + len(m)]
+                row += len(m)
+                for t in range(h):
+                    d[t + 1, idx] = m @ d[t, idx] + g[t, idx]
+            for b in killed:
+                idx, m_inv = self.block_idx[b], (self.block_matrix_bwd if fwd else self.block_matrix_fwd)[b]
+                for t in range(h - 1, -1, -1):
+                    d[t, idx] = m_inv @ (d[t + 1, idx] - g[t, idx])
+            self._sweeps[key] = np.einsum("si,tic->stc", e0, d[:h]).reshape(su, cols), d[0].copy()
         return self._sweeps[key]
 
     # -- Lyapunov-Perron fixed point -----------------------------------------------
@@ -362,7 +338,7 @@ class LeafSolver:
         (coordinates, or None), overwrite that state, leg after leg in every
         sweep.  Returns the point of leg `answer`: its anchor plus its d[0].
         """
-        segs = [_Segment(self, anchor, LEAF_DIRECTION[flavor], self.horizon, shape,
+        segs = [_Segment(self, anchor, LEAF_DIRECTION[flavor], shape,
                          FLAVOR_BLOCKS[flavor], self.perp_blocks(flavor))
                 for anchor, flavor, _ in legs]
         shared = {b: np.zeros(shape + (self.block_dim(b),)) for b in BLOCK_ORDER if b not in fixed}
@@ -545,15 +521,12 @@ def graph_transform(
 
     Starting from the zero graph at a far point of the orbit, the graph is
     pulled back (flavors s, cs) or pushed forward (u, cu) along the orbit
-    of x until the depth guarantees a fixed-point error below tol; the
-    center patch is the fixed point of the cs/cu graph intersection.  The
+    of x until the depth guarantees a fixed-point error below tol.  The
     invariance residual is verified on a node sample; if it exceeds 10*tol
     the depth is doubled, and after GRAPH_RETRIES the budget error is raised.
     """
-    if flavor == "c":
-        return _center_patch(solver, x, rho, tol, grid_step)
     if flavor not in ("s", "u", "cs", "cu"):
-        raise ValueError(f"graph transform flavors are s, u, c, cs, cu; got {flavor!r}")
+        raise ValueError(f"graph transform flavors are s, u, cs, cu; got {flavor!r}")
 
     contraction = _transversal_rate(solver, flavor)
     if not contraction < 1:
@@ -665,44 +638,6 @@ def interpolation_floor(patch: GraphPatch) -> float:
         if patch.values.shape[axis] >= 3:
             total += float(np.max(np.abs(np.diff(patch.values, n=2, axis=axis))))
     return total
-
-
-def _center_patch(solver, x, rho, tol, grid_step) -> GraphPatch:
-    """Center patch as the fixed point of the cs/cu graph intersection."""
-    cs = graph_transform(solver, "cs", x, rho + 1.0, tol, grid_step)
-    cu = graph_transform(solver, "cu", x, rho + 1.0, tol, grid_step)
-    ds, dc, du = solver.dims
-    half = _cube_half_width(solver, "c", rho) * GRAPH_MARGIN
-    axes = _grid_axes(half, grid_step, dc)
-    nodes = _grid_nodes(axes)
-    grid_shape = tuple(len(a) for a in axes)
-    ps = np.zeros((len(nodes), ds))
-    pu = np.zeros((len(nodes), du))
-    for _ in range(200):
-        # cs-parameters are ordered (c, s); cu-parameters (c, u)
-        pu_new = cs.offset(np.concatenate([nodes, ps], axis=1))
-        ps_new = cu.offset(np.concatenate([nodes, pu], axis=1))
-        change = max(np.max(np.abs(pu_new - pu)), np.max(np.abs(ps_new - ps)))
-        ps, pu = ps_new, pu_new
-        if change <= tol:
-            break
-    else:
-        raise NumericsError("center patch fixed point did not converge")
-    values = np.concatenate([ps, pu], axis=1).reshape(grid_shape + (ds + du,))
-    center = tuple(len(a) // 2 for a in axes)
-    values[center] = 0.0
-    kappa = solver.graph_ratio("c", nodes, values.reshape(-1, ds + du))
-    return GraphPatch(
-        flavor="c",
-        base=np.asarray(x, dtype=float),
-        rho=rho,
-        axes=axes,
-        values=values,
-        kappa_emp=kappa,
-        param_idx=solver.param_indices("c"),
-        perp_idx=solver.perp_indices("c"),
-        embed=solver.embed,
-    )
 
 
 def _invariance_residual(solver: LeafSolver, patch: GraphPatch, sample: int, seed: int) -> float:

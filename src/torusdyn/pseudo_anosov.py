@@ -69,7 +69,7 @@ def pa_condition_cyclic_sample(
             v = tuple(rng.randint(-5, 5) for _ in range(n))
             if any(v):
                 candidates.append(v)
-        for v in candidates[:max(trials, len(candidates))]:
+        for v in candidates:
             checked += 1
             if not is_cyclic_vector(ak, v):
                 return CyclicSampleResult(False, k, tuple(v), checked)
@@ -123,11 +123,14 @@ def center_containment_residual(lat: Lattice, split: Splitting) -> float:
     return float(np.max(np.abs(bc - q @ (q.T @ bc)))) if bc.size else 0.0
 
 
+# the largest distance of the center basis from X that counts as contained
+CENTER_TOL = 1e-9
+
+
 def pseudo_anosov_subspace(
     a: IntMatrix,
     k_max: int = 24,
     split: Optional[Splitting] = None,
-    center_tol: float = 1e-9,
 ) -> PASubspace:
     """Find k <= k_max minimizing the unitary-factor degree and build (X, L).
 
@@ -170,7 +173,7 @@ def pseudo_anosov_subspace(
         if lam.transform(ak) != lam:
             raise InvariantError("lattice is not preserved by A^k")
         resid = center_containment_residual(lam, split)
-        if resid > center_tol:
+        if resid > CENTER_TOL:
             raise InvariantError(f"center subspace not contained in X (residual {resid:.2e})")
         return PASubspace(k=k, dim_x=d, p_k=pk, lam=lam, center_residual=resid)
     raise BudgetError(f"no power k <= {k_max} passes verification (k_max exceeded)")

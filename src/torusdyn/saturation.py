@@ -98,11 +98,13 @@ def coverage_check(solver: LeafSolver, x: np.ndarray, r: float,
     )
 
 
-# fixed-point iterations allowed to the su-sheet parameters
+# fixed-point iterations allowed to the su-sheet parameters, and the step
+# below which they have converged
 SU_SHEET_ITERATIONS = 200
+SU_SHEET_TOL = 1e-11
 
 
-def su_sheet_params(solver: LeafSolver, x: np.ndarray, ys: np.ndarray, tol: float = 1e-11):
+def su_sheet_params(solver: LeafSolver, x: np.ndarray, ys: np.ndarray):
     """Parameters (vs, vu, vc) with y = sigma^u(vu, sigma^s(vs, x)) + vc-embedded.
 
     Batched over rows of ys.  The su-sheet is transversal to the center
@@ -123,7 +125,7 @@ def su_sheet_params(solver: LeafSolver, x: np.ndarray, ys: np.ndarray, tol: floa
         du_step = diff[:, solver.block_idx["u"]]
         vs = vs + ds_step
         vu = vu + du_step
-        if max(np.max(np.abs(ds_step), initial=0), np.max(np.abs(du_step), initial=0)) <= tol:
+        if max(np.max(np.abs(ds_step), initial=0), np.max(np.abs(du_step), initial=0)) <= SU_SHEET_TOL:
             break
     else:
         raise NumericsError("su-sheet parameter iteration did not converge")

@@ -198,7 +198,6 @@ class Splitting:
     block_s: np.ndarray
     block_c: np.ndarray
     block_u: np.ndarray
-    eigendata: list[tuple[complex, int, str]]
     char_poly: IntPoly
     spectrum: list[_FactorSpectrum]
     basis: np.ndarray = field(init=False)
@@ -246,8 +245,11 @@ def _rotation_basis(a_float: np.ndarray, basis_c: np.ndarray) -> tuple[np.ndarra
     return cols, mrot
 
 
-def compute_splitting(a: IntMatrix, tol: float = 1e-8,
-                      spectrum: Optional[list[_FactorSpectrum]] = None) -> Splitting:
+# eigenvalues within SCHUR_TOL of the unit circle sort into the center block
+SCHUR_TOL = 1e-8
+
+
+def compute_splitting(a: IntMatrix, spectrum: Optional[list[_FactorSpectrum]] = None) -> Splitting:
     """Invariant splitting with exactly certified dimensions.
 
     ``spectrum``, when given, is ``_factor_spectrum`` of the char poly of a,
@@ -277,9 +279,9 @@ def compute_splitting(a: IntMatrix, tol: float = 1e-8,
         t, z, sdim = scipy.linalg.schur(af, output="real", sort=select)
         return z[:, :sdim], sdim
 
-    bs, ks = sorted_basis(lambda x, y: x * x + y * y < (1 - tol) ** 2)
-    bc, kc = sorted_basis(lambda x, y: abs(np.hypot(x, y) - 1) <= tol)
-    bu, ku = sorted_basis(lambda x, y: x * x + y * y > (1 + tol) ** 2)
+    bs, ks = sorted_basis(lambda x, y: x * x + y * y < (1 - SCHUR_TOL) ** 2)
+    bc, kc = sorted_basis(lambda x, y: abs(np.hypot(x, y) - 1) <= SCHUR_TOL)
+    bu, ku = sorted_basis(lambda x, y: x * x + y * y > (1 + SCHUR_TOL) ** 2)
     if (ks, kc, ku) != (ns, nc, nu):
         raise InvariantError(
             f"numeric Schur dims {(ks, kc, ku)} disagree with exact counts {(ns, nc, nu)}"
@@ -291,19 +293,10 @@ def compute_splitting(a: IntMatrix, tol: float = 1e-8,
     ms = np.linalg.lstsq(bs, af @ bs, rcond=None)[0] if ns else np.zeros((0, 0))
     mu = np.linalg.lstsq(bu, af @ bu, rcond=None)[0] if nu else np.zeros((0, 0))
 
-    eigendata: list[tuple[complex, int, str]] = []
-    for f in spectrum:
-        roots = np.roots(list(reversed(f.poly.coeffs)))
-        order = np.argsort(np.abs(np.abs(roots) - 1))
-        classes = {}
-        for idx in order[:f.unitary]:
-            if abs(abs(roots[idx]) - 1) > 1e-6:
-                raise InvariantError("numeric roots disagree with exact unitary count")
-            classes[idx] = "center"
-        for idx in order[f.unitary:]:
-            classes[idx] = "stable" if abs(roots[idx]) < 1 else "unstable"
-        for idx, root in enumerate(roots):
-            eigendata.append((complex(root), f.mult, classes[idx]))
+    for f in spectrum:  # the f.unitary roots nearest the circle must be on it
+        dist = np.sort(np.abs(np.abs(np.roots(list(reversed(f.poly.coeffs)))) - 1))
+        if np.any(dist[:f.unitary] > 1e-6):
+            raise InvariantError("numeric roots disagree with exact unitary count")
 
     sp = Splitting(
         matrix=a,
@@ -314,7 +307,6 @@ def compute_splitting(a: IntMatrix, tol: float = 1e-8,
         block_s=ms,
         block_c=mc,
         block_u=mu,
-        eigendata=eigendata,
         char_poly=p,
         spectrum=spectrum,
     )
@@ -340,8 +332,6 @@ class AdaptedNorm:
     gram_s: np.ndarray
     gram_c: np.ndarray
     gram_u: np.ndarray
-    theta_s: float
-    theta_u: float
     lambda_s: float
     mu_u: float
 
@@ -368,7 +358,11 @@ class AdaptedNorm:
         return self._block_norm(coords, gram)
 
 
-def _iterate_gram(block: np.ndarray, theta: float, tail: float = 1e-9) -> np.ndarray:
+# the adapted Gram series stops at its first term below GRAM_TAIL
+GRAM_TAIL = 1e-9
+
+
+def _iterate_gram(block: np.ndarray, theta: float) -> np.ndarray:
     d = block.shape[0]
     if d == 0:
         return np.zeros((0, 0))
@@ -380,7 +374,7 @@ def _iterate_gram(block: np.ndarray, theta: float, tail: float = 1e-9) -> np.nda
         term = m_over.T @ term @ m_over
         g = g + term
         j += 1
-        if np.max(np.abs(term)) < tail or j > 5000:
+        if np.max(np.abs(term)) < GRAM_TAIL or j > 5000:
             break
     return g
 
@@ -420,8 +414,6 @@ def adapted_norm(split: Splitting, theta: Optional[float] = None) -> AdaptedNorm
         gram_s=gram_s,
         gram_c=gram_c,
         gram_u=gram_u,
-        theta_s=theta_s,
-        theta_u=theta_u,
         lambda_s=lam,
         mu_u=1.0 / muinv if muinv else float("inf"),
     )

@@ -8,8 +8,13 @@ from .errors import InputError, NumericsError
 from .splitting import Splitting
 
 
-def winding_number_2d(points: np.ndarray, center: np.ndarray = (0.0, 0.0),
-                      max_refine: int = 40) -> int:
+# rounds of segment refinement before a curve counts as grazing the center
+MAX_REFINE = 40
+# center components below this fraction of their largest count as touching
+MIN_CENTER_FRACTION = 1e-9
+
+
+def winding_number_2d(points: np.ndarray, center: np.ndarray = (0.0, 0.0)) -> int:
     """Winding number of a closed polygonal curve around a point.
 
     points: (m, 2) vertices; the curve closes from the last point back to
@@ -21,7 +26,7 @@ def winding_number_2d(points: np.ndarray, center: np.ndarray = (0.0, 0.0),
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise InputError("need an (m, 2) array of at least 3 vertices")
     work = np.vstack([pts, pts[:1]])
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         rel = work - np.asarray(center, dtype=float)
         radii = np.hypot(rel[:, 0], rel[:, 1])
         if np.any(radii == 0):
@@ -42,8 +47,7 @@ def winding_number_2d(points: np.ndarray, center: np.ndarray = (0.0, 0.0),
     raise NumericsError("winding refinement budget exceeded (curve grazes the center)")
 
 
-def winding_number(curve_points: np.ndarray, y: np.ndarray, split: Splitting,
-                   min_center_fraction: float = 1e-9) -> int:
+def winding_number(curve_points: np.ndarray, y: np.ndarray, split: Splitting) -> int:
     """Degree of the center-component angle of a closed curve around y.
 
     The curve must avoid the su-subspace through y: the center components
@@ -55,6 +59,6 @@ def winding_number(curve_points: np.ndarray, y: np.ndarray, split: Splitting,
     if cc.shape[-1] != 2:
         raise InputError("winding numbers need a 2-dimensional center")
     scale = float(np.max(np.abs(cc))) or 1.0
-    if np.min(np.hypot(cc[:, 0], cc[:, 1])) <= min_center_fraction * scale:
+    if np.min(np.hypot(cc[:, 0], cc[:, 1])) <= MIN_CENTER_FRACTION * scale:
         raise NumericsError("curve touches the su-subspace through y")
     return winding_number_2d(cc)

@@ -163,6 +163,27 @@ def test_perturb_small(files, capsys):
     assert csv_path.read_text().startswith("amplitude,norm,deviation\n")
 
 
+@pytest.mark.parametrize("eps", ["0", "0.01"])
+def test_perturb_on_a_map_with_more_than_four_coordinates(files, capsys, eps):
+    """Salem + cat (N = 6): the study's fixed lattice vectors are padded with
+    zeros to length N."""
+    from torusdyn.intmatrix import IntMatrix
+
+    with open(files["salem"]) as fh:
+        a = IntMatrix.block_diag(IntMatrix(json.load(fh)["rows"]), IntMatrix([[2, 1], [1, 1]]))
+    path, out_path = files["tmp"] / "salem_cat.json", files["tmp"] / "p6.json"
+    path.write_text(json.dumps(salem_example(0.01, a=a).to_json()))
+    assert main(["perturb", str(path), "--eps", eps, "--nmax", "10", "--ncount", "3",
+                 "--samples", "30", "--out", str(out_path)]) == 0
+    data = json.loads(out_path.read_text())
+    assert len(data["matrix"]) == 6
+    entry = data["results"][0]
+    if eps == "0":
+        assert entry["degeneration"]["passed"] is True
+    else:
+        assert 0 < entry["kappa_emp"] < 0.5
+
+
 def test_curve_subcommand(files, capsys):
     out_path = files["tmp"] / "curve.json"
     code = main(["--seed", "3", "curve", files["salem"], "--eps", "0.25",

@@ -193,6 +193,13 @@ def test_graph_transform_invariance_sample(solver_small):
     assert resid <= 10 * 1e-9 + interpolation_floor(patch)
 
 
+@pytest.mark.parametrize("flavor", ["c", "x"])
+def test_graph_transform_rejects_other_flavors(solver_linear, flavor):
+    # the center leaf comes from the leaf solver (W^cs cap W^cu), not from a grid
+    with pytest.raises(ValueError, match="flavors are s, u, cs, cu"):
+        graph_transform(solver_linear, flavor, np.zeros(4))
+
+
 def test_graph_origin_is_pinned(solver_small):
     patch = graph_transform(solver_small, "cu", np.zeros(4), rho=0.75, grid_step=1 / 8)
     center = tuple(len(a) // 2 for a in patch.axes)
@@ -221,8 +228,8 @@ def _per_step_nonlinear_terms(seg, d):
     """g[t] = coords(F^{+-1}(x_t + delta_t) - F^{+-1}(x_t) - A^{+-1} delta_t) for
     the difference orbit d, one difference propagation per time step."""
     s, ch = seg.solver, seg.chain
-    out = np.empty((seg.steps,) + d.shape[1:])
-    for t in range(seg.steps):
+    out = np.empty((seg.solver.horizon,) + d.shape[1:])
+    for t in range(seg.solver.horizon):
         amb = d[t] @ s.embed.T
         chain = ReferenceChain(ch.inverse, tuple(a[t] for a in ch.sources), tuple(a[t] for a in ch.values))
         if seg.direction == "fwd":
@@ -237,18 +244,18 @@ def _recurrences(seg, g, v0):
     """The difference orbit, shape (steps + 1, columns, n), with nonlinear terms
     g and driven t = 0 values v0 (block -> (columns, width)), step by step."""
     s = seg.solver
-    d = np.zeros((seg.steps + 1,) + g.shape[1:])
+    d = np.zeros((seg.solver.horizon + 1,) + g.shape[1:])
     fwd = seg.direction == "fwd"
     blocks = s.block_matrix_fwd if fwd else s.block_matrix_bwd
     inv_blocks = s.block_matrix_bwd if fwd else s.block_matrix_fwd
     for b in seg.driven:
         idx = s.block_idx[b]
         d[0][:, idx] = v0[b]
-        for t in range(seg.steps):
+        for t in range(seg.solver.horizon):
             d[t + 1][:, idx] = d[t][:, idx] @ blocks[b].T + g[t][:, idx]
     for b in seg.killed:
         idx = s.block_idx[b]
-        for t in range(seg.steps - 1, -1, -1):
+        for t in range(seg.solver.horizon - 1, -1, -1):
             d[t][:, idx] = (d[t + 1][:, idx] - g[t][:, idx]) @ inv_blocks[b].T
     return d
 
@@ -272,8 +279,8 @@ def _segment_orbit(seg):
     shears = s.f.shears if seg.direction == "fwd" else s.f.shears[::-1]
     lin = s.f.a_float if seg.direction == "fwd" else np.eye(s.n)
     w = s.coords @ lin[:, [sh.target for sh in shears]]
-    rows = len(shears) * seg.steps
-    u = seg.state[:rows].reshape(len(shears), seg.steps, seg.state.shape[1])
+    rows = len(shears) * seg.solver.horizon
+    u = seg.state[:rows].reshape(len(shears), seg.solver.horizon, seg.state.shape[1])
     v0 = {}
     for b in seg.driven:
         v0[b] = seg.state[rows:rows + s.block_dim(b)].T
@@ -327,7 +334,7 @@ def test_segment_is_exactly_the_per_step_solve(matrix, direction, anchor_kind):
     shape, single = ANCHORS[anchor_kind]
     anchor = rng.uniform(-2, 2, size=4 if single else shape + (4,))
     for driven_blocks, killed in SPLITS[direction]:
-        seg = _Segment(solver, anchor, direction, solver.horizon, shape, driven_blocks, killed)
+        seg = _Segment(solver, anchor, direction, shape, driven_blocks, killed)
         for _ in range(3):  # the first sweep starts from d = 0; later ones from a nonzero d
             driven = {b: rng.normal(size=shape + (solver.block_dim(b),)) * 0.5 for b in driven_blocks}
             new_d, out = _per_step_update(seg, _segment_orbit(seg), driven)
@@ -345,8 +352,31 @@ def test_segment_is_exactly_the_per_step_solve(matrix, direction, anchor_kind):
             assert all(np.array_equal(got[b], np.zeros_like(got[b])) for b in killed)
 
 
+@pytest.mark.parametrize("matrix", ["salem", "shear_free"])
+@pytest.mark.parametrize("flavor", list(LEAF_DIRECTION))
+def test_driven_blocks_come_back_bit_for_bit(matrix, flavor):
+    """A driven block's rows of R are exact identity rows on its v0 columns,
+    so d[0] hands the driven values back unrounded: a leaf parameter is
+    exactly the parameter asked for."""
+    solver = _solver(matrix)
+    driven = FLAVOR_BLOCKS[flavor]
+    seg = _Segment(solver, np.zeros(4), LEAF_DIRECTION[flavor], (5,), driven, solver.perp_blocks(flavor))
+    rng = np.random.default_rng(19)
+    values = {b: rng.normal(size=(5, solver.block_dim(b))) for b in driven}
+    col = seg.op.shape[0]
+    for b in driven:
+        width = solver.block_dim(b)
+        rows = np.zeros((width, seg.readout.shape[1]))
+        rows[:, col:col + width] = np.eye(width)
+        assert np.array_equal(seg.readout[solver.block_idx[b]], rows)
+        col += width
+    for _ in range(2):
+        seg.update(values)
+        assert all(np.array_equal(seg.d0()[:, solver.block_idx[b]], values[b]) for b in driven)
+
+
 def _oracle_update(seg, driven):
-    d = getattr(seg, "oracle_d", np.zeros((seg.steps + 1, seg.state.shape[1], seg.solver.n)))
+    d = getattr(seg, "oracle_d", np.zeros((seg.solver.horizon + 1, seg.state.shape[1], seg.solver.n)))
     seg.oracle_d, out = _per_step_update(seg, d, driven)
     return {b: v.reshape(seg.batch_shape + v.shape[-1:]) for b, v in out.items()}
 
@@ -412,7 +442,7 @@ def test_one_pass_march_is_exactly_the_two_pass_chain(matrix, direction, rows):
     marching the orbit with F^{+-1} and then passing it through the chain."""
     solver = _solver(matrix)
     r = torus_reduce(np.random.default_rng(8).uniform(-2, 2, size=(rows, 4)))
-    seg = _Segment(solver, r, direction, solver.horizon, (rows,), ("s",), ("c", "u"))
+    seg = _Segment(solver, r, direction, (rows,), ("s",), ("c", "u"))
     got, want = seg._march(r), march_oracle(solver.f, r, direction, solver.horizon)
     assert got.inverse == want.inverse == (direction == "bwd")
     assert len(got.sources) == len(want.sources) == len(solver.f.shears)
@@ -426,11 +456,11 @@ def test_single_anchor_segment_is_read_only_and_matches_a_batch_march():
     rng = np.random.default_rng(5)
     anchor = rng.uniform(-2, 2, size=4)
     blocks = ("u",), ("s", "c")
-    seg = _Segment(solver, anchor, "bwd", solver.horizon, (9,), *blocks)
+    seg = _Segment(solver, anchor, "bwd", (9,), *blocks)
     assert not seg.chain.sources[0].flags.writeable
     with pytest.raises(ValueError):
         seg.chain.sources[0][0, 0] = 0.0
-    batch = _Segment(solver, anchor, "bwd", solver.horizon, (9,), *blocks)
+    batch = _Segment(solver, anchor, "bwd", (9,), *blocks)
     batch.chain = batch._march(np.broadcast_to(torus_reduce(anchor), (9, 4)).copy())
     driven = {"u": rng.normal(size=(9, solver.dims[2])) * 0.5}
     for _ in range(3):
