@@ -258,6 +258,35 @@ def lattice_ball(lam: Lattice, norm: AdaptedNorm, radius: float) -> BallPoints:
                       norms=total, center_norms=nc, center_coords=pts.astype(float) @ cc_map)
 
 
+def lattice_ball_shells(lam: Lattice, norm: AdaptedNorm, bound: float):
+    """`lattice_ball(lam, norm, bound)`'s points in the same order, as
+    BallPoints one shell at a time, for a search that may stop early.
+
+    The ball is scanned at radii 1, 2, 4, ... and finally `bound` (an
+    infinite bound never ends the stream).  Radius r < bound yields the
+    points not yet yielded whose sort key round(norm, 12) is at most
+    r - 1e-6: far enough inside r that every point of such a key lies in
+    the ball of radius r, so no key straddles two shells.  A doubled radius
+    holds about 16 times the points of rank 4, so the rescans add about a
+    fifteenth to a scan that runs to `bound`.
+    """
+    done, radius = -math.inf, 1.0
+    while True:
+        r = min(radius, bound)
+        ball = lattice_ball(lam, norm, r)
+        cut = r - 1e-6 if r < bound else math.inf
+        key = np.round(ball.norms, 12)
+        part = slice(np.searchsorted(key, done, side="right"),
+                     np.searchsorted(key, cut, side="right"))
+        yield BallPoints(lam=lam, radius=r, coords=ball.coords[part],
+                         vectors=ball.vectors[part], norms=ball.norms[part],
+                         center_norms=ball.center_norms[part],
+                         center_coords=ball.center_coords[part])
+        if r >= bound:
+            return
+        done, radius = cut, 2 * radius
+
+
 # -- center-norm minimum scan ----------------------------------------------------
 
 
@@ -436,24 +465,18 @@ class ApproximationWitness:
 
 
 def _candidates(pa: PASubspace, norm: AdaptedNorm, chart: PlaneChart, count: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    radius = 2.0
-    while True:
-        ball = lattice_ball(pa.lam, norm, radius)
-        if ball.norms.size >= 2 * count + 2:
-            break
-        radius *= 1.6
+    """The `count` shortest lattice vectors up to sign, in ball order."""
     seen = set()
     out = []
-    for vec, cc in zip(ball.vectors, ball.center_coords):
-        key = tuple(int(x) for x in vec)
-        neg = tuple(-x for x in key)
-        if neg in seen:
-            continue
-        seen.add(key)
-        out.append((key, chart.apply(cc)))
-        if len(out) == count:
-            break
-    return out
+    for shell in lattice_ball_shells(pa.lam, norm, math.inf):
+        for vec, cc in zip(shell.vectors, shell.center_coords):
+            key = tuple(int(x) for x in vec)
+            if tuple(-x for x in key) in seen:
+                continue
+            seen.add(key)
+            out.append((key, chart.apply(cc)))
+            if len(out) == count:
+                return out
 
 
 def approximation_constant(alpha: np.ndarray, k_max: int, delta: float = 0.1) -> tuple[float, int]:

@@ -47,11 +47,13 @@ def pa_condition_cyclic_sample(
 ) -> CyclicSampleResult:
     """Falsification check of all-power cyclicity of lattice vectors.
 
-    For each k <= k_max, tests `trials` random nonzero integer vectors plus
-    structured candidates taken from kernel lattices of proper factors of
-    the char poly of A^k (random vectors are generically cyclic even when
-    reducibility makes non-cyclic vectors exist, so the kernel candidates
-    are what makes falsification reliable).
+    For each k <= k_max, tests the basis vectors of the kernel lattices of
+    the proper factors of the char poly of A^k, topped up with random
+    nonzero integer vectors (entries in [-5, 5]) to `trials` vectors in all;
+    when the kernels alone give `trials` or more, no random vector is
+    drawn.  Random vectors are generically cyclic even when reducibility
+    makes non-cyclic vectors exist, so the kernel candidates are what makes
+    falsification reliable.
     """
     rng = random.Random(seed)
     n = a.n

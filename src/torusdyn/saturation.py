@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diophantine import CURVE_VERTEX_BUDGET, lattice_ball
+from .diophantine import CURVE_VERTEX_BUDGET, lattice_ball_shells
 from .errors import BudgetError, InputError, InvariantError, NumericsError
 from .lattice import Lattice
 from .manifolds import LeafSolver
@@ -205,15 +205,28 @@ def overlap_translation_linear(
     so an overlap translation is any lattice n in twice that box.
     """
     big_l = eps ** -2
-    bound = 5 * big_l
-    ball = lattice_ball(pa.lam, norm, bound)
-    split = norm.splitting
-    ns, nc, nu = norm.component_norms(ball.vectors.astype(float))
-    ok = (nc <= 2 * eps + 1e-12) & (ns <= 2 * (big_l + eps) + 1e-12) & (nu <= 2 * (big_l + eps) + 1e-12)
-    if not np.any(ok):
-        raise BudgetError("no lattice vector in the overlap box within the bound")
-    i = int(np.argmax(ok))
-    return tuple(int(v) for v in ball.vectors[i])
+    for shell in lattice_ball_shells(pa.lam, norm, 5 * big_l):
+        ns, nc, nu = norm.component_norms(shell.vectors.astype(float))
+        ok = (nc <= 2 * eps + 1e-12) & (ns <= 2 * (big_l + eps) + 1e-12) & (nu <= 2 * (big_l + eps) + 1e-12)
+        if np.any(ok):
+            return tuple(int(v) for v in shell.vectors[int(np.argmax(ok))])
+    raise BudgetError("no lattice vector in the overlap box within the bound")
+
+
+def _translates_may_meet(solver: LeafSolver, pts: np.ndarray, delta: float):
+    """Predicate on rows of lattice vectors: false only for an n whose
+    translate pts + n stays farther than delta (Euclidean) from pts.
+
+    If |p + n - q| <= delta for cloud points p, q, then every adapted
+    coordinate row c_i has |c_i . n| <= |c_i . (q - p)| + |c_i| delta, at most
+    the cloud's extent along c_i plus |c_i| delta.  The relative and absolute
+    slack lie far above rounding, so the test is exact: it never rejects a
+    candidate the tree query would accept.
+    """
+    proj = pts @ solver.coords.T
+    reach = ((np.max(proj, axis=0) - np.min(proj, axis=0))
+             + np.linalg.norm(solver.coords, axis=1) * delta) * (1 + 1e-9) + 1e-12
+    return lambda vecs: np.all(np.abs(vecs.astype(float) @ solver.coords.T) <= reach, axis=1)
 
 
 def find_overlap_translation(
@@ -233,6 +246,9 @@ def find_overlap_translation(
 
     The search bound is 5 (1 + kappa) L(eps); running out of candidates
     within the bound signals insufficient sampling density, not absence.
+    The candidates come from `lattice_ball_shells`, so the search scans the
+    ball only about as far as it gets, and only candidates that pass
+    `_translates_may_meet` are queried (the others still count as checked).
     """
     big_l = eps ** -2
     bound = 5 * (1 + kappa_emp) * big_l
@@ -245,24 +261,26 @@ def find_overlap_translation(
     if delta_merge is None:
         nn, _ = tree.query(pts, k=2)
         delta_merge = 2.0 * float(np.median(nn[:, 1]))
-    ball = lattice_ball(pa.lam, solver.norm, bound)
+    may_meet = _translates_may_meet(solver, pts, delta_merge)
     # only a hit within delta_merge matters, so each query prunes at a bound
     # strictly above it; points beyond the bound come back as inf
     upper = 2.0 * delta_merge if delta_merge > 0 else np.inf
     checked = 0
-    for vec, nrm_val in zip(ball.vectors, ball.norms):
+    for shell in lattice_ball_shells(pa.lam, solver.norm, bound):
+        vecs = shell.vectors[:max(max_candidates - checked, 0)]
+        for i in np.flatnonzero(may_meet(vecs)):
+            d, _ = tree.query(pts + vecs[i].astype(float), k=1, distance_upper_bound=upper)
+            if float(np.min(d)) <= delta_merge:
+                return {
+                    "n": tuple(int(v) for v in vecs[i]),
+                    "norm": float(shell.norms[i]),
+                    "bound": bound,
+                    "delta_merge": delta_merge,
+                    "candidates_checked": checked + int(i) + 1,
+                }
+        checked += len(vecs)
         if checked >= max_candidates:
             break
-        checked += 1
-        d, _ = tree.query(pts + np.asarray(vec, dtype=float), k=1, distance_upper_bound=upper)
-        if float(np.min(d)) <= delta_merge:
-            return {
-                "n": tuple(int(v) for v in vec),
-                "norm": float(nrm_val),
-                "bound": bound,
-                "delta_merge": delta_merge,
-                "candidates_checked": checked,
-            }
     raise BudgetError(
         f"no overlap translation within |n| <= {bound:.2f} at this sampling "
         f"density ({checked} candidates); refine the cloud"

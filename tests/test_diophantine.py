@@ -14,6 +14,7 @@ from torusdyn.diophantine import (
     center_norm_minimum,
     center_plane_chart,
     lattice_ball,
+    lattice_ball_shells,
 )
 from torusdyn.errors import BudgetError, OutOfHypothesesError
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
@@ -251,6 +252,31 @@ def test_center_norm_minimum_memory_tracks_norms_only(salem_pa, salem_norm):
     finally:
         tracemalloc.stop()
     assert peak <= 0.6 * kept, (peak, kept)
+
+
+# criterion 10's overlap bounds: 5 (1 + kappa) L(eps) and 5 L(eps) at eps 0.35, kappa 0.05
+@pytest.mark.parametrize("bound", [5 * 1.05 * 0.35 ** -2, 5 * 0.35 ** -2])
+def test_lattice_ball_shells_concatenate_to_the_ball(salem_pa, salem_norm, bound):
+    shells = list(lattice_ball_shells(salem_pa.lam, salem_norm, bound))
+    assert [s.radius for s in shells] == [1, 2, 4, 8, 16, 32, bound]
+    ball = lattice_ball(salem_pa.lam, salem_norm, bound)
+    for name in BALL_ARRAYS:
+        assert np.array_equal(np.concatenate([getattr(s, name) for s in shells]),
+                              getattr(ball, name)), name
+
+
+def test_lattice_ball_shells_stopped_early(salem_pa, salem_norm):
+    """An infinite bound streams without end; the first four shells (radii
+    1-8) are the prefix of the ball of norms up to 8 - 1e-6, in its order."""
+    stream = lattice_ball_shells(salem_pa.lam, salem_norm, math.inf)
+    shells = [next(stream) for _ in range(4)]
+    stream.close()
+    ball = lattice_ball(salem_pa.lam, salem_norm, 12.0)
+    m = int(np.count_nonzero(np.round(ball.norms, 12) <= 8 - 1e-6))
+    assert 0 < m < ball.norms.size
+    for name in BALL_ARRAYS:
+        assert np.array_equal(np.concatenate([getattr(s, name) for s in shells]),
+                              getattr(ball, name)[:m]), name
 
 
 def test_lattice_ball_over_budget_allocates_nothing_large(salem_pa, salem_norm):

@@ -216,7 +216,7 @@ def _unpruned_overlap_search(solver, pa, cloud, eps, kappa_emp, delta_merge=None
 @pytest.fixture(scope="module")
 def overlap_clouds(solver_small):
     return {seed: build_saturation_set(solver_small, np.zeros(4), EPS, (2, 20, 20, 2), seed)
-            for seed in (11, 1)}
+            for seed in (11, 1, 0, 2)}
 
 
 @pytest.mark.parametrize("seed", [11, 1])
@@ -252,6 +252,69 @@ def test_overlap_search_hit_exactly_at_the_merge_tolerance(solver_small, salem_p
     got = find_overlap_translation(solver_small, salem_pa, np.zeros(4), EPS, KAPPA, cloud=cloud,
                                    delta_merge=closest[k])
     assert got == want
+
+
+def _first_candidates(pa, solver, count):
+    return lattice_ball(pa.lam, solver.norm, 5 * (1 + KAPPA) * EPS ** -2).vectors[:count]
+
+
+def _default_merge(tree, pts):
+    nn, _ = tree.query(pts, k=2)
+    return 2.0 * float(np.median(nn[:, 1]))
+
+
+def _closest_approaches(tree, pts, vecs, upper):
+    """Per candidate n, the least distance from pts + n to the cloud: exact
+    where it is below `upper` (the queries stop there), inf elsewhere."""
+    return np.concatenate([
+        tree.query((pts + chunk[:, None].astype(float)).reshape(-1, pts.shape[1]), k=1,
+                   distance_upper_bound=upper)[0].reshape(len(chunk), -1).min(axis=1)
+        for chunk in np.array_split(vecs, 40)])
+
+
+def test_overlap_search_budget_error_after_the_full_budget(solver_small, salem_pa, overlap_clouds):
+    """Seed 2 has no hit among the first 4,000 candidates.  The unpruned
+    search needs over a minute to show it (a far translate makes every
+    unbounded query slow), so the closest approaches come from queries
+    bounded at 2 delta_merge, which are exact wherever a hit could be."""
+    pts = overlap_clouds[2].points
+    tree = cKDTree(pts)
+    delta_merge = _default_merge(tree, pts)
+    closest = _closest_approaches(tree, pts, _first_candidates(salem_pa, solver_small, 4000),
+                                  2 * delta_merge)
+    assert np.all(closest > delta_merge)
+    with pytest.raises(BudgetError) as got:
+        find_overlap_translation(solver_small, salem_pa, np.zeros(4), EPS, KAPPA,
+                                 cloud=overlap_clouds[2])
+    bound = 5 * (1 + KAPPA) * EPS ** -2
+    assert str(got.value) == (f"no overlap translation within |n| <= {bound:.2f} at this "
+                              "sampling density (4000 candidates); refine the cloud")
+
+
+@pytest.mark.parametrize("seed", [11, 0])
+def test_box_test_passes_every_near_candidate(solver_small, salem_pa, overlap_clouds, seed):
+    """Every one of the first 4,000 candidates whose translate comes within
+    3 delta_merge of the cloud passes the box test at 3 delta_merge; these
+    near candidates are the hits and the near misses of the search."""
+    pts = overlap_clouds[seed].points
+    tree = cKDTree(pts)
+    delta = 3 * _default_merge(tree, pts)
+    vecs = _first_candidates(salem_pa, solver_small, 4000)
+    near = _closest_approaches(tree, pts, vecs, 1.5 * delta) <= delta
+    passed = saturation._translates_may_meet(solver_small, pts, delta)(vecs)
+    assert np.count_nonzero(near) >= 2
+    assert np.all(passed[near])
+    assert np.count_nonzero(passed) < 40  # and it lets few others through
+
+
+def test_overlap_translation_linear_is_the_first_box_vector_of_the_ball(salem_pa, salem_norm):
+    big_l = EPS ** -2
+    ball = lattice_ball(salem_pa.lam, salem_norm, 5 * big_l)
+    ns, nc, nu = salem_norm.component_norms(ball.vectors.astype(float))
+    box = 2 * (big_l + EPS) + 1e-12
+    ok = (nc <= 2 * EPS + 1e-12) & (ns <= box) & (nu <= box)
+    want = tuple(int(v) for v in ball.vectors[int(np.argmax(ok))])
+    assert overlap_translation_linear(salem_pa, salem_norm, EPS) == want
 
 
 def test_winding_curve_properties(salem_matrix, salem_pa, salem_split, salem_norm):

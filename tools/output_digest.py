@@ -9,13 +9,15 @@ outputs is checked by running this script in both and comparing:
     diff before.txt after.txt
 
 The outputs are the stdout and the written files of ``analyze``, ``survey``,
-``pa``, ``dioph`` (JSON and ``--csv``), ``perturb`` (the benchmark's
-configuration, and amplitudes 0 and 0.02, JSON and CSV) and ``curve``, run
-in this process, and the saturation workload's computation on fixed seeds:
-both coverage checks and the leaf parameters they invert, the saturation
-cloud's points and trails, and the overlap translation.  Leaf points of every
-flavor and both intersection pairs are digested on their own as well.  A run
-takes about ten seconds.
+``pa``, ``dioph`` (JSON alone, JSON with ``--csv``, and ``--format csv``;
+without a table the scan reduces the streamed slabs, with one it reduces the
+sorted ball), ``perturb`` (the benchmark's configuration, and amplitudes 0
+and 0.02, JSON and CSV) and ``curve``, run in this process, and the
+saturation workload's computation on fixed seeds: both coverage checks and
+the leaf parameters they invert, the saturation cloud's points and trails,
+and the overlap translation.  Leaf points of every flavor and both
+intersection pairs are digested on their own as well.  A run takes about ten
+seconds.
 """
 from __future__ import annotations
 
@@ -56,6 +58,7 @@ COMMANDS = {
     "pa": ["pa", "{salem}"],
     "dioph": ["dioph", "{salem}", "--radius", "20", "--out", "{dir}/dioph.json",
               "--csv", "{dir}/dioph.csv"],
+    "dioph json": ["dioph", "{salem}", "--radius", "20", "--out", "{dir}/dioph.json"],
     "dioph --format csv": ["dioph", "{salem}", "--radius", "12", "--format", "csv"],
     "perturb": ["--seed", "7", "perturb", "{map}", "--eps", "0.01,0.001", "--nmax", "100",
                 "--ncount", "6", "--samples", "100", "--out", "{dir}/perturb.json",
