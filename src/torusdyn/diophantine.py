@@ -7,11 +7,15 @@ estimates.
 
 A scan is a Fincke-Pohst enumeration: the covering ellipsoid bounds
 every lattice coordinate but the innermost, which runs over the ball's
-own interval (|n| is convex along it).  It yields the ball a pair of
-slabs of the outermost coordinate at a time.  `lattice_ball` sorts the
-points by (adapted norm, lexicographic coordinates); `center_norm_minimum`
-reduces the slabs as they come, with a result that does not depend on
-their order, so both are deterministic.
+own interval (|n| is convex along it).  The ball is symmetric under
+n -> -n, so the scan visits one point of each +/- pair: the points whose
+outermost nonzero coordinate is positive, one slab of the outermost
+coordinate at a time.  Norms are summed row by row in a fixed order, so
+a point's norm does not depend on its batch and -n has the norm of n bit
+for bit.  `lattice_ball` adds the negated half and sorts the points by
+(adapted norm, lexicographic coordinates); `center_norm_minimum` reduces
+the half as it comes, with a result that does not depend on the order of
+the slabs, so both are deterministic.
 """
 from __future__ import annotations
 
@@ -50,9 +54,9 @@ def _component_factors(lam: Lattice, norm: AdaptedNorm) -> tuple[list[np.ndarray
 # volume, that a scan may cover (the scan enumerates about the ball's points
 # alone).  Measured as process peak RSS with numpy 2.4 on x86-64: criterion
 # 5's radius-100 scan of the Salem lattice (estimate 1.5e7) keeps 3.2e6
-# points, and peaks at 193 MB in center_norm_minimum and 458 MB in
+# points, and peaks at 130 MB in center_norm_minimum and 455 MB in
 # lattice_ball; at radius 134, just under the budget, center_norm_minimum
-# keeps 1.04e7 points and peaks at 489 MB.
+# keeps 1.04e7 points and peaks at 273 MB.
 LATTICE_BALL_BUDGET = 5e7
 
 # Most vertices (3 K + 1 for scale K) a lattice winding curve may have.  The
@@ -178,33 +182,63 @@ def _check_scan_budget(q: np.ndarray, radius: float) -> None:
             f"{LATTICE_BALL_BUDGET:.0e}")
 
 
+def _upper_half(coords: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose outermost nonzero coordinate is positive: one
+    row of each +/- pair, and never the origin."""
+    upper = coords[:, -1] > 0
+    zero = coords[:, -1] == 0
+    if coords.shape[1] > 1 and zero.any():
+        upper[zero] = _upper_half(coords[zero, :-1])
+    return upper
+
+
+def _row_norms(ptsf: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """||ptsf @ f|| per row, summed in a fixed order without BLAS.  A row's
+    norm depends on the row alone, not on the batch (gemm and gemv round
+    differently), and a negated row has the same norm bit for bit."""
+    sq = np.zeros(len(ptsf))
+    for j in range(f.shape[1]):
+        v = ptsf[:, 0] * f[0, j]
+        for i in range(1, f.shape[0]):
+            v += ptsf[:, i] * f[i, j]
+        sq += v * v
+    return np.sqrt(sq)
+
+
+def _with_negations(coords: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows of a half ball followed by their negations, which share their
+    values."""
+    return (np.concatenate([coords, -coords]),) + tuple(np.tile(v, 2) for v in values)
+
+
 def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes):
     """Points of the adapted ball among the completions of the given
-    outermost prefixes: (coords, adapted norms, center norms), unsorted."""
+    outermost prefixes whose outermost nonzero coordinate is positive:
+    (coords, adapted norms, center norms), unsorted."""
     coords, partial, shifts = prefixes
     for level in range(r.shape[0] - 2, -1, -1):
         narrow = _innermost_ball_range(factors, radius) if level == 0 else None
         coords, partial, shifts = _expand_level(r, radius * radius, level, coords, partial,
                                                 shifts, narrow)
-    coords = coords[np.any(coords != 0, axis=1)]
+    coords = coords[_upper_half(coords)]
     ptsf = coords.astype(float)
-    block = [np.sqrt(np.sum((ptsf @ f) ** 2, axis=1)) if f.shape[1] else np.zeros(len(ptsf))
-             for f in factors]
+    block = [_row_norms(ptsf, f) for f in factors]
     total = block[0] + block[1] + block[2]
     keep = total <= radius + 1e-12
     return coords[keep], total[keep], block[1][keep]
 
 
 def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float):
-    """Yield the nonzero lattice points with adapted norm <= radius, a pair
-    of slabs of the outermost coordinate at a time, as unsorted (coords,
-    adapted norms, center norms).
+    """Yield one point of each +/- pair of nonzero lattice points with
+    adapted norm <= radius, the one whose outermost nonzero coordinate is
+    positive, a slab of the outermost coordinate at a time, as unsorted
+    (coords, adapted norms, center norms).
 
     Since |n| >= sqrt(c^T Q c), the ellipsoid c^T Q c <= radius^2 covers
     the ball; it bounds every coordinate but the innermost, which runs
-    only over the ball's own interval.  Each pair of slabs is cut down to
-    the ball before the next is enumerated, so memory follows the kept
-    points rather than the ellipsoid.
+    only over the ball's own interval.  Each slab is cut down to the ball
+    before the next is enumerated, so memory follows the kept points
+    rather than the ellipsoid.
     """
     if lam.rank == 0:
         raise InputError("lattice has rank 0")
@@ -217,15 +251,12 @@ def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float):
     r = np.linalg.cholesky(q).T  # Q = R^T R, R upper triangular
     outer = _expand_level(r, radius * radius, d - 1, np.zeros((1, d), dtype=np.int64),
                           np.zeros(1), np.zeros((1, d)))
-    # Slab -x is slab x negated (every bound is symmetric under c -> -c:
-    # negation commutes with rounding, so each prefix's ranges, the ball's
-    # interval included, are the negated ranges of its negated prefix).
-    # The pair {x, -x}, and slab 0 without the origin, holds an even number
-    # of rows: never a lone row, whose filter matmul would go through gemv
-    # and round differently from the batch gemm.
+    # The outermost coordinate runs over -m..m in order: slab -x is slab x
+    # negated, so only slabs 0..m are enumerated, and slab 0 keeps its
+    # half through `_upper_half` like every other slab.
     k = len(outer[0])
-    for i in range(k // 2 + 1):
-        yield _ball_slab(r, radius, factors, [a[sorted({i, k - 1 - i})] for a in outer])
+    for i in range(k // 2, k):
+        yield _ball_slab(r, radius, factors, [a[i:i + 1] for a in outer])
 
 
 @dataclass
@@ -243,10 +274,11 @@ class BallPoints:
 
 
 def lattice_ball(lam: Lattice, norm: AdaptedNorm, radius: float) -> BallPoints:
-    """Every nonzero lattice point with adapted norm <= radius: the slabs of
-    `_ball_slabs`, concatenated and sorted."""
+    """Every nonzero lattice point with adapted norm <= radius: the half
+    ball of `_ball_slabs` and its negation, concatenated and sorted."""
     pts, total, nc = (np.concatenate(col) for col in zip(*_ball_slabs(lam, norm, radius)))
-    _release_freed_heap()  # the slabs are freed; only the concatenated points stay
+    pts, total, nc = _with_negations(pts, total, nc)
+    _release_freed_heap()  # the slabs and the half are freed; only the points stay
     d = lam.rank
     order = np.lexsort(tuple(pts[:, i] for i in range(d - 1, -1, -1)) + (np.round(total, 12),))
     pts, total, nc = pts[order], total[order], nc[order]
@@ -316,13 +348,19 @@ class DiophantineReport:
         }
 
 
+def _at_most_kth_least(values: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the values at most the k-th least, ties kept."""
+    if values.size <= k:
+        return np.ones(values.size, dtype=bool)
+    return values <= np.partition(values, k - 1)[k - 1]
+
+
 def _least_ratios(coords, norms, nc, ratios, cap: int):
     """The `cap` rows least by (ratio, adapted norm to 12 decimals,
     lexicographic coordinates): a total order, so the least rows of a
     union are the least of the parts' least rows."""
-    if ratios.size > cap:
-        keep = ratios <= np.partition(ratios, cap - 1)[cap - 1]
-        coords, norms, nc, ratios = coords[keep], norms[keep], nc[keep], ratios[keep]
+    keep = _at_most_kth_least(ratios, cap)
+    coords, norms, nc, ratios = coords[keep], norms[keep], nc[keep], ratios[keep]
     order = np.lexsort(tuple(coords[:, i] for i in range(coords.shape[1] - 1, -1, -1))
                        + (np.round(norms, 12), ratios))[:cap]
     return coords[order], norms[order], nc[order], ratios[order]
@@ -340,24 +378,33 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
     against |n|; any exactly vanishing center component aborts (it would
     be an integer vector inside the hyperbolic subspace).
 
-    The scan is reduced slab by slab as `_ball_slabs` yields it, keeping
-    only the adapted and center norms of each point (16 bytes).  A caller
-    that holds the `lattice_ball` of this radius anyway passes it as
-    `ball`, and it is reduced in place of a second scan.  Every quantity
-    of the report is independent of the order the points come in, so both
-    give the same report.
+    The reduction runs over one point of each +/- pair, which shares its
+    norms with the other: slab by slab as `_ball_slabs` yields the half,
+    keeping only the adapted and center norms of each point (16 bytes).
+    A caller that holds the `lattice_ball` of this radius anyway passes it
+    as `ball`, and its half is reduced in place of a second scan.  Every
+    quantity of the report is independent of the order the points come
+    in, so both give the same report: the count is twice the half's; the
+    minima and the maximum are the half's; a shell's mean is the half's,
+    since its exactly rounded sum and its count both double; the least
+    ratios of a chunk and its negation are among the rows with a ratio at
+    most the chunk's WITNESS_CAP-th least and their negations.
     """
     if ball is None:
         chunks = _ball_slabs(pa.lam, norm, radius)
     else:
-        chunks = [(ball.coords, ball.norms, ball.center_norms)]
+        half = _upper_half(ball.coords)
+        chunks = [(ball.coords[half], ball.norms[half], ball.center_norms[half])]
     r = pa.dim_x // 2
     norm_parts, center_parts = [], []
     best = None
     for coords, norms, nc in chunks:
         norm_parts.append(norms)
         center_parts.append(nc)
-        least = _least_ratios(coords, norms, nc, nc * norms ** r, WITNESS_CAP)
+        ratios = nc * norms ** r
+        keep = _at_most_kth_least(ratios, WITNESS_CAP)
+        least = _least_ratios(*_with_negations(coords[keep], norms[keep], nc[keep], ratios[keep]),
+                              WITNESS_CAP)
         if best is not None:
             least = _least_ratios(*(np.concatenate(col) for col in zip(best, least)),
                                   WITNESS_CAP)
@@ -402,7 +449,7 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
         radius=radius,
         c_prime_empirical=float(ratios[0]),
         slope=slope,
-        point_count=int(nc.size),
+        point_count=2 * int(nc.size),
         witnesses=witnesses,
     )
 
@@ -549,14 +596,14 @@ def badly_approximable_search_dim4(
     kmat = np.stack([k1.ravel(), k2.ravel()], axis=1).astype(float)
     kmat = kmat[np.any(kmat != 0, axis=1)]
     ksup = np.max(np.abs(kmat), axis=1)
+    ksup2 = ksup ** 2
+    dists = [_dist_to_integers(kmat @ a) for _, a in cands]
     best: Optional[PairWitness] = None
     for i in range(len(cands)):
         n1_vec, a1 = cands[i]
-        d1 = _dist_to_integers(kmat @ a1)
         for j in range(i + 1, len(cands)):
             n2_vec, a2 = cands[j]
-            d2 = _dist_to_integers(kmat @ a2)
-            vals = np.maximum(d1, d2) * ksup ** 2
+            vals = np.maximum(dists[i], dists[j]) * ksup2
             t = int(np.argmin(vals))
             w = PairWitness(
                 n1=n1_vec, n2=n2_vec,

@@ -29,7 +29,9 @@ SALEM = IntPoly((1, -1, -1, -1, 1))
 CAT = IntPoly((1, -3, 1))
 
 # U A U^-1 for the Salem companion A and a unimodular U: a dense integer matrix,
-# whose matmuls round differently through gemv (one row) and gemm (several)
+# whose matmuls round differently through gemv (one row) and gemm (several).
+# The leaf solver's results must not depend on the batch a row comes in, nor
+# the lattice scan's norms, which are summed per row without BLAS.
 SALEM_CONJUGATE = [[0, 8, 6, 5], [1, -2, 2, -1], [0, -5, -4, -3], [-2, 12, 3, 7]]
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_unimodular
+from conftest import SALEM_CONJUGATE, random_unimodular
 from torusdyn import diophantine
 from torusdyn.diophantine import (
     approximation_constant,
@@ -17,6 +17,7 @@ from torusdyn.diophantine import (
     lattice_ball_shells,
 )
 from torusdyn.errors import BudgetError, OutOfHypothesesError
+from torusdyn.intmatrix import IntMatrix
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
 from torusdyn.splitting import adapted_norm, compute_splitting
 
@@ -25,17 +26,13 @@ BALL_ARRAYS = ("coords", "vectors", "norms", "center_norms", "center_coords")
 
 def test_lattice_ball_count_matches_direct_enumeration(salem_pa, salem_norm):
     ball = lattice_ball(salem_pa.lam, salem_norm, 6.0)
-    # direct box enumeration oracle
-    import itertools
-
-    count = 0
-    for c in itertools.product(range(-12, 13), repeat=4):
-        if not any(c):
-            continue
-        v = np.array(c, dtype=float)
-        if salem_norm.norm(v) <= 6.0 + 1e-12:
-            count += 1
-    assert len(ball.vectors) == count
+    # direct box enumeration oracle: one norm call on the box [-12, 12]^4
+    axis = np.arange(-12, 13)
+    box = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
+    box = box[np.any(box != 0, axis=1)]
+    inside = box[salem_norm.norm(box.astype(float)) <= 6.0 + 1e-12]
+    assert len(ball.vectors) == len(inside)
+    assert set(map(tuple, ball.vectors.tolist())) == set(map(tuple, inside.tolist()))
 
 
 def test_lattice_ball_sorted_and_nonzero(salem_pa, salem_norm):
@@ -80,8 +77,7 @@ def _one_shot_ball(lam, norm, radius):
     q = sum(f @ f.T for f in factors)
     pts = _one_shot_enumeration(q, radius * radius)
     ptsf = pts.astype(float)
-    block = [np.sqrt(np.sum((ptsf @ f) ** 2, axis=1)) if f.shape[1] else np.zeros(len(ptsf))
-             for f in factors]
+    block = [diophantine._row_norms(ptsf, f) for f in factors]
     total = block[0] + block[1] + block[2]
     keep = total <= radius + 1e-12
     pts, ptsf, total, nc = pts[keep], ptsf[keep], total[keep], block[1][keep]
@@ -192,6 +188,40 @@ def test_lattice_ball_matches_one_shot_scan_conjugates(salem_matrix, block6_matr
     assert np.any(ball.vectors[:, 4:] != 0)
 
 
+def _symmetric_ball_cases(block6_matrix, salem_matrix):
+    u1 = random_unimodular(random.Random(1), 4)
+    u0 = random_unimodular(random.Random(0), 6)
+    return {"salem_conjugate": IntMatrix(SALEM_CONJUGATE),
+            "one_row_top_slab": u1 * salem_matrix * u1.inverse_unimodular(),
+            "salem_cat_conjugate": u0 * block6_matrix * u0.inverse_unimodular()}
+
+
+@pytest.mark.parametrize("case", ["salem_conjugate", "one_row_top_slab", "salem_cat_conjugate"])
+def test_lattice_ball_pairs_share_their_norms_bit_for_bit(case, salem_matrix, block6_matrix):
+    pa, norm = _pa_and_norm(_symmetric_ball_cases(block6_matrix, salem_matrix)[case])
+    radius = 25.0
+    if case == "one_row_top_slab":
+        assert _top_slab_rows(pa, norm, radius) == 1
+    ball = lattice_ball(pa.lam, norm, radius)
+    # the ball is its own negation, and each +/- pair shares its norms
+    row = {c: i for i, c in enumerate(map(tuple, ball.coords.tolist()))}
+    neg = np.array([row[tuple(-x for x in c)] for c in ball.coords.tolist()])
+    assert np.array_equal(ball.coords[neg], -ball.coords)
+    assert np.array_equal(ball.norms[neg], ball.norms)
+    assert np.array_equal(ball.center_norms[neg], ball.center_norms)
+    # a point's norms alone are its norms inside the batch: every 16th point
+    # and the top slab's
+    factors, _ = diophantine._component_factors(pa.lam, norm)
+    top = np.abs(ball.coords[:, -1]) == np.abs(ball.coords[:, -1]).max()
+    sample = np.flatnonzero(top | (np.arange(ball.norms.size) % 16 == 0))
+    for i in sample:
+        alone = [diophantine._row_norms(ball.coords[i:i + 1].astype(float), f)[0] for f in factors]
+        assert alone[0] + alone[1] + alone[2] == ball.norms[i]
+        assert alone[1] == ball.center_norms[i]
+    rep = center_norm_minimum(pa, norm, radius)
+    assert rep.point_count == ball.norms.size and rep.point_count % 2 == 0
+
+
 def test_lattice_ball_memory_tracks_kept_points(salem_pa, salem_norm):
     tracemalloc.start()
     try:
@@ -224,11 +254,19 @@ def _innermost_candidates(lam, norm, radius, monkeypatch):
     return sum(seen)
 
 
+def _points_and_slab0(ball):
+    """Points of a ball, and those of them whose outermost coordinate is 0."""
+    return ball.norms.size, int(np.sum(ball.coords[:, -1] == 0))
+
+
 def test_innermost_range_is_the_balls_interval(salem_matrix, salem_pa, salem_norm, monkeypatch):
-    # The innermost coordinate runs over the ball's own interval, searched
-    # with a slack of 1e-9 radius, plus the origin: not over the covering
-    # ellipsoid's range (4.7 candidates per kept point at radius 80 on the
-    # Salem lattice, 3 to 5 on these conjugates at radius 50).
+    # The scan visits the half of the ball whose outermost coordinate is
+    # positive, and all of slab 0, the origin included.  There the
+    # innermost coordinate runs over the ball's own interval, searched
+    # with a slack of 1e-9 radius: not over the covering ellipsoid's range
+    # (4.7 candidates per kept point at radius 80 on the Salem lattice, 3
+    # to 5 on these conjugates at radius 50), nor over the whole ball
+    # (0.51 to 0.55 candidates per kept point).
     cases = [(salem_pa.lam, salem_norm, 25.0)]
     for seed in range(4):
         u = random_unimodular(random.Random(seed), 4)
@@ -236,9 +274,11 @@ def test_innermost_range_is_the_balls_interval(salem_matrix, salem_pa, salem_nor
         cases.append((pa.lam, norm, 50.0))
     for lam, norm, radius in cases:
         candidates = _innermost_candidates(lam, norm, radius, monkeypatch)
-        kept = _one_shot_ball(lam, norm, radius).norms.size
-        within_slack = _one_shot_ball(lam, norm, radius * (1 + 2e-9)).norms.size
-        assert kept + 1 <= candidates <= within_slack + 1, (kept, candidates, within_slack)
+        kept, kept0 = _points_and_slab0(_one_shot_ball(lam, norm, radius))
+        within, within0 = _points_and_slab0(_one_shot_ball(lam, norm, radius * (1 + 2e-9)))
+        # half the points off slab 0, all of slab 0's, and the origin
+        assert (kept + kept0) // 2 + 1 <= candidates <= (within + within0) // 2 + 1, \
+            (kept, kept0, candidates, within, within0)
 
 
 def test_center_norm_minimum_memory_tracks_norms_only(salem_pa, salem_norm):

@@ -16,8 +16,10 @@ and 0.02, JSON and CSV) and ``curve``, run in this process, and the
 saturation workload's computation on fixed seeds: both coverage checks and
 the leaf parameters they invert, the saturation cloud's points and trails,
 and the overlap translation.  Leaf points of every flavor and both
-intersection pairs are digested on their own as well.  A run takes about ten
-seconds.
+intersection pairs are digested on their own as well, and so is the
+``lattice_ball`` of a dense conjugate of the Salem companion, whose norms
+round differently when a scan batches its rows differently.  A run takes
+about ten seconds.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from torusdyn import cli  # noqa: E402
+from torusdyn.diophantine import lattice_ball  # noqa: E402
 from torusdyn.intmatrix import IntMatrix  # noqa: E402
 from torusdyn.intpoly import IntPoly  # noqa: E402
 from torusdyn.manifolds import LeafSolver  # noqa: E402
@@ -48,6 +51,8 @@ from torusdyn.saturation import (  # noqa: E402
 from torusdyn.splitting import adapted_norm, compute_splitting  # noqa: E402
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
+# U A U^-1 for the Salem companion A and a unimodular U: dense norm factors
+SALEM_CONJUGATE = [[0, 8, 6, 5], [1, -2, 2, -1], [0, -5, -4, -3], [-2, 12, 3, 7]]
 
 # name -> argv; {salem}, {map} and {dir} are filled in, and every file an
 # argv writes under {dir} is digested beside the command's stdout
@@ -136,9 +141,19 @@ def saturation_digests() -> list[tuple[str, str]]:
     return out
 
 
+def lattice_digests() -> list[tuple[str, str]]:
+    """Every array of a lattice ball on dense norm factors."""
+    split = compute_splitting(IntMatrix(SALEM_CONJUGATE))
+    pa = pseudo_anosov_subspace(split.matrix, 8, split=split)
+    ball = lattice_ball(pa.lam, adapted_norm(split), 25.0)
+    arrays = (ball.coords, ball.vectors, ball.norms, ball.center_norms, ball.center_coords)
+    return [("lattice_ball: salem conjugate, radius 25",
+             _sha(b"".join(np.ascontiguousarray(x).tobytes() for x in arrays)))]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        rows = cli_digests(tmp) + saturation_digests()
+        rows = cli_digests(tmp) + saturation_digests() + lattice_digests()
     for name, digest in rows:
         print(f"{digest}  {name}")
     return 0
