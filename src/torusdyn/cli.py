@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .diophantine import (
@@ -20,14 +21,14 @@ from .diophantine import (
     center_plane_chart,
     lattice_ball,
 )
-from .errors import InputError, TorusDynError
+from .errors import BudgetError, InputError, TorusDynError
 from .experiments import (N_COUNT_BUDGET, N_MAX_LIMIT, PHI_SAMPLES_BUDGET, curve_experiment,
                           perturb_experiment)
 from .intmatrix import matrix_from_json
 from .perturbed import PerturbedMap
 from .pseudo_anosov import pseudo_anosov_subspace
 from .splitting import adapted_norm, classify, compute_splitting
-from .survey import run_survey
+from .survey import SURVEY_BUDGET, run_survey
 
 
 def _dump(obj, path=None, stream=None) -> None:
@@ -67,6 +68,15 @@ def cmd_survey(args) -> int:
         raise InputError("survey height must be between 0 and 5")
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit must be at least 0, got {args.limit}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise InputError(f"--jobs must be between 1 and the CPU count {cpus}, got {args.jobs}")
+    size = 2 * (2 * args.height + 1) ** (args.dim - 1)
+    if args.limit is not None:
+        size = min(size, args.limit)
+    if size > SURVEY_BUDGET:
+        raise BudgetError(f"a survey of {size} polynomials exceeds the budget of {SURVEY_BUDGET}; "
+                          "pass a smaller box or --limit")
     entries, summary = run_survey(args.dim, args.height, limit=args.limit,
                                   reciprocal_only=args.reciprocal_only, jobs=args.jobs)
     if args.out:

@@ -10,14 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
-def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
+def _trim(coeffs: Iterable[int]) -> list[int]:
     c = list(coeffs)
     while c and c[-1] == 0:
         c.pop()
-    return tuple(c)
+    return c
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int]):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
 
     # -- basics ------------------------------------------------------------
 
@@ -106,7 +107,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        return IntPoly(_derivative(self.coeffs))
 
     def reverse(self) -> "IntPoly":
         """x^deg * p(1/x); degree-preserving when the constant term is nonzero."""
@@ -117,12 +118,7 @@ class IntPoly:
 
     def primitive(self) -> "IntPoly":
         """Primitive part with positive leading coefficient."""
-        if not self.coeffs:
-            return self
-        g = self.content()
-        if self.coeffs[-1] < 0:
-            g = -g
-        return IntPoly(tuple(c // g for c in self.coeffs))
+        return IntPoly(_primitive(list(self.coeffs)))
 
 
 X = IntPoly((0, 1))
@@ -130,93 +126,101 @@ ONE = IntPoly((1,))
 
 
 # -- division ---------------------------------------------------------------
+# The kernel runs on plain ascending coefficient lists, trimmed, with [] for
+# zero, so a remainder sequence builds no IntPoly per step: ``_prem`` is the
+# one pseudo-remainder, for ``gcd_z``, the Sturm chain and the circle count.
+
+
+def _quo(num: list[int], den: list[int]) -> list[int]:
+    """num / den for nonzero den, raising if the division is not exact over Z."""
+    if not num:
+        return num
+    d, lc = len(den) - 1, den[-1]
+    if len(num) <= d:
+        raise ArithmeticError("inexact polynomial division")
+    rem = list(num)
+    q = [0] * (len(num) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(rem[k + d], lc)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        q[k] = c
+        if c:
+            for i, dc in enumerate(den):
+                rem[k + i] -= c * dc
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _prem(f: list[int], g: list[int]) -> tuple[list[int], int]:
+    """Pseudo-remainder of f by nonzero g and the sign of the multiplier.
+
+    Returns (r, s) with lc(g)^(deg f - deg g + 1) * f = q*g + r and s the
+    sign of that power, so r/s is a positive multiple of the true rational
+    remainder.
+    """
+    d, lc = len(g) - 1, g[-1]
+    steps = len(f) - d
+    if steps <= 0:
+        return list(f), 1
+    rem = list(f)
+    for k in range(steps - 1, -1, -1):
+        c = rem[k + d]
+        if k and lc != 1:
+            rem[:k] = [x * lc for x in rem[:k]]
+        rem[k:k + d] = [x * lc - c * y for x, y in zip(rem[k:k + d], g)]
+    del rem[d:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem, (1 if lc > 0 or steps % 2 == 0 else -1)
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """Primitive part with positive leading coefficient."""
+    if not c:
+        return c
+    g = math.gcd(*c)
+    return [x // (g if c[-1] > 0 else -g) for x in c]
+
+
+def _derivative(c: Sequence[int]) -> list[int]:
+    return [k * x for k, x in enumerate(c)][1:]
+
+
+def _gcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd over Z (primitive PRS), positive leading coefficient."""
+    a, b = _primitive(f), _primitive(g)
+    if not a:
+        return b
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b)[0])
+    return a
 
 
 def divides(den: IntPoly, num: IntPoly) -> bool:
     """Exact divisibility test over Z."""
     if den.is_zero:
         return num.is_zero
-    if num.is_zero:
-        return True
-    if num.degree < den.degree:
+    try:
+        _quo(list(num.coeffs), list(den.coeffs))
+    except ArithmeticError:
         return False
-    rem = list(num.coeffs)
-    d, lc = den.degree, den.coeffs[-1]
-    for k in range(len(rem) - 1 - d, -1, -1):
-        top = rem[k + d]
-        if top:
-            c, r = divmod(top, lc)
-            if r:
-                return False
-            for i, dc in enumerate(den.coeffs):
-                rem[k + i] -= c * dc
-    return not any(rem)
+    return True
 
 
 def div_exact(num: IntPoly, den: IntPoly) -> IntPoly:
     """num / den, raising if the division is not exact over Z."""
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    if num.is_zero:
-        return num
-    if num.degree < den.degree:
-        raise ArithmeticError("inexact polynomial division")
-    rem = list(num.coeffs)
-    d, lc = den.degree, den.coeffs[-1]
-    q = [0] * (num.degree - d + 1)
-    for k in range(len(q) - 1, -1, -1):
-        top = rem[k + d]
-        c, r = divmod(top, lc)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        q[k] = c
-        if c:
-            for i, dc in enumerate(den.coeffs):
-                rem[k + i] -= c * dc
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return IntPoly(q)
-
-
-def pseudo_rem(f: IntPoly, g: IntPoly) -> tuple[IntPoly, int]:
-    """Pseudo-remainder of f by g and the sign of the applied multiplier.
-
-    Returns (r, s) with lc(g)^(deg f - deg g + 1) * f = q*g + r and
-    s the sign of that power, so r/s is a positive multiple of the true
-    rational remainder.
-    """
-    if g.is_zero:
-        raise ZeroDivisionError("pseudo-division by zero")
-    d, lc = g.degree, g.coeffs[-1]
-    steps = f.degree - d + 1
-    if steps <= 0:
-        return f, 1
-    rem = list(f.coeffs)
-    for k in range(steps - 1, -1, -1):
-        for i in range(len(rem)):
-            if i != k + d:
-                rem[i] *= lc
-        c = rem[k + d]
-        rem[k + d] = 0
-        for i, gc in enumerate(g.coeffs[:-1]):
-            rem[k + i] -= c * gc
-    sign = 1 if (lc > 0 or steps % 2 == 0) else -1
-    return IntPoly(rem), sign
+    return IntPoly(_quo(list(num.coeffs), list(den.coeffs)))
 
 
 def gcd_z(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd over Z (primitive PRS), positive leading coefficient."""
-    a, b = f.primitive(), g.primitive()
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        r, _ = pseudo_rem(a, b)
-        a, b = b, r.primitive()
-    return a
+    return IntPoly(_gcd(list(f.coeffs), list(g.coeffs)))
 
 
 def squarefree_decomposition(p: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -344,66 +348,60 @@ def is_poly_in_xm(p: IntPoly) -> Optional[int]:
 
 
 # -- Sturm machinery ----------------------------------------------------------
+# Signed remainder sequences of coefficient lists, by the kernel's ``_prem``.
 
 
-def _neg_rem_primitive(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive polynomial equal to a positive multiple of -rem(a, b)."""
-    r, sign = pseudo_rem(a, b)
-    if r.is_zero:
+def _neg_rem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive list equal to a positive multiple of -rem(a, b)."""
+    r, sign = _prem(a, b)
+    if not r:
         return r
-    g = r.content()
-    return IntPoly(tuple((-sign * c) // g for c in r.coeffs))
+    g = -sign * math.gcd(*r)
+    return [c // g for c in r]
 
 
-def sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Integer Sturm chain of the squarefree part of p."""
-    f = p.primitive()
-    g = gcd_z(f, f.derivative())
-    if g.degree > 0:
-        f = div_exact(f, g).primitive()
-    chain = [f, f.derivative().primitive()]
-    if chain[1].is_zero:
+def _sturm(c: list[int]) -> list[list[int]]:
+    """Integer Sturm chain of the squarefree part of c."""
+    f = _primitive(c)
+    g = _gcd(f, _derivative(f))
+    if len(g) > 1:
+        f = _primitive(_quo(f, g))
+    chain = [f, _primitive(_derivative(f))]
+    if not chain[1]:
         return chain[:1]
-    while chain[-1].degree > 0:
-        nxt = _neg_rem_primitive(chain[-2], chain[-1])
-        if nxt.is_zero:
+    while len(chain[-1]) > 1:
+        nxt = _neg_rem(chain[-2], chain[-1])
+        if not nxt:
             break
         chain.append(nxt)
     return chain
 
 
-def _sign_at_inf(p: IntPoly, positive: bool) -> int:
-    if p.is_zero:
-        return 0
-    lc = p.leading
-    s = (lc > 0) - (lc < 0)
-    if not positive and p.degree % 2 == 1:
-        s = -s
-    return s
-
-
 def _variations(signs: list[int]) -> int:
-    v, prev = 0, 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            v += 1
-        prev = s
-    return v
+    """Sign changes along a sequence of nonzero signs."""
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _index_over_line(seq: list[IntPoly]) -> int:
+def _index_over_line(seq: list[list[int]]) -> int:
     """Sign variations of a signed remainder sequence at -inf minus those at +inf."""
-    return (_variations([_sign_at_inf(f, False) for f in seq])
-            - _variations([_sign_at_inf(f, True) for f in seq]))
+    nonzero = [c for c in seq if c]
+    at_plus = [1 if c[-1] > 0 else -1 for c in nonzero]
+    at_minus = [s if len(c) % 2 else -s for s, c in zip(at_plus, nonzero)]
+    return _variations(at_minus) - _variations(at_plus)
+
+
+def _real_root_count(c: list[int]) -> int:
+    return _index_over_line(_sturm(c)) if len(c) > 1 else 0
+
+
+def sturm_chain(p: IntPoly) -> list[IntPoly]:
+    """Integer Sturm chain of the squarefree part of p."""
+    return [IntPoly(c) for c in _sturm(list(p.coeffs))]
 
 
 def count_real_roots(p: IntPoly) -> int:
     """Number of distinct real roots of p, exact by Sturm's theorem."""
-    if p.degree < 1:
-        return 0
-    return _index_over_line(sturm_chain(p))
+    return _real_root_count(list(p.coeffs))
 
 
 # -- roots against the unit circle ----------------------------------------------
@@ -427,7 +425,8 @@ def circle_root_counts(p: IntPoly) -> tuple[int, int]:
     exact for squarefree p and for any p without roots on the circle.
 
     One signed remainder sequence (Routh-Hurwitz; Gantmacher, Theory of
-    Matrices II, ch. XV): z = (w+1)/(w-1) maps the disk onto the left
+    Matrices II, ch. XV), run on coefficient lists by the module's
+    pseudo-remainder kernel: z = (w+1)/(w-1) maps the disk onto the left
     half-plane and the circle onto the imaginary axis, so the roots are
     those of q(w) = (w-1)^n p((w+1)/(w-1)), which has degree n and
     q(0) != 0.  Write q(iy) = R(y) + i I(y).  The last element G of the
@@ -445,19 +444,15 @@ def circle_root_counts(p: IntPoly) -> tuple[int, int]:
         return 0, 0
     if p(1) == 0 or p(-1) == 0:
         raise ValueError("root at +-1")
-    acc = [0] * (n + 1)
-    for c, term in zip(p.coeffs, _cayley_basis(n)):
-        if c:
-            for j, t in enumerate(term):
-                acc[j] += c * t
+    acc = [sum(map(mul, p.coeffs, column)) for column in zip(*_cayley_basis(n))]
     # i^j runs through 1, i, -1, -i
-    re = IntPoly(c if j % 4 == 0 else -c if j % 4 == 2 else 0 for j, c in enumerate(acc))
-    im = IntPoly(c if j % 4 == 1 else -c if j % 4 == 3 else 0 for j, c in enumerate(acc))
+    re = _trim(c if j % 4 == 0 else -c if j % 4 == 2 else 0 for j, c in enumerate(acc))
+    im = _trim(c if j % 4 == 1 else -c if j % 4 == 3 else 0 for j, c in enumerate(acc))
     den, num, sign = (re, im, -1) if n % 2 == 0 else (im, re, 1)
     seq = [den, num]
-    while seq[-1].degree > 0:
-        seq.append(_neg_rem_primitive(seq[-2], seq[-1]))
-    on = count_real_roots(seq[-2] if seq[-1].is_zero else seq[-1])
+    while len(seq[-1]) > 1:
+        seq.append(_neg_rem(seq[-2], seq[-1]))
+    on = _real_root_count(seq[-1] or seq[-2])
     return (n - on + sign * _index_over_line(seq)) // 2, on
 
 

@@ -59,6 +59,11 @@ def classify_chunk(items: list[tuple[int, tuple[int, ...]]]) -> list[dict]:
     return [classify_entry(item, factors) for item, factors in zip(items, factorizations)]
 
 
+# Most polynomials one survey may classify.  Every entry is held until the box
+# is done; at N = 8 an entry holds about 1.6 KB and takes about 0.35 ms on one
+# core, so a full budget holds about 1.6 GB and runs about 6 minutes.
+SURVEY_BUDGET = 1_000_000
+
 # Polynomials per chunk: large enough to amortize the batched sieve, small
 # enough that its stacked arrays stay a few hundred kilobytes.
 CHUNK_SIZE = 256

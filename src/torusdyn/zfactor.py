@@ -8,9 +8,11 @@ already shows f squarefree mod p, the squarefree decomposition over Z
 is skipped.
 
 ``factor_z_many`` factors a batch and equals ``[factor_z(p) for p in
-polys]`` entry by entry.  It strips the roots +-1 by synthetic division
-and proves most cofactors irreducible with a batched degree sieve
-(Musser's degree-set test), then sends every unproven row to
+polys]`` entry by entry.  It divides every cyclotomic factor Phi_m with
+phi(m) <= deg p out of each row, with multiplicity, by exact division
+after the necessary tests Phi_m(2) | p(2) and Phi_m(3) | p(3).  One
+batched degree sieve (Musser's degree-set test) then proves most
+cofactors irreducible, and every unproven cofactor goes to
 ``factor_z``.  For a monic cofactor f of degree n and a prime p > n the
 sieve stacks the companions C mod p, forms C^p by square-and-multiply,
 and takes the Frobenius matrix Q with columns (C^p)^i e_0, the matrix of
@@ -29,11 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .intpoly import IntPoly, div_exact, divides, squarefree_decomposition
+from .intpoly import (IntPoly, cyclotomic, cyclotomic_indices_up_to_degree, div_exact, divides,
+                      squarefree_decomposition)
 
 # -- dense polynomials over Z/m ----------------------------------------------
 # represented as tuples, ascending degree, trimmed, coefficients in [0, m)
@@ -498,38 +502,44 @@ def certify_irreducible(polys: Sequence[IntPoly]) -> list[bool]:
     return out
 
 
-def _strip_unit_roots(p: IntPoly) -> tuple[IntPoly, int, int]:
-    """(g, k1, k2) with p = (x - 1)^k1 (x + 1)^k2 g and g(+-1) != 0, by
-    synthetic division."""
-    coeffs = list(p.coeffs)
-    mults = []
-    for r in (1, -1):
+@lru_cache(maxsize=None)
+def _cyclotomic_at_2_3(m: int) -> tuple[IntPoly, int, int]:
+    phi = cyclotomic(m)
+    return phi, phi(2), phi(3)
+
+
+def _strip_cyclotomic(p: IntPoly) -> tuple[IntPoly, list[tuple[IntPoly, int]]]:
+    """(g, [(Phi_m, k), ...]) with p = g * prod Phi_m^k and no Phi_m dividing
+    g, over every m with phi(m) <= deg p, by exact division.
+
+    Phi_m | p forces Phi_m(2) | p(2) and Phi_m(3) | p(3); these integer tests
+    skip the trial division for most m.
+    """
+    g, at2, at3 = p, p(2), p(3)
+    found = []
+    for m in cyclotomic_indices_up_to_degree(p.degree):
+        phi, phi2, phi3 = _cyclotomic_at_2_3(m)
         k = 0
-        while len(coeffs) > 1 and sum(c * r ** i for i, c in enumerate(coeffs)) == 0:
-            acc = 0
-            quot = [0] * (len(coeffs) - 1)
-            for i in range(len(coeffs) - 1, 0, -1):
-                acc = acc * r + coeffs[i]
-                quot[i - 1] = acc
-            coeffs = quot
-            k += 1
-        mults.append(k)
-    return IntPoly(coeffs), mults[0], mults[1]
+        while at2 % phi2 == 0 and at3 % phi3 == 0 and divides(phi, g):
+            g, at2, at3, k = div_exact(g, phi), at2 // phi2, at3 // phi3, k + 1
+        if k:
+            found.append((phi, k))
+    return g, found
 
 
 def factor_z_many(polys: Sequence[IntPoly]) -> list[list[tuple[IntPoly, int]]]:
     """``[factor_z(p) for p in polys]``, with most rows settled by one
-    batched degree sieve in place of Berlekamp and Hensel lifting; the
-    other rows factor their cofactor of the roots +-1 with ``factor_z``."""
-    stripped = [_strip_unit_roots(p) for p in polys]
+    batched degree sieve in place of Berlekamp and Hensel lifting: every
+    cyclotomic factor is divided out first, and a cofactor the sieve leaves
+    unproven goes to ``factor_z``."""
+    stripped = [_strip_cyclotomic(p) for p in polys]
     # the cofactors are monic exactly when the polys are; certify checks them
-    proven = certify_irreducible([g for g, _, _ in stripped])
+    proven = certify_irreducible([g for g, _ in stripped])
     out = []
-    for (g, k1, k2), ok in zip(stripped, proven):
-        factors = [(g, 1)] if ok else factor_z(g)
-        if k1:
-            factors.append((IntPoly((-1, 1)), k1))
-        if k2:
-            factors.append((IntPoly((1, 1)), k2))
+    for (g, factors), ok in zip(stripped, proven):
+        if ok:
+            factors.append((g, 1))
+        elif g.degree > 0:  # a monic cofactor of degree 0 is 1
+            factors += factor_z(g)
         out.append(_sort_factors(factors))
     return out

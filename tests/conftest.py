@@ -8,8 +8,6 @@ from torusdyn.intpoly import (
     X,
     IntPoly,
     _cayley_basis,
-    _index_over_line,
-    _neg_rem_primitive,
     count_real_roots,
     cyclotomic,
     cyclotomic_indices_up_to_degree,
@@ -164,7 +162,10 @@ def lattice_index(sub, sup):
 # The two exact counts the package used before ``circle_root_counts``: a Sturm
 # count through the x + 1/x substitution for roots on the circle, and a
 # Routh-Hurwitz count for factors without them.  They are the differential
-# oracle for the single remainder sequence.
+# oracle for the single remainder sequence.  The Routh-Hurwitz count keeps its
+# own IntPoly remainder sequence (``pseudo_rem`` to ``_index_over_line``
+# below, the package's code before its remainder kernel moved to coefficient
+# lists), so the oracle does not follow the kernel it checks.
 
 
 def crown_transform(r):
@@ -218,6 +219,68 @@ def reference_unitary_roots(p):
         if r.degree >= 2:
             total += 2 * mult * sturm_count_between(crown_transform(r), -2, 2)
     return total
+
+
+def pseudo_rem(f: IntPoly, g: IntPoly) -> tuple[IntPoly, int]:
+    """Pseudo-remainder of f by g and the sign of the applied multiplier.
+
+    Returns (r, s) with lc(g)^(deg f - deg g + 1) * f = q*g + r and
+    s the sign of that power, so r/s is a positive multiple of the true
+    rational remainder.
+    """
+    if g.is_zero:
+        raise ZeroDivisionError("pseudo-division by zero")
+    d, lc = g.degree, g.coeffs[-1]
+    steps = f.degree - d + 1
+    if steps <= 0:
+        return f, 1
+    rem = list(f.coeffs)
+    for k in range(steps - 1, -1, -1):
+        for i in range(len(rem)):
+            if i != k + d:
+                rem[i] *= lc
+        c = rem[k + d]
+        rem[k + d] = 0
+        for i, gc in enumerate(g.coeffs[:-1]):
+            rem[k + i] -= c * gc
+    sign = 1 if (lc > 0 or steps % 2 == 0) else -1
+    return IntPoly(rem), sign
+
+
+def _neg_rem_primitive(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive polynomial equal to a positive multiple of -rem(a, b)."""
+    r, sign = pseudo_rem(a, b)
+    if r.is_zero:
+        return r
+    g = r.content()
+    return IntPoly(tuple((-sign * c) // g for c in r.coeffs))
+
+
+def _sign_at_inf(p: IntPoly, positive: bool) -> int:
+    if p.is_zero:
+        return 0
+    lc = p.leading
+    s = (lc > 0) - (lc < 0)
+    if not positive and p.degree % 2 == 1:
+        s = -s
+    return s
+
+
+def _variations(signs: list[int]) -> int:
+    v, prev = 0, 0
+    for s in signs:
+        if s == 0:
+            continue
+        if prev and s != prev:
+            v += 1
+        prev = s
+    return v
+
+
+def _index_over_line(seq: list[IntPoly]) -> int:
+    """Sign variations of a signed remainder sequence at -inf minus those at +inf."""
+    return (_variations([_sign_at_inf(f, False) for f in seq])
+            - _variations([_sign_at_inf(f, True) for f in seq]))
 
 
 def reference_disk_count(p):

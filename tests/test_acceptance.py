@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is deterministic.
 """
 import json
+import os
 import random
 import time
 
@@ -303,7 +304,8 @@ def test_criterion_11_determinism(tmp_path):
     from torusdyn.cli import main
 
     outs = []
-    for tag, jobs in (("a", "1"), ("b", "8"), ("c", "1")):
+    workers = str(os.cpu_count() or 1)  # the most --jobs allows
+    for tag, jobs in (("a", "1"), ("b", workers), ("c", "1")):
         cat = tmp_path / f"cat_{tag}.jsonl"
         summ = tmp_path / f"sum_{tag}.json"
         assert main(["survey", "--dim", "4", "--height", "1", "--jobs", jobs,
@@ -323,5 +325,5 @@ def test_criterion_11_determinism(tmp_path):
         blobs.append((out.read_bytes(), csv.read_bytes()))
     perturb_ok = blobs[0] == blobs[1]
     verdict(11, survey_ok and perturb_ok,
-            f"survey byte-identical across reruns and 1 vs 8 worker processes: {survey_ok}; "
+            f"survey byte-identical across reruns and 1 vs {workers} worker processes: {survey_ok}; "
             f"perturbation experiment byte-identical across reruns: {perturb_ok}")

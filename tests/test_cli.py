@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from torusdyn import experiments
+from torusdyn import cli, experiments, survey
 from torusdyn.cli import main
 from torusdyn.perturbed import salem_example
 
@@ -374,10 +375,10 @@ def test_malformed_inputs_exit_codes(files, capsys, argv, code):
 
 
 class _Reached(Exception):
-    """Raised in place of the study's first computation."""
+    """Raised in place of a command's first computation."""
 
 
-def _stop_before_splitting(*args, **kwargs):
+def _stop_first_computation(*args, **kwargs):
     raise _Reached
 
 
@@ -392,7 +393,7 @@ PERTURB_LIMITS = [
 @pytest.mark.parametrize("option,value,code", PERTURB_LIMITS, ids=[o for o, _, _ in PERTURB_LIMITS])
 def test_perturb_sizes_past_their_limits_exit_before_any_work(files, capsys, monkeypatch,
                                                              option, value, code):
-    monkeypatch.setattr(experiments, "compute_splitting", _stop_before_splitting)
+    monkeypatch.setattr(experiments, "compute_splitting", _stop_first_computation)
     out_path = files["tmp"] / "limit_out.json"
     assert main(["perturb", files["map"], option, value, "--out", str(out_path)]) == code
     err = capsys.readouterr().err
@@ -401,11 +402,45 @@ def test_perturb_sizes_past_their_limits_exit_before_any_work(files, capsys, mon
 
 
 def test_perturb_sizes_at_their_limits_are_allowed(monkeypatch):
-    monkeypatch.setattr(experiments, "compute_splitting", _stop_before_splitting)
+    monkeypatch.setattr(experiments, "compute_splitting", _stop_first_computation)
     with pytest.raises(_Reached):
         experiments.perturb_experiment(salem_example(1.0), [1e-2], n_max=experiments.N_MAX_LIMIT,
                                        n_count=experiments.N_COUNT_BUDGET,
                                        phi_samples=experiments.PHI_SAMPLES_BUDGET)
+
+
+CPUS = os.cpu_count() or 1
+BOX = ["--dim", "4", "--height", "1"]
+# (arguments just past a limit, documented exit code); 2 * 7^8 = 11,529,602
+# polynomials in the box (9, 3)
+SURVEY_LIMITS = [
+    (BOX + ["--jobs", "0"], 1),
+    (BOX + ["--jobs", "-1"], 1),
+    (BOX + ["--jobs", str(CPUS + 1)], 1),
+    (["--dim", "9", "--height", "3"], 4),
+    (["--dim", "9", "--height", "3", "--limit", str(survey.SURVEY_BUDGET + 1)], 4),
+]
+
+
+@pytest.mark.parametrize("argv,code", SURVEY_LIMITS, ids=[" ".join(a) for a, _ in SURVEY_LIMITS])
+def test_survey_past_its_limits_exits_before_any_work(files, capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(cli, "run_survey", _stop_first_computation)
+    out_path = files["tmp"] / "limit_cat.jsonl"
+    assert main(["survey", *argv, "--out", str(out_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    BOX + ["--jobs", "1"],
+    BOX + ["--jobs", str(CPUS)],
+    ["--dim", "9", "--height", "3", "--limit", str(survey.SURVEY_BUDGET)],
+])
+def test_survey_at_its_limits_is_allowed(monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_survey", _stop_first_computation)
+    with pytest.raises(_Reached):
+        main(["survey", *argv])
 
 
 def test_python_dash_m_help():

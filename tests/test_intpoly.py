@@ -138,6 +138,9 @@ def test_count_real_roots():
     assert count_real_roots(p) == 2
     assert count_real_roots(p * p) == 2
     assert count_real_roots(IntPoly((1, 0, 1))) == 0
+    # in the chain x^4 + x - 2, 4x^3 + 1, -3x + 8, -1 the last pseudo-division
+    # raises lc = -3 to an odd power, so the count rests on the multiplier's sign
+    assert count_real_roots(IntPoly((-2, 1, 0, 0, 1))) == 2
 
 
 def test_circle_root_counts_examples():

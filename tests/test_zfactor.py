@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from torusdyn.intpoly import IntPoly, cyclotomic, divides
+from torusdyn.intpoly import IntPoly, cyclotomic, cyclotomic_indices_up_to_degree, divides
 from torusdyn.survey import enumerate_polynomials
 from torusdyn.zfactor import certify_irreducible, factor_z, factor_z_many, is_irreducible_z
 
@@ -104,7 +104,8 @@ def test_factor_product_reconstruction():
         assert prod == p
 
 
-@pytest.mark.parametrize("dim, height", [(4, 2), (5, 2), (6, 1), (7, 1)])
+# (3, 5): 242 rows; after the strip each cofactor is a cubic, a quadratic or 1
+@pytest.mark.parametrize("dim, height", [(4, 2), (5, 2), (6, 1), (7, 1), (3, 5)])
 def test_factor_z_many_matches_scalar_over_boxes(dim, height):
     polys = [IntPoly(c) for _, c in enumerate_polynomials(dim, height)]
     assert factor_z_many(polys) == [factor_z(p) for p in polys]
@@ -118,6 +119,10 @@ def test_factor_z_many_matches_scalar_over_boxes(dim, height):
 X_MINUS_1, X_PLUS_1 = IntPoly((-1, 1)), IntPoly((1, 1))
 GOLDEN = IntPoly((-1, -1, 1))
 DEGREE_10 = IntPoly((1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1))  # x^10 - x^9 + 1
+# Phi_6(2) = 3 divides p(2) = -9 and Phi_6(3) = 7 divides p(3) = 7, yet Phi_6
+# does not divide p: the strip's necessary test passes and its trial division
+# fails.  No other index passes the test, so the strip reaches m = 6 with p.
+FILTER_FALSE_POSITIVE = IntPoly((1, -1, -2, -2, 1))  # x^4 - 2x^3 - 2x^2 - x + 1
 
 
 @pytest.mark.parametrize("poly, certified", [
@@ -128,12 +133,26 @@ DEGREE_10 = IntPoly((1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1))  # x^10 - x^9 + 1
     (DEGREE_10, True),  # only the primes above 10 apply
     (CAT, True),
     (IntPoly((-1, 1, 0, 1)), True),  # x^3 + x - 1
-    (X_MINUS_1 * X_MINUS_1 * X_PLUS_1, None),  # cofactor of degree 0 after stripping +-1
+    (X_MINUS_1 * X_MINUS_1 * X_PLUS_1, None),  # cofactor of degree 0 after stripping
     (X_MINUS_1 * X_PLUS_1 * X_PLUS_1 * IntPoly((-2, 1)), None),  # cofactor of degree 1
     (X_MINUS_1 * SALEM, None),
     (X_PLUS_1 * CAT * SALEM, None),  # reducible cofactor: falls back
+    (cyclotomic(3) * cyclotomic(3) * cyclotomic(4) * SALEM, None),  # a repeated cyclotomic factor
+    (cyclotomic(5) * cyclotomic(10), None),
+    (cyclotomic(8) * X_MINUS_1 * X_MINUS_1, None),
+    (cyclotomic(12) * cyclotomic(3) * CAT, None),
+    (cyclotomic(7) * cyclotomic(9), None),  # cofactor of degree 0 after stripping
+    (FILTER_FALSE_POSITIVE, None),
 ])
 def test_factor_z_many_hand_cases(poly, certified):
     assert factor_z_many([poly]) == [factor_z(poly)]
     if certified is not None:
         assert certify_irreducible([poly]) == [certified]
+
+
+def test_filter_false_positive_passes_the_test_at_2_and_3():
+    p = FILTER_FALSE_POSITIVE
+    passed = [m for m in cyclotomic_indices_up_to_degree(p.degree)
+              if p(2) % cyclotomic(m)(2) == 0 and p(3) % cyclotomic(m)(3) == 0]
+    assert passed == [6]
+    assert not divides(cyclotomic(6), p)

@@ -8,18 +8,18 @@ outputs is checked by running this script in both and comparing:
     python tools/output_digest.py > after.txt     # in the new one
     diff before.txt after.txt
 
-The outputs are the stdout and the written files of ``analyze``, ``survey``,
-``pa``, ``dioph`` (JSON alone, JSON with ``--csv``, and ``--format csv``;
-without a table the scan reduces the streamed slabs, with one it reduces the
-sorted ball), ``perturb`` (the benchmark's configuration, and amplitudes 0
-and 0.02, JSON and CSV) and ``curve``, run in this process, and the
-saturation workload's computation on fixed seeds: both coverage checks and
-the leaf parameters they invert, the saturation cloud's points and trails,
-and the overlap translation.  Leaf points of every flavor and both
-intersection pairs are digested on their own as well, and so is the
-``lattice_ball`` of a dense conjugate of the Salem companion, whose norms
-round differently when a scan batches its rows differently.  A run takes
-about ten seconds.
+The outputs are the stdout and the written files of ``analyze``, ``survey``
+(boxes (4, 2), (5, 2), (7, 1), (6, 1) and (3, 5)), ``pa``, ``dioph`` (JSON
+alone, JSON with ``--csv``, and ``--format csv``; without a table the scan
+reduces the streamed slabs, with one it reduces the sorted ball), ``perturb``
+(the benchmark's configuration, and amplitudes 0 and 0.02, JSON and CSV) and
+``curve``, run in this process, and the saturation workload's computation on
+fixed seeds: both coverage checks and the leaf parameters they invert, the
+saturation cloud's points and trails, and the overlap translation.  Leaf
+points of every flavor and both intersection pairs are digested on their own
+as well, and so is the ``lattice_ball`` of a dense conjugate of the Salem
+companion, whose norms round differently when a scan batches its rows
+differently.  A run takes about ten seconds.
 """
 from __future__ import annotations
 
@@ -60,6 +60,15 @@ COMMANDS = {
     "analyze": ["analyze", "{salem}"],
     "survey": ["survey", "--dim", "4", "--height", "2", "--out", "{dir}/catalog.jsonl",
                "--summary", "{dir}/summary.json"],
+    # boxes with rows of repeated, mixed and missing cyclotomic factors
+    "survey 5,2": ["survey", "--dim", "5", "--height", "2", "--out", "{dir}/catalog.jsonl",
+                   "--summary", "{dir}/summary.json"],
+    "survey 7,1": ["survey", "--dim", "7", "--height", "1", "--out", "{dir}/catalog.jsonl",
+                   "--summary", "{dir}/summary.json"],
+    "survey 6,1": ["survey", "--dim", "6", "--height", "1", "--out", "{dir}/catalog.jsonl",
+                   "--summary", "{dir}/summary.json"],
+    "survey 3,5": ["survey", "--dim", "3", "--height", "5", "--out", "{dir}/catalog.jsonl",
+                   "--summary", "{dir}/summary.json"],
     "pa": ["pa", "{salem}"],
     "dioph": ["dioph", "{salem}", "--radius", "20", "--out", "{dir}/dioph.json",
               "--csv", "{dir}/dioph.csv"],
