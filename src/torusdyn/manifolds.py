@@ -75,8 +75,11 @@ class _Segment:
     shear's source difference with one product, evaluates the S profiles in
     chain order, and reads d[0] off the new state; the product's operator is
     the recurrence run once on the identity state (LeafSolver.sweep_operator).
-    The reference chain of an anchor shared by every row is marched once per
-    solver and broadcast over the batch.
+    A new segment's state is zero, so its first sweep is linear: every
+    increment is exactly zero, and the sweep makes no product and no profile
+    call, only loading v0 and reading d[0] off it.  The reference chain of an
+    anchor shared by every row is marched once per solver and broadcast over
+    the batch.
     """
 
     def __init__(self, solver: "LeafSolver", anchor: np.ndarray, direction: str,
@@ -103,6 +106,7 @@ class _Segment:
                                     tuple(a.reshape(h, -1) for a in chain.values))
         self.op, self.readout = solver.sweep_operator(direction, self.driven, self.killed)
         self.state = np.zeros((self.op.shape[1], len(rows)))  # [U; v0], U rows (shear, step)
+        self.loaded = False  # whether update has written v0 into the state
 
     def _march(self, r: np.ndarray) -> ReferenceChain:
         """The shear chain along the reference orbit of the reduced points r,
@@ -138,21 +142,26 @@ class _Segment:
         """
         s, h = self.solver, self.solver.horizon
         u = self.state[:self.op.shape[0]]
-        x = self.op @ self.state
-        shears = s.chain_shears(self.direction)
-        sign = 1.0 if self.direction == "fwd" else -1.0
-        for i, (sh, rs, val) in enumerate(zip(shears, self.chain.sources, self.chain.values)):
-            xi = x[i * h:(i + 1) * h]
-            for j in range(i):  # earlier shears of the chain moved this one's source
-                if shears[j].target == sh.source:
-                    xi += u[j * h:(j + 1) * h]
-            u[i * h:(i + 1) * h] = sign * sh.amplitude * (sh.profile.value(rs + xi) - val)
+        if self.loaded:  # else the state is zero, and so is every increment
+            x = self.op @ self.state
+            shears = s.chain_shears(self.direction)
+            sign = 1.0 if self.direction == "fwd" else -1.0
+            for i, (sh, rs, val) in enumerate(zip(shears, self.chain.sources, self.chain.values)):
+                xi = x[i * h:(i + 1) * h]
+                for j in range(i):  # earlier shears of the chain moved this one's source
+                    if shears[j].target == sh.source:
+                        xi += u[j * h:(j + 1) * h]
+                xi += rs
+                inc = sh.profile.value(xi)
+                inc -= val
+                np.multiply(sign * sh.amplitude, inc, out=u[i * h:(i + 1) * h])
         row = len(u)
         for b in self.driven:
             width = s.block_dim(b)
             v0 = np.broadcast_to(driven[b], self.batch_shape + (width,))
             self.state[row:row + width] = v0.reshape(-1, width).T
             row += width
+        self.loaded = True
         d0 = self.d0()
         return {b: d0[..., s.block_idx[b]] for b in self.killed}
 

@@ -10,7 +10,8 @@ live here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -31,17 +32,34 @@ class TrigProfile:
 
     cos_coeffs: tuple[float, ...] = ()
     sin_coeffs: tuple[float, ...] = ()
+    # the nonzero terms (2 pi m, coefficient, np.cos or np.sin), cos terms first
+    _terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        with np.errstate(over="ignore"):
+            finite = (all(math.isfinite(c) for c in self.cos_coeffs + self.sin_coeffs)
+                      and math.isfinite(self.derivative_bound()))
+        if not finite:
+            raise InputError(f"profile coefficients must be finite with a finite derivative bound, "
+                             f"got cos {list(self.cos_coeffs)}, sin {list(self.sin_coeffs)}")
+        object.__setattr__(self, "_terms", tuple(
+            (TWO_PI * m, c, fn)
+            for coeffs, fn in ((self.cos_coeffs, np.cos), (self.sin_coeffs, np.sin))
+            for m, c in enumerate(coeffs, start=1) if c))
 
     def value(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for m, a in enumerate(self.cos_coeffs, start=1):
-            if a:
-                out += a * (np.cos(TWO_PI * m * t) - 1.0)
-        for m, b in enumerate(self.sin_coeffs, start=1):
-            if b:
-                out += b * np.sin(TWO_PI * m * t)
-        return out
+        out = None
+        for w, c, fn in self._terms:
+            term = fn(w * t)
+            if fn is np.cos:
+                term -= 1.0
+            term *= c
+            if out is None:
+                out = term
+            else:
+                out += term
+        return np.zeros_like(t) if out is None else out
 
     def derivative_bound(self) -> float:
         return sum(TWO_PI * m * abs(a) for m, a in enumerate(self.cos_coeffs, 1)) + \
@@ -60,6 +78,8 @@ class Shear:
     def __post_init__(self):
         if self.target == self.source:
             raise InputError("shear target and source coordinates must differ")
+        if not math.isfinite(self.amplitude):
+            raise InputError(f"shear amplitude must be finite, got {self.amplitude}")
 
 
 @dataclass(frozen=True)

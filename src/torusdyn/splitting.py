@@ -11,6 +11,7 @@ Cauchy index read at +-infinity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -42,11 +43,15 @@ def unit_disk_root_count(p: IntPoly) -> int:
     return inside
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_indices_by_coeffs(degree: int) -> dict[tuple[int, ...], int]:
+    """The coefficients of each cyclotomic polynomial of this degree -> its index."""
+    return {cyclotomic(m).coeffs: m for m in cyclotomic_indices_up_to_degree(degree)
+            if cyclotomic(m).degree == degree}
+
+
 def _cyclotomic_index_of(q: IntPoly) -> Optional[int]:
-    for m in cyclotomic_indices_up_to_degree(q.degree):
-        if cyclotomic(m) == q:
-            return m
-    return None
+    return _cyclotomic_indices_by_coeffs(q.degree).get(q.coeffs)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,15 @@ from torusdyn.intpoly import (
     sturm_chain,
 )
 from torusdyn.manifolds import LeafSolver
-from torusdyn.perturbed import PerturbedMap, ReferenceChain, Shear, TrigProfile, salem_example, torus_reduce
+from torusdyn.perturbed import (
+    TWO_PI,
+    PerturbedMap,
+    ReferenceChain,
+    Shear,
+    TrigProfile,
+    salem_example,
+    torus_reduce,
+)
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
 from torusdyn.splitting import adapted_norm, compute_splitting
 from torusdyn.zfactor import factor_z
@@ -79,6 +87,21 @@ def chained_shears_map():
     back = Shear(target=1, source=0, profile=TrigProfile(cos_coeffs=(0.1,), sin_coeffs=(0.05,)),
                  amplitude=1e-2)
     return PerturbedMap(f.matrix, (f.shears[0], back, f.shears[1]))
+
+
+def trig_value_oracle(profile, t):
+    """TrigProfile.value as the package first wrote it: each nonzero term,
+    cos terms first, added to a zero array.  The oracle for the terms the
+    profile now builds once."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for m, a in enumerate(profile.cos_coeffs, start=1):
+        if a:
+            out += a * (np.cos(TWO_PI * m * t) - 1.0)
+    for m, b in enumerate(profile.sin_coeffs, start=1):
+        if b:
+            out += b * np.sin(TWO_PI * m * t)
+    return out
 
 
 def reference_chain(f, ref, inverse=False):

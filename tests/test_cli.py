@@ -307,9 +307,16 @@ def _malformed_inputs(files):
                            [Shear(0, 1, TrigProfile(sin_coeffs=(0.1,)), 0.01)]).to_json()
     bool_map = salem_example(0.01).to_json()
     bool_map["matrix"]["rows"][0][0] = True
+    nan_cos_map, huge_sin_map, nan_amplitude_map = (salem_example(0.01).to_json() for _ in range(3))
+    nan_cos_map["shears"][0]["cos"] = [float("nan")]
+    huge_sin_map["shears"][0]["sin"] = [1e308, 1e308]  # its derivative bound overflows
+    nan_amplitude_map["shears"][1]["amplitude"] = float("nan")
     objs = {
         "cat_map": cat_map,
         "bool_map": bool_map,
+        "nan_cos_map": nan_cos_map,
+        "huge_sin_map": huge_sin_map,
+        "nan_amplitude_map": nan_amplitude_map,
         "bool_matrix": {"n": 2, "rows": [[True, 1], [1, 1]]},
         "false_matrix": {"n": 2, "rows": [[2, 1], [1, False]]},
         "flat_rows": {"rows": 5},
@@ -333,6 +340,9 @@ MALFORMED = [
     (["perturb", "{map}", "--eps=-inf"], 1),
     (["perturb", "{bool_map}", "--eps", "0.01"], 1),
     (["perturb", "{cat_map}", "--eps", "0.01"], 2),
+    (["perturb", "{nan_cos_map}", "--eps", "0.01"], 1),
+    (["perturb", "{huge_sin_map}", "--eps", "0.01"], 1),
+    (["perturb", "{nan_amplitude_map}", "--eps", "0.01"], 1),
     (["curve", "{salem}", "--eps", "0"], 1),
     (["curve", "{salem}", "--eps", "-0.2"], 1),
     (["curve", "{salem}", "--eps", "nan"], 1),

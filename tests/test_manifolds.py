@@ -14,7 +14,7 @@ from torusdyn.manifolds import (
     interpolation_floor,
     measure_kappa,
 )
-from torusdyn.perturbed import PerturbedMap, ReferenceChain, salem_example, torus_reduce
+from torusdyn.perturbed import PerturbedMap, ReferenceChain, Shear, salem_example, torus_reduce
 from torusdyn.splitting import adapted_norm, compute_splitting
 
 
@@ -467,6 +467,66 @@ def test_single_anchor_segment_is_read_only_and_matches_a_batch_march():
         got, want = seg.update(driven), batch.update(driven)
         assert np.max(_adapted(solver, _segment_orbit(seg) - _segment_orbit(batch))) <= 1e-12
         assert all(np.max(solver.norm.block_norm(got[b] - want[b], b)) <= 1e-12 for b in "sc")
+
+
+class _CountingProfile:
+    """A shear profile that counts its evaluations."""
+
+    def __init__(self, profile):
+        self.profile, self.calls = profile, 0
+
+    def value(self, t):
+        self.calls += 1
+        return self.profile.value(t)
+
+
+class _CountingOperator:
+    """A sweep operator that counts its products."""
+
+    def __init__(self, op):
+        self.op, self.shape, self.calls = op, op.shape, 0
+
+    def __matmul__(self, state):
+        self.calls += 1
+        return self.op @ state
+
+
+@pytest.mark.parametrize("flavor", list(LEAF_DIRECTION))
+def test_first_sweep_is_linear(flavor):
+    """A new segment's state is zero, so its first sweep makes no product and
+    no profile call, and reads the killed blocks off [0; v0]; the second
+    sweep makes one product and one call per shear."""
+    f = salem_example(1e-2)
+    profiles = [_CountingProfile(sh.profile) for sh in f.shears]
+    f = PerturbedMap(f.matrix, [Shear(sh.target, sh.source, p, sh.amplitude)
+                                for sh, p in zip(f.shears, profiles)])
+    split = compute_splitting(f.matrix)
+    solver = LeafSolver(f, split, adapted_norm(split))
+    rng = np.random.default_rng(29)
+    driven, killed = FLAVOR_BLOCKS[flavor], solver.perp_blocks(flavor)
+    seg = _Segment(solver, rng.uniform(-2, 2, size=(5, 4)), LEAF_DIRECTION[flavor], (5,), driven, killed)
+    seg.op = _CountingOperator(seg.op)
+    for p in profiles:
+        p.calls = 0  # the reference march's calls
+    values = {b: rng.normal(size=(5, solver.block_dim(b))) for b in driven}
+    got = seg.update(values)
+    assert seg.op.calls == 0 and [p.calls for p in profiles] == [0, 0]
+    linear = np.zeros_like(seg.state)
+    linear[seg.op.shape[0]:] = np.concatenate([values[b] for b in driven], axis=-1).T
+    assert np.array_equal(seg.state, linear)
+    d0 = linear.T @ seg.readout.T
+    assert all(np.array_equal(got[b], d0[:, solver.block_idx[b]]) for b in killed)
+    seg.update(values)
+    assert seg.op.calls == 1 and [p.calls for p in profiles] == [1, 1]
+
+
+@pytest.mark.parametrize("matrix", ["salem", "conjugate", "chained"])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_leaf_points_at_zero_parameters_are_the_bases(matrix, flavor):
+    solver = _solver(matrix)
+    bases = np.random.default_rng(31).uniform(-2, 2, size=(6, 4))
+    zero = np.zeros((6, len(solver.param_indices(flavor))))
+    assert np.array_equal(solver.leaf_points(bases, flavor, zero), bases)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)

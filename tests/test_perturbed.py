@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import SALEM_CONJUGATE, chained_shears_map, reference_chain
+from conftest import SALEM_CONJUGATE, chained_shears_map, reference_chain, trig_value_oracle
 from torusdyn.errors import InputError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.perturbed import TWO_PI, PerturbedMap, Shear, TrigProfile, salem_example
@@ -50,6 +51,53 @@ def test_profiles_vanish_at_zero():
     prof = TrigProfile(cos_coeffs=(0.3, -0.2), sin_coeffs=(0.1,))
     assert prof.value(0.0) == 0.0
     assert prof.value(1.0) == pytest.approx(0.0, abs=1e-15)
+
+
+PROFILES = {
+    "salem sin": salem_example(0.01).shears[0].profile,
+    "salem cos and sin": salem_example(0.01).shears[1].profile,
+    "cos only": TrigProfile(cos_coeffs=(0.3, -0.2)),
+    "sin only": TrigProfile(sin_coeffs=(-0.15, 0.08, 0.02)),
+    "zero gaps": TrigProfile(cos_coeffs=(0.1, 0.0, 0.05), sin_coeffs=(0.0, 0.2, 0.03)),
+    "empty": TrigProfile(),
+}
+
+_T = np.random.default_rng(23).uniform(-3.5, 4.5, size=(6, 7))
+PROFILE_INPUTS = {
+    "float negative": -1.37,
+    "float past 1": 2.61,
+    "0-d negative": np.array(-0.4),
+    "0-d past 1": np.array(3.2),
+    "1-D": _T[0],
+    "2-D": _T,
+}
+
+
+@pytest.mark.parametrize("t", list(PROFILE_INPUTS.values()), ids=list(PROFILE_INPUTS))
+@pytest.mark.parametrize("profile", list(PROFILES.values()), ids=list(PROFILES))
+def test_profile_value_matches_the_oracle(profile, t):
+    """The precomputed terms give the values of the term-by-term sum, in the
+    shape of t, and leave t as it was."""
+    before = np.array(t, copy=True)
+    got, want = profile.value(t), trig_value_oracle(profile, t)
+    assert np.shape(got) == np.shape(want) == np.shape(t)
+    assert np.array_equal(got, want)
+    assert np.array_equal(t, before)
+
+
+@pytest.mark.parametrize("cos,sin", [((float("nan"),), ()), ((0.1,), (float("inf"),)),
+                                     ((), (1e308, 1e308)), ((1e308,), ())])
+def test_profile_rejects_non_finite_coefficients_and_bounds(cos, sin):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing bound raises no RuntimeWarning
+        with pytest.raises(InputError):
+            TrigProfile(cos_coeffs=cos, sin_coeffs=sin)
+
+
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
+def test_shear_rejects_a_non_finite_amplitude(amplitude):
+    with pytest.raises(InputError):
+        Shear(target=0, source=1, profile=TrigProfile(sin_coeffs=(0.1,)), amplitude=amplitude)
 
 
 def test_shear_requires_distinct_coordinates():

@@ -7,8 +7,9 @@ import pytest
 from conftest import cyclotomic_free, random_unimodular
 from torusdyn.errors import NotErgodicError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
-from torusdyn.intpoly import IntPoly, count_unitary_roots
+from torusdyn.intpoly import IntPoly, count_unitary_roots, cyclotomic, cyclotomic_indices_up_to_degree
 from torusdyn.splitting import (
+    _cyclotomic_index_of,
     _factor_spectrum,
     adapted_norm,
     classify,
@@ -29,6 +30,18 @@ def test_non_palindromic_factor_with_unitary_roots_is_counted():
     q = IntPoly((1, 0, 1)) * IntPoly((-2, 1))
     [spec] = _factor_spectrum(q, [(q, 1)])
     assert (spec.unitary, spec.inside, spec.outside) == (2, 0, 1)
+
+
+def test_cyclotomic_index_lookup_matches_the_scan():
+    """One dict lookup per factor finds the index the scan over every
+    candidate m found, and no index for a factor that is not cyclotomic."""
+    def scan(q):
+        return next((m for m in cyclotomic_indices_up_to_degree(q.degree) if cyclotomic(m) == q), None)
+
+    for m in cyclotomic_indices_up_to_degree(16):
+        assert _cyclotomic_index_of(cyclotomic(m)) == scan(cyclotomic(m)) == m
+    for q in (SALEM, IntPoly((1, -3, 1)), IntPoly((1, 0, 1, 0, 1)), IntPoly((-1, 1, 1)), IntPoly((5,))):
+        assert _cyclotomic_index_of(q) is scan(q) is None
 
 
 def test_disk_count_basics():

@@ -17,9 +17,11 @@ reduces the streamed slabs, with one it reduces the sorted ball), ``perturb``
 fixed seeds: both coverage checks and the leaf parameters they invert, the
 saturation cloud's points and trails, and the overlap translation.  Leaf
 points of every flavor and both intersection pairs are digested on their own
-as well, and so is the ``lattice_ball`` of a dense conjugate of the Salem
-companion, whose norms round differently when a scan batches its rows
-differently.  A run takes about ten seconds.
+as well, and again on a map whose profiles have several harmonics with
+zero gaps, so that a change in the order a profile sums its terms shows.
+So is the ``lattice_ball`` of a dense conjugate of the Salem companion,
+whose norms round differently when a scan batches its rows differently.
+A run takes about ten seconds.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from torusdyn.diophantine import lattice_ball  # noqa: E402
 from torusdyn.intmatrix import IntMatrix  # noqa: E402
 from torusdyn.intpoly import IntPoly  # noqa: E402
 from torusdyn.manifolds import LeafSolver  # noqa: E402
-from torusdyn.perturbed import salem_example  # noqa: E402
+from torusdyn.perturbed import PerturbedMap, Shear, TrigProfile, salem_example  # noqa: E402
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace  # noqa: E402
 from torusdyn.saturation import (  # noqa: E402
     build_saturation_set,
@@ -150,6 +152,27 @@ def saturation_digests() -> list[tuple[str, str]]:
     return out
 
 
+def harmonics_digests() -> list[tuple[str, str]]:
+    """Leaf points and one intersection batch on a map whose profiles have
+    several cos and sin harmonics with zero gaps, so that the order in which
+    a profile sums its terms shows in the digest."""
+    a = IntMatrix.companion(SALEM)
+    split = compute_splitting(a)
+    shears = (
+        Shear(0, 1, TrigProfile(cos_coeffs=(0.1, 0.0, 0.05), sin_coeffs=(0.0, 0.2, 0.03)), 5e-3),
+        Shear(2, 3, TrigProfile(cos_coeffs=(0.0, 0.08, 0.0, -0.02), sin_coeffs=(0.12, 0.0, -0.04)), 5e-3),
+        Shear(1, 0, TrigProfile(cos_coeffs=(-0.06, 0.03), sin_coeffs=(0.0, 0.0, 0.05)), 5e-3),
+    )
+    solver = LeafSolver(PerturbedMap(a, shears), split, adapted_norm(split))
+    rng = np.random.default_rng(5)
+    pts = [solver.leaf_points(rng.uniform(-1, 1, size=a.n), flavor,
+                              rng.normal(size=(40, len(solver.param_indices(flavor)))))
+           for flavor in ("s", "u", "c", "cs", "cu")]
+    z = solver.intersection_batch(rng.uniform(-1, 1, size=(40, a.n)), rng.uniform(-1, 1, size=a.n), ("s", "cu"))
+    return [("harmonics: leaf_points s,u,c,cs,cu", _sha(b"".join(p.tobytes() for p in pts))),
+            ("harmonics: intersection_batch s,cu", _sha(z.tobytes()))]
+
+
 def lattice_digests() -> list[tuple[str, str]]:
     """Every array of a lattice ball on dense norm factors."""
     split = compute_splitting(IntMatrix(SALEM_CONJUGATE))
@@ -162,7 +185,7 @@ def lattice_digests() -> list[tuple[str, str]]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        rows = cli_digests(tmp) + saturation_digests() + lattice_digests()
+        rows = cli_digests(tmp) + saturation_digests() + harmonics_digests() + lattice_digests()
     for name, digest in rows:
         print(f"{digest}  {name}")
     return 0
