@@ -9,6 +9,7 @@ runs and worker counts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from .diophantine import (
     center_norm_minimum,
     center_plane_chart,
     lattice_ball,
+    write_ball_table,
 )
 from .errors import BudgetError, InputError, TorusDynError
 from .experiments import (N_COUNT_BUDGET, N_MAX_LIMIT, PHI_SAMPLES_BUDGET, curve_experiment,
@@ -116,18 +118,13 @@ def cmd_dioph(args) -> int:
     out = report.to_json()
     out["config"] = {"radius": args.radius, "kmax": args.kmax,
                      "candidates": args.candidates, "delta": args.delta}
+    _dump(out, args.out, None if args.format == "csv" else sys.stdout)
     if tabulate:
-        table = "\n".join(["norm,center_norm"] + [
-            f"{float(nv)!r},{float(cv)!r}" for nv, cv in zip(ball.norms, ball.center_norms)
-        ]) + "\n"
-    if args.format == "csv":
-        sys.stdout.write(table)
-        _dump(out, args.out)
-    else:
-        _dump(out, args.out, sys.stdout)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(table)
+        with contextlib.ExitStack() as files:
+            streams = [sys.stdout] if args.format == "csv" else []
+            if args.csv:
+                streams.append(files.enter_context(open(args.csv, "w")))
+            write_ball_table(ball, streams)
     return 0
 
 

@@ -273,6 +273,25 @@ class BallPoints:
     center_coords: np.ndarray   # (m, dim_c) center coordinates
 
 
+# rows of the norm,center_norm table formatted per write
+TABLE_BLOCK = 65536
+
+
+def write_ball_table(ball: BallPoints, streams) -> None:
+    """The ball's `norm,center_norm` CSV table, written to every stream a
+    block of TABLE_BLOCK rows at a time, so that the text of the whole table
+    never exists at once.  The scan's freed transients go back to the OS
+    first, so that the text does not stack on top of them."""
+    _release_freed_heap()
+    for fh in streams:
+        fh.write("norm,center_norm\n")
+    for lo in range(0, len(ball.norms), TABLE_BLOCK):
+        block = "".join(f"{float(nv)!r},{float(cv)!r}\n" for nv, cv in zip(
+            ball.norms[lo:lo + TABLE_BLOCK], ball.center_norms[lo:lo + TABLE_BLOCK]))
+        for fh in streams:
+            fh.write(block)
+
+
 def lattice_ball(lam: Lattice, norm: AdaptedNorm, radius: float) -> BallPoints:
     """Every nonzero lattice point with adapted norm <= radius: the half
     ball of `_ball_slabs` and its negation, concatenated and sorted."""

@@ -18,7 +18,11 @@ S shear increments per time step rather than the difference orbit: one
 product per sweep, by an operator built once from the segment's own
 recurrences, gives every shear's source difference, and each increment is
 formed directly as a difference of profile values, with no large-coordinate
-cancellation.  A gridded graph transform (multilinear interpolation on a
+cancellation.  On s and u legs the source difference contracts along the
+segment, and once it is small enough the profile's Taylor polynomial about
+the reference source gives the increment exactly to rounding: on wide
+batches those tail increments come from a table of coefficients built once
+per segment, by Horner, with no sin or cos per sweep.  A gridded graph transform (multilinear interpolation on a
 regular grid) provides the classical fixed-point construction of the s, u,
 cs and cu leaves and the Lipschitz estimates.
 """
@@ -62,6 +66,15 @@ MAX_HORIZON = 400
 MAX_SWEEPS = 400
 STEP_CAP = 1.5
 
+# Tail increments: a segment whose batch has at least TAIL_WIDTH columns
+# forms the increments of the steps from which every source difference lies
+# within its profile's Taylor radius as the order-TAIL_ORDER Taylor polynomial
+# about the reference source, from a table of coefficients built once.
+# Narrower batches keep the profile differences, since per-call overhead
+# outweighs what the table saves there.
+TAIL_ORDER = 4
+TAIL_WIDTH = 256
+
 
 class _Segment:
     """One orbit segment (forward or backward) of the Lyapunov-Perron solve.
@@ -75,11 +88,22 @@ class _Segment:
     shear's source difference with one product, evaluates the S profiles in
     chain order, and reads d[0] off the new state; the product's operator is
     the recurrence run once on the identity state (LeafSolver.sweep_operator).
-    A new segment's state is zero, so its first sweep is linear: every
-    increment is exactly zero, and the sweep makes no product and no profile
-    call, only loading v0 and reading d[0] off it.  The reference chain of an
-    anchor shared by every row is marched once per solver and broadcast over
-    the batch.
+    A new segment's state is zero, so its sweeps are linear until a driven
+    value is nonzero: every increment is exactly zero, and the sweep makes no
+    product and no profile call, only loading v0 and reading d[0] off it.  The
+    reference chain of an anchor shared by every row is marched once per
+    solver and broadcast over the batch.
+
+    On a batch of at least TAIL_WIDTH columns, each shear's H steps split in
+    two.  The head, up to the first step from which every row's source
+    difference x lies within the profile's Taylor radius, takes profile
+    differences as above.  The tail takes sum_k c_k x^k, k <= TAIL_ORDER, by
+    Horner, from a table of c_k = value^(k)(source) / k! (times the signed
+    amplitude); its remainder is below the rounding of the difference it
+    replaces, and it has no cancellation.  The table of a shared anchor has
+    one column and is kept per memo key.  Either table is filled back from
+    the horizon only as far as the tail has reached, so each step's
+    coefficients are built once and only where they are read.
     """
 
     def __init__(self, solver: "LeafSolver", anchor: np.ndarray, direction: str,
@@ -90,6 +114,8 @@ class _Segment:
         self.driven, self.killed = tuple(driven), tuple(killed)
         n = solver.n
         rows = torus_reduce(np.broadcast_to(anchor, batch_shape + (n,))).reshape(-1, n)
+        shears = solver.chain_shears(direction)
+        # self.tables, per shear: [first step built, tail table] or None (see _taylor_table)
         if len(rows) and np.all(rows == rows[0]):
             key = (rows[0].tobytes(), direction)
             if key not in solver._anchor_memo:
@@ -97,16 +123,22 @@ class _Segment:
                 for a in (*chain.sources, *chain.values):
                     a.setflags(write=False)  # shared by every later segment on this key
                 solver._anchor_memo[key] = chain
+                solver._taylor_memo[key] = [None] * len(shears)
             chain = solver._anchor_memo[key]
+            self.tables = solver._taylor_memo[key]
         else:
             chain = self._march(rows)
+            self.tables = [None] * len(shears)
         # reference sources and values as (step, column), broadcast over the batch columns
         h = solver.horizon
         self.chain = ReferenceChain(chain.inverse, tuple(a.reshape(h, -1) for a in chain.sources),
                                     tuple(a.reshape(h, -1) for a in chain.values))
         self.op, self.readout = solver.sweep_operator(direction, self.driven, self.killed)
         self.state = np.zeros((self.op.shape[1], len(rows)))  # [U; v0], U rows (shear, step)
-        self.loaded = False  # whether update has written v0 into the state
+        self.loaded = False  # whether the state is nonzero
+        # per shear: the Taylor radius, or None on a batch too narrow for the tail
+        self.radii = [sh.profile.taylor_radius(TAIL_ORDER) if len(rows) >= TAIL_WIDTH else None
+                      for sh in shears]
 
     def _march(self, r: np.ndarray) -> ReferenceChain:
         """The shear chain along the reference orbit of the reduced points r,
@@ -137,7 +169,8 @@ class _Segment:
         driven: block -> this sweep's t = 0 values of the driven blocks.  The
         source differences come from the previous sweep's increments and
         driven values, as that sweep's difference orbit would give them; the
-        killed blocks are the contracting backward sums with zero tail.
+        killed blocks are the contracting backward sums with zero tail.  The
+        tail start is chosen per shear and sweep from the whole batch.
         Returns the killed blocks' new t = 0 values.
         """
         s, h = self.solver, self.solver.horizon
@@ -151,19 +184,58 @@ class _Segment:
                 for j in range(i):  # earlier shears of the chain moved this one's source
                     if shears[j].target == sh.source:
                         xi += u[j * h:(j + 1) * h]
-                xi += rs
-                inc = sh.profile.value(xi)
-                inc -= val
-                np.multiply(sign * sh.amplitude, inc, out=u[i * h:(i + 1) * h])
+                ui = u[i * h:(i + 1) * h]
+                t0 = h if self.radii[i] is None else self._tail_start(i, xi)
+                if t0:
+                    head = xi[:t0]
+                    head += rs[:t0]
+                    inc = sh.profile.value(head)
+                    inc -= val[:t0]
+                    np.multiply(sign * sh.amplitude, inc, out=ui[:t0])
+                if t0 < h:  # sum_k coeffs[k-1] x^k by Horner
+                    coeffs, x_tail, out = self._taylor_table(i, t0), xi[t0:], ui[t0:]
+                    np.multiply(coeffs[-1], x_tail, out=out)
+                    for a in coeffs[-2::-1]:
+                        out += a
+                        out *= x_tail
         row = len(u)
         for b in self.driven:
             width = s.block_dim(b)
             v0 = np.broadcast_to(driven[b], self.batch_shape + (width,))
             self.state[row:row + width] = v0.reshape(-1, width).T
             row += width
-        self.loaded = True
+        self.loaded = self.loaded or bool(np.any(self.state[len(u):]))
         d0 = self.d0()
         return {b: d0[..., s.block_idx[b]] for b in self.killed}
+
+    def _tail_start(self, i: int, x: np.ndarray) -> int:
+        """The first step from which every row's source difference x for
+        shear i lies within the profile's Taylor radius; the horizon if the
+        last step's does not."""
+        size = np.maximum.reduce(np.abs(x), axis=1).tolist()
+        t0 = len(size)
+        while t0 and size[t0 - 1] <= self.radii[i]:
+            t0 -= 1
+        return t0
+
+    def _taylor_table(self, i: int, t0: int) -> np.ndarray:
+        """Shear i's tail coefficients at steps t0 onward, scaled by its signed
+        amplitude: (TAIL_ORDER, H - t0, columns).  The table spans the horizon
+        but is filled only back to the earliest tail start so far, in blocks
+        as long as the steps already built (one step first), so that the
+        profile's temporaries stay within the size of the table held.  An
+        anchor shared by every row has a one-column table per memo key."""
+        sh = self.solver.chain_shears(self.direction)[i]
+        rs = self.chain.sources[i]
+        if self.tables[i] is None:
+            self.tables[i] = [len(rs), np.empty((TAIL_ORDER,) + rs.shape)]
+        first, table = self.tables[i]
+        scale = (1.0 if self.direction == "fwd" else -1.0) * sh.amplitude
+        while t0 < first:
+            lo = max(t0, first - max(1, len(rs) - first))
+            np.multiply(sh.profile.taylor(rs[lo:first], TAIL_ORDER), scale, out=table[:, lo:first])
+            first = self.tables[i][0] = lo
+        return table[:, t0:]
 
     def d0(self) -> np.ndarray:
         """d[0] of the last sweep, shape batch + (n,)."""
@@ -206,6 +278,8 @@ class LeafSolver:
         self._sweeps: dict = {}
         # (reduced anchor bytes, direction) -> one-row reference chain
         self._anchor_memo: dict = {}
+        # the same key -> per shear of the chain, its one-column tail table (see _Segment)
+        self._taylor_memo: dict = {}
 
     # -- block helpers -------------------------------------------------------------
 
@@ -382,7 +456,9 @@ class LeafSolver:
         of at most STEP_CAP; the walked parameter is additive because
         graph offsets are orthogonal to the parameter block.  Each row walks
         its own number of steps, so its path does not depend on the rows
-        it is batched with.
+        it is batched with.  Its bits may, at rounding level: each solve stops
+        when its whole batch has converged, and where the Taylor tail of a
+        wide batch starts (see _Segment) depends on every row of the batch.
         """
         base = np.asarray(base, dtype=float)
         params = np.asarray(params, dtype=float)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable
 
 import numpy as np
@@ -20,6 +22,24 @@ from .errors import InputError
 from .intmatrix import IntMatrix, matrix_from_json, matrix_to_json
 
 TWO_PI = 2.0 * np.pi
+
+
+@lru_cache(maxsize=None)
+def _taylor_weights(pairs: tuple, order: int) -> np.ndarray:
+    """The matrix taking the phases cos(m theta), sin(m theta) of the
+    harmonics (a_m, b_m) in `pairs` to the Taylor coefficients of orders
+    1..order: the k-th derivative of a cos(w t) + b sin(w t) is w^k times p,
+    q, -p, -q for k = 0, 1, 2, 3 mod 4, with p = a cos + b sin and
+    q = b cos - a sin."""
+    weights = np.zeros((order, len(pairs), 2))
+    for m, (a, b) in enumerate(pairs, start=1):
+        g = 1.0
+        for k in range(1, order + 1):
+            g *= TWO_PI * m / k
+            weights[k - 1, m - 1] = (g if k % 4 in (0, 1) else -g) * np.array((b, -a) if k % 2 else (a, b))
+    weights = weights.reshape(order, -1)
+    weights.setflags(write=False)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -34,6 +54,8 @@ class TrigProfile:
     sin_coeffs: tuple[float, ...] = ()
     # the nonzero terms (2 pi m, coefficient, np.cos or np.sin), cos terms first
     _terms: tuple = field(init=False, repr=False, compare=False)
+    # (cos, sin) coefficient of each harmonic up to the last nonzero one
+    _pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         with np.errstate(over="ignore"):
@@ -46,6 +68,10 @@ class TrigProfile:
             (TWO_PI * m, c, fn)
             for coeffs, fn in ((self.cos_coeffs, np.cos), (self.sin_coeffs, np.sin))
             for m, c in enumerate(coeffs, start=1) if c))
+        pairs = list(zip_longest(self.cos_coeffs, self.sin_coeffs, fillvalue=0.0))
+        while pairs and not any(pairs[-1]):
+            pairs.pop()
+        object.__setattr__(self, "_pairs", tuple(pairs))
 
     def value(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -60,6 +86,48 @@ class TrigProfile:
             else:
                 out += term
         return np.zeros_like(t) if out is None else out
+
+    def taylor(self, t: np.ndarray, order: int) -> np.ndarray:
+        """The Taylor coefficients value^(k)(t) / k! for k = 1..order, stacked
+        on a new first axis: value(t + x) - value(t) = sum_k coeffs[k-1] x^k
+        up to the remainder that taylor_radius bounds.
+
+        Only cos and sin of 2 pi t are evaluated; harmonic m's phase comes
+        from the angle-multiplication recurrence, so an entry costs two libm
+        calls whatever the number of harmonics.  The coefficients are then
+        one product of a small matrix with the stacked phases.
+        """
+        t = np.asarray(t, dtype=float)
+        pairs = self._pairs
+        if not pairs:
+            return np.zeros((order,) + t.shape)
+        # rows cos(m theta), sin(m theta) for m = 1..len(pairs), theta = 2 pi t
+        phases = np.empty((len(pairs), 2) + t.shape)
+        c1, s1 = phases[0]
+        np.multiply(t, TWO_PI, out=c1)
+        np.sin(c1, out=s1)
+        np.cos(c1, out=c1)
+        tmp = np.empty_like(c1) if len(pairs) > 1 else None
+        for (cp, sp), (cm, sm) in zip(phases, phases[1:]):
+            np.multiply(cp, c1, out=cm)
+            np.multiply(sp, s1, out=tmp)
+            cm -= tmp
+            np.multiply(sp, c1, out=sm)
+            np.multiply(cp, s1, out=tmp)
+            sm += tmp
+        weights = _taylor_weights(pairs, order)
+        return (weights @ phases.reshape(2 * len(pairs), -1)).reshape((order,) + t.shape)
+
+    def taylor_radius(self, order: int) -> float:
+        """The largest |x| at which the remainder of the order-`order` Taylor
+        polynomial, sum_m |c_m| (w_m |x|)^(order+1) / (order+1)!, is at most
+        2^-53 sum_m |c_m|: below the rounding of value(t + x) - value(t)
+        itself.  inf for the zero profile, whose increments are all zero."""
+        if not self._terms:
+            return math.inf
+        mass = sum(abs(c) for _, c, _ in self._terms)
+        moment = sum(abs(c) * w ** (order + 1) for w, c, _ in self._terms)
+        return (math.factorial(order + 1) * 2.0 ** -53 * mass / moment) ** (1.0 / (order + 1))
 
     def derivative_bound(self) -> float:
         return sum(TWO_PI * m * abs(a) for m, a in enumerate(self.cos_coeffs, 1)) + \

@@ -55,6 +55,8 @@ def pa_condition_cyclic_sample(
     makes non-cyclic vectors exist, so the kernel candidates are what makes
     falsification reliable.
     """
+    if k_max < 1:
+        raise InputError(f"k_max must be at least 1, got {k_max}")
     rng = random.Random(seed)
     n = a.n
     s = power_sums(a.char_poly(), n * k_max)
@@ -142,6 +144,8 @@ def pseudo_anosov_subspace(
     is formed only for a candidate that passes the condition.  A passed
     ``split`` must belong to a and supplies p and its factorization.
     """
+    if k_max < 1:
+        raise InputError(f"k_max must be at least 1, got {k_max}")
     if split is None:
         p = a.char_poly()
         spectrum = _factor_spectrum(p)

@@ -89,6 +89,17 @@ def chained_shears_map():
     return PerturbedMap(f.matrix, (f.shears[0], back, f.shears[1]))
 
 
+def harmonics_map():
+    """Salem map with three shears whose profiles have several cos and sin
+    harmonics with zero gaps."""
+    a = IntMatrix.companion(SALEM)
+    return PerturbedMap(a, (
+        Shear(0, 1, TrigProfile(cos_coeffs=(0.1, 0.0, 0.05), sin_coeffs=(0.0, 0.2, 0.03)), 5e-3),
+        Shear(2, 3, TrigProfile(cos_coeffs=(0.0, 0.08, 0.0, -0.02), sin_coeffs=(0.12, 0.0, -0.04)), 5e-3),
+        Shear(1, 0, TrigProfile(cos_coeffs=(-0.06, 0.03), sin_coeffs=(0.0, 0.0, 0.05)), 5e-3),
+    ))
+
+
 def trig_value_oracle(profile, t):
     """TrigProfile.value as the package first wrote it: each nonzero term,
     cos terms first, added to a zero array.  The oracle for the terms the

@@ -357,6 +357,9 @@ MALFORMED = [
     (["analyze", "{false_matrix}"], 1),
     (["analyze", "{flat_rows}"], 1),
     (["pa", "{bool_matrix}"], 1),
+    (["pa", "{salem}", "--kmax", "0"], 1),
+    (["dioph", "{salem}", "--kmax-pa", "0"], 1),
+    (["curve", "{salem}", "--kmax", "0"], 1),
     (["dioph", "{salem}", "--radius", "nan"], 1),
     (["dioph", "{salem}", "--radius", "inf"], 1),
     (["dioph", "{salem}", "--radius", "0.5"], 1),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SALEM, SALEM_CONJUGATE, chained_shears_map, march_oracle
+from conftest import SALEM, SALEM_CONJUGATE, chained_shears_map, harmonics_map, march_oracle
 from torusdyn import manifolds
 from torusdyn.errors import NumericsError
 from torusdyn.intmatrix import IntMatrix
@@ -14,7 +14,7 @@ from torusdyn.manifolds import (
     interpolation_floor,
     measure_kappa,
 )
-from torusdyn.perturbed import PerturbedMap, ReferenceChain, Shear, salem_example, torus_reduce
+from torusdyn.perturbed import PerturbedMap, ReferenceChain, Shear, TrigProfile, salem_example, torus_reduce
 from torusdyn.splitting import adapted_norm, compute_splitting
 
 
@@ -298,6 +298,8 @@ def _solver(matrix, amplitude=1e-2):
     split = compute_splitting(a)
     if matrix == "chained":  # a shear reads the coordinate an earlier one moved
         f = chained_shears_map()
+    elif matrix == "harmonics":
+        f = harmonics_map()
     elif matrix == "shear_free":
         f = PerturbedMap(split.matrix, ())
     else:
@@ -518,6 +520,99 @@ def test_first_sweep_is_linear(flavor):
     assert all(np.array_equal(got[b], d0[:, solver.block_idx[b]]) for b in killed)
     seg.update(values)
     assert seg.op.calls == 1 and [p.calls for p in profiles] == [1, 1]
+
+
+def test_sweeps_stay_linear_while_the_state_is_zero():
+    """Zero driven values on a zero state leave it zero, so the next sweep
+    makes no product either; the first nonzero values load it."""
+    solver = _solver("salem")
+    seg = _Segment(solver, np.random.default_rng(7).uniform(size=(5, 4)), "fwd", (5,), ("s",), ("c", "u"))
+    seg.op = _CountingOperator(seg.op)
+    for _ in range(2):
+        got = seg.update({"s": np.zeros((5, 1))})
+        assert seg.op.calls == 0 and not seg.loaded
+        assert all(np.array_equal(v, np.zeros_like(v)) for v in got.values())
+    seg.update({"s": np.ones((5, 1))})
+    assert seg.op.calls == 0 and seg.loaded
+    seg.update({"s": np.ones((5, 1))})
+    assert seg.op.calls == 1
+
+
+def _wide_solves(matrix):
+    """Leaf points of every flavor, on one base and on a base per row, and
+    both intersection pairs, on batches wide enough for tail increments."""
+    solver = _solver(matrix)
+    rows = manifolds.TAIL_WIDTH + 8
+    rng = np.random.default_rng(43)
+    base, bases = rng.uniform(-1, 1, size=4), rng.uniform(-1, 1, size=(rows, 4))
+    out = []
+    for flavor in FLAVORS:
+        params = rng.normal(size=(rows, len(solver.param_indices(flavor)))) * 0.5
+        out += [solver.leaf_points(base, flavor, params), solver.leaf_points(bases, flavor, params)]
+    xs, y = rng.uniform(-1, 1, size=(rows, 4)), rng.uniform(-1, 1, size=4)
+    return out + [solver.intersection_batch(xs, y, pair) for pair in (("s", "cu"), ("u", "cs"))]
+
+
+def _head_only(matrix):
+    """_wide_solves with every increment taken as a profile difference."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_Segment, "_tail_start", lambda seg, i, x: len(x))
+        return _wide_solves(matrix)
+
+
+@pytest.mark.parametrize("matrix", ["salem", "harmonics"])
+def test_tail_and_head_paths_agree(monkeypatch, matrix):
+    """Solves whose s and u legs take tail increments, from one-column
+    tables of a shared anchor and from per-row tables, agree to 1e-15 with
+    the same solves on the head path alone."""
+    tables = set()
+    build = _Segment._taylor_table
+
+    def table(seg, i, t0):
+        out = build(seg, i, t0)
+        tables.add((out.shape[-1] == 1, seg.direction))
+        assert seg.tables[i][0] <= t0 and out.shape[1] == seg.solver.horizon - t0
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(_Segment, "_taylor_table", table)
+        tail = _wide_solves(matrix)
+    assert tables == {(shared, d) for shared in (False, True) for d in ("fwd", "bwd")}
+    for a, b in zip(tail, _head_only(matrix)):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-15
+
+
+def test_a_moving_tail_start_builds_each_table_step_once(monkeypatch):
+    """A tail start that moves between sweeps, past the steps built so far
+    and then back before them, reads the table's later steps or extends it
+    back: each step's coefficients are built once, and the solves still
+    agree with the head path alone."""
+    start, build, taylor = _Segment._tail_start, _Segment._taylor_table, TrigProfile.taylor
+    sweeps, tables, calls = {}, {}, []
+
+    def moving(seg, i, x):  # 3, then 5 steps later than the exact start, then exact
+        t0 = start(seg, i, x)
+        if t0 == len(x):
+            return t0
+        k = sweeps[id(seg), i] = sweeps.get((id(seg), i), 0) + 1
+        return min(len(x), t0 + {1: 3, 2: 5}.get(k, 0))
+
+    def table(seg, i, t0):
+        out = build(seg, i, t0)
+        tables[id(seg.tables[i])] = seg.tables[i]
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(_Segment, "_tail_start", moving)
+        m.setattr(_Segment, "_taylor_table", table)
+        m.setattr(TrigProfile, "taylor", lambda p, t, order: calls.append(len(t)) or taylor(p, t, order))
+        tail = _wide_solves("salem")
+    h = _solver("salem").horizon
+    assert max(sweeps.values()) > 2 and any(first > 0 for first, _ in tables.values())
+    assert sum(calls) == sum(h - first for first, _ in tables.values())
+    for a, b in zip(tail, _head_only("salem")):
+        assert np.max(np.abs(a - b)) <= 1e-15
 
 
 @pytest.mark.parametrize("matrix", ["salem", "conjugate", "chained"])

@@ -1,10 +1,11 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import SALEM_CONJUGATE, chained_shears_map, reference_chain, trig_value_oracle
+from conftest import SALEM_CONJUGATE, chained_shears_map, harmonics_map, reference_chain, trig_value_oracle
 from torusdyn.errors import InputError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.perturbed import TWO_PI, PerturbedMap, Shear, TrigProfile, salem_example
@@ -83,6 +84,59 @@ def test_profile_value_matches_the_oracle(profile, t):
     assert np.shape(got) == np.shape(want) == np.shape(t)
     assert np.array_equal(got, want)
     assert np.array_equal(t, before)
+
+
+def _long_value(profile, t):
+    """value(t) in long double: the oracle of the tail increments."""
+    t = np.asarray(t, dtype=np.longdouble)
+    out = np.zeros_like(t)
+    for coeffs, fn, shift in ((profile.cos_coeffs, np.cos, 1), (profile.sin_coeffs, np.sin, 0)):
+        for m, c in enumerate(coeffs, start=1):
+            out += np.longdouble(c) * (fn(np.longdouble(TWO_PI) * m * t) - shift)
+    return out
+
+
+TAYLOR_PROFILES = dict(PROFILES, **{f"harmonics shear {i}": sh.profile
+                                    for i, sh in enumerate(harmonics_map().shears)})
+
+
+@pytest.mark.parametrize("profile", list(TAYLOR_PROFILES.values()), ids=list(TAYLOR_PROFILES))
+def test_tail_increments_match_an_extended_precision_oracle(profile):
+    """sum_k taylor(t)[k-1] x^k, summed by Horner as the leaf solver's tail
+    does, is within one ulp of sum |c_m| of value(t + x) - value(t) in long
+    double, for |x| up to the Taylor radius and t negative or past 1."""
+    order = 4
+    radius = profile.taylor_radius(order)
+    edge = min(radius, 1.0)  # the zero profile's radius is infinite
+    rng = np.random.default_rng(41)
+    t = rng.uniform(-2.0, 3.0, size=(40, 50))
+    x = rng.uniform(-edge, edge, size=t.shape)
+    x[0, :2] = edge, -edge
+    coeffs = profile.taylor(t, order)
+    assert coeffs.shape == (order,) + t.shape
+    inc = coeffs[-1] * x
+    for a in coeffs[-2::-1]:
+        inc += a
+        inc *= x
+    want = _long_value(profile, t.astype(np.longdouble) + x) - _long_value(profile, t)
+    mass = sum(abs(c) for c in profile.cos_coeffs + profile.sin_coeffs)
+    if mass == 0:
+        assert radius == math.inf and np.array_equal(coeffs, np.zeros_like(coeffs))
+    assert np.max(np.abs(inc - want)) <= np.spacing(mass)
+
+
+@pytest.mark.parametrize("profile", list(TAYLOR_PROFILES.values()), ids=list(TAYLOR_PROFILES))
+def test_taylor_radius_bounds_the_remainder_by_the_unit_roundoff(profile):
+    """At the radius, the remainder bound sum |c_m| (w_m r)^5 / 5! of the
+    order-4 polynomial is 2^-53 sum |c_m|, to rounding."""
+    terms = [(TWO_PI * m, abs(c)) for coeffs in (profile.cos_coeffs, profile.sin_coeffs)
+             for m, c in enumerate(coeffs, 1) if c]
+    r = profile.taylor_radius(4)
+    if not terms:
+        assert r == math.inf
+        return
+    bound = sum(c * (w * r) ** 5 for w, c in terms) / 120
+    assert bound == pytest.approx(2.0 ** -53 * sum(c for _, c in terms), rel=1e-12)
 
 
 @pytest.mark.parametrize("cos,sin", [((float("nan"),), ()), ((0.1,), (float("inf"),)),

@@ -92,6 +92,16 @@ def test_pa_subspace_rejections(cat_matrix):
         pseudo_anosov_subspace(IntMatrix.companion(IntPoly((1, 1, 1, 1, 1))), 4)
 
 
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_a_power_bound_below_one_is_an_input_error(salem_matrix, k_max):
+    """No power k <= k_max exists to search, which is bad input and not an
+    exhausted budget."""
+    with pytest.raises(InputError):
+        pseudo_anosov_subspace(salem_matrix, k_max)
+    with pytest.raises(InputError):
+        pa_condition_cyclic_sample(salem_matrix, k_max)
+
+
 def test_pa_subspace_lattice_invariance(block6_matrix):
     pa = pseudo_anosov_subspace(block6_matrix, 6)
     ak = block6_matrix ** pa.k

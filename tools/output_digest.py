@@ -18,7 +18,9 @@ fixed seeds: both coverage checks and the leaf parameters they invert, the
 saturation cloud's points and trails, and the overlap translation.  Leaf
 points of every flavor and both intersection pairs are digested on their own
 as well, and again on a map whose profiles have several harmonics with
-zero gaps, so that a change in the order a profile sums its terms shows.
+zero gaps, so that a change in the order a profile sums its terms shows;
+that map's s and u leaves and its intersections run once more on batches
+wide enough for the leaf solver's Taylor tail tables.
 So is the ``lattice_ball`` of a dense conjugate of the Salem companion,
 whose norms round differently when a scan batches its rows differently.
 A run takes about ten seconds.
@@ -41,7 +43,7 @@ from torusdyn import cli  # noqa: E402
 from torusdyn.diophantine import lattice_ball  # noqa: E402
 from torusdyn.intmatrix import IntMatrix  # noqa: E402
 from torusdyn.intpoly import IntPoly  # noqa: E402
-from torusdyn.manifolds import LeafSolver  # noqa: E402
+from torusdyn.manifolds import TAIL_WIDTH, LeafSolver  # noqa: E402
 from torusdyn.perturbed import PerturbedMap, Shear, TrigProfile, salem_example  # noqa: E402
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace  # noqa: E402
 from torusdyn.saturation import (  # noqa: E402
@@ -169,8 +171,19 @@ def harmonics_digests() -> list[tuple[str, str]]:
                               rng.normal(size=(40, len(solver.param_indices(flavor)))))
            for flavor in ("s", "u", "c", "cs", "cu")]
     z = solver.intersection_batch(rng.uniform(-1, 1, size=(40, a.n)), rng.uniform(-1, 1, size=a.n), ("s", "cu"))
-    return [("harmonics: leaf_points s,u,c,cs,cu", _sha(b"".join(p.tobytes() for p in pts))),
-            ("harmonics: intersection_batch s,cu", _sha(z.tobytes()))]
+    out = [("harmonics: leaf_points s,u,c,cs,cu", _sha(b"".join(p.tobytes() for p in pts))),
+           ("harmonics: intersection_batch s,cu", _sha(z.tobytes()))]
+    # batches wider than the solver's TAIL_WIDTH, so that the s and u legs
+    # take tail increments from one-column and per-row Taylor tables
+    wide = 320
+    assert wide >= TAIL_WIDTH
+    pts = [solver.leaf_points(base, flavor, rng.normal(size=(wide, 1)))
+           for flavor in ("s", "u") for base in (rng.uniform(-1, 1, size=a.n), rng.uniform(-1, 1, size=(wide, a.n)))]
+    out.append((f"harmonics: leaf_points s,u on {wide} rows", _sha(b"".join(p.tobytes() for p in pts))))
+    for pair in (("s", "cu"), ("u", "cs")):
+        z = solver.intersection_batch(rng.uniform(-1, 1, size=(wide, a.n)), rng.uniform(-1, 1, size=a.n), pair)
+        out.append((f"harmonics: intersection_batch {pair[0]},{pair[1]} on {wide} rows", _sha(z.tobytes())))
+    return out
 
 
 def lattice_digests() -> list[tuple[str, str]]:
