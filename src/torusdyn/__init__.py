@@ -47,7 +47,7 @@ from .diophantine import (
     lattice_ball,
 )
 from .perturbed import PerturbedMap, Shear, TrigProfile, salem_example
-from .manifolds import GraphPatch, LeafSolver, graph_transform, measure_kappa
+from .manifolds import LeafSolver, measure_kappa
 from .holonomy import (
     commutation_defect,
     deck_holonomy,

@@ -1,5 +1,5 @@
-"""Invariant manifolds of the perturbed map: leaf evaluation, graph
-patches, unique intersections, and the leaf-parameter coordinates.
+"""Invariant manifolds of the perturbed map: leaf evaluation, unique
+intersections, and the leaf-parameter coordinates.
 
 Leaf points solve the fixed-point equations of the invariant manifolds
 in Lyapunov-Perron form: along a finite orbit segment the difference
@@ -22,24 +22,18 @@ cancellation.  On s and u legs the source difference contracts along the
 segment, and once it is small enough the profile's Taylor polynomial about
 the reference source gives the increment exactly to rounding: on wide
 batches those tail increments come from a table of coefficients built once
-per segment, by Horner, with no sin or cos per sweep.  A gridded graph transform (multilinear interpolation on a
-regular grid) provides the classical fixed-point construction of the s, u,
-cs and cu leaves and the Lipschitz estimates.
+per segment, by Horner, with no sin or cos per sweep.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvariantError, NumericsError
 from .perturbed import PerturbedMap, ReferenceChain, torus_reduce
 from .splitting import AdaptedNorm, Splitting
-
-if TYPE_CHECKING:
-    from scipy.interpolate import RegularGridInterpolator
 
 FLAVOR_BLOCKS = {
     "s": ("s",),
@@ -531,214 +525,6 @@ class LeafSolver:
         vs = ((w - q) @ self.coords.T)[..., self.block_idx["s"]]
         vc = ((q - x) @ self.coords.T)[..., self.block_idx["c"]]
         return vc, vs, vu
-
-
-# -- gridded graph transform ------------------------------------------------------
-
-
-@dataclass
-class GraphPatch:
-    """Sampled graph of an invariant leaf over its tangent block.
-
-    Parameters are block coordinates on a regular grid cube; values are
-    the perpendicular block coordinates of the graph.
-    """
-
-    flavor: str
-    base: np.ndarray
-    rho: float
-    axes: tuple[np.ndarray, ...]
-    values: np.ndarray            # grid shape + (d_perp,)
-    kappa_emp: float
-    param_idx: np.ndarray
-    perp_idx: np.ndarray
-    embed: np.ndarray
-    _interp: Optional[RegularGridInterpolator] = None
-
-    def interpolator(self) -> RegularGridInterpolator:
-        if self._interp is None:
-            # on first use: scipy is most of a fresh import's time
-            from scipy.interpolate import RegularGridInterpolator
-
-            self._interp = RegularGridInterpolator(
-                self.axes, self.values, method="linear", bounds_error=False, fill_value=None
-            )
-        return self._interp
-
-    def offset(self, params: np.ndarray) -> np.ndarray:
-        return self.interpolator()(np.asarray(params, dtype=float))
-
-    def point(self, params: np.ndarray) -> np.ndarray:
-        params = np.asarray(params, dtype=float)
-        return (
-            self.base
-            + params @ self.embed[:, self.param_idx].T
-            + self.offset(params) @ self.embed[:, self.perp_idx].T
-        )
-
-
-def _grid_axes(half_width: float, step: float, dim: int) -> tuple[np.ndarray, ...]:
-    m = max(1, int(math.ceil(half_width / step)))
-    ax = np.arange(-m, m + 1) * step
-    return tuple(ax for _ in range(dim))
-
-
-def _grid_nodes(axes: Sequence[np.ndarray]) -> np.ndarray:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-# The graph transform's grid covers the adapted ball of radius rho times
-# GRAPH_MARGIN, and its depth is doubled at most GRAPH_RETRIES times.
-GRAPH_MARGIN = 1.25
-GRAPH_RETRIES = 3
-
-
-def graph_transform(
-    solver: LeafSolver,
-    flavor: str,
-    x: np.ndarray,
-    rho: float = 2.0,
-    tol: float = 1e-9,
-    grid_step: float = 1.0 / 32.0,
-) -> GraphPatch:
-    """Invariant-manifold graph over the flavor block, by the graph transform.
-
-    Starting from the zero graph at a far point of the orbit, the graph is
-    pulled back (flavors s, cs) or pushed forward (u, cu) along the orbit
-    of x until the depth guarantees a fixed-point error below tol.  The
-    invariance residual is verified on a node sample; if it exceeds 10*tol
-    the depth is doubled, and after GRAPH_RETRIES the budget error is raised.
-    """
-    if flavor not in ("s", "u", "cs", "cu"):
-        raise ValueError(f"graph transform flavors are s, u, cs, cu; got {flavor!r}")
-
-    contraction = _transversal_rate(solver, flavor)
-    if not contraction < 1:
-        raise NumericsError("graph transform contraction factor >= 1")
-    depth = max(4, int(math.ceil(math.log(tol) / math.log(contraction))) + 4)
-
-    resid = math.inf
-    threshold = 10 * tol
-    for _attempt in range(GRAPH_RETRIES + 1):
-        patch = _transform_patch(solver, flavor, np.asarray(x, dtype=float), rho, grid_step, depth)
-        resid = _invariance_residual(solver, patch, sample=64, seed=11)
-        # a multilinear grid cannot represent the leaf better than its own
-        # curvature allows; the floor is measured from second differences
-        threshold = 10 * tol + interpolation_floor(patch)
-        if resid <= threshold:
-            return patch
-        depth *= 2
-    raise NumericsError(
-        f"graph transform iteration budget exceeded (residual {resid:.2e} "
-        f"> {threshold:.2e} at depth {depth // 2})"
-    )
-
-
-def _transversal_rate(solver: LeafSolver, flavor: str) -> float:
-    lam, mu = solver.norm.lambda_s, solver.norm.mu_u
-    return {"s": lam, "cs": 1.0 / mu, "u": 1.0 / mu, "cu": lam}[flavor]
-
-
-def _cube_half_width(solver: LeafSolver, flavor: str, rho: float) -> float:
-    # the coordinate cube must cover the adapted ball of radius rho
-    scale = 1.0
-    for b in FLAVOR_BLOCKS[flavor]:
-        gram = {"s": solver.norm.gram_s, "c": solver.norm.gram_c, "u": solver.norm.gram_u}[b]
-        if gram.shape[0]:
-            w = np.linalg.eigvalsh(gram)
-            scale = max(scale, 1.0 / math.sqrt(float(w[0])))
-    return rho * scale
-
-
-def _transform_patch(solver, flavor, x, rho, grid_step, depth) -> GraphPatch:
-    from scipy.interpolate import RegularGridInterpolator
-
-    p_idx = solver.param_indices(flavor)
-    q_idx = solver.perp_indices(flavor)
-    e_p = solver.embed[:, p_idx]
-    e_q = solver.embed[:, q_idx]
-    half = _cube_half_width(solver, flavor, rho) * GRAPH_MARGIN
-    axes = _grid_axes(half, grid_step, len(p_idx))
-    nodes = _grid_nodes(axes)
-    grid_shape = tuple(len(a) for a in axes)
-
-    forward = flavor in ("u", "cu")
-    # orbit of base points: pullback needs the patch at F(y), pushforward at F^{-1}(y)
-    orbit = [np.asarray(x, dtype=float)]
-    for _ in range(depth):
-        orbit.append(solver.f.apply(orbit[-1]) if not forward else solver.f.apply_inverse(orbit[-1]))
-    values = np.zeros(grid_shape + (len(q_idx),))
-    a_param = (solver.coords[p_idx] @ solver.f.a_float) @ solver.embed[:, p_idx] if not forward \
-        else (solver.coords[p_idx] @ solver.f.a_inv_float) @ solver.embed[:, p_idx]
-
-    for t in range(depth, 0, -1):
-        y = orbit[t - 1]
-        z = orbit[t]
-        interp = RegularGridInterpolator(axes, values, method="linear", bounds_error=False, fill_value=None)
-
-        def graph_point(w):
-            return z + w @ e_p.T + interp(w) @ e_q.T
-
-        # solve, per node v: param-block of (F^{-+1}(sigma_z(w)) - y) = v
-        w = nodes @ a_param.T  # linear prediction
-        target = nodes
-        for _ in range(60):
-            pts = graph_point(w)
-            img = solver.f.apply_inverse(pts) if not forward else solver.f.apply(pts)
-            cur = ((img - y) @ solver.coords.T)[:, p_idx]
-            err = cur - target
-            if np.max(np.abs(err)) <= 1e-12:
-                break
-            w = w - err @ a_param.T
-        pts = graph_point(w)
-        img = solver.f.apply_inverse(pts) if not forward else solver.f.apply(pts)
-        new_vals = ((img - y) @ solver.coords.T)[:, q_idx]
-        values = new_vals.reshape(grid_shape + (len(q_idx),))
-
-    # pin the base node exactly
-    center = tuple(len(a) // 2 for a in axes)
-    if np.max(np.abs(values[center])) > 1e-7:
-        raise NumericsError("graph transform origin offset did not vanish")
-    values[center] = 0.0
-    kappa = solver.graph_ratio(flavor, nodes, values.reshape(-1, len(q_idx)))
-    return GraphPatch(
-        flavor=flavor,
-        base=np.asarray(x, dtype=float),
-        rho=rho,
-        axes=axes,
-        values=values,
-        kappa_emp=kappa,
-        param_idx=p_idx,
-        perp_idx=q_idx,
-        embed=solver.embed,
-    )
-
-
-def interpolation_floor(patch: GraphPatch) -> float:
-    """Representation error scale of the multilinear grid: the sum over axes
-    of the largest absolute second difference of the stored values."""
-    total = 0.0
-    for axis in range(len(patch.axes)):
-        if patch.values.shape[axis] >= 3:
-            total += float(np.max(np.abs(np.diff(patch.values, n=2, axis=axis))))
-    return total
-
-
-def _invariance_residual(solver: LeafSolver, patch: GraphPatch, sample: int, seed: int) -> float:
-    """max over sampled params of the distance of F(graph point) from the
-    image leaf, measured through the shooting evaluator."""
-    rng = np.random.default_rng(seed)
-    d = len(patch.param_idx)
-    lows = np.array([a[0] for a in patch.axes])
-    highs = np.array([a[-1] for a in patch.axes])
-    params = rng.uniform(lows * 0.7, highs * 0.7, size=(sample, d))
-    pts = patch.point(params)
-    img = solver.f.apply(pts)
-    base_img = solver.f.apply(patch.base)
-    v_img = ((img - base_img) @ solver.coords.T)[:, patch.param_idx]
-    on_leaf = solver.leaf_points(base_img, patch.flavor, v_img)
-    return float(np.max(np.abs(on_leaf - img)))
 
 
 def measure_kappa(solver: LeafSolver, radius: float, samples: int = 160, seed: int = 5) -> dict:

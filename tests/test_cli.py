@@ -483,9 +483,14 @@ def test_unconverged_leaf_solve_exits_3_with_one_line(files, capsys, monkeypatch
     assert not out_path.exists()
 
 
-def test_cli_import_defers_scipy():
-    # scipy takes most of a fresh import; only the commands that use it load it.
-    import os
+@pytest.mark.parametrize("argv, prefix", [
+    ([], "scipy"),
+    (["perturb", "{map0}", "--eps", "0", "--out", "{tmp}/p0.json"], "scipy.interpolate"),
+], ids=["import", "perturb_eps0"])
+def test_cli_import_defers_scipy(files, argv, prefix):
+    # scipy takes most of a fresh import; only the commands that use it load it,
+    # and none loads scipy.interpolate: the leaf solver is the one construction
+    # of the leaves, down to the amplitude-0 graph check.
     import subprocess
     import sys
     from pathlib import Path
@@ -493,8 +498,9 @@ def test_cli_import_defers_scipy():
     import torusdyn
 
     env = dict(os.environ, PYTHONPATH=str(Path(torusdyn.__file__).resolve().parents[1]))
-    code = "import sys, torusdyn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    run = f"assert torusdyn.cli.main({[a.format(**files) for a in argv]!r}) == 0; " if argv else ""
+    code = f"import sys, torusdyn.cli; {run}print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"

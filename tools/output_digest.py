@@ -12,7 +12,8 @@ The outputs are the stdout and the written files of ``analyze``, ``survey``
 (boxes (4, 2), (5, 2), (7, 1), (6, 1) and (3, 5)), ``pa``, ``dioph`` (JSON
 alone, JSON with ``--csv``, and ``--format csv``; without a table the scan
 reduces the streamed slabs, with one it reduces the sorted ball), ``perturb``
-(the benchmark's configuration, and amplitudes 0 and 0.02, JSON and CSV) and
+(the benchmark's configuration, amplitudes 0 and 0.02, JSON and CSV, and
+amplitude 0 on Salem + cat, whose s block has two dimensions) and
 ``curve``, run in this process, and the saturation workload's computation on
 fixed seeds: both coverage checks and the leaf parameters they invert, the
 saturation cloud's points and trails, and the overlap translation.  Leaf
@@ -58,7 +59,7 @@ SALEM = IntPoly((1, -1, -1, -1, 1))
 # U A U^-1 for the Salem companion A and a unimodular U: dense norm factors
 SALEM_CONJUGATE = [[0, 8, 6, 5], [1, -2, 2, -1], [0, -5, -4, -3], [-2, 12, 3, 7]]
 
-# name -> argv; {salem}, {map} and {dir} are filled in, and every file an
+# name -> argv; {salem}, {map}, {map6} and {dir} are filled in, and every file an
 # argv writes under {dir} is digested beside the command's stdout
 COMMANDS = {
     "analyze": ["analyze", "{salem}"],
@@ -83,6 +84,7 @@ COMMANDS = {
                 "--csv", "{dir}/perturb.csv"],
     "perturb 0,0.02": ["perturb", "{map}", "--eps", "0,0.02", "--nmax", "50", "--ncount", "4",
                        "--samples", "60", "--out", "{dir}/perturb.json", "--csv", "{dir}/perturb.csv"],
+    "perturb 0 salem+cat": ["perturb", "{map6}", "--eps", "0", "--out", "{dir}/perturb.json"],
     "perturb --format csv": ["perturb", "{map}", "--eps", "0.02", "--nmax", "20", "--ncount", "3",
                              "--samples", "30", "--format", "csv"],
     "curve": ["--seed", "3", "curve", "{salem}", "--eps", "0.25", "--radius", "8",
@@ -100,11 +102,13 @@ def _json_bytes(obj) -> bytes:
 
 def cli_digests(tmp: str) -> list[tuple[str, str]]:
     a = IntMatrix.companion(SALEM)
-    paths = {"salem": os.path.join(tmp, "salem.json"), "map": os.path.join(tmp, "map.json")}
+    paths = {name: os.path.join(tmp, f"{name}.json") for name in ("salem", "map", "map6")}
     with open(paths["salem"], "w") as fh:
         json.dump({"n": a.n, "rows": [list(r) for r in a.rows]}, fh)
     with open(paths["map"], "w") as fh:
         json.dump(salem_example(0.01).to_json(), fh)
+    with open(paths["map6"], "w") as fh:
+        json.dump(salem_example(0.01, a=IntMatrix.block_diag(a, IntMatrix([[2, 1], [1, 1]]))).to_json(), fh)
     out = []
     for name, argv in COMMANDS.items():
         work = os.path.join(tmp, name.replace(" ", "_"))
