@@ -16,12 +16,12 @@ import os
 import sys
 
 from .diophantine import (
+    ball_table,
     badly_approximable_search_dim4,
     badly_approximable_search_dim6,
     center_norm_minimum,
     center_plane_chart,
     lattice_ball,
-    write_ball_table,
 )
 from .errors import BudgetError, InputError, TorusDynError
 from .experiments import (N_COUNT_BUDGET, N_MAX_LIMIT, PHI_SAMPLES_BUDGET, curve_experiment,
@@ -33,34 +33,57 @@ from .splitting import adapted_norm, classify, compute_splitting
 from .survey import SURVEY_BUDGET, run_survey
 
 
-def _dump(obj, path=None, stream=None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    if stream is not None:
-        stream.write(text)
+def _read_json(path: str, what: str):
+    """The parsed JSON of the `what` file at `path`."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
 def _load_matrix(path: str):
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read matrix file {path!r}: {exc}") from exc
-    try:
-        return matrix_from_json(data)
+        return matrix_from_json(_read_json(path, "matrix"))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
+def _check_out(*paths) -> None:
+    """Reject, before any work, an output path that cannot be written: one
+    that is a directory, or whose directory is missing or unwritable."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise InputError(f"output path {path!r} is a directory")
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+            raise InputError(f"output directory {folder!r} is missing or not writable")
+
+
+def _write(blocks, path, stdout: bool) -> None:
+    """Write the text blocks in order to `path`, when one is given, and to
+    stdout when `stdout` is true.  The file is created only here, after the
+    work, so that a failed run leaves none behind."""
+    if not (path or stdout):
+        return
+    try:
+        with open(path, "w") if path else contextlib.nullcontext() as fh:
+            streams = ([fh] if path else []) + ([sys.stdout] if stdout else [])
+            for block in blocks:
+                for stream in streams:
+                    stream.write(block)
+    except OSError as exc:
+        raise InputError(f"cannot write output: {exc}") from exc
+
+
+def _report(obj) -> list[str]:
+    return [json.dumps(obj, sort_keys=True, indent=2) + "\n"]
+
+
 def cmd_analyze(args) -> int:
-    a = _load_matrix(args.matrix)
-    report = classify(a)
-    _dump(report.to_json(), args.out, sys.stdout)
-    if not report.ergodic or report.dim_center not in (0, 2):
-        return 2
-    return 0
+    report = classify(_load_matrix(args.matrix))
+    _write(_report(report.to_json()), args.out, True)
+    return 0 if report.ergodic and report.dim_center in (0, 2) else 2
 
 
 def cmd_survey(args) -> int:
@@ -81,18 +104,14 @@ def cmd_survey(args) -> int:
                           "pass a smaller box or --limit")
     entries, summary = run_survey(args.dim, args.height, limit=args.limit,
                                   reciprocal_only=args.reciprocal_only, jobs=args.jobs)
-    if args.out:
-        with open(args.out, "w") as fh:
-            for e in entries:
-                fh.write(json.dumps(e, sort_keys=True) + "\n")
-    _dump(summary, args.summary, sys.stdout)
+    _write((json.dumps(e, sort_keys=True) + "\n" for e in entries), args.out, False)
+    _write(_report(summary), args.summary, True)
     return 0
 
 
 def cmd_pa(args) -> int:
-    a = _load_matrix(args.matrix)
-    pa = pseudo_anosov_subspace(a, k_max=args.kmax)
-    _dump(pa.to_json(), args.out, sys.stdout)
+    pa = pseudo_anosov_subspace(_load_matrix(args.matrix), k_max=args.kmax)
+    _write(_report(pa.to_json()), args.out, True)
     return 0
 
 
@@ -118,21 +137,14 @@ def cmd_dioph(args) -> int:
     out = report.to_json()
     out["config"] = {"radius": args.radius, "kmax": args.kmax,
                      "candidates": args.candidates, "delta": args.delta}
-    _dump(out, args.out, None if args.format == "csv" else sys.stdout)
+    _write(_report(out), args.out, args.format == "json")
     if tabulate:
-        with contextlib.ExitStack() as files:
-            streams = [sys.stdout] if args.format == "csv" else []
-            if args.csv:
-                streams.append(files.enter_context(open(args.csv, "w")))
-            write_ball_table(ball, streams)
+        _write(ball_table(ball), args.csv, args.format == "csv")
     return 0
 
 
 def cmd_perturb(args) -> int:
-    try:
-        f = PerturbedMap.load(args.map)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read map file {args.map!r}: {exc}") from exc
+    f = PerturbedMap.from_json(_read_json(args.map, "map"))
     try:
         amplitudes = [float(t) for t in args.eps.split(",") if t != ""]
     except ValueError as exc:
@@ -142,32 +154,19 @@ def cmd_perturb(args) -> int:
     result = perturb_experiment(
         f, amplitudes, seed=args.seed, n_max=args.nmax, n_count=args.ncount,
         phi_samples=args.samples)
-    csv_rows = result.pop("csv_rows")
-    table = ["amplitude,norm,deviation"] + [
-        f"{float(amp)!r},{float(nv)!r},{float(dev)!r}" for amp, nv, dev in csv_rows
-    ]
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(table) + "\n")
-    if args.format == "csv":
-        sys.stdout.write("\n".join(table) + "\n")
-        _dump(result, args.out)
-    else:
-        _dump(result, args.out, sys.stdout)
-    for entry in result["results"]:
-        deg = entry.get("degeneration")
-        if deg is not None and not deg["passed"]:
-            return 3
-    return 0
+    table = "".join(["amplitude,norm,deviation\n"] + [
+        f"{float(amp)!r},{float(nv)!r},{float(dev)!r}\n" for amp, nv, dev in result.pop("csv_rows")
+    ])
+    _write([table], args.csv, args.format == "csv")
+    _write(_report(result), args.out, args.format == "json")
+    failed = any("degeneration" in e and not e["degeneration"]["passed"] for e in result["results"])
+    return 3 if failed else 0
 
 
 def cmd_curve(args) -> int:
-    a = _load_matrix(args.matrix)
-    result = curve_experiment(a, eps=args.eps, radius=args.radius, seed=args.seed,
-                              k_max=args.kmax)
-    _dump(result, args.out, sys.stdout)
-    if abs(result["winding"]) != 1:
-        return 3
+    result = curve_experiment(_load_matrix(args.matrix), eps=args.eps, radius=args.radius,
+                              seed=args.seed, k_max=args.kmax)
+    _write(_report(result), args.out, True)
     return 0
 
 
@@ -239,6 +238,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(*(getattr(args, name, None) for name in ("out", "summary", "csv")))
         return args.func(args)
     except TorusDynError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -277,19 +277,16 @@ class BallPoints:
 TABLE_BLOCK = 65536
 
 
-def write_ball_table(ball: BallPoints, streams) -> None:
-    """The ball's `norm,center_norm` CSV table, written to every stream a
-    block of TABLE_BLOCK rows at a time, so that the text of the whole table
-    never exists at once.  The scan's freed transients go back to the OS
-    first, so that the text does not stack on top of them."""
+def ball_table(ball: BallPoints):
+    """The ball's `norm,center_norm` CSV table as text blocks of TABLE_BLOCK
+    rows, so that the text of the whole table never exists at once.  The
+    scan's freed transients go back to the OS first, so that the text does
+    not stack on top of them."""
     _release_freed_heap()
-    for fh in streams:
-        fh.write("norm,center_norm\n")
+    yield "norm,center_norm\n"
     for lo in range(0, len(ball.norms), TABLE_BLOCK):
-        block = "".join(f"{float(nv)!r},{float(cv)!r}\n" for nv, cv in zip(
+        yield "".join(f"{float(nv)!r},{float(cv)!r}\n" for nv, cv in zip(
             ball.norms[lo:lo + TABLE_BLOCK], ball.center_norms[lo:lo + TABLE_BLOCK]))
-        for fh in streams:
-            fh.write(block)
 
 
 def lattice_ball(lam: Lattice, norm: AdaptedNorm, radius: float) -> BallPoints:
@@ -433,7 +430,10 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
     nc = np.concatenate(center_parts)
     del center_parts
     if norms.size == 0:
-        raise InvariantError("no lattice points found in the ball")
+        least = next(s for s in lattice_ball_shells(pa.lam, norm, math.inf) if s.norms.size)
+        n = tuple(int(x) for x in least.vectors[0])
+        raise InputError(f"no nonzero lattice point lies in the ball of radius {radius:g}; "
+                         f"the least lattice norm is {least.norms[0]:.4g}, at n = {n}")
     scale = float(np.max(norms))
     if np.min(nc) <= 1e-12 * scale:
         raise InvariantError("lattice vector with exactly zero center component")

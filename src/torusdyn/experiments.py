@@ -24,7 +24,6 @@ from .perturbed import PerturbedMap, Shear
 from .pseudo_anosov import orbit_sublattice, pseudo_anosov_subspace
 from .splitting import adapted_norm, compute_splitting
 from .saturation import appendix_constants, winding_curve
-from .winding import winding_number
 
 
 def rescale_amplitudes(f: PerturbedMap, amplitude: float) -> PerturbedMap:
@@ -295,13 +294,11 @@ def curve_experiment(a: IntMatrix, eps: float, radius: float, seed: int = 0,
     x = np.zeros(a.n)
     y = x + split.basis_c @ (rng.uniform(-2, 2, size=split.dims[1]))
     curve = winding_curve(x, y, gamma, eps, radius, split, norm)
-    pts = curve.sample()
-    w = winding_number(pts, y, split)
     return {
         "config": {"eps": eps, "radius": radius, "seed": seed, "k_max": k_max},
         "pa": pa.to_json(),
         "gamma_basis": [list(r) for r in gamma.basis],
         "curve": curve.to_json(),
-        "winding": w,
+        "winding": curve.winding,
         "y": [float(v) for v in y],
     }

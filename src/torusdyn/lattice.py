@@ -118,15 +118,7 @@ class Lattice:
         return len(self.basis)
 
     def contains(self, v: Sequence[int]) -> bool:
-        w = list(map(int, v))
-        for row in self.basis:
-            pc = _pivot_col(row)
-            if w[pc] % row[pc] != 0:
-                return False
-            q = w[pc] // row[pc]
-            if q:
-                w = [a - q * b for a, b in zip(w, row)]
-        return not any(w)
+        return self.coordinates(v) is not None
 
     def coordinates(self, v: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Integer coordinates of v in the stored basis, or None."""

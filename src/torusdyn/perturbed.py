@@ -9,7 +9,6 @@ live here.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -268,11 +267,6 @@ class PerturbedMap:
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"bad shear record: {exc}") from exc
         return PerturbedMap(a, shears)
-
-    @staticmethod
-    def load(path: str) -> "PerturbedMap":
-        with open(path) as fh:
-            return PerturbedMap.from_json(json.load(fh))
 
 
 def torus_reduce(x: np.ndarray) -> np.ndarray:

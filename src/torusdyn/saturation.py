@@ -299,6 +299,7 @@ class PLCurve:
     generators: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     generator_index: tuple[int, ...]  # per segment, in {0, 1, 2}
     scale_k: int
+    winding: int = 0                  # about y; winding_curve verifies it is +-1
 
     @property
     def vertices(self) -> np.ndarray:
@@ -427,6 +428,7 @@ def winding_curve(
         w = winding_number(pts, y, split)
         if abs(w) != 1:
             raise InvariantError(f"winding curve has winding {w}, expected +-1")
+        curve.winding = w
         return curve
     raise BudgetError("winding curve construction exhausted its retries")
 

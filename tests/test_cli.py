@@ -1,10 +1,11 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from torusdyn import cli, experiments, survey
+from torusdyn import cli, experiments, manifolds, survey
 from torusdyn.cli import main
 from torusdyn.perturbed import salem_example
 
@@ -48,14 +49,6 @@ def test_analyze_phi5_exits_2(files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["ergodic"] is False
-
-
-def test_analyze_malformed_exits_1(files, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"rows": [[1, 0], [0]]}')
-    assert main(["analyze", str(bad)]) == 1
-    bad.write_text("not json")
-    assert main(["analyze", str(bad)]) == 1
 
 
 def test_pa_subcommand(files, capsys):
@@ -299,7 +292,8 @@ def test_perturb_outputs_reproducible(files):
 
 
 def _malformed_inputs(files):
-    """Write the malformed input files; return {name: path}."""
+    """Write the malformed input files; return {name: path}, with {missing}
+    a directory that does not exist."""
     from torusdyn.intmatrix import IntMatrix
     from torusdyn.perturbed import PerturbedMap, Shear, TrigProfile
 
@@ -320,18 +314,51 @@ def _malformed_inputs(files):
         "bool_matrix": {"n": 2, "rows": [[True, 1], [1, 1]]},
         "false_matrix": {"n": 2, "rows": [[2, 1], [1, False]]},
         "flat_rows": {"rows": 5},
+        "ragged_rows": {"rows": [[1, 0], [0]]},
     }
-    paths = dict(files)
+    paths = dict(files, missing=str(files["tmp"] / "missing"))
     for name, obj in objs.items():
         p = files["tmp"] / f"{name}.json"
         p.write_text(json.dumps(obj))
         paths[name] = str(p)
+    for name, data in (("not_json", b"not json"), ("not_utf8", b"\xff\xfe")):
+        paths[name] = str(files["tmp"] / f"{name}.json")
+        (files["tmp"] / f"{name}.json").write_bytes(data)
     return paths
 
 
-# (argv with {file} placeholders, documented exit code): 1 input, 2 hypotheses,
-# 4 budget
-MALFORMED = [
+class _Reached(Exception):
+    """Raised in place of a command's first computation."""
+
+
+def _stop_first_computation(*args, **kwargs):
+    raise _Reached
+
+
+# a row's patch: STOP replaces its command's first computation (FIRST) with
+# _stop_first_computation, so that the row shows the command fails before it
+STOP = "stop"
+FIRST = {"analyze": (cli, "classify"), "pa": (cli, "pseudo_anosov_subspace"),
+         "dioph": (cli, "compute_splitting"), "curve": (cli, "curve_experiment"),
+         "perturb": (experiments, "compute_splitting"), "survey": (cli, "run_survey")}
+CPUS = os.cpu_count() or 1
+BOX = ["--dim", "4", "--height", "1"]
+# each command's input argument and its output options
+OUTPUTS = [(["analyze", "{salem}"], ["--out"]), (["pa", "{salem}"], ["--out"]),
+           (["curve", "{salem}"], ["--out"]), (["dioph", "{salem}"], ["--out", "--csv"]),
+           (["perturb", "{map}"], ["--out", "--csv"]), (["survey", *BOX], ["--out", "--summary"])]
+
+
+def _rows(*rows):
+    """(argv with {file} placeholders, documented exit code[, patch[, a regex
+    the error line must match]]) as pytest params with the argv as the id."""
+    return [pytest.param(*row, *(None, "")[len(row) - 2:], id=" ".join(row[0])) for row in rows]
+
+
+# Every failure the command line documents: 1 input, 2 hypotheses, 3
+# invariant or numerics, 4 budget.  2 * 7^8 = 11,529,602 polynomials in the
+# survey box (9, 3).
+FAILURES = _rows(
     (["perturb", "{map}", "--eps", "abc"], 1),
     (["perturb", "{map}", "--eps", "0.01,x"], 1),
     (["perturb", "{map}", "--eps", ","], 1),
@@ -356,6 +383,9 @@ MALFORMED = [
     (["analyze", "{bool_matrix}"], 1),
     (["analyze", "{false_matrix}"], 1),
     (["analyze", "{flat_rows}"], 1),
+    (["analyze", "{ragged_rows}"], 1),
+    (["analyze", "{not_json}"], 1),
+    (["perturb", "{not_utf8}"], 1),
     (["pa", "{bool_matrix}"], 1),
     (["pa", "{salem}", "--kmax", "0"], 1),
     (["dioph", "{salem}", "--kmax-pa", "0"], 1),
@@ -368,50 +398,48 @@ MALFORMED = [
     (["dioph", "{salem}", "--candidates", "0"], 1),
     (["dioph", "{salem}", "--kmax", "0"], 1),
     (["dioph", "{salem}", "--delta", "nan"], 1),
+    # the Salem ball of radius < 3.844 holds no nonzero lattice point
+    (["dioph", "{salem}", "--radius", "3"], 1, None, r"radius 3; the least lattice norm is 3\.844"),
+    (["dioph", "{salem}", "--radius", "1", "--csv", "{tmp}/ball.csv"], 1, None, r"norm is 3\.844"),
     (["perturb", "{map}", "--ncount", "0"], 1),
     (["perturb", "{map}", "--nmax", "1"], 1),
     (["perturb", "{map}", "--nmax", "nan"], 1),
     (["perturb", "{map}", "--samples", "0"], 1),
-]
+    (["perturb", "{map}", "--samples", str(experiments.PHI_SAMPLES_BUDGET + 1)], 4, STOP),
+    (["perturb", "{map}", "--ncount", str(experiments.N_COUNT_BUDGET + 1)], 4, STOP),
+    (["perturb", "{map}", "--nmax", repr(float(np.nextafter(experiments.N_MAX_LIMIT, np.inf)))], 1, STOP),
+    (["perturb", "{map}", "--eps", "0.01"], 3, (manifolds, "MAX_SWEEPS", 2),
+     "^error: fixed-point iteration did not converge .* after 2 sweeps at horizon 57 "),
+    (["survey", *BOX, "--jobs", "0"], 1, STOP),
+    (["survey", *BOX, "--jobs", "-1"], 1, STOP),
+    (["survey", *BOX, "--jobs", str(CPUS + 1)], 1, STOP),
+    (["survey", "--dim", "9", "--height", "3"], 4, STOP),
+    (["survey", "--dim", "9", "--height", "3", "--limit", str(survey.SURVEY_BUDGET + 1)], 4, STOP),
+    # a path that cannot be read or written
+    *((argv[:1] + ["{missing}/x.json"], 1, STOP) for argv, _ in OUTPUTS[:5]),
+    *((argv + [option, bad], 1, STOP) for argv, options in OUTPUTS for option in options
+      for bad in ("{missing}/x", "{tmp}")),
+)
 
 
-@pytest.mark.parametrize("argv,code", MALFORMED, ids=[" ".join(a) for a, _ in MALFORMED])
-def test_malformed_inputs_exit_codes(files, capsys, argv, code):
+@pytest.mark.parametrize("argv,code,patch,says", FAILURES)
+def test_malformed_inputs_exit_codes(files, capsys, monkeypatch, argv, code, patch, says):
+    """The documented exit code, one error line, no NaN, and no output file."""
     paths = _malformed_inputs(files)
-    out_path = files["tmp"] / "malformed_out.json"
-    args = [a.format(**paths) for a in argv] + ["--out", str(out_path)]
+    if patch == STOP:
+        patch = (*FIRST[argv[0]], _stop_first_computation)
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    args = [a.format(**paths) for a in argv]
+    if "--out" not in args:
+        args += ["--out", str(files["tmp"] / "failed.json")]
+    before = sorted(os.listdir(files["tmp"]))
     assert main(args) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and re.search(says, err), err
     assert "Traceback" not in err
-    assert not out_path.exists()  # nothing is written, in particular no NaN
-
-
-class _Reached(Exception):
-    """Raised in place of a command's first computation."""
-
-
-def _stop_first_computation(*args, **kwargs):
-    raise _Reached
-
-
-# (option, value just past its limit, documented exit code)
-PERTURB_LIMITS = [
-    ("--samples", str(experiments.PHI_SAMPLES_BUDGET + 1), 4),
-    ("--ncount", str(experiments.N_COUNT_BUDGET + 1), 4),
-    ("--nmax", repr(float(np.nextafter(experiments.N_MAX_LIMIT, np.inf))), 1),
-]
-
-
-@pytest.mark.parametrize("option,value,code", PERTURB_LIMITS, ids=[o for o, _, _ in PERTURB_LIMITS])
-def test_perturb_sizes_past_their_limits_exit_before_any_work(files, capsys, monkeypatch,
-                                                             option, value, code):
-    monkeypatch.setattr(experiments, "compute_splitting", _stop_first_computation)
-    out_path = files["tmp"] / "limit_out.json"
-    assert main(["perturb", files["map"], option, value, "--out", str(out_path)]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert not out_path.exists()
+    assert "NaN" not in out and "Infinity" not in out
+    assert sorted(os.listdir(files["tmp"])) == before
 
 
 def test_perturb_sizes_at_their_limits_are_allowed(monkeypatch):
@@ -420,29 +448,6 @@ def test_perturb_sizes_at_their_limits_are_allowed(monkeypatch):
         experiments.perturb_experiment(salem_example(1.0), [1e-2], n_max=experiments.N_MAX_LIMIT,
                                        n_count=experiments.N_COUNT_BUDGET,
                                        phi_samples=experiments.PHI_SAMPLES_BUDGET)
-
-
-CPUS = os.cpu_count() or 1
-BOX = ["--dim", "4", "--height", "1"]
-# (arguments just past a limit, documented exit code); 2 * 7^8 = 11,529,602
-# polynomials in the box (9, 3)
-SURVEY_LIMITS = [
-    (BOX + ["--jobs", "0"], 1),
-    (BOX + ["--jobs", "-1"], 1),
-    (BOX + ["--jobs", str(CPUS + 1)], 1),
-    (["--dim", "9", "--height", "3"], 4),
-    (["--dim", "9", "--height", "3", "--limit", str(survey.SURVEY_BUDGET + 1)], 4),
-]
-
-
-@pytest.mark.parametrize("argv,code", SURVEY_LIMITS, ids=[" ".join(a) for a, _ in SURVEY_LIMITS])
-def test_survey_past_its_limits_exits_before_any_work(files, capsys, monkeypatch, argv, code):
-    monkeypatch.setattr(cli, "run_survey", _stop_first_computation)
-    out_path = files["tmp"] / "limit_cat.jsonl"
-    assert main(["survey", *argv, "--out", str(out_path)]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -469,18 +474,6 @@ def test_python_dash_m_help():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: torusdyn")
-
-
-def test_unconverged_leaf_solve_exits_3_with_one_line(files, capsys, monkeypatch):
-    from torusdyn import manifolds
-
-    monkeypatch.setattr(manifolds, "MAX_SWEEPS", 2)
-    out_path = files["tmp"] / "unconverged.json"
-    assert main(["perturb", files["map"], "--eps", "0.01", "--out", str(out_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: fixed-point iteration did not converge") and err.count("\n") == 1, err
-    assert "after 2 sweeps at horizon 57" in err and "Traceback" not in err
-    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("argv, prefix", [

@@ -280,7 +280,7 @@ def test_json_roundtrip(tmp_path):
     assert np.array_equal(f.apply(x), g.apply(x))
     path = tmp_path / "map.json"
     path.write_text(json.dumps(blob))
-    h = PerturbedMap.load(str(path))
+    h = PerturbedMap.from_json(json.loads(path.read_text()))
     assert h.to_json() == blob
 
 
