@@ -16,12 +16,14 @@ import os
 import sys
 
 from .diophantine import (
+    WITNESS_SEARCH_BUDGET,
     ball_table,
     badly_approximable_search_dim4,
     badly_approximable_search_dim6,
     center_norm_minimum,
     center_plane_chart,
     lattice_ball,
+    witness_search_size,
 )
 from .errors import BudgetError, InputError, TorusDynError
 from .experiments import (N_COUNT_BUDGET, N_MAX_LIMIT, PHI_SAMPLES_BUDGET, curve_experiment,
@@ -63,16 +65,22 @@ def _check_out(*paths) -> None:
 def _write(blocks, path, stdout: bool) -> None:
     """Write the text blocks in order to `path`, when one is given, and to
     stdout when `stdout` is true.  The file is created only here, after the
-    work, so that a failed run leaves none behind."""
+    work, and removed again when a write fails part-way (a full disk), so
+    that a failed run leaves none behind."""
     if not (path or stdout):
         return
+    created = False
     try:
         with open(path, "w") if path else contextlib.nullcontext() as fh:
+            created = bool(path)
             streams = ([fh] if path else []) + ([sys.stdout] if stdout else [])
             for block in blocks:
                 for stream in streams:
                     stream.write(block)
     except OSError as exc:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise InputError(f"cannot write output: {exc}") from exc
 
 
@@ -122,6 +130,10 @@ def cmd_dioph(args) -> int:
     split = compute_splitting(a)
     norm = adapted_norm(split)
     pa = pseudo_anosov_subspace(a, k_max=args.kmax_pa, split=split)
+    size = witness_search_size(pa.dim_x, args.candidates, args.kmax)
+    if size > WITNESS_SEARCH_BUDGET:
+        raise BudgetError(f"a witness search over {size} distances exceeds the budget of "
+                          f"{WITNESS_SEARCH_BUDGET:.0e}; pass a smaller --kmax or --candidates")
     tabulate = args.format == "csv" or args.csv
     ball = lattice_ball(pa.lam, norm, args.radius) if tabulate else None
     report = center_norm_minimum(pa, norm, args.radius, ball=ball)

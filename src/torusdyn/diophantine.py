@@ -59,6 +59,17 @@ def _component_factors(lam: Lattice, norm: AdaptedNorm) -> tuple[list[np.ndarray
 # keeps 1.04e7 points and peaks at 273 MB.
 LATTICE_BALL_BUDGET = 5e7
 
+# Most distances dist(k . alpha, Z) a badly approximable witness search may
+# compute or hold, as counted by ``witness_search_size``.  Measured as process
+# peak RSS with numpy 2.4 on x86-64, by ``dioph`` at radius 12 (whose scan
+# peaks at 60 MB): the Salem pair search peaks at 86 MB with the defaults
+# (12 candidates, k_max 200: 1.4e7 distances), and just under the budget at
+# 151 MB with 12 candidates at k_max 380 and at 407 MB with 2 candidates at
+# k_max 1065.  The sextic single search peaks at 211 MB with one candidate at
+# k_max 2.8e6.  The pair search's rows grow like k_max^2: at k_max 4000 with
+# 12 candidates (5.5e9 distances) they would take about 10 GB.
+WITNESS_SEARCH_BUDGET = 5e7
+
 # Most vertices (3 K + 1 for scale K) a lattice winding curve may have.  The
 # curve's samples and its JSON grow linearly with K, and K with the radius.
 # Measured as process peak RSS with numpy 2.4 on x86-64, for the Salem curve
@@ -543,6 +554,17 @@ def _candidates(pa: PASubspace, norm: AdaptedNorm, chart: PlaneChart, count: int
             out.append((key, chart.apply(cc)))
             if len(out) == count:
                 return out
+
+
+def witness_search_size(dim_x: int, candidate_count: int, k_max: int) -> int:
+    """Distances the witness search for dim X computes or holds: in dimension
+    4, one row of (2 k_max + 1)^2 per candidate, per candidate pair and per
+    working array; above it, 2 k_max per candidate and per working array.
+    Counts below 0, which the searches reject, count as 0."""
+    count, k = max(candidate_count, 0), max(k_max, 0)
+    if dim_x == 4:
+        return (count * (count + 1) // 2 + 8) * (2 * k + 1) ** 2
+    return (count + 8) * 2 * k
 
 
 def approximation_constant(alpha: np.ndarray, k_max: int, delta: float = 0.1) -> tuple[float, int]:

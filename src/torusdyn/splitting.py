@@ -10,6 +10,7 @@ Cauchy index read at +-infinity).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -87,9 +88,53 @@ def _factor_spectrum(p: IntPoly, factors: Optional[list[tuple[IntPoly, int]]] = 
 
 
 def _modulus_counts(spectrum: list[_FactorSpectrum]) -> tuple[int, int, int]:
-    return (sum(f.mult * f.inside for f in spectrum),
-            sum(f.mult * f.unitary for f in spectrum),
-            sum(f.mult * f.outside for f in spectrum))
+    inside = on = outside = 0
+    for f in spectrum:
+        inside += f.mult * f.inside
+        on += f.mult * f.unitary
+        outside += f.mult * f.outside
+    return inside, on, outside
+
+
+# -- the negation / reversal symmetry -------------------------------------------
+# On monic q of degree d with q(0) = +-1, negation q(x) -> (-1)^d q(-x) and
+# reversal q(x) -> q(0) x^d q(1/x) are commuting involutions.  Both keep q monic
+# with q(0) = +-1, are multiplicative, and map irreducibles to irreducibles.
+# Negation maps the roots z to -z, reversal maps them to 1/z.
+
+
+@lru_cache(maxsize=None)
+def _negation_signs(degree: int) -> tuple[int, ...]:
+    return tuple(-1 if (degree - k) & 1 else 1 for k in range(degree + 1))
+
+
+def negation(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascending coefficients of (-1)^d q(-x)."""
+    return tuple(map(operator.mul, coeffs, _negation_signs(len(coeffs) - 1)))
+
+
+def reversal(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascending coefficients of q(0) x^d q(1/x)."""
+    return coeffs[::-1] if coeffs[0] == 1 else tuple(-c for c in reversed(coeffs))
+
+
+def image_spectrum(spectrum: list[_FactorSpectrum], negate: bool, reverse: bool
+                   ) -> list[_FactorSpectrum]:
+    """``_factor_spectrum`` of the image of p under negation, then reversal,
+    from ``spectrum``, that of p: each factor maps to its image with its
+    multiplicity and unitary count; reversal swaps the roots inside and
+    outside the circle."""
+    out = []
+    for f in spectrum:
+        coeffs = f.poly.coeffs
+        if negate:
+            coeffs = negation(coeffs)
+        if reverse:
+            coeffs = reversal(coeffs)
+        q = IntPoly(coeffs)
+        out.append(_FactorSpectrum(q, f.mult, _cyclotomic_index_of(q), f.unitary,
+                                   f.outside if reverse else f.inside))
+    return sorted(out, key=lambda f: (f.poly.degree, f.poly.coeffs))
 
 
 # -- classification report -----------------------------------------------------
@@ -145,32 +190,34 @@ class ClassificationReport:
         }
 
 
-def classify_poly(p: IntPoly, factors: Optional[list[tuple[IntPoly, int]]] = None
-                  ) -> ClassificationReport:
-    """Exact algebraic classification of the automorphism with char poly p;
-    ``factors``, when given, is ``factor_z(p)``."""
-    n = p.degree
-    det = p.coeffs[0] * (1 if n % 2 == 0 else -1)
+def classify_poly(p: IntPoly) -> ClassificationReport:
+    """Exact algebraic classification of the automorphism with char poly p."""
+    det = p.coeffs[0] * (1 if p.degree % 2 == 0 else -1)
     if det not in (1, -1):
         raise OutOfHypothesesError("determinant is not +-1; not a torus automorphism")
-    spectrum = _factor_spectrum(p, factors)
+    return spectrum_report(p, _factor_spectrum(p))
+
+
+def spectrum_report(p: IntPoly, spectrum: list[_FactorSpectrum]) -> ClassificationReport:
+    """The classification of the automorphism with char poly p, read from
+    ``spectrum``, its ``_factor_spectrum``; p(0) is +-1."""
     records = tuple(
         FactorRecord(
             coeffs=f.poly.coeffs,
             degree=f.poly.degree,
             multiplicity=f.mult,
             unitary_roots=f.unitary,
-            reciprocal=is_reciprocal(f.poly),
+            reciprocal=reciprocal,
             cyclotomic_index=f.cyclotomic_index,
             salem=(f.cyclotomic_index is None and f.unitary >= 2
-                   and f.unitary == f.poly.degree - 2 and is_reciprocal(f.poly)),
+                   and f.unitary == f.poly.degree - 2 and reciprocal),
         )
-        for f in spectrum
+        for f in spectrum for reciprocal in (is_reciprocal(f.poly),)
     )
     dim_s, dim_c, dim_u = _modulus_counts(spectrum)
     irreducible = len(spectrum) == 1 and spectrum[0].mult == 1
     return ClassificationReport(
-        n=n,
+        n=p.degree,
         char_poly=p.coeffs,
         ergodic=all(f.cyclotomic_index is None for f in spectrum),
         anosov=(dim_c == 0),

@@ -2,9 +2,11 @@
 
 Enumerates monic degree-N integer polynomials with constant term +-1 and
 middle coefficients bounded by a height, classifies each companion
-matrix, and aggregates class counts.  Enumeration order is fixed, so
-catalogs are byte-reproducible; with several worker processes the merge
-preserves that order.
+matrix, and aggregates class counts.  Only one polynomial of each orbit
+under negation and reversal is factored; the records of the others are
+derived from its spectrum.  Enumeration order is fixed, so catalogs are
+byte-reproducible; with several worker processes the merge preserves that
+order.
 """
 from __future__ import annotations
 
@@ -12,8 +14,10 @@ import itertools
 import multiprocessing
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .intpoly import IntPoly
-from .splitting import classify_poly
+from .splitting import _factor_spectrum, _FactorSpectrum, image_spectrum, spectrum_report
 from .zfactor import factor_z_many
 
 
@@ -34,16 +38,17 @@ def companion_minus_identity_snf(p: IntPoly) -> list[int]:
     xI - C = U(x) diag(1, ..., 1, p(x)) V(x) with U, V invertible over
     Z[x]; at x = 1 this is a Smith form of I - C.
     """
-    return [1] * (p.degree - 1) + ([abs(p(1))] if p(1) else [])
+    at_one = p(1)
+    return [1] * (p.degree - 1) + ([abs(at_one)] if at_one else [])
 
 
 def classify_entry(item: tuple[int, tuple[int, ...]],
-                   factors: Optional[list[tuple[IntPoly, int]]] = None) -> dict:
-    """Classification record for one polynomial; ``factors``, when given, is
-    its ``factor_z`` factorization."""
+                   spectrum: Optional[list[_FactorSpectrum]] = None) -> dict:
+    """Classification record for one polynomial, read from ``spectrum``, its
+    ``_factor_spectrum``; without one, the polynomial is factored here."""
     index, coeffs = item
     p = IntPoly(coeffs)
-    report = classify_poly(p, factors)
+    report = spectrum_report(p, _factor_spectrum(p) if spectrum is None else spectrum)
     key = f"cp:{list(coeffs)}|snf:{companion_minus_identity_snf(p)}"
     return {
         "index": index,
@@ -53,15 +58,53 @@ def classify_entry(item: tuple[int, tuple[int, ...]],
     }
 
 
-def classify_chunk(items: list[tuple[int, tuple[int, ...]]]) -> list[dict]:
-    """Worker: records for a chunk of polynomials, factored in one batch."""
-    factorizations = factor_z_many([IntPoly(coeffs) for _, coeffs in items])
-    return [classify_entry(item, factors) for item, factors in zip(items, factorizations)]
+def spectrum_chunk(items: list[tuple[int, tuple[int, ...]]]) -> list[list[_FactorSpectrum]]:
+    """Worker: the spectra of a chunk of polynomials, factored in one batch."""
+    polys = [IntPoly(coeffs) for _, coeffs in items]
+    return [_factor_spectrum(p, factors) for p, factors in zip(polys, factor_z_many(polys))]
+
+
+def orbit_members(coeffs: np.ndarray) -> np.ndarray:
+    """Each row of ascending coefficients, its negation, its reversal and the
+    reversal of its negation, stacked on a first axis of length 4: the rows
+    of ``splitting.negation`` and ``splitting.reversal`` at once."""
+    degree = coeffs.shape[1] - 1
+    negated = coeffs * np.where((degree - np.arange(degree + 1)) & 1, -1, 1)
+    return np.stack([coeffs, negated, coeffs[:, ::-1] * coeffs[:, :1],
+                     negated[:, ::-1] * negated[:, :1]])
+
+
+def box_indices(coeffs: np.ndarray, height: int) -> np.ndarray:
+    """The index in ``enumerate_polynomials`` of each polynomial of the box
+    along the last axis: its sign of p(0), then its middle coefficients, as
+    mixed-radix digits."""
+    base = 2 * height + 1
+    degree = coeffs.shape[-1] - 1
+    weights = base ** np.arange(degree - 2, -1, -1, dtype=np.int64)
+    sign = np.where(coeffs[..., 0] == 1, 0, base ** (degree - 1))
+    return sign + (coeffs[..., 1:-1] + height) @ weights
+
+
+def orbit_representatives(coeffs: np.ndarray, height: int) -> tuple[list[int], list[int]]:
+    """For the rows of ascending coefficients of the box, (indices, images):
+    the index of each row's orbit member of least index, and which
+    ``orbit_members`` image of it the row is (bit 0 negation, bit 1 reversal).
+
+    The enumeration keeps that member under ``reciprocal_only`` as well:
+    reversal fixes a palindrome, and negation keeps it palindromic at even N
+    and at odd N makes p(0) = -1, which puts it after p in the box.
+    """
+    index = box_indices(orbit_members(coeffs), height)
+    image = index.argmin(axis=0)  # the involutions make image the map both ways
+    return index[image, np.arange(len(coeffs))].tolist(), image.tolist()
 
 
 # Most polynomials one survey may classify.  Every entry is held until the box
-# is done; at N = 8 an entry holds about 1.6 KB and takes about 0.35 ms on one
-# core, so a full budget holds about 1.6 GB and runs about 6 minutes.
+# is done, beside the box's coefficients and the spectra of the orbit
+# representatives (a quarter of a full box, more where --limit cuts orbits):
+# the full box (8, 2) holds about 2.0 KB an entry and takes about 0.11 ms an
+# entry on one core of a 2-vCPU host, so a full budget holds about 2 GB and
+# runs about 2 minutes.
 SURVEY_BUDGET = 1_000_000
 
 # Polynomials per chunk: large enough to amortize the batched sieve, small
@@ -73,16 +116,27 @@ def run_survey(dim: int, height: int, limit: Optional[int] = None,
                reciprocal_only: bool = False, jobs: int = 1) -> tuple[list[dict], dict]:
     """Classify the whole coefficient box; returns (entries, summary).
 
-    The box is classified in chunks of CHUNK_SIZE polynomials, in order,
-    with one process or a pool of ``jobs``.
+    Negation and reversal map the box to itself, and each entry follows from
+    the spectrum of its orbit's representative, the member of least index;
+    the enumeration reaches it first, also under a limit.  Only the
+    representatives are factored, in chunks of CHUNK_SIZE, in order, with one
+    process or a pool of ``jobs``; every entry is then read off the image of
+    its representative's spectrum.
     """
-    items = enumerate_polynomials(dim, height, reciprocal_only, limit)
-    chunks = iter(lambda: list(itertools.islice(items, CHUNK_SIZE)), [])
+    items = list(enumerate_polynomials(dim, height, reciprocal_only, limit))
+    reps_of, images = orbit_representatives(
+        np.array([c for _, c in items], dtype=np.int64).reshape(len(items), dim + 1), height)
+    reps = [item for item, rep in zip(items, reps_of) if rep == item[0]]
+    chunks = [reps[i:i + CHUNK_SIZE] for i in range(0, len(reps), CHUNK_SIZE)]
     if jobs <= 1:
-        entries = [e for chunk in chunks for e in classify_chunk(chunk)]
+        spectra = [s for chunk in chunks for s in spectrum_chunk(chunk)]
     else:
         with multiprocessing.Pool(jobs) as pool:
-            entries = [e for part in pool.imap(classify_chunk, chunks) for e in part]
+            spectra = [s for part in pool.imap(spectrum_chunk, chunks) for s in part]
+    by_rep = {index: spectrum for (index, _), spectrum in zip(reps, spectra)}
+    entries = [classify_entry(item, image_spectrum(by_rep[rep], image & 1, image & 2)
+                              if image else by_rep[rep])
+               for item, rep, image in zip(items, reps_of, images)]
     summary = summarize(entries, dim=dim, height=height,
                         reciprocal_only=reciprocal_only, limit=limit)
     return entries, summary

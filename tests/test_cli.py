@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -243,10 +244,17 @@ def test_survey_limit_zero_gives_an_empty_catalog(files, capsys):
     (5, 2, ["--limit", "257"], 257),
     (5, 2, ["--limit", "513"], 513),
     (7, 3, ["--reciprocal-only"], 343),
+    (5, 2, ["--reciprocal-only"], 25),
+    (4, 2, [], 250),
+    (5, 2, [], 1250),
+    (6, 1, [], 486),
+    (3, 5, [], 242),
 ])
 def test_survey_chunk_edges(files, capsys, dim, height, extra, total):
-    """Chunks of 256 polynomials neither reorder nor drop entries, with one
-    process or two, and give the records of the unbatched path."""
+    """Chunks of 256 orbit representatives neither reorder nor drop entries,
+    with one process or two, and the records derived from them are those of
+    the unbatched path that factors every polynomial.  At odd N the reciprocal
+    filter drops each negation, and a limit of 257 cuts orbits."""
     from torusdyn.survey import classify_entry, enumerate_polynomials
 
     t = files["tmp"]
@@ -259,7 +267,7 @@ def test_survey_chunk_edges(files, capsys, dim, height, extra, total):
     assert outputs[0] == outputs[1]
     entries = [json.loads(line) for line in outputs[0][0].splitlines()]
     assert len(entries) == total
-    limit = int(extra[1]) if extra[0] == "--limit" else None
+    limit = int(extra[1]) if extra[:1] == ["--limit"] else None
     items = enumerate_polynomials(dim, height, "--reciprocal-only" in extra, limit)
     assert entries == [classify_entry(item) for item in items]
 
@@ -314,6 +322,9 @@ def _malformed_inputs(files):
         "bool_matrix": {"n": 2, "rows": [[True, 1], [1, 1]]},
         "false_matrix": {"n": 2, "rows": [[2, 1], [1, False]]},
         "flat_rows": {"rows": 5},
+        # a sextic whose invariant subspace X has dimension 6
+        "sextic": {"n": 6, "rows": [[0, 0, 0, 0, 0, -1], [1, 0, 0, 0, 0, 2], [0, 1, 0, 0, 0, -1],
+                                    [0, 0, 1, 0, 0, -1], [0, 0, 0, 1, 0, -1], [0, 0, 0, 0, 1, 2]]},
         "ragged_rows": {"rows": [[1, 0], [0]]},
     }
     paths = dict(files, missing=str(files["tmp"] / "missing"))
@@ -341,6 +352,8 @@ STOP = "stop"
 FIRST = {"analyze": (cli, "classify"), "pa": (cli, "pseudo_anosov_subspace"),
          "dioph": (cli, "compute_splitting"), "curve": (cli, "curve_experiment"),
          "perturb": (experiments, "compute_splitting"), "survey": (cli, "run_survey")}
+# the dioph lattice scan, which a budget stops before
+SCAN = (cli, "center_norm_minimum", _stop_first_computation)
 CPUS = os.cpu_count() or 1
 BOX = ["--dim", "4", "--height", "1"]
 # each command's input argument and its output options
@@ -398,6 +411,14 @@ FAILURES = _rows(
     (["dioph", "{salem}", "--candidates", "0"], 1),
     (["dioph", "{salem}", "--kmax", "0"], 1),
     (["dioph", "{salem}", "--delta", "nan"], 1),
+    # witness searches over more than WITNESS_SEARCH_BUDGET distances stop
+    # before the lattice scan
+    (["dioph", "{salem}", "--kmax", "4000"], 4, SCAN, "witness search over 5505376086 distances"),
+    (["dioph", "{salem}", "--kmax", "381"], 4, SCAN),
+    (["dioph", "{salem}", "--candidates", "1000"], 4, SCAN),
+    (["dioph", "{salem}", "--kmax", "4000", "--csv", "{tmp}/ball.csv"], 4,
+     (cli, "lattice_ball", _stop_first_computation)),
+    (["dioph", "{sextic}", "--radius", "8", "--kmax", "2800000", "--candidates", "1"], 4, SCAN),
     # the Salem ball of radius < 3.844 holds no nonzero lattice point
     (["dioph", "{salem}", "--radius", "3"], 1, None, r"radius 3; the least lattice norm is 3\.844"),
     (["dioph", "{salem}", "--radius", "1", "--csv", "{tmp}/ball.csv"], 1, None, r"norm is 3\.844"),
@@ -459,6 +480,59 @@ def test_survey_at_its_limits_is_allowed(monkeypatch, argv):
     monkeypatch.setattr(cli, "run_survey", _stop_first_computation)
     with pytest.raises(_Reached):
         main(["survey", *argv])
+
+
+@pytest.mark.parametrize("matrix, argv", [
+    ("salem", []),
+    ("salem", ["--kmax", "380"]),
+    ("salem", ["--kmax", "1065", "--candidates", "2"]),
+    ("sextic", ["--radius", "8", "--kmax", "2700000", "--candidates", "1"]),
+])
+def test_dioph_witness_search_at_its_budget_is_allowed(files, monkeypatch, matrix, argv):
+    monkeypatch.setattr(*SCAN)
+    with pytest.raises(_Reached):
+        main(["dioph", _malformed_inputs(files)[matrix], *argv])
+
+
+def test_write_failure_removes_the_partial_file(files, capsys, monkeypatch):
+    """A write that fails part-way, as on a full disk, exits 1 with one line
+    and leaves no partial file."""
+    real_open = open
+
+    class DiskFull:
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+            self.blocks = 0
+
+        def write(self, block):
+            if self.blocks:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.blocks += 1
+            return self.fh.write(block)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(cli, "open", DiskFull, raising=False)
+    t = files["tmp"]
+    before = sorted(os.listdir(t))
+    assert main(["survey", *BOX, "--out", str(t / "cat.jsonl"), "--summary", str(t / "sum.json")]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+    assert sorted(os.listdir(t)) == before
+
+
+def test_unwritable_output_directory_exits_1(files, capsys, monkeypatch):
+    # root passes the real access check, so the check is made to fail here
+    monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+    monkeypatch.setattr(*FIRST["analyze"], _stop_first_computation)
+    assert main(["analyze", files["salem"], "--out", str(files["tmp"] / "x.json")]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: output directory {str(files['tmp'])!r} is missing or not writable\n"
+    assert not os.path.exists(files["tmp"] / "x.json")
 
 
 def test_python_dash_m_help():

@@ -15,6 +15,9 @@ from torusdyn.splitting import (
     classify,
     classify_poly,
     compute_splitting,
+    image_spectrum,
+    negation,
+    reversal,
     unit_disk_root_count,
 )
 from torusdyn.survey import enumerate_polynomials
@@ -239,3 +242,21 @@ def test_adapted_norm_factors_near_spectral_radius():
 def test_adapted_norm_theta_validation(salem_split):
     with pytest.raises(ValueError):
         adapted_norm(salem_split, theta=0.1)  # below the stable spectral radius
+
+
+@pytest.mark.parametrize("dim, height", [(4, 2), (5, 1), (6, 1)])
+def test_image_spectrum_is_the_spectrum_of_the_image(dim, height):
+    """The spectrum mapped under negation and reversal is the spectrum of the
+    mapped polynomial, factored afresh: cyclotomic indices move (Phi_1 to
+    Phi_2 under negation) and reversal swaps inside and outside."""
+    for _, coeffs in enumerate_polynomials(dim, height):
+        spectrum = _factor_spectrum(IntPoly(coeffs))
+        for negate in (False, True):
+            for reverse in (False, True):
+                image = coeffs
+                if negate:
+                    image = negation(image)
+                if reverse:
+                    image = reversal(image)
+                assert image_spectrum(spectrum, negate, reverse) == _factor_spectrum(IntPoly(image)), \
+                    (coeffs, negate, reverse)

@@ -1,7 +1,18 @@
+import numpy as np
+import pytest
+
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly
 from torusdyn.lattice import invariant_factors
-from torusdyn.survey import classify_entry, companion_minus_identity_snf, enumerate_polynomials
+from torusdyn.splitting import negation, reversal
+from torusdyn.survey import (
+    box_indices,
+    classify_entry,
+    companion_minus_identity_snf,
+    enumerate_polynomials,
+    orbit_members,
+    orbit_representatives,
+)
 
 
 def test_companion_snf_closed_form_matches_smith_form():
@@ -15,3 +26,42 @@ def test_companion_snf_closed_form_matches_smith_form():
 def test_conjugacy_key_format():
     entry = classify_entry((3, (1, -1, -1, -1, 1)))
     assert entry["conjugacy_key"] == "cp:[1, -1, -1, -1, 1]|snf:[1, 1, 1, 1]"
+
+
+@pytest.mark.parametrize("dim, height", [(2, 3), (3, 2), (4, 2), (5, 1), (6, 1)])
+def test_negation_and_reversal_are_commuting_involutions_of_the_box(dim, height):
+    """Both maps send the box to itself, each undoes itself, they commute,
+    and the arithmetic member indices name the enumerated images."""
+    box = dict(enumerate_polynomials(dim, height))
+    coeffs = np.array(list(box.values()))
+    members = orbit_members(coeffs)
+    indices = box_indices(members, height)
+    assert indices[0].tolist() == list(box)
+    for k, c in enumerate(box.values()):
+        neg, rev = negation(c), reversal(c)
+        assert negation(neg) == c and reversal(rev) == c
+        assert negation(rev) == reversal(neg)
+        for m, image in enumerate((c, neg, rev, reversal(neg))):
+            assert tuple(members[m, k].tolist()) == image
+            assert box[int(indices[m, k])] == image
+
+
+@pytest.mark.parametrize("dim, height, reciprocal_only", [
+    (4, 2, False), (5, 1, False), (4, 2, True), (5, 2, True), (6, 1, True),
+])
+def test_orbit_representative_is_the_least_kept_member(dim, height, reciprocal_only):
+    """The representative is the kept orbit member of least index, which the
+    enumeration reaches no later than the polynomial, and the polynomial is
+    its image under the named maps."""
+    items = list(enumerate_polynomials(dim, height, reciprocal_only))
+    kept = dict(items)
+    reps, images = orbit_representatives(np.array([c for _, c in items]), height)
+    for (index, c), rep, image in zip(items, reps, images):
+        orbit = {negation(c), reversal(c), reversal(negation(c)), c}
+        assert rep == min(i for i, d in kept.items() if d in orbit) <= index
+        mapped = kept[rep]
+        if image & 1:
+            mapped = negation(mapped)
+        if image & 2:
+            mapped = reversal(mapped)
+        assert mapped == c
