@@ -22,6 +22,7 @@ from .diophantine import (
     badly_approximable_search_dim6,
     center_norm_minimum,
     center_plane_chart,
+    check_witness_search,
     lattice_ball,
     witness_search_size,
 )
@@ -110,9 +111,9 @@ def cmd_survey(args) -> int:
     if size > SURVEY_BUDGET:
         raise BudgetError(f"a survey of {size} polynomials exceeds the budget of {SURVEY_BUDGET}; "
                           "pass a smaller box or --limit")
-    entries, summary = run_survey(args.dim, args.height, limit=args.limit,
-                                  reciprocal_only=args.reciprocal_only, jobs=args.jobs)
-    _write((json.dumps(e, sort_keys=True) + "\n" for e in entries), args.out, False)
+    lines, summary = run_survey(args.dim, args.height, limit=args.limit,
+                                reciprocal_only=args.reciprocal_only, jobs=args.jobs)
+    _write(lines, args.out, False)
     _write(_report(summary), args.summary, True)
     return 0
 
@@ -130,6 +131,7 @@ def cmd_dioph(args) -> int:
     split = compute_splitting(a)
     norm = adapted_norm(split)
     pa = pseudo_anosov_subspace(a, k_max=args.kmax_pa, split=split)
+    check_witness_search(pa.dim_x, args.candidates, args.kmax, args.delta)
     size = witness_search_size(pa.dim_x, args.candidates, args.kmax)
     if size > WITNESS_SEARCH_BUDGET:
         raise BudgetError(f"a witness search over {size} distances exceeds the budget of "

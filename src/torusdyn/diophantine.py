@@ -556,15 +556,28 @@ def _candidates(pa: PASubspace, norm: AdaptedNorm, chart: PlaneChart, count: int
                 return out
 
 
-def witness_search_size(dim_x: int, candidate_count: int, k_max: int) -> int:
-    """Distances the witness search for dim X computes or holds: in dimension
-    4, one row of (2 k_max + 1)^2 per candidate, per candidate pair and per
-    working array; above it, 2 k_max per candidate and per working array.
-    Counts below 0, which the searches reject, count as 0."""
-    count, k = max(candidate_count, 0), max(k_max, 0)
+def check_witness_search(dim_x: int, candidate_count: int, k_max: int,
+                         delta: float = 0.0) -> None:
+    """Raise InputError unless the witness search for dim X accepts these
+    arguments: the pair search (dim X = 4) needs two candidates, the single
+    search above it one candidate and a finite delta, and both k_max >= 1."""
     if dim_x == 4:
-        return (count * (count + 1) // 2 + 8) * (2 * k + 1) ** 2
-    return (count + 8) * 2 * k
+        if candidate_count < 2 or k_max < 1:
+            raise InputError("the pair search needs candidate_count >= 2 and k_max >= 1, "
+                             f"got {candidate_count} and {k_max}")
+    elif candidate_count < 1 or k_max < 1 or not math.isfinite(delta):
+        raise InputError("the witness search needs candidate_count >= 1, k_max >= 1 and a "
+                         f"finite delta, got {candidate_count}, {k_max} and {delta!r}")
+
+
+def witness_search_size(dim_x: int, candidate_count: int, k_max: int) -> int:
+    """Distances the witness search for dim X computes or holds, for
+    arguments ``check_witness_search`` accepts: in dimension 4, one row of
+    (2 k_max + 1)^2 per candidate, per candidate pair and per working array;
+    above it, 2 k_max per candidate and per working array."""
+    if dim_x == 4:
+        return (candidate_count * (candidate_count + 1) // 2 + 8) * (2 * k_max + 1) ** 2
+    return (candidate_count + 8) * 2 * k_max
 
 
 def approximation_constant(alpha: np.ndarray, k_max: int, delta: float = 0.1) -> tuple[float, int]:
@@ -588,9 +601,7 @@ def badly_approximable_search_dim6(
     min_k dist(k * alpha, Z^2) * k^(2 + delta),  alpha = chart(n^c)."""
     if pa.dim_x < 6:
         raise OutOfHypothesesError("use the dimension-4 pair search for dim X = 4")
-    if candidate_count < 1 or k_max < 1 or not math.isfinite(delta):
-        raise InputError("the witness search needs candidate_count >= 1, k_max >= 1 and a "
-                         f"finite delta, got {candidate_count}, {k_max} and {delta!r}")
+    check_witness_search(pa.dim_x, candidate_count, k_max, delta)
     best: Optional[ApproximationWitness] = None
     for n_vec, alpha in _candidates(pa, norm, chart, candidate_count):
         c_emp, worst = approximation_constant(alpha, k_max, delta)
@@ -628,9 +639,7 @@ def badly_approximable_search_dim4(
     max_i dist(k . alpha_i, Z) * |k|_sup^2."""
     if pa.dim_x != 4:
         raise OutOfHypothesesError("pair search applies only to dim X = 4")
-    if candidate_count < 2 or k_max < 1:
-        raise InputError("the pair search needs candidate_count >= 2 and k_max >= 1, "
-                         f"got {candidate_count} and {k_max}")
+    check_witness_search(pa.dim_x, candidate_count, k_max)
     cands = _candidates(pa, norm, chart, candidate_count)
     rng = np.arange(-k_max, k_max + 1)
     k1, k2 = np.meshgrid(rng, rng, indexing="ij")

@@ -19,7 +19,8 @@ from .errors import BudgetError, InputError, InvariantError, NotErgodicError, Ou
 from .intmatrix import IntMatrix
 from .intpoly import IntPoly, from_power_sums, is_poly_in_xm, power_sums
 from .lattice import Lattice, is_cyclic_vector, kernel_lattice
-from .splitting import Splitting, _factor_spectrum, _FactorSpectrum, _modulus_counts, compute_splitting
+from .splitting import (Splitting, _factor_spectrum, _FactorSpectrum, _modulus_counts,
+                        compute_splitting, is_ergodic)
 from .zfactor import factor_z, is_irreducible_z
 
 
@@ -151,7 +152,7 @@ def pseudo_anosov_subspace(
         spectrum = _factor_spectrum(p)
     else:
         p, spectrum = split.char_poly, split.spectrum
-    if any(f.cyclotomic_index is not None for f in spectrum):
+    if not is_ergodic(spectrum):
         raise NotErgodicError("matrix has a root-of-unity eigenvalue")
     if _modulus_counts(spectrum)[1] != 2:
         raise OutOfHypothesesError("center dimension is not 2")

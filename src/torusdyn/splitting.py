@@ -88,6 +88,8 @@ def _factor_spectrum(p: IntPoly, factors: Optional[list[tuple[IntPoly, int]]] = 
 
 
 def _modulus_counts(spectrum: list[_FactorSpectrum]) -> tuple[int, int, int]:
+    """(stable, center, unstable) dimensions: the roots inside, on and
+    outside the unit circle, with multiplicity."""
     inside = on = outside = 0
     for f in spectrum:
         inside += f.mult * f.inside
@@ -138,6 +140,28 @@ def image_spectrum(spectrum: list[_FactorSpectrum], negate: bool, reverse: bool
 
 
 # -- classification report -----------------------------------------------------
+# The verdicts below are the only statement of each fact: ``spectrum_report``
+# and the survey's catalog lines both read them.
+
+
+def is_ergodic(spectrum: list[_FactorSpectrum]) -> bool:
+    """No eigenvalue is a root of unity: no factor is cyclotomic."""
+    return all(f.cyclotomic_index is None for f in spectrum)
+
+
+def factor_flags(f: _FactorSpectrum) -> tuple[bool, bool]:
+    """(reciprocal, salem) of one factor: its coefficients are palindromic,
+    and it is a reciprocal non-cyclotomic factor with all roots but two on
+    the unit circle."""
+    reciprocal = is_reciprocal(f.poly)
+    return reciprocal, (f.cyclotomic_index is None and f.unitary >= 2
+                        and f.unitary == f.poly.degree - 2 and reciprocal)
+
+
+def is_pseudo_anosov(p: IntPoly, spectrum: list[_FactorSpectrum]) -> bool:
+    """p, with factors ``spectrum``, is irreducible and no polynomial in x^m
+    for m > 1."""
+    return len(spectrum) == 1 and spectrum[0].mult == 1 and is_poly_in_xm(p) is None
 
 
 @dataclass(frozen=True)
@@ -209,24 +233,22 @@ def spectrum_report(p: IntPoly, spectrum: list[_FactorSpectrum]) -> Classificati
             unitary_roots=f.unitary,
             reciprocal=reciprocal,
             cyclotomic_index=f.cyclotomic_index,
-            salem=(f.cyclotomic_index is None and f.unitary >= 2
-                   and f.unitary == f.poly.degree - 2 and reciprocal),
+            salem=salem,
         )
-        for f in spectrum for reciprocal in (is_reciprocal(f.poly),)
+        for f in spectrum for reciprocal, salem in (factor_flags(f),)
     )
     dim_s, dim_c, dim_u = _modulus_counts(spectrum)
-    irreducible = len(spectrum) == 1 and spectrum[0].mult == 1
     return ClassificationReport(
         n=p.degree,
         char_poly=p.coeffs,
-        ergodic=all(f.cyclotomic_index is None for f in spectrum),
+        ergodic=is_ergodic(spectrum),
         anosov=(dim_c == 0),
         dim_center=dim_c,
         dim_stable=dim_s,
         dim_unstable=dim_u,
         factors=records,
         salem_flags=tuple(f.salem for f in records),
-        pseudo_anosov=irreducible and is_poly_in_xm(p) is None,
+        pseudo_anosov=is_pseudo_anosov(p, spectrum),
     )
 
 
@@ -317,7 +339,7 @@ def compute_splitting(a: IntMatrix, spectrum: Optional[list[_FactorSpectrum]] = 
         for f in spectrum:
             for _ in range(f.mult):
                 p = p * f.poly
-    if any(f.cyclotomic_index is not None for f in spectrum):
+    if not is_ergodic(spectrum):
         raise NotErgodicError("an eigenvalue is a root of unity")
     ns, nc, nu = _modulus_counts(spectrum)
     # unit-modulus roots must be simple for the rotation construction

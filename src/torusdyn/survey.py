@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+from collections import Counter
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .intpoly import IntPoly
-from .splitting import _factor_spectrum, _FactorSpectrum, image_spectrum, spectrum_report
+from .splitting import (_factor_spectrum, _FactorSpectrum, _modulus_counts, factor_flags,
+                        image_spectrum, is_ergodic, is_pseudo_anosov)
 from .zfactor import factor_z_many
 
 
@@ -42,20 +44,47 @@ def companion_minus_identity_snf(p: IntPoly) -> list[int]:
     return [1] * (p.degree - 1) + ([abs(at_one)] if at_one else [])
 
 
+# JSON of a bool; that of a list of Python ints is its str()
+_BOOL = ("false", "true")
+
+
 def classify_entry(item: tuple[int, tuple[int, ...]],
-                   spectrum: Optional[list[_FactorSpectrum]] = None) -> dict:
-    """Classification record for one polynomial, read from ``spectrum``, its
-    ``_factor_spectrum``; without one, the polynomial is factored here."""
+                   spectrum: Optional[list[_FactorSpectrum]] = None,
+                   tally: Optional[Counter] = None) -> str:
+    """The catalog line of one polynomial, read from ``spectrum``, its
+    ``_factor_spectrum``; without one, the polynomial is factored here.
+
+    The line is ``json.dumps(entry, sort_keys=True)`` and a newline for the
+    entry {index, coeffs, conjugacy_key, report}, where report is
+    ``spectrum_report(p, spectrum).to_json()``, written out here directly.
+    ``tally``, when given, counts the entry's (dim_center, ergodic,
+    pseudo_anosov), the facts its summary reads.
+    """
     index, coeffs = item
     p = IntPoly(coeffs)
-    report = spectrum_report(p, _factor_spectrum(p) if spectrum is None else spectrum)
-    key = f"cp:{list(coeffs)}|snf:{companion_minus_identity_snf(p)}"
-    return {
-        "index": index,
-        "coeffs": list(coeffs),
-        "conjugacy_key": key,
-        "report": report.to_json(),
-    }
+    if spectrum is None:
+        spectrum = _factor_spectrum(p)
+    stable, center, unstable = _modulus_counts(spectrum)
+    ergodic, pa = is_ergodic(spectrum), is_pseudo_anosov(p, spectrum)
+    factors, salem_flags = [], []
+    for f in spectrum:
+        reciprocal, salem = factor_flags(f)
+        cyc = "null" if f.cyclotomic_index is None else f.cyclotomic_index
+        factors.append(f'{{"coeffs": {list(f.poly.coeffs)}, "cyclotomic_index": {cyc}, '
+                       f'"degree": {f.poly.degree}, "multiplicity": {f.mult}, '
+                       f'"reciprocal": {_BOOL[reciprocal]}, "salem": {_BOOL[salem]}, '
+                       f'"unitary_roots": {f.unitary}}}')
+        salem_flags.append(_BOOL[salem])
+    if tally is not None:
+        tally[center, ergodic, pa] += 1
+    cp = str(list(coeffs))
+    return (f'{{"coeffs": {cp}, "conjugacy_key": "cp:{cp}|snf:'
+            f'{companion_minus_identity_snf(p)}", "index": {index}, '
+            f'"report": {{"anosov": {_BOOL[center == 0]}, "char_poly": {cp}, '
+            f'"dim_center": {center}, "dim_stable": {stable}, "dim_unstable": {unstable}, '
+            f'"ergodic": {_BOOL[ergodic]}, "factors": [{", ".join(factors)}], '
+            f'"n": {p.degree}, "pseudo_anosov": {_BOOL[pa]}, '
+            f'"salem_flags": [{", ".join(salem_flags)}]}}}}\n')
 
 
 def spectrum_chunk(items: list[tuple[int, tuple[int, ...]]]) -> list[list[_FactorSpectrum]]:
@@ -99,12 +128,12 @@ def orbit_representatives(coeffs: np.ndarray, height: int) -> tuple[list[int], l
     return index[image, np.arange(len(coeffs))].tolist(), image.tolist()
 
 
-# Most polynomials one survey may classify.  Every entry is held until the box
-# is done, beside the box's coefficients and the spectra of the orbit
+# Most polynomials one survey may classify.  Every catalog line is held until
+# the box is done, beside the box's coefficients and the spectra of the orbit
 # representatives (a quarter of a full box, more where --limit cuts orbits):
-# the full box (8, 2) holds about 2.0 KB an entry and takes about 0.11 ms an
-# entry on one core of a 2-vCPU host, so a full budget holds about 2 GB and
-# runs about 2 minutes.
+# the full box (8, 2) holds about 1.0 KB an entry and takes about 0.075 ms an
+# entry on one core of a 2-vCPU host, so a full budget holds about 1 GB and
+# runs about 75 seconds.
 SURVEY_BUDGET = 1_000_000
 
 # Polynomials per chunk: large enough to amortize the batched sieve, small
@@ -113,15 +142,16 @@ CHUNK_SIZE = 256
 
 
 def run_survey(dim: int, height: int, limit: Optional[int] = None,
-               reciprocal_only: bool = False, jobs: int = 1) -> tuple[list[dict], dict]:
-    """Classify the whole coefficient box; returns (entries, summary).
+               reciprocal_only: bool = False, jobs: int = 1) -> tuple[list[str], dict]:
+    """Classify the whole coefficient box; returns (catalog lines, summary).
 
     Negation and reversal map the box to itself, and each entry follows from
     the spectrum of its orbit's representative, the member of least index;
     the enumeration reaches it first, also under a limit.  Only the
     representatives are factored, in chunks of CHUNK_SIZE, in order, with one
-    process or a pool of ``jobs``; every entry is then read off the image of
-    its representative's spectrum.
+    process or a pool of ``jobs``; every line is then read off the image of
+    its representative's spectrum, and the summary counts the facts the
+    lines were written from.
     """
     items = list(enumerate_polynomials(dim, height, reciprocal_only, limit))
     reps_of, images = orbit_representatives(
@@ -134,38 +164,30 @@ def run_survey(dim: int, height: int, limit: Optional[int] = None,
         with multiprocessing.Pool(jobs) as pool:
             spectra = [s for part in pool.imap(spectrum_chunk, chunks) for s in part]
     by_rep = {index: spectrum for (index, _), spectrum in zip(reps, spectra)}
-    entries = [classify_entry(item, image_spectrum(by_rep[rep], image & 1, image & 2)
-                              if image else by_rep[rep])
-               for item, rep, image in zip(items, reps_of, images)]
-    summary = summarize(entries, dim=dim, height=height,
-                        reciprocal_only=reciprocal_only, limit=limit)
-    return entries, summary
+    tally: Counter = Counter()
+    lines = [classify_entry(item, image_spectrum(by_rep[rep], image & 1, image & 2)
+                            if image else by_rep[rep], tally)
+             for item, rep, image in zip(items, reps_of, images)]
+    config = {"dim": dim, "height": height, "reciprocal_only": reciprocal_only, "limit": limit}
+    return lines, summarize(tally, config)
 
 
-def summarize(entries: list[dict], **config) -> dict:
-    by_center: dict[str, int] = {}
-    ergodic = anosov = pa = 0
-    ergodic_center_ok = 0
-    keys = set()
-    for e in entries:
-        r = e["report"]
-        by_center[str(r["dim_center"])] = by_center.get(str(r["dim_center"]), 0) + 1
-        if r["ergodic"]:
-            ergodic += 1
-            if r["dim_center"] in (0, 2):
-                ergodic_center_ok += 1
-        if r["anosov"]:
-            anosov += 1
-        if r["pseudo_anosov"]:
-            pa += 1
-        keys.add(e["conjugacy_key"])
+def summarize(tally: Counter, config: dict) -> dict:
+    """The survey summary from the tally of (dim_center, ergodic,
+    pseudo_anosov) that ``classify_entry`` keeps over the box."""
+    by_center: Counter = Counter()
+    for (center, _, _), count in tally.items():
+        by_center[str(center)] += count
+    total = sum(tally.values())
     return {
         "config": config,
-        "total": len(entries),
-        "ergodic": ergodic,
-        "anosov": anosov,
-        "pseudo_anosov": pa,
+        "total": total,
+        "ergodic": sum(n for (_, ergodic, _), n in tally.items() if ergodic),
+        "anosov": by_center["0"],
+        "pseudo_anosov": sum(n for (_, _, pa), n in tally.items() if pa),
         "by_dim_center": dict(sorted(by_center.items())),
-        "ergodic_with_center_0_or_2": ergodic_center_ok,
-        "distinct_conjugacy_keys": len(keys),
+        "ergodic_with_center_0_or_2": sum(
+            n for (center, ergodic, _), n in tally.items() if ergodic and center in (0, 2)),
+        # a key begins with the coefficients, and the box lists each once
+        "distinct_conjugacy_keys": total,
     }

@@ -47,16 +47,22 @@ def verdict(num, ok, text):
     assert ok, line
 
 
+def _parsed(lines: list[str]) -> list[dict]:
+    return [json.loads(line) for line in lines]
+
+
 @pytest.fixture(scope="module")
 def survey7():
     t0 = time.time()
-    entries, summary = run_survey(7, 2)
-    return entries, summary, time.time() - t0
+    lines, summary = run_survey(7, 2)
+    elapsed = time.time() - t0
+    return _parsed(lines), summary, elapsed
 
 
 @pytest.fixture(scope="module")
 def survey4():
-    return run_survey(4, 2)
+    lines, summary = run_survey(4, 2)
+    return _parsed(lines), summary
 
 
 def test_criterion_01_dimension7_classification(survey7):
@@ -74,7 +80,7 @@ def test_criterion_01_dimension7_classification(survey7):
 def test_criterion_02_even_degree_unitary_factors(survey7, survey4):
     catalogs = [survey7[0], survey4[0]]
     for dim, height in ((5, 2), (6, 1), (8, 1)):
-        catalogs.append(run_survey(dim, height)[0])
+        catalogs.append(_parsed(run_survey(dim, height)[0]))
     violations = []
     total_factors = 0
     for entries in catalogs:
@@ -112,7 +118,7 @@ def corpus500(survey4):
         elif rep["ergodic"] and rep["dim_center"] == 2:
             mats.append(a)
             seeds_dim2.append(a)
-    extra, _ = run_survey(5, 1)
+    extra = _parsed(run_survey(5, 1)[0])
     for e in extra:
         rep = e["report"]
         if len(rep["factors"]) > 1 or rep["factors"][0]["multiplicity"] > 1:

@@ -265,11 +265,11 @@ def test_survey_chunk_edges(files, capsys, dim, height, extra, total):
                      "--jobs", jobs, "--out", str(cat), "--summary", str(summary)]) == 0
         outputs.append((cat.read_bytes(), summary.read_bytes()))
     assert outputs[0] == outputs[1]
-    entries = [json.loads(line) for line in outputs[0][0].splitlines()]
-    assert len(entries) == total
+    lines = outputs[0][0].decode().splitlines(keepends=True)
+    assert len(lines) == total
     limit = int(extra[1]) if extra[:1] == ["--limit"] else None
     items = enumerate_polynomials(dim, height, "--reciprocal-only" in extra, limit)
-    assert entries == [classify_entry(item) for item in items]
+    assert lines == [classify_entry(item) for item in items]
 
 
 def test_dioph_factors_the_char_poly_once(files, capsys, monkeypatch):
@@ -407,9 +407,15 @@ FAILURES = _rows(
     (["dioph", "{salem}", "--radius", "inf"], 1),
     (["dioph", "{salem}", "--radius", "0.5"], 1),
     (["dioph", "{salem}", "--radius", "1e9"], 4),
-    (["dioph", "{salem}", "--candidates", "1"], 1),
-    (["dioph", "{salem}", "--candidates", "0"], 1),
-    (["dioph", "{salem}", "--kmax", "0"], 1),
+    # witness search arguments out of range fail before the lattice scan
+    (["dioph", "{salem}", "--candidates", "1"], 1, SCAN, "pair search needs candidate_count >= 2"),
+    (["dioph", "{salem}", "--candidates", "0"], 1, SCAN),
+    (["dioph", "{salem}", "--kmax", "0"], 1, SCAN),
+    (["dioph", "{salem}", "--candidates", "1", "--csv", "{tmp}/ball.csv"], 1,
+     (cli, "lattice_ball", _stop_first_computation)),
+    (["dioph", "{sextic}", "--candidates", "0"], 1, SCAN,
+     "witness search needs candidate_count >= 1"),
+    (["dioph", "{sextic}", "--kmax", "0"], 1, SCAN),
     (["dioph", "{salem}", "--delta", "nan"], 1),
     # witness searches over more than WITNESS_SEARCH_BUDGET distances stop
     # before the lattice scan

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly
 from torusdyn.lattice import invariant_factors
-from torusdyn.splitting import negation, reversal
+from torusdyn.splitting import classify_poly, negation, reversal
 from torusdyn.survey import (
     box_indices,
     classify_entry,
@@ -12,6 +14,7 @@ from torusdyn.survey import (
     enumerate_polynomials,
     orbit_members,
     orbit_representatives,
+    run_survey,
 )
 
 
@@ -24,8 +27,51 @@ def test_companion_snf_closed_form_matches_smith_form():
 
 
 def test_conjugacy_key_format():
-    entry = classify_entry((3, (1, -1, -1, -1, 1)))
+    entry = json.loads(classify_entry((3, (1, -1, -1, -1, 1))))
     assert entry["conjugacy_key"] == "cp:[1, -1, -1, -1, 1]|snf:[1, 1, 1, 1]"
+
+
+def _recount(entries: list[dict]) -> dict:
+    """The summary counts, recounted from the parsed catalog."""
+    reports = [e["report"] for e in entries]
+    by_center: dict[str, int] = {}
+    for r in reports:
+        by_center[str(r["dim_center"])] = by_center.get(str(r["dim_center"]), 0) + 1
+    return {
+        "total": len(reports),
+        "ergodic": sum(r["ergodic"] for r in reports),
+        "anosov": sum(r["anosov"] for r in reports),
+        "pseudo_anosov": sum(r["pseudo_anosov"] for r in reports),
+        "by_dim_center": dict(sorted(by_center.items())),
+        "ergodic_with_center_0_or_2": sum(r["ergodic"] and r["dim_center"] in (0, 2)
+                                          for r in reports),
+        "distinct_conjugacy_keys": len({e["conjugacy_key"] for e in entries}),
+    }
+
+
+@pytest.mark.parametrize("dim, height, reciprocal_only, limit", [
+    (4, 2, False, None), (5, 2, False, None), (6, 1, False, None), (3, 5, False, None),
+    (5, 2, True, None), (5, 2, False, 257),
+])
+def test_catalog_lines_match_the_report_oracle(dim, height, reciprocal_only, limit):
+    """Every catalog line is the sorted JSON of the entry built from
+    ``classify_poly(p).to_json()``, and the summary is the recount of the
+    parsed catalog."""
+    lines, summary = run_survey(dim, height, limit=limit, reciprocal_only=reciprocal_only)
+    items = list(enumerate_polynomials(dim, height, reciprocal_only, limit))
+    assert len(lines) == len(items)
+    for line, (index, coeffs) in zip(lines, items):
+        p = IntPoly(coeffs)
+        entry = {
+            "index": index,
+            "coeffs": list(coeffs),
+            "conjugacy_key": f"cp:{list(coeffs)}|snf:{companion_minus_identity_snf(p)}",
+            "report": classify_poly(p).to_json(),
+        }
+        assert line == json.dumps(entry, sort_keys=True) + "\n", coeffs
+    assert summary == {"config": {"dim": dim, "height": height, "limit": limit,
+                                  "reciprocal_only": reciprocal_only},
+                       **_recount([json.loads(line) for line in lines])}
 
 
 @pytest.mark.parametrize("dim, height", [(2, 3), (3, 2), (4, 2), (5, 1), (6, 1)])

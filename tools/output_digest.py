@@ -9,8 +9,8 @@ outputs is checked by running this script in both and comparing:
     diff before.txt after.txt
 
 The outputs are the stdout and the written files of ``analyze``, ``survey``
-(boxes (4, 2), (5, 2), (7, 1), (6, 1), (3, 5) and (8, 1), and (5, 2) with
-``--reciprocal-only`` and with ``--limit 257``), ``pa``, ``dioph`` (JSON
+(boxes (4, 2), (5, 2), (7, 1), (6, 1), (3, 5), (8, 1) and (7, 2), and (5, 2)
+with ``--reciprocal-only`` and with ``--limit 257``), ``pa``, ``dioph`` (JSON
 alone, JSON with ``--csv``, and ``--format csv``; without a table the scan
 reduces the streamed slabs, with one it reduces the sorted ball), ``perturb``
 (the benchmark's configuration, amplitudes 0 and 0.02, JSON and CSV, and
@@ -78,6 +78,9 @@ COMMANDS = {
     # orbits under negation and reversal: a box of 4 in 4, one that the
     # reciprocal filter cuts at odd N, and a limit that cuts orbits
     "survey 8,1": ["survey", "--dim", "8", "--height", "1", "--out", "{dir}/catalog.jsonl",
+                   "--summary", "{dir}/summary.json"],
+    # criterion 1's box, where three entries in four are derived
+    "survey 7,2": ["survey", "--dim", "7", "--height", "2", "--out", "{dir}/catalog.jsonl",
                    "--summary", "{dir}/summary.json"],
     "survey 5,2 --reciprocal-only": ["survey", "--dim", "5", "--height", "2", "--reciprocal-only",
                                      "--out", "{dir}/catalog.jsonl", "--summary", "{dir}/summary.json"],
