@@ -12,10 +12,17 @@ n -> -n, so the scan visits one point of each +/- pair: the points whose
 outermost nonzero coordinate is positive, one slab of the outermost
 coordinate at a time.  Norms are summed row by row in a fixed order, so
 a point's norm does not depend on its batch and -n has the norm of n bit
-for bit.  `lattice_ball` adds the negated half and sorts the points by
-(adapted norm, lexicographic coordinates); `center_norm_minimum` reduces
-the half as it comes, with a result that does not depend on the order of
-the slabs, so both are deterministic.
+for bit.  The innermost level builds coordinates alone: its interval is
+searched on each flavor's term in vertex form, and the norms decide which
+points are kept.  `lattice_ball` adds the negated half and sorts the
+points by (adapted norm, lexicographic coordinates); `center_norm_minimum`
+reduces the half as it comes, with a result that does not depend on the
+order of the slabs, so both are deterministic.
+
+The dimension-4 pair search evaluates the half of its k grid that comes
+before the origin, since a pair's value at -k is its value at k, and
+skips a pair whose least value over a small probe shell cannot beat the
+best pair so far; it returns what the whole grid would.
 """
 from __future__ import annotations
 
@@ -60,14 +67,16 @@ def _component_factors(lam: Lattice, norm: AdaptedNorm) -> tuple[list[np.ndarray
 LATTICE_BALL_BUDGET = 5e7
 
 # Most distances dist(k . alpha, Z) a badly approximable witness search may
-# compute or hold, as counted by ``witness_search_size``.  Measured as process
-# peak RSS with numpy 2.4 on x86-64, by ``dioph`` at radius 12 (whose scan
-# peaks at 60 MB): the Salem pair search peaks at 86 MB with the defaults
-# (12 candidates, k_max 200: 1.4e7 distances), and just under the budget at
-# 151 MB with 12 candidates at k_max 380 and at 407 MB with 2 candidates at
-# k_max 1065.  The sextic single search peaks at 211 MB with one candidate at
-# k_max 2.8e6.  The pair search's rows grow like k_max^2: at k_max 4000 with
-# 12 candidates (5.5e9 distances) they would take about 10 GB.
+# compute or hold, as counted by ``witness_search_size``.  That count takes
+# the pair search's whole k grid, though the search holds only the half
+# before the origin.  Measured as process peak RSS with numpy 2.4 on x86-64,
+# by ``dioph`` at radius 12 (whose scan peaks at 60 MB): the Salem pair
+# search peaks at 73 MB with the defaults (12 candidates, k_max 200: 1.4e7
+# distances), and just under the budget at 102 MB with 12 candidates at
+# k_max 380 and at 183 MB with 2 candidates at k_max 1065.  The sextic
+# single search peaks at 211 MB with one candidate at k_max 2.8e6.  The pair
+# search's rows grow like k_max^2: at k_max 4000 with 12 candidates (5.5e9
+# distances) they would take about 5 GB.
 WITNESS_SEARCH_BUDGET = 5e7
 
 # Most vertices (3 K + 1 for scale K) a lattice winding curve may have.  The
@@ -102,28 +111,36 @@ def _release_freed_heap() -> None:
         _MALLOC_TRIM(0)
 
 
-def _expand_level(r: np.ndarray, radius2: float, level: int, coords: np.ndarray,
-                  partial: np.ndarray, shifts: np.ndarray, narrow=None):
-    """Extend every prefix (coordinates above `level` fixed) by each integer
-    at `level` that keeps c^T Q c <= radius2 reachable, Q = R^T R.
-
+def _level_range(r: np.ndarray, radius2: float, level: int, partial: np.ndarray,
+                 shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per prefix (coordinates above `level` fixed), the integer range
+    [lo, hi] at `level` that keeps c^T Q c <= radius2 reachable, Q = R^T R.
     `partial` holds the prefixes' terms of |R c|^2 and `shifts` their
-    columns of R c; all arithmetic is per row, so a prefix's children do
-    not depend on the batch it is expanded in.  `narrow(coords, lo, hi)`,
-    when given, cuts each prefix's integer range [lo, hi] down further.
-    """
+    columns of R c."""
     rl = r[level, level]
     lim = np.sqrt(np.maximum(radius2 - partial, 0.0))
     center = -shifts[:, level] / rl
     lo = np.ceil(center - lim / rl - 1e-12).astype(np.int64)
     hi = np.floor(center + lim / rl + 1e-12).astype(np.int64)
-    if narrow is not None:
-        lo, hi = narrow(coords, lo, hi)
+    return lo, hi
+
+
+def _children(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each prefix i extended by lo[i], ..., hi[i] in order: the children's
+    prefix rows and their values."""
     counts = np.maximum(hi - lo + 1, 0)
-    idx = np.repeat(np.arange(coords.shape[0]), counts)
-    starts = np.cumsum(counts) - counts
-    xs = lo[idx] + (np.arange(idx.size) - np.repeat(starts, counts))
-    partial = partial[idx] + (rl * xs + shifts[idx, level]) ** 2
+    idx = np.repeat(np.arange(lo.size), counts)
+    xs = np.arange(idx.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return idx, xs
+
+
+def _expand_level(r: np.ndarray, radius2: float, level: int, coords: np.ndarray,
+                  partial: np.ndarray, shifts: np.ndarray):
+    """Extend every prefix by each integer at `level` that keeps
+    c^T Q c <= radius2 reachable.  All arithmetic is per row, so a
+    prefix's children do not depend on the batch it is expanded in."""
+    idx, xs = _children(*_level_range(r, radius2, level, partial, shifts))
+    partial = partial[idx] + (r[level, level] * xs + shifts[idx, level]) ** 2
     keep = partial <= radius2 + 1e-9
     idx, xs, partial = idx[keep], xs[keep], partial[keep]
     coords = coords[idx]
@@ -143,27 +160,41 @@ def _bisect(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _innermost_ball_range(factors: list[np.ndarray], radius: float):
-    """`narrow` for the innermost level: the integers t = c_0 in [lo, hi]
-    that can lie in the adapted ball.
+    """`narrow(coords, lo, hi)` for the innermost level: the integers
+    t = c_0 in [lo, hi] that can lie in the adapted ball, per prefix.
 
-    With the other coordinates fixed, |n(t)| = sum_f ||A_f + t B_f|| is
+    With the other coordinates fixed, |n(t)| = sum_f ||a_f + t b_f|| is
     convex in t, so {t : |n(t)| <= radius} is one interval.  Its ends are
     found by binary search against radius (1 + 1e-9): the slack is far
     above rounding, so the interval holds every point the filter in
-    `_ball_slab` keeps.
+    `_ball_slab` keeps.  Each flavor's term is taken in its vertex form
+    ||a_f + t b_f||^2 = g_f (t - c_f)^2 + m_f, g_f = ||b_f||^2, with c_f
+    and m_f computed once per prefix and m_f the squared norm of the
+    residual a_f + c_f b_f, so that nothing cancels; a probe is a few
+    ufuncs on per-prefix arrays.  A flavor of width 0 adds nothing, and
+    one with b_f = 0 adds the constant ||a_f||.
     """
-    fcat = np.hstack(factors)
-    # (v * v) @ groups sums the squares of each flavor's columns of v
-    groups = np.repeat(np.eye(len(factors)), [f.shape[1] for f in factors], axis=0)
-    ones = np.ones(len(factors))
+    factors = [f for f in factors if f.shape[1]]
+    rows = [f[0] for f in factors]
+    gram = np.array([b @ b for b in rows])[:, None]
     bound = radius * (1 + 1e-9)
 
     def narrow(coords, lo, hi):
-        a = coords.astype(float) @ fcat  # coords[:, 0] is still 0
+        ptsf = coords.astype(float)  # coords[:, 0] is still 0
+        centers = np.empty((len(factors), len(coords)))
+        minima = np.empty_like(centers)
+        for k, (f, b) in enumerate(zip(factors, rows)):
+            a = ptsf @ f
+            centers[k] = -(a @ b) / gram[k, 0] if gram[k, 0] > 0 else 0.0
+            res = a + centers[k][:, None] * b
+            minima[k] = np.einsum("ij,ij->i", res, res)
 
         def size(t):
-            v = a + t[:, None] * fcat[0]
-            return np.sqrt((v * v) @ groups) @ ones
+            v = t - centers
+            v *= v
+            v *= gram
+            v += minima
+            return np.sqrt(v, out=v).sum(axis=0)
 
         def left_of_or_in(t):
             g = size(t)
@@ -225,12 +256,19 @@ def _with_negations(coords: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray
 def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes):
     """Points of the adapted ball among the completions of the given
     outermost prefixes whose outermost nonzero coordinate is positive:
-    (coords, adapted norms, center norms), unsorted."""
+    (coords, adapted norms, center norms), unsorted.  The innermost
+    coordinate runs over `_innermost_ball_range`'s interval and only the
+    coordinates are built: the ball lies inside the covering ellipsoid,
+    and the norms decide which points are kept."""
     coords, partial, shifts = prefixes
-    for level in range(r.shape[0] - 2, -1, -1):
-        narrow = _innermost_ball_range(factors, radius) if level == 0 else None
-        coords, partial, shifts = _expand_level(r, radius * radius, level, coords, partial,
-                                                shifts, narrow)
+    radius2 = radius * radius
+    for level in range(r.shape[0] - 2, 0, -1):
+        coords, partial, shifts = _expand_level(r, radius2, level, coords, partial, shifts)
+    if r.shape[0] > 1:
+        narrow = _innermost_ball_range(factors, radius)
+        idx, xs = _children(*narrow(coords, *_level_range(r, radius2, 0, partial, shifts)))
+        coords = coords[idx]
+        coords[:, 0] = xs
     coords = coords[_upper_half(coords)]
     ptsf = coords.astype(float)
     block = [_row_norms(ptsf, f) for f in factors]
@@ -436,6 +474,7 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
             least = _least_ratios(*(np.concatenate(col) for col in zip(best, least)),
                                   WITNESS_CAP)
         best = least
+    _release_freed_heap()  # the slabs are freed; only their norms stay
     norms = np.concatenate(norm_parts)
     del norm_parts
     nc = np.concatenate(center_parts)
@@ -628,6 +667,63 @@ class PairWitness:
                 "c_emp": self.c_emp, "worst_k": list(self.worst_k)}
 
 
+# A pair is first evaluated on the k with 0 < |k|_sup <= PAIR_PROBE_SHELL, and
+# on its whole half grid only if that least value beats the best pair so far.
+PAIR_PROBE_SHELL = 16
+
+
+def _half_grid(k_max: int) -> np.ndarray:
+    """The k of the grid -k_max <= k1, k2 <= k_max (k1 major) that come
+    before the origin, k1 < 0 or k1 = 0 > k2, in grid order: exactly the k
+    that come before -k."""
+    w = 2 * k_max + 1
+    half = w * w // 2
+    k1 = np.repeat(np.arange(-k_max, 1), w)[:half]
+    k2 = np.tile(np.arange(-k_max, k_max + 1), k_max + 1)[:half]
+    return np.stack([k1, k2], axis=1).astype(float)
+
+
+def _pair_search(cands: list[tuple[tuple[int, ...], np.ndarray]], k_max: int) -> PairWitness:
+    """The first pair of `cands` with the greatest least value of
+    max_i dist(k . alpha_i, Z) * |k|_sup^2 over 0 < |k|_sup <= k_max, at
+    the first k in grid order that attains it.
+
+    The value is the same at k and -k, bit for bit, when dist(-k . alpha)
+    equals dist(k . alpha), which tests assert for the product used; then
+    the first least value over the grid lies in its half before the origin,
+    and only that half is evaluated.  A pair whose least value over the
+    probe shell is at most the best's constant cannot replace it, since a
+    pair wins only with a greater constant, so it is skipped: the probe's
+    values are those of the grid at the same k.
+    """
+    kmat = _half_grid(k_max)
+    ksup2 = np.max(np.abs(kmat), axis=1) ** 2
+    dists = [_dist_to_integers(kmat @ a) for _, a in cands]
+    probe = np.flatnonzero(ksup2 <= PAIR_PROBE_SHELL ** 2)
+    probe_k2 = ksup2[probe]
+    probe_dists = [d[probe] for d in dists]
+    vals = np.empty(len(kmat))
+    best: Optional[PairWitness] = None
+    for i, (n1_vec, a1) in enumerate(cands):
+        for j in range(i + 1, len(cands)):
+            if best is not None and np.min(np.maximum(probe_dists[i], probe_dists[j])
+                                           * probe_k2) <= best.c_emp:
+                continue
+            np.maximum(dists[i], dists[j], out=vals)
+            vals *= ksup2
+            t = int(np.argmin(vals))
+            if best is None or float(vals[t]) > best.c_emp:
+                n2_vec, a2 = cands[j]
+                best = PairWitness(
+                    n1=n1_vec, n2=n2_vec,
+                    alpha1=tuple(map(float, a1)), alpha2=tuple(map(float, a2)),
+                    c_emp=float(vals[t]),
+                    worst_k=(int(kmat[t, 0]), int(kmat[t, 1])),
+                )
+    assert best is not None
+    return best
+
+
 def badly_approximable_search_dim4(
     pa: PASubspace,
     norm: AdaptedNorm,
@@ -640,28 +736,4 @@ def badly_approximable_search_dim4(
     if pa.dim_x != 4:
         raise OutOfHypothesesError("pair search applies only to dim X = 4")
     check_witness_search(pa.dim_x, candidate_count, k_max)
-    cands = _candidates(pa, norm, chart, candidate_count)
-    rng = np.arange(-k_max, k_max + 1)
-    k1, k2 = np.meshgrid(rng, rng, indexing="ij")
-    kmat = np.stack([k1.ravel(), k2.ravel()], axis=1).astype(float)
-    kmat = kmat[np.any(kmat != 0, axis=1)]
-    ksup = np.max(np.abs(kmat), axis=1)
-    ksup2 = ksup ** 2
-    dists = [_dist_to_integers(kmat @ a) for _, a in cands]
-    best: Optional[PairWitness] = None
-    for i in range(len(cands)):
-        n1_vec, a1 = cands[i]
-        for j in range(i + 1, len(cands)):
-            n2_vec, a2 = cands[j]
-            vals = np.maximum(dists[i], dists[j]) * ksup2
-            t = int(np.argmin(vals))
-            w = PairWitness(
-                n1=n1_vec, n2=n2_vec,
-                alpha1=tuple(map(float, a1)), alpha2=tuple(map(float, a2)),
-                c_emp=float(vals[t]),
-                worst_k=(int(kmat[t, 0]), int(kmat[t, 1])),
-            )
-            if best is None or w.c_emp > best.c_emp:
-                best = w
-    assert best is not None
-    return best
+    return _pair_search(_candidates(pa, norm, chart, candidate_count), k_max)

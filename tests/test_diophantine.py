@@ -8,6 +8,9 @@ import pytest
 from conftest import SALEM_CONJUGATE, random_unimodular
 from torusdyn import diophantine
 from torusdyn.diophantine import (
+    PairWitness,
+    _candidates,
+    _dist_to_integers,
     approximation_constant,
     badly_approximable_search_dim4,
     badly_approximable_search_dim6,
@@ -18,6 +21,7 @@ from torusdyn.diophantine import (
 )
 from torusdyn.errors import BudgetError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
+from torusdyn.intpoly import IntPoly
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
 from torusdyn.splitting import adapted_norm, compute_splitting
 
@@ -188,6 +192,29 @@ def test_lattice_ball_matches_one_shot_scan_conjugates(salem_matrix, block6_matr
     assert np.any(ball.vectors[:, 4:] != 0)
 
 
+@pytest.fixture(scope="module")
+def sextic_pa_norm():
+    """The (2,2,2) sextic: a rank-6 lattice whose stable and unstable
+    flavors are two-dimensional, like its center."""
+    return _pa_and_norm(IntMatrix.companion(IntPoly((1, -2, 1, 1, 1, -2, 1))))
+
+
+def test_lattice_ball_matches_one_shot_scan_sextic(sextic_pa_norm):
+    pa, norm = sextic_pa_norm
+    assert [f.shape for f in diophantine._component_factors(pa.lam, norm)[0]] == [(6, 2)] * 3
+    _assert_same_ball(pa, norm, 24.0)
+
+
+def test_lattice_ball_keeps_the_points_on_its_sphere(salem_pa, salem_norm, sextic_pa_norm):
+    # At a radius that is a point's norm, that point is still in the ball:
+    # the innermost interval's slack lies outside the sphere.
+    for pa, norm in ((salem_pa, salem_norm), sextic_pa_norm):
+        ball = lattice_ball(pa.lam, norm, 20.0)
+        on_sphere = lattice_ball(pa.lam, norm, float(ball.norms.max()))
+        for name in BALL_ARRAYS:
+            assert np.array_equal(getattr(on_sphere, name), getattr(ball, name)), name
+
+
 def _symmetric_ball_cases(block6_matrix, salem_matrix):
     u1 = random_unimodular(random.Random(1), 4)
     u0 = random_unimodular(random.Random(0), 6)
@@ -281,6 +308,36 @@ def test_innermost_range_is_the_balls_interval(salem_matrix, salem_pa, salem_nor
             (kept, kept0, candidates, within, within0)
 
 
+def test_innermost_range_with_an_empty_flavor_and_a_constant_one():
+    # Synthetic factors on rank 3: the s flavor has width 0, and the first
+    # coordinate has no center component (b_c = 0), so the center term is
+    # constant along the innermost coordinate.
+    rng = np.random.default_rng(2)
+    fc = rng.normal(size=(3, 2))
+    fc[0] = 0.0
+    fu = np.array([[1.5], [0.7], [-1.1]])
+    factors = [np.zeros((3, 0)), fc, fu]
+    radius = 4.0
+    prefixes = np.array([[0, x, y] for x in range(-5, 6) for y in range(-5, 6)])
+    lo, hi = np.full(len(prefixes), -20), np.full(len(prefixes), 20)
+    first, last = diophantine._innermost_ball_range(factors, radius)(prefixes, lo, hi)
+    ts = np.arange(-20, 21)
+    empty = 0
+    for prefix, f0, l0 in zip(prefixes, first, last):
+        pts = np.tile(prefix, (ts.size, 1)).astype(float)
+        pts[:, 0] = ts
+        sizes = sum(diophantine._row_norms(pts, f) for f in factors)
+        inside = ts[sizes <= radius]
+        if inside.size == 0:
+            empty += 1
+            assert l0 < f0 or np.all(sizes[(ts >= f0) & (ts <= l0)] <= radius * (1 + 2e-9))
+            continue
+        # the interval holds every t in the ball, and nothing outside its slack
+        assert f0 <= inside[0] and inside[-1] <= l0, (prefix, f0, l0, inside)
+        assert np.all(sizes[(ts >= f0) & (ts <= l0)] <= radius * (1 + 2e-9))
+    assert 0 < empty < len(prefixes)
+
+
 def test_center_norm_minimum_memory_tracks_norms_only(salem_pa, salem_norm):
     ball = lattice_ball(salem_pa.lam, salem_norm, 40.0)
     kept = sum(getattr(ball, name).nbytes for name in BALL_ARRAYS)
@@ -335,6 +392,13 @@ def test_lattice_ball_releases_freed_heap_after_slabs_and_sort(salem_pa, salem_n
     monkeypatch.setattr(diophantine, "_release_freed_heap", lambda: calls.append(1))
     lattice_ball(salem_pa.lam, salem_norm, 6.0)
     assert len(calls) == 2
+
+
+def test_center_norm_minimum_releases_freed_heap_after_slabs(salem_pa, salem_norm, monkeypatch):
+    calls = []
+    monkeypatch.setattr(diophantine, "_release_freed_heap", lambda: calls.append(1))
+    center_norm_minimum(salem_pa, salem_norm, 6.0)
+    assert len(calls) == 1
 
 
 # A 20 MB array freed from its own mapping raises glibc's mmap threshold to
@@ -430,6 +494,108 @@ def test_badly_approximable_dim4(salem_pa, salem_norm, salem_split):
     d2 = np.abs(kmat @ np.array(w.alpha2) - np.round(kmat @ np.array(w.alpha2)))
     vals = np.maximum(d1, d2) * ksup ** 2
     assert np.isclose(np.min(vals), w.c_emp, rtol=1e-9)
+
+
+def _full_grid(k_max):
+    """Every k with 0 < |k|_sup <= k_max, k1 major, as floats."""
+    rng = np.arange(-k_max, k_max + 1)
+    k1, k2 = np.meshgrid(rng, rng, indexing="ij")
+    kmat = np.stack([k1.ravel(), k2.ravel()], axis=1).astype(float)
+    return kmat[np.any(kmat != 0, axis=1)]
+
+
+def _full_grid_pair_search(cands, k_max):
+    """Reference pair search: every pair evaluated on the whole grid."""
+    kmat = _full_grid(k_max)
+    ksup2 = np.max(np.abs(kmat), axis=1) ** 2
+    dists = [_dist_to_integers(kmat @ a) for _, a in cands]
+    best = None
+    for i in range(len(cands)):
+        n1_vec, a1 = cands[i]
+        for j in range(i + 1, len(cands)):
+            n2_vec, a2 = cands[j]
+            vals = np.maximum(dists[i], dists[j]) * ksup2
+            t = int(np.argmin(vals))
+            w = PairWitness(
+                n1=n1_vec, n2=n2_vec,
+                alpha1=tuple(map(float, a1)), alpha2=tuple(map(float, a2)),
+                c_emp=float(vals[t]),
+                worst_k=(int(kmat[t, 0]), int(kmat[t, 1])),
+            )
+            if best is None or w.c_emp > best.c_emp:
+                best = w
+    return best
+
+
+def _pa_norm_chart(a):
+    split = compute_splitting(a)
+    pa = pseudo_anosov_subspace(a, 8, split=split)
+    return pa, adapted_norm(split), center_plane_chart(split, pa.lam)
+
+
+@pytest.fixture(scope="module")
+def salem_candidates(salem_pa, salem_norm, salem_split):
+    return _candidates(salem_pa, salem_norm, center_plane_chart(salem_split, salem_pa.lam), 12)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 7, 50, 200])
+@pytest.mark.parametrize("count", [2, 3, 12])
+def test_pair_search_matches_the_full_grid_salem(salem_candidates, k_max, count):
+    cands = salem_candidates[:count]
+    assert diophantine._pair_search(cands, k_max) == _full_grid_pair_search(cands, k_max)
+
+
+@pytest.mark.parametrize("case", ["salem_conjugate", "one_row_top_slab", "salem_cat_conjugate"])
+def test_pair_search_matches_the_full_grid_conjugates(case, salem_matrix, block6_matrix):
+    pa, norm, chart = _pa_norm_chart(_symmetric_ball_cases(block6_matrix, salem_matrix)[case])
+    w = badly_approximable_search_dim4(pa, norm, chart)
+    assert w == _full_grid_pair_search(_candidates(pa, norm, chart, 12), 200)
+
+
+# Dyadic alphas, whose distances are all exact, so that many k share a
+# pair's least value and repeated alphas make whole pairs tie.
+TIED_ALPHAS = {
+    # 8 k share the winning pair's least value 1/8 (0 at k_max 20)
+    "eighths": [(0.0, 0.125), (0.125, 0.0), (0.0, 0.125), (0.125, 0.125), (0.125, 0.0)],
+    # the pairs (0, 1) and (0, 3) first reach 0 at k = (-32, -32), outside the
+    # probe shell, so the later one is evaluated on the whole grid
+    "thirty-seconds": [(1 / 32, 0.0), (0.0, 1 / 32), (1 / 32, 0.0), (0.0, 1 / 32)],
+}
+
+
+@pytest.mark.parametrize("case,k_max", [("eighths", 1), ("eighths", 2), ("eighths", 3),
+                                        ("eighths", 20), ("thirty-seconds", 40)])
+def test_pair_search_keeps_the_first_of_tied_pairs_and_k(case, k_max):
+    cands = [((i,), np.array(a)) for i, a in enumerate(TIED_ALPHAS[case])]
+    want = _full_grid_pair_search(cands, k_max)
+    assert diophantine._pair_search(cands, k_max) == want
+    pair_values = [_full_grid_pair_search([ci, cj], k_max).c_emp
+                   for i, ci in enumerate(cands) for cj in cands[i + 1:]]
+    assert pair_values.count(want.c_emp) >= 6
+    kmat = _full_grid(k_max)
+    vals = np.maximum(_dist_to_integers(kmat @ np.array(want.alpha1)),
+                      _dist_to_integers(kmat @ np.array(want.alpha2))) * np.max(np.abs(kmat), axis=1) ** 2
+    assert np.count_nonzero(vals == want.c_emp) >= 8
+    if case == "thirty-seconds":
+        assert (want.n1, want.n2, want.worst_k) == ((0,), (1,), (-32, -32))
+
+
+def test_pair_grid_distances_are_even_bit_for_bit(salem_candidates):
+    # The pair search evaluates the grid's half before the origin.  That
+    # holds the first least value only if dist(k . alpha, Z) at -k equals
+    # the one at k bit for bit, and the half's products must be the grid's.
+    alphas = [a for _, a in salem_candidates]
+    rng = np.random.default_rng(0)
+    alphas += list(rng.normal(size=(50, 2)) * rng.choice([1e-3, 1.0, 1e3], size=(50, 1)))
+    for k_max in (7, 200):
+        full, half = _full_grid(k_max), diophantine._half_grid(k_max)
+        m = len(half)
+        assert 2 * m == len(full)
+        assert np.array_equal(full[:m], half) and np.array_equal(full[m:][::-1], -half)
+        for a in alphas:
+            d = _dist_to_integers(full @ a)
+            assert np.array_equal(_dist_to_integers(half @ a), d[:m])
+            assert np.array_equal(d[m:][::-1], d[:m])
 
 
 def test_dim6_requires_dim6(salem_pa, salem_norm, salem_split):

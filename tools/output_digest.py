@@ -12,7 +12,8 @@ The outputs are the stdout and the written files of ``analyze``, ``survey``
 (boxes (4, 2), (5, 2), (7, 1), (6, 1), (3, 5), (8, 1) and (7, 2), and (5, 2)
 with ``--reciprocal-only`` and with ``--limit 257``), ``pa``, ``dioph`` (JSON
 alone, JSON with ``--csv``, and ``--format csv``; without a table the scan
-reduces the streamed slabs, with one it reduces the sorted ball), ``perturb``
+reduces the streamed slabs, with one it reduces the sorted ball; and a pair
+search at ``--kmax 7`` on 3 candidates), ``perturb``
 (the benchmark's configuration, amplitudes 0 and 0.02, JSON and CSV, and
 amplitude 0 on Salem + cat, whose s block has two dimensions) and
 ``curve``, run in this process, and the saturation workload's computation on
@@ -91,6 +92,8 @@ COMMANDS = {
               "--csv", "{dir}/dioph.csv"],
     "dioph json": ["dioph", "{salem}", "--radius", "20", "--out", "{dir}/dioph.json"],
     "dioph --format csv": ["dioph", "{salem}", "--radius", "12", "--format", "csv"],
+    # a pair search whose grid is smaller than its probe shell, on few candidates
+    "dioph --kmax 7": ["dioph", "{salem}", "--radius", "12", "--kmax", "7", "--candidates", "3"],
     "perturb": ["--seed", "7", "perturb", "{map}", "--eps", "0.01,0.001", "--nmax", "100",
                 "--ncount", "6", "--samples", "100", "--out", "{dir}/perturb.json",
                 "--csv", "{dir}/perturb.csv"],
