@@ -431,6 +431,69 @@ def _least_ratios(coords, norms, nc, ratios, cap: int):
     return coords[order], norms[order], nc[order], ratios[order]
 
 
+def _shell_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Per value, the number of the nondecreasing `edges` at most it: 1 + j
+    for edges[j] <= value < edges[j + 1], 0 below the first edge and
+    len(edges) from the last on.  The index is guessed from the edges'
+    even spacing and then moved until the edges themselves confirm it, so
+    it is exactly the one those comparisons pick."""
+    k = len(edges)
+    bounds = np.concatenate(([-np.inf], edges, [np.inf]))
+    lower, upper = bounds[:-1], bounds[1:]  # lower[i] <= value < upper[i] at index i
+    per_bin = (k - 1) / (edges[-1] - edges[0])
+    guess = values * per_bin
+    guess += 1 - edges[0] * per_bin  # 1 + (value - edges[0]) / bin width
+    np.clip(guess, 0, k, out=guess)
+    index = guess.astype(np.intp)  # the floor of a nonnegative guess
+    del guess
+    while True:
+        down = values < lower.take(index)
+        up = values >= upper.take(index)
+        if not (down.any() or up.any()):
+            return index
+        index -= down
+        index += up
+
+
+# A float M 2**(e - 53), with an integer |M| < 2**53 and e >= -1073 as
+# np.frexp gives them, is the integer M 2**(e + 1073) over EXACT_SUM_SCALE.
+EXACT_SUM_SCALE = 1 << 1126
+# np.bincount's float partial sums of the mantissas' 27- and 26-bit halves
+# stay exact integers while at most 2**26 values are summed at once.
+EXACT_SUM_BLOCK = 1 << 26
+
+
+def _exact_bin_sums(values: np.ndarray, bins: np.ndarray, nbins: int) -> list[int]:
+    """The exact sum of the values in each of the bins 0..nbins-1, as an
+    int over EXACT_SUM_SCALE: their quotient is the sum exactly rounded,
+    as math.fsum gives it.
+
+    np.frexp writes each value as M 2**(e - 53) with an integer |M| < 2**53,
+    whose high and low halves np.bincount sums per (bin, e) exactly; Python
+    ints add up the few keys' sums."""
+    sums = [0] * nbins
+    for start in range(0, values.size, EXACT_SUM_BLOCK):
+        mant, exp = np.frexp(values[start:start + EXACT_SUM_BLOCK])
+        mant *= 2.0 ** 53  # M
+        high = mant * 2.0 ** -26
+        np.floor(high, out=high)  # |high| <= 2**27
+        low = mant
+        low -= high * 2.0 ** 26  # 0 <= low < 2**26
+        e_min = int(exp.min())
+        width = int(exp.max()) - e_min + 1
+        key = bins[start:start + EXACT_SUM_BLOCK] * width
+        key += exp
+        key -= e_min
+        del exp
+        high_sums = np.bincount(key, weights=high, minlength=nbins * width)
+        low_sums = np.bincount(key, weights=low, minlength=nbins * width)
+        for k, (h, l) in enumerate(zip(high_sums.tolist(), low_sums.tolist())):
+            if h or l:
+                b, e = divmod(k, width)
+                sums[b] += ((int(h) << 26) + int(l)) << (e + e_min + 1073)
+    return sums
+
+
 # the scan keeps its WITNESS_CAP least points by ratio
 WITNESS_CAP = 32
 
@@ -454,6 +517,13 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
     since its exactly rounded sum and its count both double; the least
     ratios of a chunk and its negation are among the rows with a ratio at
     most the chunk's WITNESS_CAP-th least and their negations.
+
+    The shells are reduced in one pass over the kept parts, with no copy of
+    them: each point's shell comes from `_shell_index`, exactly as the
+    comparisons with the edges would pick it; counts and minima are per
+    shell, and each shell's sum of logs is exact in Python ints
+    (`_exact_bin_sums`), so its rounding is math.fsum's over the whole
+    shell however the points are split into parts.
     """
     if ball is None:
         chunks = _ball_slabs(pa.lam, norm, radius)
@@ -464,6 +534,8 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
     norm_parts, center_parts = [], []
     best = None
     for coords, norms, nc in chunks:
+        if not norms.size:
+            continue
         norm_parts.append(norms)
         center_parts.append(nc)
         ratios = nc * norms ** r
@@ -475,17 +547,13 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
                                   WITNESS_CAP)
         best = least
     _release_freed_heap()  # the slabs are freed; only their norms stay
-    norms = np.concatenate(norm_parts)
-    del norm_parts
-    nc = np.concatenate(center_parts)
-    del center_parts
-    if norms.size == 0:
+    if not norm_parts:
         least = next(s for s in lattice_ball_shells(pa.lam, norm, math.inf) if s.norms.size)
         n = tuple(int(x) for x in least.vectors[0])
         raise InputError(f"no nonzero lattice point lies in the ball of radius {radius:g}; "
                          f"the least lattice norm is {least.norms[0]:.4g}, at n = {n}")
-    scale = float(np.max(norms))
-    if np.min(nc) <= 1e-12 * scale:
+    scale = float(max(p.max() for p in norm_parts))
+    if min(p.min() for p in center_parts) <= 1e-12 * scale:
         raise InvariantError("lattice vector with exactly zero center component")
     coords, w_norms, w_nc, ratios = best
     vectors = coords @ np.array(pa.lam.basis, dtype=np.int64)
@@ -498,27 +566,32 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
         }
         for i in range(len(ratios))
     ]
-    # per-shell minima of |n^c| against |n| on a log grid
+    # per-shell minima of |n^c| against |n| on a log grid; bins 1..nbins
+    # are the shells, 0 and nbins + 1 lie outside the edges
     nbins = 12
-    lo, hi = np.log(np.min(norms)), np.log(scale)
+    lo, hi = np.log(min(p.min() for p in norm_parts)), np.log(scale)
     edges = np.linspace(lo, hi + 1e-9, nbins + 1)
-    logn = np.log(norms)
-    del norms
+    counts = np.zeros(nbins + 2, dtype=np.int64)
+    least_nc = np.full(nbins + 2, np.inf)
+    sums = [0] * (nbins + 2)
+    for norms, nc in zip(norm_parts, center_parts):
+        logn = np.log(norms)
+        shell = _shell_index(logn, edges)
+        counts += np.bincount(shell, minlength=nbins + 2)
+        np.minimum.at(least_nc, shell, nc)
+        sums = [a + b for a, b in zip(sums, _exact_bin_sums(logn, shell, nbins + 2))]
     xs, ys = [], []
-    for b0, b1 in zip(edges, edges[1:]):
-        mask = (logn >= b0) & (logn < b1)
-        count = int(np.count_nonzero(mask))
-        if not count:
-            continue
-        xs.append(math.fsum(logn[mask]) / count)
-        ys.append(np.log(np.min(nc[mask])))
+    for j in range(1, nbins + 1):
+        if counts[j]:
+            xs.append(sums[j] / EXACT_SUM_SCALE / int(counts[j]))
+            ys.append(np.log(least_nc[j]))
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
     return DiophantineReport(
         r=r,
         radius=radius,
         c_prime_empirical=float(ratios[0]),
         slope=slope,
-        point_count=2 * int(nc.size),
+        point_count=2 * sum(p.size for p in norm_parts),
         witnesses=witnesses,
     )
 

@@ -145,6 +145,7 @@ class _Segment:
         sources = np.empty((len(shears), self.solver.horizon) + r.shape[:-1])
         values = np.empty_like(sources)
         x = np.array(r, dtype=float)
+        whole = np.empty_like(x)
         for t in range(self.solver.horizon):
             if not fwd:  # F^-1 = (shear chain)^-1 o A^-1
                 x = x @ f.a_inv_float.T
@@ -154,7 +155,7 @@ class _Segment:
                 x[..., sh.target] += sign * sh.amplitude * values[i, t]
             if fwd:
                 x = x @ f.a_float.T
-            x %= 1.0
+            x -= np.floor(x, out=whole)  # x mod 1, as torus_reduce takes it
         return ReferenceChain(not fwd, tuple(sources), tuple(values))
 
     def update(self, driven: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -25,7 +25,6 @@ from torusdyn.perturbed import (
     Shear,
     TrigProfile,
     salem_example,
-    torus_reduce,
 )
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
 from torusdyn.splitting import adapted_norm, compute_splitting
@@ -142,7 +141,7 @@ def march_oracle(f, r, direction, steps):
     refs = np.empty((steps,) + np.shape(r))
     refs[0] = r
     for t in range(steps - 1):
-        refs[t + 1] = torus_reduce(f.apply(refs[t]) if direction == "fwd" else f.apply_inverse(refs[t]))
+        refs[t + 1] = (f.apply(refs[t]) if direction == "fwd" else f.apply_inverse(refs[t])) % 1.0
     return reference_chain(f, refs, inverse=direction == "bwd")
 
 

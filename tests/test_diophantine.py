@@ -338,17 +338,29 @@ def test_innermost_range_with_an_empty_flavor_and_a_constant_one():
     assert 0 < empty < len(prefixes)
 
 
-def test_center_norm_minimum_memory_tracks_norms_only(salem_pa, salem_norm):
+def test_center_norm_minimum_memory_tracks_norms_only(salem_pa, salem_norm, monkeypatch):
     ball = lattice_ball(salem_pa.lam, salem_norm, 40.0)
     kept = sum(getattr(ball, name).nbytes for name in BALL_ARRAYS)
     del ball
+    slabs = []
+
+    def end_of_slabs():
+        slabs.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(diophantine, "_release_freed_heap", end_of_slabs)
     tracemalloc.start()
     try:
         center_norm_minimum(salem_pa, salem_norm, 40.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        reduction_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.6 * kept, (peak, kept)
+    [(held, slab_peak)] = slabs
+    assert max(slab_peak, reduction_peak) <= 0.2 * kept, (slab_peak, reduction_peak, kept)
+    # The reduction adds the largest slab's temporaries to the norms it
+    # holds, 1.38x them in all; a concatenated copy of the half ball's
+    # norms would add half of them at least.
+    assert reduction_peak <= 1.43 * held, (reduction_peak, held)
 
 
 # criterion 10's overlap bounds: 5 (1 + kappa) L(eps) and 5 L(eps) at eps 0.35, kappa 0.05
@@ -464,6 +476,99 @@ def test_center_norm_minimum_monotone_in_radius(salem_pa, salem_norm):
     rep2 = center_norm_minimum(salem_pa, salem_norm, 50.0)
     assert rep2.c_prime_empirical <= rep1.c_prime_empirical + 1e-12
     assert rep2.c_prime_empirical > 0
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_exact_bin_sums_match_fsum(block, monkeypatch):
+    if block is not None:  # several blocks a call
+        monkeypatch.setattr(diophantine, "EXACT_SUM_BLOCK", block)
+    rng = np.random.default_rng(25)
+    n = 4000
+    values = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.uniform(-70, 70, n)
+    values[rng.random(n) < 0.05] = 0.0
+    bins = rng.integers(0, 5, n)
+    bins[rng.random(n) < 0.3] = 7
+    extra = [(5e-324, 0), (-1e-310, 0), (1e300, 0), (1e20, 3), (1.0, 3), (-1e20, 3),
+             (0.0, 4), (-0.0, 4), (0.25, 4), (-0.25, 4), (-3.5, 5), (0.0, 9), (-0.0, 9)]
+    values = np.concatenate([values, [v for v, _ in extra]])
+    bins = np.concatenate([bins, [b for _, b in extra]])
+    order = rng.permutation(values.size)
+    values, bins = values[order], bins[order]
+    nbins = 11  # 6, 8 and 10 are empty, 5 holds one value and 9 two zeros
+    sums = diophantine._exact_bin_sums(values, bins, nbins)
+    assert len(sums) == nbins
+    for b in range(nbins):
+        got = sums[b] / diophantine.EXACT_SUM_SCALE
+        want = math.fsum(values[bins == b])
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), b
+    assert sums[5] / diophantine.EXACT_SUM_SCALE == -3.5 and sums[6] == sums[9] == 0
+
+
+def test_shell_index_is_the_comparisons_bin():
+    rng = np.random.default_rng(26)
+    for lo, hi in ((-2.5, 4.4), (0.7, 0.7 + 1e-9), (3.0, 3.0000001)):
+        edges = np.linspace(lo, hi, 13)
+        values = np.concatenate([rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 5000),
+                                 edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        want = np.zeros(values.size, dtype=np.intp)  # 0 below the edges, 13 from the last on
+        want[values >= edges[-1]] = 13
+        for j, (b0, b1) in enumerate(zip(edges, edges[1:])):
+            want[(values >= b0) & (values < b1)] = j + 1
+        assert np.array_equal(diophantine._shell_index(values, edges), want)
+
+
+def _synthetic_ball(pa, norms, center_norms):
+    """A ball of the given half-ball norms on made-up coordinates: the rows
+    (..., i) for i = 1..m and their negations, sorted like lattice_ball."""
+    rng = np.random.default_rng(len(norms))
+    half = rng.integers(-5, 6, size=(len(norms), pa.lam.rank))
+    half[:, -1] = np.arange(1, len(norms) + 1)
+    coords = np.concatenate([half, -half])
+    norms, center_norms = np.tile(norms, 2), np.tile(center_norms, 2)
+    order = np.lexsort(tuple(coords[:, i] for i in range(coords.shape[1] - 1, -1, -1))
+                       + (np.round(norms, 12),))
+    coords, norms, center_norms = coords[order], norms[order], center_norms[order]
+    return diophantine.BallPoints(lam=pa.lam, radius=float(norms.max()), coords=coords,
+                                  vectors=coords @ np.array(pa.lam.basis, dtype=np.int64),
+                                  norms=norms, center_norms=center_norms,
+                                  center_coords=np.zeros((len(norms), 2)))
+
+
+def _norms_on_the_edges(lo_norm, hi_norm):
+    """Norms whose logs are the interior shell edges of a ball with least
+    and greatest norms lo_norm and hi_norm, one for each edge that is some
+    float's log."""
+    edges = np.linspace(np.log(lo_norm), np.log(hi_norm) + 1e-9, 13)
+    out = []
+    for edge in edges[1:-1]:
+        x = np.exp(edge)
+        near = x + np.arange(-20, 21) * np.spacing(x)
+        out += list(near[np.log(near) == edge][:1])
+    return np.array(out)
+
+
+def _reduction_cases():
+    rng = np.random.default_rng(27)
+    on_edges = _norms_on_the_edges(0.5, 40.0)
+    return {
+        "norms below 1": rng.uniform(0.05, 3.0, 300),
+        "logs on the edges": np.concatenate([[0.5, 40.0], on_edges, np.nextafter(on_edges, 0),
+                                             rng.uniform(0.5, 40.0, 200)]),
+        "one shell": np.full(50, 2.0),
+        "empty shells": np.concatenate([rng.uniform(1.0, 1.5, 100), rng.uniform(30.0, 50.0, 100)]),
+    }
+
+
+@pytest.mark.parametrize("case", ["norms below 1", "logs on the edges", "one shell", "empty shells"])
+def test_center_norm_minimum_reduces_a_synthetic_ball(salem_pa, salem_norm, case):
+    norms = _reduction_cases()[case]
+    if case == "logs on the edges":  # 8 of the 11 interior edges are some float's log
+        assert len(_norms_on_the_edges(0.5, 40.0)) == 8
+    center_norms = np.random.default_rng(28).uniform(1e-3, 1.0, norms.size)
+    ball = _synthetic_ball(salem_pa, norms, center_norms)
+    rep = center_norm_minimum(salem_pa, salem_norm, ball.radius, ball=ball).to_json()
+    assert rep == _report_from_ball(salem_pa, ball, mean=_exact_mean).to_json()
+    assert rep["point_count"] == 2 * norms.size
 
 
 def test_plane_chart_defining_property(salem_split, salem_pa):

@@ -8,7 +8,7 @@ import pytest
 from conftest import SALEM_CONJUGATE, chained_shears_map, harmonics_map, reference_chain, trig_value_oracle
 from torusdyn.errors import InputError
 from torusdyn.intmatrix import IntMatrix
-from torusdyn.perturbed import TWO_PI, PerturbedMap, Shear, TrigProfile, salem_example
+from torusdyn.perturbed import TWO_PI, PerturbedMap, Shear, TrigProfile, salem_example, torus_reduce
 
 
 def _profile_derivative(profile, t):
@@ -291,3 +291,13 @@ def test_map_json_schema():
 
     schema = json.loads(res.files("torusdyn").joinpath("schemas/perturbed_map.json").read_text())
     jsonschema.validate(salem_example(0.01).to_json(), schema)
+
+
+def test_torus_reduce_is_remainder_bit_for_bit():
+    rng = np.random.default_rng(25)
+    n = 1_000_000
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 17, n)
+    special = np.array([0.0, 1e-20, 1 - 2.0 ** -53, 5e-324, 2.0 ** 53])
+    x = np.concatenate([x, special, -special, [2.0 ** 60 + 2048]])
+    got, want = torus_reduce(x), np.remainder(x, 1.0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -12,8 +12,10 @@ The outputs are the stdout and the written files of ``analyze``, ``survey``
 (boxes (4, 2), (5, 2), (7, 1), (6, 1), (3, 5), (8, 1) and (7, 2), and (5, 2)
 with ``--reciprocal-only`` and with ``--limit 257``), ``pa``, ``dioph`` (JSON
 alone, JSON with ``--csv``, and ``--format csv``; without a table the scan
-reduces the streamed slabs, with one it reduces the sorted ball; and a pair
-search at ``--kmax 7`` on 3 candidates), ``perturb``
+reduces the streamed slabs, with one it reduces the sorted ball; a pair
+search at ``--kmax 7`` on 3 candidates; the benchmark's configuration at
+radius 80, whose shells are populated; and the dense conjugate of the Salem
+companion, whose logs of norms fall in other binades), ``perturb``
 (the benchmark's configuration, amplitudes 0 and 0.02, JSON and CSV, and
 amplitude 0 on Salem + cat, whose s block has two dimensions) and
 ``curve``, run in this process, and the saturation workload's computation on
@@ -61,7 +63,7 @@ SALEM = IntPoly((1, -1, -1, -1, 1))
 # U A U^-1 for the Salem companion A and a unimodular U: dense norm factors
 SALEM_CONJUGATE = [[0, 8, 6, 5], [1, -2, 2, -1], [0, -5, -4, -3], [-2, 12, 3, 7]]
 
-# name -> argv; {salem}, {map}, {map6} and {dir} are filled in, and every file an
+# name -> argv; {salem}, {conj}, {map}, {map6} and {dir} are filled in, and every file an
 # argv writes under {dir} is digested beside the command's stdout
 COMMANDS = {
     "analyze": ["analyze", "{salem}"],
@@ -94,6 +96,11 @@ COMMANDS = {
     "dioph --format csv": ["dioph", "{salem}", "--radius", "12", "--format", "csv"],
     # a pair search whose grid is smaller than its probe shell, on few candidates
     "dioph --kmax 7": ["dioph", "{salem}", "--radius", "12", "--kmax", "7", "--candidates", "3"],
+    # the benchmark's dioph configuration: about 1.3 M points, most in populated shells
+    "dioph 80": ["--seed", "1", "dioph", "{salem}", "--radius", "80", "--out", "{dir}/dioph.json"],
+    # 71,508 points whose least norm is 10: their logs lie in [2.3, 4.6], two
+    # binades, where the Salem companion's start below 1
+    "dioph conjugate": ["dioph", "{conj}", "--radius", "100", "--out", "{dir}/dioph.json"],
     "perturb": ["--seed", "7", "perturb", "{map}", "--eps", "0.01,0.001", "--nmax", "100",
                 "--ncount", "6", "--samples", "100", "--out", "{dir}/perturb.json",
                 "--csv", "{dir}/perturb.csv"],
@@ -117,9 +124,11 @@ def _json_bytes(obj) -> bytes:
 
 def cli_digests(tmp: str) -> list[tuple[str, str]]:
     a = IntMatrix.companion(SALEM)
-    paths = {name: os.path.join(tmp, f"{name}.json") for name in ("salem", "map", "map6")}
+    paths = {name: os.path.join(tmp, f"{name}.json") for name in ("salem", "conj", "map", "map6")}
     with open(paths["salem"], "w") as fh:
         json.dump({"n": a.n, "rows": [list(r) for r in a.rows]}, fh)
+    with open(paths["conj"], "w") as fh:
+        json.dump({"n": 4, "rows": SALEM_CONJUGATE}, fh)
     with open(paths["map"], "w") as fh:
         json.dump(salem_example(0.01).to_json(), fh)
     with open(paths["map6"], "w") as fh:
