@@ -31,7 +31,7 @@ from .experiments import (N_COUNT_BUDGET, N_MAX_LIMIT, PHI_SAMPLES_BUDGET, curve
                           perturb_experiment)
 from .intmatrix import matrix_from_json
 from .perturbed import PerturbedMap
-from .pseudo_anosov import pseudo_anosov_subspace
+from .pseudo_anosov import hypothesis_spectrum, pseudo_anosov_subspace
 from .splitting import adapted_norm, classify, compute_splitting
 from .survey import SURVEY_BUDGET, run_survey
 
@@ -128,7 +128,7 @@ def cmd_dioph(args) -> int:
     if not math.isfinite(args.delta):
         raise InputError(f"--delta must be a finite number, got {args.delta!r}")
     a = _load_matrix(args.matrix)
-    split = compute_splitting(a)
+    split = compute_splitting(a, spectrum=hypothesis_spectrum(a))
     norm = adapted_norm(split)
     pa = pseudo_anosov_subspace(a, k_max=args.kmax_pa, split=split)
     check_witness_search(pa.dim_x, args.candidates, args.kmax, args.delta)
@@ -184,10 +184,18 @@ def cmd_curve(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose argument errors are input errors: exit 1 with one
+    ``error:`` line, as every other failure.  Subparsers share the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="torusdyn",
-                                description="algebraic classification and perturbation "
-                                            "experiments for toral automorphisms")
+    p = _ArgumentParser(prog="torusdyn",
+                        description="algebraic classification and perturbation "
+                                    "experiments for toral automorphisms")
     p.add_argument("--seed", type=int, default=0, help="seed for all stochastic steps")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -249,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_out(*(getattr(args, name, None) for name in ("out", "summary", "csv")))
         return args.func(args)
     except TorusDynError as exc:

@@ -21,7 +21,7 @@ from .holonomy import (
 from .intmatrix import IntMatrix
 from .manifolds import LeafSolver, measure_kappa
 from .perturbed import PerturbedMap, Shear
-from .pseudo_anosov import orbit_sublattice, pseudo_anosov_subspace
+from .pseudo_anosov import hypothesis_spectrum, orbit_sublattice, pseudo_anosov_subspace
 from .splitting import adapted_norm, compute_splitting
 from .saturation import appendix_constants, winding_curve
 
@@ -286,7 +286,7 @@ def perturb_experiment(
 def curve_experiment(a: IntMatrix, eps: float, radius: float, seed: int = 0,
                      k_max: int = 24) -> dict:
     """Build the lattice winding curve for a random center target and verify it."""
-    split = compute_splitting(a)
+    split = compute_splitting(a, spectrum=hypothesis_spectrum(a))
     norm = adapted_norm(split)
     pa = pseudo_anosov_subspace(a, k_max, split=split)
     gamma = orbit_sublattice(a, pa.k, 1, pa.lam.basis[0], pa)

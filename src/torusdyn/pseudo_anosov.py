@@ -132,6 +132,24 @@ def center_containment_residual(lat: Lattice, split: Splitting) -> float:
 CENTER_TOL = 1e-9
 
 
+def _check_hypotheses(spectrum: Sequence[_FactorSpectrum]) -> None:
+    if not is_ergodic(spectrum):
+        raise NotErgodicError("matrix has a root-of-unity eigenvalue")
+    if _modulus_counts(spectrum)[1] != 2:
+        raise OutOfHypothesesError("center dimension is not 2")
+
+
+def hypothesis_spectrum(a: IntMatrix) -> list[_FactorSpectrum]:
+    """The factored char poly of a, once it shows exactly that a is ergodic
+    with a two-dimensional center (NotErgodicError or OutOfHypothesesError
+    otherwise).  Check it before any float work, which large entries
+    defeat, and pass it on as ``compute_splitting``'s spectrum, so that the
+    char poly is factored once."""
+    spectrum = _factor_spectrum(a.char_poly())
+    _check_hypotheses(spectrum)
+    return spectrum
+
+
 def pseudo_anosov_subspace(
     a: IntMatrix,
     k_max: int = 24,
@@ -148,16 +166,10 @@ def pseudo_anosov_subspace(
     if k_max < 1:
         raise InputError(f"k_max must be at least 1, got {k_max}")
     if split is None:
-        p = a.char_poly()
-        spectrum = _factor_spectrum(p)
+        split = compute_splitting(a, spectrum=hypothesis_spectrum(a))
     else:
-        p, spectrum = split.char_poly, split.spectrum
-    if not is_ergodic(spectrum):
-        raise NotErgodicError("matrix has a root-of-unity eigenvalue")
-    if _modulus_counts(spectrum)[1] != 2:
-        raise OutOfHypothesesError("center dimension is not 2")
-    if split is None:
-        split = compute_splitting(a, spectrum=spectrum)
+        _check_hypotheses(split.spectrum)
+    p, spectrum = split.char_poly, split.spectrum
 
     n = a.n
     s = power_sums(p, n * k_max)

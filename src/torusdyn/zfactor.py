@@ -13,12 +13,16 @@ phi(m) <= deg p out of each row, with multiplicity, by exact division
 after the necessary tests Phi_m(2) | p(2) and Phi_m(3) | p(3).  One
 batched degree sieve (Musser's degree-set test) then proves most
 cofactors irreducible, and every unproven cofactor goes to
-``factor_z``.  For a monic cofactor f of degree n and a prime p > n the
-sieve stacks the companions C mod p, forms C^p by square-and-multiply,
-and takes the Frobenius matrix Q with columns (C^p)^i e_0, the matrix of
-h -> h^p on F_p[x]/(f).  That ring is reduced, so Q is invertible,
-exactly when f is squarefree mod p; det Q comes from tr(Q^k), k = 1..n,
-by Newton's identities mod p.  If f mod p = prod g_j with distinct
+``factor_z``.  The sieve makes one stacked pass per prime p over every
+live cofactor of degree below p, whatever its degree: each sits
+zero-padded in the top-left block of the pass's matrices.  For a monic
+cofactor f of degree n and a prime p > n the pass forms the companion
+C mod p, C^p by square-and-multiply, and the Frobenius matrix Q with
+columns (C^p)^i e_0, the matrix of h -> h^p on F_p[x]/(f).  That ring
+is reduced, so Q is invertible, exactly when f is squarefree mod p;
+det Q comes from tr(Q^k), k = 1..n, by Newton's identities mod p.  The
+matrices hold residues as float64 integers, whose products stay exact
+below 2^53.  If f mod p = prod g_j with distinct
 irreducible g_j of degree d_j, Frobenius permutes a normal basis of each
 F_{p^d_j}, so tr(Q^k) = sum of the d_j dividing k, an integer at most
 n < p, and Moebius inversion yields the multiset of the d_j.  The degree
@@ -410,59 +414,86 @@ def _mobius(m: int) -> int:
     return -out if m > 1 else out
 
 
-def _degree_masks(coeffs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ascending coefficients (a_0..a_{n-1} of monic f, shape
-    (B, n)): whether f is squarefree mod p, and the bit mask of the subset
-    sums of its factor degrees mod p (meaningful where squarefree)."""
+@lru_cache(maxsize=None)
+def _kernel_tables(n: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The read-only Moebius matrix mu(d/e) [e | d] for d, e in 1..n, and
+    the inverses of 1..n mod p."""
+    mob = np.array([[_mobius(d // e) if d % e == 0 else 0 for e in range(1, n + 1)]
+                    for d in range(1, n + 1)], dtype=np.int64)
+    mob.setflags(write=False)
+    return mob, tuple(pow(k, -1, p) for k in range(1, n + 1))
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float64 integers below 2^53, where the
+    quotient's floor is exact.  The kernel's products of residues below
+    p <= 37 over at most 36 terms stay far below, in any summation order."""
+    x -= np.floor(x / p) * p
+    return x
+
+
+def _degree_masks(coeffs: np.ndarray, degrees: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row r of ascending coefficients (a_0..a_{d_r-1} of a monic f_r of
+    degree d_r = degrees[r], zero-padded to shape (B, n), every d_r < p):
+    whether f_r is squarefree mod p, and the bit mask of the subset sums of
+    its factor degrees mod p (meaningful where squarefree).
+
+    Row r's companion sits in the top-left d_r x d_r block of an n x n zero
+    matrix, so every matrix below is zero in rows d_r..n-1.  Its Frobenius
+    matrix is then block upper triangular with f_r's own in the top-left
+    block and zero in the bottom-right one: its traces and its e_k with
+    k <= d_r are f_r's own."""
     b, n = coeffs.shape
-    comp = np.zeros((b, n, n), dtype=np.int64)
-    comp[:, np.arange(1, n), np.arange(n - 1)] = 1
-    comp[:, :, n - 1] = (-coeffs) % p
+    rows = np.arange(b)[:, None]
+    steps = np.arange(n)
+    comp = np.zeros((b, n, n))
+    comp[:, steps[1:], steps[:-1]] = steps[:-1] < (degrees[:, None] - 1)
+    comp[rows, steps, degrees[:, None] - 1] = (-coeffs) % p
     # C^p by square-and-multiply
     power, base, e = None, comp, p
     while e:
         if e & 1:
-            power = base if power is None else power @ base % p
+            power = base if power is None else _mod(power @ base, p)
         e >>= 1
         if e:
-            base = base @ base % p
-    # Frobenius matrix: column i holds x^(p i) mod f = (C^p)^i e_0
-    frob = np.empty((b, n, n), dtype=np.int64)
-    col = np.zeros((b, n, 1), dtype=np.int64)
-    col[:, 0, 0] = 1
+            base = _mod(base @ base, p)
+    # Frobenius matrix: column i holds (C^p)^i e_0, which is x^(p i) mod f for i < d_r
+    frob = np.empty((b, n, n))
+    col = np.zeros((b, n))
+    col[:, 0] = 1
     for i in range(n):
-        frob[:, :, i] = col[:, :, 0]
-        col = power @ col % p
-    traces = np.empty((b, n), dtype=np.int64)
-    qk = frob
-    for k in range(n):
-        traces[:, k] = np.trace(qk, axis1=1, axis2=2) % p
-        if k + 1 < n:
-            qk = qk @ frob % p
+        frob[:, :, i] = col
+        if i + 1 < n:
+            col = _mod(np.einsum("bij,bj->bi", power, col), p)
+    # tr(Q^k): Q^1..Q^h by products, and for k > h tr(Q^h Q^(k-h)) as the
+    # elementwise product-sum of Q^h and the transpose of Q^(k-h)
+    half = (n + 1) // 2
+    powers = [frob]
+    for _ in range(half - 1):
+        powers.append(_mod(powers[-1] @ frob, p))
+    traces = np.stack([np.trace(q, axis1=1, axis2=2) for q in powers]
+                      + [np.einsum("bij,bji->b", powers[-1], q) for q in powers[:n - half]],
+                      axis=1).astype(np.int64) % p
     # Newton's identities mod p: k e_k = sum_i (-1)^(i-1) e_(k-i) tr(Q^i)
-    elem = [np.ones(b, dtype=np.int64)]
+    mob, inverses = _kernel_tables(n, p)
+    signed = traces * np.where(steps % 2 == 0, 1, -1)
+    elem = np.zeros((b, n + 1), dtype=np.int64)
+    elem[:, 0] = 1
     for k in range(1, n + 1):
-        acc = np.zeros(b, dtype=np.int64)
-        for i in range(1, k + 1):
-            term = elem[k - i] * traces[:, i - 1]
-            acc = (acc + term if i % 2 else acc - term) % p
-        elem.append(acc * pow(k, -1, p) % p)
-    squarefree = elem[n] != 0
+        acc = np.einsum("bi,bi->b", elem[:, k - 1::-1], signed[:, :k])
+        elem[:, k] = acc * inverses[k - 1] % p
+    squarefree = elem[np.arange(b), degrees] != 0
     # Moebius inversion of tr(Q^k) = sum_{d | k} d r_d gives r_d, the number
     # of irreducible factors of degree d mod p
-    mob = np.array([[_mobius(d // e) if d % e == 0 else 0 for e in range(1, n + 1)]
-                    for d in range(1, n + 1)], dtype=np.int64)
     weighted = traces @ mob.T
-    degrees = np.arange(1, n + 1)
-    counts = weighted // degrees
-    if np.any(squarefree & ((weighted != counts * degrees).any(axis=1)
-                            | (counts < 0).any(axis=1)
-                            | (weighted.sum(axis=1) != n))):
+    counts, rest = np.divmod(weighted, steps + 1)
+    if np.any(squarefree & (((rest != 0) | (counts < 0)).any(axis=1)
+                            | (weighted.sum(axis=1) != degrees))):
         raise ArithmeticError("Frobenius traces do not describe a factorization")
     counts[~squarefree] = 0
-    masks = np.ones(b, dtype=np.int64)
-    for d in range(1, n + 1):
-        for j in range(n // d):
+    masks = (1 << (counts[:, 0] + 1)) - 1  # r_1 linear factors: the sums 0..r_1
+    for d in range(2, n + 1):
+        for j in range(int(counts[:, d - 1].max())):
             masks = np.where(counts[:, d - 1] > j, masks | (masks << d), masks)
     return squarefree, masks
 
@@ -473,32 +504,33 @@ def certify_irreducible(polys: Sequence[IntPoly]) -> list[bool]:
 
     False only means unproven, as it always is from degree 37 on, where no
     sieve prime exceeds the degree.  Degree 1 is irreducible; degree 0 is not.
+    One kernel call per sieve prime takes every live row of degree below it.
     """
-    out = [False] * len(polys)
-    by_degree: dict[int, list[int]] = {}
-    for i, f in enumerate(polys):
+    for f in polys:
         _check_monic(f)
-        by_degree.setdefault(f.degree, []).append(i)
-    for n, rows in by_degree.items():
-        if n < 2 or n >= _SIEVE_PRIMES[-1]:
-            for i in rows:
-                out[i] = n == 1
+    out = [f.degree == 1 for f in polys]
+    sieved = [i for i, f in enumerate(polys) if 2 <= f.degree < _SIEVE_PRIMES[-1]]
+    if not sieved:
+        return out
+    degrees = np.array([polys[i].degree for i in sieved], dtype=np.int64)
+    coeffs = np.zeros((len(sieved), int(degrees.max())), dtype=np.int64)
+    coeffs[np.arange(coeffs.shape[1]) < degrees[:, None]] = [
+        c % _SIEVE_MODULUS for i in sieved for c in polys[i].coeffs[:-1]]
+    # bits 1..d-1: the degrees of a proper factor
+    alive = ((np.int64(1) << degrees) - 1) & ~1
+    live = np.arange(len(sieved))
+    for p in _SIEVE_PRIMES:
+        rows = live[degrees[live] < p]
+        if rows.size == 0:
             continue
-        coeffs = np.array([[c % _SIEVE_MODULUS for c in polys[i].coeffs[:n]] for i in rows],
-                          dtype=np.int64)
-        live = np.arange(len(rows))
-        proper = ((1 << n) - 1) & ~1  # bits 1..n-1: degrees of a proper factor
-        alive = np.full(len(rows), proper, dtype=np.int64)
-        for p in _SIEVE_PRIMES:
-            if p <= n:
-                continue
-            squarefree, masks = _degree_masks(coeffs[live] % p, p)
-            alive[live] &= np.where(squarefree, masks, proper)
-            live = live[alive[live] != 0]
-            if live.size == 0:
-                break
-        for i, a in zip(rows, alive):
-            out[i] = bool(a == 0)
+        n = int(degrees[rows].max())
+        squarefree, masks = _degree_masks(coeffs[rows, :n] % p, degrees[rows], p)
+        alive[rows[squarefree]] &= masks[squarefree]
+        live = live[alive[live] != 0]
+        if live.size == 0:
+            break
+    for i, a in zip(sieved, alive):
+        out[i] = bool(a == 0)
     return out
 
 

@@ -28,7 +28,7 @@ from torusdyn.perturbed import (
 )
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
 from torusdyn.splitting import adapted_norm, compute_splitting
-from torusdyn.zfactor import factor_z
+from torusdyn.zfactor import _SIEVE_MODULUS, _SIEVE_PRIMES, _mobius, factor_z
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
 CAT = IntPoly((1, -3, 1))
@@ -180,6 +180,89 @@ def cyclotomic_free(p):
         return False
     return not any(divides(cyclotomic(m), p)
                    for m in cyclotomic_indices_up_to_degree(p.degree) if m > 2)
+
+
+def per_degree_masks(coeffs, p):
+    """The degree sieve's kernel on rows of one degree n (the ascending
+    a_0..a_{n-1} of monic f, shape (B, n)): whether f is squarefree mod p,
+    and the bit mask of the subset sums of its factor degrees mod p.  One
+    matrix power per trace and Newton's identities term by term."""
+    b, n = coeffs.shape
+    comp = np.zeros((b, n, n), dtype=np.int64)
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1
+    comp[:, :, n - 1] = (-coeffs) % p
+    power, base, e = None, comp, p
+    while e:
+        if e & 1:
+            power = base if power is None else power @ base % p
+        e >>= 1
+        if e:
+            base = base @ base % p
+    frob = np.empty((b, n, n), dtype=np.int64)
+    col = np.zeros((b, n, 1), dtype=np.int64)
+    col[:, 0, 0] = 1
+    for i in range(n):
+        frob[:, :, i] = col[:, :, 0]
+        col = power @ col % p
+    traces = np.empty((b, n), dtype=np.int64)
+    qk = frob
+    for k in range(n):
+        traces[:, k] = np.trace(qk, axis1=1, axis2=2) % p
+        if k + 1 < n:
+            qk = qk @ frob % p
+    elem = [np.ones(b, dtype=np.int64)]
+    for k in range(1, n + 1):
+        acc = np.zeros(b, dtype=np.int64)
+        for i in range(1, k + 1):
+            term = elem[k - i] * traces[:, i - 1]
+            acc = (acc + term if i % 2 else acc - term) % p
+        elem.append(acc * pow(k, -1, p) % p)
+    squarefree = elem[n] != 0
+    mob = np.array([[_mobius(d // e) if d % e == 0 else 0 for e in range(1, n + 1)]
+                    for d in range(1, n + 1)], dtype=np.int64)
+    weighted = traces @ mob.T
+    degrees = np.arange(1, n + 1)
+    counts = weighted // degrees
+    if np.any(squarefree & ((weighted != counts * degrees).any(axis=1)
+                            | (counts < 0).any(axis=1)
+                            | (weighted.sum(axis=1) != n))):
+        raise ArithmeticError("Frobenius traces do not describe a factorization")
+    counts[~squarefree] = 0
+    masks = np.ones(b, dtype=np.int64)
+    for d in range(1, n + 1):
+        for j in range(n // d):
+            masks = np.where(counts[:, d - 1] > j, masks | (masks << d), masks)
+    return squarefree, masks
+
+
+def per_degree_certify(polys):
+    """The degree sieve's verdicts (``zfactor.certify_irreducible``) with
+    the rows grouped by degree: one kernel call per (degree, prime)."""
+    out = [False] * len(polys)
+    by_degree = {}
+    for i, f in enumerate(polys):
+        by_degree.setdefault(f.degree, []).append(i)
+    for n, rows in by_degree.items():
+        if n < 2 or n >= _SIEVE_PRIMES[-1]:
+            for i in rows:
+                out[i] = n == 1
+            continue
+        coeffs = np.array([[c % _SIEVE_MODULUS for c in polys[i].coeffs[:n]] for i in rows],
+                          dtype=np.int64)
+        live = np.arange(len(rows))
+        proper = ((1 << n) - 1) & ~1
+        alive = np.full(len(rows), proper, dtype=np.int64)
+        for p in _SIEVE_PRIMES:
+            if p <= n:
+                continue
+            squarefree, masks = per_degree_masks(coeffs[live] % p, p)
+            alive[live] &= np.where(squarefree, masks, proper)
+            live = live[alive[live] != 0]
+            if live.size == 0:
+                break
+        for i, a in zip(rows, alive):
+            out[i] = bool(a == 0)
+    return out
 
 
 def lattice_index(sub, sup):

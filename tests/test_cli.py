@@ -326,6 +326,10 @@ def _malformed_inputs(files):
         "sextic": {"n": 6, "rows": [[0, 0, 0, 0, 0, -1], [1, 0, 0, 0, 0, 2], [0, 1, 0, 0, 0, -1],
                                     [0, 0, 1, 0, 0, -1], [0, 0, 0, 1, 0, -1], [0, 0, 0, 0, 1, 2]]},
         "ragged_rows": {"rows": [[1, 0], [0]]},
+        # the Anosov maps [[a + 1, a], [a, a - 1]], whose large entries
+        # defeat the float splitting
+        **{f"anosov_1e{e}": {"n": 2, "rows": [[10**e + 1, 10**e], [10**e, 10**e - 1]]}
+           for e in (16, 17)},
     }
     paths = dict(files, missing=str(files["tmp"] / "missing"))
     for name, obj in objs.items():
@@ -350,7 +354,7 @@ def _stop_first_computation(*args, **kwargs):
 # _stop_first_computation, so that the row shows the command fails before it
 STOP = "stop"
 FIRST = {"analyze": (cli, "classify"), "pa": (cli, "pseudo_anosov_subspace"),
-         "dioph": (cli, "compute_splitting"), "curve": (cli, "curve_experiment"),
+         "dioph": (cli, "hypothesis_spectrum"), "curve": (cli, "curve_experiment"),
          "perturb": (experiments, "compute_splitting"), "survey": (cli, "run_survey")}
 # the dioph lattice scan, which a budget stops before
 SCAN = (cli, "center_norm_minimum", _stop_first_computation)
@@ -417,6 +421,9 @@ FAILURES = _rows(
      "witness search needs candidate_count >= 1"),
     (["dioph", "{sextic}", "--kmax", "0"], 1, SCAN),
     (["dioph", "{salem}", "--delta", "nan"], 1),
+    # the exact hypotheses are checked before any float work
+    *(([cmd, f"{{anosov_1e{e}}}"], 2, None, "^error: center dimension is not 2$")
+      for cmd in ("dioph", "curve") for e in (16, 17)),
     # witness searches over more than WITNESS_SEARCH_BUDGET distances stop
     # before the lattice scan
     (["dioph", "{salem}", "--kmax", "4000"], 4, SCAN, "witness search over 5505376086 distances"),
@@ -442,6 +449,12 @@ FAILURES = _rows(
     (["survey", *BOX, "--jobs", str(CPUS + 1)], 1, STOP),
     (["survey", "--dim", "9", "--height", "3"], 4, STOP),
     (["survey", "--dim", "9", "--height", "3", "--limit", str(survey.SURVEY_BUDGET + 1)], 4, STOP),
+    # argument errors are input errors
+    (["dioph", "{salem}", "--radius", "abc"], 1, None,
+     "^error: argument --radius: invalid float value: 'abc'$"),
+    (["pa", "{salem}", "--bogus", "1"], 1, None, "unrecognized arguments: --bogus 1$"),
+    (["survey", "--dim", "4"], 1, None, "required: --height$"),
+    (["--seed", "1"], 1, None, "required: command$"),
     # a path that cannot be read or written
     *((argv[:1] + ["{missing}/x.json"], 1, STOP) for argv, _ in OUTPUTS[:5]),
     *((argv + [option, bad], 1, STOP) for argv, options in OUTPUTS for option in options
@@ -458,7 +471,8 @@ def test_malformed_inputs_exit_codes(files, capsys, monkeypatch, argv, code, pat
     if patch is not None:
         monkeypatch.setattr(*patch)
     args = [a.format(**paths) for a in argv]
-    if "--out" not in args:
+    # a command line without a subcommand has no --out
+    if argv[0] in FIRST and "--out" not in args:
         args += ["--out", str(files["tmp"] / "failed.json")]
     before = sorted(os.listdir(files["tmp"]))
     assert main(args) == code

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from conftest import per_degree_certify
+from torusdyn import zfactor
 from torusdyn.intpoly import IntPoly, cyclotomic, cyclotomic_indices_up_to_degree, divides
-from torusdyn.survey import enumerate_polynomials
-from torusdyn.zfactor import certify_irreducible, factor_z, factor_z_many, is_irreducible_z
+from torusdyn.survey import CHUNK_SIZE, enumerate_polynomials
+from torusdyn.zfactor import (_SIEVE_PRIMES, _strip_cyclotomic, certify_irreducible, factor_z,
+                              factor_z_many, is_irreducible_z)
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
 CAT = IntPoly((1, -3, 1))
@@ -156,3 +159,57 @@ def test_filter_false_positive_passes_the_test_at_2_and_3():
               if p(2) % cyclotomic(m)(2) == 0 and p(3) % cyclotomic(m)(3) == 0]
     assert passed == [6]
     assert not divides(cyclotomic(6), p)
+
+
+# (8, 1): a chunk's cofactors have every degree from 0 to 8 after the strip
+@pytest.mark.parametrize("dim, height", [(4, 2), (5, 2), (6, 1), (7, 1), (3, 5), (8, 1)])
+def test_stacked_sieve_matches_per_degree_oracle_over_boxes(dim, height):
+    cofactors = [_strip_cyclotomic(IntPoly(c))[0] for _, c in enumerate_polynomials(dim, height)]
+    for i in range(0, len(cofactors), CHUNK_SIZE):
+        chunk = cofactors[i:i + CHUNK_SIZE]
+        assert certify_irreducible(chunk) == per_degree_certify(chunk), i
+
+
+def _random_monic(rng, degree, height):
+    return IntPoly(tuple(rng.randint(-height, height) for _ in range(degree)) + (1,))
+
+
+def mixed_degree_chunk(seed, size=96):
+    """Monic rows of degree 0 to 40: random ones (mostly irreducible),
+    products and squares.  From degree 11 on, the prime 11 does not apply
+    to a row, and from degree 37 on no sieve prime does."""
+    rng = random.Random(seed)
+    chunk = []
+    while len(chunk) < size:
+        kind, d = rng.choice(["random", "random", "product", "square"]), rng.randint(0, 40)
+        if kind == "random":
+            chunk.append(_random_monic(rng, d, 3))
+        elif kind == "product" and d >= 2:
+            k = rng.randint(1, d - 1)
+            chunk.append(_random_monic(rng, k, 2) * _random_monic(rng, d - k, 2))
+        elif kind == "square":
+            f = _random_monic(rng, d // 2, 2)
+            chunk.append(f * f)
+    return chunk
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_sieve_matches_per_degree_oracle_on_mixed_degrees(seed):
+    chunk = mixed_degree_chunk(seed)
+    got = certify_irreducible(chunk)
+    assert got == per_degree_certify(chunk)
+    assert any(ok for f, ok in zip(chunk, got) if f.degree > 10)
+    assert not any(ok for f, ok in zip(chunk, got) if f.degree >= _SIEVE_PRIMES[-1])
+
+
+def test_one_kernel_call_per_sieve_prime(monkeypatch):
+    primes = []
+    kernel = zfactor._degree_masks
+
+    def counted(coeffs, degrees, p):
+        primes.append(p)
+        return kernel(coeffs, degrees, p)
+
+    monkeypatch.setattr(zfactor, "_degree_masks", counted)
+    certify_irreducible(mixed_degree_chunk(0, size=CHUNK_SIZE))
+    assert primes and len(primes) == len(set(primes)) and set(primes) <= set(_SIEVE_PRIMES)
