@@ -35,7 +35,7 @@ from .splitting import (
 from .pseudo_anosov import (
     PASubspace,
     orbit_sublattice,
-    pa_condition_cyclic_sample,
+    pa_condition_cyclic,
     pa_condition_polynomial,
     pseudo_anosov_subspace,
 )

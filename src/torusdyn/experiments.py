@@ -22,7 +22,7 @@ from .intmatrix import IntMatrix
 from .manifolds import LeafSolver, measure_kappa
 from .perturbed import PerturbedMap, Shear
 from .pseudo_anosov import hypothesis_spectrum, orbit_sublattice, pseudo_anosov_subspace
-from .splitting import adapted_norm, compute_splitting
+from .splitting import _factor_spectrum, _modulus_counts, adapted_norm, compute_splitting
 from .saturation import appendix_constants, winding_curve
 
 
@@ -213,9 +213,11 @@ def perturb_experiment(
         raise BudgetError(f"the perturbation study allows n_count <= {N_COUNT_BUDGET} and "
                           f"phi_samples <= {PHI_SAMPLES_BUDGET}, got {n_count} and {phi_samples}")
     a = base_map.matrix
-    split = compute_splitting(a)
-    if split.dims[1] == 0:
+    # the exact center dimension is checked before any float work
+    spectrum = _factor_spectrum(a.char_poly())
+    if _modulus_counts(spectrum)[1] == 0:
         raise OutOfHypothesesError("the perturbation study needs a center (dim_center is 0)")
+    split = compute_splitting(a, spectrum=spectrum)
     norm = adapted_norm(split)
     try:
         dim_x = pseudo_anosov_subspace(a, 12, split=split).dim_x

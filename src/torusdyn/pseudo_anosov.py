@@ -5,11 +5,10 @@ center, together with the primitive lattice L = Z^N  intersect X, such that
 the characteristic polynomial of A^k restricted to X stays irreducible for
 all powers.  The irreducibility-for-all-powers condition is checked through
 its polynomial form (irreducible and not a polynomial in x^m), and can be
-cross-validated by sampling cyclic vectors.
+cross-validated exactly by the cyclicity of kernel vectors.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,52 +32,38 @@ def pa_condition_polynomial(p: IntPoly) -> bool:
 
 
 @dataclass(frozen=True)
-class CyclicSampleResult:
+class CyclicResult:
     ok: bool
     witness_k: Optional[int]
     witness_vector: Optional[tuple[int, ...]]
-    vectors_checked: int
 
 
-def pa_condition_cyclic_sample(
-    a: IntMatrix,
-    k_max: int = 6,
-    trials: int = 100,
-    seed: int = 0,
-) -> CyclicSampleResult:
-    """Falsification check of all-power cyclicity of lattice vectors.
+def pa_condition_cyclic(a: IntMatrix, k_max: int = 6) -> CyclicResult:
+    """Whether every nonzero integer vector is cyclic for A^k, for every
+    k <= k_max; otherwise the least such k and a vector that is not.
 
-    For each k <= k_max, tests the basis vectors of the kernel lattices of
-    the proper factors of the char poly of A^k, topped up with random
-    nonzero integer vectors (entries in [-5, 5]) to `trials` vectors in all;
-    when the kernels alone give `trials` or more, no random vector is
-    drawn.  Random vectors are generically cyclic even when reducibility
-    makes non-cyclic vectors exist, so the kernel candidates are what makes
-    falsification reliable.
+    This holds exactly when the char poly p_k of A^k is irreducible for
+    every k <= k_max.  If p_k has a proper factor q, ker q(A^k) is not zero
+    (q shares a root with p_k), and each of its vectors spans a Krylov space
+    of dimension at most deg q < n.  If p_k is irreducible over Q, the
+    Krylov space of a nonzero rational vector is a rational A^k-invariant
+    subspace, so it is all of Q^n.  So the first basis vector of the kernel
+    lattice of p_k's first proper factor is the witness, and one
+    ``is_cyclic_vector`` call certifies it.
     """
     if k_max < 1:
         raise InputError(f"k_max must be at least 1, got {k_max}")
-    rng = random.Random(seed)
     n = a.n
     s = power_sums(a.char_poly(), n * k_max)
-    checked = 0
-    ak = IntMatrix.identity(n)
     for k in range(1, k_max + 1):
-        ak = ak * a
-        candidates: list[tuple[int, ...]] = []
-        for q, _mult in factor_z(from_power_sums(s[k - 1:n * k:k])):
-            if q.degree < n:
-                ker = kernel_lattice(ak.apply_poly(q))
-                candidates.extend(ker.basis)
-        while len(candidates) < trials:
-            v = tuple(rng.randint(-5, 5) for _ in range(n))
-            if any(v):
-                candidates.append(v)
-        for v in candidates:
-            checked += 1
-            if not is_cyclic_vector(ak, v):
-                return CyclicSampleResult(False, k, tuple(v), checked)
-    return CyclicSampleResult(True, None, None, checked)
+        proper = [q for q, _mult in factor_z(from_power_sums(s[k - 1:n * k:k])) if q.degree < n]
+        if proper:
+            ak = a ** k
+            v = kernel_lattice(ak.apply_poly(proper[0])).basis[0]
+            if is_cyclic_vector(ak, v):
+                raise InvariantError(f"a kernel vector of a proper factor of p_{k} is cyclic")
+            return CyclicResult(False, k, tuple(v))
+    return CyclicResult(True, None, None)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Spectral splitting of a toral automorphism and its adapted norms.
 
 The splitting into stable / center / unstable subspaces is computed
-numerically (sorted real Schur forms), but every discrete claim -- the
-three dimensions, per-factor root counts, Salem flags -- is certified by
-exact integer arithmetic on one factorization of the char poly: per
-factor, one Routh-Hurwitz remainder sequence gives both the roots on the
-unit circle (the real roots of its last element) and those inside it (a
-Cauchy index read at +-infinity).
+numerically (spectral projectors from the matrix sign function, ranked by
+the exact counts), but every discrete claim -- the three dimensions,
+per-factor root counts, Salem flags -- is certified by exact integer
+arithmetic on one factorization of the char poly: per factor, one
+Routh-Hurwitz remainder sequence gives both the roots on the unit circle
+(the real roots of its last element) and those inside it (a Cauchy index
+read at +-infinity).
 """
 from __future__ import annotations
 
@@ -319,8 +320,54 @@ def _rotation_basis(a_float: np.ndarray, basis_c: np.ndarray) -> tuple[np.ndarra
     return cols, mrot
 
 
-# eigenvalues within SCHUR_TOL of the unit circle sort into the center block
-SCHUR_TOL = 1e-8
+# Newton's iteration for the matrix sign function converges quadratically.
+# It stops at the first step whose relative change is at most SIGN_TOL: the
+# error of that step is about the square of its change, so it is accurate to
+# rounding.  Once a change is below SIGN_STALL it also stops at the first
+# change that does not halve the one before: the iterates have reached their
+# rounding floor, which an ill-conditioned A raises above SIGN_TOL (about
+# 1e-7 at entries near 1e5).  It fails after SIGN_MAX_STEPS.
+SIGN_TOL = 1e-10
+SIGN_STALL = 1e-2
+SIGN_MAX_STEPS = 100
+
+
+def _spectral_projector(af: np.ndarray, r: float) -> np.ndarray:
+    """P(r) = (I - sign(C_r))/2 with C_r = (A + rI)^-1 (A - rI), the projector
+    onto the invariant subspace of the eigenvalues of modulus below r.
+
+    The Cayley transform C_r maps |lambda| < r into the left half plane and
+    |lambda| > r into the right one; sign(C_r) comes from Newton's iteration
+    S <- (S + S^-1)/2 (Higham, Functions of Matrices, SIAM 2008, ch. 5).
+    No eigenvalue may have modulus r.
+    """
+    eye = np.eye(af.shape[0])
+    s = np.linalg.solve(af + r * eye, af - r * eye)
+    last = float("inf")
+    for _ in range(SIGN_MAX_STEPS):
+        step = 0.5 * (s + np.linalg.inv(s))
+        change = float(np.max(np.abs(step - s)) / np.max(np.abs(step)))
+        if change <= SIGN_TOL or (last <= SIGN_STALL and change > 0.5 * last):
+            return 0.5 * (eye - step)
+        s, last = step, change
+    raise InvariantError(f"sign iteration at radius {r:.6g} did not converge in "
+                         f"{SIGN_MAX_STEPS} steps (last relative change {change:.2e})")
+
+
+def _range_basis(p: np.ndarray, k: int) -> np.ndarray:
+    """The k leading left singular vectors of p: an orthonormal basis of its
+    range when p has rank k."""
+    return np.linalg.svd(p)[0][:, :k]
+
+
+def _first_entry_negative(col: np.ndarray) -> bool:
+    return bool(col[np.flatnonzero(np.abs(col) > 1e-12)[0]] < 0)
+
+
+def _oriented(b: np.ndarray) -> np.ndarray:
+    """b with each column negated where needed so that its first entry of
+    magnitude above 1e-12 is negative."""
+    return b * np.array([1.0 if _first_entry_negative(c) else -1.0 for c in b.T])
 
 
 def compute_splitting(a: IntMatrix, spectrum: Optional[list[_FactorSpectrum]] = None) -> Splitting:
@@ -328,8 +375,20 @@ def compute_splitting(a: IntMatrix, spectrum: Optional[list[_FactorSpectrum]] = 
 
     ``spectrum``, when given, is ``_factor_spectrum`` of the char poly of a,
     so the caller's factorization is reused.  Raises NotErgodicError if
-    some eigenvalue is a root of unity, and InvariantError if the
-    numerically sorted Schur dimensions disagree with the exact counts.
+    some eigenvalue is a root of unity.
+
+    The exact counts (ns, nc, nu) rank the sorted float moduli of the
+    eigenvalues: the ns least are stable, the nu greatest unstable.  The
+    radii r_s and r_u are the geometric means across the two gaps, and the
+    spectral projectors P(r) (``_spectral_projector``) give E^s = range
+    P(r_s), E^u = range (I - P(r_u)) and E^c = range (P(r_u) - P(r_s)), each
+    with an orthonormal basis of exactly its certified dimension.  A
+    two-dimensional center is then rescaled to a rotation basis.  Signs are
+    fixed: the first entry of magnitude above 1e-12 is negative in every
+    stable and unstable column, in the center pair's first column and in
+    every column of a larger center.  InvariantError is raised if the
+    moduli do not separate at the counts, the sign iteration does not
+    converge, or a subspace fails its invariance check.
     """
     if spectrum is None:
         p = a.char_poly()
@@ -346,23 +405,32 @@ def compute_splitting(a: IntMatrix, spectrum: Optional[list[_FactorSpectrum]] = 
     if any(f.mult > 1 and f.unitary > 0 for f in spectrum):
         raise OutOfHypothesesError("repeated unit-modulus eigenvalues")
     af = a.to_float()
+    n = a.n
+    moduli = np.sort(np.abs(np.linalg.eigvals(af)))
 
-    import scipy.linalg  # on first use: scipy is most of a fresh import's time
+    def projector(k: int) -> np.ndarray:
+        """The projector onto the k eigenvalues of least modulus."""
+        if k == 0:
+            return np.zeros((n, n))
+        if k == n:
+            return np.eye(n)
+        lo, hi = moduli[k - 1], moduli[k]
+        if not lo < hi:
+            raise InvariantError(f"eigenvalue moduli do not separate at the exact counts "
+                                 f"{(ns, nc, nu)}")
+        return _spectral_projector(af, float(np.sqrt(lo * hi)))
 
-    def sorted_basis(select) -> tuple[np.ndarray, int]:
-        t, z, sdim = scipy.linalg.schur(af, output="real", sort=select)
-        return z[:, :sdim], sdim
-
-    bs, ks = sorted_basis(lambda x, y: x * x + y * y < (1 - SCHUR_TOL) ** 2)
-    bc, kc = sorted_basis(lambda x, y: abs(np.hypot(x, y) - 1) <= SCHUR_TOL)
-    bu, ku = sorted_basis(lambda x, y: x * x + y * y > (1 + SCHUR_TOL) ** 2)
-    if (ks, kc, ku) != (ns, nc, nu):
-        raise InvariantError(
-            f"numeric Schur dims {(ks, kc, ku)} disagree with exact counts {(ns, nc, nu)}"
-        )
+    p_s = projector(ns)
+    p_u = projector(ns + nc) if nc else p_s
+    bs = _oriented(_range_basis(p_s, ns))
+    bc = _range_basis(p_u - p_s, nc)
+    bu = _oriented(_range_basis(np.eye(n) - p_u, nu))
     if nc == 2:
         bc, mc = _rotation_basis(af, bc)
+        if not _first_entry_negative(bc[:, 0]):
+            bc = -bc
     else:
+        bc = _oriented(bc)
         mc = np.linalg.lstsq(bc, af @ bc, rcond=None)[0] if nc else np.zeros((0, 0))
     ms = np.linalg.lstsq(bs, af @ bs, rcond=None)[0] if ns else np.zeros((0, 0))
     mu = np.linalg.lstsq(bu, af @ bu, rcond=None)[0] if nu else np.zeros((0, 0))
@@ -476,10 +544,11 @@ def adapted_norm(split: Splitting, theta: Optional[float] = None) -> AdaptedNorm
     def factor(block, gram):
         if block.shape[0] == 0:
             return 0.0
-        import scipy.linalg
-
-        vals = scipy.linalg.eigh(block.T @ gram @ block, gram, eigvals_only=True)
-        return float(np.sqrt(max(vals)))
+        # the largest eigenvalue of the pencil (B^T G B, G) is that of K^T K
+        # for K = L^T B L^-T and the Cholesky factor G = L L^T
+        low = np.linalg.cholesky(gram)
+        k = np.linalg.solve(low, (low.T @ block).T).T
+        return float(np.sqrt(max(np.linalg.eigvalsh(k.T @ k))))
 
     lam = factor(split.block_s, gram_s)
     muinv = factor(np.linalg.inv(split.block_u), gram_u) if nu else 0.0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,14 @@ from torusdyn.intpoly import (
     cyclotomic,
     cyclotomic_indices_up_to_degree,
     divides,
+    from_power_sums,
     gcd_z,
     is_reciprocal,
+    power_sums,
     squarefree_decomposition,
     sturm_chain,
 )
+from torusdyn.lattice import is_cyclic_vector, kernel_lattice
 from torusdyn.manifolds import LeafSolver
 from torusdyn.perturbed import (
     TWO_PI,
@@ -27,7 +31,7 @@ from torusdyn.perturbed import (
     salem_example,
 )
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
-from torusdyn.splitting import adapted_norm, compute_splitting
+from torusdyn.splitting import _rotation_basis, adapted_norm, classify, compute_splitting
 from torusdyn.zfactor import _SIEVE_MODULUS, _SIEVE_PRIMES, _mobius, factor_z
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
@@ -433,3 +437,53 @@ def reference_circle_counts(q):
     if on:
         return (q.degree - on) // 2, on
     return reference_disk_count(q), 0
+
+
+def schur_splitting_bases(a):
+    """The stable, center and unstable bases of the sorted real Schur forms
+    of A: the three Schur vectors leading a form sorted by |lambda| < 1 -
+    1e-8, |lambda| within 1e-8 of 1 and |lambda| > 1 + 1e-8, and a
+    two-dimensional center rescaled by ``_rotation_basis``.  None when the
+    sorted dimensions differ from the exact counts."""
+    import scipy.linalg
+
+    af = a.to_float()
+    tol = 1e-8
+    bases = []
+    for select in (lambda x, y: x * x + y * y < (1 - tol) ** 2,
+                   lambda x, y: abs(np.hypot(x, y) - 1) <= tol,
+                   lambda x, y: x * x + y * y > (1 + tol) ** 2):
+        _, z, sdim = scipy.linalg.schur(af, output="real", sort=select)
+        bases.append(z[:, :sdim])
+    r = classify(a)
+    if tuple(b.shape[1] for b in bases) != (r.dim_stable, r.dim_center, r.dim_unstable):
+        return None
+    if bases[1].shape[1] == 2:
+        bases[1] = _rotation_basis(af, bases[1])[0]
+    return tuple(bases)
+
+
+def sampled_cyclic_condition(a, k_max=6, trials=100, seed=0):
+    """(ok, witness k, witness vector) of all-power cyclicity, falsified by
+    sampling: for each k <= k_max, the basis vectors of the kernel lattices
+    of the proper factors of the char poly of A^k, topped up with random
+    nonzero integer vectors (entries in [-5, 5]) to ``trials`` vectors, each
+    tested by its Krylov rank."""
+    rng = random.Random(seed)
+    n = a.n
+    s = power_sums(a.char_poly(), n * k_max)
+    ak = IntMatrix.identity(n)
+    for k in range(1, k_max + 1):
+        ak = ak * a
+        candidates = []
+        for q, _mult in factor_z(from_power_sums(s[k - 1:n * k:k])):
+            if q.degree < n:
+                candidates.extend(kernel_lattice(ak.apply_poly(q)).basis)
+        while len(candidates) < trials:
+            v = tuple(rng.randint(-5, 5) for _ in range(n))
+            if any(v):
+                candidates.append(v)
+        for v in candidates:
+            if not is_cyclic_vector(ak, v):
+                return False, k, tuple(v)
+    return True, None, None

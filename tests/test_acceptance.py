@@ -22,7 +22,7 @@ from torusdyn.manifolds import LeafSolver
 from torusdyn.diophantine import center_norm_minimum
 from torusdyn.perturbed import salem_example
 from torusdyn.pseudo_anosov import (
-    pa_condition_cyclic_sample,
+    pa_condition_cyclic,
     pa_condition_polynomial,
     pseudo_anosov_subspace,
 )
@@ -141,19 +141,18 @@ def test_criterion_03_condition_equivalence(corpus500, survey4):
     disagreements = []
     for a in corpus500:
         poly_ok = pa_condition_polynomial(a.char_poly())
-        sampled = pa_condition_cyclic_sample(a, 6, 100, seed=3)
-        if poly_ok != sampled.ok:
+        cyclic = pa_condition_cyclic(a, 6)
+        if poly_ok != cyclic.ok:
             disagreements.append(a.rows)
-    # unconditional cross-check on the full unfiltered survey box: sampled
-    # cyclicity for k <= 6 agrees with power-wise irreducibility for k <= 6
+    # unconditional cross-check on the full unfiltered survey box: cyclicity
+    # for k <= 6 agrees with power-wise irreducibility for k <= 6
     entries, _ = survey4
     rng = random.Random(99)
     unconditional = [IntMatrix.companion(IntPoly(tuple(e["coeffs"])))
                      for e in rng.sample(entries, 40)]
     power_disagreements = []
     for a in unconditional:
-        sampled = pa_condition_cyclic_sample(a, 6, 100, seed=5)
-        if sampled.ok != powers_irreducible(a, 6):
+        if pa_condition_cyclic(a, 6).ok != powers_irreducible(a, 6):
             power_disagreements.append(a.rows)
     ok = not disagreements and not power_disagreements
     verdict(3, ok,

@@ -70,6 +70,37 @@ def test_pa_rejects_anosov(files, capsys):
     assert main(["pa", files["cat"]]) == 2
 
 
+# GL(4, Z) conjugates of the Salem companion by elementary moves I + m e_ij,
+# m in {+-1, +-2}, until the largest entry passes 1e5 (first three) and 1e6.
+# Their float moduli read the unit pair 6e-8 to 5e-4 off the circle, so a
+# splitting that thresholds the moduli at 1e-8 found no center; ranked by
+# the exact counts, they split.
+LARGE_SALEM_CONJUGATES = [
+    [[8287, 45834, -21491, -13979], [14087, 80802, -37683, -23506],
+     [34917, 200119, -93339, -58278], [-2588, -15603, 7225, 4251]],
+    [[-1042, -15333, 36622, -5894], [-3549, -51719, 123579, -19907],
+     [-1888, -27480, 65665, -10579], [-2314, -33491, 80048, -12903]],
+    [[-54773, -21323, -10802, -122718], [37759, 14791, 7310, 84659],
+     [31975, 12500, 6228, 71674], [15072, 5847, 3003, 33755]],
+    [[564525, 1392392, 1046315, 344891], [-320044, -789151, -593656, -196323],
+     [189358, 466635, 351805, 117101], [-206399, -508764, -383191, -127178]],
+    [[-74997, 416619, -1387716, 16283], [40383, -224306, 747156, -8759],
+     [16358, -90863, 302660, -3549], [15441, -85788, 285745, -3356]],
+    [[-1061561, -444779, -134365, -729522], [2391785, 1002118, 302596, 1643774],
+     [-35666, -14941, -4455, -24553], [93060, 38994, 11853, 63899]],
+]
+
+
+@pytest.mark.parametrize("rows", LARGE_SALEM_CONJUGATES,
+                         ids=[str(max(abs(v) for r in rows for v in r)) for rows in LARGE_SALEM_CONJUGATES])
+def test_pa_on_large_entry_salem_conjugates(files, rows):
+    path = files["tmp"] / "conj.json"
+    path.write_text(json.dumps({"n": 4, "rows": rows}))
+    assert main(["pa", str(path), "--out", str(files["tmp"] / "pa.json")]) == 0
+    data = json.loads((files["tmp"] / "pa.json").read_text())
+    assert (data["k"], data["dim_x"], data["p_k_coeffs"]) == (1, 4, [1, -1, -1, -1, 1])
+
+
 def test_dioph_subcommand(files, capsys):
     out_path = files["tmp"] / "dioph.json"
     csv_path = files["tmp"] / "dioph.csv"
@@ -330,6 +361,8 @@ def _malformed_inputs(files):
         # defeat the float splitting
         **{f"anosov_1e{e}": {"n": 2, "rows": [[10**e + 1, 10**e], [10**e, 10**e - 1]]}
            for e in (16, 17)},
+        "anosov_1e17_map": PerturbedMap(IntMatrix([[10**17 + 1, 10**17], [10**17, 10**17 - 1]]),
+                                        [Shear(0, 1, TrigProfile(sin_coeffs=(0.1,)), 0.01)]).to_json(),
     }
     paths = dict(files, missing=str(files["tmp"] / "missing"))
     for name, obj in objs.items():
@@ -355,7 +388,7 @@ def _stop_first_computation(*args, **kwargs):
 STOP = "stop"
 FIRST = {"analyze": (cli, "classify"), "pa": (cli, "pseudo_anosov_subspace"),
          "dioph": (cli, "hypothesis_spectrum"), "curve": (cli, "curve_experiment"),
-         "perturb": (experiments, "compute_splitting"), "survey": (cli, "run_survey")}
+         "perturb": (experiments, "_factor_spectrum"), "survey": (cli, "run_survey")}
 # the dioph lattice scan, which a budget stops before
 SCAN = (cli, "center_norm_minimum", _stop_first_computation)
 CPUS = os.cpu_count() or 1
@@ -424,6 +457,7 @@ FAILURES = _rows(
     # the exact hypotheses are checked before any float work
     *(([cmd, f"{{anosov_1e{e}}}"], 2, None, "^error: center dimension is not 2$")
       for cmd in ("dioph", "curve") for e in (16, 17)),
+    (["perturb", "{anosov_1e17_map}", "--eps", "0.01"], 2, None, r"needs a center \(dim_center is 0\)$"),
     # witness searches over more than WITNESS_SEARCH_BUDGET distances stop
     # before the lattice scan
     (["dioph", "{salem}", "--kmax", "4000"], 4, SCAN, "witness search over 5505376086 distances"),
@@ -484,7 +518,7 @@ def test_malformed_inputs_exit_codes(files, capsys, monkeypatch, argv, code, pat
 
 
 def test_perturb_sizes_at_their_limits_are_allowed(monkeypatch):
-    monkeypatch.setattr(experiments, "compute_splitting", _stop_first_computation)
+    monkeypatch.setattr(*FIRST["perturb"], _stop_first_computation)
     with pytest.raises(_Reached):
         experiments.perturb_experiment(salem_example(1.0), [1e-2], n_max=experiments.N_MAX_LIMIT,
                                        n_count=experiments.N_COUNT_BUDGET,
@@ -572,12 +606,18 @@ def test_python_dash_m_help():
 
 @pytest.mark.parametrize("argv, prefix", [
     ([], "scipy"),
-    (["perturb", "{map0}", "--eps", "0", "--out", "{tmp}/p0.json"], "scipy.interpolate"),
-], ids=["import", "perturb_eps0"])
+    (["perturb", "{map0}", "--eps", "0", "--out", "{tmp}/p0.json"], "scipy"),
+    (["perturb", "{map}", "--eps", "0.01", "--nmax", "10", "--ncount", "3", "--samples", "20",
+      "--out", "{tmp}/p.json"], "scipy"),
+    (["pa", "{salem}", "--out", "{tmp}/pa.json"], "scipy"),
+    (["dioph", "{salem}", "--radius", "12", "--out", "{tmp}/d.json"], "scipy"),
+    (["curve", "{salem}", "--eps", "0.25", "--radius", "8", "--out", "{tmp}/c.json"], "scipy"),
+], ids=["import", "perturb_eps0", "perturb", "pa", "dioph", "curve"])
 def test_cli_import_defers_scipy(files, argv, prefix):
-    # scipy takes most of a fresh import; only the commands that use it load it,
-    # and none loads scipy.interpolate: the leaf solver is the one construction
-    # of the leaves, down to the amplitude-0 graph check.
+    # scipy takes most of a fresh import; only the saturation overlap search's
+    # KD-tree loads it, and no numerical command does: the splitting is
+    # numpy alone, and the leaf solver is the one construction of the leaves,
+    # down to the amplitude-0 graph check.
     import subprocess
     import sys
     from pathlib import Path

@@ -92,6 +92,35 @@ def _one_shot_ball(lam, norm, radius):
                                   norms=total, center_norms=nc, center_coords=ptsf @ cc_map)
 
 
+def _shells(ball):
+    """Per populated shell of the fit: the logs of its points' norms, and
+    the log of its least center norm."""
+    nbins = 12
+    lo, hi = np.log(np.min(ball.norms)), np.log(np.max(ball.norms))
+    edges = np.linspace(lo, hi + 1e-9, nbins + 1)
+    logn = np.log(ball.norms)
+    shells = []
+    for b0, b1 in zip(edges, edges[1:]):
+        mask = (logn >= b0) & (logn < b1)
+        if np.any(mask):
+            shells.append((logn[mask], float(np.log(np.min(ball.center_norms[mask])))))
+    return shells
+
+
+def _slope_ulps_bound(ball, slope):
+    """How many ulps the slope fitted on numpy's pairwise shell means may lie
+    from the one fitted on exactly rounded means: 4 for the fit's own
+    rounding, plus the slope's first-order sensitivity to each shell mean
+    times the distance between that shell's two means."""
+    shells = _shells(ball)
+    exact = np.array([_exact_mean(logn) for logn, _ in shells])
+    pairwise = np.array([np.mean(logn) for logn, _ in shells])
+    ys = np.array([y for _, y in shells])
+    dx, dy = exact - exact.mean(), ys - ys.mean()
+    sensitivity = np.abs(dy - 2 * slope * dx) / np.sum(dx * dx)
+    return 4 + math.ceil(float(sensitivity @ np.abs(pairwise - exact)) / np.spacing(abs(slope)))
+
+
 def _report_from_ball(pa, ball, mean=np.mean, witness_cap=32):
     """Reference center_norm_minimum: the whole-array reduction of a
     sorted ball (witness ties broken by the ball's order), with the shell
@@ -110,17 +139,9 @@ def _report_from_ball(pa, ball, mean=np.mean, witness_cap=32):
         }
         for i in idx[:witness_cap]
     ]
-    nbins = 12
-    lo, hi = np.log(np.min(ball.norms)), np.log(np.max(ball.norms))
-    edges = np.linspace(lo, hi + 1e-9, nbins + 1)
-    xs, ys = [], []
-    logn = np.log(ball.norms)
-    for b0, b1 in zip(edges, edges[1:]):
-        mask = (logn >= b0) & (logn < b1)
-        if not np.any(mask):
-            continue
-        xs.append(mean(logn[mask]))
-        ys.append(np.log(np.min(ball.center_norms[mask])))
+    shells = _shells(ball)
+    xs = [mean(logn) for logn, _ in shells]
+    ys = [y for _, y in shells]
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
     return diophantine.DiophantineReport(
         r=r, radius=ball.radius, c_prime_empirical=float(np.min(ratios)), slope=slope,
@@ -140,7 +161,7 @@ def _exact_mean(x):
     return math.fsum(x) / x.size
 
 
-def _assert_same_ball(pa, norm, radius, slope_ulps=4):
+def _assert_same_ball(pa, norm, radius, slope_ulps=None):
     new = lattice_ball(pa.lam, norm, radius)
     ref = _one_shot_ball(pa.lam, norm, radius)
     assert new.norms.size > 0
@@ -154,6 +175,8 @@ def _assert_same_ball(pa, norm, radius, slope_ulps=4):
     assert center_norm_minimum(pa, norm, radius, ball=new).to_json() == rep
     assert _report_from_ball(pa, ref, mean=_exact_mean).to_json() == rep
     want = _report_from_ball(pa, ref).to_json()
+    if slope_ulps is None:
+        slope_ulps = _slope_ulps_bound(ref, rep["slope"])
     assert _ulps(rep.pop("slope"), want.pop("slope")) <= slope_ulps
     assert rep == want
     return new

@@ -3,14 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from conftest import lattice_index, random_unimodular
+from conftest import lattice_index, random_unimodular, sampled_cyclic_condition
 from torusdyn.errors import InputError, InvariantError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly, count_unitary_roots
 from torusdyn.lattice import Lattice, kernel_lattice
 from torusdyn.pseudo_anosov import (
     orbit_sublattice,
-    pa_condition_cyclic_sample,
+    pa_condition_cyclic,
     pa_condition_polynomial,
     pseudo_anosov_subspace,
 )
@@ -39,14 +39,15 @@ def test_condition_polynomial_examples():
 
 
 def test_condition_cyclic_sample_examples(salem_matrix):
-    r = pa_condition_cyclic_sample(salem_matrix, 6, 100, seed=1)
-    assert r.ok and r.witness_k is None
+    r = pa_condition_cyclic(salem_matrix, 6)
+    assert r.ok and r.witness_k is None and r.witness_vector is None
     # p(x) = q(x^2): the square has repeated factors, witnessed at k = 2
     a2 = IntMatrix.companion(IntPoly((-1, 0, -1, 0, 1)))
-    r = pa_condition_cyclic_sample(a2, 6, 100, seed=1)
+    r = pa_condition_cyclic(a2, 6)
     assert not r.ok and r.witness_k == 2
-    r = pa_condition_cyclic_sample(IntMatrix.identity(3), 2, 10, seed=0)
-    assert not r.ok and r.witness_k == 1
+    assert sampled_cyclic_condition(a2, 6, 100, seed=1) == (False, 2, r.witness_vector)
+    r = pa_condition_cyclic(IntMatrix.identity(3), 2)
+    assert (r.ok, r.witness_k, r.witness_vector) == (False, 1, (1, 0, 0))
 
 
 def test_conditions_agree_on_mixed_corpus(block6_matrix, salem_matrix, cat_matrix):
@@ -60,8 +61,12 @@ def test_conditions_agree_on_mixed_corpus(block6_matrix, salem_matrix, cat_matri
         mats.append(IntMatrix.companion(p))
     for a in mats:
         poly_ok = pa_condition_polynomial(a.char_poly())
-        sampled = pa_condition_cyclic_sample(a, 6, 100, seed=7)
-        assert poly_ok == sampled.ok, a.rows
+        exact = pa_condition_cyclic(a, 6)
+        assert poly_ok == exact.ok, a.rows
+        # the sampled form, with random vectors beside the kernel vectors,
+        # reaches the same verdict, witness power and witness vector
+        assert sampled_cyclic_condition(a, 6, 100, seed=7) == (exact.ok, exact.witness_k,
+                                                               exact.witness_vector), a.rows
 
 
 def test_pa_subspace_salem(salem_matrix, salem_pa):
@@ -99,7 +104,7 @@ def test_a_power_bound_below_one_is_an_input_error(salem_matrix, k_max):
     with pytest.raises(InputError):
         pseudo_anosov_subspace(salem_matrix, k_max)
     with pytest.raises(InputError):
-        pa_condition_cyclic_sample(salem_matrix, k_max)
+        pa_condition_cyclic(salem_matrix, k_max)
 
 
 def test_pa_subspace_lattice_invariance(block6_matrix):

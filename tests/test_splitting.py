@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import cyclotomic_free, random_unimodular
-from torusdyn.errors import NotErgodicError, OutOfHypothesesError
+from conftest import cyclotomic_free, random_unimodular, schur_splitting_bases
+from torusdyn import splitting
+from torusdyn.errors import InvariantError, NotErgodicError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly, count_unitary_roots, cyclotomic, cyclotomic_indices_up_to_degree
 from torusdyn.splitting import (
@@ -169,6 +170,81 @@ def test_center_block_is_rotation(salem_split):
     r = salem_split.block_c
     assert np.max(np.abs(r @ r.T - np.eye(2))) <= 1e-12
     assert np.allclose(np.linalg.norm(salem_split.basis_c, axis=0), 1.0, atol=1e-12)
+
+
+def _projectors(bases):
+    return [b @ b.T for b in bases]
+
+
+def _first_significant(col):
+    """The first entry of magnitude above 1e-12."""
+    return col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+
+
+def _assert_same_subspaces(a):
+    """The splitting's three subspaces are those of the sorted Schur forms:
+    their orthogonal projectors agree to 1e-10.  The first significant
+    entry is negative in every stable and unstable column, in the first
+    column of a center pair and in every column of a larger center."""
+    split = compute_splitting(a)
+    ref = schur_splitting_bases(a)
+    assert ref is not None, a.rows
+    for p, q in zip(_projectors((split.basis_s, split.basis_c, split.basis_u)), _projectors(ref)):
+        assert np.max(np.abs(p - q), initial=0.0) <= 1e-10, a.rows
+    center = split.basis_c.T[:1] if split.dims[1] == 2 else split.basis_c.T
+    for col in (*split.basis_s.T, *center, *split.basis_u.T):
+        assert _first_significant(col) < 0, a.rows
+
+
+@pytest.mark.parametrize("dim, height", [(4, 2), (5, 1), (6, 1)])
+def test_splitting_matches_sorted_schur_oracle_over_boxes(dim, height):
+    """Every companion of the box that the splitting accepts; (4, 2) holds
+    (x^2 - x - 1)^2, whose companion has two Jordan blocks."""
+    accepted = set()
+    for _, coeffs in enumerate_polynomials(dim, height):
+        try:
+            _assert_same_subspaces(IntMatrix.companion(IntPoly(coeffs)))
+        except OutOfHypothesesError:
+            continue
+        accepted.add(coeffs)
+    assert len(accepted) == {(4, 2): 174, (5, 1): 104, (6, 1): 304}[dim, height]
+    if (dim, height) == (4, 2):
+        assert (IntPoly((-1, -1, 1)) * IntPoly((-1, -1, 1))).coeffs in accepted
+
+
+def test_splitting_matches_sorted_schur_oracle_on_salem_conjugates(salem_matrix):
+    rng = random.Random(31)
+    for _ in range(20):
+        u = random_unimodular(rng, 4)
+        _assert_same_subspaces(u * salem_matrix * u.inverse_unimodular())
+
+
+def test_salem_bases_are_the_sorted_schur_bases(salem_split, salem_matrix):
+    """Same vectors and same signs: the first entry of magnitude above 1e-12
+    is negative in the stable and unstable columns and in the center pair's
+    first column."""
+    ref = schur_splitting_bases(salem_matrix)
+    for b, r in zip((salem_split.basis_s, salem_split.basis_c, salem_split.basis_u), ref):
+        assert b.shape == r.shape
+        assert np.max(np.abs(b - r)) <= 1e-12
+    for col in (salem_split.basis_s[:, 0], salem_split.basis_c[:, 0], salem_split.basis_u[:, 0]):
+        assert _first_significant(col) < 0
+
+
+def test_sign_iteration_cap_names_its_last_change(salem_matrix, monkeypatch):
+    monkeypatch.setattr(splitting, "SIGN_MAX_STEPS", 2)
+    with pytest.raises(InvariantError, match=r"did not converge in 2 steps \(last relative change \d"):
+        compute_splitting(salem_matrix)
+
+
+def test_adapted_norm_factors_match_generalized_eigh(salem_split, salem_norm):
+    import scipy.linalg
+
+    for block, gram, factor in ((salem_split.block_s, salem_norm.gram_s, salem_norm.lambda_s),
+                                (np.linalg.inv(salem_split.block_u), salem_norm.gram_u,
+                                 1 / salem_norm.mu_u)):
+        vals = scipy.linalg.eigh(block.T @ gram @ block, gram, eigvals_only=True)
+        assert abs(factor - np.sqrt(max(vals))) <= 1e-14 * factor
 
 
 def test_dims_invariant_under_unimodular_conjugation(salem_matrix):

@@ -1,12 +1,12 @@
 """Print one sha256 per output of torusdyn on fixed inputs.
 
-Each line is ``<sha256>  <output>``.  Two checkouts whose lists agree give
-byte-identical outputs on these inputs, so a refactor that claims unchanged
-outputs is checked by running this script in both and comparing:
+After a header of ``#`` lines naming the Python, numpy, scipy and OpenBLAS
+versions, each line is ``<sha256>  <output>``.  Two checkouts whose lists
+agree give byte-identical outputs on these inputs.  The golden list is
+``tests/data/output_digest.txt``, which a test compares line by line; a
+change that moves an output on purpose regenerates it:
 
-    python tools/output_digest.py > before.txt    # in the old checkout
-    python tools/output_digest.py > after.txt     # in the new one
-    diff before.txt after.txt
+    python tools/output_digest.py > tests/data/output_digest.txt
 
 The outputs are the stdout and the written files of ``analyze``, ``survey``
 (boxes (4, 2), (5, 2), (7, 1), (6, 1), (3, 5), (8, 1) and (7, 2), and (5, 2)
@@ -224,9 +224,21 @@ def lattice_digests() -> list[tuple[str, str]]:
              _sha(b"".join(np.ascontiguousarray(x).tobytes() for x in arrays)))]
 
 
+def header() -> list[str]:
+    """The versions of the float stack the digests were made with."""
+    import platform
+
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}",
+            f"# scipy {scipy.__version__}", f"# blas {blas['name']} {blas['version']}"]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rows = cli_digests(tmp) + saturation_digests() + harmonics_digests() + lattice_digests()
+    print("\n".join(header()))
     for name, digest in rows:
         print(f"{digest}  {name}")
     return 0
