@@ -213,6 +213,118 @@ def overlap_translation_linear(
     raise BudgetError("no lattice vector in the overlap box within the bound")
 
 
+# -- fixed-radius neighbour queries on the cloud (Bentley, Stanat & Williams 1977) --
+
+# candidate pairs a grid query hands out at once (more only for one point
+# whose 3 x 3 cells hold more)
+PAIR_BLOCK = 1 << 16
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between rows of a and b: the squares of
+    the coordinate differences summed in coordinate order.  Below eight
+    coordinates that is the order of the tests' KD-tree oracle (cKDTree),
+    so the square roots equal its distances bit for bit."""
+    sq = a - b
+    sq *= sq
+    out = sq[:, 0].copy()
+    for k in range(1, sq.shape[1]):
+        out += sq[:, k]
+    return out
+
+
+class _CellGrid:
+    """The points of a cloud in square cells of side h >= r over its two
+    widest coordinates.
+
+    Each point is listed under its own cell row and the rows on either side,
+    so the points in the 3 x 3 cells around a cell form one run of the sorted
+    keys.  Two points whose cells are not adjacent differ by more than r in
+    one coordinate, and so lie farther than r apart: h exceeds r by a relative
+    and absolute slack far above rounding, so this holds of the computed
+    differences and distances too.
+    """
+
+    def __init__(self, pts: np.ndarray, r: float):
+        self.axes = np.argsort(-np.ptp(pts, axis=0), kind="stable")[:2]
+        self.lo = np.min(pts[:, self.axes], axis=0)
+        ext = np.max(pts[:, self.axes], axis=0) - self.lo
+        self.h = max(r, 0.0) * (1 + 1e-9) + 1e-9 * (1 + float(np.max(ext)))
+        self.shape = np.floor(ext / self.h).astype(np.int64) + 1   # occupied cells per axis
+        self.width = self.shape[1] + 4
+        cell = np.floor((pts[:, self.axes] - self.lo) / self.h).astype(np.int64)
+        # keys (row + 1 + shift) * width + col + 2 for the row shifts -1, 0, 1:
+        # a query cell (row, col) with -1 <= row, col <= shape reads the keys
+        # (row + 1) * width + col + 1 ... + 3, all within one listed row
+        keys = ((cell[:, 0] + 1) + np.array([[-1], [0], [1]])) * self.width + cell[:, 1] + 2
+        order = np.argsort(keys.ravel())
+        self.keys = keys.ravel()[order]
+        self.index = order % len(pts)
+
+    def pairs(self, query: np.ndarray):
+        """Blocks (q, i) of candidate pairs, query row q and cloud point i,
+        with adjacent cells: every pair within r is among them.  The pairs
+        come grouped by q in increasing order, PAIR_BLOCK at a time."""
+        u = np.floor((query[:, self.axes] - self.lo) / self.h)
+        q = np.flatnonzero(np.all((u >= -1) & (u <= self.shape), axis=1))
+        key = (u[q, 0].astype(np.int64) + 1) * self.width + u[q, 1].astype(np.int64) + 2
+        first = np.searchsorted(self.keys, key - 1, side="left")
+        counts = np.searchsorted(self.keys, key + 1, side="right") - first
+        ends = np.cumsum(counts)
+        i = 0
+        while i < len(q):
+            j = max(int(np.searchsorted(ends, ends[i] - counts[i] + PAIR_BLOCK, side="right")), i + 1)
+            c = counts[i:j]
+            at = np.repeat(first[i:j] - (ends[i:j] - c), c) + np.arange(ends[i] - c[0], ends[j - 1])
+            yield np.repeat(q[i:j], c), self.index[at]
+            i = j
+
+
+def _nearest_other_distances(pts: np.ndarray) -> np.ndarray:
+    """Each point's Euclidean distance to its nearest other point (inf for a
+    lone point).
+
+    Rounds of grid queries at a radius r that doubles from the cloud's mean
+    spacing: a point is settled once its best squared distance is at most
+    r * r, since every point outside its 3 x 3 cells has a squared coordinate
+    difference, and so a squared distance, of at least that.  A grid of one
+    cell compares every pair and settles the rest.
+    """
+    m = len(pts)
+    second, widest = np.sort(np.ptp(pts, axis=0))[-2:]
+    r = max(math.sqrt(widest * second / m), widest / m)
+    best = np.full(m, np.inf)
+    todo = np.arange(m)
+    while todo.size:
+        grid = _CellGrid(pts, r)
+        for q, i in grid.pairs(np.take(pts, todo, axis=0)):
+            q = todo[q]
+            d2 = _squared_distances(np.take(pts, q, axis=0), np.take(pts, i, axis=0))
+            d2[q == i] = np.inf
+            starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+            best[q[starts]] = np.minimum(best[q[starts]], np.minimum.reduceat(d2, starts))
+        if np.all(grid.shape == 1):
+            break
+        todo = todo[best[todo] > r * r]
+        r *= 2
+    return np.sqrt(best)
+
+
+def _translate_hits(pts: np.ndarray, delta: float):
+    """Predicate on a lattice vector n: is some point of pts + n within
+    Euclidean distance delta of a point of pts?  Only the pairs a grid of
+    radius delta hands out are measured."""
+    grid = _CellGrid(pts, delta)
+
+    def hits(n: np.ndarray) -> bool:
+        moved = pts + n.astype(float)
+        return any(np.any(np.sqrt(_squared_distances(np.take(moved, q, axis=0),
+                                                      np.take(pts, i, axis=0))) <= delta)
+                   for q, i in grid.pairs(moved))
+
+    return hits
+
+
 def _translates_may_meet(solver: LeafSolver, pts: np.ndarray, delta: float):
     """Predicate on rows of lattice vectors: false only for an n whose
     translate pts + n stays farther than delta (Euclidean) from pts.
@@ -221,7 +333,7 @@ def _translates_may_meet(solver: LeafSolver, pts: np.ndarray, delta: float):
     coordinate row c_i has |c_i . n| <= |c_i . (q - p)| + |c_i| delta, at most
     the cloud's extent along c_i plus |c_i| delta.  The relative and absolute
     slack lie far above rounding, so the test is exact: it never rejects a
-    candidate the tree query would accept.
+    candidate the neighbour query would accept.
     """
     proj = pts @ solver.coords.T
     reach = ((np.max(proj, axis=0) - np.min(proj, axis=0))
@@ -254,23 +366,16 @@ def find_overlap_translation(
     bound = 5 * (1 + kappa_emp) * big_l
     if cloud is None:
         cloud = build_saturation_set(solver, x, eps, samples_per_stage, seed)
-    from scipy.spatial import cKDTree  # on first use: scipy is most of a fresh import's time
-
     pts = cloud.points
-    tree = cKDTree(pts)
     if delta_merge is None:
-        nn, _ = tree.query(pts, k=2)
-        delta_merge = 2.0 * float(np.median(nn[:, 1]))
+        delta_merge = 2.0 * float(np.median(_nearest_other_distances(pts)))
     may_meet = _translates_may_meet(solver, pts, delta_merge)
-    # only a hit within delta_merge matters, so each query prunes at a bound
-    # strictly above it; points beyond the bound come back as inf
-    upper = 2.0 * delta_merge if delta_merge > 0 else np.inf
+    hits = _translate_hits(pts, delta_merge)
     checked = 0
     for shell in lattice_ball_shells(pa.lam, solver.norm, bound):
         vecs = shell.vectors[:max(max_candidates - checked, 0)]
         for i in np.flatnonzero(may_meet(vecs)):
-            d, _ = tree.query(pts + vecs[i].astype(float), k=1, distance_upper_bound=upper)
-            if float(np.min(d)) <= delta_merge:
+            if hits(vecs[i]):
                 return {
                     "n": tuple(int(v) for v in vecs[i]),
                     "norm": float(shell.norms[i]),
@@ -386,8 +491,12 @@ def winding_curve(
         angles = np.array([0.5, 0.5 + 2.0 / 3.0, 0.5 + 4.0 / 3.0]) * np.pi
         zc = circum * np.column_stack([np.cos(angles), np.sin(angles)])
         z_amb = zc @ split.basis_c.T
-        coeffs = np.linalg.lstsq(basis.T, z_amb.T, rcond=None)[0].T
-        v_int = np.rint(coeffs).astype(np.int64)
+        coeffs = np.rint(np.linalg.lstsq(basis.T, z_amb.T, rcond=None)[0].T)
+        # the snapped vertices are formed in int64: bound them in floats first
+        # (a NaN coefficient fails the bound too)
+        if not np.all(np.abs(coeffs) @ np.abs(basis) < 2.0 ** 62):
+            raise InvariantError("the snapped curve vertices exceed the int64 range")
+        v_int = coeffs.astype(np.int64)
         v_amb = v_int @ np.array(gamma.basis, dtype=np.int64)
         snap_err = norm.norm(v_amb.astype(float) - z_amb)
         if np.max(snap_err) >= d_gamma * (1 + 1e-9):

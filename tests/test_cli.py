@@ -101,6 +101,26 @@ def test_pa_on_large_entry_salem_conjugates(files, rows):
     assert (data["k"], data["dim_x"], data["p_k_coeffs"]) == (1, 4, [1, -1, -1, -1, 1])
 
 
+def test_curve_on_a_large_entry_conjugate_exits_3_with_one_line(files):
+    # the snap coefficients of its curve triangle reach about 2e21, past
+    # int64; the error is the whole of stderr, with no cast warning before
+    # it, so the process runs in a subprocess with Python's own warnings
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import torusdyn
+
+    path = files["tmp"] / "conj.json"
+    path.write_text(json.dumps({"n": 4, "rows": LARGE_SALEM_CONJUGATES[3]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(torusdyn.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "torusdyn", "curve", str(path),
+                           "--out", str(files["tmp"] / "c.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: the snapped curve vertices exceed the int64 range\n"
+
+
 def test_dioph_subcommand(files, capsys):
     out_path = files["tmp"] / "dioph.json"
     csv_path = files["tmp"] / "dioph.csv"
@@ -604,20 +624,38 @@ def test_python_dash_m_help():
     assert proc.stdout.startswith("usage: torusdyn")
 
 
-@pytest.mark.parametrize("argv, prefix", [
-    ([], "scipy"),
-    (["perturb", "{map0}", "--eps", "0", "--out", "{tmp}/p0.json"], "scipy"),
-    (["perturb", "{map}", "--eps", "0.01", "--nmax", "10", "--ncount", "3", "--samples", "20",
-      "--out", "{tmp}/p.json"], "scipy"),
-    (["pa", "{salem}", "--out", "{tmp}/pa.json"], "scipy"),
-    (["dioph", "{salem}", "--radius", "12", "--out", "{tmp}/d.json"], "scipy"),
-    (["curve", "{salem}", "--eps", "0.25", "--radius", "8", "--out", "{tmp}/c.json"], "scipy"),
-], ids=["import", "perturb_eps0", "perturb", "pa", "dioph", "curve"])
-def test_cli_import_defers_scipy(files, argv, prefix):
-    # scipy takes most of a fresh import; only the saturation overlap search's
-    # KD-tree loads it, and no numerical command does: the splitting is
-    # numpy alone, and the leaf solver is the one construction of the leaves,
-    # down to the amplitude-0 graph check.
+# the overlap search, the one numerical step no command runs, on its
+# criterion-10 setting (seed 11 finds its translation)
+OVERLAP_RUN = (
+    "import numpy as np; "
+    "from torusdyn.perturbed import salem_example; "
+    "from torusdyn.manifolds import LeafSolver; "
+    "from torusdyn.pseudo_anosov import pseudo_anosov_subspace; "
+    "from torusdyn.saturation import find_overlap_translation; "
+    "from torusdyn.splitting import adapted_norm, compute_splitting; "
+    "f = salem_example(0.01); split = compute_splitting(f.matrix); "
+    "solver = LeafSolver(f, split, adapted_norm(split)); "
+    "find_overlap_translation(solver, pseudo_anosov_subspace(f.matrix, 8, split=split), "
+    "np.zeros(4), 0.35, 0.05, seed=11); "
+)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["perturb", "{map0}", "--eps", "0", "--out", "{tmp}/p0.json"],
+    ["perturb", "{map}", "--eps", "0.01", "--nmax", "10", "--ncount", "3", "--samples", "20",
+     "--out", "{tmp}/p.json"],
+    ["pa", "{salem}", "--out", "{tmp}/pa.json"],
+    ["dioph", "{salem}", "--radius", "12", "--out", "{tmp}/d.json"],
+    ["curve", "{salem}", "--eps", "0.25", "--radius", "8", "--out", "{tmp}/c.json"],
+    None,
+], ids=["import", "perturb_eps0", "perturb", "pa", "dioph", "curve", "overlap"])
+def test_cli_import_defers_scipy(files, argv):
+    # nothing in the package loads scipy, which would take most of a fresh
+    # import's time and memory: the splitting is numpy alone, the leaf solver
+    # is the one construction of the leaves, down to the amplitude-0 graph
+    # check, and the overlap search's neighbour queries are numpy grids.
+    # The tests keep scipy as an oracle.
     import subprocess
     import sys
     from pathlib import Path
@@ -625,8 +663,11 @@ def test_cli_import_defers_scipy(files, argv, prefix):
     import torusdyn
 
     env = dict(os.environ, PYTHONPATH=str(Path(torusdyn.__file__).resolve().parents[1]))
-    run = f"assert torusdyn.cli.main({[a.format(**files) for a in argv]!r}) == 0; " if argv else ""
-    code = f"import sys, torusdyn.cli; {run}print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    if argv is None:
+        run = OVERLAP_RUN
+    else:
+        run = f"assert torusdyn.cli.main({[a.format(**files) for a in argv]!r}) == 0; " if argv else ""
+    code = f"import sys, torusdyn.cli; {run}print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

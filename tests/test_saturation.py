@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -305,6 +307,102 @@ def test_box_test_passes_every_near_candidate(solver_small, salem_pa, overlap_cl
     assert np.count_nonzero(near) >= 2
     assert np.all(passed[near])
     assert np.count_nonzero(passed) < 40  # and it lets few others through
+
+
+# -- the cloud's neighbour queries against scipy's KD-tree -------------------------
+
+
+def _tree_hit(tree, pts, n, delta):
+    """The search's hit test as it stood on a KD-tree: the closest approach of
+    pts + n to the cloud, from a query bounded strictly above delta."""
+    upper = 2.0 * delta if delta > 0 else np.inf
+    d, _ = tree.query(pts + np.asarray(n).astype(float), k=1, distance_upper_bound=upper)
+    return float(np.min(d)) <= delta
+
+
+def _assert_queries_match_tree(pts, translations, deltas):
+    """Bit-equal nearest-other distances and the same hit decisions; returns
+    how many decisions were hits."""
+    tree = cKDTree(pts)
+    got = saturation._nearest_other_distances(pts)
+    assert got.tobytes() == tree.query(pts, k=2)[0][:, 1].tobytes()
+    hit_count = 0
+    for delta in deltas:
+        hits = saturation._translate_hits(pts, delta)
+        want = [_tree_hit(tree, pts, n, delta) for n in translations]
+        assert [hits(n) for n in translations] == want, delta
+        hit_count += sum(want)
+    return hit_count
+
+
+@pytest.mark.parametrize("seed", [11, 1, 0, 2])
+def test_neighbour_queries_match_the_tree_on_overlap_clouds(solver_small, salem_pa,
+                                                            overlap_clouds, seed):
+    """The first 200 candidates and every one of the first 4,000 that passes
+    the box test, at the default merge tolerance, three times it, and the
+    closest approach of the nearest of those candidates and the float just
+    below it (a hit decided by equality, then a miss)."""
+    pts = overlap_clouds[seed].points
+    tree = cKDTree(pts)
+    delta = _default_merge(tree, pts)
+    vecs = _first_candidates(salem_pa, solver_small, 4000)
+    vecs = np.concatenate([vecs[:200], vecs[saturation._translates_may_meet(solver_small, pts,
+                                                                           3 * delta)(vecs)]])
+    closest = min(float(np.min(tree.query(pts + v.astype(float), k=1,
+                                          distance_upper_bound=6 * delta)[0])) for v in vecs[200:])
+    hit_count = _assert_queries_match_tree(
+        pts, vecs, [delta, 3 * delta, closest, np.nextafter(closest, 0)])
+    assert hit_count >= 1
+
+
+@pytest.mark.parametrize("dim, count", [(4, 40), (4, 700), (6, 300)])
+def test_neighbour_queries_match_the_tree_on_random_clouds(dim, count):
+    rng = np.random.default_rng(dim * count)
+    pts = rng.uniform(0, 3, size=(count, dim)) * rng.uniform(0.2, 1, size=dim)
+    translations = rng.integers(-1, 2, size=(60, dim))
+    delta = 2.0 * float(np.median(cKDTree(pts).query(pts, k=2)[0][:, 1]))
+    hit_count = _assert_queries_match_tree(pts, translations, [delta / 8, delta, 1.0])
+    assert 0 < hit_count < 3 * len(translations)
+
+
+def test_neighbour_queries_match_the_tree_with_duplicates_and_ties():
+    """Points on a grid of step 1/4: repeated points (distance 0), many equal
+    coordinates, translates landing exactly on cloud points (a hit at
+    delta 0), and pair distances exactly equal to delta 1/4."""
+    rng = np.random.default_rng(5)
+    pts = rng.integers(0, 9, size=(400, 4)) * 0.25
+    assert len(np.unique(pts, axis=0)) < len(pts)
+    translations = rng.integers(-2, 3, size=(80, 4))
+    _assert_queries_match_tree(pts, translations, [0.0, np.nextafter(0.25, 0), 0.25, 0.6])
+    assert np.count_nonzero(saturation._nearest_other_distances(pts) == 0) >= 2
+    # every point the same: a grid of one cell
+    _assert_queries_match_tree(np.ones((7, 4)), translations[:10], [0.0, 1.0])
+    # translates just outside the cloud's box, in the cells beyond its first
+    # and last along the two grid coordinates, hit only its corner points
+    corners = np.array([[0.0, 0, 0, 0], [4, 2, 0, 0]])
+    moves = np.array([(-4.1, -2, 0, 0), (-4, -2.1, 0, 0), (4.1, 2, 0, 0), (4, 2.1, 0, 0)])
+    assert _assert_queries_match_tree(corners, moves, [0.2]) == 4
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_overlap_search_on_one_and_two_point_clouds(solver_small, salem_pa, overlap_clouds,
+                                                    count):
+    """One point has no neighbour: the merge tolerance is inf and the first
+    candidate hits.  Two points give twice their distance."""
+    pts = overlap_clouds[11].points[:count]
+    _assert_queries_match_tree(pts, _first_candidates(salem_pa, solver_small, 20), [0.5, np.inf])
+    cloud = dataclasses.replace(overlap_clouds[11], points=pts)
+    assert (_search_outcome(find_overlap_translation, solver_small, salem_pa, np.zeros(4), EPS,
+                            KAPPA, cloud=cloud)
+            == _search_outcome(_unpruned_overlap_search, solver_small, salem_pa, cloud, EPS, KAPPA))
+
+
+def _search_outcome(search, *args, **kwargs):
+    """The search's result, or the message of the budget error it raised."""
+    try:
+        return search(*args, **kwargs)
+    except BudgetError as err:
+        return str(err)
 
 
 def test_overlap_translation_linear_is_the_first_box_vector_of_the_ball(salem_pa, salem_norm):
