@@ -14,7 +14,9 @@ coordinate at a time.  Norms are summed row by row in a fixed order, so
 a point's norm does not depend on its batch and -n has the norm of n bit
 for bit.  The innermost level builds coordinates alone: its interval is
 searched on each flavor's term in vertex form, and the norms decide which
-points are kept.  `lattice_ball` adds the negated half and sorts the
+points are kept.  Rows of 2-D arrays are gathered with np.take and
+np.compress, which numpy serves several times faster than fancy
+indexing.  `lattice_ball` adds the negated half and sorts the
 points by (adapted norm, lexicographic coordinates); `center_norm_minimum`
 reduces the half as it comes, with a result that does not depend on the
 order of the slabs, so both are deterministic.
@@ -143,9 +145,9 @@ def _expand_level(r: np.ndarray, radius2: float, level: int, coords: np.ndarray,
     partial = partial[idx] + (r[level, level] * xs + shifts[idx, level]) ** 2
     keep = partial <= radius2 + 1e-9
     idx, xs, partial = idx[keep], xs[keep], partial[keep]
-    coords = coords[idx]
+    coords = np.take(coords, idx, axis=0)
     coords[:, level] = xs
-    shifts = shifts[idx] + xs[:, None] * r[:, level][None, :]
+    shifts = np.take(shifts, idx, axis=0) + xs[:, None] * r[:, level][None, :]
     return coords, partial, shifts
 
 
@@ -230,14 +232,16 @@ def _upper_half(coords: np.ndarray) -> np.ndarray:
     upper = coords[:, -1] > 0
     zero = coords[:, -1] == 0
     if coords.shape[1] > 1 and zero.any():
-        upper[zero] = _upper_half(coords[zero, :-1])
+        upper[zero] = _upper_half(np.compress(zero, coords[:, :-1], axis=0))
     return upper
 
 
 def _row_norms(ptsf: np.ndarray, f: np.ndarray) -> np.ndarray:
     """||ptsf @ f|| per row, summed in a fixed order without BLAS.  A row's
     norm depends on the row alone, not on the batch (gemm and gemv round
-    differently), and a negated row has the same norm bit for bit."""
+    differently), and a negated row has the same norm bit for bit.  Any
+    memory order gives the same norms; a Fortran-ordered `ptsf` is read a
+    contiguous column at a time."""
     sq = np.zeros(len(ptsf))
     for j in range(f.shape[1]):
         v = ptsf[:, 0] * f[0, j]
@@ -267,14 +271,14 @@ def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes
     if r.shape[0] > 1:
         narrow = _innermost_ball_range(factors, radius)
         idx, xs = _children(*narrow(coords, *_level_range(r, radius2, 0, partial, shifts)))
-        coords = coords[idx]
+        coords = np.take(coords, idx, axis=0)
         coords[:, 0] = xs
-    coords = coords[_upper_half(coords)]
-    ptsf = coords.astype(float)
+    coords = np.compress(_upper_half(coords), coords, axis=0)
+    ptsf = np.asfortranarray(coords, dtype=float)  # contiguous columns for _row_norms
     block = [_row_norms(ptsf, f) for f in factors]
     total = block[0] + block[1] + block[2]
     keep = total <= radius + 1e-12
-    return coords[keep], total[keep], block[1][keep]
+    return np.compress(keep, coords, axis=0), total[keep], block[1][keep]
 
 
 def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float):
@@ -346,7 +350,7 @@ def lattice_ball(lam: Lattice, norm: AdaptedNorm, radius: float) -> BallPoints:
     _release_freed_heap()  # the slabs and the half are freed; only the points stay
     d = lam.rank
     order = np.lexsort(tuple(pts[:, i] for i in range(d - 1, -1, -1)) + (np.round(total, 12),))
-    pts, total, nc = pts[order], total[order], nc[order]
+    pts, total, nc = np.take(pts, order, axis=0), total[order], nc[order]
     del order
     _release_freed_heap()
     _, cc_map = _component_factors(lam, norm)
@@ -425,10 +429,11 @@ def _least_ratios(coords, norms, nc, ratios, cap: int):
     lexicographic coordinates): a total order, so the least rows of a
     union are the least of the parts' least rows."""
     keep = _at_most_kth_least(ratios, cap)
-    coords, norms, nc, ratios = coords[keep], norms[keep], nc[keep], ratios[keep]
+    coords = np.compress(keep, coords, axis=0)
+    norms, nc, ratios = norms[keep], nc[keep], ratios[keep]
     order = np.lexsort(tuple(coords[:, i] for i in range(coords.shape[1] - 1, -1, -1))
                        + (np.round(norms, 12), ratios))[:cap]
-    return coords[order], norms[order], nc[order], ratios[order]
+    return np.take(coords, order, axis=0), norms[order], nc[order], ratios[order]
 
 
 def _shell_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -510,7 +515,8 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
     norms with the other: slab by slab as `_ball_slabs` yields the half,
     keeping only the adapted and center norms of each point (16 bytes).
     A caller that holds the `lattice_ball` of this radius anyway passes it
-    as `ball`, and its half is reduced in place of a second scan.  Every
+    as `ball`, and its half is reduced in place of a second scan; a ball of
+    another radius or lattice raises InvariantError.  Every
     quantity of the report is independent of the order the points come
     in, so both give the same report: the count is twice the half's; the
     minima and the maximum are the half's; a shell's mean is the half's,
@@ -528,8 +534,12 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
     if ball is None:
         chunks = _ball_slabs(pa.lam, norm, radius)
     else:
+        if ball.radius != radius or ball.lam != pa.lam:
+            raise InvariantError(f"the ball of radius {ball.radius:g} on lattice {ball.lam.basis} "
+                                 f"is not the scan of radius {radius:g} on {pa.lam.basis}")
         half = _upper_half(ball.coords)
-        chunks = [(ball.coords[half], ball.norms[half], ball.center_norms[half])]
+        chunks = [(np.compress(half, ball.coords, axis=0), ball.norms[half],
+                   ball.center_norms[half])]
     r = pa.dim_x // 2
     norm_parts, center_parts = [], []
     best = None
@@ -540,8 +550,8 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
         center_parts.append(nc)
         ratios = nc * norms ** r
         keep = _at_most_kth_least(ratios, WITNESS_CAP)
-        least = _least_ratios(*_with_negations(coords[keep], norms[keep], nc[keep], ratios[keep]),
-                              WITNESS_CAP)
+        least = _least_ratios(*_with_negations(np.compress(keep, coords, axis=0), norms[keep],
+                                               nc[keep], ratios[keep]), WITNESS_CAP)
         if best is not None:
             least = _least_ratios(*(np.concatenate(col) for col in zip(best, least)),
                                   WITNESS_CAP)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -19,9 +21,10 @@ from torusdyn.diophantine import (
     lattice_ball,
     lattice_ball_shells,
 )
-from torusdyn.errors import BudgetError, OutOfHypothesesError
+from torusdyn.errors import BudgetError, InvariantError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly
+from torusdyn.lattice import Lattice
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
 from torusdyn.splitting import adapted_norm, compute_splitting
 
@@ -361,6 +364,57 @@ def test_innermost_range_with_an_empty_flavor_and_a_constant_one():
     assert 0 < empty < len(prefixes)
 
 
+def test_row_norms_do_not_depend_on_memory_order_or_sign(salem_pa, salem_norm):
+    factors, _ = diophantine._component_factors(salem_pa.lam, salem_norm)
+    coords = np.random.default_rng(3).integers(-60, 61, size=(500, 4))
+    ptsf = coords.astype(float)
+    assert ptsf.flags.c_contiguous
+    fortran = np.asfortranarray(coords, dtype=float)
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    for f in factors:
+        want = diophantine._row_norms(ptsf, f)
+        assert want.tobytes() == diophantine._row_norms(fortran, f).tobytes()
+        assert want.tobytes() == diophantine._row_norms(-ptsf, f).tobytes()
+        assert want.tobytes() == diophantine._row_norms(np.asfortranarray(-ptsf), f).tobytes()
+
+
+def test_upper_half_is_the_outermost_nonzero_coordinate_positive():
+    grid = np.array(list(itertools.product(range(-2, 3), repeat=4)), dtype=np.int64)
+    want = []
+    for row in grid.tolist():
+        nonzero = [x for x in row if x]
+        want.append(bool(nonzero) and nonzero[-1] > 0)
+    got = diophantine._upper_half(grid)
+    assert got.dtype == bool and got.tolist() == want
+    assert not got[np.all(grid == 0, axis=1)].any()  # the origin
+    assert got[(grid[:, 1:] == 0).all(axis=1)].sum() == 2  # (1, 0, 0, 0) and (2, 0, 0, 0)
+    # one of each +/- pair
+    assert np.array_equal(got | diophantine._upper_half(-grid), np.any(grid != 0, axis=1))
+
+
+def test_empty_selections_keep_their_shape_and_dtype(salem_pa, salem_norm):
+    factors, _ = diophantine._component_factors(salem_pa.lam, salem_norm)
+    r = np.linalg.cholesky(sum(f @ f.T for f in factors)).T
+    radius = 10.0
+    # the outermost prefix just past the covering ellipsoid of radius 10
+    outer = diophantine._expand_level(r, 4 * radius * radius, 3, np.zeros((1, 4), dtype=np.int64),
+                                      np.zeros(1), np.zeros((1, 4)))
+    last = [a[-1:] for a in outer]
+    assert last[1][0] > radius * radius
+    coords, partial, shifts = diophantine._expand_level(r, radius * radius, 2, *last)
+    assert coords.shape == (0, 4) and coords.dtype == np.int64
+    assert shifts.shape == (0, 4) and shifts.dtype == float and partial.shape == (0,)
+    coords, norms, nc = diophantine._ball_slab(r, radius, factors, last)
+    assert coords.shape == (0, 4) and coords.dtype == np.int64
+    assert norms.shape == nc.shape == (0,)
+    # rank 1: the row (3) passes the upper half and fails the norm, 6 > 4
+    factors1 = [np.zeros((1, 0)), np.array([[1.0]]), np.array([[1.0]])]
+    prefixes = (np.array([[3]], dtype=np.int64), np.zeros(1), np.zeros((1, 1)))
+    coords, norms, nc = diophantine._ball_slab(np.array([[2 ** 0.5]]), 4.0, factors1, prefixes)
+    assert coords.shape == (0, 1) and coords.dtype == np.int64
+    assert norms.shape == nc.shape == (0,)
+
+
 def test_center_norm_minimum_memory_tracks_norms_only(salem_pa, salem_norm, monkeypatch):
     ball = lattice_ball(salem_pa.lam, salem_norm, 40.0)
     kept = sum(getattr(ball, name).nbytes for name in BALL_ARRAYS)
@@ -592,6 +646,21 @@ def test_center_norm_minimum_reduces_a_synthetic_ball(salem_pa, salem_norm, case
     rep = center_norm_minimum(salem_pa, salem_norm, ball.radius, ball=ball).to_json()
     assert rep == _report_from_ball(salem_pa, ball, mean=_exact_mean).to_json()
     assert rep["point_count"] == 2 * norms.size
+
+
+def test_center_norm_minimum_rejects_a_ball_of_another_radius(salem_pa, salem_norm):
+    ball = lattice_ball(salem_pa.lam, salem_norm, 20.0)
+    with pytest.raises(InvariantError):
+        center_norm_minimum(salem_pa, salem_norm, 25.0, ball=ball)
+
+
+def test_center_norm_minimum_rejects_a_ball_of_another_lattice(salem_pa, salem_norm):
+    ball = lattice_ball(salem_pa.lam, salem_norm, 20.0)
+    doubled = Lattice.from_rows([[2 * x for x in row] for row in salem_pa.lam.basis],
+                                salem_pa.lam.ambient_dim)
+    assert doubled != salem_pa.lam
+    with pytest.raises(InvariantError):
+        center_norm_minimum(salem_pa, salem_norm, 20.0, ball=dataclasses.replace(ball, lam=doubled))
 
 
 def test_plane_chart_defining_property(salem_split, salem_pa):
