@@ -36,7 +36,6 @@ from .pseudo_anosov import (
     PASubspace,
     orbit_sublattice,
     pa_condition_cyclic,
-    pa_condition_polynomial,
     pseudo_anosov_subspace,
 )
 from .diophantine import (

@@ -119,7 +119,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_pa(args) -> int:
-    pa = pseudo_anosov_subspace(_load_matrix(args.matrix), k_max=args.kmax)
+    pa = pseudo_anosov_subspace(_load_matrix(args.matrix))
     _write(_report(pa.to_json()), args.out, True)
     return 0
 
@@ -130,7 +130,7 @@ def cmd_dioph(args) -> int:
     a = _load_matrix(args.matrix)
     split = compute_splitting(a, spectrum=hypothesis_spectrum(a))
     norm = adapted_norm(split)
-    pa = pseudo_anosov_subspace(a, k_max=args.kmax_pa, split=split)
+    pa = pseudo_anosov_subspace(a, split=split)
     check_witness_search(pa.dim_x, args.candidates, args.kmax, args.delta)
     size = witness_search_size(pa.dim_x, args.candidates, args.kmax)
     if size > WITNESS_SEARCH_BUDGET:
@@ -179,7 +179,7 @@ def cmd_perturb(args) -> int:
 
 def cmd_curve(args) -> int:
     result = curve_experiment(_load_matrix(args.matrix), eps=args.eps, radius=args.radius,
-                              seed=args.seed, k_max=args.kmax)
+                              seed=args.seed)
     _write(_report(result), args.out, True)
     return 0
 
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("pa", help="power-irreducible invariant subspace")
     q.add_argument("matrix")
-    q.add_argument("--kmax", type=int, default=24)
     q.add_argument("--out")
     q.set_defaults(func=cmd_pa)
 
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("matrix")
     q.add_argument("--radius", type=float, default=50.0, help="scan radius (adapted norm)")
     q.add_argument("--kmax", type=int, default=200)
-    q.add_argument("--kmax-pa", type=int, default=24)
     q.add_argument("--candidates", type=int, default=12)
     q.add_argument("--delta", type=float, default=0.1)
     q.add_argument("--format", choices=("json", "csv"), default="json",
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("matrix")
     q.add_argument("--eps", type=float, default=0.2)
     q.add_argument("--radius", type=float, default=10.0)
-    q.add_argument("--kmax", type=int, default=24)
     q.add_argument("--out")
     q.set_defaults(func=cmd_curve)
     return p

@@ -220,7 +220,7 @@ def perturb_experiment(
     split = compute_splitting(a, spectrum=spectrum)
     norm = adapted_norm(split)
     try:
-        dim_x = pseudo_anosov_subspace(a, 12, split=split).dim_x
+        dim_x = pseudo_anosov_subspace(a, split=split).dim_x
     except OutOfHypothesesError:
         dim_x = None
     results = []
@@ -285,19 +285,18 @@ def perturb_experiment(
     }
 
 
-def curve_experiment(a: IntMatrix, eps: float, radius: float, seed: int = 0,
-                     k_max: int = 24) -> dict:
+def curve_experiment(a: IntMatrix, eps: float, radius: float, seed: int = 0) -> dict:
     """Build the lattice winding curve for a random center target and verify it."""
     split = compute_splitting(a, spectrum=hypothesis_spectrum(a))
     norm = adapted_norm(split)
-    pa = pseudo_anosov_subspace(a, k_max, split=split)
+    pa = pseudo_anosov_subspace(a, split=split)
     gamma = orbit_sublattice(a, pa.k, 1, pa.lam.basis[0], pa)
     rng = np.random.default_rng(seed)
     x = np.zeros(a.n)
     y = x + split.basis_c @ (rng.uniform(-2, 2, size=split.dims[1]))
     curve = winding_curve(x, y, gamma, eps, radius, split, norm)
     return {
-        "config": {"eps": eps, "radius": radius, "seed": seed, "k_max": k_max},
+        "config": {"eps": eps, "radius": radius, "seed": seed},
         "pa": pa.to_json(),
         "gamma_basis": [list(r) for r in gamma.basis],
         "curve": curve.to_json(),

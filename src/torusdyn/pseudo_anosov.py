@@ -1,11 +1,11 @@
 """Power-irreducible ("pseudo-Anosov") subspaces of a toral automorphism.
 
-Finds k and the smallest A^k-invariant rational subspace X containing the
-center, together with the primitive lattice L = Z^N  intersect X, such that
-the characteristic polynomial of A^k restricted to X stays irreducible for
-all powers.  The irreducibility-for-all-powers condition is checked through
-its polynomial form (irreducible and not a polynomial in x^m), and can be
-cross-validated exactly by the cyclicity of kernel vectors.
+Under the paper's hypotheses (ergodic, a two-dimensional center) the
+irreducible factor f of the char poly that carries the unitary pair is
+irreducible for every power, so k = 1 and X = ker f(A), with the primitive
+lattice L = Z^N intersect X (``pseudo_anosov_subspace`` gives the proof).
+``pa_condition_cyclic`` checks irreducibility of the powers of any matrix
+exactly, by the cyclicity of kernel vectors.
 """
 from __future__ import annotations
 
@@ -14,21 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, InputError, InvariantError, NotErgodicError, OutOfHypothesesError
+from .errors import InputError, InvariantError, NotErgodicError, OutOfHypothesesError
 from .intmatrix import IntMatrix
-from .intpoly import IntPoly, from_power_sums, is_poly_in_xm, power_sums
+from .intpoly import IntPoly, from_power_sums, power_sums
 from .lattice import Lattice, is_cyclic_vector, kernel_lattice
 from .splitting import (Splitting, _factor_spectrum, _FactorSpectrum, _modulus_counts,
                         compute_splitting, is_ergodic)
-from .zfactor import factor_z, is_irreducible_z
-
-
-def pa_condition_polynomial(p: IntPoly) -> bool:
-    """Condition on the char poly equivalent to all-power irreducibility:
-    irreducible over Z and not a polynomial in x^m for any m > 1."""
-    if not p.is_monic:
-        raise ValueError("expected a monic polynomial")
-    return is_irreducible_z(p) and is_poly_in_xm(p) is None
+from .zfactor import factor_z
 
 
 @dataclass(frozen=True)
@@ -137,16 +129,22 @@ def hypothesis_spectrum(a: IntMatrix) -> list[_FactorSpectrum]:
 
 def pseudo_anosov_subspace(
     a: IntMatrix,
-    k_max: int = 24,
+    k_max: int = 1,
     split: Optional[Splitting] = None,
 ) -> PASubspace:
-    """Find k <= k_max minimizing the unitary-factor degree and build (X, L).
+    """The power k = 1 and (X, L), X = ker f(A) for the unitary factor f.
 
-    Candidates are examined in (degree, k) order; the winner must pass the
-    polynomial all-power condition and every structural invariant.  The char
-    poly of A^k comes from the power sums of p = char poly of A; A^k itself
-    is formed only for a candidate that passes the condition.  A passed
-    ``split`` must belong to a and supplies p and its factorization.
+    f is irreducible for every power (Lemma A).  f is not cyclotomic, and
+    its only unitary roots are lambda and 1/lambda.  If two distinct roots
+    had lambda_i = zeta lambda_j for a root of unity zeta != 1, a Galois map
+    sigma with sigma(lambda_j) = lambda would send lambda_i to the unitary
+    root sigma(zeta) lambda != lambda, which is 1/lambda, and lambda^2 would
+    be a root of unity, against ergodicity.  So for every k the Galois
+    conjugates lambda_i^k of lambda^k are distinct, and the char poly of A^k
+    on X, their product, is irreducible.  The least k <= k_max with that
+    property is therefore 1; ``k_max`` below 1 is an input error.  Every
+    structural invariant is verified.  A passed ``split`` must belong to a
+    and supplies p and its factorization.
     """
     if k_max < 1:
         raise InputError(f"k_max must be at least 1, got {k_max}")
@@ -154,33 +152,19 @@ def pseudo_anosov_subspace(
         split = compute_splitting(a, spectrum=hypothesis_spectrum(a))
     else:
         _check_hypotheses(split.spectrum)
-    p, spectrum = split.char_poly, split.spectrum
-
-    n = a.n
-    s = power_sums(p, n * k_max)
-    candidates = []
-    for k in range(1, k_max + 1):
-        spectrum_k = spectrum if k == 1 else _factor_spectrum(from_power_sums(s[k - 1:n * k:k]))
-        pk = _unitary_factor(spectrum_k)
-        candidates.append((pk.degree, k, pk))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-
-    for d, k, pk in candidates:
-        if not pa_condition_polynomial(pk):
-            continue
-        ak = a ** k
-        lam = kernel_lattice(ak.apply_poly(pk))
-        if lam.rank != d:
-            raise InvariantError("kernel lattice rank disagrees with factor degree")
-        if d % 2 != 0 or d < 4:
-            raise InvariantError("subspace dimension must be even and >= 4")
-        if lam.transform(ak) != lam:
-            raise InvariantError("lattice is not preserved by A^k")
-        resid = center_containment_residual(lam, split)
-        if resid > CENTER_TOL:
-            raise InvariantError(f"center subspace not contained in X (residual {resid:.2e})")
-        return PASubspace(k=k, dim_x=d, p_k=pk, lam=lam, center_residual=resid)
-    raise BudgetError(f"no power k <= {k_max} passes verification (k_max exceeded)")
+    f = _unitary_factor(split.spectrum)
+    d = f.degree
+    lam = kernel_lattice(a.apply_poly(f))
+    if lam.rank != d:
+        raise InvariantError("kernel lattice rank disagrees with factor degree")
+    if d % 2 != 0 or d < 4:
+        raise InvariantError("subspace dimension must be even and >= 4")
+    if lam.transform(a) != lam:
+        raise InvariantError("lattice is not preserved by A")
+    resid = center_containment_residual(lam, split)
+    if resid > CENTER_TOL:
+        raise InvariantError(f"center subspace not contained in X (residual {resid:.2e})")
+    return PASubspace(k=1, dim_x=d, p_k=f, lam=lam, center_residual=resid)
 
 
 def orbit_sublattice(a: IntMatrix, k: int, l: int, n_vec: Sequence[int], pa: PASubspace) -> Lattice:

@@ -30,8 +30,21 @@ from torusdyn.perturbed import (
     TrigProfile,
     salem_example,
 )
-from torusdyn.pseudo_anosov import pseudo_anosov_subspace
-from torusdyn.splitting import _rotation_basis, adapted_norm, classify, compute_splitting
+from torusdyn.pseudo_anosov import (
+    PASubspace,
+    _unitary_factor,
+    center_containment_residual,
+    hypothesis_spectrum,
+    pseudo_anosov_subspace,
+)
+from torusdyn.splitting import (
+    _factor_spectrum,
+    _rotation_basis,
+    adapted_norm,
+    classify,
+    classify_poly,
+    compute_splitting,
+)
 from torusdyn.zfactor import _SIEVE_MODULUS, _SIEVE_PRIMES, _mobius, factor_z
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
@@ -487,3 +500,23 @@ def sampled_cyclic_condition(a, k_max=6, trials=100, seed=0):
             if not is_cyclic_vector(ak, v):
                 return False, k, tuple(v)
     return True, None, None
+
+
+def power_search_subspace(a, k_max):
+    """(X, L) by the power search that Lemma A (k = 1) replaced: factor the
+    char poly p_k of A^k for every k <= k_max, order the unitary factors by
+    (degree, k) and build X = ker f_k(A^k) from the first that is
+    pseudo-Anosov (irreducible and no polynomial in x^m).  None when no
+    power passes."""
+    split = compute_splitting(a, spectrum=hypothesis_spectrum(a))
+    n = a.n
+    s = power_sums(split.char_poly, n * k_max)
+    candidates = sorted(
+        (f.degree, k, f) for k in range(1, k_max + 1)
+        for f in (_unitary_factor(_factor_spectrum(from_power_sums(s[k - 1:n * k:k]))),))
+    for d, k, f in candidates:
+        if classify_poly(f).pseudo_anosov:
+            lam = kernel_lattice((a ** k).apply_poly(f))
+            return PASubspace(k=k, dim_x=d, p_k=f, lam=lam,
+                              center_residual=center_containment_residual(lam, split))
+    return None

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from conftest import powers_irreducible, random_unimodular
-from torusdyn.errors import BudgetError
 from torusdyn.experiments import degeneration_checks, perturb_experiment
 
 from torusdyn.intmatrix import IntMatrix
@@ -21,11 +20,7 @@ from torusdyn.lattice import kernel_lattice
 from torusdyn.manifolds import LeafSolver
 from torusdyn.diophantine import center_norm_minimum
 from torusdyn.perturbed import salem_example
-from torusdyn.pseudo_anosov import (
-    pa_condition_cyclic,
-    pa_condition_polynomial,
-    pseudo_anosov_subspace,
-)
+from torusdyn.pseudo_anosov import pa_condition_cyclic, pseudo_anosov_subspace
 from torusdyn.saturation import (
     build_saturation_set,
     coverage_check,
@@ -33,7 +28,7 @@ from torusdyn.saturation import (
     overlap_translation_linear,
     winding_curve,
 )
-from torusdyn.splitting import compute_splitting
+from torusdyn.splitting import classify, classify_poly, compute_splitting
 from torusdyn.survey import run_survey
 from torusdyn.winding import winding_number, winding_number_2d
 from torusdyn.zfactor import factor_z
@@ -140,7 +135,7 @@ def corpus500(survey4):
 def test_criterion_03_condition_equivalence(corpus500, survey4):
     disagreements = []
     for a in corpus500:
-        poly_ok = pa_condition_polynomial(a.char_poly())
+        poly_ok = classify(a).pseudo_anosov
         cyclic = pa_condition_cyclic(a, 6)
         if poly_ok != cyclic.ok:
             disagreements.append(a.rows)
@@ -175,23 +170,20 @@ def test_criterion_04_pa_subspace_invariants(survey4, block6_matrix):
     block6_processed = False
     for a in mats:
         split = compute_splitting(a)
-        try:
-            pa = pseudo_anosov_subspace(a, 24, split=split)
-        except BudgetError:
-            continue  # honest report past the window; none expected at desk scale
+        pa = pseudo_anosov_subspace(a, split=split)
         # invariants
         assert pa.center_residual <= 1e-9
         ak = a ** pa.k
         assert pa.lam.transform(ak) == pa.lam
         assert pa.dim_x % 2 == 0 and pa.dim_x >= 4
-        assert pa_condition_polynomial(pa.p_k)
+        assert classify_poly(pa.p_k).pseudo_anosov
         for ell in (2, 3):
             akl = a ** (pa.k * ell)
             hits = [q for q, _ in factor_z(akl.char_poly()) if count_unitary_roots(q) == 2]
             assert len(hits) == 1
             assert kernel_lattice(akl.apply_poly(hits[0])) == pa.lam
         processed += 1
-        if a.n == 6 and not pa_condition_polynomial(a.char_poly()):
+        if a.n == 6 and not classify(a).pseudo_anosov:
             block6_processed = True
     verdict(4, processed >= 10 and block6_processed,
             f"{processed} center-dimension-2 matrices passed all subspace invariants; "

@@ -1,5 +1,7 @@
-"""The summary of tools/bench_pair.py on fixed numbers; no benchmark runs."""
+"""The summary of tools/bench_pair.py on fixed numbers, and its copy of the
+working tree; no benchmark runs."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,28 @@ def test_zero_pairs_exit_before_any_run():
         tool.main(["--base", "HEAD", "--workload", "dioph", "--pairs", "0", "--seed", "1",
                    "--seconds", "1", "--out", "unused.json"])
     assert exc.value.code == 2
+
+
+def test_head_copy_holds_tracked_edits_and_no_untracked_file(tmp_path, monkeypatch):
+    tool = _load_tool()
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+    (repo / "a.txt").write_text("committed\n")
+    (repo / "sub" / "b.txt").write_text("nested\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "a.txt", "sub/b.txt")
+    git("commit", "-q", "-m", "seed")
+    (repo / "a.txt").write_text("edited\n")
+    (repo / "untracked.txt").write_text("stray\n")
+    monkeypatch.setattr(tool, "ROOT", str(repo))
+    dest = tmp_path / "head"
+    tool.copy_tracked(str(dest))
+    assert (dest / "a.txt").read_text() == "edited\n"
+    assert (dest / "sub" / "b.txt").read_text() == "nested\n"
+    assert sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file()) == [
+        "a.txt", "sub/b.txt"]

@@ -457,9 +457,11 @@ FAILURES = _rows(
     (["analyze", "{not_json}"], 1),
     (["perturb", "{not_utf8}"], 1),
     (["pa", "{bool_matrix}"], 1),
-    (["pa", "{salem}", "--kmax", "0"], 1),
-    (["dioph", "{salem}", "--kmax-pa", "0"], 1),
-    (["curve", "{salem}", "--kmax", "0"], 1),
+    # pa takes k = 1 (Lemma A): its power bound is no longer an option
+    (["pa", "{salem}", "--kmax", "0"], 1, None, "unrecognized arguments"),
+    (["dioph", "{salem}", "--kmax-pa", "0"], 1, None, "unrecognized arguments"),
+    (["curve", "{salem}", "--kmax", "0"], 1, None, "unrecognized arguments"),
+    (["pa", "{salem}", "--kmax", "1000000"], 1, STOP, "unrecognized arguments: --kmax 1000000$"),
     (["dioph", "{salem}", "--radius", "nan"], 1),
     (["dioph", "{salem}", "--radius", "inf"], 1),
     (["dioph", "{salem}", "--radius", "0.5"], 1),

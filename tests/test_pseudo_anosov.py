@@ -1,9 +1,15 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
-from conftest import lattice_index, random_unimodular, sampled_cyclic_condition
+from conftest import (
+    lattice_index,
+    power_search_subspace,
+    random_unimodular,
+    sampled_cyclic_condition,
+)
 from torusdyn.errors import InputError, InvariantError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly, count_unitary_roots
@@ -11,9 +17,10 @@ from torusdyn.lattice import Lattice, kernel_lattice
 from torusdyn.pseudo_anosov import (
     orbit_sublattice,
     pa_condition_cyclic,
-    pa_condition_polynomial,
     pseudo_anosov_subspace,
 )
+from torusdyn.splitting import classify, classify_poly, compute_splitting
+from torusdyn.survey import run_survey
 from torusdyn.zfactor import factor_z
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
@@ -33,9 +40,9 @@ def restricted_matrix(a: IntMatrix, lat: Lattice) -> IntMatrix:
 
 
 def test_condition_polynomial_examples():
-    assert pa_condition_polynomial(SALEM)
-    assert not pa_condition_polynomial(IntPoly((1, 0, 1, 0, 1)))  # q(x^2)
-    assert not pa_condition_polynomial(IntPoly((-1, 0, 0, 0, 1)))  # reducible
+    assert classify_poly(SALEM).pseudo_anosov
+    assert not classify_poly(IntPoly((1, 0, 1, 0, 1))).pseudo_anosov  # q(x^2)
+    assert not classify_poly(IntPoly((-1, 0, 0, 0, 1))).pseudo_anosov  # reducible
 
 
 def test_condition_cyclic_sample_examples(salem_matrix):
@@ -60,7 +67,7 @@ def test_conditions_agree_on_mixed_corpus(block6_matrix, salem_matrix, cat_matri
         p = IntPoly([rng.choice([-1, 1])] + [rng.randint(-2, 2) for _ in range(deg - 1)] + [1])
         mats.append(IntMatrix.companion(p))
     for a in mats:
-        poly_ok = pa_condition_polynomial(a.char_poly())
+        poly_ok = classify(a).pseudo_anosov
         exact = pa_condition_cyclic(a, 6)
         assert poly_ok == exact.ok, a.rows
         # the sampled form, with random vectors beside the kernel vectors,
@@ -75,6 +82,41 @@ def test_pa_subspace_salem(salem_matrix, salem_pa):
     assert salem_pa.p_k == SALEM
     assert salem_pa.lam == Lattice.standard(4)
     assert salem_pa.center_residual <= 1e-9
+
+
+def _lemma_corpus(block6_matrix, salem_matrix):
+    """Every ergodic companion with a two-dimensional center in boxes (4,3),
+    (6,1), (6,2) and (8,1); the 6x6 block, whose char poly is reducible but
+    whose unitary factor is simple, and three of its conjugates; and 20
+    GL(4,Z) conjugates of the Salem companion."""
+    mats = []
+    for dim, height in ((4, 3), (6, 1), (6, 2), (8, 1)):
+        for line in run_survey(dim, height)[0]:
+            e = json.loads(line)
+            if e["report"]["ergodic"] and e["report"]["dim_center"] == 2:
+                mats.append(IntMatrix.companion(IntPoly(tuple(e["coeffs"]))))
+    assert len(mats) == 64
+    rng = random.Random(30)
+    mats.append(block6_matrix)
+    for _ in range(3):
+        u = random_unimodular(rng, 6)
+        mats.append(u * block6_matrix * u.inverse_unimodular())
+    for _ in range(20):
+        u = random_unimodular(rng, 4)
+        mats.append(u * salem_matrix * u.inverse_unimodular())
+    return mats
+
+
+def test_k1_matches_the_power_search(block6_matrix, salem_matrix):
+    """Lemma A: under the hypotheses the unitary factor is irreducible for
+    every power, so the (degree, k) search over k <= 24 returns k = 1 and
+    the same (X, L) as the direct construction."""
+    for a in _lemma_corpus(block6_matrix, salem_matrix):
+        got = pseudo_anosov_subspace(a, split=compute_splitting(a))
+        want = power_search_subspace(a, 24)
+        assert want is not None and want.k == 1, a.rows
+        assert (got.k, got.dim_x, got.p_k, got.lam, got.center_residual) == (
+            want.k, want.dim_x, want.p_k, want.lam, want.center_residual), a.rows
 
 
 def test_pa_subspace_block6(block6_matrix):

@@ -1,9 +1,11 @@
 """Paired benchmark runs of the working tree against a base revision.
 
-Checks REV out with ``git worktree`` into a temporary directory and runs
-``bench/run.py`` in it and in the repository's working tree, pair by pair,
-alternating which side runs first, all on one seed.  Usage, from the
-repository root:
+Checks REV out with ``git worktree`` into a temporary directory, copies the
+working tree's tracked files, uncommitted edits included, into another, and
+runs ``bench/run.py`` in both, pair by pair, alternating which side runs
+first, all on one seed.  Both sides run from new directories, since the
+directory alone can move ``peak_rss_mb`` by a few tenths of a MB.  Usage,
+from the repository root:
 
     python tools/bench_pair.py --base HEAD~1 --workload dioph --pairs 10 \\
         --seed 9107 --seconds 6 --out BENCH_dioph.json
@@ -14,7 +16,8 @@ pairs the working tree wins (a strictly better value in the direction
 ``BENCHMARK.json`` gives); each side's attempted and failed operations;
 and ``OPENBLAS_NUM_THREADS``, the CPU count and the load average before
 and after.  Runs inherit the environment, so set ``OPENBLAS_NUM_THREADS``
-before calling.  The worktree is removed even when a run fails.  Nothing
+before calling.  The worktree and the copy are removed even when a run
+fails.  Nothing
 under ``bench/`` is changed: each side runs its own ``bench/run.py``.
 """
 from __future__ import annotations
@@ -35,6 +38,16 @@ SIDES = ("base", "head")
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def copy_tracked(dest: str) -> None:
+    """Copy the files git tracks in the working tree, as they are on disk,
+    into dest; untracked files stay behind."""
+    for rel in _git("ls-files", "-z").split("\0"):
+        src = os.path.join(ROOT, rel)
+        if rel and os.path.isfile(src):
+            os.makedirs(os.path.dirname(os.path.join(dest, rel)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, rel))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -110,11 +123,11 @@ def main(argv=None) -> int:
     load_before = os.getloadavg()
 
     tmp = tempfile.mkdtemp(prefix="bench-pair-")
-    base_dir = os.path.join(tmp, "base")
+    checkouts = {s: os.path.join(tmp, s) for s in SIDES}
     runs, pairs = [], []
     try:
-        _git("worktree", "add", "--detach", base_dir, base_commit)
-        checkouts = {"base": base_dir, "head": ROOT}
+        _git("worktree", "add", "--detach", checkouts["base"], base_commit)
+        copy_tracked(checkouts["head"])
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {}
@@ -124,7 +137,7 @@ def main(argv=None) -> int:
                 print(f"pair {i} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
             pairs.append(pair)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", base_dir], cwd=ROOT,
+        subprocess.run(["git", "worktree", "remove", "--force", checkouts["base"]], cwd=ROOT,
                        capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         _git("worktree", "prune")

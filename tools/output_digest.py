@@ -173,7 +173,7 @@ def saturation_digests() -> list[tuple[str, str]]:
     for pair in (("s", "cu"), ("u", "cs")):
         z = solver.intersection_batch(rng.uniform(-1, 1, size=(50, a.n)), rng.uniform(-1, 1, size=a.n), pair)
         out.append((f"solver: intersection_batch {pair[0]},{pair[1]}", _sha(z.tobytes())))
-    pa = pseudo_anosov_subspace(a, 8, split=split)
+    pa = pseudo_anosov_subspace(a, split=split)
     cloud = build_saturation_set(solver, x, 0.35, (2, 20, 20, 2), 11)
     out.append(("saturation: cloud points", _sha(cloud.points.tobytes())))
     out.append(("saturation: cloud trails", _sha(cloud.trails.tobytes())))
@@ -217,7 +217,7 @@ def harmonics_digests() -> list[tuple[str, str]]:
 def lattice_digests() -> list[tuple[str, str]]:
     """Every array of a lattice ball on dense norm factors."""
     split = compute_splitting(IntMatrix(SALEM_CONJUGATE))
-    pa = pseudo_anosov_subspace(split.matrix, 8, split=split)
+    pa = pseudo_anosov_subspace(split.matrix, split=split)
     ball = lattice_ball(pa.lam, adapted_norm(split), 25.0)
     arrays = (ball.coords, ball.vectors, ball.norms, ball.center_norms, ball.center_coords)
     return [("lattice_ball: salem conjugate, radius 25",

@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     a = IntMatrix.companion(SALEM)
     split = compute_splitting(a)
     norm = adapted_norm(split)
-    pa = pseudo_anosov_subspace(a, 8, split=split)
+    pa = pseudo_anosov_subspace(a, split=split)
     runs = {"7": lambda s: criterion_7(a, s), "10": lambda s: criterion_10(split, norm, pa, s)}
     passes = dict.fromkeys(runs, 0)
     for seed in seeds:
