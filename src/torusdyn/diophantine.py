@@ -13,18 +13,21 @@ outermost nonzero coordinate is positive, one slab of the outermost
 coordinate at a time.  Norms are summed row by row in a fixed order, so
 a point's norm does not depend on its batch and -n has the norm of n bit
 for bit.  The innermost level builds coordinates alone: its interval is
-searched on each flavor's term in vertex form, and the norms decide which
-points are kept.  Rows of 2-D arrays are gathered with np.take and
-np.compress, which numpy serves several times faster than fancy
-indexing.  `lattice_ball` adds the negated half and sorts the
-points by (adapted norm, lexicographic coordinates); `center_norm_minimum`
-reduces the half as it comes, with a result that does not depend on the
-order of the slabs, so both are deterministic.
+searched on each flavor's term in vertex form, the norms decide which
+points are kept, and it is built in batches of bounded size.  Rows of
+2-D arrays are gathered with np.take and np.compress, which numpy serves
+several times faster than fancy indexing.  `lattice_ball` adds the
+negated half and sorts the points by (adapted norm, lexicographic
+coordinates); `center_norm_minimum` folds each batch of the half into
+its report as it comes, with a result that does not depend on the order
+of the batches, so both are deterministic, and the reduction's memory
+does not grow with the radius.
 
 The dimension-4 pair search evaluates the half of its k grid that comes
-before the origin, since a pair's value at -k is its value at k, and
-skips a pair whose least value over a small probe shell cannot beat the
-best pair so far; it returns what the whole grid would.
+before the origin, since a pair's value at -k is its value at k, a chunk
+of rows at a time, and skips a pair whose least value over a small probe
+shell cannot beat the best pair so far; it returns what the whole grid
+would, and its memory does not grow with k_max.
 """
 from __future__ import annotations
 
@@ -61,24 +64,23 @@ def _component_factors(lam: Lattice, norm: AdaptedNorm) -> tuple[list[np.ndarray
 
 # Largest lattice-point count of the covering ellipsoid, estimated from its
 # volume, that a scan may cover (the scan enumerates about the ball's points
-# alone).  Measured as process peak RSS with numpy 2.4 on x86-64: criterion
-# 5's radius-100 scan of the Salem lattice (estimate 1.5e7) keeps 3.2e6
-# points, and peaks at 130 MB in center_norm_minimum and 455 MB in
-# lattice_ball; at radius 134, just under the budget, center_norm_minimum
-# keeps 1.04e7 points and peaks at 273 MB.
+# alone).  It bounds time, not memory: a scan builds at most INNER_BATCH
+# candidates at once and center_norm_minimum keeps nothing of them but the
+# report.  Measured as process peak RSS with numpy 2.4 on x86-64, 33.6 MB
+# once the Salem lattice is set up: center_norm_minimum peaks at 41.2 MB at
+# criterion 5's radius 100 (3.2e6 points, 0.3 s) and at 41.8 MB at radius
+# 134, just under the budget (1.04e7 points, 0.8 s); lattice_ball, which
+# holds every point, peaks at 427 MB at radius 100.
 LATTICE_BALL_BUDGET = 5e7
 
 # Most distances dist(k . alpha, Z) a badly approximable witness search may
-# compute or hold, as counted by ``witness_search_size``.  That count takes
-# the pair search's whole k grid, though the search holds only the half
-# before the origin.  Measured as process peak RSS with numpy 2.4 on x86-64,
-# by ``dioph`` at radius 12 (whose scan peaks at 60 MB): the Salem pair
-# search peaks at 73 MB with the defaults (12 candidates, k_max 200: 1.4e7
-# distances), and just under the budget at 102 MB with 12 candidates at
-# k_max 380 and at 183 MB with 2 candidates at k_max 1065.  The sextic
-# single search peaks at 211 MB with one candidate at k_max 2.8e6.  The pair
-# search's rows grow like k_max^2: at k_max 4000 with 12 candidates (5.5e9
-# distances) they would take about 5 GB.
+# compute, as counted by ``witness_search_size``.  It bounds time, not
+# memory: both searches walk their k K_CHUNK at a time.  Measured as
+# process peak RSS of ``dioph`` at radius 12 with numpy 2.4 on x86-64: the
+# Salem pair search peaks at 35.9 MB with the defaults (12 candidates,
+# k_max 200), and just under the budget at 36.2 MB with 12 candidates at
+# k_max 380 and at 36.1 MB with 2 candidates at k_max 1065 (0.06 s); the
+# sextic single search peaks at 35.1 MB with one candidate at k_max 2.7e6.
 WITNESS_SEARCH_BUDGET = 5e7
 
 # Most vertices (3 K + 1 for scale K) a lattice winding curve may have.  The
@@ -111,6 +113,19 @@ def _release_freed_heap() -> None:
     of a radius-80 dioph run ranged over 283-323 MB."""
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
+
+
+def _reuse_freed_heap() -> None:
+    """Have glibc keep the scan's freed batches for reuse: allocate and
+    free, never touched, 256 bytes per INNER_BATCH row (a batch's arrays
+    take about 160).  glibc maps an allocation that large on its own, and
+    freeing it raises its mmap threshold to that size and its trim
+    threshold to twice it (it never lowers them).  So each batch, freed
+    before the next is built, leaves its pages on the heap for the next,
+    where otherwise the heap would be trimmed and faulted in again: about
+    17,000 page faults, and a sixth more time, in a radius-80 scan of the
+    Salem lattice."""
+    np.empty(256 * INNER_BATCH, dtype=np.uint8)
 
 
 def _level_range(r: np.ndarray, radius2: float, level: int, partial: np.ndarray,
@@ -257,22 +272,16 @@ def _with_negations(coords: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray
     return (np.concatenate([coords, -coords]),) + tuple(np.tile(v, 2) for v in values)
 
 
-def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes):
-    """Points of the adapted ball among the completions of the given
-    outermost prefixes whose outermost nonzero coordinate is positive:
-    (coords, adapted norms, center norms), unsorted.  The innermost
-    coordinate runs over `_innermost_ball_range`'s interval and only the
-    coordinates are built: the ball lies inside the covering ellipsoid,
-    and the norms decide which points are kept."""
-    coords, partial, shifts = prefixes
-    radius2 = radius * radius
-    for level in range(r.shape[0] - 2, 0, -1):
-        coords, partial, shifts = _expand_level(r, radius2, level, coords, partial, shifts)
-    if r.shape[0] > 1:
-        narrow = _innermost_ball_range(factors, radius)
-        idx, xs = _children(*narrow(coords, *_level_range(r, radius2, 0, partial, shifts)))
-        coords = np.take(coords, idx, axis=0)
-        coords[:, 0] = xs
+# Most innermost rows (candidate points) a scan builds at once.  The
+# largest slab of a radius-80 scan of the Salem lattice has 38,443, so it
+# stays whole; a wider slab is cut into batches, and the scan's transients
+# stop growing with the radius.
+INNER_BATCH = 40960
+
+
+def _kept_points(coords: np.ndarray, radius: float, factors: list[np.ndarray]):
+    """The candidate rows in the upper half and in the adapted ball, as
+    (coords, adapted norms, center norms)."""
     coords = np.compress(_upper_half(coords), coords, axis=0)
     ptsf = np.asfortranarray(coords, dtype=float)  # contiguous columns for _row_norms
     block = [_row_norms(ptsf, f) for f in factors]
@@ -281,17 +290,55 @@ def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes
     return np.compress(keep, coords, axis=0), total[keep], block[1][keep]
 
 
+def _innermost_rows(coords: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each prefix completed by its innermost coordinates lo[i], ..., hi[i]."""
+    idx, xs = _children(lo, hi)
+    rows = np.take(coords, idx, axis=0)
+    rows[:, 0] = xs
+    return rows
+
+
+def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes):
+    """Points of the adapted ball among the completions of the given
+    outermost prefixes whose outermost nonzero coordinate is positive, as
+    unsorted batches of (coords, adapted norms, center norms), at least one.
+    The innermost coordinate runs over `_innermost_ball_range`'s interval
+    and only the coordinates are built, for consecutive prefixes with at
+    most INNER_BATCH candidates in all (or one prefix with more): the ball
+    lies inside the covering ellipsoid, and the norms decide which points
+    are kept.  A batch's candidates are freed before it is yielded."""
+    coords, partial, shifts = prefixes
+    radius2 = radius * radius
+    for level in range(r.shape[0] - 2, 0, -1):
+        coords, partial, shifts = _expand_level(r, radius2, level, coords, partial, shifts)
+    if r.shape[0] == 1:
+        yield _kept_points(coords, radius, factors)
+        return
+    narrow = _innermost_ball_range(factors, radius)
+    lo, hi = narrow(coords, *_level_range(r, radius2, 0, partial, shifts))
+    ends = np.cumsum(np.maximum(hi - lo + 1, 0))
+    start = done = 0
+    while True:
+        stop = max(int(np.searchsorted(ends, done + INNER_BATCH, side="right")), start + 1)
+        yield _kept_points(_innermost_rows(coords[start:stop], lo[start:stop], hi[start:stop]),
+                           radius, factors)
+        if stop >= len(ends):
+            return
+        start, done = stop, int(ends[stop - 1])
+
+
 def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float):
     """Yield one point of each +/- pair of nonzero lattice points with
     adapted norm <= radius, the one whose outermost nonzero coordinate is
-    positive, a slab of the outermost coordinate at a time, as unsorted
-    (coords, adapted norms, center norms).
+    positive, as unsorted batches of (coords, adapted norms, center norms),
+    a slab of the outermost coordinate at a time.
 
     Since |n| >= sqrt(c^T Q c), the ellipsoid c^T Q c <= radius^2 covers
     the ball; it bounds every coordinate but the innermost, which runs
     only over the ball's own interval.  Each slab is cut down to the ball
-    before the next is enumerated, so memory follows the kept points
-    rather than the ellipsoid.
+    before the next is enumerated, and its innermost level is built in
+    batches of at most INNER_BATCH rows, so the stream's transients follow
+    neither the ellipsoid nor, but for a slab's prefixes, the radius.
     """
     if lam.rank == 0:
         raise InputError("lattice has rank 0")
@@ -308,8 +355,9 @@ def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float):
     # negated, so only slabs 0..m are enumerated, and slab 0 keeps its
     # half through `_upper_half` like every other slab.
     k = len(outer[0])
+    _reuse_freed_heap()
     for i in range(k // 2, k):
-        yield _ball_slab(r, radius, factors, [a[i:i + 1] for a in outer])
+        yield from _ball_slab(r, radius, factors, [a[i:i + 1] for a in outer])
 
 
 @dataclass
@@ -502,6 +550,121 @@ def _exact_bin_sums(values: np.ndarray, bins: np.ndarray, nbins: int) -> list[in
 # the scan keeps its WITNESS_CAP least points by ratio
 WITNESS_CAP = 32
 
+# The slope is fitted to the least center norm of SHELLS shells, evenly
+# spaced in the log of the adapted norm from the least norm to the greatest.
+SHELLS = 12
+
+# np.log is faithfully rounded, not monotone by contract, so a bracket of
+# the greatest norm's log is widened by this many ulps each way.
+LOG_SLACK_ULPS = 4
+
+
+def _nudged(x: float, sign: int) -> float:
+    """x moved LOG_SLACK_ULPS ulps up (sign 1) or down (sign -1)."""
+    return x + sign * LOG_SLACK_ULPS * np.spacing(abs(x))
+
+
+def _shell_edges(lo: float, log_greatest: float) -> np.ndarray:
+    """The shells' edges for logs of norms from lo to log_greatest."""
+    return np.linspace(lo, log_greatest + 1e-9, SHELLS + 1)
+
+
+def _least_shell(lam: Lattice, norm: AdaptedNorm) -> BallPoints:
+    """The first non-empty shell of `lattice_ball_shells`.  It holds the
+    lattice's least norm, bit for bit that of any scan, since a row's norm
+    does not depend on its batch."""
+    return next(s for s in lattice_ball_shells(lam, norm, math.inf) if s.norms.size)
+
+
+class _HalfBallFold:
+    """The report's quantities over a half ball that comes in chunks, each
+    folded in as it arrives and then dropped: the point count, the greatest
+    norm, the least center norm, the WITNESS_CAP least rows by ratio, and
+    per bin of `_shell_index` (1..SHELLS are the shells, 0 and SHELLS + 1
+    lie outside the edges) the point count, the least center norm and the
+    exact sum of log norms over EXACT_SUM_SCALE.
+
+    The edges need the least and the greatest norm; `ends()` gives the
+    least and a bound on the greatest once the first point has come.  The
+    greatest lies between the greatest so far and that bound, and each edge
+    grows with it, so a point whose shell is the same under both ends'
+    edges is final and is folded in at once.  The few others are kept, and
+    retried with each chunk, until `finish` knows the greatest.
+    """
+
+    def __init__(self, r: int, ends):
+        self.r, self.ends = r, ends
+        self.count, self.greatest, self.least_center = 0, -math.inf, math.inf
+        self.best = self.lo = None
+        self.pending = np.empty(0), np.empty(0)  # (log norms, center norms)
+        self.counts = np.zeros(SHELLS + 2, dtype=np.int64)
+        self.least_nc = np.full(SHELLS + 2, np.inf)
+        self.sums = [0] * (SHELLS + 2)
+
+    def add(self, coords: np.ndarray, norms: np.ndarray, nc: np.ndarray) -> None:
+        if not norms.size:
+            return
+        if self.lo is None:
+            least, top = self.ends()
+            self.lo = np.log(least)
+            # per shell, the lower edge when the greatest norm is its bound
+            edges = _shell_edges(self.lo, _nudged(np.log(top), 1))
+            self.top_lower = np.concatenate(([-np.inf], edges))
+        self.count += norms.size
+        self.greatest = max(self.greatest, float(norms.max()))
+        self.least_center = min(self.least_center, float(nc.min()))
+        ratios = nc * norms ** self.r
+        keep = _at_most_kth_least(ratios, WITNESS_CAP)
+        least = _least_ratios(*_with_negations(np.compress(keep, coords, axis=0), norms[keep],
+                                               nc[keep], ratios[keep]), WITNESS_CAP)
+        if self.best is not None:
+            least = _least_ratios(*(np.concatenate(col) for col in zip(self.best, least)),
+                                  WITNESS_CAP)
+        self.best = least
+        logn = np.log(norms)
+        if self.pending[0].size:
+            logn, nc = (np.concatenate(pair) for pair in zip(self.pending, (logn, nc)))
+        # A value's shell under the least edges the greatest norm allows
+        # moves down under the greatest edges exactly when the value lies
+        # below the shell's lower edge there.
+        shell = _shell_index(logn, _shell_edges(self.lo, _nudged(np.log(self.greatest), -1)))
+        wait = logn < self.top_lower.take(shell)
+        self.pending = logn[wait], nc[wait]
+        if self.pending[0].size:
+            final = ~wait
+            logn, nc, shell = logn[final], nc[final], shell[final]
+        self._add_shells(logn, nc, shell)
+
+    def _add_shells(self, logn: np.ndarray, nc: np.ndarray, shell: np.ndarray) -> None:
+        self.counts += np.bincount(shell, minlength=SHELLS + 2)
+        np.minimum.at(self.least_nc, shell, nc)
+        self.sums = [a + b for a, b in zip(self.sums, _exact_bin_sums(logn, shell, SHELLS + 2))]
+
+    def finish(self) -> None:
+        """Fold in the points kept back, under the greatest norm's edges."""
+        logn, nc = self.pending
+        self._add_shells(logn, nc, _shell_index(logn, _shell_edges(self.lo, np.log(self.greatest))))
+
+    def slope(self) -> float:
+        """The log-log slope of the shells' least center norms against
+        their mean log norms."""
+        xs, ys = [], []
+        for j in range(1, SHELLS + 1):
+            if self.counts[j]:
+                xs.append(self.sums[j] / EXACT_SUM_SCALE / int(self.counts[j]))
+                ys.append(np.log(self.least_nc[j]))
+        return float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
+
+
+def _ball_halves(ball: BallPoints):
+    """The ball's half of `_upper_half` as (coords, adapted norms, center
+    norms), INNER_BATCH of the ball's rows at a time."""
+    for lo in range(0, len(ball.norms), INNER_BATCH):
+        part = slice(lo, lo + INNER_BATCH)
+        half = _upper_half(ball.coords[part])
+        yield (np.compress(half, ball.coords[part], axis=0), ball.norms[part][half],
+               ball.center_norms[part][half])
+
 
 def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
                         ball: Optional[BallPoints] = None) -> DiophantineReport:
@@ -512,60 +675,55 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
     be an integer vector inside the hyperbolic subspace).
 
     The reduction runs over one point of each +/- pair, which shares its
-    norms with the other: slab by slab as `_ball_slabs` yields the half,
-    keeping only the adapted and center norms of each point (16 bytes).
-    A caller that holds the `lattice_ball` of this radius anyway passes it
-    as `ball`, and its half is reduced in place of a second scan; a ball of
-    another radius or lattice raises InvariantError.  Every
-    quantity of the report is independent of the order the points come
-    in, so both give the same report: the count is twice the half's; the
-    minima and the maximum are the half's; a shell's mean is the half's,
-    since its exactly rounded sum and its count both double; the least
-    ratios of a chunk and its negation are among the rows with a ratio at
-    most the chunk's WITNESS_CAP-th least and their negations.
+    norms with the other, batch by batch as `_ball_slabs` yields the half,
+    and `_HalfBallFold` keeps nothing of a batch but its share of the
+    report, so memory does not grow with the radius.  A caller that holds
+    the `lattice_ball` of this radius anyway passes it as `ball`, and its
+    half is reduced block by block in place of a second scan; a ball of
+    another radius or lattice raises InvariantError.  Every quantity of the
+    report is independent of the order the points come in, so both give
+    the same report: the count is twice the half's; the minima and the
+    maximum are the half's; a shell's mean is the half's, since its
+    exactly rounded sum and its count both double; the least ratios of a
+    chunk and its negation are among the rows with a ratio at most the
+    chunk's WITNESS_CAP-th least and their negations.
 
-    The shells are reduced in one pass over the kept parts, with no copy of
-    them: each point's shell comes from `_shell_index`, exactly as the
-    comparisons with the edges would pick it; counts and minima are per
-    shell, and each shell's sum of logs is exact in Python ints
-    (`_exact_bin_sums`), so its rounding is math.fsum's over the whole
-    shell however the points are split into parts.
+    A point's shell comes from `_shell_index`, exactly as the comparisons
+    with the edges would pick it; counts and minima are per shell, and each
+    shell's sum of logs is exact in Python ints (`_exact_bin_sums`), so its
+    rounding is math.fsum's over the whole shell however the points are
+    split.  The edges span the least and the greatest norm.  A ball gives
+    both.  A scan takes the least from `_least_shell`, bit for bit the
+    stream's least since a row's norm does not depend on its batch, and
+    bounds the greatest by radius + 1e-12, the most a kept point may have.
     """
     if ball is None:
         chunks = _ball_slabs(pa.lam, norm, radius)
+
+        def ends():
+            return _least_shell(pa.lam, norm).norms.min(), radius + 1e-12
     else:
         if ball.radius != radius or ball.lam != pa.lam:
             raise InvariantError(f"the ball of radius {ball.radius:g} on lattice {ball.lam.basis} "
                                  f"is not the scan of radius {radius:g} on {pa.lam.basis}")
-        half = _upper_half(ball.coords)
-        chunks = [(np.compress(half, ball.coords, axis=0), ball.norms[half],
-                   ball.center_norms[half])]
-    r = pa.dim_x // 2
-    norm_parts, center_parts = [], []
-    best = None
-    for coords, norms, nc in chunks:
-        if not norms.size:
-            continue
-        norm_parts.append(norms)
-        center_parts.append(nc)
-        ratios = nc * norms ** r
-        keep = _at_most_kth_least(ratios, WITNESS_CAP)
-        least = _least_ratios(*_with_negations(np.compress(keep, coords, axis=0), norms[keep],
-                                               nc[keep], ratios[keep]), WITNESS_CAP)
-        if best is not None:
-            least = _least_ratios(*(np.concatenate(col) for col in zip(best, least)),
-                                  WITNESS_CAP)
-        best = least
-    _release_freed_heap()  # the slabs are freed; only their norms stay
-    if not norm_parts:
-        least = next(s for s in lattice_ball_shells(pa.lam, norm, math.inf) if s.norms.size)
+        chunks = _ball_halves(ball)
+
+        def ends():
+            return ball.norms.min(), ball.norms.max()
+    fold = _HalfBallFold(pa.dim_x // 2, ends)
+    for chunk in chunks:
+        fold.add(*chunk)
+        del chunk  # not held while the next batch is built
+    _release_freed_heap()  # the heap the batches reused goes back to the OS
+    if not fold.count:
+        least = _least_shell(pa.lam, norm)
         n = tuple(int(x) for x in least.vectors[0])
         raise InputError(f"no nonzero lattice point lies in the ball of radius {radius:g}; "
                          f"the least lattice norm is {least.norms[0]:.4g}, at n = {n}")
-    scale = float(max(p.max() for p in norm_parts))
-    if min(p.min() for p in center_parts) <= 1e-12 * scale:
+    if fold.least_center <= 1e-12 * fold.greatest:
         raise InvariantError("lattice vector with exactly zero center component")
-    coords, w_norms, w_nc, ratios = best
+    fold.finish()
+    coords, w_norms, w_nc, ratios = fold.best
     vectors = coords @ np.array(pa.lam.basis, dtype=np.int64)
     witnesses = [
         {
@@ -576,32 +734,12 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
         }
         for i in range(len(ratios))
     ]
-    # per-shell minima of |n^c| against |n| on a log grid; bins 1..nbins
-    # are the shells, 0 and nbins + 1 lie outside the edges
-    nbins = 12
-    lo, hi = np.log(min(p.min() for p in norm_parts)), np.log(scale)
-    edges = np.linspace(lo, hi + 1e-9, nbins + 1)
-    counts = np.zeros(nbins + 2, dtype=np.int64)
-    least_nc = np.full(nbins + 2, np.inf)
-    sums = [0] * (nbins + 2)
-    for norms, nc in zip(norm_parts, center_parts):
-        logn = np.log(norms)
-        shell = _shell_index(logn, edges)
-        counts += np.bincount(shell, minlength=nbins + 2)
-        np.minimum.at(least_nc, shell, nc)
-        sums = [a + b for a, b in zip(sums, _exact_bin_sums(logn, shell, nbins + 2))]
-    xs, ys = [], []
-    for j in range(1, nbins + 1):
-        if counts[j]:
-            xs.append(sums[j] / EXACT_SUM_SCALE / int(counts[j]))
-            ys.append(np.log(least_nc[j]))
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
     return DiophantineReport(
-        r=r,
+        r=fold.r,
         radius=radius,
         c_prime_empirical=float(ratios[0]),
-        slope=slope,
-        point_count=2 * sum(p.size for p in norm_parts),
+        slope=fold.slope(),
+        point_count=2 * fold.count,
         witnesses=witnesses,
     )
 
@@ -693,22 +831,31 @@ def check_witness_search(dim_x: int, candidate_count: int, k_max: int,
 
 
 def witness_search_size(dim_x: int, candidate_count: int, k_max: int) -> int:
-    """Distances the witness search for dim X computes or holds, for
-    arguments ``check_witness_search`` accepts: in dimension 4, one row of
-    (2 k_max + 1)^2 per candidate, per candidate pair and per working array;
-    above it, 2 k_max per candidate and per working array."""
+    """Distances the witness search for dim X may compute, with a margin,
+    for arguments ``check_witness_search`` accepts: in dimension 4, the
+    (2 k_max + 1)^2 of the k grid per candidate pair (a pair that is
+    evaluated computes both its candidates' distances on the half grid),
+    and as many again per candidate and eight more; above it, 2 k_max per
+    candidate and eight more.  The margins are those of the searches that
+    held these rows whole, so the same arguments pass the budget."""
     if dim_x == 4:
         return (candidate_count * (candidate_count + 1) // 2 + 8) * (2 * k_max + 1) ** 2
     return (candidate_count + 8) * 2 * k_max
 
 
 def approximation_constant(alpha: np.ndarray, k_max: int, delta: float = 0.1) -> tuple[float, int]:
-    """min over 1 <= k <= k_max of dist(k alpha, Z^d)_sup * k^(2 + delta)."""
-    ks = np.arange(1, k_max + 1, dtype=float)
-    d = _dist_to_integers(ks[:, None] * np.asarray(alpha, dtype=float)[None, :]).max(axis=1)
-    vals = d * ks ** (2 + delta)
-    i = int(np.argmin(vals))
-    return float(vals[i]), i + 1
+    """min over 1 <= k <= k_max of dist(k alpha, Z^d)_sup * k^(2 + delta),
+    and the first k that attains it; k runs K_CHUNK values at a time."""
+    alpha = np.asarray(alpha, dtype=float)
+    least = worst = None
+    for start in range(1, k_max + 1, K_CHUNK):
+        ks = np.arange(start, min(start + K_CHUNK, k_max + 1), dtype=float)
+        vals = _dist_to_integers(ks[:, None] * alpha[None, :]).max(axis=1)
+        vals *= ks ** (2 + delta)
+        i = int(np.argmin(vals))
+        if least is None or vals[i] < least:
+            least, worst = float(vals[i]), start + i
+    return least, worst
 
 
 def badly_approximable_search_dim6(
@@ -755,15 +902,25 @@ class PairWitness:
 PAIR_PROBE_SHELL = 16
 
 
-def _half_grid(k_max: int) -> np.ndarray:
+# k a witness search evaluates at once: rows of the pair search's half
+# grid, values of the single search's range
+K_CHUNK = 16384
+
+
+def _half_grid_chunks(k_max: int):
     """The k of the grid -k_max <= k1, k2 <= k_max (k1 major) that come
     before the origin, k1 < 0 or k1 = 0 > k2, in grid order: exactly the k
-    that come before -k."""
+    that come before -k.  Yields them K_CHUNK rows at a time, as floats,
+    each chunk with its |k|_sup^2; row i of the half is k = divmod(i, w) -
+    k_max for the grid's width w."""
     w = 2 * k_max + 1
     half = w * w // 2
-    k1 = np.repeat(np.arange(-k_max, 1), w)[:half]
-    k2 = np.tile(np.arange(-k_max, k_max + 1), k_max + 1)[:half]
-    return np.stack([k1, k2], axis=1).astype(float)
+    for start in range(0, half, K_CHUNK):
+        k1, k2 = np.divmod(np.arange(start, min(start + K_CHUNK, half)), w)
+        k1 -= k_max
+        k2 -= k_max
+        ksup = np.maximum(np.abs(k1), np.abs(k2))
+        yield np.stack([k1, k2], axis=1).astype(float), (ksup * ksup).astype(float)
 
 
 def _pair_search(cands: list[tuple[tuple[int, ...], np.ndarray]], k_max: int) -> PairWitness:
@@ -774,34 +931,34 @@ def _pair_search(cands: list[tuple[tuple[int, ...], np.ndarray]], k_max: int) ->
     The value is the same at k and -k, bit for bit, when dist(-k . alpha)
     equals dist(k . alpha), which tests assert for the product used; then
     the first least value over the grid lies in its half before the origin,
-    and only that half is evaluated.  A pair whose least value over the
-    probe shell is at most the best's constant cannot replace it, since a
-    pair wins only with a greater constant, so it is skipped: the probe's
-    values are those of the grid at the same k.
+    and only that half is evaluated, a chunk at a time, so that the search
+    holds no array of the grid's size.  A pair whose least value over the
+    probe shell (the half grid of PAIR_PROBE_SHELL) is at most the best's
+    constant cannot replace it, since a pair wins only with a greater
+    constant, so it is skipped: the probe's values are those of the grid at
+    the same k.
     """
-    kmat = _half_grid(k_max)
-    ksup2 = np.max(np.abs(kmat), axis=1) ** 2
-    dists = [_dist_to_integers(kmat @ a) for _, a in cands]
-    probe = np.flatnonzero(ksup2 <= PAIR_PROBE_SHELL ** 2)
-    probe_k2 = ksup2[probe]
-    probe_dists = [d[probe] for d in dists]
-    vals = np.empty(len(kmat))
+    probe, probe_k2 = map(np.concatenate, zip(*_half_grid_chunks(min(k_max, PAIR_PROBE_SHELL))))
+    probe_dists = [_dist_to_integers(probe @ a) for _, a in cands]
     best: Optional[PairWitness] = None
     for i, (n1_vec, a1) in enumerate(cands):
         for j in range(i + 1, len(cands)):
             if best is not None and np.min(np.maximum(probe_dists[i], probe_dists[j])
                                            * probe_k2) <= best.c_emp:
                 continue
-            np.maximum(dists[i], dists[j], out=vals)
-            vals *= ksup2
-            t = int(np.argmin(vals))
-            if best is None or float(vals[t]) > best.c_emp:
-                n2_vec, a2 = cands[j]
+            n2_vec, a2 = cands[j]
+            least = worst = None
+            for kmat, ksup2 in _half_grid_chunks(k_max):
+                vals = np.maximum(_dist_to_integers(kmat @ a1), _dist_to_integers(kmat @ a2))
+                vals *= ksup2
+                t = int(np.argmin(vals))
+                if least is None or vals[t] < least:
+                    least, worst = float(vals[t]), (int(kmat[t, 0]), int(kmat[t, 1]))
+            if best is None or least > best.c_emp:
                 best = PairWitness(
                     n1=n1_vec, n2=n2_vec,
                     alpha1=tuple(map(float, a1)), alpha2=tuple(map(float, a2)),
-                    c_emp=float(vals[t]),
-                    worst_k=(int(kmat[t, 0]), int(kmat[t, 1])),
+                    c_emp=least, worst_k=worst,
                 )
     assert best is not None
     return best

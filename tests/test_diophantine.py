@@ -404,40 +404,76 @@ def test_empty_selections_keep_their_shape_and_dtype(salem_pa, salem_norm):
     coords, partial, shifts = diophantine._expand_level(r, radius * radius, 2, *last)
     assert coords.shape == (0, 4) and coords.dtype == np.int64
     assert shifts.shape == (0, 4) and shifts.dtype == float and partial.shape == (0,)
-    coords, norms, nc = diophantine._ball_slab(r, radius, factors, last)
+    # a slab without prefixes is one empty batch
+    [(coords, norms, nc)] = diophantine._ball_slab(r, radius, factors, last)
     assert coords.shape == (0, 4) and coords.dtype == np.int64
     assert norms.shape == nc.shape == (0,)
     # rank 1: the row (3) passes the upper half and fails the norm, 6 > 4
     factors1 = [np.zeros((1, 0)), np.array([[1.0]]), np.array([[1.0]])]
     prefixes = (np.array([[3]], dtype=np.int64), np.zeros(1), np.zeros((1, 1)))
-    coords, norms, nc = diophantine._ball_slab(np.array([[2 ** 0.5]]), 4.0, factors1, prefixes)
+    [(coords, norms, nc)] = diophantine._ball_slab(np.array([[2 ** 0.5]]), 4.0, factors1, prefixes)
     assert coords.shape == (0, 1) and coords.dtype == np.int64
     assert norms.shape == nc.shape == (0,)
 
 
-def test_center_norm_minimum_memory_tracks_norms_only(salem_pa, salem_norm, monkeypatch):
-    ball = lattice_ball(salem_pa.lam, salem_norm, 40.0)
-    kept = sum(getattr(ball, name).nbytes for name in BALL_ARRAYS)
-    del ball
-    slabs = []
+@pytest.mark.parametrize("batch", [1, 50, 700])
+def test_batched_slabs_match_whole_slabs(salem_pa, salem_norm, batch, monkeypatch):
+    # Small batches cut the slabs of radius 25 into many; a prefix with more
+    # candidates than a batch is a batch alone.
+    report = center_norm_minimum(salem_pa, salem_norm, 25.0).to_json()
+    sizes = []
+    real = diophantine._innermost_rows
 
-    def end_of_slabs():
-        slabs.append(tracemalloc.get_traced_memory())
-        tracemalloc.reset_peak()
+    def recording(coords, lo, hi):
+        rows = real(coords, lo, hi)
+        sizes.append((len(rows), len(coords)))
+        return rows
 
-    monkeypatch.setattr(diophantine, "_release_freed_heap", end_of_slabs)
+    monkeypatch.setattr(diophantine, "_innermost_rows", recording)
+    whole = lattice_ball(salem_pa.lam, salem_norm, 25.0)
+    slabs = len(sizes)
+    assert max(rows for rows, _ in sizes) > batch
+    sizes.clear()
+    monkeypatch.setattr(diophantine, "INNER_BATCH", batch)
+    batched = lattice_ball(salem_pa.lam, salem_norm, 25.0)
+    assert len(sizes) > slabs
+    assert all(rows <= batch or prefixes == 1 for rows, prefixes in sizes), sizes
+    for name in BALL_ARRAYS:
+        assert np.array_equal(getattr(batched, name), getattr(whole, name)), name
+    assert center_norm_minimum(salem_pa, salem_norm, 25.0).to_json() == report
+
+
+def _traced_peak(run):
     tracemalloc.start()
     try:
-        center_norm_minimum(salem_pa, salem_norm, 40.0)
-        reduction_peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    [(held, slab_peak)] = slabs
-    assert max(slab_peak, reduction_peak) <= 0.2 * kept, (slab_peak, reduction_peak, kept)
-    # The reduction adds the largest slab's temporaries to the norms it
-    # holds, 1.38x them in all; a concatenated copy of the half ball's
-    # norms would add half of them at least.
-    assert reduction_peak <= 1.43 * held, (reduction_peak, held)
+
+
+def test_center_norm_minimum_memory_is_flat_in_the_radius(salem_pa, salem_norm, monkeypatch):
+    # The reduction keeps nothing of a batch but its share of the report,
+    # and a batch holds at most INNER_BATCH candidates: the largest slab of
+    # radius 80 (38,443) stays whole, and those of radius 100 are cut.  The
+    # ball of radius 100 has 2.4 times the points of radius 80; holding
+    # their norms alone would take 25.6 MB against 10.6 MB.  The untouched
+    # array that sets glibc's thresholds holds no data and is left out.
+    monkeypatch.setattr(diophantine, "_reuse_freed_heap", lambda: None)
+    peak = {radius: _traced_peak(lambda: center_norm_minimum(salem_pa, salem_norm, radius))
+            for radius in (80.0, 100.0)}
+    assert peak[100.0] <= 1.25 * peak[80.0], peak
+    assert peak[100.0] <= 256 * diophantine.INNER_BATCH, peak
+
+
+def test_pair_search_memory_is_flat_in_k_max(salem_pa, salem_norm, salem_split):
+    # The half k grid is walked K_CHUNK rows at a time.  At k_max 800 it
+    # has 1.28 M rows, 63 times those of k_max 100, and holding both
+    # candidates' distances over it took 20 MB.
+    chart = center_plane_chart(salem_split, salem_pa.lam)
+    peak = {k_max: _traced_peak(lambda: badly_approximable_search_dim4(
+        salem_pa, salem_norm, chart, candidate_count=2, k_max=k_max)) for k_max in (100, 800)}
+    assert peak[800] <= 1.25 * peak[100], peak
 
 
 # criterion 10's overlap bounds: 5 (1 + kappa) L(eps) and 5 L(eps) at eps 0.35, kappa 0.05
@@ -484,10 +520,21 @@ def test_lattice_ball_releases_freed_heap_after_slabs_and_sort(salem_pa, salem_n
 
 
 def test_center_norm_minimum_releases_freed_heap_after_slabs(salem_pa, salem_norm, monkeypatch):
-    calls = []
+    # once after the last batch; the small balls that find the least norm
+    # release their own
+    calls, balls = [], []
+    real_ball = diophantine.lattice_ball
+
+    def ball(*args):
+        balls.append(len(calls))
+        out = real_ball(*args)
+        del calls[balls[-1]:]
+        return out
+
+    monkeypatch.setattr(diophantine, "lattice_ball", ball)
     monkeypatch.setattr(diophantine, "_release_freed_heap", lambda: calls.append(1))
     center_norm_minimum(salem_pa, salem_norm, 6.0)
-    assert len(calls) == 1
+    assert balls and len(calls) == 1
 
 
 # A 20 MB array freed from its own mapping raises glibc's mmap threshold to
@@ -648,6 +695,43 @@ def test_center_norm_minimum_reduces_a_synthetic_ball(salem_pa, salem_norm, case
     assert rep["point_count"] == 2 * norms.size
 
 
+@pytest.mark.parametrize("largest", ["first", "last"])
+@pytest.mark.parametrize("case", ["norms below 1", "logs on the edges", "one shell", "empty shells"])
+def test_center_norm_minimum_streams_a_synthetic_ball_exactly(salem_pa, salem_norm, case, largest,
+                                                              monkeypatch):
+    # The synthetic half ball streamed in chunks of 7 rows as a scan of its
+    # radius: the shells' upper edges are known only at the end, so with
+    # the largest norm last every point near an edge waits for it.
+    norms = _reduction_cases()[case]
+    center_norms = np.random.default_rng(28).uniform(1e-3, 1.0, norms.size)
+    ball = _synthetic_ball(salem_pa, norms, center_norms)
+    half = diophantine._upper_half(ball.coords)
+    rows = np.flatnonzero(half)
+    rows = rows[np.argsort(ball.norms[rows], kind="stable")]
+    big = rows[-1:]
+    rows = np.concatenate([big, rows[:-1]] if largest == "first" else [rows[:-1], big])
+    chunks = [(ball.coords[i], ball.norms[i], ball.center_norms[i])
+              for i in np.array_split(rows, -(-rows.size // 7))]
+    least = dataclasses.replace(ball, norms=np.array([norms.min()]))
+    monkeypatch.setattr(diophantine, "_ball_slabs", lambda lam, norm, radius: iter(chunks))
+    monkeypatch.setattr(diophantine, "_least_shell", lambda lam, norm: least)
+    waiting = []  # points kept back after each chunk, and at the end
+    real_add = diophantine._HalfBallFold.add
+
+    def add(fold, *chunk):
+        real_add(fold, *chunk)
+        waiting.append(fold.pending[0].size)
+
+    monkeypatch.setattr(diophantine._HalfBallFold, "add", add)
+    rep = center_norm_minimum(salem_pa, salem_norm, ball.radius).to_json()
+    assert rep == _report_from_ball(salem_pa, ball, mean=_exact_mean).to_json()
+    # Points on an edge wait for the greatest norm however close the
+    # bracket; with the largest norm last, points near the edges wait too.
+    assert (waiting[-1] > 0) == (case == "logs on the edges"), waiting
+    if largest == "last" and case != "one shell":
+        assert max(waiting[:-1]) > waiting[-1], waiting
+
+
 def test_center_norm_minimum_rejects_a_ball_of_another_radius(salem_pa, salem_norm):
     ball = lattice_ball(salem_pa.lam, salem_norm, 20.0)
     with pytest.raises(InvariantError):
@@ -724,6 +808,46 @@ def _full_grid_pair_search(cands, k_max):
     return best
 
 
+def _half_grid(k_max):
+    """The k of the grid that come before the origin, k1 < 0 or k1 = 0 > k2,
+    in grid order, as floats: the whole half at once."""
+    w = 2 * k_max + 1
+    half = w * w // 2
+    k1 = np.repeat(np.arange(-k_max, 1), w)[:half]
+    k2 = np.tile(np.arange(-k_max, k_max + 1), k_max + 1)[:half]
+    return np.stack([k1, k2], axis=1).astype(float)
+
+
+def _half_grid_pair_search(cands, k_max):
+    """Reference pair search: the whole half grid's distances held at once,
+    with the probe-shell pruning of diophantine._pair_search."""
+    kmat = _half_grid(k_max)
+    ksup2 = np.max(np.abs(kmat), axis=1) ** 2
+    dists = [_dist_to_integers(kmat @ a) for _, a in cands]
+    probe = np.flatnonzero(ksup2 <= diophantine.PAIR_PROBE_SHELL ** 2)
+    probe_k2 = ksup2[probe]
+    probe_dists = [d[probe] for d in dists]
+    vals = np.empty(len(kmat))
+    best = None
+    for i, (n1_vec, a1) in enumerate(cands):
+        for j in range(i + 1, len(cands)):
+            if best is not None and np.min(np.maximum(probe_dists[i], probe_dists[j])
+                                           * probe_k2) <= best.c_emp:
+                continue
+            np.maximum(dists[i], dists[j], out=vals)
+            vals *= ksup2
+            t = int(np.argmin(vals))
+            if best is None or float(vals[t]) > best.c_emp:
+                n2_vec, a2 = cands[j]
+                best = PairWitness(
+                    n1=n1_vec, n2=n2_vec,
+                    alpha1=tuple(map(float, a1)), alpha2=tuple(map(float, a2)),
+                    c_emp=float(vals[t]),
+                    worst_k=(int(kmat[t, 0]), int(kmat[t, 1])),
+                )
+    return best
+
+
 def _pa_norm_chart(a):
     split = compute_splitting(a)
     pa = pseudo_anosov_subspace(a, 8, split=split)
@@ -740,6 +864,34 @@ def salem_candidates(salem_pa, salem_norm, salem_split):
 def test_pair_search_matches_the_full_grid_salem(salem_candidates, k_max, count):
     cands = salem_candidates[:count]
     assert diophantine._pair_search(cands, k_max) == _full_grid_pair_search(cands, k_max)
+
+
+@pytest.fixture(scope="module")
+def sextic_candidates(sextic_pa_norm):
+    pa, norm = sextic_pa_norm
+    split = compute_splitting(IntMatrix.companion(IntPoly((1, -2, 1, 1, 1, -2, 1))))
+    return _candidates(pa, norm, center_plane_chart(split, pa.lam), 12)
+
+
+# at k_max 1065 the whole half grid of 2.27 M rows holds 18 MB per candidate
+@pytest.mark.parametrize("k_max,count", [(7, 12), (200, 12), (1065, 2)])
+@pytest.mark.parametrize("lattice", ["salem", "sextic"])
+def test_pair_search_matches_the_whole_half_grid(salem_candidates, sextic_candidates, lattice,
+                                                 k_max, count):
+    cands = {"salem": salem_candidates, "sextic": sextic_candidates}[lattice][:count]
+    assert diophantine._pair_search(cands, k_max) == _half_grid_pair_search(cands, k_max)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+@pytest.mark.parametrize("case,k_max", [("eighths", 3), ("eighths", 20), ("thirty-seconds", 40)])
+def test_pair_search_chunks_keep_the_first_of_tied_pairs_and_k(case, k_max, chunk, monkeypatch):
+    # Chunks far smaller than the grid: the least value recurs in many
+    # chunks and several pairs tie, and the first pair and the first k in
+    # grid order must still win.
+    cands = [((i,), np.array(a)) for i, a in enumerate(TIED_ALPHAS[case])]
+    want = _half_grid_pair_search(cands, k_max)
+    monkeypatch.setattr(diophantine, "K_CHUNK", chunk)
+    assert diophantine._pair_search(cands, k_max) == want
 
 
 @pytest.mark.parametrize("case", ["salem_conjugate", "one_row_top_slab", "salem_cat_conjugate"])
@@ -784,15 +936,28 @@ def test_pair_grid_distances_are_even_bit_for_bit(salem_candidates):
     alphas = [a for _, a in salem_candidates]
     rng = np.random.default_rng(0)
     alphas += list(rng.normal(size=(50, 2)) * rng.choice([1e-3, 1.0, 1e3], size=(50, 1)))
+    # The chunks and the probe shell are the half's rows, with the same
+    # distances bit for bit.
     for k_max in (7, 200):
-        full, half = _full_grid(k_max), diophantine._half_grid(k_max)
+        full, half = _full_grid(k_max), _half_grid(k_max)
         m = len(half)
         assert 2 * m == len(full)
         assert np.array_equal(full[:m], half) and np.array_equal(full[m:][::-1], -half)
+        chunks = list(diophantine._half_grid_chunks(k_max))
+        assert np.array_equal(np.concatenate([k for k, _ in chunks]), half)
+        assert np.array_equal(np.concatenate([k2 for _, k2 in chunks]),
+                              np.max(np.abs(half), axis=1) ** 2)
+        shell = diophantine.PAIR_PROBE_SHELL
+        probe = np.concatenate([k for k, _ in diophantine._half_grid_chunks(min(k_max, shell))])
+        in_probe = np.max(np.abs(half), axis=1) <= shell
+        assert np.array_equal(probe, half[in_probe])
         for a in alphas:
             d = _dist_to_integers(full @ a)
             assert np.array_equal(_dist_to_integers(half @ a), d[:m])
             assert np.array_equal(d[m:][::-1], d[:m])
+            chunked = [_dist_to_integers(k @ a) for k, _ in chunks]
+            assert np.array_equal(np.concatenate(chunked), d[:m])
+            assert np.array_equal(_dist_to_integers(probe @ a), d[:m][in_probe])
 
 
 def test_dim6_requires_dim6(salem_pa, salem_norm, salem_split):
@@ -808,6 +973,30 @@ def test_rational_coordinate_collapses():
     # ... and a fully rational alpha collapses the scan at the common denominator
     c, k = approximation_constant(np.array([0.5, 0.25]), 10, 0.1)
     assert k == 4 and c < 1e-9
+
+
+def _whole_range_approximation_constant(alpha, k_max, delta):
+    """Reference approximation_constant: every k at once."""
+    ks = np.arange(1, k_max + 1, dtype=float)
+    d = _dist_to_integers(ks[:, None] * np.asarray(alpha, dtype=float)[None, :]).max(axis=1)
+    vals = d * ks ** (2 + delta)
+    i = int(np.argmin(vals))
+    return float(vals[i]), i + 1
+
+
+@pytest.mark.parametrize("chunk,k_maxes", [(None, (1, 7, 16384, 16385, 40000)),
+                                           (1, (1, 7, 300)), (1000, (2999, 5000))])
+def test_approximation_constant_matches_the_whole_range(sextic_candidates, chunk, k_maxes,
+                                                        monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(diophantine, "K_CHUNK", chunk)
+    # the sextic's witness candidates, and rational alphas whose least value
+    # 0 recurs in many chunks
+    alphas = [a for _, a in sextic_candidates] + [np.array([0.5, 0.25]), np.array([1 / 64, 0.0])]
+    for a in alphas:
+        for k_max in k_maxes:
+            assert approximation_constant(a, k_max, 0.1) == \
+                _whole_range_approximation_constant(a, k_max, 0.1), (a, k_max)
 
 
 def test_badly_approximable_stub_continued_fraction_bound():

@@ -14,11 +14,11 @@ The JSON written to ``--out`` holds every raw result line of
 ``bench/run.py``; per metric, each side's median and quartiles and the
 pairs the working tree wins (a strictly better value in the direction
 ``BENCHMARK.json`` gives); each side's attempted and failed operations;
-and ``OPENBLAS_NUM_THREADS``, the CPU count and the load average before
-and after.  Runs inherit the environment, so set ``OPENBLAS_NUM_THREADS``
-before calling.  The worktree and the copy are removed even when a run
-fails.  Nothing
-under ``bench/`` is changed: each side runs its own ``bench/run.py``.
+and the variables of ``RECORDED_ENV``, the CPU count and the load average
+before and after.  Runs inherit the environment, so set
+``OPENBLAS_NUM_THREADS`` before calling.  The worktree and the copy are
+removed even when a run fails.  Nothing under ``bench/`` is changed: each
+side runs its own ``bench/run.py``.
 """
 from __future__ import annotations
 
@@ -33,6 +33,11 @@ import tempfile
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 SIDES = ("base", "head")
+# Environment variables that move the metrics.  With PYTHONDONTWRITEBYTECODE
+# set, every run compiles all of src/ in its set-up (about 65 ms on a 2-vCPU
+# x86-64 host), while a checkout with stale __pycache__ files compiles only
+# its edited modules and reads a different setup_s.
+RECORDED_ENV = ("OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE")
 
 
 def _git(*args: str) -> str:
@@ -145,7 +150,7 @@ def main(argv=None) -> int:
     report = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "base": {"rev": args.base, "commit": base_commit}, "head": head,
-        "environment": {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "environment": {**{name: os.environ.get(name) for name in RECORDED_ENV},
                         "cpu_count": os.cpu_count(), "loadavg_before": list(load_before),
                         "loadavg_after": list(os.getloadavg())},
         "metrics": summarize(pairs, better),

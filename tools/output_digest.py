@@ -14,8 +14,10 @@ with ``--reciprocal-only`` and with ``--limit 257``), ``pa``, ``dioph`` (JSON
 alone, JSON with ``--csv``, and ``--format csv``; without a table the scan
 reduces the streamed slabs, with one it reduces the sorted ball; a pair
 search at ``--kmax 7`` on 3 candidates; the benchmark's configuration at
-radius 80, whose shells are populated; and the dense conjugate of the Salem
-companion, whose logs of norms fall in other binades), ``perturb``
+radius 80, whose shells are populated; radius 120, whose slabs are cut into
+batches; a pair search at ``--kmax 1065`` on 2 candidates, whose k grid
+takes many chunks; and the dense conjugate of the Salem companion, whose
+logs of norms fall in other binades), ``perturb``
 (the benchmark's configuration, amplitudes 0 and 0.02, JSON and CSV, and
 amplitude 0 on Salem + cat, whose s block has two dimensions) and
 ``curve``, run in this process, and the saturation workload's computation on
@@ -98,6 +100,10 @@ COMMANDS = {
     "dioph --kmax 7": ["dioph", "{salem}", "--radius", "12", "--kmax", "7", "--candidates", "3"],
     # the benchmark's dioph configuration: about 1.3 M points, most in populated shells
     "dioph 80": ["--seed", "1", "dioph", "{salem}", "--radius", "80", "--out", "{dir}/dioph.json"],
+    # the scan and the pair search where the whole-array versions held 95 and 155 MB
+    "dioph 120": ["--seed", "1", "dioph", "{salem}", "--radius", "120"],
+    "dioph --candidates 2 --kmax 1065": ["dioph", "{salem}", "--radius", "12", "--candidates", "2",
+                                         "--kmax", "1065"],
     # 71,508 points whose least norm is 10: their logs lie in [2.3, 4.6], two
     # binades, where the Salem companion's start below 1
     "dioph conjugate": ["dioph", "{conj}", "--radius", "100", "--out", "{dir}/dioph.json"],
