@@ -14,7 +14,6 @@ from .intmatrix import IntMatrix, matrix_from_json, matrix_to_json
 from .intpoly import (
     IntPoly,
     circle_root_counts,
-    count_real_roots,
     count_unitary_roots,
     cyclotomic,
     is_poly_in_xm,

@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 
 from .diophantine import (
-    WITNESS_SEARCH_BUDGET,
     ball_table,
     badly_approximable_search_dim4,
     badly_approximable_search_dim6,
@@ -24,7 +22,6 @@ from .diophantine import (
     center_plane_chart,
     check_witness_search,
     lattice_ball,
-    witness_search_size,
 )
 from .errors import BudgetError, InputError, TorusDynError
 from .experiments import (N_COUNT_BUDGET, N_MAX_LIMIT, PHI_SAMPLES_BUDGET, curve_experiment,
@@ -125,20 +122,12 @@ def cmd_pa(args) -> int:
 
 
 def cmd_dioph(args) -> int:
-    if not math.isfinite(args.delta):
-        raise InputError(f"--delta must be a finite number, got {args.delta!r}")
     a = _load_matrix(args.matrix)
     split = compute_splitting(a, spectrum=hypothesis_spectrum(a))
     norm = adapted_norm(split)
     pa = pseudo_anosov_subspace(a, split=split)
     check_witness_search(pa.dim_x, args.candidates, args.kmax, args.delta)
-    size = witness_search_size(pa.dim_x, args.candidates, args.kmax)
-    if size > WITNESS_SEARCH_BUDGET:
-        raise BudgetError(f"a witness search over {size} distances exceeds the budget of "
-                          f"{WITNESS_SEARCH_BUDGET:.0e}; pass a smaller --kmax or --candidates")
-    tabulate = args.format == "csv" or args.csv
-    ball = lattice_ball(pa.lam, norm, args.radius) if tabulate else None
-    report = center_norm_minimum(pa, norm, args.radius, ball=ball)
+    report = center_norm_minimum(pa, norm, args.radius)
     chart = center_plane_chart(split, pa.lam)
     if pa.dim_x == 4:
         witness = badly_approximable_search_dim4(
@@ -151,8 +140,9 @@ def cmd_dioph(args) -> int:
     out = report.to_json()
     out["config"] = {"radius": args.radius, "kmax": args.kmax,
                      "candidates": args.candidates, "delta": args.delta}
+    ball = lattice_ball(pa.lam, norm, args.radius) if args.format == "csv" or args.csv else None
     _write(_report(out), args.out, args.format == "json")
-    if tabulate:
+    if ball is not None:
         _write(ball_table(ball), args.csv, args.format == "csv")
     return 0
 

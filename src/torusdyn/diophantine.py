@@ -74,13 +74,14 @@ def _component_factors(lam: Lattice, norm: AdaptedNorm) -> tuple[list[np.ndarray
 LATTICE_BALL_BUDGET = 5e7
 
 # Most distances dist(k . alpha, Z) a badly approximable witness search may
-# compute, as counted by ``witness_search_size``.  It bounds time, not
-# memory: both searches walk their k K_CHUNK at a time.  Measured as
-# process peak RSS of ``dioph`` at radius 12 with numpy 2.4 on x86-64: the
-# Salem pair search peaks at 35.9 MB with the defaults (12 candidates,
-# k_max 200), and just under the budget at 36.2 MB with 12 candidates at
-# k_max 380 and at 36.1 MB with 2 candidates at k_max 1065 (0.06 s); the
-# sextic single search peaks at 35.1 MB with one candidate at k_max 2.7e6.
+# compute, as counted by ``check_witness_search``, which both searches call.
+# It bounds time, not memory: both searches walk their k K_CHUNK at a time.
+# Measured as process peak RSS of ``dioph`` at radius 12 with numpy 2.4 on
+# x86-64: the Salem pair search peaks at 35.9 MB with the command's
+# defaults (12 candidates, k_max 200), and just under the budget at 36.2 MB
+# with 12 candidates at k_max 380 and at 36.1 MB with 2 candidates at k_max
+# 1065 (0.06 s); the sextic single search peaks at 35.1 MB with one
+# candidate at k_max 2.7e6.
 WITNESS_SEARCH_BUDGET = 5e7
 
 # Most vertices (3 K + 1 for scale K) a lattice winding curve may have.  The
@@ -328,10 +329,11 @@ def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes
 
 
 def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float):
-    """Yield one point of each +/- pair of nonzero lattice points with
-    adapted norm <= radius, the one whose outermost nonzero coordinate is
-    positive, as unsorted batches of (coords, adapted norms, center norms),
-    a slab of the outermost coordinate at a time.
+    """One point of each +/- pair of nonzero lattice points with adapted
+    norm <= radius, the one whose outermost nonzero coordinate is positive,
+    as an iterator of unsorted batches of (coords, adapted norms, center
+    norms), a slab of the outermost coordinate at a time.  The arguments
+    and the budget are checked when it is called, before any batch.
 
     Since |n| >= sqrt(c^T Q c), the ellipsoid c^T Q c <= radius^2 covers
     the ball; it bounds every coordinate but the innermost, which runs
@@ -356,8 +358,8 @@ def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float):
     # half through `_upper_half` like every other slab.
     k = len(outer[0])
     _reuse_freed_heap()
-    for i in range(k // 2, k):
-        yield from _ball_slab(r, radius, factors, [a[i:i + 1] for a in outer])
+    return (batch for i in range(k // 2, k)
+            for batch in _ball_slab(r, radius, factors, [a[i:i + 1] for a in outer]))
 
 
 @dataclass
@@ -584,32 +586,29 @@ class _HalfBallFold:
     lie outside the edges) the point count, the least center norm and the
     exact sum of log norms over EXACT_SUM_SCALE.
 
-    The edges need the least and the greatest norm; `ends()` gives the
-    least and a bound on the greatest once the first point has come.  The
-    greatest lies between the greatest so far and that bound, and each edge
-    grows with it, so a point whose shell is the same under both ends'
-    edges is final and is folded in at once.  The few others are kept, and
-    retried with each chunk, until `finish` knows the greatest.
+    The edges need the least and the greatest norm.  The least is given,
+    and so is `top`, a bound on the greatest.  The greatest lies between
+    the greatest so far and `top`, and each edge grows with it, so a point
+    whose shell is the same under both ends' edges is final and is folded
+    in at once.  The few others are kept, and retried with each chunk,
+    until `finish` knows the greatest.
     """
 
-    def __init__(self, r: int, ends):
-        self.r, self.ends = r, ends
+    def __init__(self, r: int, least: float, top: float):
+        self.r = r
         self.count, self.greatest, self.least_center = 0, -math.inf, math.inf
-        self.best = self.lo = None
+        self.best = None
         self.pending = np.empty(0), np.empty(0)  # (log norms, center norms)
         self.counts = np.zeros(SHELLS + 2, dtype=np.int64)
         self.least_nc = np.full(SHELLS + 2, np.inf)
         self.sums = [0] * (SHELLS + 2)
+        self.lo = np.log(least)
+        # per shell, the lower edge when the greatest norm is `top`
+        self.top_lower = np.concatenate(([-np.inf], _shell_edges(self.lo, _nudged(np.log(top), 1))))
 
     def add(self, coords: np.ndarray, norms: np.ndarray, nc: np.ndarray) -> None:
         if not norms.size:
             return
-        if self.lo is None:
-            least, top = self.ends()
-            self.lo = np.log(least)
-            # per shell, the lower edge when the greatest norm is its bound
-            edges = _shell_edges(self.lo, _nudged(np.log(top), 1))
-            self.top_lower = np.concatenate(([-np.inf], edges))
         self.count += norms.size
         self.greatest = max(self.greatest, float(norms.max()))
         self.least_center = min(self.least_center, float(nc.min()))
@@ -656,18 +655,7 @@ class _HalfBallFold:
         return float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
 
 
-def _ball_halves(ball: BallPoints):
-    """The ball's half of `_upper_half` as (coords, adapted norms, center
-    norms), INNER_BATCH of the ball's rows at a time."""
-    for lo in range(0, len(ball.norms), INNER_BATCH):
-        part = slice(lo, lo + INNER_BATCH)
-        half = _upper_half(ball.coords[part])
-        yield (np.compress(half, ball.coords[part], axis=0), ball.norms[part][half],
-               ball.center_norms[part][half])
-
-
-def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
-                        ball: Optional[BallPoints] = None) -> DiophantineReport:
+def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float) -> DiophantineReport:
     """Exhaustive scan of 0 < |n| <= radius recording min |n^c| * |n|^r.
 
     Also fits the log-log slope of the per-shell minimal center norm
@@ -677,46 +665,31 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float,
     The reduction runs over one point of each +/- pair, which shares its
     norms with the other, batch by batch as `_ball_slabs` yields the half,
     and `_HalfBallFold` keeps nothing of a batch but its share of the
-    report, so memory does not grow with the radius.  A caller that holds
-    the `lattice_ball` of this radius anyway passes it as `ball`, and its
-    half is reduced block by block in place of a second scan; a ball of
-    another radius or lattice raises InvariantError.  Every quantity of the
-    report is independent of the order the points come in, so both give
-    the same report: the count is twice the half's; the minima and the
-    maximum are the half's; a shell's mean is the half's, since its
-    exactly rounded sum and its count both double; the least ratios of a
-    chunk and its negation are among the rows with a ratio at most the
-    chunk's WITNESS_CAP-th least and their negations.
+    report, so memory does not grow with the radius.  Every quantity of
+    the report is independent of the order the points come in: the count
+    is twice the half's; the minima and the maximum are the half's; a
+    shell's mean is the half's, since its exactly rounded sum and its
+    count both double; the least ratios of a chunk and its negation are
+    among the rows with a ratio at most the chunk's WITNESS_CAP-th least
+    and their negations.
 
     A point's shell comes from `_shell_index`, exactly as the comparisons
     with the edges would pick it; counts and minima are per shell, and each
     shell's sum of logs is exact in Python ints (`_exact_bin_sums`), so its
     rounding is math.fsum's over the whole shell however the points are
-    split.  The edges span the least and the greatest norm.  A ball gives
-    both.  A scan takes the least from `_least_shell`, bit for bit the
-    stream's least since a row's norm does not depend on its batch, and
-    bounds the greatest by radius + 1e-12, the most a kept point may have.
+    split.  The edges span the least and the greatest norm.  The least
+    comes from `_least_shell`, bit for bit the stream's least since a
+    row's norm does not depend on its batch, and the greatest is bounded by
+    radius + 1e-12, the most a kept point may have.
     """
-    if ball is None:
-        chunks = _ball_slabs(pa.lam, norm, radius)
-
-        def ends():
-            return _least_shell(pa.lam, norm).norms.min(), radius + 1e-12
-    else:
-        if ball.radius != radius or ball.lam != pa.lam:
-            raise InvariantError(f"the ball of radius {ball.radius:g} on lattice {ball.lam.basis} "
-                                 f"is not the scan of radius {radius:g} on {pa.lam.basis}")
-        chunks = _ball_halves(ball)
-
-        def ends():
-            return ball.norms.min(), ball.norms.max()
-    fold = _HalfBallFold(pa.dim_x // 2, ends)
+    chunks = _ball_slabs(pa.lam, norm, radius)
+    least = _least_shell(pa.lam, norm)
+    fold = _HalfBallFold(pa.dim_x // 2, least.norms.min(), radius + 1e-12)
     for chunk in chunks:
         fold.add(*chunk)
         del chunk  # not held while the next batch is built
     _release_freed_heap()  # the heap the batches reused goes back to the OS
     if not fold.count:
-        least = _least_shell(pa.lam, norm)
         n = tuple(int(x) for x in least.vectors[0])
         raise InputError(f"no nonzero lattice point lies in the ball of radius {radius:g}; "
                          f"the least lattice norm is {least.norms[0]:.4g}, at n = {n}")
@@ -816,34 +789,35 @@ def _candidates(pa: PASubspace, norm: AdaptedNorm, chart: PlaneChart, count: int
                 return out
 
 
-def check_witness_search(dim_x: int, candidate_count: int, k_max: int,
-                         delta: float = 0.0) -> None:
+def check_witness_search(dim_x: int, candidate_count: int, k_max: int, delta: float) -> None:
     """Raise InputError unless the witness search for dim X accepts these
     arguments: the pair search (dim X = 4) needs two candidates, the single
-    search above it one candidate and a finite delta, and both k_max >= 1."""
+    search above it one candidate, and both k_max >= 1 and a finite delta.
+    Raise BudgetError when the search may compute more than
+    WITNESS_SEARCH_BUDGET distances: in dimension 4, the (2 k_max + 1)^2 of
+    the k grid per candidate pair (a pair that is evaluated computes both
+    its candidates' distances on the half grid), and as many again per
+    candidate and eight more; above it, 2 k_max per candidate and eight
+    more.  The margins are those of the searches that held these rows
+    whole, so the same arguments pass the budget."""
+    if not math.isfinite(delta):
+        raise InputError(f"delta must be a finite number, got {delta!r}")
     if dim_x == 4:
         if candidate_count < 2 or k_max < 1:
             raise InputError("the pair search needs candidate_count >= 2 and k_max >= 1, "
                              f"got {candidate_count} and {k_max}")
-    elif candidate_count < 1 or k_max < 1 or not math.isfinite(delta):
-        raise InputError("the witness search needs candidate_count >= 1, k_max >= 1 and a "
-                         f"finite delta, got {candidate_count}, {k_max} and {delta!r}")
+        size = (candidate_count * (candidate_count + 1) // 2 + 8) * (2 * k_max + 1) ** 2
+    else:
+        if candidate_count < 1 or k_max < 1:
+            raise InputError("the witness search needs candidate_count >= 1 and k_max >= 1, "
+                             f"got {candidate_count} and {k_max}")
+        size = (candidate_count + 8) * 2 * k_max
+    if size > WITNESS_SEARCH_BUDGET:
+        raise BudgetError(f"a witness search over {size} distances exceeds the budget of "
+                          f"{WITNESS_SEARCH_BUDGET:.0e}; pass a smaller k_max or candidate count")
 
 
-def witness_search_size(dim_x: int, candidate_count: int, k_max: int) -> int:
-    """Distances the witness search for dim X may compute, with a margin,
-    for arguments ``check_witness_search`` accepts: in dimension 4, the
-    (2 k_max + 1)^2 of the k grid per candidate pair (a pair that is
-    evaluated computes both its candidates' distances on the half grid),
-    and as many again per candidate and eight more; above it, 2 k_max per
-    candidate and eight more.  The margins are those of the searches that
-    held these rows whole, so the same arguments pass the budget."""
-    if dim_x == 4:
-        return (candidate_count * (candidate_count + 1) // 2 + 8) * (2 * k_max + 1) ** 2
-    return (candidate_count + 8) * 2 * k_max
-
-
-def approximation_constant(alpha: np.ndarray, k_max: int, delta: float = 0.1) -> tuple[float, int]:
+def approximation_constant(alpha: np.ndarray, k_max: int, delta: float) -> tuple[float, int]:
     """min over 1 <= k <= k_max of dist(k alpha, Z^d)_sup * k^(2 + delta),
     and the first k that attains it; k runs K_CHUNK values at a time."""
     alpha = np.asarray(alpha, dtype=float)
@@ -862,9 +836,9 @@ def badly_approximable_search_dim6(
     pa: PASubspace,
     norm: AdaptedNorm,
     chart: PlaneChart,
-    candidate_count: int = 24,
-    k_max: int = 2000,
-    delta: float = 0.1,
+    candidate_count: int,
+    k_max: int,
+    delta: float,
 ) -> ApproximationWitness:
     """Best single translation witness: argmax over candidates n of
     min_k dist(k * alpha, Z^2) * k^(2 + delta),  alpha = chart(n^c)."""
@@ -968,12 +942,12 @@ def badly_approximable_search_dim4(
     pa: PASubspace,
     norm: AdaptedNorm,
     chart: PlaneChart,
-    candidate_count: int = 12,
-    k_max: int = 200,
+    candidate_count: int,
+    k_max: int,
 ) -> PairWitness:
     """Best pair (n1, n2): argmax of min over 0 < |k|_sup <= k_max in Z^2 of
     max_i dist(k . alpha_i, Z) * |k|_sup^2."""
     if pa.dim_x != 4:
         raise OutOfHypothesesError("pair search applies only to dim X = 4")
-    check_witness_search(pa.dim_x, candidate_count, k_max)
+    check_witness_search(pa.dim_x, candidate_count, k_max, 0.0)
     return _pair_search(_candidates(pa, norm, chart, candidate_count), k_max)

@@ -79,9 +79,6 @@ class IntMatrix:
     def matvec(self, v: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
-
     def __pow__(self, k: int) -> "IntMatrix":
         if k < 0:
             return self.inverse_unimodular() ** (-k)

@@ -109,13 +109,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly(_derivative(self.coeffs))
 
-    def reverse(self) -> "IntPoly":
-        """x^deg * p(1/x); degree-preserving when the constant term is nonzero."""
-        return IntPoly(tuple(reversed(self.coeffs)))
-
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
     def primitive(self) -> "IntPoly":
         """Primitive part with positive leading coefficient."""
         return IntPoly(_primitive(list(self.coeffs)))
@@ -392,16 +385,6 @@ def _index_over_line(seq: list[list[int]]) -> int:
 
 def _real_root_count(c: list[int]) -> int:
     return _index_over_line(_sturm(c)) if len(c) > 1 else 0
-
-
-def sturm_chain(p: IntPoly) -> list[IntPoly]:
-    """Integer Sturm chain of the squarefree part of p."""
-    return [IntPoly(c) for c in _sturm(list(p.coeffs))]
-
-
-def count_real_roots(p: IntPoly) -> int:
-    """Number of distinct real roots of p, exact by Sturm's theorem."""
-    return _real_root_count(list(p.coeffs))
 
 
 # -- roots against the unit circle ----------------------------------------------

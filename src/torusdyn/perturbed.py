@@ -189,19 +189,8 @@ class PerturbedMap:
             y[..., s.target] += s.amplitude * s.profile.value(y[..., s.source])
         return y
 
-    def _shear_inverse(self, y: np.ndarray) -> np.ndarray:
-        x = np.array(y, dtype=float, copy=True)
-        for s in reversed(self.shears):
-            # the source coordinate is untouched by this shear, so the
-            # inverse is exact in closed form
-            x[..., s.target] -= s.amplitude * s.profile.value(x[..., s.source])
-        return x
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._shear_forward(x) @ self.a_float.T
-
-    def apply_inverse(self, y: np.ndarray) -> np.ndarray:
-        return self._shear_inverse(np.asarray(y, dtype=float) @ self.a_inv_float.T)
 
     # -- stable difference propagation -----------------------------------------
 

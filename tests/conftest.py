@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from torusdyn.intpoly import (
     X,
     IntPoly,
     _cayley_basis,
-    count_real_roots,
     cyclotomic,
     cyclotomic_indices_up_to_degree,
     divides,
@@ -17,8 +17,8 @@ from torusdyn.intpoly import (
     gcd_z,
     is_reciprocal,
     power_sums,
+    _sturm,
     squarefree_decomposition,
-    sturm_chain,
 )
 from torusdyn.lattice import is_cyclic_vector, kernel_lattice
 from torusdyn.manifolds import LeafSolver
@@ -151,6 +151,16 @@ def reference_chain(f, ref, inverse=False):
     return ReferenceChain(inverse, tuple(sources), tuple(values))
 
 
+def apply_inverse(f, y):
+    """F^-1(y) for a PerturbedMap f: A^-1, then the shears undone in reverse
+    order, each in closed form, since a shear leaves its source coordinate
+    untouched."""
+    x = np.asarray(y, dtype=float) @ f.a_inv_float.T
+    for s in reversed(f.shears):
+        x[..., s.target] -= s.amplitude * s.profile.value(x[..., s.source])
+    return x
+
+
 def march_oracle(f, r, direction, steps):
     """A segment's reference chain the two-pass way: march the orbit of the
     reduced points r with F (fwd) or F^-1 (bwd), then pass it through the
@@ -158,7 +168,7 @@ def march_oracle(f, r, direction, steps):
     refs = np.empty((steps,) + np.shape(r))
     refs[0] = r
     for t in range(steps - 1):
-        refs[t + 1] = (f.apply(refs[t]) if direction == "fwd" else f.apply_inverse(refs[t])) % 1.0
+        refs[t + 1] = (f.apply(refs[t]) if direction == "fwd" else apply_inverse(f, refs[t])) % 1.0
     return reference_chain(f, refs, inverse=direction == "bwd")
 
 
@@ -329,6 +339,11 @@ def _sign_at_fraction(p, x):
     return (v > 0) - (v < 0)
 
 
+def sturm_chain(p):
+    """Integer Sturm chain of the squarefree part of p."""
+    return [IntPoly(c) for c in _sturm(list(p.coeffs))]
+
+
 def sturm_count_between(p, lo, hi):
     """Distinct real roots of p in (lo, hi] for rationals lo < hi, by Sturm."""
     if p.degree < 1:
@@ -342,13 +357,22 @@ def sturm_count_between(p, lo, hi):
     return variations(Fraction(lo)) - variations(Fraction(hi))
 
 
+def count_real_roots(p):
+    """Distinct real roots of p, by Sturm between the ends of Cauchy's
+    bound 1 + max |a_i / a_n|, which every root lies strictly inside."""
+    if p.degree < 1:
+        return 0
+    bound = 1 + max(abs(Fraction(c, p.leading)) for c in p.coeffs[:-1])
+    return sturm_count_between(p, -bound, bound)
+
+
 def reference_unitary_roots(p):
     """Roots of monic p of modulus one, with multiplicity: per squarefree
     factor, the roots paired with their inverses live in gcd(f, reverse(f));
     rewrite that part as x^m q(x + 1/x) and count real roots of q in (-2, 2)."""
     total = 0
     for factor, mult in squarefree_decomposition(p):
-        r = gcd_z(factor, factor.reverse())
+        r = gcd_z(factor, IntPoly(factor.coeffs[::-1]))
         if r.degree >= 2:
             total += 2 * mult * sturm_count_between(crown_transform(r), -2, 2)
     return total
@@ -385,7 +409,7 @@ def _neg_rem_primitive(a: IntPoly, b: IntPoly) -> IntPoly:
     r, sign = pseudo_rem(a, b)
     if r.is_zero:
         return r
-    g = r.content()
+    g = math.gcd(*r.coeffs)
     return IntPoly(tuple((-sign * c) // g for c in r.coeffs))
 
 

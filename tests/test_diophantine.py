@@ -21,10 +21,9 @@ from torusdyn.diophantine import (
     lattice_ball,
     lattice_ball_shells,
 )
-from torusdyn.errors import BudgetError, InvariantError, OutOfHypothesesError
+from torusdyn.errors import BudgetError, InputError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly
-from torusdyn.lattice import Lattice
 from torusdyn.pseudo_anosov import pseudo_anosov_subspace
 from torusdyn.splitting import adapted_norm, compute_splitting
 
@@ -171,11 +170,10 @@ def _assert_same_ball(pa, norm, radius, slope_ulps=None):
     for name in BALL_ARRAYS:
         got, want = getattr(new, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    # The streamed reduction, and the same reduction over the sorted ball,
-    # equal the whole-array one with exactly rounded shell means.  Against
-    # numpy's pairwise means only the slope may move.
+    # The streamed reduction equals the whole-array one with exactly
+    # rounded shell means.  Against numpy's pairwise means only the slope
+    # may move.
     rep = center_norm_minimum(pa, norm, radius).to_json()
-    assert center_norm_minimum(pa, norm, radius, ball=new).to_json() == rep
     assert _report_from_ball(pa, ref, mean=_exact_mean).to_json() == rep
     want = _report_from_ball(pa, ref).to_json()
     if slope_ulps is None:
@@ -683,14 +681,25 @@ def _reduction_cases():
     }
 
 
+def _scan_yields(monkeypatch, ball, chunks):
+    """Have center_norm_minimum scan `chunks` of the synthetic ball's half,
+    with the ball's least norm as the lattice's."""
+    least = dataclasses.replace(ball, norms=np.array([ball.norms.min()]))
+    monkeypatch.setattr(diophantine, "_ball_slabs", lambda lam, norm, radius: iter(chunks))
+    monkeypatch.setattr(diophantine, "_least_shell", lambda lam, norm: least)
+
+
 @pytest.mark.parametrize("case", ["norms below 1", "logs on the edges", "one shell", "empty shells"])
-def test_center_norm_minimum_reduces_a_synthetic_ball(salem_pa, salem_norm, case):
+def test_center_norm_minimum_reduces_a_synthetic_ball(salem_pa, salem_norm, case, monkeypatch):
+    # The synthetic half ball streamed whole, in the ball's order.
     norms = _reduction_cases()[case]
     if case == "logs on the edges":  # 8 of the 11 interior edges are some float's log
         assert len(_norms_on_the_edges(0.5, 40.0)) == 8
     center_norms = np.random.default_rng(28).uniform(1e-3, 1.0, norms.size)
     ball = _synthetic_ball(salem_pa, norms, center_norms)
-    rep = center_norm_minimum(salem_pa, salem_norm, ball.radius, ball=ball).to_json()
+    half = diophantine._upper_half(ball.coords)
+    _scan_yields(monkeypatch, ball, [(ball.coords[half], ball.norms[half], ball.center_norms[half])])
+    rep = center_norm_minimum(salem_pa, salem_norm, ball.radius).to_json()
     assert rep == _report_from_ball(salem_pa, ball, mean=_exact_mean).to_json()
     assert rep["point_count"] == 2 * norms.size
 
@@ -712,9 +721,7 @@ def test_center_norm_minimum_streams_a_synthetic_ball_exactly(salem_pa, salem_no
     rows = np.concatenate([big, rows[:-1]] if largest == "first" else [rows[:-1], big])
     chunks = [(ball.coords[i], ball.norms[i], ball.center_norms[i])
               for i in np.array_split(rows, -(-rows.size // 7))]
-    least = dataclasses.replace(ball, norms=np.array([norms.min()]))
-    monkeypatch.setattr(diophantine, "_ball_slabs", lambda lam, norm, radius: iter(chunks))
-    monkeypatch.setattr(diophantine, "_least_shell", lambda lam, norm: least)
+    _scan_yields(monkeypatch, ball, chunks)
     waiting = []  # points kept back after each chunk, and at the end
     real_add = diophantine._HalfBallFold.add
 
@@ -730,21 +737,6 @@ def test_center_norm_minimum_streams_a_synthetic_ball_exactly(salem_pa, salem_no
     assert (waiting[-1] > 0) == (case == "logs on the edges"), waiting
     if largest == "last" and case != "one shell":
         assert max(waiting[:-1]) > waiting[-1], waiting
-
-
-def test_center_norm_minimum_rejects_a_ball_of_another_radius(salem_pa, salem_norm):
-    ball = lattice_ball(salem_pa.lam, salem_norm, 20.0)
-    with pytest.raises(InvariantError):
-        center_norm_minimum(salem_pa, salem_norm, 25.0, ball=ball)
-
-
-def test_center_norm_minimum_rejects_a_ball_of_another_lattice(salem_pa, salem_norm):
-    ball = lattice_ball(salem_pa.lam, salem_norm, 20.0)
-    doubled = Lattice.from_rows([[2 * x for x in row] for row in salem_pa.lam.basis],
-                                salem_pa.lam.ambient_dim)
-    assert doubled != salem_pa.lam
-    with pytest.raises(InvariantError):
-        center_norm_minimum(salem_pa, salem_norm, 20.0, ball=dataclasses.replace(ball, lam=doubled))
 
 
 def test_plane_chart_defining_property(salem_split, salem_pa):
@@ -897,7 +889,7 @@ def test_pair_search_chunks_keep_the_first_of_tied_pairs_and_k(case, k_max, chun
 @pytest.mark.parametrize("case", ["salem_conjugate", "one_row_top_slab", "salem_cat_conjugate"])
 def test_pair_search_matches_the_full_grid_conjugates(case, salem_matrix, block6_matrix):
     pa, norm, chart = _pa_norm_chart(_symmetric_ball_cases(block6_matrix, salem_matrix)[case])
-    w = badly_approximable_search_dim4(pa, norm, chart)
+    w = badly_approximable_search_dim4(pa, norm, chart, candidate_count=12, k_max=200)
     assert w == _full_grid_pair_search(_candidates(pa, norm, chart, 12), 200)
 
 
@@ -963,7 +955,8 @@ def test_pair_grid_distances_are_even_bit_for_bit(salem_candidates):
 def test_dim6_requires_dim6(salem_pa, salem_norm, salem_split):
     chart = center_plane_chart(salem_split, salem_pa.lam)
     with pytest.raises(OutOfHypothesesError):
-        badly_approximable_search_dim6(salem_pa, salem_norm, chart)
+        badly_approximable_search_dim6(salem_pa, salem_norm, chart, candidate_count=12, k_max=200,
+                                       delta=0.1)
 
 
 def test_rational_coordinate_collapses():
@@ -1020,12 +1013,40 @@ def test_dim6_search_on_sextic_example():
     pa = pseudo_anosov_subspace(a, 8, split=split)
     assert pa.dim_x == 6
     chart = center_plane_chart(split, pa.lam)
-    w1 = badly_approximable_search_dim6(pa, norm, chart, candidate_count=16, k_max=2000)
-    w2 = badly_approximable_search_dim6(pa, norm, chart, candidate_count=16, k_max=4000)
+    w1 = badly_approximable_search_dim6(pa, norm, chart, candidate_count=16, k_max=2000, delta=0.1)
+    w2 = badly_approximable_search_dim6(pa, norm, chart, candidate_count=16, k_max=4000, delta=0.1)
     assert w1.c_emp > 0
     # doubling k_max never increases the constant, and it stays within 10%
     assert w2.c_emp <= w1.c_emp + 1e-12
     assert w2.c_emp >= 0.9 * w1.c_emp
+
+
+def _no_distances(*args, **kwargs):
+    raise AssertionError("the search went past its budget check")
+
+
+@pytest.mark.parametrize("lattice", ["salem", "sextic"])
+def test_witness_searches_enforce_the_budget(salem_matrix, lattice, monkeypatch):
+    # Each search checks WITNESS_SEARCH_BUDGET itself, before it picks a
+    # candidate or computes a distance.
+    sextic = IntMatrix.companion(IntPoly((1, -2, 1, 1, 1, -2, 1)))
+    pa, norm, chart = _pa_norm_chart(salem_matrix if lattice == "salem" else sextic)
+    monkeypatch.setattr(diophantine, "WITNESS_SEARCH_BUDGET", 1e3)
+    monkeypatch.setattr(diophantine, "_candidates", _no_distances)
+    monkeypatch.setattr(diophantine, "_dist_to_integers", _no_distances)
+    with pytest.raises(BudgetError, match="witness search over"):
+        if pa.dim_x == 4:
+            badly_approximable_search_dim4(pa, norm, chart, candidate_count=12, k_max=200)
+        else:
+            badly_approximable_search_dim6(pa, norm, chart, candidate_count=16, k_max=2000,
+                                           delta=0.1)
+
+
+@pytest.mark.parametrize("args", [(4, 1, 200, 0.1), (4, 12, 0, 0.1), (4, 12, 200, math.nan),
+                                  (6, 0, 200, 0.1), (6, 1, 0, 0.1), (6, 1, 200, math.inf)])
+def test_witness_search_gate_rejects_bad_arguments(args):
+    with pytest.raises(InputError):
+        diophantine.check_witness_search(*args)
 
 
 def test_degenerate_pair_ranked_below(salem_pa, salem_norm, salem_split):

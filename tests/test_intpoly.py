@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    count_real_roots,
     crown_transform,
     cyclotomic_free,
     reference_circle_counts,
@@ -12,8 +13,8 @@ from conftest import (
 )
 from torusdyn.intpoly import (
     IntPoly,
+    _real_root_count,
     circle_root_counts,
-    count_real_roots,
     count_unitary_roots,
     cyclotomic,
     div_exact,
@@ -133,14 +134,14 @@ def test_crown_transform_identity():
 
 
 def test_count_real_roots():
-    assert count_real_roots(CAT) == 2
+    # circle_root_counts' Sturm count on coefficient lists, against the
+    # tests' count between the ends of Cauchy's bound
     p = IntPoly((-2, 0, 1))  # x^2 - 2
-    assert count_real_roots(p) == 2
-    assert count_real_roots(p * p) == 2
-    assert count_real_roots(IntPoly((1, 0, 1))) == 0
     # in the chain x^4 + x - 2, 4x^3 + 1, -3x + 8, -1 the last pseudo-division
     # raises lc = -3 to an odd power, so the count rests on the multiplier's sign
-    assert count_real_roots(IntPoly((-2, 1, 0, 0, 1))) == 2
+    for q, want in ((CAT, 2), (p, 2), (p * p, 2), (IntPoly((1, 0, 1)), 0),
+                    (IntPoly((-2, 1, 0, 0, 1)), 2)):
+        assert _real_root_count(list(q.coeffs)) == count_real_roots(q) == want, q
 
 
 def test_circle_root_counts_examples():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from conftest import SALEM, SALEM_CONJUGATE, chained_shears_map, harmonics_map, march_oracle
+from conftest import (SALEM, SALEM_CONJUGATE, apply_inverse, chained_shears_map, harmonics_map,
+                      march_oracle)
 from torusdyn import manifolds
 from torusdyn.errors import NumericsError
 from torusdyn.intmatrix import IntMatrix
@@ -273,7 +274,7 @@ def _transform_patch(solver, flavor, x, rho, grid_step, depth) -> GraphPatch:
     # orbit of base points: pullback needs the patch at F(y), pushforward at F^{-1}(y)
     orbit = [np.asarray(x, dtype=float)]
     for _ in range(depth):
-        orbit.append(solver.f.apply(orbit[-1]) if not forward else solver.f.apply_inverse(orbit[-1]))
+        orbit.append(solver.f.apply(orbit[-1]) if not forward else apply_inverse(solver.f, orbit[-1]))
     values = np.zeros(grid_shape + (len(q_idx),))
     a_param = (solver.coords[p_idx] @ solver.f.a_float) @ solver.embed[:, p_idx] if not forward \
         else (solver.coords[p_idx] @ solver.f.a_inv_float) @ solver.embed[:, p_idx]
@@ -291,14 +292,14 @@ def _transform_patch(solver, flavor, x, rho, grid_step, depth) -> GraphPatch:
         target = nodes
         for _ in range(60):
             pts = graph_point(w)
-            img = solver.f.apply_inverse(pts) if not forward else solver.f.apply(pts)
+            img = apply_inverse(solver.f, pts) if not forward else solver.f.apply(pts)
             cur = ((img - y) @ solver.coords.T)[:, p_idx]
             err = cur - target
             if np.max(np.abs(err)) <= 1e-12:
                 break
             w = w - err @ a_param.T
         pts = graph_point(w)
-        img = solver.f.apply_inverse(pts) if not forward else solver.f.apply(pts)
+        img = apply_inverse(solver.f, pts) if not forward else solver.f.apply(pts)
         new_vals = ((img - y) @ solver.coords.T)[:, q_idx]
         values = new_vals.reshape(grid_shape + (len(q_idx),))
 

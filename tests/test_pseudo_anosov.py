@@ -36,7 +36,7 @@ def restricted_matrix(a: IntMatrix, lat: Lattice) -> IntMatrix:
         rows.append(coords)
     # coordinates() returns row-action coordinates; the action matrix sends
     # coordinate columns, so transpose.
-    return IntMatrix(rows).transpose()
+    return IntMatrix(list(zip(*rows)))
 
 
 def test_condition_polynomial_examples():

@@ -11,8 +11,8 @@ change that moves an output on purpose regenerates it:
 The outputs are the stdout and the written files of ``analyze``, ``survey``
 (boxes (4, 2), (5, 2), (7, 1), (6, 1), (3, 5), (8, 1) and (7, 2), and (5, 2)
 with ``--reciprocal-only`` and with ``--limit 257``), ``pa``, ``dioph`` (JSON
-alone, JSON with ``--csv``, and ``--format csv``; without a table the scan
-reduces the streamed slabs, with one it reduces the sorted ball; a pair
+alone, JSON with ``--csv``, and ``--format csv``; the report always
+reduces the streamed slabs, and a table comes from the sorted ball; a pair
 search at ``--kmax 7`` on 3 candidates; the benchmark's configuration at
 radius 80, whose shells are populated; radius 120, whose slabs are cut into
 batches; a pair search at ``--kmax 1065`` on 2 candidates, whose k grid
