@@ -8,7 +8,9 @@ change that moves an output on purpose regenerates it:
 
     python tools/output_digest.py > tests/data/output_digest.txt
 
-The outputs are the stdout and the written files of ``analyze``, ``survey``
+The outputs are the stdout and the written files of ``analyze`` (Salem; the
+cat map; Salem + cat, two factors; cat + the quarter turn, a cyclotomic
+factor; cat + cat, a repeated factor), ``survey``
 (boxes (4, 2), (5, 2), (7, 1), (6, 1), (3, 5), (8, 1) and (7, 2), and (5, 2)
 with ``--reciprocal-only`` and with ``--limit 257``), ``pa``, ``dioph`` (JSON
 alone, JSON with ``--csv``, and ``--format csv``; the report always
@@ -65,10 +67,20 @@ SALEM = IntPoly((1, -1, -1, -1, 1))
 # U A U^-1 for the Salem companion A and a unimodular U: dense norm factors
 SALEM_CONJUGATE = [[0, 8, 6, 5], [1, -2, 2, -1], [0, -5, -4, -3], [-2, 12, 3, 7]]
 
-# name -> argv; {salem}, {conj}, {map}, {map6} and {dir} are filled in, and every file an
-# argv writes under {dir} is digested beside the command's stdout
+CAT = IntMatrix([[2, 1], [1, 1]])
+QUARTER_TURN = IntMatrix([[0, -1], [1, 0]])
+
+# name -> argv; {salem}, {conj}, {cat}, {salem_cat}, {cat_turn}, {cat_cat}, {map}, {map6}
+# and {dir} are filled in, and every file an argv writes under {dir} is digested beside
+# the command's stdout
 COMMANDS = {
     "analyze": ["analyze", "{salem}"],
+    "analyze cat": ["analyze", "{cat}"],
+    "analyze salem+cat": ["analyze", "{salem_cat}"],
+    # char poly (x^2 - 3x + 1)(x^2 + 1): cyclotomic index 4, exit 2
+    "analyze cat+turn": ["analyze", "{cat_turn}"],
+    # char poly (x^2 - 3x + 1)^2: one factor of multiplicity 2
+    "analyze cat+cat": ["analyze", "{cat_cat}"],
     "survey": ["survey", "--dim", "4", "--height", "2", "--out", "{dir}/catalog.jsonl",
                "--summary", "{dir}/summary.json"],
     # boxes with rows of repeated, mixed and missing cyclotomic factors
@@ -130,15 +142,18 @@ def _json_bytes(obj) -> bytes:
 
 def cli_digests(tmp: str) -> list[tuple[str, str]]:
     a = IntMatrix.companion(SALEM)
-    paths = {name: os.path.join(tmp, f"{name}.json") for name in ("salem", "conj", "map", "map6")}
-    with open(paths["salem"], "w") as fh:
-        json.dump({"n": a.n, "rows": [list(r) for r in a.rows]}, fh)
-    with open(paths["conj"], "w") as fh:
-        json.dump({"n": 4, "rows": SALEM_CONJUGATE}, fh)
+    matrices = {"salem": a, "conj": IntMatrix(SALEM_CONJUGATE), "cat": CAT,
+                "salem_cat": IntMatrix.block_diag(a, CAT),
+                "cat_turn": IntMatrix.block_diag(CAT, QUARTER_TURN),
+                "cat_cat": IntMatrix.block_diag(CAT, CAT)}
+    paths = {name: os.path.join(tmp, f"{name}.json") for name in (*matrices, "map", "map6")}
+    for name, m in matrices.items():
+        with open(paths[name], "w") as fh:
+            json.dump({"n": m.n, "rows": [list(r) for r in m.rows]}, fh)
     with open(paths["map"], "w") as fh:
         json.dump(salem_example(0.01).to_json(), fh)
     with open(paths["map6"], "w") as fh:
-        json.dump(salem_example(0.01, a=IntMatrix.block_diag(a, IntMatrix([[2, 1], [1, 1]]))).to_json(), fh)
+        json.dump(salem_example(0.01, a=matrices["salem_cat"]).to_json(), fh)
     out = []
     for name, argv in COMMANDS.items():
         work = os.path.join(tmp, name.replace(" ", "_"))
