@@ -23,7 +23,6 @@ from .lattice import Lattice, hnf_rows, invariant_factors, is_cyclic_vector, ker
 from .zfactor import factor_z, is_irreducible_z
 from .splitting import (
     AdaptedNorm,
-    ClassificationReport,
     Splitting,
     adapted_norm,
     classify,

@@ -51,13 +51,19 @@ def _load_matrix(path: str):
 
 def _check_out(*paths) -> None:
     """Reject, before any work, an output path that cannot be written: one
-    that is a directory, or whose directory is missing or unwritable."""
+    that is a directory, whose directory is missing or unwritable, or that
+    resolves to the same file as another output path."""
+    seen = {}
     for path in filter(None, paths):
         folder = os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path):
             raise InputError(f"output path {path!r} is a directory")
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
             raise InputError(f"output directory {folder!r} is missing or not writable")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise InputError(f"output paths {seen[real]!r} and {path!r} name the same file")
+        seen[real] = path
 
 
 def _write(blocks, path, stdout: bool) -> None:
@@ -88,8 +94,8 @@ def _report(obj) -> list[str]:
 
 def cmd_analyze(args) -> int:
     report = classify(_load_matrix(args.matrix))
-    _write(_report(report.to_json()), args.out, True)
-    return 0 if report.ergodic and report.dim_center in (0, 2) else 2
+    _write(_report(report), args.out, True)
+    return 0 if report["ergodic"] and report["dim_center"] in (0, 2) else 2
 
 
 def cmd_survey(args) -> int:

@@ -323,7 +323,7 @@ def is_reciprocal(p: IntPoly) -> bool:
     """True iff the coefficient sequence is palindromic."""
     if not p.is_monic:
         raise ValueError("reciprocal test expects a monic polynomial")
-    return p.coeffs == tuple(reversed(p.coeffs))
+    return p.coeffs == p.coeffs[::-1]
 
 
 def is_poly_in_xm(p: IntPoly) -> Optional[int]:

@@ -7,10 +7,13 @@ per-factor root counts, Salem flags -- is certified by exact integer
 arithmetic on one factorization of the char poly: per factor, one
 Routh-Hurwitz remainder sequence gives both the roots on the unit circle
 (the real roots of its last element) and those inside it (a Cauchy index
-read at +-infinity).
+read at +-infinity).  ``report_json`` writes the classification report
+from that factorization as JSON text; ``classify`` and the survey's
+catalog lines both read it.
 """
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -141,8 +144,8 @@ def image_spectrum(spectrum: list[_FactorSpectrum], negate: bool, reverse: bool
 
 
 # -- classification report -----------------------------------------------------
-# The verdicts below are the only statement of each fact: ``spectrum_report``
-# and the survey's catalog lines both read them.
+# The verdicts below are the only statement of each fact, and ``report_json``
+# the only statement of the report's layout.
 
 
 def is_ergodic(spectrum: list[_FactorSpectrum]) -> bool:
@@ -165,96 +168,57 @@ def is_pseudo_anosov(p: IntPoly, spectrum: list[_FactorSpectrum]) -> bool:
     return len(spectrum) == 1 and spectrum[0].mult == 1 and is_poly_in_xm(p) is None
 
 
-@dataclass(frozen=True)
-class FactorRecord:
-    coeffs: tuple[int, ...]
-    degree: int
-    multiplicity: int
-    unitary_roots: int
-    reciprocal: bool
-    cyclotomic_index: Optional[int]
-    salem: bool
-
-    def to_json(self) -> dict:
-        return {
-            "coeffs": list(self.coeffs),
-            "degree": self.degree,
-            "multiplicity": self.multiplicity,
-            "unitary_roots": self.unitary_roots,
-            "reciprocal": self.reciprocal,
-            "cyclotomic_index": self.cyclotomic_index,
-            "salem": self.salem,
-        }
+# JSON of a bool
+_BOOL = ("false", "true")
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    n: int
-    char_poly: tuple[int, ...]
-    ergodic: bool
-    anosov: bool
-    dim_center: int
-    dim_stable: int
-    dim_unstable: int
-    factors: tuple[FactorRecord, ...]
-    salem_flags: tuple[bool, ...]
-    pseudo_anosov: bool
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "char_poly": list(self.char_poly),
-            "ergodic": self.ergodic,
-            "anosov": self.anosov,
-            "dim_center": self.dim_center,
-            "dim_stable": self.dim_stable,
-            "dim_unstable": self.dim_unstable,
-            "factors": [f.to_json() for f in self.factors],
-            "salem_flags": list(self.salem_flags),
-            "pseudo_anosov": self.pseudo_anosov,
-        }
+@lru_cache(maxsize=256)
+def _json_ints(coeffs: tuple[int, ...]) -> str:
+    """JSON of Python ints, the str() of their list; cached, since a catalog
+    line writes its coefficients up to three times and small factors recur."""
+    return str(list(coeffs))
 
 
-def classify_poly(p: IntPoly) -> ClassificationReport:
-    """Exact algebraic classification of the automorphism with char poly p."""
+def report_json(p: IntPoly, spectrum: list[_FactorSpectrum]) -> tuple[str, tuple[int, bool, bool]]:
+    """The classification of the automorphism with char poly p, read from
+    ``spectrum``, its ``_factor_spectrum``; p(0) is +-1.
+
+    Returns the report's text, ``json.dumps(report, sort_keys=True)`` for
+    the report ``schemas/classification.json`` describes, written out here
+    directly, and the (dim_center, ergodic, pseudo_anosov) it was written
+    from.
+    """
+    stable, center, unstable = _modulus_counts(spectrum)
+    ergodic, pa = is_ergodic(spectrum), is_pseudo_anosov(p, spectrum)
+    factors, salem_flags = [], []
+    for f in spectrum:
+        reciprocal, salem = factor_flags(f)
+        cyc = "null" if f.cyclotomic_index is None else f.cyclotomic_index
+        factors.append(f'{{"coeffs": {_json_ints(f.poly.coeffs)}, "cyclotomic_index": {cyc}, '
+                       f'"degree": {f.poly.degree}, "multiplicity": {f.mult}, '
+                       f'"reciprocal": {_BOOL[reciprocal]}, "salem": {_BOOL[salem]}, '
+                       f'"unitary_roots": {f.unitary}}}')
+        salem_flags.append(_BOOL[salem])
+    text = (f'{{"anosov": {_BOOL[center == 0]}, "char_poly": {_json_ints(p.coeffs)}, '
+            f'"dim_center": {center}, "dim_stable": {stable}, "dim_unstable": {unstable}, '
+            f'"ergodic": {_BOOL[ergodic]}, "factors": [{", ".join(factors)}], '
+            f'"n": {p.degree}, "pseudo_anosov": {_BOOL[pa]}, '
+            f'"salem_flags": [{", ".join(salem_flags)}]}}')
+    return text, (center, ergodic, pa)
+
+
+def classify_poly(p: IntPoly) -> dict:
+    """Exact algebraic classification of the automorphism with char poly p:
+    the report of ``report_json``, parsed."""
     det = p.coeffs[0] * (1 if p.degree % 2 == 0 else -1)
     if det not in (1, -1):
         raise OutOfHypothesesError("determinant is not +-1; not a torus automorphism")
-    return spectrum_report(p, _factor_spectrum(p))
+    return json.loads(report_json(p, _factor_spectrum(p))[0])
 
 
-def spectrum_report(p: IntPoly, spectrum: list[_FactorSpectrum]) -> ClassificationReport:
-    """The classification of the automorphism with char poly p, read from
-    ``spectrum``, its ``_factor_spectrum``; p(0) is +-1."""
-    records = tuple(
-        FactorRecord(
-            coeffs=f.poly.coeffs,
-            degree=f.poly.degree,
-            multiplicity=f.mult,
-            unitary_roots=f.unitary,
-            reciprocal=reciprocal,
-            cyclotomic_index=f.cyclotomic_index,
-            salem=salem,
-        )
-        for f in spectrum for reciprocal, salem in (factor_flags(f),)
-    )
-    dim_s, dim_c, dim_u = _modulus_counts(spectrum)
-    return ClassificationReport(
-        n=p.degree,
-        char_poly=p.coeffs,
-        ergodic=is_ergodic(spectrum),
-        anosov=(dim_c == 0),
-        dim_center=dim_c,
-        dim_stable=dim_s,
-        dim_unstable=dim_u,
-        factors=records,
-        salem_flags=tuple(f.salem for f in records),
-        pseudo_anosov=is_pseudo_anosov(p, spectrum),
-    )
-
-
-def classify(a: IntMatrix) -> ClassificationReport:
-    """Exact algebraic classification of the induced torus automorphism."""
+def classify(a: IntMatrix) -> dict:
+    """Exact algebraic classification of the induced torus automorphism: the
+    report dict of ``classify_poly``."""
     return classify_poly(a.char_poly())
 
 

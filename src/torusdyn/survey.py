@@ -4,7 +4,9 @@ Enumerates monic degree-N integer polynomials with constant term +-1 and
 middle coefficients bounded by a height, classifies each companion
 matrix, and aggregates class counts.  Only one polynomial of each orbit
 under negation and reversal is factored; the records of the others are
-derived from its spectrum.  Enumeration order is fixed, so catalogs are
+derived from its spectrum.  Each catalog line embeds the report text of
+``splitting.report_json``, and the summary tallies the facts it was
+written from.  Enumeration order is fixed, so catalogs are
 byte-reproducible; with several worker processes the merge preserves that
 order.
 """
@@ -18,8 +20,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .intpoly import IntPoly
-from .splitting import (_factor_spectrum, _FactorSpectrum, _modulus_counts, factor_flags,
-                        image_spectrum, is_ergodic, is_pseudo_anosov)
+from .splitting import _factor_spectrum, _FactorSpectrum, _json_ints, image_spectrum, report_json
 from .zfactor import factor_z_many
 
 
@@ -40,12 +41,8 @@ def companion_minus_identity_snf(p: IntPoly) -> list[int]:
     xI - C = U(x) diag(1, ..., 1, p(x)) V(x) with U, V invertible over
     Z[x]; at x = 1 this is a Smith form of I - C.
     """
-    at_one = p(1)
+    at_one = sum(p.coeffs)  # p(1)
     return [1] * (p.degree - 1) + ([abs(at_one)] if at_one else [])
-
-
-# JSON of a bool; that of a list of Python ints is its str()
-_BOOL = ("false", "true")
 
 
 def classify_entry(item: tuple[int, tuple[int, ...]],
@@ -55,36 +52,19 @@ def classify_entry(item: tuple[int, tuple[int, ...]],
     ``_factor_spectrum``; without one, the polynomial is factored here.
 
     The line is ``json.dumps(entry, sort_keys=True)`` and a newline for the
-    entry {index, coeffs, conjugacy_key, report}, where report is
-    ``spectrum_report(p, spectrum).to_json()``, written out here directly.
-    ``tally``, when given, counts the entry's (dim_center, ergodic,
-    pseudo_anosov), the facts its summary reads.
+    entry {index, coeffs, conjugacy_key, report}, where report is the text
+    of ``splitting.report_json``.  ``tally``, when given, counts the
+    (dim_center, ergodic, pseudo_anosov) that text was written from, the
+    facts the summary reads.
     """
     index, coeffs = item
     p = IntPoly(coeffs)
-    if spectrum is None:
-        spectrum = _factor_spectrum(p)
-    stable, center, unstable = _modulus_counts(spectrum)
-    ergodic, pa = is_ergodic(spectrum), is_pseudo_anosov(p, spectrum)
-    factors, salem_flags = [], []
-    for f in spectrum:
-        reciprocal, salem = factor_flags(f)
-        cyc = "null" if f.cyclotomic_index is None else f.cyclotomic_index
-        factors.append(f'{{"coeffs": {list(f.poly.coeffs)}, "cyclotomic_index": {cyc}, '
-                       f'"degree": {f.poly.degree}, "multiplicity": {f.mult}, '
-                       f'"reciprocal": {_BOOL[reciprocal]}, "salem": {_BOOL[salem]}, '
-                       f'"unitary_roots": {f.unitary}}}')
-        salem_flags.append(_BOOL[salem])
+    report, facts = report_json(p, _factor_spectrum(p) if spectrum is None else spectrum)
     if tally is not None:
-        tally[center, ergodic, pa] += 1
-    cp = str(list(coeffs))
+        tally[facts] += 1
+    cp = _json_ints(coeffs)
     return (f'{{"coeffs": {cp}, "conjugacy_key": "cp:{cp}|snf:'
-            f'{companion_minus_identity_snf(p)}", "index": {index}, '
-            f'"report": {{"anosov": {_BOOL[center == 0]}, "char_poly": {cp}, '
-            f'"dim_center": {center}, "dim_stable": {stable}, "dim_unstable": {unstable}, '
-            f'"ergodic": {_BOOL[ergodic]}, "factors": [{", ".join(factors)}], '
-            f'"n": {p.degree}, "pseudo_anosov": {_BOOL[pa]}, '
-            f'"salem_flags": [{", ".join(salem_flags)}]}}}}\n')
+            f'{companion_minus_identity_snf(p)}", "index": {index}, "report": {report}}}\n')
 
 
 def spectrum_chunk(items: list[tuple[int, tuple[int, ...]]]) -> list[list[_FactorSpectrum]]:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -39,11 +40,15 @@ from torusdyn.pseudo_anosov import (
 )
 from torusdyn.splitting import (
     _factor_spectrum,
+    _modulus_counts,
     _rotation_basis,
     adapted_norm,
     classify,
     classify_poly,
     compute_splitting,
+    factor_flags,
+    is_ergodic,
+    is_pseudo_anosov,
 )
 from torusdyn.zfactor import _SIEVE_MODULUS, _SIEVE_PRIMES, _mobius, factor_z
 
@@ -55,6 +60,37 @@ CAT = IntPoly((1, -3, 1))
 # The leaf solver's results must not depend on the batch a row comes in, nor
 # the lattice scan's norms, which are summed per row without BLAS.
 SALEM_CONJUGATE = [[0, 8, 6, 5], [1, -2, 2, -1], [0, -5, -4, -3], [-2, 12, 3, 7]]
+
+
+def reference_report(p):
+    """The classification report of char poly p built field by field as a
+    dict from the predicates it states, not from the text of
+    ``splitting.report_json``: the oracle for that text."""
+    spectrum = _factor_spectrum(p)
+    factors = [{"coeffs": list(f.poly.coeffs), "degree": f.poly.degree, "multiplicity": f.mult,
+                "unitary_roots": f.unitary, "reciprocal": reciprocal,
+                "cyclotomic_index": f.cyclotomic_index, "salem": salem}
+               for f in spectrum for reciprocal, salem in (factor_flags(f),)]
+    dim_s, dim_c, dim_u = _modulus_counts(spectrum)
+    return {"n": p.degree, "char_poly": list(p.coeffs), "ergodic": is_ergodic(spectrum),
+            "anosov": dim_c == 0, "dim_center": dim_c, "dim_stable": dim_s,
+            "dim_unstable": dim_u, "factors": factors,
+            "salem_flags": [f["salem"] for f in factors],
+            "pseudo_anosov": is_pseudo_anosov(p, spectrum)}
+
+
+def shipped_schema_validator(name):
+    """A validator for the shipped schema ``schemas/<name>``; a ``$ref``
+    names another shipped schema by its file name."""
+    import importlib.resources as res
+
+    import jsonschema
+    from referencing import Registry, Resource
+
+    schemas = {f.name: json.loads(f.read_text())
+               for f in res.files("torusdyn").joinpath("schemas").iterdir() if f.name.endswith(".json")}
+    registry = Registry().with_resources((n, Resource.from_contents(s)) for n, s in schemas.items())
+    return jsonschema.Draft7Validator(schemas[name], registry=registry)
 
 
 @pytest.fixture(scope="session")
@@ -493,7 +529,7 @@ def schur_splitting_bases(a):
         _, z, sdim = scipy.linalg.schur(af, output="real", sort=select)
         bases.append(z[:, :sdim])
     r = classify(a)
-    if tuple(b.shape[1] for b in bases) != (r.dim_stable, r.dim_center, r.dim_unstable):
+    if tuple(b.shape[1] for b in bases) != (r["dim_stable"], r["dim_center"], r["dim_unstable"]):
         return None
     if bases[1].shape[1] == 2:
         bases[1] = _rotation_basis(af, bases[1])[0]
@@ -539,7 +575,7 @@ def power_search_subspace(a, k_max):
         (f.degree, k, f) for k in range(1, k_max + 1)
         for f in (_unitary_factor(_factor_spectrum(from_power_sums(s[k - 1:n * k:k]))),))
     for d, k, f in candidates:
-        if classify_poly(f).pseudo_anosov:
+        if classify_poly(f)["pseudo_anosov"]:
             lam = kernel_lattice((a ** k).apply_poly(f))
             return PASubspace(k=k, dim_x=d, p_k=f, lam=lam,
                               center_residual=center_containment_residual(lam, split))

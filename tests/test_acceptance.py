@@ -135,7 +135,7 @@ def corpus500(survey4):
 def test_criterion_03_condition_equivalence(corpus500, survey4):
     disagreements = []
     for a in corpus500:
-        poly_ok = classify(a).pseudo_anosov
+        poly_ok = classify(a)["pseudo_anosov"]
         cyclic = pa_condition_cyclic(a, 6)
         if poly_ok != cyclic.ok:
             disagreements.append(a.rows)
@@ -176,14 +176,14 @@ def test_criterion_04_pa_subspace_invariants(survey4, block6_matrix):
         ak = a ** pa.k
         assert pa.lam.transform(ak) == pa.lam
         assert pa.dim_x % 2 == 0 and pa.dim_x >= 4
-        assert classify_poly(pa.p_k).pseudo_anosov
+        assert classify_poly(pa.p_k)["pseudo_anosov"]
         for ell in (2, 3):
             akl = a ** (pa.k * ell)
             hits = [q for q, _ in factor_z(akl.char_poly()) if count_unitary_roots(q) == 2]
             assert len(hits) == 1
             assert kernel_lattice(akl.apply_poly(hits[0])) == pa.lam
         processed += 1
-        if a.n == 6 and not classify(a).pseudo_anosov:
+        if a.n == 6 and not classify(a)["pseudo_anosov"]:
             block6_processed = True
     verdict(4, processed >= 10 and block6_processed,
             f"{processed} center-dimension-2 matrices passed all subspace invariants; "

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import shipped_schema_validator
 from torusdyn import cli, experiments, manifolds, survey
 from torusdyn.cli import main
 from torusdyn.perturbed import salem_example
@@ -257,14 +258,10 @@ def test_survey_subcommand_and_determinism(files, capsys):
     assert (t / "sum1.json").read_bytes() == (t / "sum2.json").read_bytes()
     summary = json.loads((t / "sum1.json").read_text())
     assert summary["total"] == 54
-    # every catalog entry validates against the shipped schema
-    import importlib.resources as res
-
-    import jsonschema
-
-    schema = json.loads(res.files("torusdyn").joinpath("schemas/survey_entry.json").read_text())
+    # every catalog entry, its report included, validates against the shipped schemas
+    validator = shipped_schema_validator("survey_entry.json")
     for line in (t / "cat1.jsonl").read_text().splitlines():
-        jsonschema.validate(json.loads(line), schema)
+        validator.validate(json.loads(line))
 
 
 def test_survey_reciprocal_filter(files, capsys):
@@ -519,6 +516,14 @@ FAILURES = _rows(
     *((argv[:1] + ["{missing}/x.json"], 1, STOP) for argv, _ in OUTPUTS[:5]),
     *((argv + [option, bad], 1, STOP) for argv, options in OUTPUTS for option in options
       for bad in ("{missing}/x", "{tmp}")),
+    # two outputs that name one file
+    (["survey", "--dim", "3", "--height", "1", "--out", "{tmp}/x", "--summary", "{tmp}/x"], 1, STOP,
+     "^error: output paths '.*/x' and '.*/x' name the same file$"),
+    (["survey", *BOX, "--out", "{tmp}/x", "--summary", "{tmp}/./x"], 1, STOP,
+     "name the same file$"),
+    (["dioph", "{salem}", "--radius", "10", "--out", "{tmp}/x", "--csv", "{tmp}/x"], 1, STOP,
+     "name the same file$"),
+    (["perturb", "{map}", "--out", "{tmp}/x", "--csv", "{tmp}/x"], 1, STOP, "name the same file$"),
 )
 
 

@@ -40,9 +40,9 @@ def restricted_matrix(a: IntMatrix, lat: Lattice) -> IntMatrix:
 
 
 def test_condition_polynomial_examples():
-    assert classify_poly(SALEM).pseudo_anosov
-    assert not classify_poly(IntPoly((1, 0, 1, 0, 1))).pseudo_anosov  # q(x^2)
-    assert not classify_poly(IntPoly((-1, 0, 0, 0, 1))).pseudo_anosov  # reducible
+    assert classify_poly(SALEM)["pseudo_anosov"]
+    assert not classify_poly(IntPoly((1, 0, 1, 0, 1)))["pseudo_anosov"]  # q(x^2)
+    assert not classify_poly(IntPoly((-1, 0, 0, 0, 1)))["pseudo_anosov"]  # reducible
 
 
 def test_condition_cyclic_sample_examples(salem_matrix):
@@ -67,7 +67,7 @@ def test_conditions_agree_on_mixed_corpus(block6_matrix, salem_matrix, cat_matri
         p = IntPoly([rng.choice([-1, 1])] + [rng.randint(-2, 2) for _ in range(deg - 1)] + [1])
         mats.append(IntMatrix.companion(p))
     for a in mats:
-        poly_ok = classify(a).pseudo_anosov
+        poly_ok = classify(a)["pseudo_anosov"]
         exact = pa_condition_cyclic(a, 6)
         assert poly_ok == exact.ok, a.rows
         # the sampled form, with random vectors beside the kernel vectors,

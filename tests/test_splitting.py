@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import cyclotomic_free, random_unimodular, schur_splitting_bases
+from conftest import cyclotomic_free, random_unimodular, schur_splitting_bases, shipped_schema_validator
 from torusdyn import splitting
 from torusdyn.errors import InvariantError, NotErgodicError, OutOfHypothesesError
 from torusdyn.intmatrix import IntMatrix
@@ -21,7 +21,7 @@ from torusdyn.splitting import (
     reversal,
     unit_disk_root_count,
 )
-from torusdyn.survey import enumerate_polynomials
+from torusdyn.survey import classify_entry, enumerate_polynomials
 from torusdyn.zfactor import factor_z
 
 SALEM = IntPoly((1, -1, -1, -1, 1))
@@ -90,7 +90,7 @@ def test_disk_count_rejects_unitary_roots():
 def _modulus_counts(p):
     """(inside, on, outside) root counts of p w.r.t. the unit circle."""
     r = classify_poly(p)
-    return r.dim_stable, r.dim_center, r.dim_unstable
+    return r["dim_stable"], r["dim_center"], r["dim_unstable"]
 
 
 def test_modulus_counts():
@@ -100,46 +100,62 @@ def test_modulus_counts():
 
 
 def test_center_dimension_with_roots_of_unity():
-    assert classify_poly(PHI5).dim_center == 4
+    assert classify_poly(PHI5)["dim_center"] == 4
     # (x - 1)(x^2 - x - 1): one root of unity, the golden pair off the circle
-    assert classify_poly(IntPoly((-1, 1)) * IntPoly((-1, -1, 1))).dim_center == 1
+    assert classify_poly(IntPoly((-1, 1)) * IntPoly((-1, -1, 1)))["dim_center"] == 1
 
 
 def test_classify_cat(cat_matrix):
     r = classify(cat_matrix)
-    assert r.ergodic and r.anosov and r.dim_center == 0 and r.pseudo_anosov
-    assert r.dim_stable == 1 and r.dim_unstable == 1
+    assert r["ergodic"] and r["anosov"] and r["dim_center"] == 0 and r["pseudo_anosov"]
+    assert r["dim_stable"] == 1 and r["dim_unstable"] == 1
 
 
 def test_classify_salem(salem_matrix):
     r = classify(salem_matrix)
-    assert r.ergodic and not r.anosov
-    assert r.dim_center == 2 and r.dim_stable == 1 and r.dim_unstable == 1
-    assert r.pseudo_anosov
-    assert r.salem_flags == (True,)
+    assert r["ergodic"] and not r["anosov"]
+    assert r["dim_center"] == 2 and r["dim_stable"] == 1 and r["dim_unstable"] == 1
+    assert r["pseudo_anosov"]
+    assert r["salem_flags"] == [True]
 
 
 def test_classify_block6(block6_matrix):
     r = classify(block6_matrix)
-    assert r.ergodic and not r.anosov and r.dim_center == 2
-    assert not r.pseudo_anosov  # char poly reducible
-    assert len(r.factors) == 2
+    assert r["ergodic"] and not r["anosov"] and r["dim_center"] == 2
+    assert not r["pseudo_anosov"]  # char poly reducible
+    assert len(r["factors"]) == 2
 
 
 def test_classify_poly_matches_companion_classify():
     for _, coeffs in enumerate_polynomials(4, 2):
         p = IntPoly(coeffs)
-        assert classify_poly(p).to_json() == classify(IntMatrix.companion(p)).to_json()
+        assert classify_poly(p) == classify(IntMatrix.companion(p))
 
 
 def test_classify_json_schema():
-    import importlib.resources as res
+    shipped_schema_validator("classification.json").validate(classify(IntMatrix.companion(SALEM)))
 
+
+@pytest.mark.parametrize("spoil", [
+    lambda r: r.update(extra=0),
+    lambda r: r.pop("anosov"),
+    lambda r: r["factors"][0].update(extra=0),
+    lambda r: r["factors"][0].pop("cyclotomic_index"),
+], ids=["extra field", "missing field", "extra factor field", "missing factor field"])
+def test_report_schemas_reject_an_extra_or_missing_field(spoil):
+    """The report schema is closed, and a survey catalog entry checks its
+    report against it."""
     import jsonschema
 
-    schema = json.loads(res.files("torusdyn").joinpath("schemas/classification.json").read_text())
-    r = classify(IntMatrix.companion(SALEM))
-    jsonschema.validate(r.to_json(), schema)
+    report = classify_poly(SALEM)
+    entry = json.loads(classify_entry((3, SALEM.coeffs)))
+    assert entry["report"] == report
+    shipped_schema_validator("survey_entry.json").validate(entry)
+    spoil(report)
+    spoil(entry["report"])
+    for name, obj in (("classification.json", report), ("survey_entry.json", entry)):
+        with pytest.raises(jsonschema.ValidationError):
+            shipped_schema_validator(name).validate(obj)
 
 
 def test_splitting_dims(cat_matrix, salem_matrix, salem_split):

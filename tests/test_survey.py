@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import reference_report
 from torusdyn.intmatrix import IntMatrix
 from torusdyn.intpoly import IntPoly
 from torusdyn.lattice import invariant_factors
@@ -54,21 +55,24 @@ def _recount(entries: list[dict]) -> dict:
     (5, 2, True, None), (5, 2, False, 257),
 ])
 def test_catalog_lines_match_the_report_oracle(dim, height, reciprocal_only, limit):
-    """Every catalog line is the sorted JSON of the entry built from
-    ``classify_poly(p).to_json()``, and the summary is the recount of the
-    parsed catalog."""
+    """Every catalog line is the sorted JSON of the entry built from the
+    field-by-field oracle ``reference_report(p)``, ``classify_poly(p)`` is
+    that report, and the summary is the recount of the parsed catalog."""
     lines, summary = run_survey(dim, height, limit=limit, reciprocal_only=reciprocal_only)
     items = list(enumerate_polynomials(dim, height, reciprocal_only, limit))
     assert len(lines) == len(items)
     for line, (index, coeffs) in zip(lines, items):
         p = IntPoly(coeffs)
+        report = reference_report(p)
         entry = {
             "index": index,
             "coeffs": list(coeffs),
             "conjugacy_key": f"cp:{list(coeffs)}|snf:{companion_minus_identity_snf(p)}",
-            "report": classify_poly(p).to_json(),
+            "report": report,
         }
         assert line == json.dumps(entry, sort_keys=True) + "\n", coeffs
+        # dumped, so that a bool read back as an int would show
+        assert json.dumps(classify_poly(p), sort_keys=True) == json.dumps(report, sort_keys=True), coeffs
     assert summary == {"config": {"dim": dim, "height": height, "limit": limit,
                                   "reciprocal_only": reciprocal_only},
                        **_recount([json.loads(line) for line in lines])}
