@@ -22,6 +22,7 @@ from .diophantine import (
     center_plane_chart,
     check_witness_search,
     lattice_ball,
+    usable_cpus,
 )
 from .errors import BudgetError, InputError, TorusDynError
 from .experiments import (N_COUNT_BUDGET, N_MAX_LIMIT, PHI_SAMPLES_BUDGET, curve_experiment,
@@ -52,7 +53,8 @@ def _load_matrix(path: str):
 def _check_out(*paths) -> None:
     """Reject, before any work, an output path that cannot be written: one
     that is a directory, whose directory is missing or unwritable, or that
-    resolves to the same file as another output path."""
+    names the same file as another output path: the same existing file
+    (device and inode, so hard links too), or the same resolved path."""
     seen = {}
     for path in filter(None, paths):
         folder = os.path.dirname(os.path.abspath(path))
@@ -60,10 +62,14 @@ def _check_out(*paths) -> None:
             raise InputError(f"output path {path!r} is a directory")
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
             raise InputError(f"output directory {folder!r} is missing or not writable")
-        real = os.path.realpath(path)
-        if real in seen:
-            raise InputError(f"output paths {seen[real]!r} and {path!r} name the same file")
-        seen[real] = path
+        try:
+            st = os.stat(path)
+            key = (st.st_dev, st.st_ino)
+        except OSError:  # not there yet
+            key = os.path.realpath(path)
+        if key in seen:
+            raise InputError(f"output paths {seen[key]!r} and {path!r} name the same file")
+        seen[key] = path
 
 
 def _write(blocks, path, stdout: bool) -> None:
@@ -105,9 +111,9 @@ def cmd_survey(args) -> int:
         raise InputError("survey height must be between 0 and 5")
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit must be at least 0, got {args.limit}")
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     if not 1 <= args.jobs <= cpus:
-        raise InputError(f"--jobs must be between 1 and the CPU count {cpus}, got {args.jobs}")
+        raise InputError(f"--jobs must be between 1 and the usable CPU count {cpus}, got {args.jobs}")
     size = 2 * (2 * args.height + 1) ** (args.dim - 1)
     if args.limit is not None:
         size = min(size, args.limit)

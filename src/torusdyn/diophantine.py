@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import ctypes
 import math
+import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetError, InputError, InvariantError, OutOfHypothesesError
+from .errors import (BudgetError, InputError, InvariantError, OutOfHypothesesError,
+                     TorusDynError)
 from .lattice import Lattice
 from .pseudo_anosov import PASubspace
 from .splitting import AdaptedNorm, Splitting
@@ -228,10 +230,10 @@ def _innermost_ball_range(factors: list[np.ndarray], radius: float):
     return narrow
 
 
-def _check_scan_budget(q: np.ndarray, radius: float) -> None:
-    """Raise BudgetError when the covering ellipsoid c^T Q c <= radius^2
-    holds more than LATTICE_BALL_BUDGET lattice points, estimated by its
-    volume vol(B_d) radius^d / sqrt(det Q) before anything is allocated."""
+def _scan_candidates(q: np.ndarray, radius: float) -> float:
+    """The lattice points of the covering ellipsoid c^T Q c <= radius^2,
+    estimated by its volume vol(B_d) radius^d / sqrt(det Q) before anything
+    is allocated; BudgetError when that is over LATTICE_BALL_BUDGET."""
     d = q.shape[0]
     log_count = (0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1)
                  + d * math.log(radius) - 0.5 * np.linalg.slogdet(q)[1])
@@ -240,6 +242,7 @@ def _check_scan_budget(q: np.ndarray, radius: float) -> None:
             f"a lattice-ball scan of radius {radius:g} would enumerate about "
             f"10^{log_count / math.log(10):.1f} candidates, over the budget of "
             f"{LATTICE_BALL_BUDGET:.0e}")
+    return math.exp(log_count)
 
 
 def _upper_half(coords: np.ndarray) -> np.ndarray:
@@ -328,12 +331,32 @@ def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes
         start, done = stop, int(ends[stop - 1])
 
 
-def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float):
+def _scan_plan(lam: Lattice, norm: AdaptedNorm, radius: float):
+    """A scan's set-up, after its arguments and budget are checked: the
+    flavors' factor matrices, R with Q = R^T R, the outermost prefixes
+    (from -m to m) and the estimated candidate count."""
+    if lam.rank == 0:
+        raise InputError("lattice has rank 0")
+    if not (math.isfinite(radius) and radius >= 1):
+        raise InputError(f"radius must be a finite number >= 1, got {radius!r}")
+    factors, _ = _component_factors(lam, norm)
+    q = sum(f @ f.T for f in factors)
+    candidates = _scan_candidates(q, radius)
+    d = lam.rank
+    r = np.linalg.cholesky(q).T  # Q = R^T R, R upper triangular
+    outer = _expand_level(r, radius * radius, d - 1, np.zeros((1, d), dtype=np.int64),
+                          np.zeros(1), np.zeros((1, d)))
+    return factors, r, outer, candidates
+
+
+def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float, part: int, parts: int):
     """One point of each +/- pair of nonzero lattice points with adapted
     norm <= radius, the one whose outermost nonzero coordinate is positive,
     as an iterator of unsorted batches of (coords, adapted norms, center
-    norms), a slab of the outermost coordinate at a time.  The arguments
-    and the budget are checked when it is called, before any batch.
+    norms), a slab of the outermost coordinate at a time: of the slabs
+    0..m, those numbered part, part + parts, ... (part `part` of `parts`,
+    which together hold the half ball once).  The arguments and the budget
+    are checked when it is called, before any batch.
 
     Since |n| >= sqrt(c^T Q c), the ellipsoid c^T Q c <= radius^2 covers
     the ball; it bounds every coordinate but the innermost, which runs
@@ -342,23 +365,13 @@ def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float):
     batches of at most INNER_BATCH rows, so the stream's transients follow
     neither the ellipsoid nor, but for a slab's prefixes, the radius.
     """
-    if lam.rank == 0:
-        raise InputError("lattice has rank 0")
-    if not (math.isfinite(radius) and radius >= 1):
-        raise InputError(f"radius must be a finite number >= 1, got {radius!r}")
-    factors, _ = _component_factors(lam, norm)
-    q = sum(f @ f.T for f in factors)
-    _check_scan_budget(q, radius)
-    d = lam.rank
-    r = np.linalg.cholesky(q).T  # Q = R^T R, R upper triangular
-    outer = _expand_level(r, radius * radius, d - 1, np.zeros((1, d), dtype=np.int64),
-                          np.zeros(1), np.zeros((1, d)))
+    factors, r, outer, _ = _scan_plan(lam, norm, radius)
     # The outermost coordinate runs over -m..m in order: slab -x is slab x
     # negated, so only slabs 0..m are enumerated, and slab 0 keeps its
     # half through `_upper_half` like every other slab.
     k = len(outer[0])
     _reuse_freed_heap()
-    return (batch for i in range(k // 2, k)
+    return (batch for i in range(k // 2 + part, k, parts)
             for batch in _ball_slab(r, radius, factors, [a[i:i + 1] for a in outer]))
 
 
@@ -395,7 +408,7 @@ def ball_table(ball: BallPoints):
 def lattice_ball(lam: Lattice, norm: AdaptedNorm, radius: float) -> BallPoints:
     """Every nonzero lattice point with adapted norm <= radius: the half
     ball of `_ball_slabs` and its negation, concatenated and sorted."""
-    pts, total, nc = (np.concatenate(col) for col in zip(*_ball_slabs(lam, norm, radius)))
+    pts, total, nc = (np.concatenate(col) for col in zip(*_ball_slabs(lam, norm, radius, 0, 1)))
     pts, total, nc = _with_negations(pts, total, nc)
     _release_freed_heap()  # the slabs and the half are freed; only the points stay
     d = lam.rank
@@ -614,12 +627,9 @@ class _HalfBallFold:
         self.least_center = min(self.least_center, float(nc.min()))
         ratios = nc * norms ** self.r
         keep = _at_most_kth_least(ratios, WITNESS_CAP)
-        least = _least_ratios(*_with_negations(np.compress(keep, coords, axis=0), norms[keep],
-                                               nc[keep], ratios[keep]), WITNESS_CAP)
-        if self.best is not None:
-            least = _least_ratios(*(np.concatenate(col) for col in zip(self.best, least)),
-                                  WITNESS_CAP)
-        self.best = least
+        self._keep_best(_least_ratios(*_with_negations(np.compress(keep, coords, axis=0),
+                                                       norms[keep], nc[keep], ratios[keep]),
+                                      WITNESS_CAP))
         logn = np.log(norms)
         if self.pending[0].size:
             logn, nc = (np.concatenate(pair) for pair in zip(self.pending, (logn, nc)))
@@ -633,6 +643,28 @@ class _HalfBallFold:
             final = ~wait
             logn, nc, shell = logn[final], nc[final], shell[final]
         self._add_shells(logn, nc, shell)
+
+    def _keep_best(self, least) -> None:
+        if self.best is not None:
+            least = _least_ratios(*(np.concatenate(col) for col in zip(self.best, least)),
+                                  WITNESS_CAP)
+        self.best = least
+
+    def merge(self, other: "_HalfBallFold") -> None:
+        """Fold in the fold of another part of the same half ball, with the
+        same least norm and `top`.  A point the other part has finalised
+        keeps its shell under any greatest norm from that part's greatest
+        to `top`, so under the whole ball's; its points still pending join
+        these, for `finish`."""
+        self.count += other.count
+        self.greatest = max(self.greatest, other.greatest)
+        self.least_center = min(self.least_center, other.least_center)
+        if other.best is not None:
+            self._keep_best(other.best)
+        self.pending = tuple(np.concatenate(pair) for pair in zip(self.pending, other.pending))
+        self.counts += other.counts
+        np.minimum(self.least_nc, other.least_nc, out=self.least_nc)
+        self.sums = [a + b for a, b in zip(self.sums, other.sums)]
 
     def _add_shells(self, logn: np.ndarray, nc: np.ndarray, shell: np.ndarray) -> None:
         self.counts += np.bincount(shell, minlength=SHELLS + 2)
@@ -655,6 +687,96 @@ class _HalfBallFold:
         return float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else 0.0
 
 
+# A scan is split into parts only when its covering ellipsoid holds at least
+# SPLIT_CANDIDATES lattice points a part, as `_scan_candidates` estimates
+# them.  Forking a child and merging its fold cost 4-7 ms, so a split pays
+# only on large scans.  Measured with `center_norm_minimum` on the Salem
+# quartic, numpy 2.4 on a 2-vCPU x86-64 host, least of 10 runs, one part
+# against two: 10.0 against 15.1 ms at radius 10 (1.5e3 candidates), 20.4
+# against 23.2 ms at radius 30 (1.2e5), 21.6 against 20.2 ms at radius 35
+# (2.3e5), 27.2 against 23.8 ms at radius 40 (3.9e5), 50.6 against 37.8 ms
+# at radius 50 (9.5e5) and 161 against 98 ms at radius 80 (6.2e6).  Two
+# parts break even near 2.3e5 candidates; they start at 3e5 (radius 38).
+SPLIT_CANDIDATES = 1.5e5
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    gives one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _scan_parts(lam: Lattice, norm: AdaptedNorm, radius: float) -> int:
+    """How many processes fold the scan of `lam`'s ball of `radius`: one per
+    usable CPU, but no more than its slabs, and no more than one per
+    SPLIT_CANDIDATES estimated candidates.  One in a daemonic process,
+    which may not start children, and where processes cannot be forked.
+    The arguments and the budget are checked first."""
+    _, _, outer, candidates = _scan_plan(lam, norm, radius)
+    if (multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    slabs = len(outer[0]) - len(outer[0]) // 2
+    return max(1, min(usable_cpus(), slabs, int(candidates // SPLIT_CANDIDATES)))
+
+
+def _fold_slabs(fold: _HalfBallFold, chunks) -> _HalfBallFold:
+    for chunk in chunks:
+        fold.add(*chunk)
+        del chunk  # not held while the next batch is built
+    return fold
+
+
+def _fold_child(conn, fold: _HalfBallFold, slabs, part: int) -> None:
+    """A child's part of the scan: it sends the parent its fold, or the
+    exception that stopped it, which the parent raises."""
+    try:
+        result = _fold_slabs(fold, slabs(part))
+    except BaseException as exc:  # the parent raises it
+        result = exc
+    conn.send(result)
+
+
+def _fold_parts(fold: _HalfBallFold, slabs, parts: int) -> _HalfBallFold:
+    """`fold` with the batches of `slabs(part)` folded in for each part
+    0..parts-1: part 0 in this process, and each other part in a child
+    forked with the empty fold, whose fold comes back over a pipe and is
+    merged in.  A child's exception is raised here; a child that ends
+    without a result raises TorusDynError (exit 3).  Every child is
+    stopped and joined before this returns or raises.
+
+    The children are forked, not spawned: a spawned child would import
+    numpy and the package again, about 0.2 s, more than a split saves."""
+    children = []
+    try:
+        for part in range(1, parts):
+            ctx = multiprocessing.get_context("fork")
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_fold_child, args=(send, fold, slabs, part), daemon=True)
+            child.start()
+            children.append((child, recv))
+            send.close()  # a child that dies leaves no writer, and recv() sees EOF
+        _fold_slabs(fold, slabs(0))
+        for child, recv in children:
+            try:
+                result = recv.recv()
+            except EOFError:
+                child.join()
+                raise TorusDynError(f"a lattice-scan process ended without its result "
+                                    f"(exit code {child.exitcode})") from None
+            if isinstance(result, BaseException):
+                raise result
+            fold.merge(result)
+    finally:
+        for child, recv in children:
+            child.terminate()
+            child.join()
+            recv.close()
+    return fold
+
+
 def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float) -> DiophantineReport:
     """Exhaustive scan of 0 < |n| <= radius recording min |n^c| * |n|^r.
 
@@ -673,6 +795,13 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float) -> Dio
     among the rows with a ratio at most the chunk's WITNESS_CAP-th least
     and their negations.
 
+    So the slabs may be folded in parts, and the parts' folds merged
+    (`_HalfBallFold.merge`) before one `finish` under the greatest norm of
+    all: `_scan_parts` picks the parts, one per usable CPU for a scan of
+    at least SPLIT_CANDIDATES estimated candidates a part, and
+    `_fold_parts` folds part 0 here and each other part in a forked
+    child.  The report is the same, bit for bit, for any number of parts.
+
     A point's shell comes from `_shell_index`, exactly as the comparisons
     with the edges would pick it; counts and minima are per shell, and each
     shell's sum of logs is exact in Python ints (`_exact_bin_sums`), so its
@@ -682,12 +811,10 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float) -> Dio
     row's norm does not depend on its batch, and the greatest is bounded by
     radius + 1e-12, the most a kept point may have.
     """
-    chunks = _ball_slabs(pa.lam, norm, radius)
+    parts = _scan_parts(pa.lam, norm, radius)
     least = _least_shell(pa.lam, norm)
-    fold = _HalfBallFold(pa.dim_x // 2, least.norms.min(), radius + 1e-12)
-    for chunk in chunks:
-        fold.add(*chunk)
-        del chunk  # not held while the next batch is built
+    fold = _fold_parts(_HalfBallFold(pa.dim_x // 2, least.norms.min(), radius + 1e-12),
+                       lambda part: _ball_slabs(pa.lam, norm, radius, part, parts), parts)
     _release_freed_heap()  # the heap the batches reused goes back to the OS
     if not fold.count:
         n = tuple(int(x) for x in least.vectors[0])

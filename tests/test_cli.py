@@ -1,5 +1,6 @@
 import errno
 import json
+import multiprocessing
 import os
 import re
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import shipped_schema_validator
-from torusdyn import cli, experiments, manifolds, survey
+from torusdyn import cli, diophantine, experiments, manifolds, survey
 from torusdyn.cli import main
+from torusdyn.errors import BudgetError
 from torusdyn.perturbed import salem_example
 
 
@@ -336,6 +338,75 @@ def test_dioph_factors_the_char_poly_once(files, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_dioph_split_scan_is_byte_identical(files, capsys, monkeypatch):
+    """Above the break-even the scan folds its slabs in two processes, and
+    the report is the one-process report byte for byte."""
+    parts = []
+    real_parts = diophantine._scan_parts
+    monkeypatch.setattr(diophantine, "_scan_parts",
+                        lambda *args: parts.append(real_parts(*args)) or parts[-1])
+    outs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(diophantine, "usable_cpus", lambda: cpus)
+        assert main(["dioph", files["salem"], "--radius", "50"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert parts == [1, 2]
+    assert outs[0] == outs[1]
+    assert multiprocessing.active_children() == []
+
+
+def _planted_fault():
+    raise BudgetError("a planted fault")
+
+
+def _killed():
+    os._exit(9)
+
+
+def _interrupted():
+    raise KeyboardInterrupt
+
+
+def _fault_in_part(monkeypatch, fault_part, fault):
+    """Have dioph's scan run in two parts, part `fault_part` calling `fault`
+    before its first batch (part 1 in its child)."""
+    real_slabs = diophantine._ball_slabs
+
+    def slabs(lam, norm, radius, part, parts):
+        chunks = real_slabs(lam, norm, radius, part, parts)
+        if part == fault_part:
+            fault()
+        return chunks
+
+    monkeypatch.setattr(diophantine, "_scan_parts", lambda lam, norm, radius: 2)
+    monkeypatch.setattr(diophantine, "_ball_slabs", slabs)
+
+
+@pytest.mark.parametrize("fault, code, says", [
+    (_planted_fault, 4, "^error: a planted fault$"),
+    (_killed, 3, r"^error: a lattice-scan process ended without its result \(exit code 9\)$"),
+])
+def test_dioph_split_scan_failure_in_the_child(files, capfd, monkeypatch, fault, code, says):
+    """A child's exception keeps its exit code and its one line; a child
+    that dies without a result exits 3 naming its exit code.  No process
+    is left, no traceback is printed, by either process, and no output is
+    written."""
+    _fault_in_part(monkeypatch, 1, fault)
+    out = files["tmp"] / "dioph.json"
+    assert main(["dioph", files["salem"], "--radius", "10", "--out", str(out)]) == code
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and re.search(says, err), err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def test_dioph_split_scan_interrupted_leaves_no_process(files, monkeypatch):
+    _fault_in_part(monkeypatch, 0, _interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["dioph", files["salem"], "--radius", "10"])
+    assert multiprocessing.active_children() == []
+
+
 def test_perturb_outputs_reproducible(files):
     t = files["tmp"]
     for tag in ("a", "b"):
@@ -389,6 +460,10 @@ def _malformed_inputs(files):
     for name, data in (("not_json", b"not json"), ("not_utf8", b"\xff\xfe")):
         paths[name] = str(files["tmp"] / f"{name}.json")
         (files["tmp"] / f"{name}.json").write_bytes(data)
+    # an existing output file and a hard link to it
+    paths["linked"], paths["hard_link"] = str(files["tmp"] / "linked"), str(files["tmp"] / "hard")
+    (files["tmp"] / "linked").write_text("kept\n")
+    os.link(paths["linked"], paths["hard_link"])
     return paths
 
 
@@ -408,7 +483,7 @@ FIRST = {"analyze": (cli, "classify"), "pa": (cli, "pseudo_anosov_subspace"),
          "perturb": (experiments, "_factor_spectrum"), "survey": (cli, "run_survey")}
 # the dioph lattice scan, which a budget stops before
 SCAN = (cli, "center_norm_minimum", _stop_first_computation)
-CPUS = os.cpu_count() or 1
+CPUS = cli.usable_cpus()
 BOX = ["--dim", "4", "--height", "1"]
 # each command's input argument and its output options
 OUTPUTS = [(["analyze", "{salem}"], ["--out"]), (["pa", "{salem}"], ["--out"]),
@@ -524,6 +599,8 @@ FAILURES = _rows(
     (["dioph", "{salem}", "--radius", "10", "--out", "{tmp}/x", "--csv", "{tmp}/x"], 1, STOP,
      "name the same file$"),
     (["perturb", "{map}", "--out", "{tmp}/x", "--csv", "{tmp}/x"], 1, STOP, "name the same file$"),
+    (["survey", "--dim", "3", "--height", "1", "--out", "{linked}", "--summary", "{hard_link}"], 1,
+     STOP, "^error: output paths '.*/linked' and '.*/hard' name the same file$"),
 )
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import random
 import tracemalloc
 
@@ -681,15 +682,21 @@ def _reduction_cases():
     }
 
 
-def _scan_yields(monkeypatch, ball, chunks):
-    """Have center_norm_minimum scan `chunks` of the synthetic ball's half,
-    with the ball's least norm as the lattice's."""
+def _scan_yields(monkeypatch, ball, chunks, parts):
+    """Have center_norm_minimum scan `chunks` of the synthetic ball's half
+    in `parts` parts, part j the chunks j, j + parts, ..., with the ball's
+    least norm as the lattice's."""
     least = dataclasses.replace(ball, norms=np.array([ball.norms.min()]))
-    monkeypatch.setattr(diophantine, "_ball_slabs", lambda lam, norm, radius: iter(chunks))
+    monkeypatch.setattr(diophantine, "_scan_parts", lambda lam, norm, radius: parts)
+    monkeypatch.setattr(diophantine, "_ball_slabs",
+                        lambda lam, norm, radius, part, parts: iter(chunks[part::parts]))
     monkeypatch.setattr(diophantine, "_least_shell", lambda lam, norm: least)
 
 
-@pytest.mark.parametrize("case", ["norms below 1", "logs on the edges", "one shell", "empty shells"])
+REDUCTION_CASES = ["norms below 1", "logs on the edges", "one shell", "empty shells"]
+
+
+@pytest.mark.parametrize("case", REDUCTION_CASES)
 def test_center_norm_minimum_reduces_a_synthetic_ball(salem_pa, salem_norm, case, monkeypatch):
     # The synthetic half ball streamed whole, in the ball's order.
     norms = _reduction_cases()[case]
@@ -698,30 +705,37 @@ def test_center_norm_minimum_reduces_a_synthetic_ball(salem_pa, salem_norm, case
     center_norms = np.random.default_rng(28).uniform(1e-3, 1.0, norms.size)
     ball = _synthetic_ball(salem_pa, norms, center_norms)
     half = diophantine._upper_half(ball.coords)
-    _scan_yields(monkeypatch, ball, [(ball.coords[half], ball.norms[half], ball.center_norms[half])])
+    _scan_yields(monkeypatch, ball, [(ball.coords[half], ball.norms[half], ball.center_norms[half])],
+                 1)
     rep = center_norm_minimum(salem_pa, salem_norm, ball.radius).to_json()
     assert rep == _report_from_ball(salem_pa, ball, mean=_exact_mean).to_json()
     assert rep["point_count"] == 2 * norms.size
 
 
-@pytest.mark.parametrize("largest", ["first", "last"])
-@pytest.mark.parametrize("case", ["norms below 1", "logs on the edges", "one shell", "empty shells"])
-def test_center_norm_minimum_streams_a_synthetic_ball_exactly(salem_pa, salem_norm, case, largest,
-                                                              monkeypatch):
-    # The synthetic half ball streamed in chunks of 7 rows as a scan of its
-    # radius: the shells' upper edges are known only at the end, so with
-    # the largest norm last every point near an edge waits for it.
+def _synthetic_chunks(pa, case, largest):
+    """The synthetic ball of a reduction case, and its half in chunks of 7
+    rows by norm, with the largest norm first or last."""
     norms = _reduction_cases()[case]
     center_norms = np.random.default_rng(28).uniform(1e-3, 1.0, norms.size)
-    ball = _synthetic_ball(salem_pa, norms, center_norms)
+    ball = _synthetic_ball(pa, norms, center_norms)
     half = diophantine._upper_half(ball.coords)
     rows = np.flatnonzero(half)
     rows = rows[np.argsort(ball.norms[rows], kind="stable")]
     big = rows[-1:]
     rows = np.concatenate([big, rows[:-1]] if largest == "first" else [rows[:-1], big])
-    chunks = [(ball.coords[i], ball.norms[i], ball.center_norms[i])
-              for i in np.array_split(rows, -(-rows.size // 7))]
-    _scan_yields(monkeypatch, ball, chunks)
+    return ball, [(ball.coords[i], ball.norms[i], ball.center_norms[i])
+                  for i in np.array_split(rows, -(-rows.size // 7))]
+
+
+@pytest.mark.parametrize("largest", ["first", "last"])
+@pytest.mark.parametrize("case", REDUCTION_CASES)
+def test_center_norm_minimum_streams_a_synthetic_ball_exactly(salem_pa, salem_norm, case, largest,
+                                                              monkeypatch):
+    # The synthetic half ball streamed in chunks of 7 rows as a scan of its
+    # radius: the shells' upper edges are known only at the end, so with
+    # the largest norm last every point near an edge waits for it.
+    ball, chunks = _synthetic_chunks(salem_pa, case, largest)
+    _scan_yields(monkeypatch, ball, chunks, 1)
     waiting = []  # points kept back after each chunk, and at the end
     real_add = diophantine._HalfBallFold.add
 
@@ -737,6 +751,61 @@ def test_center_norm_minimum_streams_a_synthetic_ball_exactly(salem_pa, salem_no
     assert (waiting[-1] > 0) == (case == "logs on the edges"), waiting
     if largest == "last" and case != "one shell":
         assert max(waiting[:-1]) > waiting[-1], waiting
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("case", REDUCTION_CASES)
+def test_center_norm_minimum_merges_parts_exactly(salem_pa, salem_norm, case, parts, monkeypatch):
+    # The chunks of 7 rows, the largest norm last, dealt to the parts in
+    # turn and folded in forked children: a part without the largest norm
+    # still has points pending when its fold is merged.  Then the same
+    # rows in parts - 1 chunks, so that the last part is empty.
+    ball, chunks = _synthetic_chunks(salem_pa, case, "last")
+    top = ball.radius + 1e-12
+    folds = [diophantine._fold_slabs(diophantine._HalfBallFold(2, ball.norms.min(), top),
+                                     chunks[j::parts]) for j in range(parts)]
+    holder = (len(chunks) - 1) % parts
+    if case in ("norms below 1", "logs on the edges"):
+        assert any(f.pending[0].size for j, f in enumerate(folds) if j != holder)
+    _scan_yields(monkeypatch, ball, chunks, 1)
+    want = center_norm_minimum(salem_pa, salem_norm, ball.radius).to_json()
+    assert want == _report_from_ball(salem_pa, ball, mean=_exact_mean).to_json()
+    fewer = [tuple(np.concatenate(col) for col in zip(*chunks[j::parts - 1]))
+             for j in range(parts - 1)]
+    for split, count in ((chunks, parts), (fewer, parts)):
+        _scan_yields(monkeypatch, ball, split, count)
+        assert center_norm_minimum(salem_pa, salem_norm, ball.radius).to_json() == want
+        assert multiprocessing.active_children() == []
+
+
+def test_scan_parts_follow_the_cpus_and_the_break_even(salem_pa, salem_norm, monkeypatch):
+    # radius 10 holds about 1.5e3 candidates, radius 50 about 9.5e5
+    monkeypatch.setattr(diophantine, "usable_cpus", lambda: 2)
+    assert diophantine._scan_parts(salem_pa.lam, salem_norm, 10.0) == 1
+    assert diophantine._scan_parts(salem_pa.lam, salem_norm, 50.0) == 2
+    monkeypatch.setattr(diophantine, "usable_cpus", lambda: 64)  # 26 slabs at radius 50
+    assert diophantine._scan_parts(salem_pa.lam, salem_norm, 50.0) == 6
+    monkeypatch.setattr(diophantine, "SPLIT_CANDIDATES", 1.0)
+    assert diophantine._scan_parts(salem_pa.lam, salem_norm, 50.0) == 26
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert diophantine._scan_parts(salem_pa.lam, salem_norm, 50.0) == 1
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing.current_process(), "daemon", True)
+        assert diophantine._scan_parts(salem_pa.lam, salem_norm, 50.0) == 1
+    with pytest.raises(BudgetError):
+        diophantine._scan_parts(salem_pa.lam, salem_norm, 1e9)
+
+
+def test_scan_below_the_break_even_starts_no_process(salem_pa, salem_norm, monkeypatch):
+    monkeypatch.setattr(diophantine, "usable_cpus", lambda: 2)
+    report = center_norm_minimum(salem_pa, salem_norm, 10.0).to_json()
+
+    def no_start(process):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+    assert center_norm_minimum(salem_pa, salem_norm, 10.0).to_json() == report
 
 
 def test_plane_chart_defining_property(salem_split, salem_pa):

@@ -1,6 +1,6 @@
 """Paired benchmark runs of the working tree against a base revision.
 
-Checks REV out with ``git worktree`` into a temporary directory, copies the
+Extracts REV with ``git archive`` into a temporary directory, copies the
 working tree's tracked files, uncommitted edits included, into another, and
 runs ``bench/run.py`` in both, pair by pair, alternating which side runs
 first, all on one seed.  Both sides run from new directories, since the
@@ -11,27 +11,35 @@ from the repository root:
         --seed 9107 --seconds 6 --out BENCH_dioph.json
 
 The JSON written to ``--out`` holds every raw result line of
-``bench/run.py``; per metric, each side's median and quartiles and the
+``bench/run.py``, each with ``raw_wall_s`` added (the median of the
+rounds' wall times before the rescaling to the reference CPU speed, read
+from the run's result file); per metric, each side's median and quartiles and the
 pairs the working tree wins (a strictly better value in the direction
 ``BENCHMARK.json`` gives); each side's attempted and failed operations;
-and the variables of ``RECORDED_ENV``, the CPU count and the load average
-before and after.  Runs inherit the environment, so set
-``OPENBLAS_NUM_THREADS`` before calling.  The worktree and the copy are
-removed even when a run fails.  Nothing under ``bench/`` is changed: each
+and the variables of ``RECORDED_ENV``, the CPU count, the CPUs this
+process may run on (``dioph`` splits its scan over them) and the load
+average before and after.  Runs inherit the environment, so set
+``OPENBLAS_NUM_THREADS`` before calling.  Both directories are removed
+even when a run fails.  Nothing under ``bench/`` is changed: each
 side runs its own ``bench/run.py``.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from torusdyn.diophantine import usable_cpus  # noqa: E402
+
 SIDES = ("base", "head")
 # Environment variables that move the metrics.  With PYTHONDONTWRITEBYTECODE
 # set, every run compiles all of src/ in its set-up (about 65 ms on a 2-vCPU
@@ -96,7 +104,10 @@ def failures(pairs: list[dict]) -> dict:
 
 
 def run_once(checkout: str, args) -> dict:
-    """One bench/run.py run in `checkout`: its last stdout line, parsed."""
+    """One bench/run.py run in `checkout`: its last stdout line, parsed,
+    with the metric ``raw_wall_s`` added: the median of the rounds' wall
+    times before they are rescaled to the reference CPU speed, from the
+    run's result file."""
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -104,7 +115,13 @@ def run_once(checkout: str, args) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"bench/run.py exited {proc.returncode} in {checkout}:\n"
                            f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    with open(os.path.join(checkout, "bench", ".work",
+                           f"result-{args.workload}-{args.seed}-0.json")) as fh:
+        raw = json.load(fh)["raw_wall_s"]
+    if raw:
+        result["metrics"]["raw_wall_s"] = {"value": statistics.median(raw), "unit": "s"}
+    return result
 
 
 def main(argv=None) -> int:
@@ -131,7 +148,10 @@ def main(argv=None) -> int:
     checkouts = {s: os.path.join(tmp, s) for s in SIDES}
     runs, pairs = [], []
     try:
-        _git("worktree", "add", "--detach", checkouts["base"], base_commit)
+        archive = subprocess.run(["git", "archive", base_commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(checkouts["base"])
         copy_tracked(checkouts["head"])
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -142,16 +162,14 @@ def main(argv=None) -> int:
                 print(f"pair {i} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
             pairs.append(pair)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", checkouts["base"]], cwd=ROOT,
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        _git("worktree", "prune")
 
     report = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "base": {"rev": args.base, "commit": base_commit}, "head": head,
         "environment": {**{name: os.environ.get(name) for name in RECORDED_ENV},
-                        "cpu_count": os.cpu_count(), "loadavg_before": list(load_before),
+                        "cpu_count": os.cpu_count(), "usable_cpus": usable_cpus(),
+                        "loadavg_before": list(load_before),
                         "loadavg_after": list(os.getloadavg())},
         "metrics": summarize(pairs, better),
         "failures": failures(pairs),
