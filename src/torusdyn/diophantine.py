@@ -35,8 +35,9 @@ import ctypes
 import math
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -331,10 +332,21 @@ def _ball_slab(r: np.ndarray, radius: float, factors: list[np.ndarray], prefixes
         start, done = stop, int(ends[stop - 1])
 
 
-def _scan_plan(lam: Lattice, norm: AdaptedNorm, radius: float):
-    """A scan's set-up, after its arguments and budget are checked: the
-    flavors' factor matrices, R with Q = R^T R, the outermost prefixes
-    (from -m to m) and the estimated candidate count."""
+class _ScanPlan(NamedTuple):
+    """A scan's set-up: its radius, the flavors' factor matrices, R with
+    Q = R^T R, the outermost prefixes (from -m to m) and the estimated
+    candidate count."""
+
+    radius: float
+    factors: list
+    r: np.ndarray
+    outer: list
+    candidates: float
+
+
+def _scan_plan(lam: Lattice, norm: AdaptedNorm, radius: float) -> _ScanPlan:
+    """The set-up of the scan of `lam`'s ball of `radius`, after its
+    arguments and budget are checked."""
     if lam.rank == 0:
         raise InputError("lattice has rank 0")
     if not (math.isfinite(radius) and radius >= 1):
@@ -346,17 +358,17 @@ def _scan_plan(lam: Lattice, norm: AdaptedNorm, radius: float):
     r = np.linalg.cholesky(q).T  # Q = R^T R, R upper triangular
     outer = _expand_level(r, radius * radius, d - 1, np.zeros((1, d), dtype=np.int64),
                           np.zeros(1), np.zeros((1, d)))
-    return factors, r, outer, candidates
+    return _ScanPlan(radius, factors, r, outer, candidates)
 
 
-def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float, part: int, parts: int):
+def _ball_slabs(plan: _ScanPlan, part: int, parts: int):
     """One point of each +/- pair of nonzero lattice points with adapted
     norm <= radius, the one whose outermost nonzero coordinate is positive,
     as an iterator of unsorted batches of (coords, adapted norms, center
     norms), a slab of the outermost coordinate at a time: of the slabs
     0..m, those numbered part, part + parts, ... (part `part` of `parts`,
-    which together hold the half ball once).  The arguments and the budget
-    are checked when it is called, before any batch.
+    which together hold the half ball once).  `plan` comes from
+    `_scan_plan`, which checks the arguments and the budget.
 
     Since |n| >= sqrt(c^T Q c), the ellipsoid c^T Q c <= radius^2 covers
     the ball; it bounds every coordinate but the innermost, which runs
@@ -365,14 +377,14 @@ def _ball_slabs(lam: Lattice, norm: AdaptedNorm, radius: float, part: int, parts
     batches of at most INNER_BATCH rows, so the stream's transients follow
     neither the ellipsoid nor, but for a slab's prefixes, the radius.
     """
-    factors, r, outer, _ = _scan_plan(lam, norm, radius)
     # The outermost coordinate runs over -m..m in order: slab -x is slab x
     # negated, so only slabs 0..m are enumerated, and slab 0 keeps its
     # half through `_upper_half` like every other slab.
-    k = len(outer[0])
+    k = len(plan.outer[0])
     _reuse_freed_heap()
     return (batch for i in range(k // 2 + part, k, parts)
-            for batch in _ball_slab(r, radius, factors, [a[i:i + 1] for a in outer]))
+            for batch in _ball_slab(plan.r, plan.radius, plan.factors,
+                                    [a[i:i + 1] for a in plan.outer]))
 
 
 @dataclass
@@ -408,7 +420,8 @@ def ball_table(ball: BallPoints):
 def lattice_ball(lam: Lattice, norm: AdaptedNorm, radius: float) -> BallPoints:
     """Every nonzero lattice point with adapted norm <= radius: the half
     ball of `_ball_slabs` and its negation, concatenated and sorted."""
-    pts, total, nc = (np.concatenate(col) for col in zip(*_ball_slabs(lam, norm, radius, 0, 1)))
+    half = _ball_slabs(_scan_plan(lam, norm, radius), 0, 1)
+    pts, total, nc = (np.concatenate(col) for col in zip(*half))
     pts, total, nc = _with_negations(pts, total, nc)
     _release_freed_heap()  # the slabs and the half are freed; only the points stay
     d = lam.rank
@@ -698,6 +711,10 @@ class _HalfBallFold:
 # at radius 50 (9.5e5) and 161 against 98 ms at radius 80 (6.2e6).  Two
 # parts break even near 2.3e5 candidates; they start at 3e5 (radius 38).
 SPLIT_CANDIDATES = 1.5e5
+# Two parts are the most that were measured.  The children are forked one
+# after another, so more parts cost more serial forks; ROADMAP.md keeps the
+# measurement on a host with more CPUs that must come before this is raised.
+MAX_SCAN_PARTS = 2
 
 
 def usable_cpus() -> int:
@@ -708,18 +725,18 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _scan_parts(lam: Lattice, norm: AdaptedNorm, radius: float) -> int:
-    """How many processes fold the scan of `lam`'s ball of `radius`: one per
-    usable CPU, but no more than its slabs, and no more than one per
-    SPLIT_CANDIDATES estimated candidates.  One in a daemonic process,
-    which may not start children, and where processes cannot be forked.
-    The arguments and the budget are checked first."""
-    _, _, outer, candidates = _scan_plan(lam, norm, radius)
-    if (multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()):
+def _scan_parts(plan: _ScanPlan) -> int:
+    """How many processes fold the scan of `plan`: one per usable CPU, but
+    no more than MAX_SCAN_PARTS, than its slabs, or than one per
+    SPLIT_CANDIDATES estimated candidates.  One off Linux, the one platform
+    where forking a process that has run numpy is known to be safe (macOS
+    lists fork, but its system libraries may hold threads), and one in a
+    daemonic process, which may not start children."""
+    if not sys.platform.startswith("linux") or multiprocessing.current_process().daemon:
         return 1
-    slabs = len(outer[0]) - len(outer[0]) // 2
-    return max(1, min(usable_cpus(), slabs, int(candidates // SPLIT_CANDIDATES)))
+    k = len(plan.outer[0])
+    return max(1, min(MAX_SCAN_PARTS, usable_cpus(), k - k // 2,
+                      int(plan.candidates // SPLIT_CANDIDATES)))
 
 
 def _fold_slabs(fold: _HalfBallFold, chunks) -> _HalfBallFold:
@@ -797,10 +814,11 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float) -> Dio
 
     So the slabs may be folded in parts, and the parts' folds merged
     (`_HalfBallFold.merge`) before one `finish` under the greatest norm of
-    all: `_scan_parts` picks the parts, one per usable CPU for a scan of
-    at least SPLIT_CANDIDATES estimated candidates a part, and
-    `_fold_parts` folds part 0 here and each other part in a forked
-    child.  The report is the same, bit for bit, for any number of parts.
+    all: `_scan_parts` picks the parts, one per usable CPU up to
+    MAX_SCAN_PARTS for a scan of at least SPLIT_CANDIDATES estimated
+    candidates a part, and `_fold_parts` folds part 0 here and each other
+    part in a forked child.  The report is the same, bit for bit, for any
+    number of parts.
 
     A point's shell comes from `_shell_index`, exactly as the comparisons
     with the edges would pick it; counts and minima are per shell, and each
@@ -811,10 +829,11 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float) -> Dio
     row's norm does not depend on its batch, and the greatest is bounded by
     radius + 1e-12, the most a kept point may have.
     """
-    parts = _scan_parts(pa.lam, norm, radius)
+    plan = _scan_plan(pa.lam, norm, radius)
+    parts = _scan_parts(plan)
     least = _least_shell(pa.lam, norm)
     fold = _fold_parts(_HalfBallFold(pa.dim_x // 2, least.norms.min(), radius + 1e-12),
-                       lambda part: _ball_slabs(pa.lam, norm, radius, part, parts), parts)
+                       lambda part: _ball_slabs(plan, part, parts), parts)
     _release_freed_heap()  # the heap the batches reused goes back to the OS
     if not fold.count:
         n = tuple(int(x) for x in least.vectors[0])

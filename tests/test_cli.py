@@ -372,13 +372,13 @@ def _fault_in_part(monkeypatch, fault_part, fault):
     before its first batch (part 1 in its child)."""
     real_slabs = diophantine._ball_slabs
 
-    def slabs(lam, norm, radius, part, parts):
-        chunks = real_slabs(lam, norm, radius, part, parts)
+    def slabs(plan, part, parts):
+        chunks = real_slabs(plan, part, parts)
         if part == fault_part:
             fault()
         return chunks
 
-    monkeypatch.setattr(diophantine, "_scan_parts", lambda lam, norm, radius: 2)
+    monkeypatch.setattr(diophantine, "_scan_parts", lambda plan: 2)
     monkeypatch.setattr(diophantine, "_ball_slabs", slabs)
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import multiprocessing
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -687,9 +688,9 @@ def _scan_yields(monkeypatch, ball, chunks, parts):
     in `parts` parts, part j the chunks j, j + parts, ..., with the ball's
     least norm as the lattice's."""
     least = dataclasses.replace(ball, norms=np.array([ball.norms.min()]))
-    monkeypatch.setattr(diophantine, "_scan_parts", lambda lam, norm, radius: parts)
+    monkeypatch.setattr(diophantine, "_scan_parts", lambda plan: parts)
     monkeypatch.setattr(diophantine, "_ball_slabs",
-                        lambda lam, norm, radius, part, parts: iter(chunks[part::parts]))
+                        lambda plan, part, parts: iter(chunks[part::parts]))
     monkeypatch.setattr(diophantine, "_least_shell", lambda lam, norm: least)
 
 
@@ -780,21 +781,30 @@ def test_center_norm_minimum_merges_parts_exactly(salem_pa, salem_norm, case, pa
 
 def test_scan_parts_follow_the_cpus_and_the_break_even(salem_pa, salem_norm, monkeypatch):
     # radius 10 holds about 1.5e3 candidates, radius 50 about 9.5e5
+    def parts(radius):
+        return diophantine._scan_parts(diophantine._scan_plan(salem_pa.lam, salem_norm, radius))
+
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(diophantine, "usable_cpus", lambda: 1)
+    assert parts(50.0) == 1
     monkeypatch.setattr(diophantine, "usable_cpus", lambda: 2)
-    assert diophantine._scan_parts(salem_pa.lam, salem_norm, 10.0) == 1
-    assert diophantine._scan_parts(salem_pa.lam, salem_norm, 50.0) == 2
+    assert parts(10.0) == 1
+    assert parts(50.0) == 2
     monkeypatch.setattr(diophantine, "usable_cpus", lambda: 64)  # 26 slabs at radius 50
-    assert diophantine._scan_parts(salem_pa.lam, salem_norm, 50.0) == 6
+    assert parts(50.0) == 2
     monkeypatch.setattr(diophantine, "SPLIT_CANDIDATES", 1.0)
-    assert diophantine._scan_parts(salem_pa.lam, salem_norm, 50.0) == 26
-    with monkeypatch.context() as m:
-        m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert diophantine._scan_parts(salem_pa.lam, salem_norm, 50.0) == 1
+    assert parts(50.0) == 2
+    monkeypatch.setattr(diophantine, "MAX_SCAN_PARTS", 64)
+    assert parts(50.0) == 26
+    for platform in ("darwin", "win32"):
+        with monkeypatch.context() as m:
+            m.setattr(sys, "platform", platform)
+            assert parts(50.0) == 1
     with monkeypatch.context() as m:
         m.setattr(multiprocessing.current_process(), "daemon", True)
-        assert diophantine._scan_parts(salem_pa.lam, salem_norm, 50.0) == 1
+        assert parts(50.0) == 1
     with pytest.raises(BudgetError):
-        diophantine._scan_parts(salem_pa.lam, salem_norm, 1e9)
+        parts(1e9)
 
 
 def test_scan_below_the_break_even_starts_no_process(salem_pa, salem_norm, monkeypatch):

@@ -1,6 +1,6 @@
 """Paired benchmark runs of the working tree against a base revision.
 
-Extracts REV with ``git archive`` into a temporary directory, copies the
+Checks REV out with ``git worktree`` into a temporary directory, copies the
 working tree's tracked files, uncommitted edits included, into another, and
 runs ``bench/run.py`` in both, pair by pair, alternating which side runs
 first, all on one seed.  Both sides run from new directories, since the
@@ -19,27 +19,22 @@ pairs the working tree wins (a strictly better value in the direction
 and the variables of ``RECORDED_ENV``, the CPU count, the CPUs this
 process may run on (``dioph`` splits its scan over them) and the load
 average before and after.  Runs inherit the environment, so set
-``OPENBLAS_NUM_THREADS`` before calling.  Both directories are removed
-even when a run fails.  Nothing under ``bench/`` is changed: each
+``OPENBLAS_NUM_THREADS`` before calling.  The worktree and the copy are
+removed even when a run fails.  Nothing under ``bench/`` is changed: each
 side runs its own ``bench/run.py``.
 """
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-from torusdyn.diophantine import usable_cpus  # noqa: E402
-
 SIDES = ("base", "head")
 # Environment variables that move the metrics.  With PYTHONDONTWRITEBYTECODE
 # set, every run compiles all of src/ in its set-up (about 65 ms on a 2-vCPU
@@ -148,10 +143,7 @@ def main(argv=None) -> int:
     checkouts = {s: os.path.join(tmp, s) for s in SIDES}
     runs, pairs = [], []
     try:
-        archive = subprocess.run(["git", "archive", base_commit], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(checkouts["base"])
+        _git("worktree", "add", "--detach", checkouts["base"], base_commit)
         copy_tracked(checkouts["head"])
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -162,13 +154,16 @@ def main(argv=None) -> int:
                 print(f"pair {i} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
             pairs.append(pair)
     finally:
+        subprocess.run(["git", "worktree", "remove", "--force", checkouts["base"]], cwd=ROOT,
+                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
+        _git("worktree", "prune")
 
     report = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "base": {"rev": args.base, "commit": base_commit}, "head": head,
         "environment": {**{name: os.environ.get(name) for name in RECORDED_ENV},
-                        "cpu_count": os.cpu_count(), "usable_cpus": usable_cpus(),
+                        "cpu_count": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0)),
                         "loadavg_before": list(load_before),
                         "loadavg_after": list(os.getloadavg())},
         "metrics": summarize(pairs, better),
