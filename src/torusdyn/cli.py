@@ -22,12 +22,12 @@ from .diophantine import (
     center_plane_chart,
     check_witness_search,
     lattice_ball,
-    usable_cpus,
 )
 from .errors import BudgetError, InputError, TorusDynError
 from .experiments import (N_COUNT_BUDGET, N_MAX_LIMIT, PHI_SAMPLES_BUDGET, curve_experiment,
                           perturb_experiment)
 from .intmatrix import matrix_from_json
+from .parts import usable_cpus
 from .perturbed import PerturbedMap
 from .pseudo_anosov import hypothesis_spectrum, pseudo_anosov_subspace
 from .splitting import adapted_norm, classify, compute_splitting

@@ -33,17 +33,15 @@ from __future__ import annotations
 
 import ctypes
 import math
-import multiprocessing
 import os
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (BudgetError, InputError, InvariantError, OutOfHypothesesError,
-                     TorusDynError)
+from .errors import BudgetError, InputError, InvariantError, OutOfHypothesesError
 from .lattice import Lattice
+from .parts import part_count, run_parts
 from .pseudo_anosov import PASubspace
 from .splitting import AdaptedNorm, Splitting
 
@@ -711,86 +709,21 @@ class _HalfBallFold:
 # at radius 50 (9.5e5) and 161 against 98 ms at radius 80 (6.2e6).  Two
 # parts break even near 2.3e5 candidates; they start at 3e5 (radius 38).
 SPLIT_CANDIDATES = 1.5e5
-# Two parts are the most that were measured.  The children are forked one
-# after another, so more parts cost more serial forks; ROADMAP.md keeps the
-# measurement on a host with more CPUs that must come before this is raised.
-MAX_SCAN_PARTS = 2
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS
-    gives one, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _scan_parts(plan: _ScanPlan) -> int:
-    """How many processes fold the scan of `plan`: one per usable CPU, but
-    no more than MAX_SCAN_PARTS, than its slabs, or than one per
-    SPLIT_CANDIDATES estimated candidates.  One off Linux, the one platform
-    where forking a process that has run numpy is known to be safe (macOS
-    lists fork, but its system libraries may hold threads), and one in a
-    daemonic process, which may not start children."""
-    if not sys.platform.startswith("linux") or multiprocessing.current_process().daemon:
-        return 1
+    """How many processes fold the scan of `plan` (`parts.part_count`): no
+    more than its slabs, or than one per SPLIT_CANDIDATES estimated
+    candidates.  The folds sum their norms without BLAS, so the split
+    does not wait on an OpenBLAS thread control (`blas=False`)."""
     k = len(plan.outer[0])
-    return max(1, min(MAX_SCAN_PARTS, usable_cpus(), k - k // 2,
-                      int(plan.candidates // SPLIT_CANDIDATES)))
+    return part_count(k - k // 2, int(plan.candidates // SPLIT_CANDIDATES), blas=False)
 
 
 def _fold_slabs(fold: _HalfBallFold, chunks) -> _HalfBallFold:
     for chunk in chunks:
         fold.add(*chunk)
         del chunk  # not held while the next batch is built
-    return fold
-
-
-def _fold_child(conn, fold: _HalfBallFold, slabs, part: int) -> None:
-    """A child's part of the scan: it sends the parent its fold, or the
-    exception that stopped it, which the parent raises."""
-    try:
-        result = _fold_slabs(fold, slabs(part))
-    except BaseException as exc:  # the parent raises it
-        result = exc
-    conn.send(result)
-
-
-def _fold_parts(fold: _HalfBallFold, slabs, parts: int) -> _HalfBallFold:
-    """`fold` with the batches of `slabs(part)` folded in for each part
-    0..parts-1: part 0 in this process, and each other part in a child
-    forked with the empty fold, whose fold comes back over a pipe and is
-    merged in.  A child's exception is raised here; a child that ends
-    without a result raises TorusDynError (exit 3).  Every child is
-    stopped and joined before this returns or raises.
-
-    The children are forked, not spawned: a spawned child would import
-    numpy and the package again, about 0.2 s, more than a split saves."""
-    children = []
-    try:
-        for part in range(1, parts):
-            ctx = multiprocessing.get_context("fork")
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_fold_child, args=(send, fold, slabs, part), daemon=True)
-            child.start()
-            children.append((child, recv))
-            send.close()  # a child that dies leaves no writer, and recv() sees EOF
-        _fold_slabs(fold, slabs(0))
-        for child, recv in children:
-            try:
-                result = recv.recv()
-            except EOFError:
-                child.join()
-                raise TorusDynError(f"a lattice-scan process ended without its result "
-                                    f"(exit code {child.exitcode})") from None
-            if isinstance(result, BaseException):
-                raise result
-            fold.merge(result)
-    finally:
-        for child, recv in children:
-            child.terminate()
-            child.join()
-            recv.close()
     return fold
 
 
@@ -815,10 +748,10 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float) -> Dio
     So the slabs may be folded in parts, and the parts' folds merged
     (`_HalfBallFold.merge`) before one `finish` under the greatest norm of
     all: `_scan_parts` picks the parts, one per usable CPU up to
-    MAX_SCAN_PARTS for a scan of at least SPLIT_CANDIDATES estimated
-    candidates a part, and `_fold_parts` folds part 0 here and each other
-    part in a forked child.  The report is the same, bit for bit, for any
-    number of parts.
+    `parts.MAX_PARTS` for a scan of at least SPLIT_CANDIDATES estimated
+    candidates a part, and `parts.run_parts` folds part 0 here and each
+    other part in a forked child.  The report is the same, bit for bit,
+    for any number of parts.
 
     A point's shell comes from `_shell_index`, exactly as the comparisons
     with the edges would pick it; counts and minima are per shell, and each
@@ -832,8 +765,12 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float) -> Dio
     plan = _scan_plan(pa.lam, norm, radius)
     parts = _scan_parts(plan)
     least = _least_shell(pa.lam, norm)
-    fold = _fold_parts(_HalfBallFold(pa.dim_x // 2, least.norms.min(), radius + 1e-12),
-                       lambda part: _ball_slabs(plan, part, parts), parts)
+    fold, *others = run_parts(
+        lambda part: _fold_slabs(_HalfBallFold(pa.dim_x // 2, least.norms.min(), radius + 1e-12),
+                                 _ball_slabs(plan, part, parts)),
+        parts, "lattice-scan")
+    for other in others:
+        fold.merge(other)
     _release_freed_heap()  # the heap the batches reused goes back to the OS
     if not fold.count:
         n = tuple(int(x) for x in least.vectors[0])

@@ -20,6 +20,7 @@ from .holonomy import (
 )
 from .intmatrix import IntMatrix
 from .manifolds import LeafSolver, measure_kappa
+from .parts import part_count, run_parts
 from .perturbed import PerturbedMap, Shear
 from .pseudo_anosov import hypothesis_spectrum, orbit_sublattice, pseudo_anosov_subspace
 from .splitting import _factor_spectrum, _modulus_counts, adapted_norm, compute_splitting
@@ -195,6 +196,56 @@ N_COUNT_BUDGET = 10_000
 N_MAX_LIMIT = 1e4
 
 
+def _amplitude_study(base_map: PerturbedMap, split, norm, dim_x, amp: float, seed: int,
+                     n_max: float, n_count: int, phi_samples: int) -> tuple[dict, list]:
+    """One amplitude of the perturbation study: its report entry and its
+    (amplitude, norm, deviation) CSV rows.  Every generator is seeded from
+    `seed` alone, so an amplitude's result does not depend on the others."""
+    f = rescale_amplitudes(base_map, amp)
+    solver = LeafSolver(f, split, norm)
+    entry: dict = {"amplitude": amp, "c1_bound": f.c1_deviation_bound()}
+    if amp == 0:
+        entry["degeneration"] = degeneration_checks(solver, seed)
+        entry["kappa_emp"] = 0.0
+        return entry, []
+    kap = measure_kappa(solver, radius=1.5, samples=KAPPA_SAMPLES, seed=seed + 1)
+    entry["kappa_emp"] = kap["max"]
+    entry["kappa_by_flavor"] = {k: v for k, v in kap.items() if k != "max"}
+    if kap["max"] > 0.5:
+        raise InvariantError("graph constant exceeds 1/2; downstream bounds are void")
+
+    rng = np.random.default_rng(seed + 2)
+    charts = rng.uniform(-0.4, 0.4, size=(CHART_SAMPLES, split.dims[1]))
+    n_list = sample_lattice_vectors(solver, n_max, n_count, seed=seed + 3)
+    if not n_list:
+        raise InputError(f"no sampled lattice vector has adapted norm <= {n_max}")
+    prof = deviation_profile(solver, n_list, charts)
+    csv_rows = [(amp, r["norm"], r["deviation"]) for r in prof]
+    growth_exponent = _envelope_growth_exponent(prof)
+    # C with dev <= C log|n| + C: smallest C covering all samples
+    c_fit = max(r["deviation"] / (np.log(max(r["norm"], 1.01)) + 1.0) for r in prof)
+    entry["deck_deviation"] = {
+        "n_count": len(prof),
+        "max_norm": n_max,
+        "log_fit_c": float(c_fit),
+        "growth_exponent": growth_exponent,
+    }
+    probe = holonomy_lipschitz_probe(solver, leg_budget=3, length_budget=6.0,
+                                     samples=LIP_PATHS, seed=seed + 4)
+    fit = deck_lipschitz_fit(solver, n_list[: min(8, len(n_list))], seed=seed + 5)
+    entry["holonomy_lipschitz"] = {"c_emp": probe.c_emp, "beta_emp": probe.beta_emp}
+    entry["deck_lipschitz"] = fit
+    if dim_x is not None:
+        entry["appendix_constants"] = appendix_constants(
+            dim_x, max(probe.beta_emp, fit["beta_emp"], 0.0))
+    entry["phi_bounds"] = phi_bound_checks(solver, kap["max"], phi_samples,
+                                           radius=1.0, seed=seed + 6)
+    entry["commutation_defect"] = commutation_defect(
+        solver, _lattice_vector((1, 0, 1, -1), solver.n), _lattice_vector((0, 1, -1, 1), solver.n),
+        sample_count=8, seed=seed + 7)
+    return entry, csv_rows
+
+
 def perturb_experiment(
     base_map: PerturbedMap,
     amplitudes: list[float],
@@ -203,7 +254,14 @@ def perturb_experiment(
     n_count: int = 24,
     phi_samples: int = 1000,
 ) -> dict:
-    """Graph constants, deck-holonomy deviations, and Lipschitz fits per amplitude."""
+    """Graph constants, deck-holonomy deviations, and Lipschitz fits per amplitude.
+
+    The amplitudes are independent, so they run in `parts.part_count`
+    processes (`parts.run_parts`; one for a single amplitude): part p
+    studies amplitudes p, p + P, ..., and the results are put back in
+    input order, the same for any P.  A part stops at its first failing
+    amplitude, and the study raises the first failure in input order, as
+    one process would."""
     if not all(math.isfinite(amp) for amp in amplitudes):
         raise InputError(f"amplitudes must be finite numbers, got {amplitudes}")
     if n_count < 1 or phi_samples < 1 or not 2 <= n_max <= N_MAX_LIMIT:
@@ -223,54 +281,28 @@ def perturb_experiment(
         dim_x = pseudo_anosov_subspace(a, split=split).dim_x
     except OutOfHypothesesError:
         dim_x = None
+    parts = part_count(len(amplitudes), blas=True)
+
+    def study_part(part: int) -> list:
+        done = []
+        for amp in amplitudes[part::parts]:
+            try:
+                done.append(_amplitude_study(base_map, split, norm, dim_x, amp, seed,
+                                             n_max, n_count, phi_samples))
+            except Exception as exc:  # raised below, in input order
+                done.append(exc)
+                break
+        return done
+
+    outcomes = run_parts(study_part, parts, "perturbation-study")
     results = []
     csv_rows: list[tuple[float, float, float]] = []
-    for amp in amplitudes:
-        f = rescale_amplitudes(base_map, amp)
-        solver = LeafSolver(f, split, norm)
-        entry: dict = {"amplitude": amp, "c1_bound": f.c1_deviation_bound()}
-        if amp == 0:
-            entry["degeneration"] = degeneration_checks(solver, seed)
-            entry["kappa_emp"] = 0.0
-            results.append(entry)
-            continue
-        kap = measure_kappa(solver, radius=1.5, samples=KAPPA_SAMPLES, seed=seed + 1)
-        entry["kappa_emp"] = kap["max"]
-        entry["kappa_by_flavor"] = {k: v for k, v in kap.items() if k != "max"}
-        if kap["max"] > 0.5:
-            raise InvariantError("graph constant exceeds 1/2; downstream bounds are void")
-
-        rng = np.random.default_rng(seed + 2)
-        charts = rng.uniform(-0.4, 0.4, size=(CHART_SAMPLES, split.dims[1]))
-        n_list = sample_lattice_vectors(solver, n_max, n_count, seed=seed + 3)
-        if not n_list:
-            raise InputError(f"no sampled lattice vector has adapted norm <= {n_max}")
-        prof = deviation_profile(solver, n_list, charts)
-        for r in prof:
-            csv_rows.append((amp, r["norm"], r["deviation"]))
-        growth_exponent = _envelope_growth_exponent(prof)
-        # C with dev <= C log|n| + C: smallest C covering all samples
-        c_fit = max(r["deviation"] / (np.log(max(r["norm"], 1.01)) + 1.0) for r in prof)
-        entry["deck_deviation"] = {
-            "n_count": len(prof),
-            "max_norm": n_max,
-            "log_fit_c": float(c_fit),
-            "growth_exponent": growth_exponent,
-        }
-        probe = holonomy_lipschitz_probe(solver, leg_budget=3, length_budget=6.0,
-                                         samples=LIP_PATHS, seed=seed + 4)
-        fit = deck_lipschitz_fit(solver, n_list[: min(8, len(n_list))], seed=seed + 5)
-        entry["holonomy_lipschitz"] = {"c_emp": probe.c_emp, "beta_emp": probe.beta_emp}
-        entry["deck_lipschitz"] = fit
-        if dim_x is not None:
-            entry["appendix_constants"] = appendix_constants(
-                dim_x, max(probe.beta_emp, fit["beta_emp"], 0.0))
-        entry["phi_bounds"] = phi_bound_checks(solver, kap["max"], phi_samples,
-                                               radius=1.0, seed=seed + 6)
-        entry["commutation_defect"] = commutation_defect(
-            solver, _lattice_vector((1, 0, 1, -1), solver.n), _lattice_vector((0, 1, -1, 1), solver.n),
-            sample_count=8, seed=seed + 7)
-        results.append(entry)
+    for i in range(len(amplitudes)):
+        outcome = outcomes[i % parts][i // parts]
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome[0])
+        csv_rows.extend(outcome[1])
     return {
         "config": {
             "amplitudes": amplitudes,

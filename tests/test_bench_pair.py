@@ -2,6 +2,7 @@
 working tree; no benchmark runs."""
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,8 +64,9 @@ def test_zero_pairs_exit_before_any_run():
     assert exc.value.code == 2
 
 
-def test_head_copy_holds_tracked_edits_and_no_untracked_file(tmp_path, monkeypatch):
-    tool = _load_tool()
+def _edited_repo(tmp_path):
+    """A git repository with two committed files, one edited since, and an
+    untracked file."""
     repo = tmp_path / "repo"
     (repo / "sub").mkdir(parents=True)
     (repo / "a.txt").write_text("committed\n")
@@ -79,10 +81,52 @@ def test_head_copy_holds_tracked_edits_and_no_untracked_file(tmp_path, monkeypat
     git("commit", "-q", "-m", "seed")
     (repo / "a.txt").write_text("edited\n")
     (repo / "untracked.txt").write_text("stray\n")
-    monkeypatch.setattr(tool, "ROOT", str(repo))
+    return repo
+
+
+def _files(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
+def test_head_copy_holds_tracked_edits_and_no_untracked_file(tmp_path, monkeypatch):
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "ROOT", str(_edited_repo(tmp_path)))
     dest = tmp_path / "head"
     tool.copy_tracked(str(dest))
     assert (dest / "a.txt").read_text() == "edited\n"
     assert (dest / "sub" / "b.txt").read_text() == "nested\n"
-    assert sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file()) == [
-        "a.txt", "sub/b.txt"]
+    assert _files(dest) == ["a.txt", "sub/b.txt"]
+
+
+def test_base_extract_holds_the_commit_and_registers_nothing(tmp_path, monkeypatch):
+    tool = _load_tool()
+    repo = _edited_repo(tmp_path)
+    git_files = _files(repo / ".git")
+    monkeypatch.setattr(tool, "ROOT", str(repo))
+    dest = tmp_path / "base"
+    tool.extract_commit("HEAD", str(dest))
+    assert (dest / "a.txt").read_text() == "committed\n"
+    assert _files(dest) == ["a.txt", "sub/b.txt"]
+    assert _files(repo / ".git") == git_files
+
+
+CHILD_ALLOCATES = """
+import os
+pid = os.fork()
+if pid == 0:
+    block = bytearray(48 * 2**20)
+    os._exit(0)
+os.waitpid(pid, 0)
+print("done")
+"""
+
+
+def test_run_measured_counts_a_forked_child(tmp_path):
+    # the child touches 48 MB; the parent, a bare interpreter, about 10 MB
+    tool = _load_tool()
+    code, out, err, tree_mb = tool.run_measured([sys.executable, "-c", CHILD_ALLOCATES],
+                                                str(tmp_path))
+    assert (code, out, err) == (0, "done\n", "")
+    assert tree_mb > 48
+    assert tool.run_measured([sys.executable, "-c", "import sys; sys.exit(3)"],
+                             str(tmp_path))[0] == 3

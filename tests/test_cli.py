@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import shipped_schema_validator
-from torusdyn import cli, diophantine, experiments, manifolds, survey
+from torusdyn import cli, diophantine, experiments, manifolds, parts, survey
 from torusdyn.cli import main
 from torusdyn.errors import BudgetError
 from torusdyn.perturbed import salem_example
@@ -341,16 +341,16 @@ def test_dioph_factors_the_char_poly_once(files, capsys, monkeypatch):
 def test_dioph_split_scan_is_byte_identical(files, capsys, monkeypatch):
     """Above the break-even the scan folds its slabs in two processes, and
     the report is the one-process report byte for byte."""
-    parts = []
+    counts = []
     real_parts = diophantine._scan_parts
     monkeypatch.setattr(diophantine, "_scan_parts",
-                        lambda *args: parts.append(real_parts(*args)) or parts[-1])
+                        lambda *args: counts.append(real_parts(*args)) or counts[-1])
     outs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(diophantine, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parts, "usable_cpus", lambda: cpus)
         assert main(["dioph", files["salem"], "--radius", "50"]) == 0
         outs.append(capsys.readouterr().out)
-    assert parts == [1, 2]
+    assert counts == [1, 2]
     assert outs[0] == outs[1]
     assert multiprocessing.active_children() == []
 
@@ -405,6 +405,149 @@ def test_dioph_split_scan_interrupted_leaves_no_process(files, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(["dioph", files["salem"], "--radius", "10"])
     assert multiprocessing.active_children() == []
+
+
+def test_dioph_splits_without_a_thread_control(files, monkeypatch):
+    """The scan's integer folds need no OpenBLAS pin, so the scan splits
+    where no thread control is found."""
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda process: started.append(process) or real_start(process))
+    monkeypatch.setattr(parts, "_blas_thread_controls", lambda: ())
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 2)
+    assert main(["dioph", files["salem"], "--radius", "50"]) == 0
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+def _stub_thread_control(monkeypatch):
+    """Have `perturb` split on any Linux host: one OpenBLAS thread control
+    that reads one thread and sets nothing."""
+    monkeypatch.setattr(parts, "_blas_thread_controls", lambda: ((lambda: 1, lambda count: None),))
+
+
+SMALL_STUDY = ["--nmax", "10", "--ncount", "3", "--samples", "20"]
+
+
+def test_perturb_split_study_is_byte_identical(files, monkeypatch):
+    """With two or more amplitudes the study runs one part per usable CPU,
+    part p the amplitudes p, p + P, ..., and writes the one-process report
+    and table byte for byte."""
+    counts = []
+    real_run_parts = parts.run_parts
+    monkeypatch.setattr(experiments, "run_parts",
+                        lambda work, count, what: counts.append(count) or
+                        real_run_parts(work, count, what))
+    monkeypatch.setattr(parts, "MAX_PARTS", 3)
+    _stub_thread_control(monkeypatch)
+    outs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parts, "usable_cpus", lambda: cpus)
+        out, csv = files["tmp"] / f"p{cpus}.json", files["tmp"] / f"p{cpus}.csv"
+        assert main(["perturb", files["map"], "--eps", "0,0.02,0.01", *SMALL_STUDY,
+                     "--out", str(out), "--csv", str(csv)]) == 0
+        outs.append((out.read_bytes(), csv.read_bytes()))
+    assert counts == [1, 2, 3]
+    assert outs[0] == outs[1] == outs[2]
+    assert multiprocessing.active_children() == []
+
+
+def test_perturb_split_study_failure_matches_one_process(files, capfd, monkeypatch):
+    """A graph constant above 1/2 at the second amplitude, studied in the
+    child, exits as one process does: 3 with its one line, and no output."""
+    _stub_thread_control(monkeypatch)
+    errs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parts, "usable_cpus", lambda: cpus)
+        out = files["tmp"] / "p.json"
+        assert main(["perturb", files["map"], "--eps", "0.01,0.12", *SMALL_STUDY,
+                     "--out", str(out)]) == 3
+        errs.append(capfd.readouterr().err)
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+    assert errs[0] == errs[1] == "error: graph constant exceeds 1/2; downstream bounds are void\n"
+
+
+def _fault_at(monkeypatch, faults):
+    """Have the perturbation study call faults[amp] when it reaches amp, in
+    two parts: amplitudes 0, 2, ... here and 1, 3, ... in the child."""
+    real_study = experiments._amplitude_study
+
+    def study(base_map, split, norm, dim_x, amp, *args):
+        if amp in faults:
+            faults[amp]()
+        return real_study(base_map, split, norm, dim_x, amp, *args)
+
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 2)
+    _stub_thread_control(monkeypatch)
+    monkeypatch.setattr(experiments, "_amplitude_study", study)
+
+
+def _fault_named(amp):
+    def fault():
+        raise BudgetError(f"a planted fault at {amp}")
+    return fault
+
+
+@pytest.mark.parametrize("fault, code, says", [
+    (_planted_fault, 4, "^error: a planted fault$"),
+    (_killed, 3, r"^error: a perturbation-study process ended without its result "
+     r"\(exit code 9\)$"),
+])
+def test_perturb_split_study_failure_in_the_child(files, capfd, monkeypatch, fault, code, says):
+    _fault_at(monkeypatch, {0.02: fault})
+    out = files["tmp"] / "p.json"
+    assert main(["perturb", files["map"], "--eps", "0.01,0.02", *SMALL_STUDY,
+                 "--out", str(out)]) == code
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and re.search(says, err), err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failing, first", [((0.02, 0.03), 0.02), ((0.01, 0.02), 0.01)],
+                         ids=["child-first", "parent-first"])
+def test_perturb_split_study_raises_the_first_failing_amplitude(monkeypatch, failing, first):
+    # amplitudes 0.01 and 0.03 are studied here, 0.02 in the child
+    _fault_at(monkeypatch, {amp: _fault_named(amp) for amp in failing})
+    with pytest.raises(BudgetError, match=f"^a planted fault at {first}$"):
+        experiments.perturb_experiment(salem_example(0.01), [0.01, 0.02, 0.03],
+                                       n_max=10, n_count=3, phi_samples=20)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("amp", [0.01, 0.02], ids=["here", "in-the-child"])
+def test_perturb_split_study_interrupted_leaves_no_process(files, monkeypatch, amp):
+    _fault_at(monkeypatch, {amp: _interrupted})
+    with pytest.raises(KeyboardInterrupt):
+        main(["perturb", files["map"], "--eps", "0.01,0.02", *SMALL_STUDY])
+    assert multiprocessing.active_children() == []
+
+
+def test_perturb_single_amplitude_starts_no_process(files, monkeypatch):
+    def no_start(process):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+    assert main(["perturb", files["map"], "--eps", "0.01", *SMALL_STUDY,
+                 "--out", str(files["tmp"] / "p.json")]) == 0
+
+
+def test_perturb_without_a_thread_control_starts_no_process(files, monkeypatch):
+    """Where OpenBLAS cannot be shown to run on one thread, the study's
+    matrix products stay in one process."""
+    def no_start(process):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parts, "_blas_thread_controls", lambda: ())
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+    assert main(["perturb", files["map"], "--eps", "0.01,0.02", *SMALL_STUDY,
+                 "--out", str(files["tmp"] / "p.json")]) == 0
 
 
 def test_perturb_outputs_reproducible(files):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import SALEM_CONJUGATE, random_unimodular
-from torusdyn import diophantine
+from torusdyn import diophantine, parts
 from torusdyn.diophantine import (
     PairWitness,
     _candidates,
@@ -781,34 +781,34 @@ def test_center_norm_minimum_merges_parts_exactly(salem_pa, salem_norm, case, pa
 
 def test_scan_parts_follow_the_cpus_and_the_break_even(salem_pa, salem_norm, monkeypatch):
     # radius 10 holds about 1.5e3 candidates, radius 50 about 9.5e5
-    def parts(radius):
+    def scan_parts(radius):
         return diophantine._scan_parts(diophantine._scan_plan(salem_pa.lam, salem_norm, radius))
 
     monkeypatch.setattr(sys, "platform", "linux")
-    monkeypatch.setattr(diophantine, "usable_cpus", lambda: 1)
-    assert parts(50.0) == 1
-    monkeypatch.setattr(diophantine, "usable_cpus", lambda: 2)
-    assert parts(10.0) == 1
-    assert parts(50.0) == 2
-    monkeypatch.setattr(diophantine, "usable_cpus", lambda: 64)  # 26 slabs at radius 50
-    assert parts(50.0) == 2
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 1)
+    assert scan_parts(50.0) == 1
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 2)
+    assert scan_parts(10.0) == 1
+    assert scan_parts(50.0) == 2
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 64)  # 26 slabs at radius 50
+    assert scan_parts(50.0) == 2
     monkeypatch.setattr(diophantine, "SPLIT_CANDIDATES", 1.0)
-    assert parts(50.0) == 2
-    monkeypatch.setattr(diophantine, "MAX_SCAN_PARTS", 64)
-    assert parts(50.0) == 26
+    assert scan_parts(50.0) == 2
+    monkeypatch.setattr(parts, "MAX_PARTS", 64)
+    assert scan_parts(50.0) == 26
     for platform in ("darwin", "win32"):
         with monkeypatch.context() as m:
             m.setattr(sys, "platform", platform)
-            assert parts(50.0) == 1
+            assert scan_parts(50.0) == 1
     with monkeypatch.context() as m:
         m.setattr(multiprocessing.current_process(), "daemon", True)
-        assert parts(50.0) == 1
+        assert scan_parts(50.0) == 1
     with pytest.raises(BudgetError):
-        parts(1e9)
+        scan_parts(1e9)
 
 
 def test_scan_below_the_break_even_starts_no_process(salem_pa, salem_norm, monkeypatch):
-    monkeypatch.setattr(diophantine, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parts, "usable_cpus", lambda: 2)
     report = center_norm_minimum(salem_pa, salem_norm, 10.0).to_json()
 
     def no_start(process):

@@ -1,27 +1,33 @@
 """Paired benchmark runs of the working tree against a base revision.
 
-Checks REV out with ``git worktree`` into a temporary directory, copies the
+Extracts REV with ``git archive`` into a temporary directory, copies the
 working tree's tracked files, uncommitted edits included, into another, and
 runs ``bench/run.py`` in both, pair by pair, alternating which side runs
 first, all on one seed.  Both sides run from new directories, since the
-directory alone can move ``peak_rss_mb`` by a few tenths of a MB.  Usage,
-from the repository root:
+directory alone can move ``peak_rss_mb`` by a few tenths of a MB, and a run
+registers nothing in the repository's ``.git``.  Usage, from the
+repository root:
 
     python tools/bench_pair.py --base HEAD~1 --workload dioph --pairs 10 \\
         --seed 9107 --seconds 6 --out BENCH_dioph.json
 
 The JSON written to ``--out`` holds every raw result line of
-``bench/run.py``, each with ``raw_wall_s`` added (the median of the
-rounds' wall times before the rescaling to the reference CPU speed, read
-from the run's result file); per metric, each side's median and quartiles and the
-pairs the working tree wins (a strictly better value in the direction
-``BENCHMARK.json`` gives); each side's attempted and failed operations;
-and the variables of ``RECORDED_ENV``, the CPU count, the CPUs this
-process may run on (``dioph`` splits its scan over them) and the load
-average before and after.  Runs inherit the environment, so set
-``OPENBLAS_NUM_THREADS`` before calling.  The worktree and the copy are
-removed even when a run fails.  Nothing under ``bench/`` is changed: each
-side runs its own ``bench/run.py``.
+``bench/run.py``, each with two metrics added: ``raw_wall_s``, the median
+of the rounds' wall times before the rescaling to the reference CPU speed,
+read from the run's result file; and ``tree_peak_rss_mb``, the ``ru_maxrss``
+that ``os.wait4`` returns for the ``bench/run.py`` process: the largest peak
+RSS of that process and of every descendant it waited for, which counts
+the processes that ``dioph`` and ``perturb`` fork, where ``peak_rss_mb``
+(``RUSAGE_SELF``) counts the benchmark process alone.  Per metric, the
+JSON holds each side's median and quartiles and the pairs the working tree
+wins (a strictly better value in the direction ``BENCHMARK.json`` gives);
+each side's attempted and failed operations; and the variables of
+``RECORDED_ENV``, the CPU count, the CPUs this process may run on
+(``dioph`` and ``perturb`` split their work over them) and the load average
+before and after.  Runs inherit the environment, so set
+``OPENBLAS_NUM_THREADS`` before calling.  Both checkouts are removed even
+when a run fails.  Nothing under ``bench/`` is changed: each side runs its
+own ``bench/run.py``.
 """
 from __future__ import annotations
 
@@ -46,6 +52,38 @@ RECORDED_ENV = ("OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE")
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def extract_commit(commit: str, dest: str) -> None:
+    """Write the files of `commit` into dest, as ``git archive | tar -x``."""
+    os.makedirs(dest)
+    archive = subprocess.Popen(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    try:
+        subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    finally:
+        archive.stdout.close()
+        if archive.wait() != 0:
+            raise RuntimeError(f"git archive {commit} exited {archive.returncode}")
+
+
+def run_measured(cmd: list[str], cwd: str) -> tuple[int, str, str, float]:
+    """Run cmd in cwd: its exit code, stdout and stderr, and the ru_maxrss
+    that os.wait4 returns for it, in MB: the largest peak RSS of the process
+    and of every descendant it waited for."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=cwd, stdout=out, stderr=err)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return (proc.returncode, out.read().decode(), err.read().decode(),
+                usage.ru_maxrss / 1024)
 
 
 def copy_tracked(dest: str) -> None:
@@ -100,17 +138,17 @@ def failures(pairs: list[dict]) -> dict:
 
 def run_once(checkout: str, args) -> dict:
     """One bench/run.py run in `checkout`: its last stdout line, parsed,
-    with the metric ``raw_wall_s`` added: the median of the rounds' wall
-    times before they are rescaled to the reference CPU speed, from the
-    run's result file."""
+    with the metrics ``tree_peak_rss_mb`` (`run_measured`) and
+    ``raw_wall_s`` added: the median of the rounds' wall times before they
+    are rescaled to the reference CPU speed, from the run's result file."""
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"bench/run.py exited {proc.returncode} in {checkout}:\n"
-                           f"{proc.stderr[-2000:]}")
+    code, stdout, stderr, tree_rss = run_measured(cmd, checkout)
+    lines = stdout.strip().splitlines()
+    if code != 0 or not lines:
+        raise RuntimeError(f"bench/run.py exited {code} in {checkout}:\n{stderr[-2000:]}")
     result = json.loads(lines[-1])
+    result["metrics"]["tree_peak_rss_mb"] = {"value": tree_rss, "unit": "MB"}
     with open(os.path.join(checkout, "bench", ".work",
                            f"result-{args.workload}-{args.seed}-0.json")) as fh:
         raw = json.load(fh)["raw_wall_s"]
@@ -143,7 +181,7 @@ def main(argv=None) -> int:
     checkouts = {s: os.path.join(tmp, s) for s in SIDES}
     runs, pairs = [], []
     try:
-        _git("worktree", "add", "--detach", checkouts["base"], base_commit)
+        extract_commit(base_commit, checkouts["base"])
         copy_tracked(checkouts["head"])
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -154,10 +192,7 @@ def main(argv=None) -> int:
                 print(f"pair {i} {side}: {json.dumps(pair[side]['metrics'])}", file=sys.stderr)
             pairs.append(pair)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", checkouts["base"]], cwd=ROOT,
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        _git("worktree", "prune")
 
     report = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
