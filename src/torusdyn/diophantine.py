@@ -577,22 +577,9 @@ def _exact_bin_sums(values: np.ndarray, bins: np.ndarray, nbins: int) -> list[in
 WITNESS_CAP = 32
 
 # The slope is fitted to the least center norm of SHELLS shells, evenly
-# spaced in the log of the adapted norm from the least norm to the greatest.
+# spaced in the log of the adapted norm from the lattice's least norm to the
+# scan's radius.
 SHELLS = 12
-
-# np.log is faithfully rounded, not monotone by contract, so a bracket of
-# the greatest norm's log is widened by this many ulps each way.
-LOG_SLACK_ULPS = 4
-
-
-def _nudged(x: float, sign: int) -> float:
-    """x moved LOG_SLACK_ULPS ulps up (sign 1) or down (sign -1)."""
-    return x + sign * LOG_SLACK_ULPS * np.spacing(abs(x))
-
-
-def _shell_edges(lo: float, log_greatest: float) -> np.ndarray:
-    """The shells' edges for logs of norms from lo to log_greatest."""
-    return np.linspace(lo, log_greatest + 1e-9, SHELLS + 1)
 
 
 def _least_shell(lam: Lattice, norm: AdaptedNorm) -> BallPoints:
@@ -610,25 +597,21 @@ class _HalfBallFold:
     lie outside the edges) the point count, the least center norm and the
     exact sum of log norms over EXACT_SUM_SCALE.
 
-    The edges need the least and the greatest norm.  The least is given,
-    and so is `top`, a bound on the greatest.  The greatest lies between
-    the greatest so far and `top`, and each edge grows with it, so a point
-    whose shell is the same under both ends' edges is final and is folded
-    in at once.  The few others are kept, and retried with each chunk,
-    until `finish` knows the greatest.
+    The edges run from log(least) to log(radius) + 1e-9 and are fixed
+    before the first chunk, so each point's shell is final when it comes.
+    Bins 0 and SHELLS + 1 stay empty: `least` is the lattice's least norm
+    bit for bit, so no log lies below the first edge, and every kept norm
+    is at most radius + 1e-12, whose log lies far inside the 1e-9 slack.
     """
 
-    def __init__(self, r: int, least: float, top: float):
+    def __init__(self, r: int, least: float, radius: float):
         self.r = r
         self.count, self.greatest, self.least_center = 0, -math.inf, math.inf
         self.best = None
-        self.pending = np.empty(0), np.empty(0)  # (log norms, center norms)
         self.counts = np.zeros(SHELLS + 2, dtype=np.int64)
         self.least_nc = np.full(SHELLS + 2, np.inf)
         self.sums = [0] * (SHELLS + 2)
-        self.lo = np.log(least)
-        # per shell, the lower edge when the greatest norm is `top`
-        self.top_lower = np.concatenate(([-np.inf], _shell_edges(self.lo, _nudged(np.log(top), 1))))
+        self.edges = np.linspace(np.log(least), np.log(radius) + 1e-9, SHELLS + 1)
 
     def add(self, coords: np.ndarray, norms: np.ndarray, nc: np.ndarray) -> None:
         if not norms.size:
@@ -642,18 +625,10 @@ class _HalfBallFold:
                                                        norms[keep], nc[keep], ratios[keep]),
                                       WITNESS_CAP))
         logn = np.log(norms)
-        if self.pending[0].size:
-            logn, nc = (np.concatenate(pair) for pair in zip(self.pending, (logn, nc)))
-        # A value's shell under the least edges the greatest norm allows
-        # moves down under the greatest edges exactly when the value lies
-        # below the shell's lower edge there.
-        shell = _shell_index(logn, _shell_edges(self.lo, _nudged(np.log(self.greatest), -1)))
-        wait = logn < self.top_lower.take(shell)
-        self.pending = logn[wait], nc[wait]
-        if self.pending[0].size:
-            final = ~wait
-            logn, nc, shell = logn[final], nc[final], shell[final]
-        self._add_shells(logn, nc, shell)
+        shell = _shell_index(logn, self.edges)
+        self.counts += np.bincount(shell, minlength=SHELLS + 2)
+        np.minimum.at(self.least_nc, shell, nc)
+        self.sums = [a + b for a, b in zip(self.sums, _exact_bin_sums(logn, shell, SHELLS + 2))]
 
     def _keep_best(self, least) -> None:
         if self.best is not None:
@@ -663,29 +638,15 @@ class _HalfBallFold:
 
     def merge(self, other: "_HalfBallFold") -> None:
         """Fold in the fold of another part of the same half ball, with the
-        same least norm and `top`.  A point the other part has finalised
-        keeps its shell under any greatest norm from that part's greatest
-        to `top`, so under the whole ball's; its points still pending join
-        these, for `finish`."""
+        same edges."""
         self.count += other.count
         self.greatest = max(self.greatest, other.greatest)
         self.least_center = min(self.least_center, other.least_center)
         if other.best is not None:
             self._keep_best(other.best)
-        self.pending = tuple(np.concatenate(pair) for pair in zip(self.pending, other.pending))
         self.counts += other.counts
         np.minimum(self.least_nc, other.least_nc, out=self.least_nc)
         self.sums = [a + b for a, b in zip(self.sums, other.sums)]
-
-    def _add_shells(self, logn: np.ndarray, nc: np.ndarray, shell: np.ndarray) -> None:
-        self.counts += np.bincount(shell, minlength=SHELLS + 2)
-        np.minimum.at(self.least_nc, shell, nc)
-        self.sums = [a + b for a, b in zip(self.sums, _exact_bin_sums(logn, shell, SHELLS + 2))]
-
-    def finish(self) -> None:
-        """Fold in the points kept back, under the greatest norm's edges."""
-        logn, nc = self.pending
-        self._add_shells(logn, nc, _shell_index(logn, _shell_edges(self.lo, np.log(self.greatest))))
 
     def slope(self) -> float:
         """The log-log slope of the shells' least center norms against
@@ -746,27 +707,25 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float) -> Dio
     and their negations.
 
     So the slabs may be folded in parts, and the parts' folds merged
-    (`_HalfBallFold.merge`) before one `finish` under the greatest norm of
-    all: `_scan_parts` picks the parts, one per usable CPU up to
-    `parts.MAX_PARTS` for a scan of at least SPLIT_CANDIDATES estimated
-    candidates a part, and `parts.run_parts` folds part 0 here and each
-    other part in a forked child.  The report is the same, bit for bit,
-    for any number of parts.
+    (`_HalfBallFold.merge`): `_scan_parts` picks the parts, one per usable
+    CPU up to `parts.MAX_PARTS` for a scan of at least SPLIT_CANDIDATES
+    estimated candidates a part, and `parts.run_parts` folds part 0 here
+    and each other part in a forked child.  The report is the same, bit
+    for bit, for any number of parts.
 
     A point's shell comes from `_shell_index`, exactly as the comparisons
     with the edges would pick it; counts and minima are per shell, and each
     shell's sum of logs is exact in Python ints (`_exact_bin_sums`), so its
     rounding is math.fsum's over the whole shell however the points are
-    split.  The edges span the least and the greatest norm.  The least
-    comes from `_least_shell`, bit for bit the stream's least since a
-    row's norm does not depend on its batch, and the greatest is bounded by
-    radius + 1e-12, the most a kept point may have.
+    split.  The edges span the lattice's least norm and the radius, both
+    known before the scan: the least comes from `_least_shell`, bit for bit
+    the stream's least since a row's norm does not depend on its batch.
     """
     plan = _scan_plan(pa.lam, norm, radius)
     parts = _scan_parts(plan)
     least = _least_shell(pa.lam, norm)
     fold, *others = run_parts(
-        lambda part: _fold_slabs(_HalfBallFold(pa.dim_x // 2, least.norms.min(), radius + 1e-12),
+        lambda part: _fold_slabs(_HalfBallFold(pa.dim_x // 2, least.norms.min(), radius),
                                  _ball_slabs(plan, part, parts)),
         parts, "lattice-scan")
     for other in others:
@@ -778,7 +737,6 @@ def center_norm_minimum(pa: PASubspace, norm: AdaptedNorm, radius: float) -> Dio
                          f"the least lattice norm is {least.norms[0]:.4g}, at n = {n}")
     if fold.least_center <= 1e-12 * fold.greatest:
         raise InvariantError("lattice vector with exactly zero center component")
-    fold.finish()
     coords, w_norms, w_nc, ratios = fold.best
     vectors = coords @ np.array(pa.lam.basis, dtype=np.int64)
     witnesses = [

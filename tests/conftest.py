@@ -398,7 +398,7 @@ def count_real_roots(p):
     bound 1 + max |a_i / a_n|, which every root lies strictly inside."""
     if p.degree < 1:
         return 0
-    bound = 1 + max(abs(Fraction(c, p.leading)) for c in p.coeffs[:-1])
+    bound = 1 + max(abs(Fraction(c, p.coeffs[-1])) for c in p.coeffs[:-1])
     return sturm_count_between(p, -bound, bound)
 
 
@@ -452,7 +452,7 @@ def _neg_rem_primitive(a: IntPoly, b: IntPoly) -> IntPoly:
 def _sign_at_inf(p: IntPoly, positive: bool) -> int:
     if p.is_zero:
         return 0
-    lc = p.leading
+    lc = p.coeffs[-1]
     s = (lc > 0) - (lc < 0)
     if not positive and p.degree % 2 == 1:
         s = -s

@@ -100,7 +100,7 @@ def _shells(ball):
     """Per populated shell of the fit: the logs of its points' norms, and
     the log of its least center norm."""
     nbins = 12
-    lo, hi = np.log(np.min(ball.norms)), np.log(np.max(ball.norms))
+    lo, hi = np.log(np.min(ball.norms)), np.log(ball.radius)
     edges = np.linspace(lo, hi + 1e-9, nbins + 1)
     logn = np.log(ball.norms)
     shells = []
@@ -733,41 +733,48 @@ def _synthetic_chunks(pa, case, largest):
 def test_center_norm_minimum_streams_a_synthetic_ball_exactly(salem_pa, salem_norm, case, largest,
                                                               monkeypatch):
     # The synthetic half ball streamed in chunks of 7 rows as a scan of its
-    # radius: the shells' upper edges are known only at the end, so with
-    # the largest norm last every point near an edge waits for it.
+    # radius, the largest norm first or last.
     ball, chunks = _synthetic_chunks(salem_pa, case, largest)
     _scan_yields(monkeypatch, ball, chunks, 1)
-    waiting = []  # points kept back after each chunk, and at the end
-    real_add = diophantine._HalfBallFold.add
-
-    def add(fold, *chunk):
-        real_add(fold, *chunk)
-        waiting.append(fold.pending[0].size)
-
-    monkeypatch.setattr(diophantine._HalfBallFold, "add", add)
     rep = center_norm_minimum(salem_pa, salem_norm, ball.radius).to_json()
     assert rep == _report_from_ball(salem_pa, ball, mean=_exact_mean).to_json()
-    # Points on an edge wait for the greatest norm however close the
-    # bracket; with the largest norm last, points near the edges wait too.
-    assert (waiting[-1] > 0) == (case == "logs on the edges"), waiting
-    if largest == "last" and case != "one shell":
-        assert max(waiting[:-1]) > waiting[-1], waiting
+
+
+@pytest.mark.parametrize("largest", ["first", "last"])
+@pytest.mark.parametrize("case", REDUCTION_CASES)
+def test_fold_bins_each_chunk_on_arrival(salem_pa, case, largest):
+    # The edges are fixed before the first chunk, so after each one the
+    # counts are those of every norm seen so far, binned once.
+    ball, chunks = _synthetic_chunks(salem_pa, case, largest)
+    fold = diophantine._HalfBallFold(2, ball.norms.min(), ball.radius)
+    seen = []
+    for chunk in chunks:
+        fold.add(*chunk)
+        seen.append(chunk[1])
+        want = np.bincount(diophantine._shell_index(np.log(np.concatenate(seen)), fold.edges),
+                           minlength=diophantine.SHELLS + 2)
+        assert np.array_equal(fold.counts, want)
+
+
+@pytest.mark.parametrize("radius", [12.0, 20.0, 80.0])
+def test_fold_of_a_scan_leaves_the_outer_bins_empty(salem_pa, salem_norm, radius):
+    # The least norm is the lattice's, and every kept norm is at most
+    # radius + 1e-12, far inside the last edge's 1e-9 slack.
+    plan = diophantine._scan_plan(salem_pa.lam, salem_norm, radius)
+    least = diophantine._least_shell(salem_pa.lam, salem_norm).norms.min()
+    fold = diophantine._fold_slabs(diophantine._HalfBallFold(2, least, radius),
+                                   diophantine._ball_slabs(plan, 0, 1))
+    assert fold.count > 0 and fold.counts[1] > 0
+    assert fold.counts[0] == fold.counts[diophantine.SHELLS + 1] == 0
 
 
 @pytest.mark.parametrize("parts", [2, 3])
 @pytest.mark.parametrize("case", REDUCTION_CASES)
 def test_center_norm_minimum_merges_parts_exactly(salem_pa, salem_norm, case, parts, monkeypatch):
     # The chunks of 7 rows, the largest norm last, dealt to the parts in
-    # turn and folded in forked children: a part without the largest norm
-    # still has points pending when its fold is merged.  Then the same
-    # rows in parts - 1 chunks, so that the last part is empty.
+    # turn and folded in forked children.  Then the same rows in
+    # parts - 1 chunks, so that the last part is empty.
     ball, chunks = _synthetic_chunks(salem_pa, case, "last")
-    top = ball.radius + 1e-12
-    folds = [diophantine._fold_slabs(diophantine._HalfBallFold(2, ball.norms.min(), top),
-                                     chunks[j::parts]) for j in range(parts)]
-    holder = (len(chunks) - 1) % parts
-    if case in ("norms below 1", "logs on the edges"):
-        assert any(f.pending[0].size for j, f in enumerate(folds) if j != holder)
     _scan_yields(monkeypatch, ball, chunks, 1)
     want = center_norm_minimum(salem_pa, salem_norm, ball.radius).to_json()
     assert want == _report_from_ball(salem_pa, ball, mean=_exact_mean).to_json()

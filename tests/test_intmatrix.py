@@ -71,7 +71,7 @@ def resultant_power_poly(p: IntPoly, k: int) -> IntPoly:
     res = a[size - 1][size - 1] * sign
     if res.is_zero:
         return res
-    out = res if res.leading > 0 else -res
+    out = res if res.coeffs[-1] > 0 else -res
     return out
 
 

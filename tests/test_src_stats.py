@@ -62,13 +62,12 @@ def test_src_stats_lists_the_planted_uncalled_function(tmp_path, capsys):
 # Public functions of src/torusdyn that no module of the package calls, in the
 # tool's order.  A new one fails this test until something calls it, it is
 # deleted, or it is listed here with the reason it stays.  Kept on purpose:
-# the constructors IntMatrix.block_diag and Lattice.standard; IntPoly.leading,
+# the constructors IntMatrix.block_diag and Lattice.standard;
 # pa_condition_cyclic and overlap_translation_linear, which only tests name;
 # the names only bench/spans.py traces, which go with the next change to
 # bench/; and the entry points of the benchmark and the tools.
 UNCALLED = [
     "uncalled  intmatrix.IntMatrix.block_diag  tools/output_digest.py",
-    "uncalled  intpoly.IntPoly.leading  -",
     "uncalled  intpoly.count_unitary_roots  bench/spans.py",
     "uncalled  lattice.Lattice.standard  -",
     "uncalled  lattice.invariant_factors  bench/spans.py",
